@@ -123,16 +123,21 @@ def _flatten(raw: dict) -> tuple[dict, list]:
     return flat, errors
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(cfg: ExperimentConfig) -> list:
     """Return every constraint violation; empty list means the config is usable."""
     e = []
-    if not isinstance(cfg.n, int) or cfg.n < 2:
+    if not _is_int(cfg.n) or cfg.n < 2:
         e.append("n must be an integer >= 2")
-    if not isinstance(cfg.p, int) or cfg.p < 1:
+    if not _is_int(cfg.p) or cfg.p < 1:
         e.append("p must be an integer >= 1")
     grid = cfg.s_grid
     if (not isinstance(grid, (list, tuple)) or len(grid) == 0
-            or any(not isinstance(s, int) or s < 1 for s in grid)):
+            or any(not _is_int(s) or s < 1 for s in grid)):
         e.append("s_grid must be a nonempty list of integers >= 1")
     elif any(b <= a for a, b in zip(grid, grid[1:])):
         e.append("s_grid must be strictly increasing")
@@ -142,9 +147,9 @@ def validate(cfg: ExperimentConfig) -> list:
         if cfg.gamma is None or not cfg.gamma > 1:
             e.append("polynomial spectra need gamma > 1; slower decay has a divergent trace")
     elif cfg.spectrum_kind == "finite-rank":
-        if cfg.d is None or not isinstance(cfg.d, int) or not (1 <= cfg.d):
+        if cfg.d is None or not _is_int(cfg.d) or not (1 <= cfg.d):
             e.append("finite-rank spectra need an integer rank d >= 1")
-        elif isinstance(cfg.p, int) and cfg.d > cfg.p:
+        elif _is_int(cfg.p) and cfg.d > cfg.p:
             e.append("finite-rank d cannot exceed p")
     if not cfg.omega1 > 0:
         e.append("omega1 must be > 0")
@@ -162,13 +167,13 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append("target_norm must be > 0")
     if cfg.target_mode == "unrealizable" and not cfg.tail_energy > 0:
         e.append("tail_energy must be > 0 for unrealizable targets")
-    if not isinstance(cfg.test_points, int) or cfg.test_points < 1:
+    if not _is_int(cfg.test_points) or cfg.test_points < 1:
         e.append("test_points must be an integer >= 1")
-    if not isinstance(cfg.label_redraws, int) or cfg.label_redraws < 2:
+    if not _is_int(cfg.label_redraws) or cfg.label_redraws < 2:
         e.append("label_redraws must be an integer >= 2 (a variance needs replicates)")
-    if not isinstance(cfg.ensemble_replicates, int) or cfg.ensemble_replicates < 1:
+    if not _is_int(cfg.ensemble_replicates) or cfg.ensemble_replicates < 1:
         e.append("ensemble_replicates must be an integer >= 1")
-    if cfg.master_seed is not None and (not isinstance(cfg.master_seed, int) or cfg.master_seed < 0):
+    if cfg.master_seed is not None and (not _is_int(cfg.master_seed) or cfg.master_seed < 0):
         e.append("master_seed must be a nonnegative integer")
     if not cfg.a > 0:
         e.append("a must be > 0")
@@ -186,7 +191,7 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append(f"target_noise must be one of {TARGET_NOISE_MODES}")
     if cfg.method not in METHODS:
         e.append(f"method must be one of {METHODS}")
-    if not isinstance(cfg.workers, int) or cfg.workers < 1:
+    if not _is_int(cfg.workers) or cfg.workers < 1:
         e.append("workers must be an integer >= 1")
     if cfg.method == "closed-form" and cfg.target_mode == "unrealizable":
         e.append("closed-form risk is only available for realizable targets")

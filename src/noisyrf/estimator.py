@@ -119,7 +119,11 @@ def projector_diag(Z: np.ndarray, rtol: float | None = None) -> ProjectorDiag:
 
     Pi vanishes exactly when the design has full column rank and is minus an
     orthogonal projector otherwise, so its norm is 0 or 1 up to rounding in
-    the computed singular basis.
+    the computed singular basis.  This factors the design itself, so the
+    sweep does not call it: a sweep cell takes the rank from the factorization
+    `risk.decompose` already made, sets null_dim = s - rank and uses
+    pi_norm = 1 when null_dim > 0.  It stays as the standalone diagnostic
+    that checks that shortcut.
     """
     f = svd_factors(Z, rtol)
     s = Z.shape[1]

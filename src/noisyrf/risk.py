@@ -87,6 +87,7 @@ class RiskDecomposition:
     total: float
     total_se: float
     method: str  # monte-carlo | closed-form
+    rank: int    # numerical rank of the design in the factorization the split used
 
 
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
@@ -293,7 +294,7 @@ def misspec_term(ensemble: FeatureEnsemble, target: TargetFunction, tf: TestFeat
                          total=total, stderr=se)
 
 
-def _summarize(b, v, r, mis, method) -> RiskDecomposition:
+def _summarize(b, v, r, mis, method, rank) -> RiskDecomposition:
     bias, bias_se = _mean_se(b)
     var, var_se = _mean_se(v)
     total, total_se = _mean_se(r)
@@ -303,7 +304,7 @@ def _summarize(b, v, r, mis, method) -> RiskDecomposition:
         mspec, mspec_se = _mean_se(mis)
     return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
                              misspec=mspec, misspec_se=mspec_se, total=total,
-                             total_se=total_se, method=method)
+                             total_se=total_se, method=method, rank=rank)
 
 
 def _decompose_materialized(ensemble, target, label_model, tf: TestFeatures, trials, rng,
@@ -334,7 +335,7 @@ def _decompose_materialized(ensemble, target, label_model, tf: TestFeatures, tri
     else:
         v = label_model.sigma_sq * np.sum(G * G, axis=1)
         r = d_tot * d_tot + v
-    return _summarize(d_bias * d_bias, v, r, mis, method)
+    return _summarize(d_bias * d_bias, v, r, mis, method, f.rank)
 
 
 def _decompose_streamed(ensemble, target, label_model, m, trials, rng, rtol, method,
@@ -399,7 +400,7 @@ def _decompose_streamed(ensemble, target, label_model, m, trials, rng, rtol, met
             v[sl] = label_model.sigma_sq * np.sum(G * G, axis=1)
             r[sl] = d * d + v[sl]
         b[sl] = d * d
-    return _summarize(b, v, r, None, method)
+    return _summarize(b, v, r, None, method, rank)
 
 
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: LabelModel,
@@ -412,7 +413,9 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: La
     to generate on the fly (generated points are processed in fixed-size
     blocks, so feature noise never needs m-by-s storage).  Realizable modes
     report misspec = 0; the monte-carlo method redraws labels `trials` times,
-    the closed-form method integrates the label noise exactly.
+    the closed-form method integrates the label noise exactly.  The design is
+    factored once, and the result's `rank` reports its numerical rank, so
+    callers need no second SVD for it.
     """
     if method not in ("monte-carlo", "closed-form"):
         raise ValueError("method must be monte-carlo or closed-form")

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import ExperimentConfig
-from .estimator import projector_diag
+# not called here: the sweep takes the rank from decompose; kept importable from
+# this module for callers that look the projector diagnostics up by this name
+from .estimator import projector_diag  # noqa: F401
 from .features import build_ensemble, make_noise_spec, sample_weights
 from .risk import LabelModel, decompose, make_target
 from .seeding import seed_stream
@@ -92,14 +94,20 @@ def _make_spectrum(cfg: ExperimentConfig):
 
 
 def _lambda_w(W: np.ndarray) -> float:
-    """Squared top singular value of the weight matrix."""
+    """Squared top singular value of the weight matrix.
+
+    Computed as the top eigenvalue of the Gram of W's smaller side (W^T W
+    when s <= p, else W W^T; at most min(p, s) square, and W is never
+    copied): a dense symmetric eigensolve up to 600, Lanczos above.
+    """
     p, s = W.shape
-    if min(p, s) <= 600:
-        return float(np.linalg.svd(W, compute_uv=False)[0] ** 2)
-    from scipy.sparse.linalg import svds
-    v0 = np.full(min(p, s), 1.0 / math.sqrt(min(p, s)))
-    sv = svds(W, k=1, v0=v0, return_singular_vectors=False, maxiter=2000)
-    return float(sv[0] ** 2)
+    A = W.T @ W if s <= p else W @ W.T
+    m = A.shape[0]
+    if m <= 600:
+        return float(np.linalg.eigvalsh(A)[-1])
+    from scipy.sparse.linalg import eigsh
+    v0 = np.full(m, 1.0 / math.sqrt(m))
+    return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
@@ -127,19 +135,21 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     phi_train = eigenfeature_matrix(spectrum, cfg.mode, X)
     lam_hat = empirical_covariance(phi_train).eigenvalues[:n]
     pop = population_covariance(spectrum)
-    proj = projector_diag(ensemble.design)
+    # decompose factored the design; a nonempty null space makes the row-space
+    # defect projector an orthogonal projector of norm exactly 1
+    null_dim = s - dec.rank
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, p=cfg.p, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
         sigma_sq=cfg.sigma_sq, trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
-        lambda_W=_lambda_w(W.entries), pi_norm=proj.pi_norm, beta_norm=target.norm,
-        delta=cfg.delta, a=cfg.a)
+        lambda_W=_lambda_w(W.entries), pi_norm=1.0 if null_dim > 0 else 0.0,
+        beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
     report = bounds_mod.bound_report(inputs, b=cfg.bias_multiplier,
                                      c=cfg.variance_multiplier,
                                      c_prime=cfg.lower_multiplier)
     regime = bounds_mod.regime_classify(n, s).regime
     # the bias bound speaks about the out-of-span projector; without a null
     # space (underparameterized fit) its premise is vacuous, so report nan
-    bias_bound = report.bias_bound if proj.null_dim > 0 else NAN
+    bias_bound = report.bias_bound if null_dim > 0 else NAN
     return SweepRecord(
         s=s, replicate=replicate, sigma0_sq=noise_spec.sigma0_sq,
         k_star=report.k_star,

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 from noisyrf import bounds as bounds_mod
@@ -88,6 +89,7 @@ def test_criterion_2_risk_decomposition_identity():
                    f"{worst_ratio:.2f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_3_double_descent_curve_shape():
     # Full default preset: the measured risk curve must peak at the
     # interpolation threshold (within [0.6n, 1.6n]) and descend past it.

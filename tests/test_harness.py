@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from noisyrf import estimator as estimator_mod
+from noisyrf import risk as risk_mod
 from noisyrf.cli import main
 from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
                             parse_config, preset_config)
@@ -123,6 +125,23 @@ class TestConfig:
     def test_presets_all_parse(self):
         for name in PRESETS:
             preset_config(name, {"master_seed": 0})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", True, "n must"),
+        ("p", True, "p must"),
+        ("s_grid", [True, 10], "s_grid"),
+        ("test_points", True, "test_points"),
+        ("label_redraws", True, "label_redraws"),
+        ("ensemble_replicates", True, "ensemble_replicates"),
+        ("workers", True, "workers"),
+        ("master_seed", True, "master_seed"),
+        ("spectrum", {"kind": "finite-rank", "d": True}, "rank d"),
+    ])
+    def test_bool_is_not_an_integer(self, field, value, message):
+        raw = {"n": 20, "p": 40, "s_grid": [5, 10], field: value}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(raw)
+        assert len(exc.value.errors) == 1 and message in exc.value.errors[0]
 
 
 def small_cfg(**kw):
@@ -243,6 +262,42 @@ class TestSweep:
         W = seed_stream(3, "lw").standard_normal((610, 605))
         want = float(np.linalg.svd(W, compute_uv=False)[0] ** 2)
         np.testing.assert_allclose(_lambda_w(W), want, rtol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (700, 620), (620, 700)])
+    def test_lambda_w_either_gram_side(self, shape):
+        # tall and wide, with the smaller side on both sides of the
+        # dense / iterative cut at 600
+        W = seed_stream(4, "lw", *shape).standard_normal(shape)
+        want = float(sla.svdvals(W)[0] ** 2)
+        np.testing.assert_allclose(_lambda_w(W), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("target_mode,s_index", [
+        ("realizable-clean", 0), ("realizable-clean", 1), ("unrealizable", 0)])
+    def test_one_design_svd_per_cell(self, monkeypatch, target_mode, s_index):
+        calls = []
+
+        def counting(original):
+            def wrapped(*args, **kwargs):
+                calls.append(args[0].shape)
+                return original(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(risk_mod, "svd_factors", counting(risk_mod.svd_factors))
+        monkeypatch.setattr(estimator_mod, "svd_factors",
+                            counting(estimator_mod.svd_factors))
+        cfg = small_cfg(target_mode=target_mode)
+        rec = compute_row(cfg, s_index, 0)
+        assert rec.error == "" and math.isfinite(rec.R)
+        assert calls == [(cfg.n, cfg.s_grid[s_index])]
+
+    def test_bias_bound_nan_exactly_without_null_space(self):
+        # unit feature-noise energy (alpha = 0) makes the tail index exist on
+        # every cell, so a nan can only come from the missing null space
+        cfg = small_cfg(s_grid=[4, 8, 12, 16, 24, 48], alpha=0.0)
+        records = run_sweep(cfg).records
+        assert all(r.k_star is not None for r in records)
+        assert [math.isnan(r.bias_bound) for r in records] == \
+            [r.s <= cfg.n for r in records]
 
 
 RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8", "--test-points", "100",

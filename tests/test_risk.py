@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from noisyrf.estimator import projector_diag, svd_factors
 from noisyrf.features import (build_ensemble, make_noise_spec, noise_matrix,
                               sample_weights)
 from noisyrf.risk import (LabelModel, TargetFunction, TestFeatures, bias_term,
@@ -498,6 +499,17 @@ class TestDecompose:
         res = misspec_term(ens, t, tf)
         np.testing.assert_allclose(d.misspec, res.total, rtol=1e-12)
         assert d.misspec > 0
+
+    @pytest.mark.parametrize("n,s,p,mode,materialized", [
+        (20, 12, 64, "realizable-clean", False), (20, 60, 120, "realizable-clean", False),
+        (20, 12, 64, "realizable-clean", True), (20, 60, 120, "unrealizable", True)])
+    def test_rank_matches_design_factorization(self, n, s, p, mode, materialized):
+        ens = mk_ensemble(n, s, p=p, seed=27)
+        t = make_target(mode, ens, 1.0, seed_stream(27, "t"))
+        test = make_test_features(ens, 200, seed_stream(27, "tf")) if materialized else 200
+        d = decompose(ens, t, LabelModel(1.0), test, 20, seed_stream(27, "d"))
+        assert d.rank == svd_factors(ens.design).rank == min(n, s)
+        assert projector_diag(ens.design).null_dim == s - d.rank
 
     def test_realizable_reports_zero_misspec(self):
         ens = mk_ensemble(20, 40, seed=25)
