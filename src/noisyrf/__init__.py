@@ -16,16 +16,14 @@ from .conclab import (ExperimentReport, cross_outer_norm_check,
                       weighted_subexp_sum_check)
 from .config import (ExperimentConfig, PRESETS, ValidationError, parse_config,
                      preset_config)
-from .estimator import (MnlsFit, ProjectorDiag, apply_projector, mnls_fit,
-                        predict, projector_diag, ridge_fit, svd_factors)
+from .estimator import (MnlsFit, ProjectorDiag, mnls_fit, predict,
+                        projector_diag, ridge_fit, svd_factors)
 from .features import (FeatureEnsemble, NoiseSpec, WeightMatrix, build_ensemble,
                        feature_matrix, inject_noise, make_noise_spec,
-                       noise_matrix, noiseless_spec, noisy_test_feature,
-                       sample_weights)
+                       noise_matrix, noiseless_spec, sample_weights)
 from .risk import (LabelModel, RiskDecomposition, TargetFunction, TestFeatures,
-                   bias_term, decompose, gen_labels, make_target,
-                   make_test_features, misspec_term, variance_closed,
-                   variance_mc)
+                   decompose, gen_labels, make_target, make_test_features,
+                   misspec_term, variance_closed)
 from .seeding import seed_sequence, seed_stream
 from .spectral import (CovarianceSummary, Spectrum, eigenfeature_map,
                        eigenfeature_matrix, empirical_covariance, fourier_basis,
@@ -46,14 +44,14 @@ __all__ = [
     "norm_concentration_check", "weighted_subexp_sum_check",
     "ExperimentConfig", "PRESETS", "ValidationError", "parse_config",
     "preset_config",
-    "MnlsFit", "ProjectorDiag", "apply_projector", "mnls_fit", "predict",
-    "projector_diag", "ridge_fit", "svd_factors",
+    "MnlsFit", "ProjectorDiag", "mnls_fit", "predict", "projector_diag",
+    "ridge_fit", "svd_factors",
     "FeatureEnsemble", "NoiseSpec", "WeightMatrix", "build_ensemble",
     "feature_matrix", "inject_noise", "make_noise_spec", "noise_matrix",
-    "noiseless_spec", "noisy_test_feature", "sample_weights",
+    "noiseless_spec", "sample_weights",
     "LabelModel", "RiskDecomposition", "TargetFunction", "TestFeatures",
-    "bias_term", "decompose", "gen_labels", "make_target", "make_test_features",
-    "misspec_term", "variance_closed", "variance_mc",
+    "decompose", "gen_labels", "make_target", "make_test_features",
+    "misspec_term", "variance_closed",
     "seed_sequence", "seed_stream",
     "CovarianceSummary", "Spectrum", "eigenfeature_map", "eigenfeature_matrix",
     "empirical_covariance", "fourier_basis", "kernel_eval", "kernel_gram",

@@ -98,20 +98,10 @@ def bias_bound(inputs: BoundInputs, b: float = 1.0) -> float:
     return _bias_formula(inputs, b)
 
 
-def variance_bound(sigma_sq: float, trace_Sigma: float, s: int, n: int, c: float = 1.0,
-                   *, divide_by_sigma0: bool = False, sigma0_sq: float | None = None) -> float:
-    """Label-noise variance bound c * sigma^2 * trace * s / n^2 for the noisy fit.
-
-    divide_by_sigma0 switches on an alternate normalization with an extra
-    1/sigma0 factor; it is kept only for side-by-side comparison and is off by
-    default.
-    """
-    val = c * sigma_sq * trace_Sigma * s / float(n) ** 2
-    if divide_by_sigma0:
-        if not sigma0_sq or sigma0_sq <= 0:
-            raise ValueError("the 1/sigma0 variant needs sigma0_sq > 0")
-        val /= math.sqrt(sigma0_sq)
-    return val
+def variance_bound(sigma_sq: float, trace_Sigma: float, s: int, n: int,
+                   c: float = 1.0) -> float:
+    """Label-noise variance bound c * sigma^2 * trace * s / n^2 for the noisy fit."""
+    return c * sigma_sq * trace_Sigma * s / float(n) ** 2
 
 
 def clean_mnls_bounds(inputs: BoundInputs, b: float = 1.0, c: float = 1.0,

@@ -14,12 +14,12 @@ import json
 import sys
 
 from . import conclab
-from .bounds import double_descent_curve, regime_classify
-from .config import PRESETS, ExperimentConfig, ValidationError, parse_config
+from .bounds import regime_classify
+from .config import (PRESETS, ExperimentConfig, ValidationError, load_raw_config,
+                     parse_config)
 from .seeding import seed_stream
 from .spectral import make_spectrum, suggest_truncation, trace_and_rank
-from .sweep import (_make_spectrum, compute_row, curve_csv, emit_outputs,
-                    run_sweep)
+from .sweep import bound_curve, compute_row, curve_csv, emit_outputs, run_sweep
 
 
 class CliError(Exception):
@@ -71,31 +71,17 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir")
 
 
-_OVERRIDE_FIELDS = ["n", "p", "s_grid", "spectrum_kind", "gamma", "d", "omega1",
-                    "mode", "noise_family", "alpha", "sigma_sq", "target_mode",
-                    "target_norm", "tail_energy", "test_points", "label_redraws",
-                    "ensemble_replicates", "a", "delta", "bias_multiplier",
-                    "variance_multiplier", "lower_multiplier", "m0", "clean_test",
-                    "target_noise", "method", "workers", "out_dir"]
-
-
 def _build_config(args, require_seed: bool) -> ExperimentConfig:
     base: dict = {}
     if args.preset:
         base.update(PRESETS[args.preset])
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if isinstance(raw, dict) and "artifact_version" in raw and isinstance(raw.get("config"), dict):
-            raw = raw["config"]
-        if not isinstance(raw, dict):
-            raise ValidationError(["config file must hold a JSON object"])
-        base.update(raw)
+        base.update(load_raw_config(args.config))
     overrides = {}
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name, None)  # every field but master_seed has a flag
         if value is not None:
-            overrides[name] = value
+            overrides[f.name] = value
     if isinstance(overrides.get("s_grid"), str):
         try:
             overrides["s_grid"] = [int(tok) for tok in overrides["s_grid"].split(",") if tok]
@@ -140,18 +126,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _json_clean(x):
-    """Strict JSON: non-finite floats become null."""
-    import math as _math
-    if isinstance(x, dict):
-        return {k: _json_clean(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_clean(v) for v in x]
-    if isinstance(x, float) and not _math.isfinite(x):
-        return None
-    return x
-
-
 def _cmd_risk(args) -> int:
     cfg = _build_config(args, require_seed=False)
     if args.s is not None:
@@ -159,19 +133,13 @@ def _cmd_risk(args) -> int:
     record = compute_row(cfg, 0, args.replicate)
     out = dataclasses.asdict(record)
     out["regime_detail"] = dataclasses.asdict(regime_classify(cfg.n, record.s))
-    print(json.dumps(_json_clean(out), indent=2, default=float))
+    print(json.dumps(conclab._jsonable(out), indent=2))
     return 0
 
 
 def _cmd_bounds(args) -> int:
     cfg = _build_config(args, require_seed=False)
-    spectrum = _make_spectrum(cfg)
-    points = double_descent_curve(
-        spectrum, cfg.n, cfg.alpha, cfg.sigma_sq, cfg.s_grid, mode=cfg.mode,
-        delta=cfg.delta, a=cfg.a, beta_norm=cfg.target_norm, m0=cfg.m0,
-        b=cfg.bias_multiplier, c=cfg.variance_multiplier,
-        rng=seed_stream(cfg.master_seed, "curve"))
-    text = curve_csv(points)
+    text = curve_csv(bound_curve(cfg))
     if args.stdout:
         sys.stdout.write(text)
     else:

@@ -53,14 +53,18 @@ class ExperimentReport:
 
 
 def _jsonable(x):
+    """x with numpy values as Python values and non-finite floats as None, so
+    json.dumps writes strict JSON (no NaN or Infinity tokens)."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     return x
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .features import NOISE_FAMILIES
@@ -128,9 +129,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # likewise, True is not a magnitude
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_REAL_FIELDS = ("gamma", "omega1", "alpha", "sigma_sq", "target_norm", "tail_energy",
+                "a", "delta", "bias_multiplier", "variance_multiplier",
+                "lower_multiplier", "m0")
+_NULLABLE_REALS = ("gamma", "m0")
+
+
 def validate(cfg: ExperimentConfig) -> list:
-    """Return every constraint violation; empty list means the config is usable."""
+    """Return every constraint violation; empty list means the config is usable.
+
+    A float field holding a non-real value gets one type error and no range
+    check, so a malformed value is reported rather than raised on.
+    """
     e = []
+    for name in _REAL_FIELDS:
+        value = getattr(cfg, name)
+        if not (_is_real(value) or (value is None and name in _NULLABLE_REALS)):
+            e.append(f"{name} must be a real number, not {value!r}")
+    if not isinstance(cfg.clean_test, bool):
+        e.append(f"clean_test must be true or false, not {cfg.clean_test!r}")
     if not _is_int(cfg.n) or cfg.n < 2:
         e.append("n must be an integer >= 2")
     if not _is_int(cfg.p) or cfg.p < 1:
@@ -144,28 +166,29 @@ def validate(cfg: ExperimentConfig) -> list:
     if cfg.spectrum_kind not in KINDS:
         e.append(f"spectrum kind must be one of {KINDS}")
     elif cfg.spectrum_kind == "polynomial":
-        if cfg.gamma is None or not cfg.gamma > 1:
+        if cfg.gamma is None or (_is_real(cfg.gamma) and not cfg.gamma > 1):
             e.append("polynomial spectra need gamma > 1; slower decay has a divergent trace")
     elif cfg.spectrum_kind == "finite-rank":
         if cfg.d is None or not _is_int(cfg.d) or not (1 <= cfg.d):
             e.append("finite-rank spectra need an integer rank d >= 1")
         elif _is_int(cfg.p) and cfg.d > cfg.p:
             e.append("finite-rank d cannot exceed p")
-    if not cfg.omega1 > 0:
+    if _is_real(cfg.omega1) and not cfg.omega1 > 0:
         e.append("omega1 must be > 0")
     if cfg.mode not in MODES:
         e.append(f"mode must be one of {MODES}")
     if cfg.noise_family not in NOISE_FAMILIES:
         e.append(f"noise_family must be one of {NOISE_FAMILIES}")
-    if not cfg.alpha >= 0:
+    if _is_real(cfg.alpha) and not cfg.alpha >= 0:
         e.append("alpha must be >= 0: the noise energy s**(-alpha) may not grow with s")
-    if not cfg.sigma_sq >= 0:
+    if _is_real(cfg.sigma_sq) and not cfg.sigma_sq >= 0:
         e.append("sigma_sq must be >= 0")
     if cfg.target_mode not in TARGET_MODES:
         e.append(f"target_mode must be one of {TARGET_MODES}")
-    if not cfg.target_norm > 0:
+    if _is_real(cfg.target_norm) and not cfg.target_norm > 0:
         e.append("target_norm must be > 0")
-    if cfg.target_mode == "unrealizable" and not cfg.tail_energy > 0:
+    if (cfg.target_mode == "unrealizable" and _is_real(cfg.tail_energy)
+            and not cfg.tail_energy > 0):
         e.append("tail_energy must be > 0 for unrealizable targets")
     if not _is_int(cfg.test_points) or cfg.test_points < 1:
         e.append("test_points must be an integer >= 1")
@@ -175,17 +198,17 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append("ensemble_replicates must be an integer >= 1")
     if cfg.master_seed is not None and (not _is_int(cfg.master_seed) or cfg.master_seed < 0):
         e.append("master_seed must be a nonnegative integer")
-    if not cfg.a > 0:
+    if _is_real(cfg.a) and not cfg.a > 0:
         e.append("a must be > 0")
-    if not (0 < cfg.delta < 1):
+    if _is_real(cfg.delta) and not (0 < cfg.delta < 1):
         e.append("delta must lie in (0, 1)")
-    if not cfg.bias_multiplier > 0:
+    if _is_real(cfg.bias_multiplier) and not cfg.bias_multiplier > 0:
         e.append("bias_multiplier must be > 0")
-    if not cfg.variance_multiplier > 0:
+    if _is_real(cfg.variance_multiplier) and not cfg.variance_multiplier > 0:
         e.append("variance_multiplier must be > 0")
-    if not cfg.lower_multiplier > 0:
+    if _is_real(cfg.lower_multiplier) and not cfg.lower_multiplier > 0:
         e.append("lower_multiplier must be > 0")
-    if cfg.m0 is not None and not cfg.m0 >= 0:
+    if _is_real(cfg.m0) and not cfg.m0 >= 0:
         e.append("m0 must be >= 0")
     if cfg.target_noise not in TARGET_NOISE_MODES:
         e.append(f"target_noise must be one of {TARGET_NOISE_MODES}")
@@ -198,11 +221,11 @@ def validate(cfg: ExperimentConfig) -> list:
     return e
 
 
-def parse_config(source, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a validated config from a path, a dict, or an emitted manifest.
+def load_raw_config(source) -> dict:
+    """The unvalidated config object in a path or a dict.
 
-    overrides (flat field: value) win over the source.  Raises
-    ValidationError listing every problem found.
+    An emitted manifest yields its resolved config block, which is what
+    makes replays exact.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -214,8 +237,17 @@ def parse_config(source, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValidationError(["top level must be a JSON object"])
     if "artifact_version" in raw and isinstance(raw.get("config"), dict):
-        raw = dict(raw["config"])  # a manifest replays through its resolved config
-    flat, errors = _flatten(raw)
+        raw = dict(raw["config"])
+    return raw
+
+
+def parse_config(source, overrides: dict | None = None) -> ExperimentConfig:
+    """Build a validated config from a path, a dict, or an emitted manifest.
+
+    overrides (flat field: value) win over the source.  Raises
+    ValidationError listing every problem found.
+    """
+    flat, errors = _flatten(load_raw_config(source))
     if overrides:
         extra, more = _flatten(overrides)
         errors.extend(more)

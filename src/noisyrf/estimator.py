@@ -45,10 +45,6 @@ class SvdFactors:
         """Z^+ Y, the minimum-norm least-squares coefficients."""
         return self.V @ ((self.U.T @ Y).T / self.sv).T
 
-    def hat_matrix(self) -> np.ndarray:
-        """(Z^T Z)^+ Z^T as an explicit (s, n) matrix."""
-        return self.V @ (self.U / self.sv).T
-
 
 def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
     Z = np.asarray(Z, dtype=float)
@@ -136,11 +132,6 @@ def projector_diag(Z: np.ndarray, rtol: float | None = None) -> ProjectorDiag:
     pi_norm = 1.0 if null_dim > 0 else defect
     return ProjectorDiag(pi_norm=pi_norm, idempotency_defect=defect,
                          null_dim=null_dim, rank=f.rank)
-
-
-def apply_projector(f: SvdFactors, beta: np.ndarray) -> np.ndarray:
-    """Pi beta = V V^T beta - beta for the fitted design."""
-    return f.V @ (f.V.T @ beta) - beta
 
 
 def predict(fit, feature_rows: np.ndarray) -> np.ndarray:

@@ -9,11 +9,8 @@ with the feature count as s**(-alpha).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -119,20 +116,6 @@ def inject_noise(Z: np.ndarray, spec: NoiseSpec, rng: np.random.Generator):
     return Xi, Z + Xi
 
 
-def noisy_test_feature(weights: WeightMatrix, phi_x: np.ndarray, spec: NoiseSpec | None,
-                       rng: np.random.Generator | None, *, clean: bool = False) -> np.ndarray:
-    """Feature vector at one test point, with a fresh noise draw per call.
-
-    Pass clean=True (or spec=None) to evaluate on the noiseless features.
-    """
-    z = weights.entries.T @ phi_x / math.sqrt(weights.s)
-    if clean or spec is None or spec.sigma0_sq == 0.0:
-        return z
-    if rng is None:
-        raise ValueError("fresh test noise needs a generator")
-    return z + noise_matrix(spec, (1, spec.s), rng)[0]
-
-
 @dataclass(eq=False)
 class FeatureEnsemble:
     """Everything sampled for one training design: spectrum, covariates, W, Z, noise."""
@@ -180,46 +163,3 @@ def build_ensemble(spectrum: Spectrum, mode: str, covariates, weights: WeightMat
     return FeatureEnsemble(spectrum=spectrum, mode=mode, covariates=np.asarray(covariates),
                            weights=weights, Z=Z, noise_spec=noise_spec, Xi=Xi, Z_noisy=Z_noisy)
 
-
-def dump_ensemble(ensemble: FeatureEnsemble, path) -> None:
-    """Write (W, Z, Xi) as flat little-endian float64 plus a JSON sidecar.
-
-    The sidecar records shapes and the generating recipe so the blob can be
-    reinterpreted without guessing.
-    """
-    path = Path(path)
-    W = ensemble.weights.entries
-    Z = ensemble.Z
-    Xi = ensemble.Xi if ensemble.Xi is not None else np.zeros_like(Z)
-    blob = b"".join(struct.pack(f"<{a.size}d", *a.ravel()) for a in (W, Z, Xi))
-    path.with_suffix(".bin").write_bytes(blob)
-    sidecar = {
-        "n": ensemble.n,
-        "s": ensemble.s,
-        "p": ensemble.p,
-        "seed": ensemble.weights.lineage,
-        "spec": json.loads(ensemble.spectrum.to_json()),
-        "noise": None if ensemble.noise_spec is None else {
-            "family": ensemble.noise_spec.family,
-            "alpha": ensemble.noise_spec.alpha,
-            "sigma0_sq": ensemble.noise_spec.sigma0_sq,
-        },
-        "order": ["W", "Z", "Xi"],
-        "dtype": "<f8",
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_ensemble_arrays(path):
-    """Read back (W, Z, Xi) from a dump written by dump_ensemble."""
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    n, s, p = meta["n"], meta["s"], meta["p"]
-    flat = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<f8")
-    sizes = [p * s, n * s, n * s]
-    if flat.size != sum(sizes):
-        raise ValueError("binary payload does not match the sidecar shapes")
-    W = flat[: sizes[0]].reshape(p, s).copy()
-    Z = flat[sizes[0]: sizes[0] + sizes[1]].reshape(n, s).copy()
-    Xi = flat[sizes[0] + sizes[1]:].reshape(n, s).copy()
-    return W, Z, Xi, meta

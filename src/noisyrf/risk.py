@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import SvdFactors, apply_projector, svd_factors
+from .estimator import SvdFactors, svd_factors
 from .features import FeatureEnsemble, noise_matrix
 from .spectral import (EIGENCOORDINATE, Spectrum, eigenfeature_matrix,
                        fourier_basis, sample_covariates)
@@ -78,6 +78,18 @@ class MisspecResult:
 
 @dataclass(frozen=True)
 class RiskDecomposition:
+    """Per-test-point averages of the risk split, with standard errors.
+
+    For realizable targets total = bias + variance (exactly in closed form,
+    up to redraw noise in monte-carlo).  For an unrealizable target the bias
+    is measured against the best in-span fit, so it already holds the
+    misspecification's first term (the leaked residual); misspec repeats it.
+    The exact identity is total = bias + variance + misspec second term
+    (the cross term vanishes because the least-squares residual is
+    orthogonal to the test rows), so total lies in
+    [bias + variance, bias + variance + misspec] rather than at the sum.
+    """
+
     bias: float
     bias_se: float
     variance: float
@@ -195,21 +207,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(m))
 
 
-def bias_term(ensemble: FeatureEnsemble, target: TargetFunction, tf: TestFeatures,
-              rtol: float | None = None) -> tuple[float, float]:
-    """Mean over test points of (z_x . Pi beta_star)^2 plus its stderr.
-
-    Exact as the squared conditional-mean error when labels were generated
-    from the same design the fit uses (realizable targets).
-    """
-    if target.mode == "unrealizable":
-        raise ValueError("bias_term applies to realizable targets; decompose handles the rest")
-    f = svd_factors(ensemble.design, rtol)
-    pib = apply_projector(f, target.beta_star)
-    vals = (tf.predictor @ pib) ** 2
-    return _mean_se(vals)
-
-
 def variance_closed(Z_design: np.ndarray, test, sigma_sq: float, *,
                     weights=None, noise_spec=None, rtol: float | None = None) -> float:
     """Exact label-noise variance sigma^2 * E_x[z_x^T (Z^T Z)^+ z_x].
@@ -243,109 +240,52 @@ def _label_draws(sigma_sq: float, n: int, trials: int, rng: np.random.Generator)
     return math.sqrt(sigma_sq) * rng.standard_normal((n, trials))
 
 
-def variance_mc(ensemble: FeatureEnsemble, target: TargetFunction, label_model: LabelModel,
-                tf: TestFeatures, trials: int, rng: np.random.Generator,
-                rtol: float | None = None) -> tuple[float, float]:
-    """Per-point empirical variance of predictions over label redraws, averaged."""
-    if trials < 2:
-        raise ValueError("variance estimation needs at least 2 label redraws")
-    f = svd_factors(ensemble.design, rtol)
-    E = _label_draws(label_model.sigma_sq, ensemble.n, trials, rng)
-    G = (tf.predictor @ (f.V / f.sv)) @ f.U.T
-    P = G @ E
-    v = P.var(axis=1, ddof=1)
-    return _mean_se(v)
+def _misspec_rows(f: SvdFactors, ensemble: FeatureEnsemble, tf: TestFeatures,
+                  fst: np.ndarray, fstarX: np.ndarray):
+    """Per-test-point misspecification summands and the best in-span fit.
 
-
-def excess_risk_mc(ensemble: FeatureEnsemble, target: TargetFunction, label_model: LabelModel,
-                   tf: TestFeatures, trials: int, rng: np.random.Generator,
-                   rtol: float | None = None) -> tuple[float, float]:
-    """Mean over label redraws and test points of (fitted(x) - f*(x))^2."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    f = svd_factors(ensemble.design, rtol)
-    fstarX = target_train_values(target, ensemble)
-    E = _label_draws(label_model.sigma_sq, ensemble.n, trials, rng)
-    hat = f.hat_matrix()
-    preds = tf.predictor @ (hat @ (fstarX[:, None] + E))
-    fst = _target_test_values(target, tf)
-    r = np.mean((preds - fst[:, None]) ** 2, axis=1)
-    return _mean_se(r)
+    The best in-span approximation of f* is the least-squares projection of
+    its test values onto the test feature rows; its residual is orthogonal to
+    every test row.
+    """
+    beta_h, *_ = np.linalg.lstsq(tf.predictor, fst, rcond=None)
+    fh = tf.predictor @ beta_h
+    w = f.apply_pinv(fstarX - ensemble.design @ beta_h)
+    return (tf.predictor @ w) ** 2, (fst - fh) ** 2, fh
 
 
 def misspec_term(ensemble: FeatureEnsemble, target: TargetFunction, tf: TestFeatures,
                  rtol: float | None = None) -> MisspecResult:
     """Both misspecification summands, estimated on the test sample.
 
-    The best in-span approximation of f* is the least-squares projection of
-    its test values onto the test feature rows.  Realizable targets are legal
-    input and give zero up to numerical error.
+    Realizable targets are legal input and give zero up to numerical error.
     """
     f = svd_factors(ensemble.design, rtol)
-    fst = _target_test_values(target, tf)
-    beta_h, *_ = np.linalg.lstsq(tf.predictor, fst, rcond=None)
-    fh = tf.predictor @ beta_h
-    r_train = target_train_values(target, ensemble) - ensemble.design @ beta_h
-    w = f.apply_pinv(r_train)
-    first = (tf.predictor @ w) ** 2
-    second = (fst - fh) ** 2
+    first, second, _ = _misspec_rows(f, ensemble, tf, _target_test_values(target, tf),
+                                     target_train_values(target, ensemble))
     total, se = _mean_se(first + second)
     return MisspecResult(first_term=float(first.mean()), second_term=float(second.mean()),
                          total=total, stderr=se)
 
 
-def _summarize(b, v, r, mis, method, rank) -> RiskDecomposition:
-    bias, bias_se = _mean_se(b)
-    var, var_se = _mean_se(v)
-    total, total_se = _mean_se(r)
-    if mis is None:
-        mspec, mspec_se = 0.0, 0.0
-    else:
-        mspec, mspec_se = _mean_se(mis)
-    return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
-                             misspec=mspec, misspec_se=mspec_se, total=total,
-                             total_se=total_se, method=method, rank=rank)
-
-
-def _decompose_materialized(ensemble, target, label_model, tf: TestFeatures, trials, rng,
-                            rtol, method) -> RiskDecomposition:
-    f = svd_factors(ensemble.design, rtol)
-    fstarX = target_train_values(target, ensemble)
-    u_hat = f.apply_pinv(fstarX)
+def _materialized_slabs(ensemble, target, f: SvdFactors, fstarX, u_hat, tf: TestFeatures):
+    """Slab source over a materialized sample: one slab with every test row,
+    because an unrealizable target's best in-span fit needs all of them."""
     a = tf.predictor @ u_hat
     fst = _target_test_values(target, tf)
-    mis = None
-    ref = fst
+    mis, ref = None, fst
     if target.mode == "unrealizable":
-        beta_h, *_ = np.linalg.lstsq(tf.predictor, fst, rcond=None)
-        fh = tf.predictor @ beta_h
-        w = f.apply_pinv(fstarX - ensemble.design @ beta_h)
-        mis = (tf.predictor @ w) ** 2 + (fst - fh) ** 2
-        ref = fh
-    d_bias = a - ref
-    d_tot = a - fst
-    G = (tf.predictor @ (f.V / f.sv)) @ f.U.T
-    if method == "monte-carlo":
-        E = _label_draws(label_model.sigma_sq, ensemble.n, trials, rng)
-        P = G @ E
-        mp = P.mean(axis=1)
-        mp2 = np.mean(P * P, axis=1)
-        v = (mp2 - mp * mp) * (trials / (trials - 1))
-        r = d_tot * d_tot + 2 * d_tot * mp + mp2
-    else:
-        v = label_model.sigma_sq * np.sum(G * G, axis=1)
-        r = d_tot * d_tot + v
-    return _summarize(d_bias * d_bias, v, r, mis, method, f.rank)
+        first, second, ref = _misspec_rows(f, ensemble, tf, fst, fstarX)
+        mis = first + second
+    yield tf.predictor @ (f.V / f.sv), a, fst, ref, mis
 
 
-def _decompose_streamed(ensemble, target, label_model, m, trials, rng, rtol, method,
-                        clean_test, target_noise) -> RiskDecomposition:
-    spectrum, mode = ensemble.spectrum, ensemble.mode
-    design = ensemble.design
-    f = svd_factors(design, rtol)
-    fstarX = target_train_values(target, ensemble)
-    u_hat = f.apply_pinv(fstarX)
-    n, s = design.shape
+def _streamed_slabs(ensemble, target, f: SvdFactors, u_hat, m, rng, clean_test,
+                    target_noise):
+    """Slab source that draws BLOCK_ROWS realizable-target test points at a
+    time, so feature noise never needs m-by-s storage."""
+    spectrum = ensemble.spectrum
+    s = ensemble.s
     rank = f.rank
     spec = ensemble.noise_spec
     noisy_ensemble = spec is not None and ensemble.Z_noisy is not None and spec.sigma0_sq > 0
@@ -354,53 +294,65 @@ def _decompose_streamed(ensemble, target, label_model, m, trials, rng, rtol, met
     share = targ_noisy and pred_noisy and target_noise == "shared"
     targ_clean_eval = targ_noisy and target_noise == "clean"
 
-    mc = method == "monte-carlo"
-    if mc:
-        E = _label_draws(label_model.sigma_sq, n, trials, rng)
-
     # push every needed s-vector through the test features in one product:
     # the kept right-singular directions, the conditional-mean coefficients,
     # and the target coefficients
     C = np.concatenate([f.V, u_hat[:, None], target.beta_star[:, None]], axis=1)
     SWC = (np.sqrt(spectrum.eigenvalues)[:, None] * (ensemble.weights.entries @ C)) / math.sqrt(s)
     inv_sv = 1.0 / f.sv
-
-    b = np.empty(m)
-    v = np.empty(m)
-    r = np.empty(m)
     for start in range(0, m, BLOCK_ROWS):
         mb = min(BLOCK_ROWS, m - start)
-        sl = slice(start, start + mb)
-        if mode == EIGENCOORDINATE:
+        if ensemble.mode == EIGENCOORDINATE:
             base = rng.standard_normal((mb, spectrum.p)) @ SWC
         else:
             base = fourier_basis(spectrum.p, rng.random(mb)) @ SWC
         if pred_noisy or share:
             NC = noise_matrix(spec, (mb, s), rng) @ C
         a = base[:, rank]
-        G = base[:, :rank].copy()
+        H = base[:, :rank]
         if pred_noisy:
             a = a + NC[:, rank]
-            G += NC[:, :rank]
-        G = (G * inv_sv) @ f.U.T
+            H = H + NC[:, :rank]
         fst = base[:, rank + 1]
         if targ_noisy and not targ_clean_eval:
             if share:
                 fst = fst + NC[:, rank + 1]
             else:
                 fst = fst + noise_matrix(spec, (mb, s), rng) @ target.beta_star
+        yield H * inv_sv, a, fst, fst, None
+
+
+def _risk_rows(slabs, U: np.ndarray, E: np.ndarray | None, sigma_sq: float):
+    """The risk kernel: per-test-point bias, variance, total and misspec.
+
+    Each slab is (H, a, fst, ref, mis) over a block of test points: H holds
+    the predictor rows in the design's kept right-singular directions scaled
+    by 1/sv, so G = H U^T maps training labels to predictions; a is the
+    conditional-mean prediction, fst the target value, ref what the bias is
+    measured against and mis the misspecification rows (None when the target
+    is realizable).  E holds the label redraws (monte-carlo), or is None to
+    integrate the label noise exactly (closed-form).
+    """
+    parts = []
+    for H, a, fst, ref, mis in slabs:
+        G = H @ U.T
         d = a - fst
-        if mc:
+        if E is None:
+            v = sigma_sq * np.sum(G * G, axis=1)
+            r = d * d + v
+        else:
+            trials = E.shape[1]
             P = G @ E
             mp = P.mean(axis=1)
             mp2 = np.mean(P * P, axis=1)
-            v[sl] = (mp2 - mp * mp) * (trials / (trials - 1))
-            r[sl] = d * d + 2 * d * mp + mp2
-        else:
-            v[sl] = label_model.sigma_sq * np.sum(G * G, axis=1)
-            r[sl] = d * d + v[sl]
-        b[sl] = d * d
-    return _summarize(b, v, r, None, method, rank)
+            del P  # drop it before the source draws the next slab; holding it raised peak RSS
+            v = (mp2 - mp * mp) * (trials / (trials - 1))
+            r = d * d + 2 * d * mp + mp2
+        d_bias = a - ref
+        parts.append((d_bias * d_bias, v, r, mis))
+    b, v, r, mis = zip(*parts)
+    return (np.concatenate(b), np.concatenate(v), np.concatenate(r),
+            None if mis[0] is None else np.concatenate(mis))
 
 
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: LabelModel,
@@ -411,26 +363,42 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: La
 
     `test` is either a TestFeatures bundle or an integer count of test points
     to generate on the fly (generated points are processed in fixed-size
-    blocks, so feature noise never needs m-by-s storage).  Realizable modes
-    report misspec = 0; the monte-carlo method redraws labels `trials` times,
-    the closed-form method integrates the label noise exactly.  The design is
-    factored once, and the result's `rank` reports its numerical rank, so
-    callers need no second SVD for it.
+    blocks, so feature noise never needs m-by-s storage; an unrealizable
+    target materializes them instead).  Realizable modes report misspec = 0;
+    the monte-carlo method redraws labels `trials` times, the closed-form
+    method integrates the label noise exactly.  The design is factored once,
+    and the result's `rank` reports its numerical rank, so callers need no
+    second SVD for it.  Draws come from `rng` in a fixed order: generated
+    unrealizable test features, then the label redraws, then the streamed
+    test blocks.
     """
     if method not in ("monte-carlo", "closed-form"):
         raise ValueError("method must be monte-carlo or closed-form")
     if method == "monte-carlo" and trials < 2:
         raise ValueError("monte-carlo decomposition needs at least 2 label redraws")
-    if isinstance(test, TestFeatures):
-        return _decompose_materialized(ensemble, target, label_model, test, trials, rng,
-                                       rtol, method)
-    m = int(test)
-    if m < 1:
-        raise ValueError("need at least one test point")
-    if target.mode == "unrealizable":
-        tf = make_test_features(ensemble, m, rng, clean_test=clean_test,
-                                target_noise=target_noise)
-        return _decompose_materialized(ensemble, target, label_model, tf, trials, rng,
-                                       rtol, method)
-    return _decompose_streamed(ensemble, target, label_model, m, trials, rng, rtol,
-                               method, clean_test, target_noise)
+    tf = test if isinstance(test, TestFeatures) else None
+    if tf is None:
+        m = int(test)
+        if m < 1:
+            raise ValueError("need at least one test point")
+        if target.mode == "unrealizable":
+            tf = make_test_features(ensemble, m, rng, clean_test=clean_test,
+                                    target_noise=target_noise)
+    f = svd_factors(ensemble.design, rtol)
+    fstarX = target_train_values(target, ensemble)
+    u_hat = f.apply_pinv(fstarX)
+    E = None
+    if method == "monte-carlo":
+        E = _label_draws(label_model.sigma_sq, ensemble.n, trials, rng)
+    if tf is None:
+        slabs = _streamed_slabs(ensemble, target, f, u_hat, m, rng, clean_test, target_noise)
+    else:
+        slabs = _materialized_slabs(ensemble, target, f, fstarX, u_hat, tf)
+    b, v, r, mis = _risk_rows(slabs, f.U, E, label_model.sigma_sq)
+    bias, bias_se = _mean_se(b)
+    var, var_se = _mean_se(v)
+    total, total_se = _mean_se(r)
+    mspec, mspec_se = (0.0, 0.0) if mis is None else _mean_se(mis)
+    return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
+                             misspec=mspec, misspec_se=mspec_se, total=total,
+                             total_se=total_se, method=method, rank=f.rank)

@@ -93,6 +93,15 @@ def _make_spectrum(cfg: ExperimentConfig):
                          omega1=cfg.omega1)
 
 
+def bound_curve(cfg: ExperimentConfig) -> list:
+    """The closed-form bound curve over the config's grid, as bounds_curve.csv holds it."""
+    return bounds_mod.double_descent_curve(
+        _make_spectrum(cfg), cfg.n, cfg.alpha, cfg.sigma_sq, cfg.s_grid, mode=cfg.mode,
+        delta=cfg.delta, a=cfg.a, beta_norm=cfg.target_norm, m0=cfg.m0,
+        b=cfg.bias_multiplier, c=cfg.variance_multiplier,
+        rng=seed_stream(cfg.master_seed, "curve"))
+
+
 def _lambda_w(W: np.ndarray) -> float:
     """Squared top singular value of the weight matrix.
 
@@ -326,14 +335,7 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
     }
     _write_atomic(paths["sweep"], records_csv(result.records))
     _write_atomic(paths["aggregate"], aggregate_csv(aggregate(result.records)))
-
-    spectrum = _make_spectrum(cfg)
-    points = bounds_mod.double_descent_curve(
-        spectrum, cfg.n, cfg.alpha, cfg.sigma_sq, cfg.s_grid, mode=cfg.mode,
-        delta=cfg.delta, a=cfg.a, beta_norm=cfg.target_norm, m0=cfg.m0,
-        b=cfg.bias_multiplier, c=cfg.variance_multiplier,
-        rng=seed_stream(cfg.master_seed, "curve"))
-    _write_atomic(paths["curve"], curve_csv(points))
+    _write_atomic(paths["curve"], curve_csv(bound_curve(cfg)))
 
     manifest = {
         "artifact_version": ARTIFACT_VERSION,

@@ -121,13 +121,6 @@ class TestVarianceBound:
         assert variance_bound(3.0, 3.0, 40, 20) == pytest.approx(3 * base, rel=1e-14)
         assert variance_bound(1.0, 15.0, 40, 20) == pytest.approx(5 * base, rel=1e-14)
 
-    def test_sigma0_variant(self):
-        v = variance_bound(1.0, 2.0, 100, 10)
-        w = variance_bound(1.0, 2.0, 100, 10, divide_by_sigma0=True, sigma0_sq=0.25)
-        assert w == pytest.approx(v / 0.5, rel=1e-14)
-        with pytest.raises(ValueError, match="sigma0_sq > 0"):
-            variance_bound(1.0, 2.0, 100, 10, divide_by_sigma0=True)
-
 
 class TestCleanBounds:
     def test_flat_spectrum_values(self):

@@ -4,14 +4,30 @@ import math
 import numpy as np
 import pytest
 
-from noisyrf.conclab import (DEFAULT_TRIALS, cross_outer_norm_check,
-                             gram_eigen_experiment, mgf_product_check,
+from noisyrf.conclab import (DEFAULT_TRIALS, ExperimentReport,
+                             cross_outer_norm_check, gram_eigen_experiment,
+                             mgf_product_check,
                              noisy_spectrum_identity_check,
                              norm_concentration_check, run_default_suite,
                              weighted_subexp_sum_check)
 from noisyrf.seeding import seed_stream
 
 POLY20 = 1.0 / np.arange(1, 21, dtype=float) ** 2
+
+
+def _no_constants(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
+def test_report_json_is_strict():
+    # a degenerate spectrum leaves fitted_b undefined; it must print as null
+    r = ExperimentReport(name="x", params={"n": np.int64(3)}, trials=2,
+                         stats={"fitted_b": float("nan"), "edge": np.float64(np.inf),
+                                "ratios": np.array([np.nan, 0.5])},
+                         stated_bound=None, verdict="report-only")
+    back = json.loads(r.to_json(), parse_constant=_no_constants)
+    assert back["stats"] == {"fitted_b": None, "edge": None, "ratios": [None, 0.5]}
+    assert back["params"] == {"n": 3}
 
 
 class TestMgfProduct:

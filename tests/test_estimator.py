@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from noisyrf.estimator import (apply_projector, default_rtol, mnls_fit, predict,
-                               projector_diag, ridge_fit, svd_factors)
+from noisyrf.estimator import (default_rtol, mnls_fit, predict, projector_diag,
+                               ridge_fit)
 from noisyrf.seeding import seed_stream
 
 
@@ -170,14 +170,6 @@ class TestProjector:
         assert np.linalg.norm(Pi @ Pi + Pi, 2) <= 1e-10
         diag = projector_diag(Z)
         assert diag.pi_norm == pytest.approx(np.linalg.norm(Pi, 2), abs=1e-9)
-
-    def test_apply_projector_matches_dense(self):
-        rng = seed_stream(122)
-        Z = rng.standard_normal((4, 10))
-        beta = rng.standard_normal(10)
-        f = svd_factors(Z)
-        dense = (pinv_oracle(Z) @ Z - np.eye(10)) @ beta
-        np.testing.assert_allclose(apply_projector(f, beta), dense, atol=1e-10)
 
 
 class TestPredict:

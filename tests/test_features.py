@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisyrf.features import (build_ensemble, dump_ensemble, feature_matrix,
-                              inject_noise, load_ensemble_arrays,
+from noisyrf.features import (build_ensemble, feature_matrix, inject_noise,
                               make_noise_spec, noise_matrix, noiseless_spec,
-                              noisy_test_feature, sample_weights)
+                              sample_weights)
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (eigenfeature_map, eigenfeature_matrix, kernel_eval,
-                              make_spectrum, sample_covariates)
+from noisyrf.spectral import (eigenfeature_matrix, kernel_eval, make_spectrum,
+                              sample_covariates)
 
 
 class TestSampleWeights:
@@ -179,38 +178,6 @@ class TestInjectNoise:
             noise_matrix(spec, (3, 9), seed_stream(0))
 
 
-class TestNoisyTestFeature:
-    def _setup(self):
-        sp = make_spectrum("polynomial", 4, gamma=2.0)
-        W = sample_weights(4, 12, seed_stream(20))
-        phi = eigenfeature_map(sp, "fourier", 0.4)
-        spec = make_noise_spec("gaussian", 0.4, 12)
-        return W, phi, spec
-
-    def test_clean_when_no_noise(self):
-        W, phi, _ = self._setup()
-        z0 = noisy_test_feature(W, phi, noiseless_spec(12), seed_stream(1))
-        z1 = noisy_test_feature(W, phi, None, None)
-        z2 = noisy_test_feature(W, phi, self._setup()[2], seed_stream(1), clean=True)
-        np.testing.assert_array_equal(z0, z1)
-        np.testing.assert_array_equal(z0, z2)
-
-    def test_fresh_draw_each_call(self):
-        W, phi, spec = self._setup()
-        rng = seed_stream(2)
-        a = noisy_test_feature(W, phi, spec, rng)
-        b = noisy_test_feature(W, phi, spec, rng)
-        assert not np.array_equal(a, b)
-
-    def test_mean_is_clean_feature(self):
-        W, phi, spec = self._setup()
-        clean = noisy_test_feature(W, phi, None, None)
-        rng = seed_stream(3)
-        draws = np.stack([noisy_test_feature(W, phi, spec, rng) for _ in range(5000)])
-        se = draws.std(axis=0, ddof=1) / math.sqrt(5000)
-        assert np.all(np.abs(draws.mean(axis=0) - clean) <= 3 * se + 1e-12)
-
-
 class TestEnsemble:
     def _build(self):
         sp = make_spectrum("polynomial", 5, gamma=2.0)
@@ -235,13 +202,3 @@ class TestEnsemble:
         ens = build_ensemble(sp, "eigencoordinate", x, W)
         assert ens.Xi is None
         np.testing.assert_array_equal(ens.design, ens.Z)
-
-    def test_dump_load_round_trip(self, tmp_path):
-        ens = self._build()
-        dump_ensemble(ens, tmp_path / "ens")
-        W, Z, Xi, meta = load_ensemble_arrays(tmp_path / "ens")
-        np.testing.assert_array_equal(W, ens.weights.entries)
-        np.testing.assert_array_equal(Z, ens.Z)
-        np.testing.assert_array_equal(Xi, ens.Xi)
-        assert meta["n"] == 7 and meta["s"] == 9 and meta["p"] == 5
-        assert meta["noise"]["family"] == "gaussian"

@@ -143,6 +143,24 @@ class TestConfig:
             parse_config(raw)
         assert len(exc.value.errors) == 1 and message in exc.value.errors[0]
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", "2"), ("omega1", "x"), ("alpha", "0.5"), ("alpha", True),
+        ("sigma_sq", None), ("target_norm", [1.0]), ("tail_energy", "1"),
+        ("a", None), ("delta", "0.05"), ("bias_multiplier", True),
+        ("variance_multiplier", {}), ("lower_multiplier", None), ("m0", "0"),
+        ("clean_test", "yes"), ("clean_test", 1),
+    ])
+    def test_malformed_value_is_reported(self, field, value):
+        raw = {"n": 20, "p": 40, "s_grid": [5, 10], field: value}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(raw)
+        assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(field)
+
+    def test_nullable_float_fields_accept_null(self):
+        cfg = parse_config({"n": 20, "p": 40, "s_grid": [5], "m0": None,
+                            "spectrum": {"kind": "exponential", "gamma": None}})
+        assert cfg.m0 is None and cfg.gamma is None
+
 
 def small_cfg(**kw):
     base = {"n": 12, "p": 24, "s_grid": [6, 20], "test_points": 120,
@@ -376,6 +394,13 @@ class TestCli:
                 "--label-redraws", "20", "--seed", "1"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 8
+
+    def test_malformed_config_file_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 12, "p": 24, "s_grid": [8], "omega1": "x"}))
+        assert main(["risk", "--config", str(cfg_path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "omega1 must be a real number" in err and "Traceback" not in err
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["risk", "--n", "notanint"]) == 1

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from noisyrf.estimator import projector_diag, svd_factors
 from noisyrf.features import (build_ensemble, make_noise_spec, noise_matrix,
                               sample_weights)
-from noisyrf.risk import (LabelModel, TargetFunction, TestFeatures, bias_term,
-                          decompose, excess_risk_mc, gen_labels, make_target,
-                          make_test_features, misspec_term, target_train_values,
-                          variance_closed, variance_mc)
+from noisyrf.risk import (LabelModel, TargetFunction, TestFeatures, decompose,
+                          gen_labels, make_target, make_test_features,
+                          misspec_term, target_train_values, variance_closed)
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, make_spectrum,
                               sample_covariates)
@@ -37,6 +36,10 @@ def quadratic_oracle(Z, rows):
     # estimator's own SVD plumbing
     core = rows @ sla.pinv(np.asarray(Z, dtype=float))
     return np.sum(core * core, axis=1)
+
+
+def closed_form(ens, t, tf):
+    return decompose(ens, t, LabelModel(1.0), tf, 2, seed_stream(0), method="closed-form")
 
 
 class TestMakeTarget:
@@ -191,13 +194,14 @@ class TestMakeTestFeatures:
 
 
 class TestBiasTerm:
+    """decompose's bias piece."""
+
     def test_full_column_rank_kills_bias(self):
         # s <= n with generic gaussian features: nothing outside the row space
         ens = mk_ensemble(40, 12)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(15, "t"))
         tf = make_test_features(ens, 100, seed_stream(15, "tf"))
-        b, se = bias_term(ens, t, tf)
-        assert b <= 1e-20
+        assert closed_form(ens, t, tf).bias <= 1e-20
 
     def test_beta_in_row_space_kills_bias(self):
         ens = mk_ensemble(20, 50)
@@ -206,8 +210,7 @@ class TestBiasTerm:
         t = TargetFunction(mode="realizable-clean", beta_star=beta,
                            tail_coeffs=None, norm=float(np.linalg.norm(beta)))
         tf = make_test_features(ens, 100, seed_stream(16, "tf"))
-        b, se = bias_term(ens, t, tf)
-        assert b <= 1e-20
+        assert closed_form(ens, t, tf).bias <= 1e-20
 
     def test_small_instance_matches_pinv_oracle(self):
         ens = mk_ensemble(2, 3, p=6, seed=17)
@@ -216,16 +219,9 @@ class TestBiasTerm:
         Z = np.asarray(ens.design, dtype=float)
         pib = sla.pinv(Z) @ (Z @ t.beta_star) - t.beta_star
         vals = (tf.predictor @ pib) ** 2
-        b, se = bias_term(ens, t, tf)
-        np.testing.assert_allclose(b, vals.mean(), rtol=1e-10)
-        np.testing.assert_allclose(se, vals.std(ddof=1) / math.sqrt(3), rtol=1e-10)
-
-    def test_rejects_unrealizable(self):
-        ens = mk_ensemble(10, 20, p=60)
-        t = make_target("unrealizable", ens, 1.0, seed_stream(18, "t"))
-        tf = make_test_features(ens, 10, seed_stream(18, "tf"))
-        with pytest.raises(ValueError, match="realizable"):
-            bias_term(ens, t, tf)
+        d = closed_form(ens, t, tf)
+        np.testing.assert_allclose(d.bias, vals.mean(), rtol=1e-10)
+        np.testing.assert_allclose(d.bias_se, vals.std(ddof=1) / math.sqrt(3), rtol=1e-10)
 
 
 class TestVarianceClosed:
@@ -283,12 +279,14 @@ class TestVarianceClosed:
 
 
 class TestVarianceMc:
+    """decompose's monte-carlo variance piece."""
+
     def test_zero_label_noise_is_exactly_zero(self):
         ens = mk_ensemble(12, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(21, "t"))
         tf = make_test_features(ens, 40, seed_stream(21, "tf"))
-        v, se = variance_mc(ens, t, LabelModel(0.0), tf, 50, seed_stream(21, "v"))
-        assert v == 0.0
+        d = decompose(ens, t, LabelModel(0.0), tf, 50, seed_stream(21, "v"))
+        assert d.variance == 0.0
 
     def test_exact_sigma_scaling_same_stream(self):
         # the same underlying normal draws are scaled by sigma, so the
@@ -296,9 +294,9 @@ class TestVarianceMc:
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = make_test_features(ens, 200, seed_stream(2, "tf"))
-        v1, _ = variance_mc(ens, t, LabelModel(1.0), tf, 300, seed_stream(41, "v"))
-        v4, _ = variance_mc(ens, t, LabelModel(4.0), tf, 300, seed_stream(41, "v"))
-        np.testing.assert_allclose(v4, 4.0 * v1, rtol=1e-12)
+        d1 = decompose(ens, t, LabelModel(1.0), tf, 300, seed_stream(41, "v"))
+        d4 = decompose(ens, t, LabelModel(4.0), tf, 300, seed_stream(41, "v"))
+        np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
 
     def test_matches_closed_form(self):
         for seed in range(3):
@@ -306,25 +304,27 @@ class TestVarianceMc:
             t = make_target("realizable-noisy", ens, 1.0, seed_stream(seed, "t"))
             tf = make_test_features(ens, 2000, seed_stream(seed, "tf"))
             vc = variance_closed(ens.design, tf.predictor, 1.0)
-            vm, se = variance_mc(ens, t, LabelModel(1.0), tf, 4000, seed_stream(seed, "v"))
-            assert abs(vm - vc) <= 0.05 * vc + 3 * se
+            d = decompose(ens, t, LabelModel(1.0), tf, 4000, seed_stream(seed, "v"))
+            assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         tf = make_test_features(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            variance_mc(ens, t, LabelModel(1.0), tf, 1, seed_stream(0))
+            decompose(ens, t, LabelModel(1.0), tf, 1, seed_stream(0))
 
 
 class TestExcessRiskMc:
+    """decompose's monte-carlo total risk."""
+
     def test_noiseless_full_column_rank_fit_is_exact(self):
         # rank-s design recovers beta exactly from noiseless labels
         ens = mk_ensemble(40, 12)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(22, "t"))
         tf = make_test_features(ens, 100, seed_stream(22, "tf"))
-        r, se = excess_risk_mc(ens, t, LabelModel(0.0), tf, 5, seed_stream(22, "e"))
-        assert r <= 1e-20
+        d = decompose(ens, t, LabelModel(0.0), tf, 5, seed_stream(22, "e"))
+        assert d.total <= 1e-20
 
     def test_scalar_hand_value(self):
         # one point, one feature, Z = [[1]]: the fit returns y, and
@@ -339,16 +339,16 @@ class TestExcessRiskMc:
                           clean=np.array([[1.0]]), predictor=np.array([[1.0]]),
                           target_rows=np.array([[1.0]]))
         trials = 50_000
-        r, _ = excess_risk_mc(ens, t, LabelModel(1.0), tf, trials, seed_stream(0, "e"))
+        d = decompose(ens, t, LabelModel(1.0), tf, trials, seed_stream(0, "e"))
         # chi^2 mean concentrates at rate sqrt(2/trials)
-        assert abs(r - 1.0) <= 5 * math.sqrt(2 / trials)
+        assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         tf = make_test_features(ens, 5, seed_stream(0, "tf"))
-        with pytest.raises(ValueError, match="trials"):
-            excess_risk_mc(ens, t, LabelModel(1.0), tf, 0, seed_stream(0))
+        with pytest.raises(ValueError, match="redraws"):
+            decompose(ens, t, LabelModel(1.0), tf, 0, seed_stream(0))
 
 
 def tiny_misspec_instance(train_cov):
@@ -471,11 +471,15 @@ class TestDecompose:
             [d_s.bias, d_s.variance, d_s.total],
             [d_m.bias, d_m.variance, d_m.total], rtol=1e-9)
 
-    def test_streamed_agrees_with_materialized_when_noisy(self):
+    @pytest.mark.parametrize("clean_test,target_noise", [
+        (False, "fresh"), (False, "shared"), (False, "clean"),
+        (True, "fresh"), (True, "shared"), (True, "clean")])
+    def test_streamed_agrees_with_materialized_when_noisy(self, clean_test, target_noise):
         ens = mk_ensemble(40, 120, alpha=0.5, seed=8)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(8, "t"))
-        d_s = decompose(ens, t, LabelModel(1.0), 3000, 500, seed_stream(12, "x"))
-        tf = make_test_features(ens, 3000, seed_stream(13, "x"))
+        flags = dict(clean_test=clean_test, target_noise=target_noise)
+        d_s = decompose(ens, t, LabelModel(1.0), 3000, 500, seed_stream(12, "x"), **flags)
+        tf = make_test_features(ens, 3000, seed_stream(13, "x"), **flags)
         d_m = decompose(ens, t, LabelModel(1.0), tf, 500, seed_stream(14, "x"))
         for field in ("bias", "variance", "total"):
             a, b = getattr(d_s, field), getattr(d_m, field)
@@ -499,6 +503,20 @@ class TestDecompose:
         res = misspec_term(ens, t, tf)
         np.testing.assert_allclose(d.misspec, res.total, rtol=1e-12)
         assert d.misspec > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unrealizable_closed_form_total_adds_only_span_distance(self, seed):
+        # the bias is measured against the best in-span fit, whose residual is
+        # orthogonal to the test rows, so the cross term vanishes: R = B + V +
+        # the misspec second term exactly, and the first term is not added
+        ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=seed)
+        t = make_target("unrealizable", ens, 1.0, seed_stream(seed, "t"))
+        tf = make_test_features(ens, 600, seed_stream(seed, "tf"))
+        d = closed_form(ens, t, tf)
+        res = misspec_term(ens, t, tf)
+        assert res.first_term > 0
+        np.testing.assert_allclose(d.total, d.bias + d.variance + res.second_term,
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("n,s,p,mode,materialized", [
         (20, 12, 64, "realizable-clean", False), (20, 60, 120, "realizable-clean", False),
