@@ -14,11 +14,14 @@ import numbers
 from dataclasses import dataclass, field
 
 from .features import NOISE_FAMILIES
-from .risk import TARGET_MODES
+from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .spectral import KINDS, MODES
 
 METHODS = ("monte-carlo", "closed-form")
-TARGET_NOISE_MODES = ("shared", "fresh", "clean")
+
+# The version stamped on emitted manifests.  Bumped whenever a change moves
+# the random stream, so a manifest only replays on the code that wrote it.
+ARTIFACT_VERSION = "2"
 
 
 class ValidationError(ValueError):
@@ -225,7 +228,7 @@ def load_raw_config(source) -> dict:
     """The unvalidated config object in a path or a dict.
 
     An emitted manifest yields its resolved config block, which is what
-    makes replays exact.
+    makes replays exact; a manifest of another artifact version is refused.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -237,6 +240,10 @@ def load_raw_config(source) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(["top level must be a JSON object"])
     if "artifact_version" in raw and isinstance(raw.get("config"), dict):
+        version = raw["artifact_version"]
+        if version != ARTIFACT_VERSION:
+            raise ValidationError([f"manifest artifact_version {version!r} does not match "
+                                   f"this code's {ARTIFACT_VERSION!r}; its draws would differ"])
         raw = dict(raw["config"])
     return raw
 

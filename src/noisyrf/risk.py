@@ -1,10 +1,12 @@
 """Excess-risk measurement and its bias / variance / misspecification split.
 
-All quantities are averages over a fresh sample of test points.  For a fixed
-draw of covariates, weights and feature noise, the conditional mean of the
-fitted predictor over label noise is exactly computable from the pseudoinverse,
-so the bias piece carries only test-sampling error; the variance piece is
-either estimated from label redraws or evaluated in closed form.
+All quantities are averages over a fresh sample of test points (streamed
+points are drawn, where their law allows it, directly in the few directions
+the risk depends on).  For a fixed draw of covariates, weights and feature
+noise, the conditional mean of the fitted predictor over label noise is
+exactly computable from the pseudoinverse, so the bias piece carries only
+test-sampling error; the variance piece is either estimated from label
+redraws or evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from .spectral import (EIGENCOORDINATE, Spectrum, eigenfeature_matrix,
                        fourier_basis, sample_covariates)
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
+TARGET_NOISE_MODES = ("shared", "fresh", "clean")
 
-# Test points are processed in slabs of this many rows so that generated
-# feature noise never needs m-by-s storage.
+# Generated test points are processed in slabs of this many rows.  Gaussian
+# draws already land in the (rank+2)-dim image the kernel uses; the slabs
+# bound the m-by-s storage that fourier covariates and non-gaussian feature
+# noise would otherwise need.
 BLOCK_ROWS = 512
 
 
@@ -160,6 +165,11 @@ def gen_labels(target: TargetFunction, ensemble: FeatureEnsemble, label_model: L
     return f + math.sqrt(label_model.sigma_sq) * rng.standard_normal(ensemble.n)
 
 
+def _check_target_noise(target_noise: str) -> None:
+    if target_noise not in TARGET_NOISE_MODES:
+        raise ValueError("target_noise must be shared, fresh or clean")
+
+
 def make_test_features(ensemble: FeatureEnsemble, m: int, rng: np.random.Generator, *,
                        clean_test: bool = False, target_noise: str = "fresh") -> TestFeatures:
     """Sample m test points and their feature rows.
@@ -170,8 +180,7 @@ def make_test_features(ensemble: FeatureEnsemble, m: int, rng: np.random.Generat
     default ("fresh"); "shared" reuses the predictor rows and "clean" strips
     target-side noise entirely.  They only matter for realizable-noisy targets.
     """
-    if target_noise not in ("shared", "fresh", "clean"):
-        raise ValueError("target_noise must be shared, fresh or clean")
+    _check_target_noise(target_noise)
     spectrum, mode = ensemble.spectrum, ensemble.mode
     X = sample_covariates(mode, m, rng, p=spectrum.p)
     phi = eigenfeature_matrix(spectrum, mode, X)
@@ -280,10 +289,40 @@ def _materialized_slabs(ensemble, target, f: SvdFactors, fstarX, u_hat, tf: Test
     yield tf.predictor @ (f.V / f.sv), a, fst, ref, mis
 
 
+def _gaussian_image(A: np.ndarray, rng: np.random.Generator, scale: float = 1.0):
+    """Sampler of rows with the law of scale * g @ A, g ~ N(0, I).
+
+    With A = Q R, g @ A = (g @ Q) @ R and g @ Q ~ N(0, I_k) for k = R's row
+    count, so each row costs k normals instead of A's row count.  A's
+    dependent columns must come after its independent ones: otherwise QR
+    picks a rounding-level direction that carries O(1) weight of the next
+    column, and the draws stop being stable under rounding.
+    """
+    R = scale * np.linalg.qr(A, mode="r")
+    return lambda mb: rng.standard_normal((mb, R.shape[0])) @ R
+
+
+def _noise_image(spec, A: np.ndarray, rng: np.random.Generator):
+    """Sampler of rows with the law of noise_matrix(spec, (mb, s), rng) @ A."""
+    if spec.family == "gaussian":
+        return _gaussian_image(A, rng, spec.entry_scale)
+    return lambda mb: noise_matrix(spec, (mb, A.shape[0]), rng) @ A
+
+
 def _streamed_slabs(ensemble, target, f: SvdFactors, u_hat, m, rng, clean_test,
                     target_noise):
     """Slab source that draws BLOCK_ROWS realizable-target test points at a
-    time, so feature noise never needs m-by-s storage."""
+    time.
+
+    The kernel only sees each test point's image under C = [V, beta_star,
+    u_hat], the kept right-singular directions, the target coefficients and
+    the conditional-mean coefficients.  Gaussian pieces are drawn in that
+    (rank+2)-dim image directly (`_gaussian_image`): eigencoordinate
+    covariates and gaussian feature noise cost rank+2 normals per test point
+    instead of p and s.  Fourier covariates and the other noise families are
+    drawn in full and projected.  u_hat lies in span(V), and beta_star does
+    when rank = s, which is why they are C's last columns.
+    """
     spectrum = ensemble.spectrum
     s = ensemble.s
     rank = f.rank
@@ -292,33 +331,32 @@ def _streamed_slabs(ensemble, target, f: SvdFactors, u_hat, m, rng, clean_test,
     pred_noisy = noisy_ensemble and not clean_test
     targ_noisy = target.mode == "realizable-noisy" and noisy_ensemble
     share = targ_noisy and pred_noisy and target_noise == "shared"
-    targ_clean_eval = targ_noisy and target_noise == "clean"
+    fresh = targ_noisy and not share and target_noise != "clean"
 
-    # push every needed s-vector through the test features in one product:
-    # the kept right-singular directions, the conditional-mean coefficients,
-    # and the target coefficients
-    C = np.concatenate([f.V, u_hat[:, None], target.beta_star[:, None]], axis=1)
+    C = np.concatenate([f.V, target.beta_star[:, None], u_hat[:, None]], axis=1)
     SWC = (np.sqrt(spectrum.eigenvalues)[:, None] * (ensemble.weights.entries @ C)) / math.sqrt(s)
+    if ensemble.mode == EIGENCOORDINATE:
+        draw_base = _gaussian_image(SWC, rng)
+    else:
+        def draw_base(mb):
+            return fourier_basis(spectrum.p, rng.random(mb)) @ SWC
+    draw_NC = _noise_image(spec, C, rng) if pred_noisy else None
+    draw_fresh = _noise_image(spec, target.beta_star[:, None], rng) if fresh else None
     inv_sv = 1.0 / f.sv
     for start in range(0, m, BLOCK_ROWS):
         mb = min(BLOCK_ROWS, m - start)
-        if ensemble.mode == EIGENCOORDINATE:
-            base = rng.standard_normal((mb, spectrum.p)) @ SWC
-        else:
-            base = fourier_basis(spectrum.p, rng.random(mb)) @ SWC
-        if pred_noisy or share:
-            NC = noise_matrix(spec, (mb, s), rng) @ C
-        a = base[:, rank]
+        base = draw_base(mb)
         H = base[:, :rank]
+        fst = base[:, rank]
+        a = base[:, rank + 1]
         if pred_noisy:
-            a = a + NC[:, rank]
+            NC = draw_NC(mb)
             H = H + NC[:, :rank]
-        fst = base[:, rank + 1]
-        if targ_noisy and not targ_clean_eval:
+            a = a + NC[:, rank + 1]
             if share:
-                fst = fst + NC[:, rank + 1]
-            else:
-                fst = fst + noise_matrix(spec, (mb, s), rng) @ target.beta_star
+                fst = fst + NC[:, rank]
+        if fresh:
+            fst = fst + draw_fresh(mb)[:, 0]
         yield H * inv_sv, a, fst, fst, None
 
 
@@ -363,8 +401,10 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: La
 
     `test` is either a TestFeatures bundle or an integer count of test points
     to generate on the fly (generated points are processed in fixed-size
-    blocks, so feature noise never needs m-by-s storage; an unrealizable
-    target materializes them instead).  Realizable modes report misspec = 0;
+    blocks, with gaussian pieces drawn in the (rank+2)-dim image the kernel
+    uses, see `_streamed_slabs`; an unrealizable target materializes them
+    instead).  An unknown `target_noise` is rejected on every route, as
+    `make_test_features` rejects it.  Realizable modes report misspec = 0;
     the monte-carlo method redraws labels `trials` times, the closed-form
     method integrates the label noise exactly.  The design is factored once,
     and the result's `rank` reports its numerical rank, so callers need no
@@ -376,6 +416,7 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: La
         raise ValueError("method must be monte-carlo or closed-form")
     if method == "monte-carlo" and trials < 2:
         raise ValueError("monte-carlo decomposition needs at least 2 label redraws")
+    _check_target_noise(target_noise)
     tf = test if isinstance(test, TestFeatures) else None
     if tf is None:
         m = int(test)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import ExperimentConfig
+from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; kept importable from
 # this module for callers that look the projector diagnostics up by this name
 from .estimator import projector_diag  # noqa: F401
@@ -37,8 +37,6 @@ CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se"
 AGGREGATE_COLUMNS = ["s", "sigma0_sq", "replicates", "B_mean", "B_se", "V_mean",
                      "V_se", "M_mean", "M_se", "R_mean", "R_se",
                      "bias_bound_mean", "variance_bound_mean"]
-
-ARTIFACT_VERSION = "1"
 
 NAN = float("nan")
 

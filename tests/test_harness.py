@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from noisyrf import config as config_mod
 from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
+from noisyrf import sweep as sweep_mod
 from noisyrf.cli import main
 from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
                             parse_config, preset_config)
@@ -87,11 +89,20 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "1",
+        manifest = {"artifact_version": "2",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
         assert cfg.master_seed == 9
+
+    def test_manifest_of_another_version_is_refused(self):
+        # version "1" manifests came from the full p- and s-wide test draws;
+        # replaying one here would not reproduce its numbers
+        manifest = {"artifact_version": "1",
+                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(manifest)
+        assert "'1'" in str(exc.value) and "'2'" in str(exc.value)
 
     def test_overrides_win(self):
         cfg = parse_config({"n": 4, "p": 8, "s_grid": [2], "alpha": 0.5},
@@ -265,7 +276,8 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "1"
+        assert manifest["artifact_version"] == "2"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "2"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config

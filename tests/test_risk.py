@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from noisyrf import risk as risk_mod
 from noisyrf.estimator import projector_diag, svd_factors
 from noisyrf.features import (build_ensemble, make_noise_spec, noise_matrix,
                               sample_weights)
@@ -18,15 +19,22 @@ from noisyrf.spectral import (eigenfeature_matrix, make_spectrum,
 MODE = "eigencoordinate"
 
 
-def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0):
-    """Polynomial-spectrum ensemble in eigencoordinate mode, optionally noisy."""
+def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
+                jitter=0.0):
+    """Polynomial-spectrum ensemble in eigencoordinate mode, optionally noisy.
+
+    jitter multiplies each weight by 1 + jitter * N(0, 1); every other draw
+    is the same as without it.
+    """
     p = p or max(2 * s, 64)
     sp = make_spectrum("polynomial", p, gamma=gamma)
     X = sample_covariates(MODE, n, seed_stream(seed, "cov"), p=p)
     W = sample_weights(p, s, seed_stream(seed, "w"))
+    if jitter:
+        W.entries *= 1.0 + jitter * seed_stream(seed, "jitter").standard_normal(W.entries.shape)
     spec = rng = None
     if alpha is not None:
-        spec = make_noise_spec("gaussian", alpha, s)
+        spec = make_noise_spec(family, alpha, s)
         rng = seed_stream(seed, "noise")
     return build_ensemble(sp, MODE, X, W, noise_spec=spec, noise_rng=rng)
 
@@ -36,6 +44,13 @@ def quadratic_oracle(Z, rows):
     # estimator's own SVD plumbing
     core = rows @ sla.pinv(np.asarray(Z, dtype=float))
     return np.sum(core * core, axis=1)
+
+
+def assert_agree_within_4se(d1, d2):
+    for field in ("bias", "variance", "total"):
+        a, b = getattr(d1, field), getattr(d2, field)
+        sa, sb = getattr(d1, field + "_se"), getattr(d2, field + "_se")
+        assert abs(a - b) <= 4 * math.sqrt(sa ** 2 + sb ** 2), field
 
 
 def closed_form(ens, t, tf):
@@ -457,34 +472,89 @@ class TestDecompose:
         assert d1.bias == d2.bias and d1.bias_se == d2.bias_se
         np.testing.assert_allclose(d2.variance, 100.0 * d1.variance, rtol=1e-9)
 
-    def test_streamed_matches_materialized_exactly_when_clean(self):
-        # closed form draws nothing but covariates, in the same stream order
+    def test_streamed_clean_matches_its_covariate_oracle(self):
+        # closed form draws nothing but the covariates' image h @ R, where
+        # Q R = SWC = sqrt(lambda) W C / sqrt(s) and C = [V, beta, u_hat];
+        # covariates h @ Q^T have exactly that image, so the materialized
+        # route over them reproduces the streamed split
         ens = mk_ensemble(40, 120, seed=7)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(7, "t"))
         m = 1300
         d_s = decompose(ens, t, LabelModel(1.0), m, 2, seed_stream(11, "x"),
                         method="closed-form")
-        tf = make_test_features(ens, m, seed_stream(11, "x"))
-        d_m = decompose(ens, t, LabelModel(1.0), tf, 2, seed_stream(0),
-                        method="closed-form")
+        f = svd_factors(ens.design)
+        u_hat = f.apply_pinv(target_train_values(t, ens))
+        C = np.concatenate([f.V, t.beta_star[:, None], u_hat[:, None]], axis=1)
+        W = ens.weights.entries
+        SWC = np.sqrt(ens.spectrum.eigenvalues)[:, None] * (W @ C) / math.sqrt(ens.s)
+        Q, R = np.linalg.qr(SWC)
+        X = seed_stream(11, "x").standard_normal((m, R.shape[0])) @ Q.T
+        phi = eigenfeature_matrix(ens.spectrum, MODE, X)
+        clean = phi @ W / math.sqrt(ens.s)
+        tf = TestFeatures(covariates=X, phi=phi, clean=clean, predictor=clean,
+                          target_rows=clean)
+        d_m = closed_form(ens, t, tf)
         np.testing.assert_allclose(
             [d_s.bias, d_s.variance, d_s.total],
             [d_m.bias, d_m.variance, d_m.total], rtol=1e-9)
 
-    @pytest.mark.parametrize("clean_test,target_noise", [
-        (False, "fresh"), (False, "shared"), (False, "clean"),
-        (True, "fresh"), (True, "shared"), (True, "clean")])
-    def test_streamed_agrees_with_materialized_when_noisy(self, clean_test, target_noise):
-        ens = mk_ensemble(40, 120, alpha=0.5, seed=8)
+    def test_streamed_agrees_with_materialized_when_clean(self):
+        ens = mk_ensemble(40, 120, seed=7)
+        t = make_target("realizable-clean", ens, 1.0, seed_stream(7, "t"))
+        d_s = decompose(ens, t, LabelModel(1.0), 3000, 2, seed_stream(12, "x"),
+                        method="closed-form")
+        d_m = closed_form(ens, t, make_test_features(ens, 3000, seed_stream(13, "x")))
+        assert_agree_within_4se(d_s, d_m)
+
+    @pytest.mark.parametrize("clean_test,target_noise,family", [
+        pytest.param(clean_test, target_noise, "gaussian", id=f"{clean_test}-{target_noise}")
+        for clean_test in (False, True) for target_noise in ("fresh", "shared", "clean")] + [
+        # rademacher and uniform noise keep the full s-wide draw
+        pytest.param(False, "fresh", family, id=f"False-fresh-{family}")
+        for family in ("rademacher", "uniform")])
+    def test_streamed_agrees_with_materialized_when_noisy(self, clean_test, target_noise,
+                                                          family):
+        ens = mk_ensemble(40, 120, alpha=0.5, seed=8, family=family)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(8, "t"))
         flags = dict(clean_test=clean_test, target_noise=target_noise)
         d_s = decompose(ens, t, LabelModel(1.0), 3000, 500, seed_stream(12, "x"), **flags)
         tf = make_test_features(ens, 3000, seed_stream(13, "x"), **flags)
         d_m = decompose(ens, t, LabelModel(1.0), tf, 500, seed_stream(14, "x"))
-        for field in ("bias", "variance", "total"):
-            a, b = getattr(d_s, field), getattr(d_m, field)
-            sa, sb = getattr(d_s, field + "_se"), getattr(d_m, field + "_se")
-            assert abs(a - b) <= 4 * math.sqrt(sa ** 2 + sb ** 2)
+        assert_agree_within_4se(d_s, d_m)
+
+    @pytest.mark.parametrize("clean_test,target_noise", [
+        (False, "fresh"), (False, "shared"), (True, "fresh")])
+    def test_streamed_gaussian_noise_skips_the_full_draw(self, monkeypatch, clean_test,
+                                                         target_noise):
+        ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
+        t = make_target("realizable-noisy", ens, 1.0, seed_stream(9, "t"))
+
+        def full_draw(*args, **kwargs):
+            raise AssertionError("gaussian noise was drawn s-wide")
+
+        monkeypatch.setattr(risk_mod, "noise_matrix", full_draw)
+        d = decompose(ens, t, LabelModel(1.0), 600, 20, seed_stream(9, "d"),
+                      clean_test=clean_test, target_noise=target_noise)
+        assert d.total > 0
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    @pytest.mark.parametrize("s", [20, 40, 90])
+    def test_streamed_split_is_stable_under_rounding(self, s, alpha):
+        # n = 40, so s < n, s = n and s > n.  u_hat always lies in span(V),
+        # and beta_star does where rank = s; a QR that met a dependent column
+        # before an independent one would pick a rounding-level direction, and
+        # a 1e-13 nudge of W would then move the split by sampling error.
+        # Tolerances are relative to R: a clean fit of full column rank has
+        # a bias of rounding, ~1e-31
+        n, p, seed = 40, 200, 5
+        mode = "realizable-clean" if alpha is None else "realizable-noisy"
+        splits = []
+        for jitter in (0.0, 1e-13):
+            ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=seed, jitter=jitter)
+            t = make_target(mode, ens, 1.0, seed_stream(seed, "t"))
+            d = decompose(ens, t, LabelModel(1.0), 1100, 50, seed_stream(seed, "d"))
+            splits.append([d.bias, d.variance, d.total])
+        np.testing.assert_allclose(splits[1], splits[0], rtol=1e-9, atol=1e-9 * splits[0][2])
 
     def test_monte_carlo_variance_tracks_closed_form(self):
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
@@ -554,6 +624,16 @@ class TestDecompose:
             decompose(ens, t, LabelModel(1.0), 10, 1, seed_stream(0))
         with pytest.raises(ValueError, match="test point"):
             decompose(ens, t, LabelModel(1.0), 0, 50, seed_stream(0))
+
+    def test_unknown_target_noise_rejected_on_every_route(self):
+        ens = mk_ensemble(10, 20, p=80, alpha=0.5)
+        realizable = make_target("realizable-noisy", ens, 1.0, seed_stream(0, "t"))
+        unrealizable = make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
+        tf = make_test_features(ens, 10, seed_stream(0, "tf"))
+        for target, test in [(realizable, 10), (unrealizable, 10), (realizable, tf)]:
+            with pytest.raises(ValueError, match="target_noise"):
+                decompose(ens, target, LabelModel(1.0), test, 50, seed_stream(0),
+                          target_noise="dirty")
 
     @settings(max_examples=20)
     @given(n=st.integers(3, 10), s=st.integers(2, 12), seed=st.integers(0, 30))
