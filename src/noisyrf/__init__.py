@@ -22,8 +22,7 @@ from .features import (FeatureEnsemble, NoiseSpec, WeightMatrix, build_ensemble,
                        feature_matrix, inject_noise, make_noise_spec,
                        noise_matrix, noiseless_spec, sample_weights)
 from .risk import (LabelModel, RiskDecomposition, TargetFunction, TestFeatures,
-                   decompose, gen_labels, make_target, make_test_features,
-                   misspec_term, variance_closed)
+                   decompose, gen_labels, make_target, make_test_features)
 from .seeding import seed_sequence, seed_stream
 from .spectral import (CovarianceSummary, Spectrum, eigenfeature_map,
                        eigenfeature_matrix, empirical_covariance, fourier_basis,
@@ -51,7 +50,6 @@ __all__ = [
     "noiseless_spec", "sample_weights",
     "LabelModel", "RiskDecomposition", "TargetFunction", "TestFeatures",
     "decompose", "gen_labels", "make_target", "make_test_features",
-    "misspec_term", "variance_closed",
     "seed_sequence", "seed_stream",
     "CovarianceSummary", "Spectrum", "eigenfeature_map", "eigenfeature_matrix",
     "empirical_covariance", "fourier_basis", "kernel_eval", "kernel_gram",

@@ -54,7 +54,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    choices=["realizable-clean", "realizable-noisy", "unrealizable"])
     p.add_argument("--target-norm", dest="target_norm", type=float)
     p.add_argument("--tail-energy", dest="tail_energy", type=float)
-    p.add_argument("--test-points", dest="test_points", type=int)
     p.add_argument("--label-redraws", dest="label_redraws", type=int)
     p.add_argument("--replicates", dest="ensemble_replicates", type=int)
     p.add_argument("--a", type=float)

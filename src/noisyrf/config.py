@@ -21,7 +21,7 @@ METHODS = ("monte-carlo", "closed-form")
 
 # The version stamped on emitted manifests.  Bumped whenever a change moves
 # the random stream, so a manifest only replays on the code that wrote it.
-ARTIFACT_VERSION = "2"
+ARTIFACT_VERSION = "3"
 
 
 class ValidationError(ValueError):
@@ -48,7 +48,6 @@ class ExperimentConfig:
     target_mode: str = "realizable-clean"
     target_norm: float = 1.0
     tail_energy: float = 1.0
-    test_points: int = 4096
     label_redraws: int = 500
     ensemble_replicates: int = 20
     master_seed: int | None = None
@@ -97,7 +96,6 @@ PRESETS = {
         "sigma_sq": 0.5,
         "target_mode": "realizable-clean",
         "target_norm": 1.0,
-        "test_points": 4096,
         "label_redraws": 500,
         "ensemble_replicates": 20,
     },
@@ -105,7 +103,8 @@ PRESETS = {
 
 
 def _flatten(raw: dict) -> tuple[dict, list]:
-    """Lift a nested spectrum block into flat fields; report unknown keys."""
+    """Lift a nested spectrum block into flat fields; check and drop a retired
+    test_points key; report unknown keys."""
     errors = []
     flat = {}
     for key, value in raw.items():
@@ -122,6 +121,11 @@ def _flatten(raw: dict) -> tuple[dict, list]:
                     flat[sk] = sv
         elif key in _FIELDS:
             flat[key] = value
+        elif key == "test_points":
+            # the risk is exact over the test population; an old config's test
+            # count is checked as before and then has nothing to size
+            if not _is_int(value) or value < 1:
+                errors.append("test_points must be an integer >= 1")
         else:
             errors.append(f"unknown config key: {key!r}")
     return flat, errors
@@ -193,8 +197,6 @@ def validate(cfg: ExperimentConfig) -> list:
     if (cfg.target_mode == "unrealizable" and _is_real(cfg.tail_energy)
             and not cfg.tail_energy > 0):
         e.append("tail_energy must be > 0 for unrealizable targets")
-    if not _is_int(cfg.test_points) or cfg.test_points < 1:
-        e.append("test_points must be an integer >= 1")
     if not _is_int(cfg.label_redraws) or cfg.label_redraws < 2:
         e.append("label_redraws must be an integer >= 2 (a variance needs replicates)")
     if not _is_int(cfg.ensemble_replicates) or cfg.ensemble_replicates < 1:

@@ -1,12 +1,15 @@
 """Excess-risk measurement and its bias / variance / misspecification split.
 
-All quantities are averages over a fresh sample of test points (streamed
-points are drawn, where their law allows it, directly in the few directions
-the risk depends on).  For a fixed draw of covariates, weights and feature
-noise, the conditional mean of the fitted predictor over label noise is
-exactly computable from the pseudoinverse, so the bias piece carries only
-test-sampling error; the variance piece is either estimated from label
-redraws or evaluated in closed form.
+The risk is measured over the test population exactly.  Given a cell's
+training draw, the prediction error at a test point is linear in its
+eigenfeatures phi and its feature-noise draw xi, and the second moments are
+known: E[phi phi^T] = Lambda in both covariate modes, and E[xi xi^T] =
+(sigma0^2 / s) I for every noise family.  So every piece of the split is a
+quadratic form over the weights W, the design's one SVD and the
+conditional-mean coefficients u_hat.  Label noise is integrated in closed form
+or redrawn (monte-carlo); the standard errors then measure the redraw error.
+A materialized test sample (`make_test_features`) is the reference measure
+the tests check the population route against.
 """
 
 from __future__ import annotations
@@ -15,20 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .estimator import SvdFactors, svd_factors
 from .features import FeatureEnsemble, noise_matrix
-from .spectral import (EIGENCOORDINATE, Spectrum, eigenfeature_matrix,
-                       fourier_basis, sample_covariates)
+from .spectral import eigenfeature_matrix, sample_covariates
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
 TARGET_NOISE_MODES = ("shared", "fresh", "clean")
-
-# Generated test points are processed in slabs of this many rows.  Gaussian
-# draws already land in the (rank+2)-dim image the kernel uses; the slabs
-# bound the m-by-s storage that fourier covariates and non-gaussian feature
-# noise would otherwise need.
-BLOCK_ROWS = 512
 
 
 @dataclass(eq=False)
@@ -74,25 +71,21 @@ class TestFeatures:
 
 
 @dataclass(frozen=True)
-class MisspecResult:
-    first_term: float   # energy the unexpressible residual leaks into the fit
-    second_term: float  # squared distance of f* from the feature span
-    total: float
-    stderr: float
-
-
-@dataclass(frozen=True)
 class RiskDecomposition:
-    """Per-test-point averages of the risk split, with standard errors.
+    """The risk split total = bias + variance + misspec, with standard errors.
 
-    For realizable targets total = bias + variance (exactly in closed form,
-    up to redraw noise in monte-carlo).  For an unrealizable target the bias
-    is measured against the best in-span fit, so it already holds the
-    misspecification's first term (the leaked residual); misspec repeats it.
-    The exact identity is total = bias + variance + misspec second term
-    (the cross term vanishes because the least-squares residual is
-    orthogonal to the test rows), so total lies in
-    [bias + variance, bias + variance + misspec] rather than at the sum.
+    bias is the risk of the conditional-mean fit u_hat in excess of the best
+    in-span fit b*: b* = beta_star for a realizable target, whose misspec is
+    0; for an unrealizable target b* minimizes the population risk over the
+    feature span, and misspec is that minimum, the target's population
+    distance from the span.  variance is the label-noise variance.
+
+    Over the population the split is exact: in closed form total = bias +
+    variance + misspec to rounding and every se is 0.  Monte-carlo replaces
+    the label-noise part of total and variance by averages over the label
+    redraws, with se over the redraws (bias and misspec stay exact, se 0).
+    Over a test sample every piece is a sample mean with its se over the
+    test points.
     """
 
     bias: float
@@ -172,7 +165,8 @@ def _check_target_noise(target_noise: str) -> None:
 
 def make_test_features(ensemble: FeatureEnsemble, m: int, rng: np.random.Generator, *,
                        clean_test: bool = False, target_noise: str = "fresh") -> TestFeatures:
-    """Sample m test points and their feature rows.
+    """Sample m test points and their feature rows, the reference measure that
+    `decompose`'s exact population route is checked against.
 
     Predictor-side rows carry a fresh feature-noise draw whenever the ensemble
     was fit on noisy features (clean_test=True evaluates on clean features
@@ -216,230 +210,161 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(m))
 
 
-def variance_closed(Z_design: np.ndarray, test, sigma_sq: float, *,
-                    weights=None, noise_spec=None, rtol: float | None = None) -> float:
-    """Exact label-noise variance sigma^2 * E_x[z_x^T (Z^T Z)^+ z_x].
-
-    `test` selects the averaging measure: a Spectrum integrates over the
-    population of test points in eigencoordinate mode (weights required, and
-    noise_spec adds the diagonal feature-noise term); an array of feature rows
-    averages over that sample.
-    """
-    f = svd_factors(np.asarray(Z_design, dtype=float), rtol)
-    if f.rank == 0:
-        return 0.0
-    if isinstance(test, Spectrum):
-        if weights is None:
-            raise ValueError("population averaging needs the weight matrix")
-        W = weights.entries if hasattr(weights, "entries") else np.asarray(weights)
-        s = W.shape[1]
-        core = (np.sqrt(test.eigenvalues)[:, None] * W) @ (f.V / f.sv)
-        val = float(np.sum(core * core)) / s
-        if noise_spec is not None and noise_spec.sigma0_sq > 0:
-            val += noise_spec.sigma0_sq / s * float(np.sum(1.0 / f.sv ** 2))
-        return sigma_sq * val
-    rows = np.asarray(test, dtype=float)
-    core = rows @ (f.V / f.sv)
-    return sigma_sq * float(np.mean(np.sum(core * core, axis=1)))
-
-
 def _label_draws(sigma_sq: float, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     # always consume the same number of draws so downstream streams do not
     # shift when sigma_sq hits zero
     return math.sqrt(sigma_sq) * rng.standard_normal((n, trials))
 
 
-def _misspec_rows(f: SvdFactors, ensemble: FeatureEnsemble, tf: TestFeatures,
-                  fst: np.ndarray, fstarX: np.ndarray):
-    """Per-test-point misspecification summands and the best in-span fit.
+def _test_noise(ensemble: FeatureEnsemble, target: TargetFunction, clean_test: bool,
+                target_noise: str) -> tuple[float, float, float]:
+    """Per-entry variances (q_p, q_x, q_t) of a test point's feature noise.
 
-    The best in-span approximation of f* is the least-squares projection of
-    its test values onto the test feature rows; its residual is orthogonal to
-    every test row.
+    q_p is the predictor row's, q_t the target row's (realizable-noisy
+    targets only) and q_x the part the two share; the law is the one
+    `make_test_features` draws from.
     """
-    beta_h, *_ = np.linalg.lstsq(tf.predictor, fst, rcond=None)
-    fh = tf.predictor @ beta_h
-    w = f.apply_pinv(fstarX - ensemble.design @ beta_h)
-    return (tf.predictor @ w) ** 2, (fst - fh) ** 2, fh
+    spec = ensemble.noise_spec
+    q = spec.entry_variance if spec is not None and ensemble.Z_noisy is not None else 0.0
+    q_p = 0.0 if clean_test else q
+    q_t = q if target.mode == "realizable-noisy" and target_noise != "clean" else 0.0
+    q_x = q_t if q_p > 0 and target_noise == "shared" else 0.0
+    return q_p, q_x, q_t
 
 
-def misspec_term(ensemble: FeatureEnsemble, target: TargetFunction, tf: TestFeatures,
-                 rtol: float | None = None) -> MisspecResult:
-    """Both misspecification summands, estimated on the test sample.
+def _best_in_span(ensemble: FeatureEnsemble, target: TargetFunction,
+                  q_p: float) -> tuple[np.ndarray, float]:
+    """An unrealizable target's best in-span fit b* and its population risk M.
 
-    Realizable targets are legal input and give zero up to numerical error.
+    The risk of coefficients w is ||A w - t||^2 + q_p ||w||^2, with
+    A = sqrt(Lambda) W / sqrt(s) and t = A beta_star + sqrt(Lambda) c, so b*
+    is the least-squares solution on [A; sqrt(q_p) I] and M its squared
+    residual: one QR of [A, t; sqrt(q_p) I, 0] gives both.
     """
-    f = svd_factors(ensemble.design, rtol)
-    first, second, _ = _misspec_rows(f, ensemble, tf, _target_test_values(target, tf),
-                                     target_train_values(target, ensemble))
-    total, se = _mean_se(first + second)
-    return MisspecResult(first_term=float(first.mean()), second_term=float(second.mean()),
-                         total=total, stderr=se)
+    p, s = ensemble.weights.entries.shape
+    sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
+    aug = np.zeros((p + s, s + 1))
+    A = aug[:p, :s]
+    np.multiply(sqrt_lam[:, None] / math.sqrt(s), ensemble.weights.entries, out=A)
+    aug[:p, s] = A @ target.beta_star + sqrt_lam * target.tail_coeffs
+    aug[p + np.arange(s), np.arange(s)] = math.sqrt(q_p)
+    R = np.linalg.qr(aug, mode="r")
+    return solve_triangular(R[:s, :s], R[:s, s]), float(R[s, s] ** 2)
 
 
-def _materialized_slabs(ensemble, target, f: SvdFactors, fstarX, u_hat, tf: TestFeatures):
-    """Slab source over a materialized sample: one slab with every test row,
-    because an unrealizable target's best in-span fit needs all of them."""
+def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarray,
+                      ref: np.ndarray, q_e: float, q_u: float, q_r: float,
+                      E: np.ndarray | None, sigma_sq: float):
+    """(bias, variance, variance_se, label-noise part of total, its se) over the
+    test population.
+
+    The risk of coefficients w, less M, is ||A e||^2 + q_e ||e||^2 +
+    q_u ||w||^2 + q_r ||ref||^2 with e = w - ref and A = sqrt(Lambda) W /
+    sqrt(s).  A label draw eps moves the fit to u_hat + V Sigma^-1 g with
+    g = U^T eps, which adds 2 l.g + g^T Q g to that risk, where K = A V Sigma^-1,
+    Q = K^T K + q_p Sigma^-2 with q_p = q_e + q_u, and l = K^T A e +
+    Sigma^-1 V^T (q_e e + q_u u_hat).  A is never formed: W @ [V, e] is all
+    the split needs.
+    """
+    e = u_hat - ref
+    sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
+    AC = sqrt_lam[:, None] * (ensemble.weights.entries @ np.column_stack([f.V, e]))
+    AC /= math.sqrt(ensemble.s)
+    K, Ae = AC[:, :f.rank] / f.sv, AC[:, f.rank]
+    bias = float(Ae @ Ae) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \
+        + q_r * float(ref @ ref)
+    Q = K.T @ K + np.diag((q_e + q_u) / f.sv ** 2)
+    if E is None:
+        variance = sigma_sq * float(np.trace(Q))
+        return bias, variance, 0.0, variance, 0.0
+    g = f.U.T @ E
+    ell = K.T @ Ae + (f.V.T @ (q_e * e + q_u * u_hat)) / f.sv
+    noise, noise_se = _mean_se(2.0 * (ell @ g) + np.sum(g * (Q @ g), axis=0))
+    trials = E.shape[1]
+    gc = g - g.mean(axis=1, keepdims=True)
+    variance, variance_se = _mean_se(np.sum(gc * (Q @ gc), axis=0) * (trials / (trials - 1)))
+    return bias, variance, variance_se, noise, noise_se
+
+
+def _sampled_split(tf: TestFeatures, target: TargetFunction, f: SvdFactors,
+                   u_hat: np.ndarray, b_star: np.ndarray | None, E: np.ndarray | None,
+                   sigma_sq: float):
+    """Per-test-point (bias, variance, total, misspec) rows over a sample.
+
+    b_star is an unrealizable target's best in-span fit (None for a
+    realizable one); bias and misspec are measured against its test values.
+    """
+    G = tf.predictor @ (f.V / f.sv) @ f.U.T
     a = tf.predictor @ u_hat
     fst = _target_test_values(target, tf)
-    mis, ref = None, fst
-    if target.mode == "unrealizable":
-        first, second, ref = _misspec_rows(f, ensemble, tf, fst, fstarX)
-        mis = first + second
-    yield tf.predictor @ (f.V / f.sv), a, fst, ref, mis
-
-
-def _gaussian_image(A: np.ndarray, rng: np.random.Generator, scale: float = 1.0):
-    """Sampler of rows with the law of scale * g @ A, g ~ N(0, I).
-
-    With A = Q R, g @ A = (g @ Q) @ R and g @ Q ~ N(0, I_k) for k = R's row
-    count, so each row costs k normals instead of A's row count.  A's
-    dependent columns must come after its independent ones: otherwise QR
-    picks a rounding-level direction that carries O(1) weight of the next
-    column, and the draws stop being stable under rounding.
-    """
-    R = scale * np.linalg.qr(A, mode="r")
-    return lambda mb: rng.standard_normal((mb, R.shape[0])) @ R
-
-
-def _noise_image(spec, A: np.ndarray, rng: np.random.Generator):
-    """Sampler of rows with the law of noise_matrix(spec, (mb, s), rng) @ A."""
-    if spec.family == "gaussian":
-        return _gaussian_image(A, rng, spec.entry_scale)
-    return lambda mb: noise_matrix(spec, (mb, A.shape[0]), rng) @ A
-
-
-def _streamed_slabs(ensemble, target, f: SvdFactors, u_hat, m, rng, clean_test,
-                    target_noise):
-    """Slab source that draws BLOCK_ROWS realizable-target test points at a
-    time.
-
-    The kernel only sees each test point's image under C = [V, beta_star,
-    u_hat], the kept right-singular directions, the target coefficients and
-    the conditional-mean coefficients.  Gaussian pieces are drawn in that
-    (rank+2)-dim image directly (`_gaussian_image`): eigencoordinate
-    covariates and gaussian feature noise cost rank+2 normals per test point
-    instead of p and s.  Fourier covariates and the other noise families are
-    drawn in full and projected.  u_hat lies in span(V), and beta_star does
-    when rank = s, which is why they are C's last columns.
-    """
-    spectrum = ensemble.spectrum
-    s = ensemble.s
-    rank = f.rank
-    spec = ensemble.noise_spec
-    noisy_ensemble = spec is not None and ensemble.Z_noisy is not None and spec.sigma0_sq > 0
-    pred_noisy = noisy_ensemble and not clean_test
-    targ_noisy = target.mode == "realizable-noisy" and noisy_ensemble
-    share = targ_noisy and pred_noisy and target_noise == "shared"
-    fresh = targ_noisy and not share and target_noise != "clean"
-
-    C = np.concatenate([f.V, target.beta_star[:, None], u_hat[:, None]], axis=1)
-    SWC = (np.sqrt(spectrum.eigenvalues)[:, None] * (ensemble.weights.entries @ C)) / math.sqrt(s)
-    if ensemble.mode == EIGENCOORDINATE:
-        draw_base = _gaussian_image(SWC, rng)
+    d = a - fst
+    if E is None:
+        v = sigma_sq * np.sum(G * G, axis=1)
+        r = d * d + v
     else:
-        def draw_base(mb):
-            return fourier_basis(spectrum.p, rng.random(mb)) @ SWC
-    draw_NC = _noise_image(spec, C, rng) if pred_noisy else None
-    draw_fresh = _noise_image(spec, target.beta_star[:, None], rng) if fresh else None
-    inv_sv = 1.0 / f.sv
-    for start in range(0, m, BLOCK_ROWS):
-        mb = min(BLOCK_ROWS, m - start)
-        base = draw_base(mb)
-        H = base[:, :rank]
-        fst = base[:, rank]
-        a = base[:, rank + 1]
-        if pred_noisy:
-            NC = draw_NC(mb)
-            H = H + NC[:, :rank]
-            a = a + NC[:, rank + 1]
-            if share:
-                fst = fst + NC[:, rank]
-        if fresh:
-            fst = fst + draw_fresh(mb)[:, 0]
-        yield H * inv_sv, a, fst, fst, None
-
-
-def _risk_rows(slabs, U: np.ndarray, E: np.ndarray | None, sigma_sq: float):
-    """The risk kernel: per-test-point bias, variance, total and misspec.
-
-    Each slab is (H, a, fst, ref, mis) over a block of test points: H holds
-    the predictor rows in the design's kept right-singular directions scaled
-    by 1/sv, so G = H U^T maps training labels to predictions; a is the
-    conditional-mean prediction, fst the target value, ref what the bias is
-    measured against and mis the misspecification rows (None when the target
-    is realizable).  E holds the label redraws (monte-carlo), or is None to
-    integrate the label noise exactly (closed-form).
-    """
-    parts = []
-    for H, a, fst, ref, mis in slabs:
-        G = H @ U.T
-        d = a - fst
-        if E is None:
-            v = sigma_sq * np.sum(G * G, axis=1)
-            r = d * d + v
-        else:
-            trials = E.shape[1]
-            P = G @ E
-            mp = P.mean(axis=1)
-            mp2 = np.mean(P * P, axis=1)
-            del P  # drop it before the source draws the next slab; holding it raised peak RSS
-            v = (mp2 - mp * mp) * (trials / (trials - 1))
-            r = d * d + 2 * d * mp + mp2
-        d_bias = a - ref
-        parts.append((d_bias * d_bias, v, r, mis))
-    b, v, r, mis = zip(*parts)
-    return (np.concatenate(b), np.concatenate(v), np.concatenate(r),
-            None if mis[0] is None else np.concatenate(mis))
+        trials = E.shape[1]
+        P = G @ E
+        mp = P.mean(axis=1)
+        mp2 = np.mean(P * P, axis=1)
+        v = (mp2 - mp * mp) * (trials / (trials - 1))
+        r = d * d + 2 * d * mp + mp2
+    if b_star is None:
+        return d * d, v, r, np.zeros(0)
+    fit = tf.predictor @ b_star
+    return (a - fit) ** 2, v, r, (fit - fst) ** 2
 
 
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: LabelModel,
-              test, trials: int, rng: np.random.Generator, *, rtol: float | None = None,
-              clean_test: bool = False, target_noise: str = "fresh",
-              method: str = "monte-carlo") -> RiskDecomposition:
-    """Full risk decomposition over a test sample.
+              test: TestFeatures | None, trials: int, rng: np.random.Generator, *,
+              rtol: float | None = None, clean_test: bool = False,
+              target_noise: str = "fresh", method: str = "monte-carlo") -> RiskDecomposition:
+    """Full risk decomposition, exact over the test population.
 
-    `test` is either a TestFeatures bundle or an integer count of test points
-    to generate on the fly (generated points are processed in fixed-size
-    blocks, with gaussian pieces drawn in the (rank+2)-dim image the kernel
-    uses, see `_streamed_slabs`; an unrealizable target materializes them
-    instead).  An unknown `target_noise` is rejected on every route, as
-    `make_test_features` rejects it.  Realizable modes report misspec = 0;
-    the monte-carlo method redraws labels `trials` times, the closed-form
-    method integrates the label noise exactly.  The design is factored once,
-    and the result's `rank` reports its numerical rank, so callers need no
-    second SVD for it.  Draws come from `rng` in a fixed order: generated
-    unrealizable test features, then the label redraws, then the streamed
-    test blocks.
+    `test=None` integrates over the test population exactly; a TestFeatures
+    sample averages over its points instead (the reference measure, drawn
+    with the same clean_test and target_noise).  A count of test points is
+    rejected, as is an unknown `target_noise`.  The monte-carlo method
+    redraws the labels `trials` times, and they are the only draws taken
+    from `rng`; the closed-form method integrates the label noise exactly and
+    draws nothing.  The design is factored once, and the result's `rank`
+    reports its numerical rank, so callers need no second SVD for it.
     """
     if method not in ("monte-carlo", "closed-form"):
         raise ValueError("method must be monte-carlo or closed-form")
     if method == "monte-carlo" and trials < 2:
         raise ValueError("monte-carlo decomposition needs at least 2 label redraws")
     _check_target_noise(target_noise)
-    tf = test if isinstance(test, TestFeatures) else None
-    if tf is None:
-        m = int(test)
-        if m < 1:
-            raise ValueError("need at least one test point")
-        if target.mode == "unrealizable":
-            tf = make_test_features(ensemble, m, rng, clean_test=clean_test,
-                                    target_noise=target_noise)
+    if test is not None and not isinstance(test, TestFeatures):
+        raise ValueError("test must be None (the exact population) or a TestFeatures "
+                         f"sample, not {test!r}; a count of test points is not accepted")
     f = svd_factors(ensemble.design, rtol)
-    fstarX = target_train_values(target, ensemble)
-    u_hat = f.apply_pinv(fstarX)
+    u_hat = f.apply_pinv(target_train_values(target, ensemble))
+    q_p, q_x, q_t = _test_noise(ensemble, target, clean_test, target_noise)
+    b_star = None
+    misspec = 0.0
+    if target.mode == "unrealizable":
+        b_star, misspec = _best_in_span(ensemble, target, q_p)
+    sigma_sq = label_model.sigma_sq
     E = None
     if method == "monte-carlo":
-        E = _label_draws(label_model.sigma_sq, ensemble.n, trials, rng)
-    if tf is None:
-        slabs = _streamed_slabs(ensemble, target, f, u_hat, m, rng, clean_test, target_noise)
+        E = _label_draws(sigma_sq, ensemble.n, trials, rng)
+    if test is not None:
+        b, v, r, mis = _sampled_split(test, target, f, u_hat, b_star, E, sigma_sq)
+        (bias, bias_se), (var, var_se) = _mean_se(b), _mean_se(v)
+        (total, total_se), (misspec, misspec_se) = _mean_se(r), _mean_se(mis)
+        return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
+                                 misspec=misspec, misspec_se=misspec_se, total=total,
+                                 total_se=total_se, method=method, rank=f.rank)
+    if b_star is None:
+        # q_p |w|^2 - 2 q_x w.beta + q_t |beta|^2 regrouped with non-negative
+        # weights, so the bias cannot round below zero
+        ref, q_e, q_u, q_r = target.beta_star, q_x, q_p - q_x, q_t - q_x
     else:
-        slabs = _materialized_slabs(ensemble, target, f, fstarX, u_hat, tf)
-    b, v, r, mis = _risk_rows(slabs, f.U, E, label_model.sigma_sq)
-    bias, bias_se = _mean_se(b)
-    var, var_se = _mean_se(v)
-    total, total_se = _mean_se(r)
-    mspec, mspec_se = (0.0, 0.0) if mis is None else _mean_se(mis)
-    return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
-                             misspec=mspec, misspec_se=mspec_se, total=total,
-                             total_se=total_se, method=method, rank=f.rank)
+        # the normal equations at b* kill the cross term
+        ref, q_e, q_u, q_r = b_star, q_p, 0.0, 0.0
+    bias, var, var_se, noise, noise_se = _population_split(
+        ensemble, f, u_hat, ref, q_e, q_u, q_r, E, sigma_sq)
+    total = bias + var + misspec if E is None else bias + misspec + noise
+    return RiskDecomposition(bias=bias, bias_se=0.0, variance=var, variance_se=var_se,
+                             misspec=misspec, misspec_se=0.0, total=total,
+                             total_se=noise_se, method=method, rank=f.rank)

@@ -135,7 +135,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     ensemble = build_ensemble(spectrum, cfg.mode, X, W, noise_spec, rng_noise)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
-    dec = decompose(ensemble, target, LabelModel(cfg.sigma_sq), cfg.test_points,
+    dec = decompose(ensemble, target, LabelModel(cfg.sigma_sq), None,
                     cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise, method=cfg.method)
 

@@ -152,7 +152,7 @@ def _sandwich_point(n, s, seed):
     p = 1000
     spectrum, X, W, ens = _poly_lab(n, s, p, seed)
     target = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t6", n, s))
-    dec = decompose(ens, target, LabelModel(1.0), 2000, 0,
+    dec = decompose(ens, target, LabelModel(1.0), None, 0,
                     seed_stream(seed, "r6", n, s), method="closed-form")
     lam_hat = empirical_covariance(eigenfeature_matrix(spectrum, MODE, X)).eigenvalues[:n]
     pop = population_covariance(spectrum)
@@ -228,7 +228,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
     # A reduced grid keeps this well under twice the preset runtime; the cells
     # exercise both the classical and overparameterized branches.
     t0 = time.monotonic()
-    base = {"n": 12, "p": 24, "s_grid": [6, 20], "test_points": 200,
+    base = {"n": 12, "p": 24, "s_grid": [6, 20],
             "label_redraws": 50, "ensemble_replicates": 2, "master_seed": 5}
     blobs = {}
     for tag, extra in (("first", {}), ("second", {}), ("fourway", {"workers": 4})):
@@ -255,7 +255,7 @@ def test_criterion_9_feature_noise_regularization_trend():
     def run_once(alpha, seed):
         _, _, _, ens = _poly_lab(100, 400, 1000, 900 + seed, alpha=alpha)
         target = make_target("realizable-clean", ens, 1.0, seed_stream(900 + seed, "t9"))
-        dec = decompose(ens, target, LabelModel(1.0), 2000, 0,
+        dec = decompose(ens, target, LabelModel(1.0), None, 0,
                         seed_stream(900 + seed, "r9"), method="closed-form")
         return dec.total
 

@@ -89,20 +89,21 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "2",
+        manifest = {"artifact_version": "3",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
         assert cfg.master_seed == 9
 
     def test_manifest_of_another_version_is_refused(self):
-        # version "1" manifests came from the full p- and s-wide test draws;
-        # replaying one here would not reproduce its numbers
+        # version "1" manifests came from the full p- and s-wide test draws and
+        # "2" from sampled test points; replaying one here would not reproduce
+        # its numbers
         manifest = {"artifact_version": "1",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'2'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'3'" in str(exc.value)
 
     def test_overrides_win(self):
         cfg = parse_config({"n": 4, "p": 8, "s_grid": [2], "alpha": 0.5},
@@ -167,6 +168,16 @@ class TestConfig:
             parse_config(raw)
         assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(field)
 
+    def test_retired_test_points_key_is_checked_and_dropped(self):
+        # older configs, and the benchmark's shrunken preset, still set it;
+        # the risk is exact over the test population, so it sizes nothing
+        cfg = preset_config("double-descent-default",
+                            {"n": 20, "p": 200, "s_grid": [5, 8], "test_points": 512,
+                             "label_redraws": 50, "master_seed": 1})
+        assert cfg.label_redraws == 50 and not hasattr(cfg, "test_points")
+        with pytest.raises(ValidationError, match="test_points"):
+            parse_config({"n": 20, "p": 40, "s_grid": [5], "test_points": 0})
+
     def test_nullable_float_fields_accept_null(self):
         cfg = parse_config({"n": 20, "p": 40, "s_grid": [5], "m0": None,
                             "spectrum": {"kind": "exponential", "gamma": None}})
@@ -174,7 +185,7 @@ class TestConfig:
 
 
 def small_cfg(**kw):
-    base = {"n": 12, "p": 24, "s_grid": [6, 20], "test_points": 120,
+    base = {"n": 12, "p": 24, "s_grid": [6, 20],
             "label_redraws": 40, "ensemble_replicates": 1, "master_seed": 5}
     base.update(kw)
     return parse_config(base)
@@ -212,7 +223,7 @@ class TestSweep:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        cfg = small_cfg(ensemble_replicates=2, test_points=60, label_redraws=20)
+        cfg = small_cfg(ensemble_replicates=2, label_redraws=20)
         serial = records_csv(run_sweep(cfg).records)
         parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
         assert serial == parallel
@@ -276,8 +287,8 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "2"
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "2"
+        assert manifest["artifact_version"] == "3"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "3"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -330,7 +341,7 @@ class TestSweep:
             [r.s <= cfg.n for r in records]
 
 
-RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8", "--test-points", "100",
+RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
               "--label-redraws", "30", "--replicates", "1", "--seed", "3"]
 
 
@@ -376,7 +387,7 @@ class TestCli:
 
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
-                "--test-points", "80", "--label-redraws", "20",
+                "--label-redraws", "20",
                 "--replicates", "1", "--seed", "3", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
         paths = capsys.readouterr().out.splitlines()
@@ -390,7 +401,7 @@ class TestCli:
 
     def test_sweep_partial_failure_exit_code(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,24",
-                "--target-mode", "unrealizable", "--test-points", "80",
+                "--target-mode", "unrealizable",
                 "--label-redraws", "20", "--replicates", "1", "--seed", "3",
                 "--out-dir", str(tmp_path)]
         assert main(argv) == 2
@@ -402,7 +413,7 @@ class TestCli:
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 12, "p": 24, "s_grid": [8]}))
-        argv = ["risk", "--config", str(cfg_path), "--test-points", "50",
+        argv = ["risk", "--config", str(cfg_path),
                 "--label-redraws", "20", "--seed", "1"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 8
@@ -440,7 +451,7 @@ class TestCli:
 
     def test_preset_listed(self, capsys):
         argv = ["risk", "--preset", "double-descent-default", "--s", "10",
-                "--test-points", "50", "--label-redraws", "20",
+                "--label-redraws", "20",
                 "--replicates", "1", "--seed", "1"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 10

@@ -5,13 +5,13 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from noisyrf import risk as risk_mod
-from noisyrf.estimator import projector_diag, svd_factors
-from noisyrf.features import (build_ensemble, make_noise_spec, noise_matrix,
-                              sample_weights)
+from noisyrf import sweep as sweep_mod
+from noisyrf.config import preset_config
+from noisyrf.estimator import default_rtol, projector_diag, svd_factors
+from noisyrf.features import build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import (LabelModel, TargetFunction, TestFeatures, decompose,
                           gen_labels, make_target, make_test_features,
-                          misspec_term, target_train_values, variance_closed)
+                          target_train_values)
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, make_spectrum,
                               sample_covariates)
@@ -20,15 +20,15 @@ MODE = "eigencoordinate"
 
 
 def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
-                jitter=0.0):
-    """Polynomial-spectrum ensemble in eigencoordinate mode, optionally noisy.
+                jitter=0.0, mode=MODE):
+    """Polynomial-spectrum ensemble, optionally noisy.
 
     jitter multiplies each weight by 1 + jitter * N(0, 1); every other draw
     is the same as without it.
     """
     p = p or max(2 * s, 64)
     sp = make_spectrum("polynomial", p, gamma=gamma)
-    X = sample_covariates(MODE, n, seed_stream(seed, "cov"), p=p)
+    X = sample_covariates(mode, n, seed_stream(seed, "cov"), p=p)
     W = sample_weights(p, s, seed_stream(seed, "w"))
     if jitter:
         W.entries *= 1.0 + jitter * seed_stream(seed, "jitter").standard_normal(W.entries.shape)
@@ -36,7 +36,45 @@ def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
     if alpha is not None:
         spec = make_noise_spec(family, alpha, s)
         rng = seed_stream(seed, "noise")
-    return build_ensemble(sp, MODE, X, W, noise_spec=spec, noise_rng=rng)
+    return build_ensemble(sp, mode, X, W, noise_spec=spec, noise_rng=rng)
+
+
+def identity_ensemble(X):
+    """Unit spectrum and W = sqrt(s) I, so the design is the covariates X
+    and a test row's features are its eigencoordinates."""
+    X = np.asarray(X, dtype=float)
+    s = X.shape[1]
+    W = sample_weights(s, s, seed_stream(0))
+    W.entries[:] = math.sqrt(s) * np.eye(s)
+    return build_ensemble(make_spectrum("custom", s, eigenvalues=[1.0] * s), MODE, X, W)
+
+
+def rows_sample(rows):
+    rows = np.asarray(rows, dtype=float)
+    return TestFeatures(covariates=rows, phi=rows, clean=rows, predictor=rows,
+                        target_rows=rows)
+
+
+def zero_target(s):
+    return TargetFunction(mode="realizable-clean", beta_star=np.zeros(s),
+                          tail_coeffs=None, norm=0.0)
+
+
+class _Captured(Exception):
+    pass
+
+
+def preset_cell(monkeypatch, s, seed=7, replicate=0):
+    """decompose's (args, kwargs) in one cell of the double-descent preset."""
+    def capture(*args, **kwargs):
+        raise _Captured(args, kwargs)
+
+    cfg = preset_config("double-descent-default", {"master_seed": seed})
+    with monkeypatch.context() as m:
+        m.setattr(sweep_mod, "decompose", capture)
+        with pytest.raises(_Captured) as exc:
+            sweep_mod.compute_row(cfg, cfg.s_grid.index(s), replicate)
+    return exc.value.args
 
 
 def quadratic_oracle(Z, rows):
@@ -47,13 +85,13 @@ def quadratic_oracle(Z, rows):
 
 
 def assert_agree_within_4se(d1, d2):
-    for field in ("bias", "variance", "total"):
+    for field in ("bias", "variance", "misspec", "total"):
         a, b = getattr(d1, field), getattr(d2, field)
         sa, sb = getattr(d1, field + "_se"), getattr(d2, field + "_se")
         assert abs(a - b) <= 4 * math.sqrt(sa ** 2 + sb ** 2), field
 
 
-def closed_form(ens, t, tf):
+def closed_form(ens, t, tf=None):
     return decompose(ens, t, LabelModel(1.0), tf, 2, seed_stream(0), method="closed-form")
 
 
@@ -217,6 +255,7 @@ class TestBiasTerm:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(15, "t"))
         tf = make_test_features(ens, 100, seed_stream(15, "tf"))
         assert closed_form(ens, t, tf).bias <= 1e-20
+        assert closed_form(ens, t).bias <= 1e-20
 
     def test_beta_in_row_space_kills_bias(self):
         ens = mk_ensemble(20, 50)
@@ -226,6 +265,7 @@ class TestBiasTerm:
                            tail_coeffs=None, norm=float(np.linalg.norm(beta)))
         tf = make_test_features(ens, 100, seed_stream(16, "tf"))
         assert closed_form(ens, t, tf).bias <= 1e-20
+        assert closed_form(ens, t).bias <= 1e-20
 
     def test_small_instance_matches_pinv_oracle(self):
         ens = mk_ensemble(2, 3, p=6, seed=17)
@@ -237,41 +277,60 @@ class TestBiasTerm:
         d = closed_form(ens, t, tf)
         np.testing.assert_allclose(d.bias, vals.mean(), rtol=1e-10)
         np.testing.assert_allclose(d.bias_se, vals.std(ddof=1) / math.sqrt(3), rtol=1e-10)
+        # over the population, E[z z^T] = W^T Lambda W / s
+        W = ens.weights.entries
+        A = np.sqrt(ens.spectrum.eigenvalues)[:, None] * W / math.sqrt(3)
+        np.testing.assert_allclose(closed_form(ens, t).bias, float(np.sum((A @ pib) ** 2)),
+                                   rtol=1e-10)
 
 
 class TestVarianceClosed:
+    """decompose's closed-form variance, over test samples and the population."""
+
     def test_scalar_identity(self):
-        assert variance_closed(np.array([[1.0]]), np.array([[1.0]]), 1.0) == 1.0
+        ens = identity_ensemble([[1.0]])
+        for test in (rows_sample([[1.0]]), None):
+            assert closed_form(ens, zero_target(1), test).variance == 1.0
 
     def test_identity_design(self):
-        # Z = I: each basis test row contributes exactly sigma^2
-        Z = np.eye(4)
-        assert variance_closed(Z, np.eye(4), 2.5) == pytest.approx(2.5, rel=1e-14)
+        # Z = I: each basis test row contributes exactly sigma^2, and the
+        # population (E[z z^T] = I) sums the four of them
+        ens = identity_ensemble(np.eye(4))
+        t = zero_target(4)
+        for test, want in ((rows_sample(np.eye(4)), 2.5), (None, 4 * 2.5)):
+            d = decompose(ens, t, LabelModel(2.5), test, 2, seed_stream(0), method="closed-form")
+            assert d.variance == pytest.approx(want, rel=1e-14)
 
     def test_sample_route_matches_pinv_oracle(self):
         for seed, (n, s) in enumerate([(5, 9), (9, 5), (12, 12)]):
             rng = seed_stream(19, "v", seed)
-            Z = rng.standard_normal((n, s))
+            ens = identity_ensemble(rng.standard_normal((n, s)))
             rows = rng.standard_normal((30, s))
-            want = float(np.mean(quadratic_oracle(Z, rows)))
-            got = variance_closed(Z, rows, 1.3)
-            np.testing.assert_allclose(got, 1.3 * want, rtol=1e-10)
+            want = float(np.mean(quadratic_oracle(ens.design, rows)))
+            d = decompose(ens, zero_target(s), LabelModel(1.3), rows_sample(rows), 2,
+                          seed_stream(0), method="closed-form")
+            np.testing.assert_allclose(d.variance, 1.3 * want, rtol=1e-10)
+            d = decompose(ens, zero_target(s), LabelModel(1.3), None, 2, seed_stream(0),
+                          method="closed-form")
+            pinv = sla.pinv(np.asarray(ens.design))
+            np.testing.assert_allclose(d.variance, 1.3 * float(np.sum(pinv * pinv)),
+                                       rtol=1e-10)
 
     def test_rank_zero(self):
-        assert variance_closed(np.zeros((3, 4)), np.eye(4), 1.0) == 0.0
-
-    def test_population_route_needs_weights(self):
-        ens = mk_ensemble(10, 20)
-        with pytest.raises(ValueError, match="weight"):
-            variance_closed(ens.design, ens.spectrum, 1.0)
+        ens = identity_ensemble(np.zeros((3, 4)))
+        for test in (rows_sample(np.eye(4)), None):
+            assert closed_form(ens, zero_target(4), test).variance == 0.0
 
     def test_population_noise_term_explicit(self):
         # the feature-noise part adds sigma0^2/s * sum of inverse squared
         # singular values, on top of the clean population term
         ens = mk_ensemble(15, 40, alpha=0.5, seed=20)
-        base = variance_closed(ens.design, ens.spectrum, 2.0, weights=ens.weights)
-        with_noise = variance_closed(ens.design, ens.spectrum, 2.0,
-                                     weights=ens.weights, noise_spec=ens.noise_spec)
+        t = make_target("realizable-clean", ens, 1.0, seed_stream(20, "t"))
+        flags = dict(method="closed-form")
+        base = decompose(ens, t, LabelModel(2.0), None, 2, seed_stream(0), clean_test=True,
+                         **flags).variance
+        with_noise = decompose(ens, t, LabelModel(2.0), None, 2, seed_stream(0),
+                               **flags).variance
         sv = sla.svdvals(np.asarray(ens.design, dtype=float))
         sv = sv[sv > 1e-12]
         extra = 2.0 * ens.noise_spec.sigma0_sq / 40 * float(np.sum(1.0 / sv ** 2))
@@ -279,18 +338,15 @@ class TestVarianceClosed:
 
     def test_population_matches_sample_monte_carlo(self):
         ens = mk_ensemble(25, 70, p=140, alpha=0.5, seed=6)
-        rng = seed_stream(6, "pop")
+        t = make_target("realizable-noisy", ens, 1.0, seed_stream(6, "t"))
         m = 40_000
-        X = sample_covariates(MODE, m, rng, p=140)
-        phi = eigenfeature_matrix(ens.spectrum, MODE, X)
-        rows = phi @ ens.weights.entries / math.sqrt(70) + noise_matrix(ens.noise_spec, (m, 70), rng)
-        v_pop = variance_closed(ens.design, ens.spectrum, 1.0,
-                                weights=ens.weights, noise_spec=ens.noise_spec)
-        vals = quadratic_oracle(ens.design, rows)
-        v_smp = variance_closed(ens.design, rows, 1.0)
-        np.testing.assert_allclose(v_smp, vals.mean(), rtol=1e-10)
+        tf = make_test_features(ens, m, seed_stream(6, "pop"))
+        v_pop = closed_form(ens, t).variance
+        vals = quadratic_oracle(ens.design, tf.predictor)
+        d = closed_form(ens, t, tf)
+        np.testing.assert_allclose(d.variance, vals.mean(), rtol=1e-10)
         se = vals.std(ddof=1) / math.sqrt(m)
-        assert abs(v_smp - v_pop) <= 4 * se
+        assert abs(d.variance - v_pop) <= 4 * se
 
 
 class TestVarianceMc:
@@ -300,8 +356,9 @@ class TestVarianceMc:
         ens = mk_ensemble(12, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(21, "t"))
         tf = make_test_features(ens, 40, seed_stream(21, "tf"))
-        d = decompose(ens, t, LabelModel(0.0), tf, 50, seed_stream(21, "v"))
-        assert d.variance == 0.0
+        for test in (tf, None):
+            d = decompose(ens, t, LabelModel(0.0), test, 50, seed_stream(21, "v"))
+            assert d.variance == 0.0 and d.variance_se == 0.0
 
     def test_exact_sigma_scaling_same_stream(self):
         # the same underlying normal draws are scaled by sigma, so the
@@ -309,18 +366,20 @@ class TestVarianceMc:
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = make_test_features(ens, 200, seed_stream(2, "tf"))
-        d1 = decompose(ens, t, LabelModel(1.0), tf, 300, seed_stream(41, "v"))
-        d4 = decompose(ens, t, LabelModel(4.0), tf, 300, seed_stream(41, "v"))
-        np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
+        for test in (tf, None):
+            d1 = decompose(ens, t, LabelModel(1.0), test, 300, seed_stream(41, "v"))
+            d4 = decompose(ens, t, LabelModel(4.0), test, 300, seed_stream(41, "v"))
+            np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
 
     def test_matches_closed_form(self):
         for seed in range(3):
             ens = mk_ensemble(25, 60, alpha=0.5, seed=seed)
             t = make_target("realizable-noisy", ens, 1.0, seed_stream(seed, "t"))
             tf = make_test_features(ens, 2000, seed_stream(seed, "tf"))
-            vc = variance_closed(ens.design, tf.predictor, 1.0)
-            d = decompose(ens, t, LabelModel(1.0), tf, 4000, seed_stream(seed, "v"))
-            assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
+            for test in (tf, None):
+                vc = closed_form(ens, t, test).variance
+                d = decompose(ens, t, LabelModel(1.0), test, 4000, seed_stream(seed, "v"))
+                assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
@@ -338,25 +397,21 @@ class TestExcessRiskMc:
         ens = mk_ensemble(40, 12)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(22, "t"))
         tf = make_test_features(ens, 100, seed_stream(22, "tf"))
-        d = decompose(ens, t, LabelModel(0.0), tf, 5, seed_stream(22, "e"))
-        assert d.total <= 1e-20
+        for test in (tf, None):
+            d = decompose(ens, t, LabelModel(0.0), test, 5, seed_stream(22, "e"))
+            assert d.total <= 1e-20
 
     def test_scalar_hand_value(self):
         # one point, one feature, Z = [[1]]: the fit returns y, and
         # E[(y - f*)^2] is the label variance
-        sp = make_spectrum("custom", 1, eigenvalues=[1.0])
-        W = sample_weights(1, 1, seed_stream(0))
-        W.entries[:] = 1.0
-        ens = build_ensemble(sp, MODE, np.array([[1.0]]), W)
+        ens = identity_ensemble([[1.0]])
         t = TargetFunction(mode="realizable-clean", beta_star=np.array([0.5]),
                            tail_coeffs=None, norm=0.5)
-        tf = TestFeatures(covariates=np.array([[1.0]]), phi=np.array([[1.0]]),
-                          clean=np.array([[1.0]]), predictor=np.array([[1.0]]),
-                          target_rows=np.array([[1.0]]))
         trials = 50_000
-        d = decompose(ens, t, LabelModel(1.0), tf, trials, seed_stream(0, "e"))
-        # chi^2 mean concentrates at rate sqrt(2/trials)
-        assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
+        for test in (rows_sample([[1.0]]), None):
+            d = decompose(ens, t, LabelModel(1.0), test, trials, seed_stream(0, "e"))
+            # chi^2 mean concentrates at rate sqrt(2/trials)
+            assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
@@ -368,7 +423,8 @@ class TestExcessRiskMc:
 
 def tiny_misspec_instance(train_cov):
     """Two eigendirections, one feature that sees only the first; the target
-    lives entirely in the second, so the test sample decorrelates exactly."""
+    lives entirely in the second.  The four test points' eigenfeatures have
+    second moment I = Lambda, so their sample is the population exactly."""
     sp = make_spectrum("custom", 2, eigenvalues=[1.0, 1.0])
     W = sample_weights(2, 1, seed_stream(0))
     W.entries[:] = np.array([[1.0], [0.0]])
@@ -382,36 +438,44 @@ def tiny_misspec_instance(train_cov):
     return ens, t, tf
 
 
+def noiseless(ens, t, test):
+    return decompose(ens, t, LabelModel(0.0), test, 2, seed_stream(0), method="closed-form")
+
+
 class TestMisspecTerm:
+    """decompose's misspecification piece."""
+
     def test_realizable_target_gives_zero(self):
         ens = mk_ensemble(15, 10)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(23, "t"))
         tf = make_test_features(ens, 200, seed_stream(23, "tf"))
-        res = misspec_term(ens, t, tf)
-        assert res.total <= 1e-16
-        assert res.first_term <= 1e-16 and res.second_term <= 1e-16
+        for test in (tf, None):
+            d = decompose(ens, t, LabelModel(1.0), test, 50, seed_stream(23, "d"))
+            assert d.misspec == 0.0 and d.misspec_se == 0.0
 
     def test_hand_instance_pure_tail(self):
         # training rows orthogonal to the tail: no leakage, unit distance
         ens, t, tf = tiny_misspec_instance([[1.0, 0.0], [0.0, 1.0]])
-        res = misspec_term(ens, t, tf)
-        assert res.first_term == 0.0
-        assert res.second_term == 1.0
-        assert res.total == 1.0
-        assert res.stderr == 0.0
+        for test in (tf, None):
+            d = noiseless(ens, t, test)
+            assert d.bias == 0.0
+            assert d.misspec == 1.0 and d.misspec_se == 0.0
+            assert d.total == 1.0
 
     def test_hand_instance_with_leakage(self):
         # first training point mixes both directions: the fit leaks exactly
-        # one unit of tail energy through the pseudoinverse
+        # one unit of tail energy through the pseudoinverse, which the bias
+        # holds on top of the unit distance
         ens, t, tf = tiny_misspec_instance([[1.0, 1.0], [0.0, 1.0]])
-        res = misspec_term(ens, t, tf)
-        assert res.first_term == pytest.approx(1.0, rel=1e-12)
-        assert res.second_term == 1.0
-        assert res.total == pytest.approx(2.0, rel=1e-12)
+        for test in (tf, None):
+            d = noiseless(ens, t, test)
+            assert d.bias == pytest.approx(1.0, rel=1e-12)
+            assert d.misspec == pytest.approx(1.0, rel=1e-12)
+            assert d.total == pytest.approx(2.0, rel=1e-12)
 
     def test_shrinks_as_features_accumulate(self):
         # fixed out-of-span component, growing feature count: the span
-        # captures more of it, so the median estimate must fall
+        # captures more of it, so the median distance must fall
         p = 256
         sp = make_spectrum("polynomial", p, gamma=2.0)
         c = seed_stream(99, "tail").standard_normal(p)
@@ -426,13 +490,13 @@ class TestMisspecTerm:
                 ens = build_ensemble(sp, MODE, X, W)
                 t = TargetFunction(mode="unrealizable", beta_star=np.zeros(s),
                                    tail_coeffs=c, norm=0.0)
-                tf = make_test_features(ens, 1200, seed_stream(seed, "tf", s))
-                tots.append(misspec_term(ens, t, tf).total)
+                tots.append(closed_form(ens, t).misspec)
             medians[s] = float(np.median(tots))
         assert medians[8] > medians[32] > medians[128]
 
 
 class TestDecompose:
+    # the tests named "streamed" check the population route (test=None)
     def test_identity_monte_carlo(self):
         # R = B + V up to redraw and test-sampling noise
         for (n, s) in [(20, 30), (20, 80), (50, 200)]:
@@ -440,10 +504,11 @@ class TestDecompose:
                 ens = mk_ensemble(n, s, seed=seed)
                 t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
                 tf = make_test_features(ens, 1500, seed_stream(seed, "tf"))
-                d = decompose(ens, t, LabelModel(1.0), tf, 2000, seed_stream(seed, "d"))
-                gap = abs(d.total - d.bias - d.variance)
-                comb = math.sqrt(d.bias_se ** 2 + d.variance_se ** 2 + d.total_se ** 2)
-                assert gap <= 3 * comb
+                for test in (tf, None):
+                    d = decompose(ens, t, LabelModel(1.0), test, 2000, seed_stream(seed, "d"))
+                    gap = abs(d.total - d.bias - d.variance)
+                    comb = math.sqrt(d.bias_se ** 2 + d.variance_se ** 2 + d.total_se ** 2)
+                    assert gap <= 3 * comb
 
     def test_identity_closed_form_exact(self):
         ens = mk_ensemble(30, 90, seed=3)
@@ -453,139 +518,202 @@ class TestDecompose:
         assert abs(d.total - d.bias - d.variance) <= 1e-12 * d.total
         assert d.method == "closed-form"
 
+    @pytest.mark.parametrize("mode,alpha,p", [
+        ("realizable-clean", None, 80), ("realizable-noisy", 0.5, 80),
+        ("unrealizable", 0.5, 120)])
+    def test_population_total_is_the_sum_to_the_bit(self, mode, alpha, p):
+        # every se is 0 in closed form, and monte-carlo at sigma^2 = 0 has no
+        # redraw error, so the benchmark's 4-se bracket has no slack there
+        ens = mk_ensemble(20, 40, p=p, alpha=alpha, seed=28)
+        t = make_target(mode, ens, 1.0, seed_stream(28, "t"))
+        for sigma_sq, method in ((0.7, "closed-form"), (0.0, "monte-carlo")):
+            d = decompose(ens, t, LabelModel(sigma_sq), None, 30, seed_stream(28, "d"),
+                          method=method)
+            assert d.total == d.bias + d.variance + d.misspec
+            assert d.bias_se == d.misspec_se == 0.0
+            assert d.total_se == d.variance_se == 0.0
+
     def test_closed_form_variance_linearity(self):
         ens = mk_ensemble(25, 70, seed=4)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(4, "t"))
         tf = make_test_features(ens, 300, seed_stream(4, "tf"))
-        d1 = decompose(ens, t, LabelModel(1.0), tf, 2, seed_stream(0), method="closed-form")
-        d4 = decompose(ens, t, LabelModel(4.0), tf, 2, seed_stream(0), method="closed-form")
-        np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
-        assert d4.bias == d1.bias
+        for test in (tf, None):
+            d1 = decompose(ens, t, LabelModel(1.0), test, 2, seed_stream(0),
+                           method="closed-form")
+            d4 = decompose(ens, t, LabelModel(4.0), test, 2, seed_stream(0),
+                           method="closed-form")
+            np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
+            assert d4.bias == d1.bias
 
     def test_streamed_bias_invariant_under_sigma(self):
-        # label draws are consumed before the test blocks, and always the
-        # same number of them, so the test sample cannot shift with sigma
+        # the bias is exact and the label draws are always the same number of
+        # the same normals, scaled by sigma
         ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(9, "t"))
-        d1 = decompose(ens, t, LabelModel(1.0), 800, 60, seed_stream(21, "q"))
-        d2 = decompose(ens, t, LabelModel(100.0), 800, 60, seed_stream(21, "q"))
-        assert d1.bias == d2.bias and d1.bias_se == d2.bias_se
+        d1 = decompose(ens, t, LabelModel(1.0), None, 60, seed_stream(21, "q"))
+        d2 = decompose(ens, t, LabelModel(100.0), None, 60, seed_stream(21, "q"))
+        assert d1.bias == d2.bias and d1.bias_se == d2.bias_se == 0.0
         np.testing.assert_allclose(d2.variance, 100.0 * d1.variance, rtol=1e-9)
 
-    def test_streamed_clean_matches_its_covariate_oracle(self):
-        # closed form draws nothing but the covariates' image h @ R, where
-        # Q R = SWC = sqrt(lambda) W C / sqrt(s) and C = [V, beta, u_hat];
-        # covariates h @ Q^T have exactly that image, so the materialized
-        # route over them reproduces the streamed split
-        ens = mk_ensemble(40, 120, seed=7)
-        t = make_target("realizable-clean", ens, 1.0, seed_stream(7, "t"))
-        m = 1300
-        d_s = decompose(ens, t, LabelModel(1.0), m, 2, seed_stream(11, "x"),
-                        method="closed-form")
-        f = svd_factors(ens.design)
-        u_hat = f.apply_pinv(target_train_values(t, ens))
-        C = np.concatenate([f.V, t.beta_star[:, None], u_hat[:, None]], axis=1)
-        W = ens.weights.entries
-        SWC = np.sqrt(ens.spectrum.eigenvalues)[:, None] * (W @ C) / math.sqrt(ens.s)
-        Q, R = np.linalg.qr(SWC)
-        X = seed_stream(11, "x").standard_normal((m, R.shape[0])) @ Q.T
-        phi = eigenfeature_matrix(ens.spectrum, MODE, X)
-        clean = phi @ W / math.sqrt(ens.s)
-        tf = TestFeatures(covariates=X, phi=phi, clean=clean, predictor=clean,
-                          target_rows=clean)
-        d_m = closed_form(ens, t, tf)
-        np.testing.assert_allclose(
-            [d_s.bias, d_s.variance, d_s.total],
-            [d_m.bias, d_m.variance, d_m.total], rtol=1e-9)
+    @pytest.mark.parametrize("mode", ["realizable-noisy", "unrealizable"])
+    def test_population_route_draws_only_the_label_redraws(self, mode):
+        # closed form takes nothing from rng; monte-carlo takes exactly the
+        # n x trials label normals
+        n, trials = 20, 30
+        ens = mk_ensemble(n, 40, p=120, alpha=0.5, seed=29)
+        t = make_target(mode, ens, 1.0, seed_stream(29, "t"))
+        rng = seed_stream(29, "d")
+        decompose(ens, t, LabelModel(1.0), None, trials, rng, method="closed-form")
+        assert rng.bit_generator.state == seed_stream(29, "d").bit_generator.state
+        decompose(ens, t, LabelModel(1.0), None, trials, rng)
+        ref = seed_stream(29, "d")
+        ref.standard_normal((n, trials))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_streamed_agrees_with_materialized_when_clean(self):
         ens = mk_ensemble(40, 120, seed=7)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(7, "t"))
-        d_s = decompose(ens, t, LabelModel(1.0), 3000, 2, seed_stream(12, "x"),
-                        method="closed-form")
+        d_s = closed_form(ens, t)
         d_m = closed_form(ens, t, make_test_features(ens, 3000, seed_stream(13, "x")))
         assert_agree_within_4se(d_s, d_m)
 
-    @pytest.mark.parametrize("clean_test,target_noise,family", [
-        pytest.param(clean_test, target_noise, "gaussian", id=f"{clean_test}-{target_noise}")
+    @pytest.mark.parametrize("clean_test,target_noise,family,mode,target_mode", [
+        pytest.param(clean_test, target_noise, "gaussian", MODE, "realizable-noisy",
+                     id=f"{clean_test}-{target_noise}")
         for clean_test in (False, True) for target_noise in ("fresh", "shared", "clean")] + [
-        # rademacher and uniform noise keep the full s-wide draw
-        pytest.param(False, "fresh", family, id=f"False-fresh-{family}")
-        for family in ("rademacher", "uniform")])
+        pytest.param(False, "fresh", family, MODE, "realizable-noisy",
+                     id=f"False-fresh-{family}")
+        for family in ("rademacher", "uniform")] + [
+        pytest.param(clean_test, "shared", "gaussian", mode, target_mode,
+                     id=f"{mode}-{target_mode}-{clean_test}")
+        for mode, target_mode in (("fourier", "realizable-noisy"), (MODE, "unrealizable"),
+                                  ("fourier", "unrealizable"))
+        for clean_test in (False, True)])
     def test_streamed_agrees_with_materialized_when_noisy(self, clean_test, target_noise,
-                                                          family):
-        ens = mk_ensemble(40, 120, alpha=0.5, seed=8, family=family)
-        t = make_target("realizable-noisy", ens, 1.0, seed_stream(8, "t"))
+                                                          family, mode, target_mode):
+        ens = mk_ensemble(40, 120, alpha=0.5, seed=8, family=family, mode=mode)
+        t = make_target(target_mode, ens, 1.0, seed_stream(8, "t"))
         flags = dict(clean_test=clean_test, target_noise=target_noise)
-        d_s = decompose(ens, t, LabelModel(1.0), 3000, 500, seed_stream(12, "x"), **flags)
+        # the same label redraws on both routes, so only the test sample differs
+        d_s = decompose(ens, t, LabelModel(1.0), None, 500, seed_stream(12, "x"), **flags)
         tf = make_test_features(ens, 3000, seed_stream(13, "x"), **flags)
-        d_m = decompose(ens, t, LabelModel(1.0), tf, 500, seed_stream(14, "x"))
+        d_m = decompose(ens, t, LabelModel(1.0), tf, 500, seed_stream(12, "x"), **flags)
         assert_agree_within_4se(d_s, d_m)
-
-    @pytest.mark.parametrize("clean_test,target_noise", [
-        (False, "fresh"), (False, "shared"), (True, "fresh")])
-    def test_streamed_gaussian_noise_skips_the_full_draw(self, monkeypatch, clean_test,
-                                                         target_noise):
-        ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
-        t = make_target("realizable-noisy", ens, 1.0, seed_stream(9, "t"))
-
-        def full_draw(*args, **kwargs):
-            raise AssertionError("gaussian noise was drawn s-wide")
-
-        monkeypatch.setattr(risk_mod, "noise_matrix", full_draw)
-        d = decompose(ens, t, LabelModel(1.0), 600, 20, seed_stream(9, "d"),
-                      clean_test=clean_test, target_noise=target_noise)
-        assert d.total > 0
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
     @pytest.mark.parametrize("s", [20, 40, 90])
     def test_streamed_split_is_stable_under_rounding(self, s, alpha):
-        # n = 40, so s < n, s = n and s > n.  u_hat always lies in span(V),
-        # and beta_star does where rank = s; a QR that met a dependent column
-        # before an independent one would pick a rounding-level direction, and
-        # a 1e-13 nudge of W would then move the split by sampling error.
-        # Tolerances are relative to R: a clean fit of full column rank has
-        # a bias of rounding, ~1e-31
+        # n = 40, so s < n, s = n and s > n: a 1e-13 nudge of W moves the
+        # exact split by rounding only.  Tolerances are relative to R: a clean
+        # fit of full column rank has a bias of rounding, ~1e-31
         n, p, seed = 40, 200, 5
         mode = "realizable-clean" if alpha is None else "realizable-noisy"
         splits = []
         for jitter in (0.0, 1e-13):
             ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=seed, jitter=jitter)
             t = make_target(mode, ens, 1.0, seed_stream(seed, "t"))
-            d = decompose(ens, t, LabelModel(1.0), 1100, 50, seed_stream(seed, "d"))
+            d = decompose(ens, t, LabelModel(1.0), None, 50, seed_stream(seed, "d"))
             splits.append([d.bias, d.variance, d.total])
         np.testing.assert_allclose(splits[1], splits[0], rtol=1e-9, atol=1e-9 * splits[0][2])
+
+    @pytest.mark.parametrize("s", [75, 100, 133])
+    def test_population_risk_at_the_peak_is_stable_under_rtol(self, monkeypatch, s):
+        # n = 100: at s = n the design is nearly singular (smallest kept
+        # singular value ~1e-5 of the top), yet the rank cutoff sits far from
+        # every singular value, so scaling it 100x either way moves nothing
+        args, kwargs = preset_cell(monkeypatch, s)
+        rtol = default_rtol(100, s)
+        runs = [decompose(*args[:5], seed_stream(7, "peak"), **dict(kwargs, rtol=rtol * k))
+                for k in (1.0, 0.01, 100.0)]
+        assert runs[0].rank == min(100, s)
+        for d in runs[1:]:
+            assert d == runs[0]
+
+    @pytest.mark.parametrize("mode,target_noise", [
+        ("realizable-noisy", "shared"), ("realizable-noisy", "fresh"), ("unrealizable", "fresh")])
+    def test_monte_carlo_total_is_the_mean_risk_of_the_redrawn_fits(self, mode, target_noise):
+        # refit every label redraw through LAPACK's pinv and evaluate its
+        # population risk ||A w - t||^2 + q||w||^2 - 2 q_x w.beta + q_t||beta||^2
+        n, s, trials = 20, 40, 6
+        ens = mk_ensemble(n, s, p=120, alpha=0.5, seed=31)
+        t = make_target(mode, ens, 1.0, seed_stream(31, "t"))
+        d = decompose(ens, t, LabelModel(0.8), None, trials, seed_stream(31, "d"),
+                      target_noise=target_noise)
+        E = math.sqrt(0.8) * seed_stream(31, "d").standard_normal((n, trials))
+        sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
+        A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(s)
+        target_vals = A @ t.beta_star
+        if mode == "unrealizable":
+            target_vals = target_vals + sqrt_lam * t.tail_coeffs
+        q = ens.noise_spec.entry_variance
+        q_t = q if mode == "realizable-noisy" else 0.0
+        q_x = q_t if target_noise == "shared" else 0.0
+        fits = sla.pinv(np.asarray(ens.design)) @ (target_train_values(t, ens)[:, None] + E)
+        risks = [float(np.sum((A @ w - target_vals) ** 2)) + q * (w @ w)
+                 - 2 * q_x * (w @ t.beta_star) + q_t * (t.beta_star @ t.beta_star)
+                 for w in fits.T]
+        np.testing.assert_allclose(d.total, np.mean(risks), rtol=1e-9)
+        np.testing.assert_allclose(d.total_se, np.std(risks, ddof=1) / math.sqrt(trials),
+                                   rtol=1e-6)
+
+    def test_monte_carlo_total_se_covers_label_redraw_error(self, monkeypatch):
+        # one preset cell, many label-redraw seeds: the spread of R across
+        # seeds is what R_se claims it is
+        args, kwargs = preset_cell(monkeypatch, 75)
+        runs = [decompose(*args[:5], seed_stream(k, "redraw"), **kwargs) for k in range(40)]
+        spread = float(np.std([d.total for d in runs], ddof=1))
+        ratio = spread / float(np.median([d.total_se for d in runs]))
+        assert 0.6 <= ratio <= 1.6, ratio
 
     def test_monte_carlo_variance_tracks_closed_form(self):
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = make_test_features(ens, 2500, seed_stream(2, "tf"))
-        dc = decompose(ens, t, LabelModel(1.0), tf, 2, seed_stream(0), method="closed-form")
-        dm = decompose(ens, t, LabelModel(1.0), tf, 3000, seed_stream(30, "m"))
-        assert dm.bias == dc.bias
-        assert abs(dm.variance - dc.variance) <= 0.05 * dc.variance + 3 * dm.variance_se
+        for test in (tf, None):
+            dc = decompose(ens, t, LabelModel(1.0), test, 2, seed_stream(0),
+                           method="closed-form")
+            dm = decompose(ens, t, LabelModel(1.0), test, 3000, seed_stream(30, "m"))
+            assert dm.bias == dc.bias
+            assert abs(dm.variance - dc.variance) <= 0.05 * dc.variance + 3 * dm.variance_se
 
     def test_unrealizable_misspec_matches_standalone(self):
-        ens = mk_ensemble(20, 40, p=120, seed=24)
+        # M against a standalone population least squares, and the sample's
+        # misspec rows against the same best in-span fit
+        ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=24)
         t = make_target("unrealizable", ens, 1.0, seed_stream(24, "t"))
-        tf = make_test_features(ens, 600, seed_stream(24, "tf"))
-        d = decompose(ens, t, LabelModel(1.0), tf, 400, seed_stream(24, "d"))
-        res = misspec_term(ens, t, tf)
-        np.testing.assert_allclose(d.misspec, res.total, rtol=1e-12)
+        sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
+        A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(40)
+        target_vals = A @ t.beta_star + sqrt_lam * t.tail_coeffs
+        q = ens.noise_spec.entry_variance
+        b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(40)]),
+                                np.concatenate([target_vals, np.zeros(40)]), rcond=None)
+        r = A @ b - target_vals
+        d = decompose(ens, t, LabelModel(1.0), None, 400, seed_stream(24, "d"))
+        np.testing.assert_allclose(d.misspec, r @ r + q * (b @ b), rtol=1e-10)
         assert d.misspec > 0
+        tf = make_test_features(ens, 600, seed_stream(24, "tf"))
+        d_m = decompose(ens, t, LabelModel(1.0), tf, 400, seed_stream(24, "d"))
+        fst = tf.clean @ t.beta_star + tf.phi @ t.tail_coeffs
+        np.testing.assert_allclose(d_m.misspec, np.mean((tf.predictor @ b - fst) ** 2),
+                                   rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unrealizable_closed_form_total_adds_only_span_distance(self, seed):
-        # the bias is measured against the best in-span fit, whose residual is
-        # orthogonal to the test rows, so the cross term vanishes: R = B + V +
-        # the misspec second term exactly, and the first term is not added
+        # the normal equations at the best in-span fit kill the cross term:
+        # R = B + V + M exactly, with B holding the residual the fit leaks
         ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=seed)
         t = make_target("unrealizable", ens, 1.0, seed_stream(seed, "t"))
-        tf = make_test_features(ens, 600, seed_stream(seed, "tf"))
-        d = closed_form(ens, t, tf)
-        res = misspec_term(ens, t, tf)
-        assert res.first_term > 0
-        np.testing.assert_allclose(d.total, d.bias + d.variance + res.second_term,
+        d = closed_form(ens, t)
+        assert d.bias > 0 and d.misspec > 0
+        assert d.total == d.bias + d.variance + d.misspec
+        # the risk of u_hat, evaluated directly, is that sum
+        f = svd_factors(ens.design)
+        u_hat = f.apply_pinv(target_train_values(t, ens))
+        sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
+        A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(40)
+        r = A @ u_hat - A @ t.beta_star - sqrt_lam * t.tail_coeffs
+        q = ens.noise_spec.entry_variance
+        np.testing.assert_allclose(d.bias + d.misspec, r @ r + q * (u_hat @ u_hat),
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("n,s,p,mode,materialized", [
@@ -594,7 +722,7 @@ class TestDecompose:
     def test_rank_matches_design_factorization(self, n, s, p, mode, materialized):
         ens = mk_ensemble(n, s, p=p, seed=27)
         t = make_target(mode, ens, 1.0, seed_stream(27, "t"))
-        test = make_test_features(ens, 200, seed_stream(27, "tf")) if materialized else 200
+        test = make_test_features(ens, 200, seed_stream(27, "tf")) if materialized else None
         d = decompose(ens, t, LabelModel(1.0), test, 20, seed_stream(27, "d"))
         assert d.rank == svd_factors(ens.design).rank == min(n, s)
         assert projector_diag(ens.design).null_dim == s - d.rank
@@ -603,8 +731,9 @@ class TestDecompose:
         ens = mk_ensemble(20, 40, seed=25)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(25, "t"))
         tf = make_test_features(ens, 200, seed_stream(25, "tf"))
-        d = decompose(ens, t, LabelModel(1.0), tf, 100, seed_stream(25, "d"))
-        assert d.misspec == 0.0 and d.misspec_se == 0.0
+        for test in (tf, None):
+            d = decompose(ens, t, LabelModel(1.0), test, 100, seed_stream(25, "d"))
+            assert d.misspec == 0.0 and d.misspec_se == 0.0
 
     def test_all_target_modes_run(self):
         for mode, alpha, p in [("realizable-clean", None, 80),
@@ -612,25 +741,26 @@ class TestDecompose:
                                ("unrealizable", None, 120)]:
             ens = mk_ensemble(15, 40, p=p, alpha=alpha, seed=26)
             t = make_target(mode, ens, 1.0, seed_stream(26, "t"))
-            d = decompose(ens, t, LabelModel(1.0), 300, 50, seed_stream(26, "d", mode))
+            d = decompose(ens, t, LabelModel(1.0), None, 50, seed_stream(26, "d", mode))
             assert d.total >= 0 and d.variance >= 0 and d.bias >= 0
 
     def test_argument_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         with pytest.raises(ValueError, match="method"):
-            decompose(ens, t, LabelModel(1.0), 10, 50, seed_stream(0), method="analytic")
+            decompose(ens, t, LabelModel(1.0), None, 50, seed_stream(0), method="analytic")
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, LabelModel(1.0), 10, 1, seed_stream(0))
-        with pytest.raises(ValueError, match="test point"):
-            decompose(ens, t, LabelModel(1.0), 0, 50, seed_stream(0))
+            decompose(ens, t, LabelModel(1.0), None, 1, seed_stream(0))
+        for count in (0, 4096):
+            with pytest.raises(ValueError, match="test point"):
+                decompose(ens, t, LabelModel(1.0), count, 50, seed_stream(0))
 
     def test_unknown_target_noise_rejected_on_every_route(self):
         ens = mk_ensemble(10, 20, p=80, alpha=0.5)
         realizable = make_target("realizable-noisy", ens, 1.0, seed_stream(0, "t"))
         unrealizable = make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
         tf = make_test_features(ens, 10, seed_stream(0, "tf"))
-        for target, test in [(realizable, 10), (unrealizable, 10), (realizable, tf)]:
+        for target, test in [(realizable, None), (unrealizable, None), (realizable, tf)]:
             with pytest.raises(ValueError, match="target_noise"):
                 decompose(ens, target, LabelModel(1.0), test, 50, seed_stream(0),
                           target_noise="dirty")
@@ -641,6 +771,7 @@ class TestDecompose:
         ens = mk_ensemble(n, s, p=24, seed=seed)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
         tf = make_test_features(ens, 25, seed_stream(seed, "tf"))
-        d = decompose(ens, t, LabelModel(0.5), tf, 2, seed_stream(0), method="closed-form")
-        assert d.bias >= 0 and d.variance >= 0
-        assert abs(d.total - d.bias - d.variance) <= 1e-10 * max(d.total, 1.0)
+        for test in (tf, None):
+            d = decompose(ens, t, LabelModel(0.5), test, 2, seed_stream(0), method="closed-form")
+            assert d.bias >= 0 and d.variance >= 0
+            assert abs(d.total - d.bias - d.variance) <= 1e-10 * max(d.total, 1.0)
