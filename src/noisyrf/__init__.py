@@ -16,21 +16,20 @@ from .conclab import (ExperimentReport, cross_outer_norm_check,
                       weighted_subexp_sum_check)
 from .config import (ExperimentConfig, PRESETS, ValidationError, parse_config,
                      preset_config)
-from .estimator import (MnlsFit, ProjectorDiag, mnls_fit, predict,
-                        projector_diag, ridge_fit, svd_factors)
+from .estimator import (MnlsFit, ProjectorDiag, mnls_fit, projector_diag,
+                        ridge_fit, svd_factors)
 from .features import (FeatureEnsemble, NoiseSpec, WeightMatrix, build_ensemble,
-                       feature_matrix, inject_noise, make_noise_spec,
-                       noise_matrix, noiseless_spec, sample_weights)
-from .risk import (LabelModel, RiskDecomposition, TargetFunction, TestFeatures,
-                   decompose, gen_labels, make_target, make_test_features)
+                       feature_matrix, make_noise_spec, noise_matrix,
+                       sample_weights)
+from .risk import (RiskDecomposition, TargetFunction, TestFeatures, decompose,
+                   make_target, make_test_features)
 from .seeding import seed_sequence, seed_stream
-from .spectral import (CovarianceSummary, Spectrum, eigenfeature_map,
-                       eigenfeature_matrix, empirical_covariance, fourier_basis,
-                       kernel_eval, kernel_gram, make_spectrum,
-                       population_covariance, sample_covariates,
+from .spectral import (CovarianceSummary, Spectrum, eigenfeature_matrix,
+                       empirical_covariance, fourier_basis, kernel_eval,
+                       make_spectrum, population_covariance, sample_covariates,
                        suggest_truncation, trace_and_rank)
 from .sweep import (SweepRecord, SweepResult, SweepSummary, aggregate,
-                    compute_row, emit_outputs, parse_sweep_csv, run_sweep)
+                    compute_row, emit_outputs, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -43,19 +42,18 @@ __all__ = [
     "norm_concentration_check", "weighted_subexp_sum_check",
     "ExperimentConfig", "PRESETS", "ValidationError", "parse_config",
     "preset_config",
-    "MnlsFit", "ProjectorDiag", "mnls_fit", "predict", "projector_diag",
-    "ridge_fit", "svd_factors",
+    "MnlsFit", "ProjectorDiag", "mnls_fit", "projector_diag", "ridge_fit",
+    "svd_factors",
     "FeatureEnsemble", "NoiseSpec", "WeightMatrix", "build_ensemble",
-    "feature_matrix", "inject_noise", "make_noise_spec", "noise_matrix",
-    "noiseless_spec", "sample_weights",
-    "LabelModel", "RiskDecomposition", "TargetFunction", "TestFeatures",
-    "decompose", "gen_labels", "make_target", "make_test_features",
+    "feature_matrix", "make_noise_spec", "noise_matrix", "sample_weights",
+    "RiskDecomposition", "TargetFunction", "TestFeatures", "decompose",
+    "make_target", "make_test_features",
     "seed_sequence", "seed_stream",
-    "CovarianceSummary", "Spectrum", "eigenfeature_map", "eigenfeature_matrix",
-    "empirical_covariance", "fourier_basis", "kernel_eval", "kernel_gram",
-    "make_spectrum", "population_covariance", "sample_covariates",
-    "suggest_truncation", "trace_and_rank",
+    "CovarianceSummary", "Spectrum", "eigenfeature_matrix",
+    "empirical_covariance", "fourier_basis", "kernel_eval", "make_spectrum",
+    "population_covariance", "sample_covariates", "suggest_truncation",
+    "trace_and_rank",
     "SweepRecord", "SweepResult", "SweepSummary", "aggregate", "compute_row",
-    "emit_outputs", "parse_sweep_csv", "run_sweep",
+    "emit_outputs", "run_sweep",
     "__version__",
 ]

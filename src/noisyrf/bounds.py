@@ -10,7 +10,7 @@ rescale them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,8 +204,7 @@ class BoundReport:
         return asdict(self)
 
 
-def bound_report(inputs: BoundInputs, b: float = 1.0, c: float = 1.0,
-                 c_prime: float = 1.0) -> BoundReport:
+def bound_report(inputs: BoundInputs, b: float = 1.0, c: float = 1.0) -> BoundReport:
     """Evaluate every bound that is defined for the given inputs.
 
     Undefined pieces (missing tail index) are reported as nan rather than
@@ -215,7 +214,7 @@ def bound_report(inputs: BoundInputs, b: float = 1.0, c: float = 1.0,
     bias = bias_bound(inputs, b) if ks is not None else float("nan")
     var = variance_bound(inputs.sigma_sq, inputs.trace_Sigma, inputs.s, inputs.n, c)
     try:
-        upper, lower, kc = clean_mnls_bounds(inputs, b, c, c_prime)
+        upper, lower, kc = clean_mnls_bounds(inputs, b, c)
     except ValueError:
         upper, lower, kc = float("nan"), float("nan"), None
     cov = cov_concentration_bound(inputs.op_norm_Sigma, inputs.effective_rank,

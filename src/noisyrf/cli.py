@@ -15,10 +15,12 @@ import sys
 
 from . import conclab
 from .bounds import regime_classify
-from .config import (PRESETS, ExperimentConfig, ValidationError, load_raw_config,
-                     parse_config)
+from .config import (METHODS, PRESETS, SPECTRUM_KINDS, ExperimentConfig,
+                     ValidationError, load_raw_config, parse_config)
+from .features import NOISE_FAMILIES
+from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .seeding import seed_stream
-from .spectral import make_spectrum, suggest_truncation, trace_and_rank
+from .spectral import KINDS, MODES, make_spectrum, suggest_truncation, trace_and_rank
 from .sweep import bound_curve, compute_row, curve_csv, emit_outputs, run_sweep
 
 
@@ -40,18 +42,15 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--s-grid", dest="s_grid", help="comma-separated feature counts")
-    p.add_argument("--kind", dest="spectrum_kind",
-                   choices=["polynomial", "exponential", "finite-rank", "custom"])
+    p.add_argument("--kind", dest="spectrum_kind", choices=SPECTRUM_KINDS)
     p.add_argument("--gamma", type=float)
     p.add_argument("--d", type=int)
     p.add_argument("--omega1", type=float)
-    p.add_argument("--mode", choices=["eigencoordinate", "fourier"])
-    p.add_argument("--noise-family", dest="noise_family",
-                   choices=["gaussian", "rademacher", "uniform"])
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--noise-family", dest="noise_family", choices=NOISE_FAMILIES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--sigma-sq", dest="sigma_sq", type=float)
-    p.add_argument("--target-mode", dest="target_mode",
-                   choices=["realizable-clean", "realizable-noisy", "unrealizable"])
+    p.add_argument("--target-mode", dest="target_mode", choices=TARGET_MODES)
     p.add_argument("--target-norm", dest="target_norm", type=float)
     p.add_argument("--tail-energy", dest="tail_energy", type=float)
     p.add_argument("--label-redraws", dest="label_redraws", type=int)
@@ -60,12 +59,10 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float)
     p.add_argument("--bias-multiplier", dest="bias_multiplier", type=float)
     p.add_argument("--variance-multiplier", dest="variance_multiplier", type=float)
-    p.add_argument("--lower-multiplier", dest="lower_multiplier", type=float)
     p.add_argument("--m0", type=float)
     p.add_argument("--clean-test", dest="clean_test", action="store_true", default=None)
-    p.add_argument("--target-noise", dest="target_noise",
-                   choices=["shared", "fresh", "clean"])
-    p.add_argument("--method", choices=["monte-carlo", "closed-form"])
+    p.add_argument("--target-noise", dest="target_noise", choices=TARGET_NOISE_MODES)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", dest="out_dir")
 
@@ -201,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="print a spectrum summary")
-    sp.add_argument("--kind", dest="spectrum_kind", default="polynomial",
-                    choices=["polynomial", "exponential", "finite-rank", "custom"])
+    sp.add_argument("--kind", dest="spectrum_kind", default="polynomial", choices=KINDS)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--gamma", type=float)
     sp.add_argument("--d", type=int)
@@ -236,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--n", type=int, default=64)
     cc.add_argument("--s", type=int, default=256)
     cc.add_argument("--dim", type=int, default=20)
-    cc.add_argument("--family", default="gaussian",
-                    choices=["gaussian", "rademacher", "uniform"])
+    cc.add_argument("--family", default="gaussian", choices=NOISE_FAMILIES)
     cc.add_argument("--sigma0-sq", dest="sigma0_sq", type=float, default=0.5)
     cc.set_defaults(func=_cmd_conc)
     return parser

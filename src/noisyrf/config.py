@@ -11,17 +11,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .spectral import KINDS, MODES
 
 METHODS = ("monte-carlo", "closed-form")
+# a config cannot carry eigenvalues, so it cannot name a custom spectrum
+SPECTRUM_KINDS = tuple(k for k in KINDS if k != "custom")
 
 # The version stamped on emitted manifests.  Bumped whenever a change moves
-# the random stream, so a manifest only replays on the code that wrote it.
-ARTIFACT_VERSION = "3"
+# the random stream or the config schema, so a manifest only replays on the
+# code that wrote it.
+ARTIFACT_VERSION = "4"
 
 
 class ValidationError(ValueError):
@@ -55,7 +58,6 @@ class ExperimentConfig:
     delta: float = 0.05
     bias_multiplier: float = 1.0
     variance_multiplier: float = 1.0
-    lower_multiplier: float = 0.1
     m0: float | None = None
     clean_test: bool = False
     target_noise: str = "fresh"
@@ -65,14 +67,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def spectrum_params(self) -> dict:
-        out = {"omega1": self.omega1}
-        if self.spectrum_kind == "polynomial":
-            out["gamma"] = self.gamma
-        if self.spectrum_kind == "finite-rank":
-            out["d"] = self.d
-        return out
 
 
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -142,8 +136,7 @@ def _is_real(value) -> bool:
 
 
 _REAL_FIELDS = ("gamma", "omega1", "alpha", "sigma_sq", "target_norm", "tail_energy",
-                "a", "delta", "bias_multiplier", "variance_multiplier",
-                "lower_multiplier", "m0")
+                "a", "delta", "bias_multiplier", "variance_multiplier", "m0")
 _NULLABLE_REALS = ("gamma", "m0")
 
 
@@ -170,8 +163,8 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append("s_grid must be a nonempty list of integers >= 1")
     elif any(b <= a for a, b in zip(grid, grid[1:])):
         e.append("s_grid must be strictly increasing")
-    if cfg.spectrum_kind not in KINDS:
-        e.append(f"spectrum kind must be one of {KINDS}")
+    if cfg.spectrum_kind not in SPECTRUM_KINDS:
+        e.append(f"spectrum kind must be one of {SPECTRUM_KINDS}")
     elif cfg.spectrum_kind == "polynomial":
         if cfg.gamma is None or (_is_real(cfg.gamma) and not cfg.gamma > 1):
             e.append("polynomial spectra need gamma > 1; slower decay has a divergent trace")
@@ -211,8 +204,6 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append("bias_multiplier must be > 0")
     if _is_real(cfg.variance_multiplier) and not cfg.variance_multiplier > 0:
         e.append("variance_multiplier must be > 0")
-    if _is_real(cfg.lower_multiplier) and not cfg.lower_multiplier > 0:
-        e.append("lower_multiplier must be > 0")
     if _is_real(cfg.m0) and not cfg.m0 >= 0:
         e.append("m0 must be >= 0")
     if cfg.target_noise not in TARGET_NOISE_MODES:
@@ -221,8 +212,6 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append(f"method must be one of {METHODS}")
     if not _is_int(cfg.workers) or cfg.workers < 1:
         e.append("workers must be an integer >= 1")
-    if cfg.method == "closed-form" and cfg.target_mode == "unrealizable":
-        e.append("closed-form risk is only available for realizable targets")
     return e
 
 

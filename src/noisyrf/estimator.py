@@ -132,15 +132,3 @@ def projector_diag(Z: np.ndarray, rtol: float | None = None) -> ProjectorDiag:
     pi_norm = 1.0 if null_dim > 0 else defect
     return ProjectorDiag(pi_norm=pi_norm, idempotency_defect=defect,
                          null_dim=null_dim, rank=f.rank)
-
-
-def predict(fit, feature_rows: np.ndarray) -> np.ndarray:
-    """Evaluate a fit (MnlsFit or plain coefficient vector) on feature rows."""
-    beta = fit.beta if isinstance(fit, MnlsFit) else np.asarray(fit, dtype=float)
-    rows = np.asarray(feature_rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.shape[1] != beta.shape[0]:
-        raise ValueError(f"feature rows have width {rows.shape[1]}, expected {beta.shape[0]}")
-    out = rows @ beta
-    return out

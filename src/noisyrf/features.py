@@ -23,7 +23,6 @@ _ROOT3 = math.sqrt(3.0)
 @dataclass(eq=False)
 class WeightMatrix:
     entries: np.ndarray  # (p, s), i.i.d. N(0, 1)
-    lineage: str = ""
 
     @property
     def p(self) -> int:
@@ -57,10 +56,10 @@ class NoiseSpec:
         return math.sqrt(self.sigma0_sq / self.s)
 
 
-def sample_weights(p: int, s: int, rng: np.random.Generator, lineage: str = "") -> WeightMatrix:
+def sample_weights(p: int, s: int, rng: np.random.Generator) -> WeightMatrix:
     if p < 1 or s < 1:
         raise ValueError("weight matrix dimensions must be positive")
-    return WeightMatrix(entries=rng.standard_normal((p, s)), lineage=lineage)
+    return WeightMatrix(entries=rng.standard_normal((p, s)))
 
 
 def feature_matrix(weights: WeightMatrix, covariates, spectrum: Spectrum, mode: str) -> np.ndarray:
@@ -86,11 +85,6 @@ def make_noise_spec(family: str, alpha: float, s: int) -> NoiseSpec:
     return NoiseSpec(family=family, alpha=float(alpha), s=int(s), sigma0_sq=sigma0_sq)
 
 
-def noiseless_spec(s: int, family: str = "gaussian") -> NoiseSpec:
-    """Spec with sigma0_sq pinned to exactly zero."""
-    return NoiseSpec(family=family, alpha=math.inf, s=int(s), sigma0_sq=0.0)
-
-
 def _unit_variance_draw(family: str, shape, rng: np.random.Generator) -> np.ndarray:
     if family == "gaussian":
         return rng.standard_normal(shape)
@@ -110,12 +104,6 @@ def noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray
     return spec.entry_scale * _unit_variance_draw(spec.family, shape, rng)
 
 
-def inject_noise(Z: np.ndarray, spec: NoiseSpec, rng: np.random.Generator):
-    """Return (Xi, Z + Xi) for a sampled feature matrix Z."""
-    Xi = noise_matrix(spec, Z.shape, rng)
-    return Xi, Z + Xi
-
-
 @dataclass(eq=False)
 class FeatureEnsemble:
     """Everything sampled for one training design: spectrum, covariates, W, Z, noise."""
@@ -126,7 +114,6 @@ class FeatureEnsemble:
     weights: WeightMatrix
     Z: np.ndarray
     noise_spec: NoiseSpec | None = None
-    Xi: np.ndarray | None = None
     Z_noisy: np.ndarray | None = None
 
     @property
@@ -146,20 +133,17 @@ class FeatureEnsemble:
         """The matrix the estimator fits on: noisy when noise was injected."""
         return self.Z if self.Z_noisy is None else self.Z_noisy
 
-    def recompute_features(self) -> np.ndarray:
-        """Rebuild Z from stored covariates and weights (bit-exact)."""
-        return feature_matrix(self.weights, self.covariates, self.spectrum, self.mode)
-
 
 def build_ensemble(spectrum: Spectrum, mode: str, covariates, weights: WeightMatrix,
                    noise_spec: NoiseSpec | None = None,
                    noise_rng: np.random.Generator | None = None) -> FeatureEnsemble:
     Z = feature_matrix(weights, covariates, spectrum, mode)
-    Xi = Z_noisy = None
+    Z_noisy = None
     if noise_spec is not None:
         if noise_rng is None and noise_spec.sigma0_sq != 0.0:
             raise ValueError("noise injection needs a generator")
-        Xi, Z_noisy = inject_noise(Z, noise_spec, noise_rng or np.random.default_rng(0))
+        # a noiseless spec returns zeros without touching the generator
+        Z_noisy = Z + noise_matrix(noise_spec, Z.shape, noise_rng)
     return FeatureEnsemble(spectrum=spectrum, mode=mode, covariates=np.asarray(covariates),
-                           weights=weights, Z=Z, noise_spec=noise_spec, Xi=Xi, Z_noisy=Z_noisy)
+                           weights=weights, Z=Z, noise_spec=noise_spec, Z_noisy=Z_noisy)
 

@@ -46,12 +46,6 @@ class TargetFunction:
     norm: float
 
 
-@dataclass(frozen=True)
-class LabelModel:
-    sigma_sq: float
-    distribution: str = "gaussian"
-
-
 @dataclass(eq=False)
 class TestFeatures:
     """Materialized test-point features: raw covariates, eigenfeatures, and
@@ -145,17 +139,6 @@ def target_train_values(target: TargetFunction, ensemble: FeatureEnsemble) -> np
         return ensemble.Z_noisy @ target.beta_star
     Phi = eigenfeature_matrix(ensemble.spectrum, ensemble.mode, ensemble.covariates)
     return ensemble.Z @ target.beta_star + Phi @ target.tail_coeffs
-
-
-def gen_labels(target: TargetFunction, ensemble: FeatureEnsemble, label_model: LabelModel,
-               rng: np.random.Generator) -> np.ndarray:
-    """Y = f*(X) + homoscedastic gaussian noise."""
-    if label_model.distribution != "gaussian":
-        raise ValueError("only gaussian label noise is implemented")
-    if label_model.sigma_sq < 0:
-        raise ValueError("sigma_sq must be >= 0")
-    f = target_train_values(target, ensemble)
-    return f + math.sqrt(label_model.sigma_sq) * rng.standard_normal(ensemble.n)
 
 
 def _check_target_noise(target_noise: str) -> None:
@@ -314,25 +297,28 @@ def _sampled_split(tf: TestFeatures, target: TargetFunction, f: SvdFactors,
     return (a - fit) ** 2, v, r, (fit - fst) ** 2
 
 
-def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: LabelModel,
+def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float,
               test: TestFeatures | None, trials: int, rng: np.random.Generator, *,
               rtol: float | None = None, clean_test: bool = False,
               target_noise: str = "fresh", method: str = "monte-carlo") -> RiskDecomposition:
     """Full risk decomposition, exact over the test population.
 
-    `test=None` integrates over the test population exactly; a TestFeatures
-    sample averages over its points instead (the reference measure, drawn
-    with the same clean_test and target_noise).  A count of test points is
-    rejected, as is an unknown `target_noise`.  The monte-carlo method
-    redraws the labels `trials` times, and they are the only draws taken
-    from `rng`; the closed-form method integrates the label noise exactly and
-    draws nothing.  The design is factored once, and the result's `rank`
-    reports its numerical rank, so callers need no second SVD for it.
+    The labels carry gaussian noise of variance `sigma_sq` >= 0.  `test=None`
+    integrates over the test population exactly; a TestFeatures sample
+    averages over its points instead (the reference measure, drawn with the
+    same clean_test and target_noise).  A count of test points is rejected,
+    as is an unknown `target_noise`.  The monte-carlo method redraws the
+    labels `trials` times, and they are the only draws taken from `rng`; the
+    closed-form method integrates the label noise exactly and draws nothing.
+    The design is factored once, and the result's `rank` reports its
+    numerical rank, so callers need no second SVD for it.
     """
     if method not in ("monte-carlo", "closed-form"):
         raise ValueError("method must be monte-carlo or closed-form")
     if method == "monte-carlo" and trials < 2:
         raise ValueError("monte-carlo decomposition needs at least 2 label redraws")
+    if not sigma_sq >= 0:
+        raise ValueError("sigma_sq must be >= 0")
     _check_target_noise(target_noise)
     if test is not None and not isinstance(test, TestFeatures):
         raise ValueError("test must be None (the exact population) or a TestFeatures "
@@ -344,7 +330,6 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, label_model: La
     misspec = 0.0
     if target.mode == "unrealizable":
         b_star, misspec = _best_in_span(ensemble, target, q_p)
-    sigma_sq = label_model.sigma_sq
     E = None
     if method == "monte-carlo":
         E = _label_draws(sigma_sq, ensemble.n, trials, rng)

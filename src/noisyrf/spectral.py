@@ -13,7 +13,6 @@ eigenfunction family.  Two families are supported:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -52,20 +51,6 @@ class Spectrum:
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalues must be non-increasing")
 
-    def to_json(self) -> str:
-        payload = {"kind": self.kind, "p": self.p, "params": dict(self.params)}
-        if self.kind == "custom":
-            payload["eigenvalues"] = self.eigenvalues.tolist()
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "Spectrum":
-        payload = json.loads(text)
-        params = payload.get("params", {})
-        if payload["kind"] == "custom":
-            return make_spectrum("custom", payload["p"], eigenvalues=payload["eigenvalues"])
-        return make_spectrum(payload["kind"], payload["p"], **params)
-
 
 @dataclass(eq=False)
 class CovarianceSummary:
@@ -74,7 +59,6 @@ class CovarianceSummary:
     eigenvalues: np.ndarray
     trace: float
     operator_norm: float
-    source: str  # population | empirical | feature-approx
 
 
 def make_spectrum(kind: str, p: int, *, gamma: float | None = None, d: int | None = None,
@@ -210,14 +194,6 @@ def eigenfunction_values(mode: str, p: int, X) -> np.ndarray:
     return fourier_basis(p, X)
 
 
-def eigenfeature_map(spectrum: Spectrum, mode: str, x) -> np.ndarray:
-    """phi(x): eigenfunction values scaled by sqrt(eigenvalues), one point."""
-    V = eigenfunction_values(mode, spectrum.p, x)
-    if V.shape[0] != 1:
-        raise ValueError("eigenfeature_map takes a single covariate; use eigenfeature_matrix")
-    return V[0] * np.sqrt(spectrum.eigenvalues)
-
-
 def eigenfeature_matrix(spectrum: Spectrum, mode: str, X) -> np.ndarray:
     """Rows phi(x_j) for a batch of covariates, shape (n, p)."""
     V = eigenfunction_values(mode, spectrum.p, X)
@@ -234,13 +210,7 @@ def kernel_eval(spectrum: Spectrum, mode: str, x, y) -> np.ndarray:
     return vals if vals.size > 1 else float(vals[0])
 
 
-def kernel_gram(spectrum: Spectrum, mode: str, X) -> np.ndarray:
-    """Gram matrix K with K[a, b] = k(x_a, x_b)."""
-    Phi = eigenfeature_matrix(spectrum, mode, X)
-    return Phi @ Phi.T
-
-
-def empirical_covariance(feature_rows: np.ndarray, source: str = "empirical") -> CovarianceSummary:
+def empirical_covariance(feature_rows: np.ndarray) -> CovarianceSummary:
     """Eigenvalues of (1/n) * rows^T rows, sorted non-increasing.
 
     Works on eigenfeature rows (giving the empirical covariance of phi) or on
@@ -262,11 +232,10 @@ def empirical_covariance(feature_rows: np.ndarray, source: str = "empirical") ->
         eigs = np.linalg.eigvalsh(cov)[::-1]
     np.clip(eigs, 0.0, None, out=eigs)
     trace = float(np.sum(rows * rows) / n)
-    return CovarianceSummary(eigenvalues=eigs, trace=trace,
-                             operator_norm=float(eigs[0]), source=source)
+    return CovarianceSummary(eigenvalues=eigs, trace=trace, operator_norm=float(eigs[0]))
 
 
 def population_covariance(spectrum: Spectrum) -> CovarianceSummary:
     tr, _ = trace_and_rank(spectrum)
     return CovarianceSummary(eigenvalues=spectrum.eigenvalues.copy(), trace=tr,
-                             operator_norm=float(spectrum.eigenvalues[0]), source="population")
+                             operator_norm=float(spectrum.eigenvalues[0]))

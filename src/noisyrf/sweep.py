@@ -9,7 +9,6 @@ manifest.json instead.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -21,11 +20,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import ARTIFACT_VERSION, ExperimentConfig
-# not called here: the sweep takes the rank from decompose; kept importable from
-# this module for callers that look the projector diagnostics up by this name
+# not called here: the sweep takes the rank from decompose; perfbench's tracer
+# looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
 from .features import build_ensemble, make_noise_spec, sample_weights
-from .risk import LabelModel, decompose, make_target
+from .risk import decompose, make_target
 from .seeding import seed_stream
 from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
                        population_covariance, sample_covariates)
@@ -130,12 +129,12 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     rng_risk = seed_stream(seed, s_index, replicate, "risk")
 
     X = sample_covariates(cfg.mode, n, rng_x, p=cfg.p)
-    W = sample_weights(cfg.p, s, rng_w, lineage=f"sweep:{s_index}:{replicate}")
+    W = sample_weights(cfg.p, s, rng_w)
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     ensemble = build_ensemble(spectrum, cfg.mode, X, W, noise_spec, rng_noise)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
-    dec = decompose(ensemble, target, LabelModel(cfg.sigma_sq), None,
+    dec = decompose(ensemble, target, cfg.sigma_sq, None,
                     cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise, method=cfg.method)
 
@@ -151,9 +150,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
         lambda_W=_lambda_w(W.entries), pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
     report = bounds_mod.bound_report(inputs, b=cfg.bias_multiplier,
-                                     c=cfg.variance_multiplier,
-                                     c_prime=cfg.lower_multiplier)
-    regime = bounds_mod.regime_classify(n, s).regime
+                                     c=cfg.variance_multiplier)
     # the bias bound speaks about the out-of-span projector; without a null
     # space (underparameterized fit) its premise is vacuous, so report nan
     bias_bound = report.bias_bound if null_dim > 0 else NAN
@@ -163,7 +160,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
         B=dec.bias, B_se=dec.bias_se, V=dec.variance, V_se=dec.variance_se,
         M=dec.misspec, M_se=dec.misspec_se, R=dec.total, R_se=dec.total_se,
         bias_bound=bias_bound, variance_bound=report.variance_bound,
-        regime=regime, wall_ms=NAN)
+        regime=report.regime, wall_ms=NAN)
 
 
 def _failed_record(cfg: ExperimentConfig, s_index: int, replicate: int,
@@ -294,32 +291,6 @@ def curve_csv(points) -> str:
     rows = [[pt.s, pt.sigma0_sq, pt.k_star, pt.bias_bound, pt.variance_bound,
              pt.total, pt.regime] for pt in points]
     return _csv_text(cols, rows)
-
-
-def parse_sweep_csv(path: str) -> list:
-    """Read sweep.csv back into records (error text is not persisted there)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    header = lines[0].split(",")
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected sweep.csv header: {header}")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        vals = dict(zip(CSV_COLUMNS, parts))
-        ks = vals["k_star"]
-        records.append(SweepRecord(
-            s=int(vals["s"]), replicate=int(vals["replicate"]),
-            sigma0_sq=float(vals["sigma0_sq"]),
-            k_star=None if ks == "nan" else int(ks),
-            B=float(vals["B"]), B_se=float(vals["B_se"]),
-            V=float(vals["V"]), V_se=float(vals["V_se"]),
-            M=float(vals["M"]), M_se=float(vals["M_se"]),
-            R=float(vals["R"]), R_se=float(vals["R_se"]),
-            bias_bound=float(vals["bias_bound"]),
-            variance_bound=float(vals["variance_bound"]),
-            regime=vals["regime"], wall_ms=float(vals["wall_ms"])))
-    return records
 
 
 def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> dict:

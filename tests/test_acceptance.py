@@ -18,8 +18,8 @@ from noisyrf.conclab import (cross_outer_norm_check, mgf_product_check,
                              noisy_spectrum_identity_check, norm_concentration_check)
 from noisyrf.config import parse_config, preset_config
 from noisyrf.estimator import mnls_fit, projector_diag
-from noisyrf.features import build_ensemble, make_noise_spec, noiseless_spec, sample_weights
-from noisyrf.risk import LabelModel, decompose, make_target, make_test_features
+from noisyrf.features import build_ensemble, make_noise_spec, sample_weights
+from noisyrf.risk import decompose, make_target, make_test_features
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (empirical_covariance, eigenfeature_matrix, make_spectrum,
                               population_covariance, sample_covariates)
@@ -39,7 +39,8 @@ def _poly_lab(n, s, p, seed, alpha=None):
     spectrum = make_spectrum("polynomial", p, gamma=2.0)
     X = sample_covariates(MODE, n, seed_stream(seed, "x"), p=p)
     W = sample_weights(p, s, seed_stream(seed, "w"))
-    spec = noiseless_spec(s) if alpha is None else make_noise_spec("gaussian", alpha, s)
+    spec = (make_noise_spec("gaussian", math.inf, s) if alpha is None
+            else make_noise_spec("gaussian", alpha, s))
     ens = build_ensemble(spectrum, MODE, X, W, spec, seed_stream(seed, "noise"))
     return spectrum, X, W, ens
 
@@ -76,7 +77,7 @@ def test_criterion_2_risk_decomposition_identity():
             _, _, _, ens = _poly_lab(50, s, 512, seed * 7 + 1)
             target = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t", s))
             tf = make_test_features(ens, 4096, seed_stream(seed, "m", s))
-            dec = decompose(ens, target, LabelModel(1.0), tf, 2000,
+            dec = decompose(ens, target, 1.0, tf, 2000,
                             seed_stream(seed, "r", s), method="monte-carlo")
             gap = abs(dec.total - (dec.bias + dec.variance + dec.misspec))
             budget = 3.0 * math.sqrt(dec.bias_se ** 2 + dec.variance_se ** 2
@@ -152,7 +153,7 @@ def _sandwich_point(n, s, seed):
     p = 1000
     spectrum, X, W, ens = _poly_lab(n, s, p, seed)
     target = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t6", n, s))
-    dec = decompose(ens, target, LabelModel(1.0), None, 0,
+    dec = decompose(ens, target, 1.0, None, 0,
                     seed_stream(seed, "r6", n, s), method="closed-form")
     lam_hat = empirical_covariance(eigenfeature_matrix(spectrum, MODE, X)).eigenvalues[:n]
     pop = population_covariance(spectrum)
@@ -255,7 +256,7 @@ def test_criterion_9_feature_noise_regularization_trend():
     def run_once(alpha, seed):
         _, _, _, ens = _poly_lab(100, 400, 1000, 900 + seed, alpha=alpha)
         target = make_target("realizable-clean", ens, 1.0, seed_stream(900 + seed, "t9"))
-        dec = decompose(ens, target, LabelModel(1.0), None, 0,
+        dec = decompose(ens, target, 1.0, None, 0,
                         seed_stream(900 + seed, "r9"), method="closed-form")
         return dec.total
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from noisyrf.estimator import (default_rtol, mnls_fit, predict, projector_diag,
-                               ridge_fit)
+from noisyrf.estimator import default_rtol, mnls_fit, projector_diag, ridge_fit
 from noisyrf.seeding import seed_stream
 
 
@@ -178,26 +177,11 @@ class TestPredict:
         Z = rng.standard_normal((6, 14))
         Y = rng.standard_normal(6)
         fit = mnls_fit(Z, Y)
-        np.testing.assert_allclose(predict(fit, Z), Y, atol=1e-8 * np.linalg.norm(Y))
+        np.testing.assert_allclose(Z @ fit.beta, Y, atol=1e-8 * np.linalg.norm(Y))
 
     def test_zero_beta(self):
         fit = mnls_fit(np.zeros((2, 3)), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(predict(fit, np.ones((5, 3))), np.zeros(5))
-
-    def test_matches_naive_matmul(self):
-        rng = seed_stream(131)
-        Z = rng.standard_normal((3, 4))
-        Y = rng.standard_normal(3)
-        fit = mnls_fit(Z, Y)
-        rows = rng.standard_normal((6, 4))
-        naive = np.array([sum(rows[i, j] * fit.beta[j] for j in range(4))
-                          for i in range(6)])
-        np.testing.assert_allclose(predict(fit, rows), naive, rtol=1e-12, atol=1e-12)
-
-    def test_width_mismatch(self):
-        fit = mnls_fit(np.eye(3), np.ones(3))
-        with pytest.raises(ValueError):
-            predict(fit, np.ones((2, 4)))
+        np.testing.assert_array_equal(np.ones((5, 3)) @ fit.beta, np.zeros(5))
 
     @given(n=st.integers(1, 6), s=st.integers(1, 6), seed=st.integers(0, 1000))
     def test_residual_orthogonality_property(self, n, s, seed):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisyrf.features import (build_ensemble, feature_matrix, inject_noise,
-                              make_noise_spec, noise_matrix, noiseless_spec,
-                              sample_weights)
+from noisyrf.features import (build_ensemble, feature_matrix, make_noise_spec,
+                              noise_matrix, sample_weights)
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, kernel_eval, make_spectrum,
                               sample_covariates)
@@ -138,16 +137,23 @@ class TestNoiseSpec:
 
 class TestInjectNoise:
     def test_zero_variance(self):
-        Z = np.ones((3, 4))
-        Xi, Zn = inject_noise(Z, noiseless_spec(4), seed_stream(0))
-        np.testing.assert_array_equal(Xi, 0.0)
-        np.testing.assert_array_equal(Zn, Z)
+        spec = make_noise_spec("gaussian", math.inf, 4)
+        np.testing.assert_array_equal(noise_matrix(spec, (3, 4), seed_stream(0)), 0.0)
+        # a noiseless spec needs no generator and leaves the design clean
+        sp = make_spectrum("polynomial", 5, gamma=2.0)
+        x = sample_covariates("eigencoordinate", 3, seed_stream(1), p=5)
+        ens = build_ensemble(sp, "eigencoordinate", x, sample_weights(5, 4, seed_stream(2)), spec)
+        np.testing.assert_array_equal(ens.Z_noisy, ens.Z)
 
     def test_additivity_exact(self):
-        Z = seed_stream(1).standard_normal((6, 5))
+        # the noisy design is the clean one plus exactly one noise_matrix draw
+        sp = make_spectrum("polynomial", 5, gamma=2.0)
+        x = sample_covariates("eigencoordinate", 6, seed_stream(1), p=5)
+        W = sample_weights(5, 5, seed_stream(3))
         spec = make_noise_spec("uniform", 0.3, 5)
-        Xi, Zn = inject_noise(Z, spec, seed_stream(2))
-        np.testing.assert_array_equal(Zn, Z + Xi)
+        ens = build_ensemble(sp, "eigencoordinate", x, W, spec, seed_stream(2))
+        Xi = noise_matrix(spec, ens.Z.shape, seed_stream(2))
+        np.testing.assert_array_equal(ens.Z_noisy, ens.Z + Xi)
 
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
     def test_entry_variance(self, family):
@@ -187,12 +193,15 @@ class TestEnsemble:
         return build_ensemble(sp, "eigencoordinate", x, W, spec, seed_stream(32))
 
     def test_recompute_bit_exact(self):
+        # the stored covariates and weights rebuild Z bit for bit
         ens = self._build()
-        np.testing.assert_array_equal(ens.recompute_features(), ens.Z)
+        np.testing.assert_array_equal(
+            feature_matrix(ens.weights, ens.covariates, ens.spectrum, ens.mode), ens.Z)
 
     def test_noise_additivity(self):
         ens = self._build()
-        np.testing.assert_array_equal(ens.Z_noisy, ens.Z + ens.Xi)
+        Xi = noise_matrix(ens.noise_spec, ens.Z.shape, seed_stream(32))
+        np.testing.assert_array_equal(ens.Z_noisy, ens.Z + Xi)
         np.testing.assert_array_equal(ens.design, ens.Z_noisy)
 
     def test_clean_design_without_noise(self):
@@ -200,5 +209,5 @@ class TestEnsemble:
         x = sample_covariates("eigencoordinate", 7, seed_stream(30), p=5)
         W = sample_weights(5, 9, seed_stream(31))
         ens = build_ensemble(sp, "eigencoordinate", x, W)
-        assert ens.Xi is None
+        assert ens.Z_noisy is None
         np.testing.assert_array_equal(ens.design, ens.Z)

@@ -17,8 +17,7 @@ from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
 from noisyrf.seeding import seed_sequence, seed_stream
 from noisyrf.sweep import (AGGREGATE_COLUMNS, CSV_COLUMNS, SweepRecord,
                            _lambda_w, aggregate, aggregate_csv, compute_row,
-                           emit_outputs, parse_sweep_csv, records_csv,
-                           run_sweep)
+                           emit_outputs, records_csv, run_sweep)
 
 NAN = float("nan")
 
@@ -89,7 +88,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "3",
+        manifest = {"artifact_version": "4",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -103,7 +102,19 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'3'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'4'" in str(exc.value)
+
+    def test_version_3_manifest_gets_the_version_error(self):
+        # a version "3" config block still holds the retired lower_multiplier;
+        # the version check speaks before the unknown key can
+        manifest = {"artifact_version": "3",
+                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9,
+                               "lower_multiplier": 0.1}}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(manifest)
+        assert exc.value.errors == [
+            "manifest artifact_version '3' does not match this code's '4'; "
+            "its draws would differ"]
 
     def test_overrides_win(self):
         cfg = parse_config({"n": 4, "p": 8, "s_grid": [2], "alpha": 0.5},
@@ -115,11 +126,12 @@ class TestConfig:
             parse_config({"n": 4})
         assert any("missing required" in m for m in exc.value.errors)
 
-    def test_closed_form_needs_realizable(self):
-        with pytest.raises(ValidationError, match="closed-form"):
-            parse_config({"n": 4, "p": 8, "s_grid": [2],
-                          "target_mode": "unrealizable",
-                          "method": "closed-form"})
+    def test_custom_spectrum_kind_is_refused(self):
+        # a config cannot carry eigenvalues, so every cell would fail
+        with pytest.raises(ValidationError) as exc:
+            parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"kind": "custom"}})
+        assert exc.value.errors == [
+            "spectrum kind must be one of ('finite-rank', 'exponential', 'polynomial')"]
 
     def test_finite_rank_exceeding_p(self):
         with pytest.raises(ValidationError, match="exceed"):
@@ -159,7 +171,7 @@ class TestConfig:
         ("gamma", "2"), ("omega1", "x"), ("alpha", "0.5"), ("alpha", True),
         ("sigma_sq", None), ("target_norm", [1.0]), ("tail_energy", "1"),
         ("a", None), ("delta", "0.05"), ("bias_multiplier", True),
-        ("variance_multiplier", {}), ("lower_multiplier", None), ("m0", "0"),
+        ("variance_multiplier", {}), ("m0", "0"),
         ("clean_test", "yes"), ("clean_test", 1),
     ])
     def test_malformed_value_is_reported(self, field, value):
@@ -259,21 +271,6 @@ class TestSweep:
         assert out[1].replicates == 1
         assert math.isnan(out[1].B_se)  # one replicate has no spread estimate
 
-    def test_csv_round_trip_byte_identical(self, tmp_path):
-        cfg = small_cfg(ensemble_replicates=2)
-        text = records_csv(run_sweep(cfg).records)
-        path = tmp_path / "sweep.csv"
-        path.write_text(text)
-        back = parse_sweep_csv(str(path))
-        assert records_csv(back) == text
-        assert all(r.k_star is None or isinstance(r.k_star, int) for r in back)
-
-    def test_parse_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
-            parse_sweep_csv(str(path))
-
     def test_emit_outputs_artifacts(self, tmp_path):
         cfg = small_cfg()
         result = run_sweep(cfg)
@@ -287,8 +284,8 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "3"
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "3"
+        assert manifest["artifact_version"] == "4"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "4"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -331,6 +328,14 @@ class TestSweep:
         assert rec.error == "" and math.isfinite(rec.R)
         assert calls == [(cfg.n, cfg.s_grid[s_index])]
 
+    def test_closed_form_unrealizable_row_is_exact(self):
+        cfg = small_cfg(target_mode="unrealizable", method="closed-form")
+        for s_index in range(len(cfg.s_grid)):
+            rec = compute_row(cfg, s_index, 0)
+            assert rec.error == "" and rec.M > 0
+            np.testing.assert_allclose(rec.R, rec.B + rec.V + rec.M, rtol=1e-12)
+            assert rec.B_se == rec.V_se == rec.M_se == rec.R_se == 0.0
+
     def test_bias_bound_nan_exactly_without_null_space(self):
         # unit feature-noise energy (alpha = 0) makes the tail index exist on
         # every cell, so a nan can only come from the missing null space
@@ -366,6 +371,11 @@ class TestCli:
         argv = ["spectrum", "--kind", "custom", "--p", "2", "--eigenvalues", "1,x"]
         assert main(argv) == 1
         assert "eigenvalues" in capsys.readouterr().err
+
+    def test_config_kind_flag_refuses_custom(self, capsys):
+        # only the spectrum command can take eigenvalues
+        assert main(["risk", *RISK_FLAGS, "--kind", "custom"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_risk_cell(self, capsys):
         assert main(["risk", *RISK_FLAGS, "--s", "8"]) == 0

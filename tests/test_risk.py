@@ -9,9 +9,8 @@ from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
 from noisyrf.features import build_ensemble, make_noise_spec, sample_weights
-from noisyrf.risk import (LabelModel, TargetFunction, TestFeatures, decompose,
-                          gen_labels, make_target, make_test_features,
-                          target_train_values)
+from noisyrf.risk import (TargetFunction, TestFeatures, decompose, make_target,
+                          make_test_features, target_train_values)
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, make_spectrum,
                               sample_covariates)
@@ -92,7 +91,7 @@ def assert_agree_within_4se(d1, d2):
 
 
 def closed_form(ens, t, tf=None):
-    return decompose(ens, t, LabelModel(1.0), tf, 2, seed_stream(0), method="closed-form")
+    return decompose(ens, t, 1.0, tf, 2, seed_stream(0), method="closed-form")
 
 
 class TestMakeTarget:
@@ -177,26 +176,16 @@ class TestTargetValuesAndLabels:
         want = ens.Z @ t.beta_star + phi @ t.tail_coeffs
         np.testing.assert_allclose(target_train_values(t, ens), want, rtol=1e-12)
 
-    def test_noiseless_labels_exact(self):
-        ens = mk_ensemble(15, 30)
-        t = make_target("realizable-clean", ens, 1.0, seed_stream(9, "t"))
-        y = gen_labels(t, ens, LabelModel(0.0), seed_stream(9, "y"))
-        np.testing.assert_array_equal(y, target_train_values(t, ens))
-
-    def test_label_noise_variance(self):
-        ens = mk_ensemble(10_000, 4, p=8, seed=5)
-        t = make_target("realizable-clean", ens, 1.0, seed_stream(5, "t"))
-        y = gen_labels(t, ens, LabelModel(2.0), seed_stream(5, "y"))
-        resid = y - target_train_values(t, ens)
-        assert abs(np.var(resid, ddof=1) - 2.0) <= 0.2
-
     def test_label_model_validation(self):
-        ens = mk_ensemble(10, 20)
+        # a negative label variance is refused on every route, not turned into
+        # a negative risk (closed form) or a math domain error (monte-carlo)
+        ens = mk_ensemble(10, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        with pytest.raises(ValueError, match="gaussian"):
-            gen_labels(t, ens, LabelModel(1.0, distribution="laplace"), seed_stream(0))
-        with pytest.raises(ValueError, match="sigma_sq"):
-            gen_labels(t, ens, LabelModel(-1.0), seed_stream(0))
+        tf = make_test_features(ens, 5, seed_stream(0, "tf"))
+        for method in ("closed-form", "monte-carlo"):
+            for test in (None, tf):
+                with pytest.raises(ValueError, match="sigma_sq"):
+                    decompose(ens, t, -1.0, test, 50, seed_stream(0), method=method)
 
 
 class TestMakeTestFeatures:
@@ -298,7 +287,7 @@ class TestVarianceClosed:
         ens = identity_ensemble(np.eye(4))
         t = zero_target(4)
         for test, want in ((rows_sample(np.eye(4)), 2.5), (None, 4 * 2.5)):
-            d = decompose(ens, t, LabelModel(2.5), test, 2, seed_stream(0), method="closed-form")
+            d = decompose(ens, t, 2.5, test, 2, seed_stream(0), method="closed-form")
             assert d.variance == pytest.approx(want, rel=1e-14)
 
     def test_sample_route_matches_pinv_oracle(self):
@@ -307,10 +296,10 @@ class TestVarianceClosed:
             ens = identity_ensemble(rng.standard_normal((n, s)))
             rows = rng.standard_normal((30, s))
             want = float(np.mean(quadratic_oracle(ens.design, rows)))
-            d = decompose(ens, zero_target(s), LabelModel(1.3), rows_sample(rows), 2,
+            d = decompose(ens, zero_target(s), 1.3, rows_sample(rows), 2,
                           seed_stream(0), method="closed-form")
             np.testing.assert_allclose(d.variance, 1.3 * want, rtol=1e-10)
-            d = decompose(ens, zero_target(s), LabelModel(1.3), None, 2, seed_stream(0),
+            d = decompose(ens, zero_target(s), 1.3, None, 2, seed_stream(0),
                           method="closed-form")
             pinv = sla.pinv(np.asarray(ens.design))
             np.testing.assert_allclose(d.variance, 1.3 * float(np.sum(pinv * pinv)),
@@ -327,9 +316,9 @@ class TestVarianceClosed:
         ens = mk_ensemble(15, 40, alpha=0.5, seed=20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(20, "t"))
         flags = dict(method="closed-form")
-        base = decompose(ens, t, LabelModel(2.0), None, 2, seed_stream(0), clean_test=True,
+        base = decompose(ens, t, 2.0, None, 2, seed_stream(0), clean_test=True,
                          **flags).variance
-        with_noise = decompose(ens, t, LabelModel(2.0), None, 2, seed_stream(0),
+        with_noise = decompose(ens, t, 2.0, None, 2, seed_stream(0),
                                **flags).variance
         sv = sla.svdvals(np.asarray(ens.design, dtype=float))
         sv = sv[sv > 1e-12]
@@ -357,7 +346,7 @@ class TestVarianceMc:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(21, "t"))
         tf = make_test_features(ens, 40, seed_stream(21, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, LabelModel(0.0), test, 50, seed_stream(21, "v"))
+            d = decompose(ens, t, 0.0, test, 50, seed_stream(21, "v"))
             assert d.variance == 0.0 and d.variance_se == 0.0
 
     def test_exact_sigma_scaling_same_stream(self):
@@ -367,8 +356,8 @@ class TestVarianceMc:
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = make_test_features(ens, 200, seed_stream(2, "tf"))
         for test in (tf, None):
-            d1 = decompose(ens, t, LabelModel(1.0), test, 300, seed_stream(41, "v"))
-            d4 = decompose(ens, t, LabelModel(4.0), test, 300, seed_stream(41, "v"))
+            d1 = decompose(ens, t, 1.0, test, 300, seed_stream(41, "v"))
+            d4 = decompose(ens, t, 4.0, test, 300, seed_stream(41, "v"))
             np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
 
     def test_matches_closed_form(self):
@@ -378,7 +367,7 @@ class TestVarianceMc:
             tf = make_test_features(ens, 2000, seed_stream(seed, "tf"))
             for test in (tf, None):
                 vc = closed_form(ens, t, test).variance
-                d = decompose(ens, t, LabelModel(1.0), test, 4000, seed_stream(seed, "v"))
+                d = decompose(ens, t, 1.0, test, 4000, seed_stream(seed, "v"))
                 assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
 
     def test_trials_validation(self):
@@ -386,7 +375,7 @@ class TestVarianceMc:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         tf = make_test_features(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, LabelModel(1.0), tf, 1, seed_stream(0))
+            decompose(ens, t, 1.0, tf, 1, seed_stream(0))
 
 
 class TestExcessRiskMc:
@@ -398,7 +387,7 @@ class TestExcessRiskMc:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(22, "t"))
         tf = make_test_features(ens, 100, seed_stream(22, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, LabelModel(0.0), test, 5, seed_stream(22, "e"))
+            d = decompose(ens, t, 0.0, test, 5, seed_stream(22, "e"))
             assert d.total <= 1e-20
 
     def test_scalar_hand_value(self):
@@ -409,7 +398,7 @@ class TestExcessRiskMc:
                            tail_coeffs=None, norm=0.5)
         trials = 50_000
         for test in (rows_sample([[1.0]]), None):
-            d = decompose(ens, t, LabelModel(1.0), test, trials, seed_stream(0, "e"))
+            d = decompose(ens, t, 1.0, test, trials, seed_stream(0, "e"))
             # chi^2 mean concentrates at rate sqrt(2/trials)
             assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
 
@@ -418,7 +407,7 @@ class TestExcessRiskMc:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         tf = make_test_features(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, LabelModel(1.0), tf, 0, seed_stream(0))
+            decompose(ens, t, 1.0, tf, 0, seed_stream(0))
 
 
 def tiny_misspec_instance(train_cov):
@@ -439,7 +428,7 @@ def tiny_misspec_instance(train_cov):
 
 
 def noiseless(ens, t, test):
-    return decompose(ens, t, LabelModel(0.0), test, 2, seed_stream(0), method="closed-form")
+    return decompose(ens, t, 0.0, test, 2, seed_stream(0), method="closed-form")
 
 
 class TestMisspecTerm:
@@ -450,7 +439,7 @@ class TestMisspecTerm:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(23, "t"))
         tf = make_test_features(ens, 200, seed_stream(23, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, LabelModel(1.0), test, 50, seed_stream(23, "d"))
+            d = decompose(ens, t, 1.0, test, 50, seed_stream(23, "d"))
             assert d.misspec == 0.0 and d.misspec_se == 0.0
 
     def test_hand_instance_pure_tail(self):
@@ -505,7 +494,7 @@ class TestDecompose:
                 t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
                 tf = make_test_features(ens, 1500, seed_stream(seed, "tf"))
                 for test in (tf, None):
-                    d = decompose(ens, t, LabelModel(1.0), test, 2000, seed_stream(seed, "d"))
+                    d = decompose(ens, t, 1.0, test, 2000, seed_stream(seed, "d"))
                     gap = abs(d.total - d.bias - d.variance)
                     comb = math.sqrt(d.bias_se ** 2 + d.variance_se ** 2 + d.total_se ** 2)
                     assert gap <= 3 * comb
@@ -514,7 +503,7 @@ class TestDecompose:
         ens = mk_ensemble(30, 90, seed=3)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(3, "t"))
         tf = make_test_features(ens, 400, seed_stream(3, "tf"))
-        d = decompose(ens, t, LabelModel(0.7), tf, 2, seed_stream(0), method="closed-form")
+        d = decompose(ens, t, 0.7, tf, 2, seed_stream(0), method="closed-form")
         assert abs(d.total - d.bias - d.variance) <= 1e-12 * d.total
         assert d.method == "closed-form"
 
@@ -527,7 +516,7 @@ class TestDecompose:
         ens = mk_ensemble(20, 40, p=p, alpha=alpha, seed=28)
         t = make_target(mode, ens, 1.0, seed_stream(28, "t"))
         for sigma_sq, method in ((0.7, "closed-form"), (0.0, "monte-carlo")):
-            d = decompose(ens, t, LabelModel(sigma_sq), None, 30, seed_stream(28, "d"),
+            d = decompose(ens, t, sigma_sq, None, 30, seed_stream(28, "d"),
                           method=method)
             assert d.total == d.bias + d.variance + d.misspec
             assert d.bias_se == d.misspec_se == 0.0
@@ -538,9 +527,9 @@ class TestDecompose:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(4, "t"))
         tf = make_test_features(ens, 300, seed_stream(4, "tf"))
         for test in (tf, None):
-            d1 = decompose(ens, t, LabelModel(1.0), test, 2, seed_stream(0),
+            d1 = decompose(ens, t, 1.0, test, 2, seed_stream(0),
                            method="closed-form")
-            d4 = decompose(ens, t, LabelModel(4.0), test, 2, seed_stream(0),
+            d4 = decompose(ens, t, 4.0, test, 2, seed_stream(0),
                            method="closed-form")
             np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
             assert d4.bias == d1.bias
@@ -550,8 +539,8 @@ class TestDecompose:
         # the same normals, scaled by sigma
         ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(9, "t"))
-        d1 = decompose(ens, t, LabelModel(1.0), None, 60, seed_stream(21, "q"))
-        d2 = decompose(ens, t, LabelModel(100.0), None, 60, seed_stream(21, "q"))
+        d1 = decompose(ens, t, 1.0, None, 60, seed_stream(21, "q"))
+        d2 = decompose(ens, t, 100.0, None, 60, seed_stream(21, "q"))
         assert d1.bias == d2.bias and d1.bias_se == d2.bias_se == 0.0
         np.testing.assert_allclose(d2.variance, 100.0 * d1.variance, rtol=1e-9)
 
@@ -563,9 +552,9 @@ class TestDecompose:
         ens = mk_ensemble(n, 40, p=120, alpha=0.5, seed=29)
         t = make_target(mode, ens, 1.0, seed_stream(29, "t"))
         rng = seed_stream(29, "d")
-        decompose(ens, t, LabelModel(1.0), None, trials, rng, method="closed-form")
+        decompose(ens, t, 1.0, None, trials, rng, method="closed-form")
         assert rng.bit_generator.state == seed_stream(29, "d").bit_generator.state
-        decompose(ens, t, LabelModel(1.0), None, trials, rng)
+        decompose(ens, t, 1.0, None, trials, rng)
         ref = seed_stream(29, "d")
         ref.standard_normal((n, trials))
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -595,9 +584,9 @@ class TestDecompose:
         t = make_target(target_mode, ens, 1.0, seed_stream(8, "t"))
         flags = dict(clean_test=clean_test, target_noise=target_noise)
         # the same label redraws on both routes, so only the test sample differs
-        d_s = decompose(ens, t, LabelModel(1.0), None, 500, seed_stream(12, "x"), **flags)
+        d_s = decompose(ens, t, 1.0, None, 500, seed_stream(12, "x"), **flags)
         tf = make_test_features(ens, 3000, seed_stream(13, "x"), **flags)
-        d_m = decompose(ens, t, LabelModel(1.0), tf, 500, seed_stream(12, "x"), **flags)
+        d_m = decompose(ens, t, 1.0, tf, 500, seed_stream(12, "x"), **flags)
         assert_agree_within_4se(d_s, d_m)
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
@@ -612,7 +601,7 @@ class TestDecompose:
         for jitter in (0.0, 1e-13):
             ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=seed, jitter=jitter)
             t = make_target(mode, ens, 1.0, seed_stream(seed, "t"))
-            d = decompose(ens, t, LabelModel(1.0), None, 50, seed_stream(seed, "d"))
+            d = decompose(ens, t, 1.0, None, 50, seed_stream(seed, "d"))
             splits.append([d.bias, d.variance, d.total])
         np.testing.assert_allclose(splits[1], splits[0], rtol=1e-9, atol=1e-9 * splits[0][2])
 
@@ -637,7 +626,7 @@ class TestDecompose:
         n, s, trials = 20, 40, 6
         ens = mk_ensemble(n, s, p=120, alpha=0.5, seed=31)
         t = make_target(mode, ens, 1.0, seed_stream(31, "t"))
-        d = decompose(ens, t, LabelModel(0.8), None, trials, seed_stream(31, "d"),
+        d = decompose(ens, t, 0.8, None, trials, seed_stream(31, "d"),
                       target_noise=target_noise)
         E = math.sqrt(0.8) * seed_stream(31, "d").standard_normal((n, trials))
         sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
@@ -670,9 +659,9 @@ class TestDecompose:
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = make_test_features(ens, 2500, seed_stream(2, "tf"))
         for test in (tf, None):
-            dc = decompose(ens, t, LabelModel(1.0), test, 2, seed_stream(0),
+            dc = decompose(ens, t, 1.0, test, 2, seed_stream(0),
                            method="closed-form")
-            dm = decompose(ens, t, LabelModel(1.0), test, 3000, seed_stream(30, "m"))
+            dm = decompose(ens, t, 1.0, test, 3000, seed_stream(30, "m"))
             assert dm.bias == dc.bias
             assert abs(dm.variance - dc.variance) <= 0.05 * dc.variance + 3 * dm.variance_se
 
@@ -688,11 +677,11 @@ class TestDecompose:
         b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(40)]),
                                 np.concatenate([target_vals, np.zeros(40)]), rcond=None)
         r = A @ b - target_vals
-        d = decompose(ens, t, LabelModel(1.0), None, 400, seed_stream(24, "d"))
+        d = decompose(ens, t, 1.0, None, 400, seed_stream(24, "d"))
         np.testing.assert_allclose(d.misspec, r @ r + q * (b @ b), rtol=1e-10)
         assert d.misspec > 0
         tf = make_test_features(ens, 600, seed_stream(24, "tf"))
-        d_m = decompose(ens, t, LabelModel(1.0), tf, 400, seed_stream(24, "d"))
+        d_m = decompose(ens, t, 1.0, tf, 400, seed_stream(24, "d"))
         fst = tf.clean @ t.beta_star + tf.phi @ t.tail_coeffs
         np.testing.assert_allclose(d_m.misspec, np.mean((tf.predictor @ b - fst) ** 2),
                                    rtol=1e-9)
@@ -723,7 +712,7 @@ class TestDecompose:
         ens = mk_ensemble(n, s, p=p, seed=27)
         t = make_target(mode, ens, 1.0, seed_stream(27, "t"))
         test = make_test_features(ens, 200, seed_stream(27, "tf")) if materialized else None
-        d = decompose(ens, t, LabelModel(1.0), test, 20, seed_stream(27, "d"))
+        d = decompose(ens, t, 1.0, test, 20, seed_stream(27, "d"))
         assert d.rank == svd_factors(ens.design).rank == min(n, s)
         assert projector_diag(ens.design).null_dim == s - d.rank
 
@@ -732,7 +721,7 @@ class TestDecompose:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(25, "t"))
         tf = make_test_features(ens, 200, seed_stream(25, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, LabelModel(1.0), test, 100, seed_stream(25, "d"))
+            d = decompose(ens, t, 1.0, test, 100, seed_stream(25, "d"))
             assert d.misspec == 0.0 and d.misspec_se == 0.0
 
     def test_all_target_modes_run(self):
@@ -741,19 +730,19 @@ class TestDecompose:
                                ("unrealizable", None, 120)]:
             ens = mk_ensemble(15, 40, p=p, alpha=alpha, seed=26)
             t = make_target(mode, ens, 1.0, seed_stream(26, "t"))
-            d = decompose(ens, t, LabelModel(1.0), None, 50, seed_stream(26, "d", mode))
+            d = decompose(ens, t, 1.0, None, 50, seed_stream(26, "d", mode))
             assert d.total >= 0 and d.variance >= 0 and d.bias >= 0
 
     def test_argument_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         with pytest.raises(ValueError, match="method"):
-            decompose(ens, t, LabelModel(1.0), None, 50, seed_stream(0), method="analytic")
+            decompose(ens, t, 1.0, None, 50, seed_stream(0), method="analytic")
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, LabelModel(1.0), None, 1, seed_stream(0))
+            decompose(ens, t, 1.0, None, 1, seed_stream(0))
         for count in (0, 4096):
             with pytest.raises(ValueError, match="test point"):
-                decompose(ens, t, LabelModel(1.0), count, 50, seed_stream(0))
+                decompose(ens, t, 1.0, count, 50, seed_stream(0))
 
     def test_unknown_target_noise_rejected_on_every_route(self):
         ens = mk_ensemble(10, 20, p=80, alpha=0.5)
@@ -762,7 +751,7 @@ class TestDecompose:
         tf = make_test_features(ens, 10, seed_stream(0, "tf"))
         for target, test in [(realizable, None), (unrealizable, None), (realizable, tf)]:
             with pytest.raises(ValueError, match="target_noise"):
-                decompose(ens, target, LabelModel(1.0), test, 50, seed_stream(0),
+                decompose(ens, target, 1.0, test, 50, seed_stream(0),
                           target_noise="dirty")
 
     @settings(max_examples=20)
@@ -772,6 +761,6 @@ class TestDecompose:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
         tf = make_test_features(ens, 25, seed_stream(seed, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, LabelModel(0.5), test, 2, seed_stream(0), method="closed-form")
+            d = decompose(ens, t, 0.5, test, 2, seed_stream(0), method="closed-form")
             assert d.bias >= 0 and d.variance >= 0
             assert abs(d.total - d.bias - d.variance) <= 1e-10 * max(d.total, 1.0)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (Spectrum, eigenfeature_map, eigenfeature_matrix,
-                              empirical_covariance, fourier_basis, kernel_eval,
-                              kernel_gram, make_spectrum, population_covariance,
-                              sample_covariates, suggest_truncation,
-                              trace_and_rank)
+from noisyrf.spectral import (eigenfeature_matrix, empirical_covariance,
+                              fourier_basis, kernel_eval, make_spectrum,
+                              population_covariance, sample_covariates,
+                              suggest_truncation, trace_and_rank)
 
 
 def poly_tail(p):
@@ -67,17 +66,6 @@ class TestMakeSpectrum:
             return
         sp = make_spectrum("finite-rank", p, d=d)
         assert np.count_nonzero(sp.eigenvalues) == d
-
-    def test_json_round_trip(self):
-        sp = make_spectrum("polynomial", 6, gamma=1.5, omega1=2.0)
-        again = Spectrum.from_json(sp.to_json())
-        assert again.kind == sp.kind and again.p == sp.p
-        np.testing.assert_array_equal(again.eigenvalues, sp.eigenvalues)
-
-    def test_json_round_trip_custom(self):
-        sp = make_spectrum("custom", 3, eigenvalues=[2.0, 1.0, 1.0])
-        again = Spectrum.from_json(sp.to_json())
-        np.testing.assert_array_equal(again.eigenvalues, [2.0, 1.0, 1.0])
 
 
 class TestTraceAndRank:
@@ -139,14 +127,14 @@ class TestCovariates:
 class TestEigenfeatures:
     def test_fourier_at_zero(self):
         sp = make_spectrum("custom", 3, eigenvalues=[1.0, 1.0, 1.0])
-        np.testing.assert_allclose(eigenfeature_map(sp, "fourier", 0.0),
-                                   [1.0, math.sqrt(2), 0.0], atol=1e-15)
+        np.testing.assert_allclose(eigenfeature_matrix(sp, "fourier", 0.0),
+                                   [[1.0, math.sqrt(2), 0.0]], atol=1e-15)
 
     def test_eigencoordinate_scaling(self):
         sp = make_spectrum("custom", 2, eigenvalues=[4.0, 1.0])
-        np.testing.assert_allclose(eigenfeature_map(sp, "eigencoordinate",
-                                                    np.array([1.0, -1.0])),
-                                   [2.0, -1.0])
+        np.testing.assert_allclose(eigenfeature_matrix(sp, "eigencoordinate",
+                                                       np.array([1.0, -1.0])),
+                                   [[2.0, -1.0]])
 
     def test_fourier_orthonormality_monte_carlo(self):
         m = 100_000
@@ -184,7 +172,7 @@ class TestKernel:
     def test_gram_psd(self):
         sp = make_spectrum("polynomial", 8, gamma=2.0)
         x = sample_covariates("fourier", 5, seed_stream(17))
-        K = kernel_gram(sp, "fourier", x)
+        K = kernel_eval(sp, "fourier", np.repeat(x, 5), np.tile(x, 5)).reshape(5, 5)
         np.testing.assert_allclose(K, K.T, atol=1e-12)
         assert np.linalg.eigvalsh(K).min() >= -1e-10
 
@@ -240,4 +228,3 @@ class TestPopulationCovariance:
         pop = population_covariance(sp)
         np.testing.assert_array_equal(pop.eigenvalues, sp.eigenvalues)
         assert pop.trace == pytest.approx(float(sp.eigenvalues.sum()))
-        assert pop.source == "population"
