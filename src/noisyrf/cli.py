@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import conclab
@@ -21,7 +22,8 @@ from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .seeding import seed_stream
 from .spectral import KINDS, MODES, make_spectrum, suggest_truncation, trace_and_rank
-from .sweep import bound_curve, compute_row, curve_csv, emit_outputs, run_sweep
+from .sweep import (artifact_paths, bound_curve, compute_row, curve_csv, emit_outputs,
+                    run_sweep)
 
 
 class CliError(Exception):
@@ -139,7 +141,6 @@ def _cmd_bounds(args) -> int:
     if args.stdout:
         sys.stdout.write(text)
     else:
-        import os
         os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "bounds_curve.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -150,6 +151,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args, require_seed=True)
+    # a manifest stores its run's out_dir, so replaying it would overwrite it
+    if args.config and any(os.path.exists(path) and os.path.samefile(args.config, path)
+                           for path in artifact_paths(cfg.out_dir).values()):
+        raise CliError(f"this sweep would overwrite its own config {args.config}; "
+                       "pass --out-dir with another directory")
     result = run_sweep(cfg)
     paths = emit_outputs(result, cfg, cfg.out_dir)
     for name in ("sweep", "aggregate", "curve", "manifest"):

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
-from .estimator import SvdFactors, svd_factors
+from .estimator import SvdFactors, default_rtol, svd_factors
 from .features import FeatureEnsemble, noise_matrix
 from .spectral import eigenfeature_matrix, sample_covariates
 
@@ -94,10 +94,36 @@ class RiskDecomposition:
     rank: int    # numerical rank of the design in the factorization the split used
 
 
+def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float]:
+    """Least squares of y on X by one Householder QR of aug = [X | y].
+
+    fill writes the m x k matrix X and the m-vector y into a zeroed m x (k+1)
+    array.  With aug = Q [R, r; 0, rho], the coefficients x minimizing
+    ||X x - y|| solve R x = r and the minimum is rho^2; returns (x, rho^2).
+    numpy's raw QR hands back R^T in a Fortran array whose first columns are
+    contiguous, so the triangular solve reads it in place: no triangle is
+    copied out.  Raises LinAlgError when R has a zero on its diagonal.
+    """
+    aug = np.zeros((m, k + 1))
+    fill(aug)
+    h, _ = np.linalg.qr(aug, mode="raw")
+    # released before h, so the allocator can return both at once; freed the
+    # other way round, aug stayed resident as heap in every later sweep
+    del aug
+    x, info = dtrtrs(h[:, :k], h[k, :k], lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("least-squares matrix is rank deficient")
+    return x, float(h[k, k] ** 2)
+
+
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
                 rng: np.random.Generator, *, tail_energy: float = 1.0) -> TargetFunction:
     """Draw a target: beta_star uniform on the radius-`norm` sphere, plus an
-    out-of-span component of the requested energy in unrealizable mode."""
+    out-of-span component of the requested energy in unrealizable mode.
+
+    The component is a gaussian draw with its feature-span part projected
+    out; a draw whose remainder is rounding (the span holds every direction
+    the spectrum gives energy to) is refused with a ValueError."""
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
     if norm <= 0:
@@ -118,13 +144,24 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
         sqrt_lam = np.sqrt(lam)
         c = rng.standard_normal(p)
         # remove the part of c the features can express, in the population
-        # inner product <u, v> = sum_i lambda_i u_i v_i
+        # inner product <u, v> = sum_i lambda_i u_i v_i: least squares of
+        # sqrt(Lambda) c on sqrt(Lambda) W
         W = ensemble.weights.entries
-        coef, *_ = np.linalg.lstsq(sqrt_lam[:, None] * W, sqrt_lam * c, rcond=None)
-        c = c - W @ coef
-        energy = float(np.sum(lam * c * c))
-        if energy <= 0:
+        y = sqrt_lam * c
+
+        def fill(aug):
+            np.multiply(sqrt_lam[:, None], W, out=aug[:, :s])
+            aug[:, s] = y
+
+        try:
+            coef, rss = _lstsq_qr(p, s, fill)
+        except np.linalg.LinAlgError:  # zero eigenvalues left sqrt(Lambda) W rank < s
+            rss = 0.0
+        # a residual at rounding level means the span holds all of c's support
+        if rss <= default_rtol(p, s) ** 2 * float(y @ y):
             raise ValueError("degenerate out-of-span draw; eigenvalues may vanish outside the span")
+        c -= W @ coef
+        energy = float(np.sum(lam * c * c))
         tail = c * math.sqrt(tail_energy / energy)
     return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm)
 
@@ -226,13 +263,14 @@ def _best_in_span(ensemble: FeatureEnsemble, target: TargetFunction,
     """
     p, s = ensemble.weights.entries.shape
     sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
-    aug = np.zeros((p + s, s + 1))
-    A = aug[:p, :s]
-    np.multiply(sqrt_lam[:, None] / math.sqrt(s), ensemble.weights.entries, out=A)
-    aug[:p, s] = A @ target.beta_star + sqrt_lam * target.tail_coeffs
-    aug[p + np.arange(s), np.arange(s)] = math.sqrt(q_p)
-    R = np.linalg.qr(aug, mode="r")
-    return solve_triangular(R[:s, :s], R[:s, s]), float(R[s, s] ** 2)
+
+    def fill(aug):
+        A = aug[:p, :s]
+        np.multiply(sqrt_lam[:, None] / math.sqrt(s), ensemble.weights.entries, out=A)
+        aug[:p, s] = A @ target.beta_star + sqrt_lam * target.tail_coeffs
+        aug[p + np.arange(s), np.arange(s)] = math.sqrt(q_p)
+
+    return _lstsq_qr(p + s, s, fill)
 
 
 def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarray,

@@ -293,15 +293,20 @@ def curve_csv(points) -> str:
     return _csv_text(cols, rows)
 
 
-def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Write sweep.csv, aggregate.csv, bounds_curve.csv, manifest.json atomically."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
+def artifact_paths(out_dir: str) -> dict:
+    """Where emit_outputs writes each artifact under out_dir."""
+    return {
         "sweep": os.path.join(out_dir, "sweep.csv"),
         "aggregate": os.path.join(out_dir, "aggregate.csv"),
         "curve": os.path.join(out_dir, "bounds_curve.csv"),
         "manifest": os.path.join(out_dir, "manifest.json"),
     }
+
+
+def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> dict:
+    """Write sweep.csv, aggregate.csv, bounds_curve.csv, manifest.json atomically."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = artifact_paths(out_dir)
     _write_atomic(paths["sweep"], records_csv(result.records))
     _write_atomic(paths["aggregate"], aggregate_csv(aggregate(result.records)))
     _write_atomic(paths["curve"], curve_csv(bound_curve(cfg)))

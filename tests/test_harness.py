@@ -240,6 +240,14 @@ class TestSweep:
         parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
         assert serial == parallel
 
+    def test_worker_count_does_not_change_unrealizable_rows(self):
+        # both least-squares solves of an unrealizable cell run in each worker
+        cfg = small_cfg(ensemble_replicates=2, label_redraws=20, target_mode="unrealizable")
+        serial = run_sweep(cfg).records
+        assert all(r.error == "" and r.M > 0 for r in serial)
+        parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
+        assert records_csv(serial) == records_csv(parallel)
+
     def test_row_failure_captured_not_raised(self):
         # unrealizable targets need p > s; the second grid entry violates
         # that at runtime while the config itself is legal
@@ -402,6 +410,24 @@ class TestCli:
         assert main(argv) == 0
         paths = capsys.readouterr().out.splitlines()
         assert len(paths) == 4 and all(os.path.exists(p) for p in paths)
+
+    def test_replay_refuses_to_overwrite_its_manifest(self, tmp_path, capsys):
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
+                "--label-redraws", "20", "--replicates", "1", "--seed", "3",
+                "--out-dir", str(run)]
+        assert main(argv) == 0
+        manifest = run / "manifest.json"
+        source = manifest.read_bytes()
+        capsys.readouterr()
+        # the manifest names run/ as its out_dir
+        for extra in ([], ["--out-dir", str(run)]):
+            assert main(["sweep", "--config", str(manifest), *extra]) == 1
+            assert "--out-dir" in capsys.readouterr().err
+            assert manifest.read_bytes() == source
+        assert main(["sweep", "--config", str(manifest), "--out-dir", str(replay)]) == 0
+        assert manifest.read_bytes() == source
+        assert (replay / "sweep.csv").read_bytes() == (run / "sweep.csv").read_bytes()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6",

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,14 +21,16 @@ MODE = "eigencoordinate"
 
 
 def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
-                jitter=0.0, mode=MODE):
-    """Polynomial-spectrum ensemble, optionally noisy.
+                jitter=0.0, mode=MODE, spectrum=None):
+    """Polynomial-spectrum ensemble (or over `spectrum`), optionally noisy.
 
     jitter multiplies each weight by 1 + jitter * N(0, 1); every other draw
     is the same as without it.
     """
-    p = p or max(2 * s, 64)
-    sp = make_spectrum("polynomial", p, gamma=gamma)
+    if spectrum is None:
+        p = p or max(2 * s, 64)
+        spectrum = make_spectrum("polynomial", p, gamma=gamma)
+    p = spectrum.p
     X = sample_covariates(mode, n, seed_stream(seed, "cov"), p=p)
     W = sample_weights(p, s, seed_stream(seed, "w"))
     if jitter:
@@ -35,7 +39,7 @@ def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
     if alpha is not None:
         spec = make_noise_spec(family, alpha, s)
         rng = seed_stream(seed, "noise")
-    return build_ensemble(sp, mode, X, W, noise_spec=spec, noise_rng=rng)
+    return build_ensemble(spectrum, mode, X, W, noise_spec=spec, noise_rng=rng)
 
 
 def identity_ensemble(X):
@@ -88,6 +92,19 @@ def assert_agree_within_4se(d1, d2):
         a, b = getattr(d1, field), getattr(d2, field)
         sa, sb = getattr(d1, field + "_se"), getattr(d2, field + "_se")
         assert abs(a - b) <= 4 * math.sqrt(sa ** 2 + sb ** 2), field
+
+
+def standalone_best_fit(ens, t, q):
+    """An unrealizable target's b* and M by lstsq on [A; sqrt(q) I], with
+    A = sqrt(Lambda) W / sqrt(s)."""
+    s = ens.s
+    sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
+    A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(s)
+    target_vals = A @ t.beta_star + sqrt_lam * t.tail_coeffs
+    b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(s)]),
+                            np.concatenate([target_vals, np.zeros(s)]), rcond=None)
+    r = A @ b - target_vals
+    return b, r @ r + q * (b @ b)
 
 
 def closed_form(ens, t, tf=None):
@@ -147,6 +164,28 @@ class TestMakeTarget:
         ens = mk_ensemble(12, 20, p=80)
         with pytest.raises(ValueError, match="tail_energy"):
             make_target("unrealizable", ens, 1.0, seed_stream(0), tail_energy=0.0)
+
+    @pytest.mark.parametrize("eigenvalues", [
+        [1.0] * 5 + [0.0] * 55,     # finite rank d = 5: the QR's R is singular
+        [1.0] * 5 + [1e-30] * 55])  # a tail at rounding level: R is not
+    def test_span_holding_the_support_is_degenerate(self, eigenvalues):
+        # p=60, s=20 columns cover all 5 directions that carry energy, so the
+        # out-of-span residual is rounding; scaling it up to tail_energy
+        # gave a tail that M (0.018 for the finite rank) did not reflect
+        ens = mk_ensemble(10, 20, spectrum=make_spectrum("custom", 60, eigenvalues=eigenvalues))
+        with pytest.raises(ValueError, match="degenerate out-of-span draw"):
+            make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
+
+    @pytest.mark.parametrize("clean_test", [False, True])
+    def test_finite_rank_wider_than_the_span_keeps_misspec_above_the_tail(self, clean_test):
+        # d = 30 > s = 20: a genuine tail, whose energy M must contain
+        ens = mk_ensemble(10, 20, alpha=0.5, spectrum=make_spectrum("finite-rank", 60, d=30))
+        t = make_target("unrealizable", ens, 1.0, seed_stream(1, "t"), tail_energy=0.8)
+        lam = ens.spectrum.eigenvalues
+        assert float(np.sum(lam * t.tail_coeffs ** 2)) == pytest.approx(0.8, rel=1e-12)
+        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form",
+                      clean_test=clean_test)
+        assert d.misspec >= 0.8 * (1 - 1e-12)
 
 
 class TestTargetValuesAndLabels:
@@ -670,15 +709,9 @@ class TestDecompose:
         # misspec rows against the same best in-span fit
         ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=24)
         t = make_target("unrealizable", ens, 1.0, seed_stream(24, "t"))
-        sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
-        A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(40)
-        target_vals = A @ t.beta_star + sqrt_lam * t.tail_coeffs
-        q = ens.noise_spec.entry_variance
-        b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(40)]),
-                                np.concatenate([target_vals, np.zeros(40)]), rcond=None)
-        r = A @ b - target_vals
+        b, misspec = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         d = decompose(ens, t, 1.0, None, 400, seed_stream(24, "d"))
-        np.testing.assert_allclose(d.misspec, r @ r + q * (b @ b), rtol=1e-10)
+        np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
         assert d.misspec > 0
         tf = make_test_features(ens, 600, seed_stream(24, "tf"))
         d_m = decompose(ens, t, 1.0, tf, 400, seed_stream(24, "d"))
@@ -764,3 +797,76 @@ class TestDecompose:
             d = decompose(ens, t, 0.5, test, 2, seed_stream(0), method="closed-form")
             assert d.bias >= 0 and d.variance >= 0
             assert abs(d.total - d.bias - d.variance) <= 1e-10 * max(d.total, 1.0)
+
+
+class TestUnrealizableSolves:
+    """make_target's projection and _best_in_span's b*, the two least-squares
+    solves of an unrealizable cell, against test-side references."""
+
+    @pytest.mark.parametrize("clean_test", [False, True])
+    def test_near_square_population_matrix(self, clean_test):
+        # p=120, s=110: sqrt(Lambda) W is at its worst conditioned
+        n, s, p = 20, 110, 120
+        ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=31)
+        t = make_target("unrealizable", ens, 1.0, seed_stream(31, "t"))
+        sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
+        W = ens.weights.entries
+        # the same draws as make_target, projected by lstsq (SVD-based)
+        rng = seed_stream(31, "t")
+        rng.standard_normal(s)
+        c = rng.standard_normal(p)
+        coef, *_ = np.linalg.lstsq(sqrt_lam[:, None] * W, sqrt_lam * c, rcond=None)
+        ref = sqrt_lam * (c - W @ coef)
+        ref /= np.linalg.norm(ref)  # tail_energy 1
+        part = sqrt_lam * t.tail_coeffs
+        assert np.linalg.norm(part - ref) <= 1e-9 * np.linalg.norm(ref)
+        # orthogonal to every feature direction in the population inner product
+        A = sqrt_lam[:, None] * W
+        overlap = np.linalg.norm(A.T @ part)
+        assert overlap <= 1e-10 * np.linalg.norm(A, 2) * np.linalg.norm(part)
+        # M against the standalone ridge least squares
+        _, misspec = standalone_best_fit(
+            ens, t, 0.0 if clean_test else ens.noise_spec.entry_variance)
+        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form",
+                      clean_test=clean_test)
+        np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
+
+    def test_traced_peak_stays_within_the_qr_buffers(self, monkeypatch):
+        # Each solve fills one augmented matrix, p x (s+1) in make_target and
+        # (p+s) x (s+1) in decompose.  numpy's QR copies it and factors the
+        # copy in a LAPACK buffer of its own, malloc'd out of tracemalloc's
+        # sight, so two traced buffers are live until the augmented matrix is
+        # released.  A triangle copied out of the factor, (s+1)^2 doubles, or
+        # a triangular-solve copy, s^2, made while it is live breaks the bound.
+        # The augmented matrix must go before the factor: freed the other way
+        # round, it stayed resident as heap in every later sweep.
+        n, p, s = 20, 400, 360
+        ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
+        buffers = [8 * p * (s + 1), 8 * (p + s) * (s + 1)]
+        events = []
+        real_qr = np.linalg.qr
+
+        def released(what):
+            events.append((what, tracemalloc.get_traced_memory()[1] - base))
+            tracemalloc.reset_peak()
+
+        def qr(a, mode="reduced"):
+            weakref.finalize(a, released, "input")
+            out = real_qr(a, mode=mode)
+            weakref.finalize(out[0], released, "factor")
+            return out
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"))
+            decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form")
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert [what for what, _ in events] == ["input", "factor"] * 2
+        for (_, peak), buffer in zip(events[::2], buffers):
+            assert peak <= 2.25 * buffer, (peak / buffer)
