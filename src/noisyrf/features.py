@@ -10,6 +10,7 @@ with the feature count as s**(-alpha).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,15 @@ from .spectral import Spectrum, eigenfeature_matrix
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
 _ROOT3 = math.sqrt(3.0)
+# W is drawn in blocks of this many columns; block j comes from child j of the
+# weight generator's seed sequence, so W does not depend on the thread count
+# and any block can be regenerated on its own
+WEIGHT_BLOCK = 256
 
 
 @dataclass(eq=False)
 class WeightMatrix:
-    entries: np.ndarray  # (p, s), i.i.d. N(0, 1)
+    entries: np.ndarray  # (p, s), i.i.d. N(0, 1), Fortran-ordered
 
     @property
     def p(self) -> int:
@@ -56,10 +61,34 @@ class NoiseSpec:
         return math.sqrt(self.sigma0_sq / self.s)
 
 
-def sample_weights(p: int, s: int, rng: np.random.Generator) -> WeightMatrix:
+def sample_weights(p: int, s: int, rng: np.random.Generator, *,
+                   threads: int = 1) -> WeightMatrix:
+    """Draw W column block by column block, `threads` blocks at a time.
+
+    Block j (the WEIGHT_BLOCK columns from j * WEIGHT_BLOCK on) is filled in
+    place by child j of `rng.spawn`, so the result is the same for every
+    thread count.
+    """
     if p < 1 or s < 1:
         raise ValueError("weight matrix dimensions must be positive")
-    return WeightMatrix(entries=rng.standard_normal((p, s)))
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    entries = np.empty((p, s), order="F")
+    starts = range(0, s, WEIGHT_BLOCK)
+    children = rng.spawn(len(starts))
+
+    def fill(j):
+        lo = starts[j]
+        children[j].standard_normal(out=entries[:, lo:lo + WEIGHT_BLOCK])
+
+    workers = min(threads, len(starts))
+    if workers == 1:
+        for j in range(len(starts)):
+            fill(j)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(len(starts))))
+    return WeightMatrix(entries=entries)
 
 
 def feature_matrix(weights: WeightMatrix, covariates, spectrum: Spectrum, mode: str) -> np.ndarray:

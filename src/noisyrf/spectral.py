@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 KINDS = ("finite-rank", "exponential", "polynomial", "custom")
 EIGENCOORDINATE = "eigencoordinate"
@@ -130,6 +129,10 @@ def suggest_truncation(kind: str, *, gamma: float | None = None, d: int | None =
     if kind == "polynomial":
         if gamma is None or gamma <= 1:
             raise ValueError("polynomial truncation requires gamma > 1")
+        # imported here: only `noisyrf spectrum` truncates, and scipy.special
+        # would otherwise load on every start
+        from scipy.special import zeta
+
         total = float(zeta(gamma, 1))
         target = tail_fraction * total
         lo, hi = 1, 2

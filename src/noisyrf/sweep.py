@@ -23,7 +23,7 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
-from .features import build_ensemble, make_noise_spec, sample_weights
+from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
 from .risk import decompose, make_target
 from .seeding import seed_stream
 from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
@@ -99,6 +99,13 @@ def bound_curve(cfg: ExperimentConfig) -> list:
         rng=seed_stream(cfg.master_seed, "curve"))
 
 
+# ARPACK's stopping tolerance on the residual r of the top Ritz pair.  The
+# Ritz value's error is at most ||r||^2 / gap, so a 1e-8 relative residual
+# already gives lambda_W to rounding; tol=0 (machine epsilon) spends ~40% more
+# matvecs for no digit of the eigenvalue.
+_EIGSH_TOL = 1e-8
+
+
 def _lambda_w(W: np.ndarray) -> float:
     """Squared top singular value of the weight matrix.
 
@@ -113,7 +120,22 @@ def _lambda_w(W: np.ndarray) -> float:
         return float(np.linalg.eigvalsh(A)[-1])
     from scipy.sparse.linalg import eigsh
     v0 = np.full(m, 1.0 / math.sqrt(m))
-    return float(eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    return float(eigsh(A, k=1, which="LA", v0=v0, tol=_EIGSH_TOL,
+                       return_eigenvectors=False)[0])
+
+
+def _pool_size(cfg: ExperimentConfig) -> int:
+    """Worker processes run_sweep starts: the requested count, never more than the cells."""
+    return min(cfg.workers, len(cfg.s_grid) * cfg.ensemble_replicates)
+
+
+def _draw_threads(cfg: ExperimentConfig) -> int:
+    """Threads a cell draws W with: this process's CPUs shared among the pool's workers."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _pool_size(cfg))
 
 
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
@@ -129,7 +151,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     rng_risk = seed_stream(seed, s_index, replicate, "risk")
 
     X = sample_covariates(cfg.mode, n, rng_x, p=cfg.p)
-    W = sample_weights(cfg.p, s, rng_w)
+    W = sample_weights(cfg.p, s, rng_w, threads=_draw_threads(cfg))
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     ensemble = build_ensemble(spectrum, cfg.mode, X, W, noise_spec, rng_noise)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
@@ -196,12 +218,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     tasks = [(cfg.to_dict(), si, r)
              for si in range(len(cfg.s_grid))
              for r in range(cfg.ensemble_replicates)]
-    results = []
-    if cfg.workers <= 1:
-        for t in tasks:
-            results.append(_row_task(t))
+    # under fork the pool starts every worker at the first submit, so a pool
+    # wider than the grid would only fork idle processes
+    workers = _pool_size(cfg)
+    if workers <= 1:
+        results = [_row_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_row_task, tasks, chunksize=1))
     results.sort(key=lambda item: (item[0], item[1]))
     records, timings, errors = [], {}, {}
@@ -316,7 +339,9 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
         "seed_scheme": "seed_stream(master_seed, s_index, replicate, purpose); "
-                       "purposes: covariates, weights, feature-noise, target, risk",
+                       "purposes: covariates, weights, feature-noise, target, risk; "
+                       f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
+                       "child j of the weights stream's seed sequence (spawn order)",
         "grid": list(cfg.s_grid),
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from noisyrf.estimator import default_rtol, mnls_fit, projector_diag, ridge_fit
+from noisyrf.estimator import (default_rtol, mnls_fit, projector_diag, ridge_fit,
+                               svd_factors)
 from noisyrf.seeding import seed_stream
 
 
@@ -97,6 +98,26 @@ class TestMnlsFit:
 
     def test_default_rtol(self):
         assert default_rtol(100, 5000) == pytest.approx(1e-10 * 5000)
+
+
+class TestSvdFactors:
+    @pytest.mark.parametrize("rank", [None, 5])
+    def test_wide_design_through_its_transpose(self, rank):
+        # n < s is factored as Z^T; the factors must still describe Z itself
+        rng = seed_stream(120, rank or 0)
+        n, s = 20, 300
+        Z = rng.standard_normal((n, s))
+        if rank is not None:
+            Z = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, s))
+        f = svd_factors(Z)
+        assert f.U.shape == (n, f.rank) and f.V.shape == (s, f.rank)
+        np.testing.assert_allclose((f.U * f.sv) @ f.V.T, Z, rtol=0, atol=1e-12 * f.sv[0])
+        np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.rank), rtol=0, atol=1e-13)
+        tall = svd_factors(np.ascontiguousarray(Z.T))
+        assert f.rank == tall.rank == (rank or n)
+        np.testing.assert_allclose(f.all_sv, tall.all_sv, rtol=1e-13, atol=1e-13 * f.sv[0])
+        assert np.all(np.diff(f.sv) <= 0)
 
 
 class TestRidgeFit:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisyrf.features import (build_ensemble, feature_matrix, make_noise_spec,
-                              noise_matrix, sample_weights)
-from noisyrf.seeding import seed_stream
+from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, feature_matrix,
+                              make_noise_spec, noise_matrix, sample_weights)
+from noisyrf.seeding import seed_sequence, seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, kernel_eval, make_spectrum,
                               sample_covariates)
 
@@ -33,6 +33,28 @@ class TestSampleWeights:
         a = sample_weights(p, s, seed_stream(seed)).entries
         b = sample_weights(p, s, seed_stream(seed)).entries
         np.testing.assert_array_equal(a, b)
+
+    def test_thread_count_does_not_change_w(self):
+        s = 3 * WEIGHT_BLOCK + 17  # three full blocks and a ragged fourth
+        ref = sample_weights(7, s, seed_stream(8, "weights"), threads=1).entries
+        assert ref.flags.f_contiguous
+        for threads in (2, 3, 8):
+            W = sample_weights(7, s, seed_stream(8, "weights"), threads=threads).entries
+            np.testing.assert_array_equal(W, ref)
+
+    def test_block_j_comes_from_child_j(self):
+        s = 2 * WEIGHT_BLOCK + 5
+        W = sample_weights(3, s, seed_stream(9), threads=2).entries
+        children = seed_sequence(9).spawn(3)
+        for j, child in enumerate(children):
+            block = W[:, j * WEIGHT_BLOCK:(j + 1) * WEIGHT_BLOCK]
+            # an F-ordered block is filled in memory order, column by column
+            want = np.random.default_rng(child).standard_normal(block.shape[::-1]).T
+            np.testing.assert_array_equal(block, want)
+
+    def test_bad_thread_count_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            sample_weights(2, 3, seed_stream(0), threads=0)
 
 
 class TestFeatureMatrix:

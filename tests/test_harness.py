@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from noisyrf import sweep as sweep_mod
 from noisyrf.cli import main
 from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
                             parse_config, preset_config)
+from noisyrf.features import WEIGHT_BLOCK, sample_weights
 from noisyrf.seeding import seed_sequence, seed_stream
 from noisyrf.sweep import (AGGREGATE_COLUMNS, CSV_COLUMNS, SweepRecord,
                            _lambda_w, aggregate, aggregate_csv, compute_row,
@@ -88,7 +91,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "4",
+        manifest = {"artifact_version": "5",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -102,7 +105,7 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'4'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'5'" in str(exc.value)
 
     def test_version_3_manifest_gets_the_version_error(self):
         # a version "3" config block still holds the retired lower_multiplier;
@@ -113,7 +116,7 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '4'; "
+            "manifest artifact_version '3' does not match this code's '5'; "
             "its draws would differ"]
 
     def test_overrides_win(self):
@@ -203,6 +206,19 @@ def small_cfg(**kw):
     return parse_config(base)
 
 
+@pytest.fixture
+def draw_threads_seen(monkeypatch):
+    """The thread count of every sample_weights call the sweep makes."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["threads"])
+        return sample_weights(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "sample_weights", recording)
+    return seen
+
+
 class TestSweep:
     def test_compute_row_fields(self):
         cfg = small_cfg()
@@ -248,6 +264,48 @@ class TestSweep:
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
         assert records_csv(serial) == records_csv(parallel)
 
+    def test_draw_threads_do_not_change_rows(self, monkeypatch, draw_threads_seen):
+        # s = 600 draws W in three column blocks
+        cfg = small_cfg(s_grid=[600])
+        rows = []
+        for threads in (1, 2):
+            monkeypatch.setattr(sweep_mod, "_draw_threads", lambda cfg, t=threads: t)
+            rows.append(records_csv([compute_row(cfg, 0, 0)]))
+        assert draw_threads_seen == [1, 2]
+        assert rows[0] == rows[1]
+
+    def test_pool_is_never_wider_than_the_grid(self, monkeypatch, draw_threads_seen):
+        # a stub executor records the pool size and maps in this process, so
+        # no worker is ever started
+        sizes, threads = [], draw_threads_seen
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(6)),
+                            raising=False)
+        cfg = small_cfg(ensemble_replicates=2, workers=5000)
+        result = run_sweep(cfg)
+        assert sizes == [4]  # 2 s-values x 2 replicates
+        assert threads == [1] * 4  # 6 CPUs over 4 workers
+        assert records_csv(result.records) == records_csv(
+            run_sweep(dataclasses.replace(cfg, workers=1)).records)
+        # with the pool at 3 workers each cell draws on 6 // 3 = 2 threads
+        threads.clear()
+        run_sweep(dataclasses.replace(cfg, workers=3))
+        assert sizes[-1] == 3 and threads == [2] * 4
+
     def test_row_failure_captured_not_raised(self):
         # unrealizable targets need p > s; the second grid entry violates
         # that at runtime while the config itself is legal
@@ -292,8 +350,9 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "4"
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "4"
+        assert manifest["artifact_version"] == "5"
+        assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "5"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -308,6 +367,13 @@ class TestSweep:
         W = seed_stream(3, "lw").standard_normal((610, 605))
         want = float(np.linalg.svd(W, compute_uv=False)[0] ** 2)
         np.testing.assert_allclose(_lambda_w(W), want, rtol=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lambda_w_wide_iterative_branch(self, seed):
+        # s > p: Lanczos on W W^T, stopped at the module's ARPACK tolerance
+        W = seed_stream(seed, "lw-wide").standard_normal((650, 3000))
+        want = float(sla.svdvals(W)[0] ** 2)
+        np.testing.assert_allclose(_lambda_w(W), want, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (700, 620), (620, 700)])
     def test_lambda_w_either_gram_side(self, shape):
@@ -359,6 +425,14 @@ RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
 
 
 class TestCli:
+    def test_cold_start_leaves_scipy_special_unloaded(self):
+        # scipy.special serves only `noisyrf spectrum`'s truncation hint
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        code = "import sys, noisyrf.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
     def test_spectrum_summary(self, capsys):
         assert main(["spectrum", "--p", "16"]) == 0
         out = json.loads(capsys.readouterr().out)
