@@ -18,9 +18,8 @@ from .config import (ExperimentConfig, PRESETS, ValidationError, parse_config,
                      preset_config)
 from .estimator import (MnlsFit, ProjectorDiag, mnls_fit, projector_diag,
                         ridge_fit, svd_factors)
-from .features import (FeatureEnsemble, NoiseSpec, WeightMatrix, build_ensemble,
-                       feature_matrix, make_noise_spec, noise_matrix,
-                       sample_weights)
+from .features import (FeatureEnsemble, NoiseSpec, build_ensemble, make_noise_spec,
+                       noise_matrix, sample_weights)
 from .risk import (RiskDecomposition, TargetFunction, TestFeatures, decompose,
                    make_target, make_test_features)
 from .seeding import seed_sequence, seed_stream
@@ -44,8 +43,8 @@ __all__ = [
     "preset_config",
     "MnlsFit", "ProjectorDiag", "mnls_fit", "projector_diag", "ridge_fit",
     "svd_factors",
-    "FeatureEnsemble", "NoiseSpec", "WeightMatrix", "build_ensemble",
-    "feature_matrix", "make_noise_spec", "noise_matrix", "sample_weights",
+    "FeatureEnsemble", "NoiseSpec", "build_ensemble", "make_noise_spec",
+    "noise_matrix", "sample_weights",
     "RiskDecomposition", "TargetFunction", "TestFeatures", "decompose",
     "make_target", "make_test_features",
     "seed_sequence", "seed_stream",

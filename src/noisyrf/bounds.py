@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .features import noise_energy
 from .spectral import Spectrum, empirical_covariance, sample_covariates, eigenfeature_matrix, trace_and_rank
 
 REGIMES = ("classical", "threshold", "benign", "explosive")
@@ -211,7 +212,7 @@ def bound_report(inputs: BoundInputs, b: float = 1.0, c: float = 1.0) -> BoundRe
     raised, so a report can always be produced.
     """
     ks = k_star(inputs.lambda_hat, inputs.sigma0_sq, inputs.n, inputs.a)
-    bias = bias_bound(inputs, b) if ks is not None else float("nan")
+    bias = _bias_formula(inputs, b) if ks is not None else float("nan")
     var = variance_bound(inputs.sigma_sq, inputs.trace_Sigma, inputs.s, inputs.n, c)
     try:
         upper, lower, kc = clean_mnls_bounds(inputs, b, c)
@@ -262,7 +263,7 @@ def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: flo
     points = []
     for s in s_grid:
         s = int(s)
-        sigma0_sq = float(s) ** (-alpha) if not math.isinf(alpha) else 0.0
+        sigma0_sq = noise_energy(alpha, s)
         inputs = BoundInputs(n=n, s=s, p=spectrum.p, lambda_hat=lambda_hat,
                              sigma0_sq=sigma0_sq, sigma_sq=sigma_sq, trace_Sigma=trace,
                              op_norm_Sigma=op, lambda_W=float(spectrum.p), pi_norm=1.0,

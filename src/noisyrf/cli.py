@@ -22,8 +22,8 @@ from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .seeding import seed_stream
 from .spectral import KINDS, MODES, make_spectrum, suggest_truncation, trace_and_rank
-from .sweep import (artifact_paths, bound_curve, compute_row, curve_csv, emit_outputs,
-                    run_sweep)
+from .sweep import (_write_atomic, artifact_paths, bound_curve, compute_row, curve_csv,
+                    emit_outputs, run_sweep)
 
 
 class CliError(Exception):
@@ -142,9 +142,8 @@ def _cmd_bounds(args) -> int:
         sys.stdout.write(text)
     else:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "bounds_curve.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path = artifact_paths(cfg.out_dir)["curve"]
+        _write_atomic(path, text)
         print(path)
     return 0
 

@@ -25,19 +25,6 @@ _ROOT3 = math.sqrt(3.0)
 WEIGHT_BLOCK = 256
 
 
-@dataclass(eq=False)
-class WeightMatrix:
-    entries: np.ndarray  # (p, s), i.i.d. N(0, 1), Fortran-ordered
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.entries.shape[1]
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-entry feature perturbation law.
@@ -48,7 +35,6 @@ class NoiseSpec:
     """
 
     family: str
-    alpha: float
     s: int
     sigma0_sq: float
 
@@ -62,8 +48,9 @@ class NoiseSpec:
 
 
 def sample_weights(p: int, s: int, rng: np.random.Generator, *,
-                   threads: int = 1) -> WeightMatrix:
-    """Draw W column block by column block, `threads` blocks at a time.
+                   threads: int = 1) -> np.ndarray:
+    """Draw the p x s weights W, i.i.d. N(0, 1) and Fortran-ordered, column
+    block by column block, `threads` blocks at a time.
 
     Block j (the WEIGHT_BLOCK columns from j * WEIGHT_BLOCK on) is filled in
     place by child j of `rng.spawn`, so the result is the same for every
@@ -73,13 +60,13 @@ def sample_weights(p: int, s: int, rng: np.random.Generator, *,
         raise ValueError("weight matrix dimensions must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    entries = np.empty((p, s), order="F")
+    W = np.empty((p, s), order="F")
     starts = range(0, s, WEIGHT_BLOCK)
     children = rng.spawn(len(starts))
 
     def fill(j):
         lo = starts[j]
-        children[j].standard_normal(out=entries[:, lo:lo + WEIGHT_BLOCK])
+        children[j].standard_normal(out=W[:, lo:lo + WEIGHT_BLOCK])
 
     workers = min(threads, len(starts))
     if workers == 1:
@@ -88,15 +75,12 @@ def sample_weights(p: int, s: int, rng: np.random.Generator, *,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(len(starts))))
-    return WeightMatrix(entries=entries)
+    return W
 
 
-def feature_matrix(weights: WeightMatrix, covariates, spectrum: Spectrum, mode: str) -> np.ndarray:
-    """Sampled feature rows Z with Z[i] = W^T phi(x_i) / sqrt(s), shape (n, s)."""
-    Phi = eigenfeature_matrix(spectrum, mode, covariates)
-    if Phi.shape[1] != weights.p:
-        raise ValueError(f"weight rows ({weights.p}) must match eigenfeature dimension ({Phi.shape[1]})")
-    return Phi @ weights.entries / math.sqrt(weights.s)
+def noise_energy(alpha: float, s: int) -> float:
+    """The noise law sigma0^2 = s**(-alpha); alpha = inf gives exactly 0."""
+    return 0.0 if math.isinf(alpha) else float(s) ** (-alpha)
 
 
 def make_noise_spec(family: str, alpha: float, s: int) -> NoiseSpec:
@@ -110,8 +94,7 @@ def make_noise_spec(family: str, alpha: float, s: int) -> NoiseSpec:
         raise ValueError("s must be >= 1")
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0: the noise energy s**(-alpha) may not grow with s")
-    sigma0_sq = 0.0 if math.isinf(alpha) else float(s) ** (-alpha)
-    return NoiseSpec(family=family, alpha=float(alpha), s=int(s), sigma0_sq=sigma0_sq)
+    return NoiseSpec(family=family, s=int(s), sigma0_sq=noise_energy(alpha, s))
 
 
 def _unit_variance_draw(family: str, shape, rng: np.random.Generator) -> np.ndarray:
@@ -135,15 +118,17 @@ def noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray
 
 @dataclass(eq=False)
 class FeatureEnsemble:
-    """Everything sampled for one training design: spectrum, covariates, W, Z, noise."""
+    """One training design: the spectrum, the eigenfeature rows phi(X), the
+    weights W, the features Z = phi(X) W / sqrt(s) and the design fit on."""
 
     spectrum: Spectrum
     mode: str
-    covariates: np.ndarray
-    weights: WeightMatrix
-    Z: np.ndarray
+    phi: np.ndarray      # (n, p)
+    weights: np.ndarray  # (p, s), Fortran-ordered
+    Z: np.ndarray        # (n, s)
+    # the matrix the fit uses: Z itself unless noise of positive energy was added
+    design: np.ndarray
     noise_spec: NoiseSpec | None = None
-    Z_noisy: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -157,22 +142,22 @@ class FeatureEnsemble:
     def p(self) -> int:
         return self.spectrum.p
 
-    @property
-    def design(self) -> np.ndarray:
-        """The matrix the estimator fits on: noisy when noise was injected."""
-        return self.Z if self.Z_noisy is None else self.Z_noisy
 
-
-def build_ensemble(spectrum: Spectrum, mode: str, covariates, weights: WeightMatrix,
+def build_ensemble(spectrum: Spectrum, mode: str, covariates, weights: np.ndarray,
                    noise_spec: NoiseSpec | None = None,
                    noise_rng: np.random.Generator | None = None) -> FeatureEnsemble:
-    Z = feature_matrix(weights, covariates, spectrum, mode)
-    Z_noisy = None
-    if noise_spec is not None:
-        if noise_rng is None and noise_spec.sigma0_sq != 0.0:
+    """Evaluate the eigenfeature map once, then the features and the design."""
+    phi = eigenfeature_matrix(spectrum, mode, covariates)
+    p, s = weights.shape
+    if phi.shape[1] != p:
+        raise ValueError(f"weight rows ({p}) must match eigenfeature dimension ({phi.shape[1]})")
+    if noise_spec is not None and noise_spec.s != s:
+        raise ValueError(f"noise width must equal the feature count s={noise_spec.s}")
+    Z = phi @ weights / math.sqrt(s)
+    design = Z
+    if noise_spec is not None and noise_spec.sigma0_sq != 0.0:
+        if noise_rng is None:
             raise ValueError("noise injection needs a generator")
-        # a noiseless spec returns zeros without touching the generator
-        Z_noisy = Z + noise_matrix(noise_spec, Z.shape, noise_rng)
-    return FeatureEnsemble(spectrum=spectrum, mode=mode, covariates=np.asarray(covariates),
-                           weights=weights, Z=Z, noise_spec=noise_spec, Z_noisy=Z_noisy)
-
+        design = Z + noise_matrix(noise_spec, Z.shape, noise_rng)
+    return FeatureEnsemble(spectrum=spectrum, mode=mode, phi=phi, weights=weights, Z=Z,
+                           design=design, noise_spec=noise_spec)

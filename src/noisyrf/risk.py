@@ -48,12 +48,11 @@ class TargetFunction:
 
 @dataclass(eq=False)
 class TestFeatures:
-    """Materialized test-point features: raw covariates, eigenfeatures, and
-    the clean / predictor-side / target-side sampled feature rows."""
+    """Materialized test-point features: eigenfeatures and the clean /
+    predictor-side / target-side sampled feature rows."""
 
     __test__ = False  # keep pytest from collecting this despite the name
 
-    covariates: np.ndarray
     phi: np.ndarray
     clean: np.ndarray
     predictor: np.ndarray
@@ -132,7 +131,7 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     v = rng.standard_normal(s)
     beta = norm * v / np.linalg.norm(v)
     tail = None
-    if mode == "realizable-noisy" and ensemble.Z_noisy is None:
+    if mode == "realizable-noisy" and ensemble.noise_spec is None:
         raise ValueError("realizable-noisy target needs an ensemble with injected noise")
     if mode == "unrealizable":
         p = ensemble.p
@@ -146,7 +145,7 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
         # remove the part of c the features can express, in the population
         # inner product <u, v> = sum_i lambda_i u_i v_i: least squares of
         # sqrt(Lambda) c on sqrt(Lambda) W
-        W = ensemble.weights.entries
+        W = ensemble.weights
         y = sqrt_lam * c
 
         def fill(aug):
@@ -171,11 +170,10 @@ def target_train_values(target: TargetFunction, ensemble: FeatureEnsemble) -> np
     if target.mode == "realizable-clean":
         return ensemble.Z @ target.beta_star
     if target.mode == "realizable-noisy":
-        if ensemble.Z_noisy is None:
+        if ensemble.noise_spec is None:
             raise ValueError("realizable-noisy target needs an ensemble with injected noise")
-        return ensemble.Z_noisy @ target.beta_star
-    Phi = eigenfeature_matrix(ensemble.spectrum, ensemble.mode, ensemble.covariates)
-    return ensemble.Z @ target.beta_star + Phi @ target.tail_coeffs
+        return ensemble.design @ target.beta_star
+    return ensemble.Z @ target.beta_star + ensemble.phi @ target.tail_coeffs
 
 
 def _check_target_noise(target_noise: str) -> None:
@@ -198,21 +196,19 @@ def make_test_features(ensemble: FeatureEnsemble, m: int, rng: np.random.Generat
     spectrum, mode = ensemble.spectrum, ensemble.mode
     X = sample_covariates(mode, m, rng, p=spectrum.p)
     phi = eigenfeature_matrix(spectrum, mode, X)
-    clean = phi @ ensemble.weights.entries / math.sqrt(ensemble.s)
+    clean = phi @ ensemble.weights / math.sqrt(ensemble.s)
     spec = ensemble.noise_spec
-    noisy_ensemble = spec is not None and ensemble.Z_noisy is not None
-    if noisy_ensemble and not clean_test:
+    if spec is not None and not clean_test:
         predictor = clean + noise_matrix(spec, clean.shape, rng)
     else:
         predictor = clean
-    if not noisy_ensemble or target_noise == "clean":
+    if spec is None or target_noise == "clean":
         target_rows = clean
     elif target_noise == "shared" and predictor is not clean:
         target_rows = predictor
     else:
         target_rows = clean + noise_matrix(spec, clean.shape, rng)
-    return TestFeatures(covariates=X, phi=phi, clean=clean, predictor=predictor,
-                        target_rows=target_rows)
+    return TestFeatures(phi=phi, clean=clean, predictor=predictor, target_rows=target_rows)
 
 
 def _target_test_values(target: TargetFunction, tf: TestFeatures) -> np.ndarray:
@@ -245,7 +241,7 @@ def _test_noise(ensemble: FeatureEnsemble, target: TargetFunction, clean_test: b
     `make_test_features` draws from.
     """
     spec = ensemble.noise_spec
-    q = spec.entry_variance if spec is not None and ensemble.Z_noisy is not None else 0.0
+    q = spec.entry_variance if spec is not None else 0.0
     q_p = 0.0 if clean_test else q
     q_t = q if target.mode == "realizable-noisy" and target_noise != "clean" else 0.0
     q_x = q_t if q_p > 0 and target_noise == "shared" else 0.0
@@ -261,12 +257,12 @@ def _best_in_span(ensemble: FeatureEnsemble, target: TargetFunction,
     is the least-squares solution on [A; sqrt(q_p) I] and M its squared
     residual: one QR of [A, t; sqrt(q_p) I, 0] gives both.
     """
-    p, s = ensemble.weights.entries.shape
+    p, s = ensemble.weights.shape
     sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
 
     def fill(aug):
         A = aug[:p, :s]
-        np.multiply(sqrt_lam[:, None] / math.sqrt(s), ensemble.weights.entries, out=A)
+        np.multiply(sqrt_lam[:, None] / math.sqrt(s), ensemble.weights, out=A)
         aug[:p, s] = A @ target.beta_star + sqrt_lam * target.tail_coeffs
         aug[p + np.arange(s), np.arange(s)] = math.sqrt(q_p)
 
@@ -289,7 +285,7 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
     """
     e = u_hat - ref
     sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
-    AC = sqrt_lam[:, None] * (ensemble.weights.entries @ np.column_stack([f.V, e]))
+    AC = sqrt_lam[:, None] * (ensemble.weights @ np.column_stack([f.V, e]))
     AC /= math.sqrt(ensemble.s)
     K, Ae = AC[:, :f.rank] / f.sv, AC[:, f.rank]
     bias = float(Ae @ Ae) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \

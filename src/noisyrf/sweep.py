@@ -26,8 +26,8 @@ from .estimator import projector_diag  # noqa: F401
 from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
 from .risk import decompose, make_target
 from .seeding import seed_stream
-from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
-                       population_covariance, sample_covariates)
+from .spectral import (empirical_covariance, make_spectrum, population_covariance,
+                       sample_covariates)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
@@ -36,6 +36,9 @@ CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se"
 AGGREGATE_COLUMNS = ["s", "sigma0_sq", "replicates", "B_mean", "B_se", "V_mean",
                      "V_se", "M_mean", "M_se", "R_mean", "R_se",
                      "bias_bound_mean", "variance_bound_mean"]
+
+CURVE_COLUMNS = ["s", "sigma0_sq", "k_star", "bias_bound", "variance_bound", "total",
+                 "regime"]
 
 NAN = float("nan")
 
@@ -154,14 +157,16 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     W = sample_weights(cfg.p, s, rng_w, threads=_draw_threads(cfg))
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     ensemble = build_ensemble(spectrum, cfg.mode, X, W, noise_spec, rng_noise)
+    # the ensemble keeps phi(X) and X is not read again; held to the end of
+    # the cell, it left the preset's peak RSS ~5 MB higher (glibc heap)
+    del X
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
     dec = decompose(ensemble, target, cfg.sigma_sq, None,
                     cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise, method=cfg.method)
 
-    phi_train = eigenfeature_matrix(spectrum, cfg.mode, X)
-    lam_hat = empirical_covariance(phi_train).eigenvalues[:n]
+    lam_hat = empirical_covariance(ensemble.phi).eigenvalues[:n]
     pop = population_covariance(spectrum)
     # decompose factored the design; a nonempty null space makes the row-space
     # defect projector an orthogonal projector of norm exactly 1
@@ -169,7 +174,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, p=cfg.p, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
         sigma_sq=cfg.sigma_sq, trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
-        lambda_W=_lambda_w(W.entries), pi_norm=1.0 if null_dim > 0 else 0.0,
+        lambda_W=_lambda_w(W), pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
     report = bounds_mod.bound_report(inputs, b=cfg.bias_multiplier,
                                      c=cfg.variance_multiplier)
@@ -288,32 +293,24 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(columns, rows) -> str:
+def _csv_text(columns, items) -> str:
+    """One header line, then one line per item: its attributes named by columns."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    for item in items:
+        lines.append(",".join(_fmt(getattr(item, col)) for col in columns))
     return "\n".join(lines) + "\n"
 
 
 def records_csv(records) -> str:
-    rows = [[rec.s, rec.replicate, rec.sigma0_sq, rec.k_star, rec.B, rec.B_se,
-             rec.V, rec.V_se, rec.M, rec.M_se, rec.R, rec.R_se, rec.bias_bound,
-             rec.variance_bound, rec.regime, rec.wall_ms] for rec in records]
-    return _csv_text(CSV_COLUMNS, rows)
+    return _csv_text(CSV_COLUMNS, records)
 
 
 def aggregate_csv(summaries) -> str:
-    rows = [[a.s, a.sigma0_sq, a.replicates, a.B_mean, a.B_se, a.V_mean, a.V_se,
-             a.M_mean, a.M_se, a.R_mean, a.R_se, a.bias_bound_mean,
-             a.variance_bound_mean] for a in summaries]
-    return _csv_text(AGGREGATE_COLUMNS, rows)
+    return _csv_text(AGGREGATE_COLUMNS, summaries)
 
 
 def curve_csv(points) -> str:
-    cols = ["s", "sigma0_sq", "k_star", "bias_bound", "variance_bound", "total", "regime"]
-    rows = [[pt.s, pt.sigma0_sq, pt.k_star, pt.bias_bound, pt.variance_bound,
-             pt.total, pt.regime] for pt in points]
-    return _csv_text(cols, rows)
+    return _csv_text(CURVE_COLUMNS, points)
 
 
 def artifact_paths(out_dir: str) -> dict:

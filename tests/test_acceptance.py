@@ -164,7 +164,7 @@ def _sandwich_point(n, s, seed):
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, p=p, lambda_hat=lam_hat, sigma0_sq=0.0, sigma_sq=1.0,
         trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
-        lambda_W=_lambda_w(W.entries), pi_norm=proj.pi_norm,
+        lambda_W=_lambda_w(W), pi_norm=proj.pi_norm,
         beta_norm=target.norm, a=5.0)
     upper, lower, _ = bounds_mod.clean_mnls_bounds(inputs)
     return dec.variance, upper, lower

@@ -1,18 +1,22 @@
 """The names the benchmark harness in perfbench/ looks up in the library.
 
 perfbench/tracer.py wraps the functions in its LAYERS table by module and
-attribute name, and perfbench/workloads.py builds its configs through the
-preset; a cut to the library's surface that drops one of them breaks
-`perfbench/run.py --trace 1` without failing any other test.  These tests
-only read perfbench/.
+attribute name, perfbench/workloads.py builds its configs through the
+preset, perfbench/run.py and replay.py call the sweep and its CSV writer,
+and perfbench/checks.py reads SweepRecord fields; a change to the library
+that drops one of them breaks `perfbench/run.py` without failing any other
+test.  These tests only read perfbench/.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import noisyrf
+from noisyrf import sweep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +48,48 @@ def test_every_workload_config_parses():
         for tiny in (False, True):
             cfg = workloads.make_config(name, seed=1, tiny=tiny)
             assert cfg.master_seed == 1
+
+
+def test_sweep_calls_of_run_and_replay_resolve(tmp_path):
+    # run.py: run_sweep, emit_outputs(...)["sweep"], then replay_checks'
+    # compute_row rows through records_csv against that file; replay.py
+    # makes the same two calls
+    workloads, checks = _load("workloads"), _load("checks")
+    cfg = workloads.make_config("dd-serial", seed=1, out_dir=str(tmp_path), tiny=True)
+    result = sweep.run_sweep(cfg)
+    paths = sweep.emit_outputs(result, cfg, str(tmp_path / "sweep0"))
+    with open(paths["sweep"], "r", encoding="utf-8", newline="") as fh:
+        rows = checks.csv_rows(fh.read())
+    indices = [0, len(cfg.s_grid) - 1]
+    records = [sweep.compute_row(cfg, i, 0) for i in indices]
+    lines = sweep.records_csv(records).splitlines()[1:]
+    assert len(lines) == len(indices)
+    assert all(line == rows[checks.row_key(line)] for line in lines)
+    assert [checks.cell_problem(rec, False) for rec in result.records] == \
+        [""] * len(result.records)
+
+
+def _record_reads(source: str) -> set:
+    """Attributes read off a variable named rec: rec.X, and getattr(rec, name)
+    with name looping over a literal tuple of strings."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "rec":
+            names.add(node.attr)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                and isinstance(call.args[0], ast.Name) and call.args[0].id == "rec"
+                for call in ast.walk(node)):
+            names |= {elt.value for elt in node.iter.elts}
+    return names
+
+
+def test_record_fields_the_harness_reads_exist():
+    # tracer.py pops its spans out of a record's instance __dict__
+    fields = {f.name for f in dataclasses.fields(sweep.SweepRecord)} | {"__dict__"}
+    read = set()
+    for name in ("checks", "run", "tracer"):
+        read |= _record_reads((PERFBENCH / f"{name}.py").read_text(encoding="utf-8"))
+    assert {"B", "V", "R", "M", "R_se", "error", "s", "replicate"} <= read
+    assert read - fields == set()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, feature_matrix,
-                              make_noise_spec, noise_matrix, sample_weights)
+from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec,
+                              noise_matrix, sample_weights)
 from noisyrf.seeding import seed_sequence, seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, kernel_eval, make_spectrum,
                               sample_covariates)
@@ -15,36 +15,36 @@ class TestSampleWeights:
     def test_determinism(self):
         a = sample_weights(2, 3, seed_stream(42))
         b = sample_weights(2, 3, seed_stream(42))
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
     def test_shape_and_moments(self):
-        W = sample_weights(200, 200, seed_stream(0)).entries
+        W = sample_weights(200, 200, seed_stream(0))
         assert W.shape == (200, 200)
         assert 0.96 <= W.var() <= 1.04
         assert abs(W.mean()) <= 4.0 / math.sqrt(200 * 200)
 
     def test_column_covariance(self):
-        W = sample_weights(5, 10_000, seed_stream(1)).entries
+        W = sample_weights(5, 10_000, seed_stream(1))
         C = W @ W.T / 10_000
         np.testing.assert_allclose(C, np.eye(5), atol=4.0 / math.sqrt(10_000))
 
     @given(p=st.integers(1, 8), s=st.integers(1, 8), seed=st.integers(0, 50))
     def test_stream_determinism(self, p, s, seed):
-        a = sample_weights(p, s, seed_stream(seed)).entries
-        b = sample_weights(p, s, seed_stream(seed)).entries
+        a = sample_weights(p, s, seed_stream(seed))
+        b = sample_weights(p, s, seed_stream(seed))
         np.testing.assert_array_equal(a, b)
 
     def test_thread_count_does_not_change_w(self):
         s = 3 * WEIGHT_BLOCK + 17  # three full blocks and a ragged fourth
-        ref = sample_weights(7, s, seed_stream(8, "weights"), threads=1).entries
+        ref = sample_weights(7, s, seed_stream(8, "weights"), threads=1)
         assert ref.flags.f_contiguous
         for threads in (2, 3, 8):
-            W = sample_weights(7, s, seed_stream(8, "weights"), threads=threads).entries
+            W = sample_weights(7, s, seed_stream(8, "weights"), threads=threads)
             np.testing.assert_array_equal(W, ref)
 
     def test_block_j_comes_from_child_j(self):
         s = 2 * WEIGHT_BLOCK + 5
-        W = sample_weights(3, s, seed_stream(9), threads=2).entries
+        W = sample_weights(3, s, seed_stream(9), threads=2)
         children = seed_sequence(9).spawn(3)
         for j, child in enumerate(children):
             block = W[:, j * WEIGHT_BLOCK:(j + 1) * WEIGHT_BLOCK]
@@ -62,16 +62,16 @@ class TestFeatureMatrix:
         sp = make_spectrum("custom", 3, eigenvalues=[1.0, 0.5, 0.25])
         W = sample_weights(3, 1, seed_stream(5))
         x = sample_covariates("eigencoordinate", 4, seed_stream(6), p=3)
-        Z = feature_matrix(W, x, sp, "eigencoordinate")
+        Z = build_ensemble(sp, "eigencoordinate", x, W).Z
         phi = eigenfeature_matrix(sp, "eigencoordinate", x)
-        np.testing.assert_allclose(Z, phi @ W.entries, rtol=1e-14)
+        np.testing.assert_allclose(Z, phi @ W, rtol=1e-14)
 
     def test_dimension_mismatch(self):
         sp = make_spectrum("custom", 3, eigenvalues=[1.0, 0.5, 0.25])
         W = sample_weights(4, 2, seed_stream(5))
         x = sample_covariates("eigencoordinate", 4, seed_stream(6), p=3)
         with pytest.raises(ValueError):
-            feature_matrix(W, x, sp, "eigencoordinate")
+            build_ensemble(sp, "eigencoordinate", x, W)
 
     def test_kernel_consistency_monte_carlo(self):
         # E_W[(Z Z^T)_{12}] equals the kernel value between the two points
@@ -82,7 +82,7 @@ class TestFeatureMatrix:
         vals = np.empty(2000)
         for i in range(2000):
             W = sample_weights(6, 20, rng)
-            Z = feature_matrix(W, x, sp, "fourier")
+            Z = build_ensemble(sp, "fourier", x, W).Z
             vals[i] = Z[0] @ Z[1]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - want) <= 3 * se
@@ -96,7 +96,7 @@ class TestFeatureMatrix:
             vals = np.empty(1500)
             for i in range(1500):
                 W = sample_weights(5, s, rng)
-                Z = feature_matrix(W, x, sp, "fourier")
+                Z = build_ensemble(sp, "fourier", x, W).Z
                 vals[i] = Z[0] @ Z[1]
             means.append(vals.mean())
             ses.append(vals.std(ddof=1) / math.sqrt(vals.size))
@@ -115,7 +115,7 @@ class TestFeatureMatrix:
                 vals = np.empty(resamples)
                 for i in range(resamples):
                     W = sample_weights(4, 10, rng)
-                    Z = feature_matrix(W, x, sp, "fourier")
+                    Z = build_ensemble(sp, "fourier", x, W).Z
                     vals[i] = Z[0] @ Z[1]
                 errs.append(abs(vals.mean() - want))
             return float(np.mean(errs))
@@ -165,7 +165,8 @@ class TestInjectNoise:
         sp = make_spectrum("polynomial", 5, gamma=2.0)
         x = sample_covariates("eigencoordinate", 3, seed_stream(1), p=5)
         ens = build_ensemble(sp, "eigencoordinate", x, sample_weights(5, 4, seed_stream(2)), spec)
-        np.testing.assert_array_equal(ens.Z_noisy, ens.Z)
+        np.testing.assert_array_equal(ens.design, ens.Z)
+        assert ens.design is ens.Z
 
     def test_additivity_exact(self):
         # the noisy design is the clean one plus exactly one noise_matrix draw
@@ -175,7 +176,7 @@ class TestInjectNoise:
         spec = make_noise_spec("uniform", 0.3, 5)
         ens = build_ensemble(sp, "eigencoordinate", x, W, spec, seed_stream(2))
         Xi = noise_matrix(spec, ens.Z.shape, seed_stream(2))
-        np.testing.assert_array_equal(ens.Z_noisy, ens.Z + Xi)
+        np.testing.assert_array_equal(ens.design, ens.Z + Xi)
 
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
     def test_entry_variance(self, family):
@@ -204,6 +205,12 @@ class TestInjectNoise:
         spec = make_noise_spec("gaussian", 0.5, 8)
         with pytest.raises(ValueError):
             noise_matrix(spec, (3, 9), seed_stream(0))
+        # also for a noiseless spec, which draws nothing
+        sp = make_spectrum("polynomial", 5, gamma=2.0)
+        x = sample_covariates("eigencoordinate", 3, seed_stream(1), p=5)
+        with pytest.raises(ValueError, match="noise width"):
+            build_ensemble(sp, "eigencoordinate", x, sample_weights(5, 9, seed_stream(2)),
+                           make_noise_spec("gaussian", math.inf, 8))
 
 
 class TestEnsemble:
@@ -215,21 +222,20 @@ class TestEnsemble:
         return build_ensemble(sp, "eigencoordinate", x, W, spec, seed_stream(32))
 
     def test_recompute_bit_exact(self):
-        # the stored covariates and weights rebuild Z bit for bit
+        # the stored eigenfeature rows and weights rebuild Z bit for bit
         ens = self._build()
-        np.testing.assert_array_equal(
-            feature_matrix(ens.weights, ens.covariates, ens.spectrum, ens.mode), ens.Z)
+        np.testing.assert_array_equal(ens.phi @ ens.weights / math.sqrt(ens.s), ens.Z)
 
     def test_noise_additivity(self):
         ens = self._build()
         Xi = noise_matrix(ens.noise_spec, ens.Z.shape, seed_stream(32))
-        np.testing.assert_array_equal(ens.Z_noisy, ens.Z + Xi)
-        np.testing.assert_array_equal(ens.design, ens.Z_noisy)
+        np.testing.assert_array_equal(ens.design, ens.Z + Xi)
 
     def test_clean_design_without_noise(self):
         sp = make_spectrum("polynomial", 5, gamma=2.0)
         x = sample_covariates("eigencoordinate", 7, seed_stream(30), p=5)
         W = sample_weights(5, 9, seed_stream(31))
         ens = build_ensemble(sp, "eigencoordinate", x, W)
-        assert ens.Z_noisy is None
+        assert ens.noise_spec is None
         np.testing.assert_array_equal(ens.design, ens.Z)
+        assert ens.design is ens.Z

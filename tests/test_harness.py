@@ -12,6 +12,7 @@ import scipy.linalg as sla
 from noisyrf import config as config_mod
 from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
+from noisyrf import spectral as spectral_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.cli import main
 from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
@@ -402,6 +403,24 @@ class TestSweep:
         assert rec.error == "" and math.isfinite(rec.R)
         assert calls == [(cfg.n, cfg.s_grid[s_index])]
 
+    @pytest.mark.parametrize("target_mode", ["realizable-clean", "unrealizable"])
+    def test_one_eigenfeature_evaluation_per_cell(self, monkeypatch, target_mode):
+        calls = []
+        original = spectral_mod.eigenfeature_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("noisyrf") and \
+                    getattr(module, "eigenfeature_matrix", None) is original:
+                monkeypatch.setattr(module, "eigenfeature_matrix", counting)
+        cfg = small_cfg(target_mode=target_mode)
+        rec = compute_row(cfg, 0, 0)
+        assert rec.error == "" and math.isfinite(rec.R)
+        assert calls == [cfg.mode]
+
     def test_closed_form_unrealizable_row_is_exact(self):
         cfg = small_cfg(target_mode="unrealizable", method="closed-form")
         for s_index in range(len(cfg.s_grid)):
@@ -476,6 +495,19 @@ class TestCli:
         assert main(["bounds", *RISK_FLAGS, "--out-dir", str(tmp_path)]) == 0
         path = capsys.readouterr().out.strip()
         assert path.endswith("bounds_curve.csv") and os.path.exists(path)
+
+    def test_bounds_file_survives_a_failed_replace(self, tmp_path, capsys, monkeypatch):
+        # the curve is written to a temporary file and renamed into place, so
+        # an interrupted write leaves the previous bounds_curve.csv whole
+        path = tmp_path / "bounds_curve.csv"
+        path.write_text("previous curve\n")
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        assert main(["bounds", *RISK_FLAGS, "--out-dir", str(tmp_path)]) == 1
+        assert path.read_text() == "previous curve\n"
 
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",

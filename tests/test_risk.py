@@ -14,8 +14,7 @@ from noisyrf.features import build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import (TargetFunction, TestFeatures, decompose, make_target,
                           make_test_features, target_train_values)
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (eigenfeature_matrix, make_spectrum,
-                              sample_covariates)
+from noisyrf.spectral import make_spectrum, sample_covariates
 
 MODE = "eigencoordinate"
 
@@ -34,7 +33,7 @@ def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
     X = sample_covariates(mode, n, seed_stream(seed, "cov"), p=p)
     W = sample_weights(p, s, seed_stream(seed, "w"))
     if jitter:
-        W.entries *= 1.0 + jitter * seed_stream(seed, "jitter").standard_normal(W.entries.shape)
+        W *= 1.0 + jitter * seed_stream(seed, "jitter").standard_normal(W.shape)
     spec = rng = None
     if alpha is not None:
         spec = make_noise_spec(family, alpha, s)
@@ -48,14 +47,13 @@ def identity_ensemble(X):
     X = np.asarray(X, dtype=float)
     s = X.shape[1]
     W = sample_weights(s, s, seed_stream(0))
-    W.entries[:] = math.sqrt(s) * np.eye(s)
+    W[:] = math.sqrt(s) * np.eye(s)
     return build_ensemble(make_spectrum("custom", s, eigenvalues=[1.0] * s), MODE, X, W)
 
 
 def rows_sample(rows):
     rows = np.asarray(rows, dtype=float)
-    return TestFeatures(covariates=rows, phi=rows, clean=rows, predictor=rows,
-                        target_rows=rows)
+    return TestFeatures(phi=rows, clean=rows, predictor=rows, target_rows=rows)
 
 
 def zero_target(s):
@@ -99,7 +97,7 @@ def standalone_best_fit(ens, t, q):
     A = sqrt(Lambda) W / sqrt(s)."""
     s = ens.s
     sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
-    A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(s)
+    A = sqrt_lam[:, None] * ens.weights / math.sqrt(s)
     target_vals = A @ t.beta_star + sqrt_lam * t.tail_coeffs
     b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(s)]),
                             np.concatenate([target_vals, np.zeros(s)]), rcond=None)
@@ -157,7 +155,7 @@ class TestMakeTarget:
         ens = mk_ensemble(12, 20, p=80)
         t = make_target("unrealizable", ens, 1.0, seed_stream(6, "t"))
         lam = ens.spectrum.eigenvalues
-        overlap = ens.weights.entries.T @ (lam * t.tail_coeffs)
+        overlap = ens.weights.T @ (lam * t.tail_coeffs)
         assert np.max(np.abs(overlap)) <= 1e-8
 
     def test_tail_energy_validation(self):
@@ -198,7 +196,7 @@ class TestTargetValuesAndLabels:
         ens = mk_ensemble(15, 30, alpha=0.3, seed=7)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(7, "t"))
         f = target_train_values(t, ens)
-        np.testing.assert_array_equal(f, ens.Z_noisy @ t.beta_star)
+        np.testing.assert_array_equal(f, ens.design @ t.beta_star)
         assert not np.array_equal(f, ens.Z @ t.beta_star)
 
     def test_noisy_values_reject_clean_ensemble(self):
@@ -211,8 +209,7 @@ class TestTargetValuesAndLabels:
     def test_unrealizable_adds_tail(self):
         ens = mk_ensemble(15, 30, p=90)
         t = make_target("unrealizable", ens, 1.0, seed_stream(8, "t"))
-        phi = eigenfeature_matrix(ens.spectrum, MODE, ens.covariates)
-        want = ens.Z @ t.beta_star + phi @ t.tail_coeffs
+        want = ens.Z @ t.beta_star + ens.phi @ t.tail_coeffs
         np.testing.assert_allclose(target_train_values(t, ens), want, rtol=1e-12)
 
     def test_label_model_validation(self):
@@ -306,7 +303,7 @@ class TestBiasTerm:
         np.testing.assert_allclose(d.bias, vals.mean(), rtol=1e-10)
         np.testing.assert_allclose(d.bias_se, vals.std(ddof=1) / math.sqrt(3), rtol=1e-10)
         # over the population, E[z z^T] = W^T Lambda W / s
-        W = ens.weights.entries
+        W = ens.weights
         A = np.sqrt(ens.spectrum.eigenvalues)[:, None] * W / math.sqrt(3)
         np.testing.assert_allclose(closed_form(ens, t).bias, float(np.sum((A @ pib) ** 2)),
                                    rtol=1e-10)
@@ -455,14 +452,13 @@ def tiny_misspec_instance(train_cov):
     second moment I = Lambda, so their sample is the population exactly."""
     sp = make_spectrum("custom", 2, eigenvalues=[1.0, 1.0])
     W = sample_weights(2, 1, seed_stream(0))
-    W.entries[:] = np.array([[1.0], [0.0]])
+    W[:] = np.array([[1.0], [0.0]])
     ens = build_ensemble(sp, MODE, np.asarray(train_cov, dtype=float), W)
     t = TargetFunction(mode="unrealizable", beta_star=np.zeros(1),
                        tail_coeffs=np.array([0.0, 1.0]), norm=0.0)
     phi = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    clean = phi @ W.entries
-    tf = TestFeatures(covariates=phi, phi=phi, clean=clean,
-                      predictor=clean, target_rows=clean)
+    clean = phi @ W
+    tf = TestFeatures(phi=phi, clean=clean, predictor=clean, target_rows=clean)
     return ens, t, tf
 
 
@@ -669,7 +665,7 @@ class TestDecompose:
                       target_noise=target_noise)
         E = math.sqrt(0.8) * seed_stream(31, "d").standard_normal((n, trials))
         sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
-        A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(s)
+        A = sqrt_lam[:, None] * ens.weights / math.sqrt(s)
         target_vals = A @ t.beta_star
         if mode == "unrealizable":
             target_vals = target_vals + sqrt_lam * t.tail_coeffs
@@ -732,7 +728,7 @@ class TestDecompose:
         f = svd_factors(ens.design)
         u_hat = f.apply_pinv(target_train_values(t, ens))
         sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
-        A = sqrt_lam[:, None] * ens.weights.entries / math.sqrt(40)
+        A = sqrt_lam[:, None] * ens.weights / math.sqrt(40)
         r = A @ u_hat - A @ t.beta_star - sqrt_lam * t.tail_coeffs
         q = ens.noise_spec.entry_variance
         np.testing.assert_allclose(d.bias + d.misspec, r @ r + q * (u_hat @ u_hat),
@@ -810,7 +806,7 @@ class TestUnrealizableSolves:
         ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=31)
         t = make_target("unrealizable", ens, 1.0, seed_stream(31, "t"))
         sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
-        W = ens.weights.entries
+        W = ens.weights
         # the same draws as make_target, projected by lstsq (SVD-based)
         rng = seed_stream(31, "t")
         rng.standard_normal(s)
