@@ -32,7 +32,7 @@ class BoundInputs:
     sigma_sq: float             # label-noise variance
     trace_Sigma: float
     op_norm_Sigma: float
-    lambda_W: float             # ||W^T W|| or its O(p) surrogate
+    lambda_W: float             # ||W^T W||, its edge surrogate, or nan when not computed
     pi_norm: float              # norm of the row-space defect projector
     beta_norm: float
     delta: float = 0.05
@@ -209,7 +209,9 @@ def bound_report(inputs: BoundInputs, b: float = 1.0, c: float = 1.0) -> BoundRe
     """Evaluate every bound that is defined for the given inputs.
 
     Undefined pieces (missing tail index) are reported as nan rather than
-    raised, so a report can always be produced.
+    raised, so a report can always be produced.  lambda_W may be nan (a sweep
+    row computes it only where it states the bias bound); bias_bound and
+    clean_upper then read nan.
     """
     ks = k_star(inputs.lambda_hat, inputs.sigma0_sq, inputs.n, inputs.a)
     bias = _bias_formula(inputs, b) if ks is not None else float("nan")
@@ -243,8 +245,9 @@ def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: flo
                          rng: np.random.Generator | None = None) -> list[CurvePoint]:
     """Bound-predicted risk curve across a feature-count grid.
 
-    Each s gets sigma0_sq = s**(-alpha), the weight-norm surrogate p, and the
-    projector norm pinned at its worst case 1.  Below the interpolation
+    Each s gets sigma0_sq = s**(-alpha), lambda_W at the Bai-Yin edge
+    (sqrt(p) + sqrt(s))^2 of a Gaussian p x s W's squared top singular value,
+    and the projector norm pinned at its worst case 1.  Below the interpolation
     threshold the bias column is an illustrative out-of-span proxy
     m0 * (n / s), m0 defaulting to 0.1 * sigma_sq; it is marked by the
     classical regime label and is not a stated bound.  Above the threshold the
@@ -266,7 +269,8 @@ def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: flo
         sigma0_sq = noise_energy(alpha, s)
         inputs = BoundInputs(n=n, s=s, p=spectrum.p, lambda_hat=lambda_hat,
                              sigma0_sq=sigma0_sq, sigma_sq=sigma_sq, trace_Sigma=trace,
-                             op_norm_Sigma=op, lambda_W=float(spectrum.p), pi_norm=1.0,
+                             op_norm_Sigma=op,
+                             lambda_W=(math.sqrt(spectrum.p) + math.sqrt(s)) ** 2, pi_norm=1.0,
                              beta_norm=beta_norm, delta=delta, a=a)
         ks = k_star(lambda_hat, sigma0_sq, n, a)
         var = variance_bound(sigma_sq, trace, s, n, c)

@@ -9,6 +9,9 @@ manifest.json instead.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -171,16 +174,21 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     # decompose factored the design; a nonempty null space makes the row-space
     # defect projector an orthogonal projector of norm exactly 1
     null_dim = s - dec.rank
+    # the row states the bias bound only when the tail index exists and the
+    # fit has a null space: the bound speaks about the out-of-span projector,
+    # whose premise is vacuous for an underparameterized fit.  lambda_W
+    # reaches no other column, so the other rows skip its eigensolve
+    states_bias = null_dim > 0 and bounds_mod.k_star(
+        lam_hat, noise_spec.sigma0_sq, n, cfg.a) is not None
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, p=cfg.p, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
         sigma_sq=cfg.sigma_sq, trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
-        lambda_W=_lambda_w(W), pi_norm=1.0 if null_dim > 0 else 0.0,
+        lambda_W=_lambda_w(W) if states_bias else NAN,
+        pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
     report = bounds_mod.bound_report(inputs, b=cfg.bias_multiplier,
                                      c=cfg.variance_multiplier)
-    # the bias bound speaks about the out-of-span projector; without a null
-    # space (underparameterized fit) its premise is vacuous, so report nan
-    bias_bound = report.bias_bound if null_dim > 0 else NAN
+    bias_bound = report.bias_bound if states_bias else NAN
     return SweepRecord(
         s=s, replicate=replicate, sigma0_sq=noise_spec.sigma0_sq,
         k_star=report.k_star,
@@ -202,6 +210,21 @@ def _failed_record(cfg: ExperimentConfig, s_index: int, replicate: int,
                        error=message)
 
 
+@functools.cache
+def _malloc_trim():
+    """The C library's malloc_trim, or None where it has none (glibc has it).
+
+    Looked up on first use through the process's own symbols (POSIX only):
+    ctypes.util.find_library would spawn ldconfig.
+    """
+    if os.name != "posix":
+        return None
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 def _row_task(payload):
     cfg_dict, s_index, replicate = payload
     cfg = ExperimentConfig(**cfg_dict)
@@ -213,6 +236,13 @@ def _row_task(payload):
         record = _failed_record(cfg, s_index, replicate, f"{type(exc).__name__}: {exc}")
         err = record.error
     wall = (time.perf_counter() - start) * 1e3
+    # the cell's arrays are freed now; handing the heap's free pages back
+    # keeps the next cell's resident set independent of the heap that earlier
+    # cells left (else a large W can get a fresh mmap next to tens of MB of
+    # free but resident heap)
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     return s_index, replicate, record, wall, err
 
 
@@ -287,10 +317,16 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through path.tmp, which a failed write or rename removes."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _csv_text(columns, items) -> str:

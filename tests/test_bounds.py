@@ -9,8 +9,10 @@ from noisyrf.bounds import (BoundInputs, bias_bound, bound_report,
                             clean_mnls_bounds, cov_concentration_bound,
                             double_descent_curve, empirical_eigenvalues,
                             k_star, regime_classify, variance_bound)
+from noisyrf.features import sample_weights
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import make_spectrum
+from noisyrf.sweep import _lambda_w
 
 DYADIC32 = 2.0 ** -np.arange(32)
 
@@ -296,9 +298,24 @@ class TestDoubleDescentCurve:
         p = next(q for q in pts if q.s == 1000)
         trace = float(np.sum(sp.eigenvalues))
         s0 = 1000.0 ** -0.5
-        conc = (2000 / 1000) * 1.0 * math.sqrt(math.log(14.0 * trace / 0.05) / 100.0)
+        lambda_w = (math.sqrt(2000) + math.sqrt(1000)) ** 2
+        conc = (lambda_w / 1000) * 1.0 * math.sqrt(math.log(14.0 * trace / 0.05) / 100.0)
         assert p.bias_bound == pytest.approx(conc + math.sqrt(s0) + s0, rel=1e-12)
         assert p.variance_bound == pytest.approx(0.5 * trace * 1000 / 100 ** 2, rel=1e-12)
+
+    def test_lambda_w_is_the_mean_measured_weight_norm(self):
+        # without feature noise the bias column is the concentration term
+        # alone, (lambda_W / s) ||Sigma|| sqrt(log(14 r / delta) / n), so the
+        # curve's lambda_W reads back from it; the edge overshoots the mean
+        # measured ||W||^2 by 1-3% on this grid (Tracy-Widom shift)
+        n, p = 20, 500
+        sp = make_spectrum("polynomial", p, gamma=2.0)
+        op = float(sp.eigenvalues[0])
+        rate = op * math.sqrt(math.log(14.0 * float(np.sum(sp.eigenvalues)) / op / 0.05) / n)
+        for point in double_descent_curve(sp, n, math.inf, 0.5, [30, 100, 300, 1000]):
+            measured = np.mean([_lambda_w(sample_weights(p, point.s, seed_stream(9, point.s, r)))
+                                for r in range(10)])
+            assert point.bias_bound * point.s / rate == pytest.approx(measured, rel=0.04)
 
     def test_empirical_route_is_deterministic(self):
         sp = make_spectrum("polynomial", 200, gamma=2.0)

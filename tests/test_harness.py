@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from noisyrf import bounds as bounds_mod
 from noisyrf import config as config_mod
 from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
@@ -17,7 +19,7 @@ from noisyrf import sweep as sweep_mod
 from noisyrf.cli import main
 from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
                             parse_config, preset_config)
-from noisyrf.features import WEIGHT_BLOCK, sample_weights
+from noisyrf.features import WEIGHT_BLOCK, make_noise_spec, sample_weights
 from noisyrf.seeding import seed_sequence, seed_stream
 from noisyrf.sweep import (AGGREGATE_COLUMNS, CSV_COLUMNS, SweepRecord,
                            _lambda_w, aggregate, aggregate_csv, compute_row,
@@ -438,6 +440,91 @@ class TestSweep:
         assert [math.isnan(r.bias_bound) for r in records] == \
             [r.s <= cfg.n for r in records]
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("target_mode", ["realizable-clean", "unrealizable"])
+    def test_lambda_w_only_in_rows_that_state_the_bias_bound(self, monkeypatch, alpha,
+                                                             target_mode):
+        cfg = parse_config({"n": 20, "p": 200, "s_grid": [10, 50, 100, 150],
+                            "alpha": alpha, "target_mode": target_mode,
+                            "label_redraws": 20, "ensemble_replicates": 1,
+                            "master_seed": 3})
+        evaluated = []
+
+        def counting(W):
+            evaluated.append(W.shape[1])
+            return _lambda_w(W)
+
+        monkeypatch.setattr(sweep_mod, "_lambda_w", counting)
+        records = run_sweep(cfg).records
+        assert all(r.error == "" for r in records)
+        stated = [r.s for r in records if math.isfinite(r.bias_bound)]
+        # unit noise energy makes the tail index exist; at alpha = 0.5 it never does
+        assert stated == ([50, 100, 150] if alpha == 0.0 else [])
+        assert evaluated == stated
+        # the reference: every row's bound report sees the measured lambda_W
+        draws = []
+
+        def keeping(*args, **kwargs):
+            draws.append(sample_weights(*args, **kwargs))
+            return draws[-1]
+
+        def measured(original):
+            def report(inputs, **kwargs):
+                inputs = dataclasses.replace(inputs, lambda_W=_lambda_w(draws[-1]))
+                return original(inputs, **kwargs)
+            return report
+
+        monkeypatch.setattr(sweep_mod, "sample_weights", keeping)
+        monkeypatch.setattr(bounds_mod, "bound_report", measured(bounds_mod.bound_report))
+        assert records_csv(records) == records_csv(run_sweep(cfg).records)
+        assert len(draws) == len(cfg.s_grid)
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_preset_never_states_the_bias_bound(self, seed):
+        # k* needs only each cell's covariates (replicate 0), not W: it exists
+        # for s <= 42 alone, all below n, where the fit has no null space, so
+        # no row of the preset's sweep.csv states the bias bound
+        cfg = preset_config("double-descent-default", {"master_seed": seed})
+        spectrum = sweep_mod._make_spectrum(cfg)
+        with_index = []
+        for s_index, s in enumerate(cfg.s_grid):
+            X = spectral_mod.sample_covariates(
+                cfg.mode, cfg.n, seed_stream(seed, s_index, 0, "covariates"), p=cfg.p)
+            phi = spectral_mod.eigenfeature_matrix(spectrum, cfg.mode, X)
+            lam_hat = spectral_mod.empirical_covariance(phi).eigenvalues[:cfg.n]
+            sigma0_sq = make_noise_spec(cfg.noise_family, cfg.alpha, s).sigma0_sq
+            if bounds_mod.k_star(lam_hat, sigma0_sq, cfg.n, cfg.a) is not None:
+                with_index.append(s)
+        assert with_index == [s for s in cfg.s_grid if s <= 42]
+        assert max(with_index) < cfg.n
+
+    def test_every_cell_trims_the_heap(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(sweep_mod, "_malloc_trim", lambda: trims.append)
+        cfg = small_cfg(ensemble_replicates=2)
+        run_sweep(cfg)
+        assert trims == [0] * 4
+
+    def test_a_libc_without_malloc_trim_is_skipped(self, monkeypatch):
+        cfg = small_cfg()
+        payload = (cfg.to_dict(), 1, 0)
+        want = sweep_mod._row_task(payload)
+
+        class NoTrim:
+            pass
+
+        sweep_mod._malloc_trim.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: NoTrim())
+        try:
+            got = sweep_mod._row_task(payload)
+            assert sweep_mod._malloc_trim() is None
+            result = run_sweep(cfg)
+        finally:
+            sweep_mod._malloc_trim.cache_clear()
+        assert got[:2] == want[:2] and got[4] == want[4] == ""
+        assert records_csv([got[2]]) == records_csv([want[2]])
+        assert result.errors == {} and len(result.records) == 2
+
 
 RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
               "--label-redraws", "30", "--replicates", "1", "--seed", "3"]
@@ -508,6 +595,7 @@ class TestCli:
         monkeypatch.setattr(os, "replace", interrupted)
         assert main(["bounds", *RISK_FLAGS, "--out-dir", str(tmp_path)]) == 1
         assert path.read_text() == "previous curve\n"
+        assert not (tmp_path / "bounds_curve.csv.tmp").exists()
 
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
