@@ -5,6 +5,14 @@ weights: z(x) = W^T phi(x) / sqrt(s) for a p-by-s weight matrix W.  Averaged
 over W, z(x)^T z(y) recovers the kernel.  Feature noise perturbs every sampled
 feature entry independently with variance sigma0^2 / s, where sigma0^2 decays
 with the feature count as s**(-alpha).
+
+A training design sees W only through phi(X) W.  With the thin QR
+phi(X)^T = R T (R p x k orthonormal, k = min(n, p)), that is T^T G for
+G = R^T W, a k x s standard normal matrix; the rest of W, (I - R R^T) W, is a
+Gaussian independent of G.  An ensemble may therefore hold W in one of two
+forms: the dense p x s array, or a `RowSpaceWeights` that keeps only R and G
+and draws W's complement when the one product a cell needs is taken.  Both
+give every quantity of the cell the same law.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, eigenfeature_matrix
+from .spectral import Spectrum
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
 _ROOT3 = math.sqrt(3.0)
@@ -116,15 +124,66 @@ def noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray
     return spec.entry_scale * _unit_variance_draw(spec.family, shape, rng)
 
 
+class RowSpaceWeights:
+    """The p x s weights W held as R and G = R^T W, R an orthonormal basis of
+    the eigenfeature rows' span; W's complement (I - R R^T) W is not drawn
+    until `times` needs it.
+
+    The complement is a Gaussian independent of G, of the covariates and of
+    every later draw of the cell, so `times` can draw it from its own
+    generator and give W [V, e] exactly the law a dense W gives.  It draws
+    once: a second product would need the same complement and raises.
+    """
+
+    # an ndarray on the left of @ defers to this class, which has no
+    # __rmatmul__: phi @ weights raises instead of building an object array
+    __array_ufunc__ = None
+
+    def __init__(self, basis: np.ndarray, coords: np.ndarray,
+                 complement_rng: np.random.Generator):
+        self.basis = basis    # R, (p, k) with orthonormal columns
+        self.coords = coords  # G = R^T W, (k, s)
+        self._complement_rng = complement_rng
+
+    def times(self, V: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """W [V, e] for V (s x r) with orthonormal columns, in the law of a dense W.
+
+        The row-space part is R (G [V, e]).  The complement part is
+        (I - R R^T) W [V, e], whose law given [V, e] is that of
+        (I - R R^T) H T_c for a fresh p x (r+1) standard normal H and any
+        T_c with T_c^T T_c = [V, e]^T [V, e]; with a = V^T e and
+        rho = ||e - V a||, T_c = [[I, a], [0, rho]] in closed form.
+        """
+        rng = self._complement_rng
+        if rng is None:
+            raise RuntimeError("W's complement is already drawn; a second product "
+                               "would not see the same W")
+        self._complement_rng = None
+        R = self.basis
+        a = V.T @ e
+        rho = float(np.linalg.norm(e - V @ a))
+        r = V.shape[1]
+        H = rng.standard_normal((R.shape[0], r + 1))
+        H[:, r] = H[:, :r] @ a + rho * H[:, r]
+        # R G [V, e] + (I - R R^T) H T_c, with one product through R
+        H += R @ (self.coords @ np.column_stack([V, e]) - R.T @ H)
+        return H
+
+
 @dataclass(eq=False)
 class FeatureEnsemble:
     """One training design: the spectrum, the eigenfeature rows phi(X), the
-    weights W, the features Z = phi(X) W / sqrt(s) and the design fit on."""
+    weights W, the features Z = phi(X) W / sqrt(s) and the design fit on.
+
+    `weights` is W as a p x s array, or a RowSpaceWeights whose one product
+    is W [V, e] (see the module docstring); the first is what `make_target`,
+    the unrealizable risk split and lambda_W need.
+    """
 
     spectrum: Spectrum
     mode: str
     phi: np.ndarray      # (n, p)
-    weights: np.ndarray  # (p, s), Fortran-ordered
+    weights: np.ndarray | RowSpaceWeights  # (p, s), Fortran-ordered when an array
     Z: np.ndarray        # (n, s)
     # the matrix the fit uses: Z itself unless noise of positive energy was added
     design: np.ndarray
@@ -143,17 +202,33 @@ class FeatureEnsemble:
         return self.spectrum.p
 
 
-def build_ensemble(spectrum: Spectrum, mode: str, covariates, weights: np.ndarray,
+def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray, weights: np.ndarray,
                    noise_spec: NoiseSpec | None = None,
-                   noise_rng: np.random.Generator | None = None) -> FeatureEnsemble:
-    """Evaluate the eigenfeature map once, then the features and the design."""
-    phi = eigenfeature_matrix(spectrum, mode, covariates)
-    p, s = weights.shape
-    if phi.shape[1] != p:
-        raise ValueError(f"weight rows ({p}) must match eigenfeature dimension ({phi.shape[1]})")
+                   noise_rng: np.random.Generator | None = None, *,
+                   complement_rng: np.random.Generator | None = None) -> FeatureEnsemble:
+    """The features and the design over the eigenfeature rows phi = phi(X), (n, p).
+
+    weights is W, p x s.  With complement_rng it is instead G = R^T W, a
+    min(n, p) x s standard normal draw, where phi^T = R T is the thin QR:
+    then Z = T^T G / sqrt(s) and the ensemble holds RowSpaceWeights(R, G,
+    complement_rng).
+    """
+    p = phi.shape[1]
+    s = weights.shape[1]
     if noise_spec is not None and noise_spec.s != s:
         raise ValueError(f"noise width must equal the feature count s={noise_spec.s}")
-    Z = phi @ weights / math.sqrt(s)
+    if complement_rng is None:
+        if weights.shape[0] != p:
+            raise ValueError(f"weight rows ({weights.shape[0]}) must match eigenfeature "
+                             f"dimension ({p})")
+        Z = phi @ weights / math.sqrt(s)
+    else:
+        basis, tri = np.linalg.qr(phi.T)
+        if weights.shape[0] != basis.shape[1]:
+            raise ValueError(f"row-space weight rows ({weights.shape[0]}) must equal "
+                             f"min(n, p) = {basis.shape[1]}")
+        Z = tri.T @ weights / math.sqrt(s)
+        weights = RowSpaceWeights(basis, weights, complement_rng)
     design = Z
     if noise_spec is not None and noise_spec.sigma0_sq != 0.0:
         if noise_rng is None:

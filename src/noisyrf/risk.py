@@ -10,6 +10,11 @@ conditional-mean coefficients u_hat.  Label noise is integrated in closed form
 or redrawn (monte-carlo); the standard errors then measure the redraw error.
 A materialized test sample (`make_test_features`) is the reference measure
 the tests check the population route against.
+
+A realizable target reads W only as the product W [V, e], so its split also
+runs on row-space weights (`features.RowSpaceWeights`), which draw W's part
+outside the eigenfeature rows' span just for that product.  An unrealizable
+target, and a test sample, need the dense p x s W.
 """
 
 from __future__ import annotations
@@ -281,11 +286,14 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
     g = U^T eps, which adds 2 l.g + g^T Q g to that risk, where K = A V Sigma^-1,
     Q = K^T K + q_p Sigma^-2 with q_p = q_e + q_u, and l = K^T A e +
     Sigma^-1 V^T (q_e e + q_u u_hat).  A is never formed: W @ [V, e] is all
-    the split needs.
+    the split needs, and row-space weights give it from their one draw of
+    W's complement.
     """
     e = u_hat - ref
     sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
-    AC = sqrt_lam[:, None] * (ensemble.weights @ np.column_stack([f.V, e]))
+    W = ensemble.weights
+    AC = W @ np.column_stack([f.V, e]) if isinstance(W, np.ndarray) else W.times(f.V, e)
+    AC *= sqrt_lam[:, None]
     AC /= math.sqrt(ensemble.s)
     K, Ae = AC[:, :f.rank] / f.sv, AC[:, f.rank]
     bias = float(Ae @ Ae) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \

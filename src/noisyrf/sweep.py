@@ -29,8 +29,8 @@ from .estimator import projector_diag  # noqa: F401
 from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
 from .risk import decompose, make_target
 from .seeding import seed_stream
-from .spectral import (empirical_covariance, make_spectrum, population_covariance,
-                       sample_covariates)
+from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
+                       population_covariance, sample_covariates)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
@@ -145,7 +145,16 @@ def _draw_threads(cfg: ExperimentConfig) -> int:
 
 
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
-    """Run the full pipeline for one (feature count, replicate) cell."""
+    """Run the full pipeline for one (feature count, replicate) cell.
+
+    The cell takes one of two routes to its weights, by target mode and tail
+    index alone.  An unrealizable target, or a row where the tail index k*
+    exists (the row may state the bias bound, which needs lambda_W), draws
+    the dense p x s W.  Any other row draws only G = R^T W, min(n, p) x s,
+    R an orthonormal basis of the eigenfeature rows' span; the one product
+    its risk split needs draws W's complement from the `weights-complement`
+    stream.  Both routes give the row the same law (features module).
+    """
     seed = cfg.master_seed
     s = cfg.s_grid[s_index]
     n = cfg.n
@@ -157,19 +166,27 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     rng_risk = seed_stream(seed, s_index, replicate, "risk")
 
     X = sample_covariates(cfg.mode, n, rng_x, p=cfg.p)
-    W = sample_weights(cfg.p, s, rng_w, threads=_draw_threads(cfg))
-    noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
-    ensemble = build_ensemble(spectrum, cfg.mode, X, W, noise_spec, rng_noise)
-    # the ensemble keeps phi(X) and X is not read again; held to the end of
-    # the cell, it left the preset's peak RSS ~5 MB higher (glibc heap)
+    phi = eigenfeature_matrix(spectrum, cfg.mode, X)
+    # X is not read again; freed before the weights are drawn, so no cell
+    # holds it next to W
     del X
+    lam_hat = empirical_covariance(phi).eigenvalues[:n]
+    noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
+    k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
+    if cfg.target_mode == "unrealizable" or k_star is not None:
+        rows, rng_complement = cfg.p, None
+    else:
+        rows = min(n, cfg.p)
+        rng_complement = seed_stream(seed, s_index, replicate, "weights-complement")
+    weights = sample_weights(rows, s, rng_w, threads=_draw_threads(cfg))
+    ensemble = build_ensemble(spectrum, cfg.mode, phi, weights, noise_spec, rng_noise,
+                              complement_rng=rng_complement)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
     dec = decompose(ensemble, target, cfg.sigma_sq, None,
                     cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise, method=cfg.method)
 
-    lam_hat = empirical_covariance(ensemble.phi).eigenvalues[:n]
     pop = population_covariance(spectrum)
     # decompose factored the design; a nonempty null space makes the row-space
     # defect projector an orthogonal projector of norm exactly 1
@@ -177,13 +194,13 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     # the row states the bias bound only when the tail index exists and the
     # fit has a null space: the bound speaks about the out-of-span projector,
     # whose premise is vacuous for an underparameterized fit.  lambda_W
-    # reaches no other column, so the other rows skip its eigensolve
-    states_bias = null_dim > 0 and bounds_mod.k_star(
-        lam_hat, noise_spec.sigma0_sq, n, cfg.a) is not None
+    # reaches no other column, so the other rows skip its eigensolve.  A row
+    # with k* took the dense route, so it holds the W that lambda_W needs
+    states_bias = null_dim > 0 and k_star is not None
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, p=cfg.p, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
         sigma_sq=cfg.sigma_sq, trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
-        lambda_W=_lambda_w(W) if states_bias else NAN,
+        lambda_W=_lambda_w(ensemble.weights) if states_bias else NAN,
         pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
     report = bounds_mod.bound_report(inputs, b=cfg.bias_multiplier,
@@ -372,9 +389,16 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
         "seed_scheme": "seed_stream(master_seed, s_index, replicate, purpose); "
-                       "purposes: covariates, weights, feature-noise, target, risk; "
+                       "purposes: covariates, weights, weights-complement, feature-noise, "
+                       "target, risk; "
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
-                       "child j of the weights stream's seed sequence (spawn order)",
+                       "child j of the weights stream's seed sequence (spawn order); "
+                       "unrealizable targets and rows where the tail index k* exists "
+                       "draw the p x s W there, every other row draws only G = R^T W "
+                       "(min(n, p) rows, the same column blocks; R an orthonormal basis "
+                       "of the eigenfeature rows' span, from the thin QR of phi^T) and "
+                       "takes W's complement for its risk split from weights-complement "
+                       "as one p x (rank + 1) standard normal draw",
         "grid": list(cfg.s_grid),
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,

@@ -41,7 +41,8 @@ def _poly_lab(n, s, p, seed, alpha=None):
     W = sample_weights(p, s, seed_stream(seed, "w"))
     spec = (make_noise_spec("gaussian", math.inf, s) if alpha is None
             else make_noise_spec("gaussian", alpha, s))
-    ens = build_ensemble(spectrum, MODE, X, W, spec, seed_stream(seed, "noise"))
+    ens = build_ensemble(spectrum, MODE, eigenfeature_matrix(spectrum, MODE, X), W, spec,
+                         seed_stream(seed, "noise"))
     return spectrum, X, W, ens
 
 

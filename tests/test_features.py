@@ -62,7 +62,8 @@ class TestFeatureMatrix:
         sp = make_spectrum("custom", 3, eigenvalues=[1.0, 0.5, 0.25])
         W = sample_weights(3, 1, seed_stream(5))
         x = sample_covariates("eigencoordinate", 4, seed_stream(6), p=3)
-        Z = build_ensemble(sp, "eigencoordinate", x, W).Z
+        Z = build_ensemble(sp, "eigencoordinate",
+                           eigenfeature_matrix(sp, "eigencoordinate", x), W).Z
         phi = eigenfeature_matrix(sp, "eigencoordinate", x)
         np.testing.assert_allclose(Z, phi @ W, rtol=1e-14)
 
@@ -71,7 +72,8 @@ class TestFeatureMatrix:
         W = sample_weights(4, 2, seed_stream(5))
         x = sample_covariates("eigencoordinate", 4, seed_stream(6), p=3)
         with pytest.raises(ValueError):
-            build_ensemble(sp, "eigencoordinate", x, W)
+            build_ensemble(sp, "eigencoordinate", eigenfeature_matrix(sp, "eigencoordinate", x),
+                           W)
 
     def test_kernel_consistency_monte_carlo(self):
         # E_W[(Z Z^T)_{12}] equals the kernel value between the two points
@@ -82,7 +84,7 @@ class TestFeatureMatrix:
         vals = np.empty(2000)
         for i in range(2000):
             W = sample_weights(6, 20, rng)
-            Z = build_ensemble(sp, "fourier", x, W).Z
+            Z = build_ensemble(sp, "fourier", eigenfeature_matrix(sp, "fourier", x), W).Z
             vals[i] = Z[0] @ Z[1]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - want) <= 3 * se
@@ -96,7 +98,7 @@ class TestFeatureMatrix:
             vals = np.empty(1500)
             for i in range(1500):
                 W = sample_weights(5, s, rng)
-                Z = build_ensemble(sp, "fourier", x, W).Z
+                Z = build_ensemble(sp, "fourier", eigenfeature_matrix(sp, "fourier", x), W).Z
                 vals[i] = Z[0] @ Z[1]
             means.append(vals.mean())
             ses.append(vals.std(ddof=1) / math.sqrt(vals.size))
@@ -115,7 +117,7 @@ class TestFeatureMatrix:
                 vals = np.empty(resamples)
                 for i in range(resamples):
                     W = sample_weights(4, 10, rng)
-                    Z = build_ensemble(sp, "fourier", x, W).Z
+                    Z = build_ensemble(sp, "fourier", eigenfeature_matrix(sp, "fourier", x), W).Z
                     vals[i] = Z[0] @ Z[1]
                 errs.append(abs(vals.mean() - want))
             return float(np.mean(errs))
@@ -164,7 +166,8 @@ class TestInjectNoise:
         # a noiseless spec needs no generator and leaves the design clean
         sp = make_spectrum("polynomial", 5, gamma=2.0)
         x = sample_covariates("eigencoordinate", 3, seed_stream(1), p=5)
-        ens = build_ensemble(sp, "eigencoordinate", x, sample_weights(5, 4, seed_stream(2)), spec)
+        ens = build_ensemble(sp, "eigencoordinate", eigenfeature_matrix(sp, "eigencoordinate", x),
+                             sample_weights(5, 4, seed_stream(2)), spec)
         np.testing.assert_array_equal(ens.design, ens.Z)
         assert ens.design is ens.Z
 
@@ -174,7 +177,8 @@ class TestInjectNoise:
         x = sample_covariates("eigencoordinate", 6, seed_stream(1), p=5)
         W = sample_weights(5, 5, seed_stream(3))
         spec = make_noise_spec("uniform", 0.3, 5)
-        ens = build_ensemble(sp, "eigencoordinate", x, W, spec, seed_stream(2))
+        ens = build_ensemble(sp, "eigencoordinate", eigenfeature_matrix(sp, "eigencoordinate", x),
+                             W, spec, seed_stream(2))
         Xi = noise_matrix(spec, ens.Z.shape, seed_stream(2))
         np.testing.assert_array_equal(ens.design, ens.Z + Xi)
 
@@ -209,7 +213,8 @@ class TestInjectNoise:
         sp = make_spectrum("polynomial", 5, gamma=2.0)
         x = sample_covariates("eigencoordinate", 3, seed_stream(1), p=5)
         with pytest.raises(ValueError, match="noise width"):
-            build_ensemble(sp, "eigencoordinate", x, sample_weights(5, 9, seed_stream(2)),
+            build_ensemble(sp, "eigencoordinate", eigenfeature_matrix(sp, "eigencoordinate", x),
+                           sample_weights(5, 9, seed_stream(2)),
                            make_noise_spec("gaussian", math.inf, 8))
 
 
@@ -219,7 +224,9 @@ class TestEnsemble:
         x = sample_covariates("eigencoordinate", 7, seed_stream(30), p=5)
         W = sample_weights(5, 9, seed_stream(31))
         spec = make_noise_spec("gaussian", 0.5, 9)
-        return build_ensemble(sp, "eigencoordinate", x, W, spec, seed_stream(32))
+        return build_ensemble(sp, "eigencoordinate",
+                              eigenfeature_matrix(sp, "eigencoordinate", x), W, spec,
+                              seed_stream(32))
 
     def test_recompute_bit_exact(self):
         # the stored eigenfeature rows and weights rebuild Z bit for bit
@@ -235,7 +242,23 @@ class TestEnsemble:
         sp = make_spectrum("polynomial", 5, gamma=2.0)
         x = sample_covariates("eigencoordinate", 7, seed_stream(30), p=5)
         W = sample_weights(5, 9, seed_stream(31))
-        ens = build_ensemble(sp, "eigencoordinate", x, W)
+        ens = build_ensemble(sp, "eigencoordinate", eigenfeature_matrix(sp, "eigencoordinate", x),
+                             W)
         assert ens.noise_spec is None
         np.testing.assert_array_equal(ens.design, ens.Z)
         assert ens.design is ens.Z
+
+    def test_row_space_features(self):
+        # Z = T^T G / sqrt(s) is phi W / sqrt(s) for every W whose part in the
+        # eigenfeature rows' span is R G; G has min(n, p) rows
+        sp = make_spectrum("polynomial", 9, gamma=2.0)
+        x = sample_covariates("eigencoordinate", 4, seed_stream(40), p=9)
+        phi = eigenfeature_matrix(sp, "eigencoordinate", x)
+        G = sample_weights(4, 7, seed_stream(41))
+        ens = build_ensemble(sp, "eigencoordinate", phi, G, complement_rng=seed_stream(42))
+        R = ens.weights.basis
+        np.testing.assert_allclose(R.T @ R, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(ens.Z, phi @ (R @ G) / math.sqrt(7), rtol=1e-12, atol=1e-14)
+        with pytest.raises(ValueError, match="min\\(n, p\\)"):
+            build_ensemble(sp, "eigencoordinate", phi, sample_weights(9, 7, seed_stream(41)),
+                           complement_rng=seed_stream(42))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from noisyrf import sweep as sweep_mod
 from noisyrf.cli import main
 from noisyrf.config import (PRESETS, ExperimentConfig, ValidationError,
                             parse_config, preset_config)
-from noisyrf.features import WEIGHT_BLOCK, make_noise_spec, sample_weights
+from noisyrf.features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
 from noisyrf.seeding import seed_sequence, seed_stream
 from noisyrf.sweep import (AGGREGATE_COLUMNS, CSV_COLUMNS, SweepRecord,
                            _lambda_w, aggregate, aggregate_csv, compute_row,
@@ -94,7 +95,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "5",
+        manifest = {"artifact_version": "6",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -108,7 +109,7 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'5'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'6'" in str(exc.value)
 
     def test_version_3_manifest_gets_the_version_error(self):
         # a version "3" config block still holds the retired lower_multiplier;
@@ -119,7 +120,7 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '5'; "
+            "manifest artifact_version '3' does not match this code's '6'; "
             "its draws would differ"]
 
     def test_overrides_win(self):
@@ -222,6 +223,21 @@ def draw_threads_seen(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def weight_shapes(monkeypatch):
+    """The (rows, s) shape of every weight draw the sweep makes: p rows for
+    the dense W, min(n, p) for the row-space G."""
+    shapes = []
+    inner = sweep_mod.sample_weights
+
+    def recording(rows, s, rng, **kwargs):
+        shapes.append((rows, s))
+        return inner(rows, s, rng, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "sample_weights", recording)
+    return shapes
+
+
 class TestSweep:
     def test_compute_row_fields(self):
         cfg = small_cfg()
@@ -253,9 +269,12 @@ class TestSweep:
         b = records_csv(run_sweep(cfg).records)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = small_cfg(ensemble_replicates=2, label_redraws=20)
+    def test_worker_count_does_not_change_results(self, weight_shapes):
+        # no cell has a tail index at alpha = 0.5, so all take the row-space
+        # route; at s = 600, G = R^T W spans three weight blocks
+        cfg = small_cfg(ensemble_replicates=2, label_redraws=20, s_grid=[6, 20, 600])
         serial = records_csv(run_sweep(cfg).records)
+        assert sorted(set(weight_shapes)) == [(cfg.n, 6), (cfg.n, 20), (cfg.n, 600)]
         parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
         assert serial == parallel
 
@@ -267,15 +286,20 @@ class TestSweep:
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
         assert records_csv(serial) == records_csv(parallel)
 
-    def test_draw_threads_do_not_change_rows(self, monkeypatch, draw_threads_seen):
-        # s = 600 draws W in three column blocks
-        cfg = small_cfg(s_grid=[600])
-        rows = []
-        for threads in (1, 2):
-            monkeypatch.setattr(sweep_mod, "_draw_threads", lambda cfg, t=threads: t)
-            rows.append(records_csv([compute_row(cfg, 0, 0)]))
-        assert draw_threads_seen == [1, 2]
-        assert rows[0] == rows[1]
+    def test_draw_threads_do_not_change_rows(self, monkeypatch, draw_threads_seen,
+                                             weight_shapes):
+        # s = 600 draws its weights in three column blocks: the dense p x s W
+        # where the tail index exists (alpha = 0), G = R^T W with min(n, p)
+        # rows where it does not (alpha = 0.5)
+        for alpha in (0.0, 0.5):
+            cfg = small_cfg(s_grid=[600], alpha=alpha)
+            rows = []
+            for threads in (1, 2):
+                monkeypatch.setattr(sweep_mod, "_draw_threads", lambda cfg, t=threads: t)
+                rows.append(records_csv([compute_row(cfg, 0, 0)]))
+            assert rows[0] == rows[1]
+        assert draw_threads_seen == [1, 2] * 2
+        assert weight_shapes == [(cfg.p, 600)] * 2 + [(cfg.n, 600)] * 2
 
     def test_pool_is_never_wider_than_the_grid(self, monkeypatch, draw_threads_seen):
         # a stub executor records the pool size and maps in this process, so
@@ -308,6 +332,57 @@ class TestSweep:
         threads.clear()
         run_sweep(dataclasses.replace(cfg, workers=3))
         assert sizes[-1] == 3 and threads == [2] * 4
+
+    @pytest.mark.parametrize("target_mode,alpha", [
+        ("unrealizable", 0.5), ("realizable-clean", 0.0), ("realizable-clean", 0.5)])
+    def test_dense_route_cells_equal_a_hand_assembled_cell(self, weight_shapes, target_mode,
+                                                          alpha):
+        # an unrealizable cell and one with a tail index (alpha = 0) draw the
+        # dense W, bit for bit as a pipeline assembled by hand; a realizable
+        # cell without one (alpha = 0.5) takes the row-space route instead
+        cfg = small_cfg(target_mode=target_mode, alpha=alpha)
+        seed, s_index, s = cfg.master_seed, 1, cfg.s_grid[1]
+
+        def stream(purpose):
+            return seed_stream(seed, s_index, 0, purpose)
+
+        spectrum = sweep_mod._make_spectrum(cfg)
+        phi = spectral_mod.eigenfeature_matrix(
+            spectrum, cfg.mode, spectral_mod.sample_covariates(cfg.mode, cfg.n,
+                                                               stream("covariates"), p=cfg.p))
+        spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
+        ens = build_ensemble(spectrum, cfg.mode, phi, sample_weights(cfg.p, s, stream("weights")),
+                             spec, stream("feature-noise"))
+        target = risk_mod.make_target(cfg.target_mode, ens, cfg.target_norm, stream("target"),
+                                      tail_energy=cfg.tail_energy)
+        d = risk_mod.decompose(ens, target, cfg.sigma_sq, None, cfg.label_redraws,
+                               stream("risk"), clean_test=cfg.clean_test,
+                               target_noise=cfg.target_noise, method=cfg.method)
+        rec = compute_row(cfg, s_index, 0)
+        dense = target_mode == "unrealizable" or alpha == 0.0
+        assert weight_shapes == [(cfg.p if dense else cfg.n, s)]
+        got = (rec.B, rec.B_se, rec.V, rec.V_se, rec.M, rec.M_se, rec.R, rec.R_se)
+        want = (d.bias, d.bias_se, d.variance, d.variance_se, d.misspec, d.misspec_se,
+                d.total, d.total_se)
+        assert (got == want) == dense
+
+    def test_row_space_cell_never_holds_a_p_by_s_array(self, weight_shapes):
+        # a preset-sized cell without a tail index: its traced peak stays
+        # below half of one p x s float64 array (the dense route holds W)
+        cfg = preset_config("double-descent-default",
+                            {"master_seed": 7, "s_grid": [10000], "ensemble_replicates": 1})
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rec = compute_row(cfg, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert weight_shapes == [(cfg.n, 10000)] and rec.k_star is None
+        assert peak < 0.5 * 8 * cfg.p * 10000, peak
 
     def test_row_failure_captured_not_raised(self):
         # unrealizable targets need p > s; the second grid entry violates
@@ -353,9 +428,9 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "5"
+        assert manifest["artifact_version"] == "6"
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "5"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "6"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -622,6 +697,24 @@ class TestCli:
         assert main(["sweep", "--config", str(manifest), "--out-dir", str(replay)]) == 0
         assert manifest.read_bytes() == source
         assert (replay / "sweep.csv").read_bytes() == (run / "sweep.csv").read_bytes()
+
+    def test_version_5_manifest_is_refused_on_replay(self, tmp_path, capsys):
+        # version "5" rows drew every cell's dense W; this code draws only the
+        # eigenfeature rows' span where no tail index exists
+        run = tmp_path / "run"
+        argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
+                "--label-redraws", "20", "--replicates", "1", "--seed", "3",
+                "--out-dir", str(run)]
+        assert main(argv) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["artifact_version"] = "5"
+        old = tmp_path / "v5.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        replay = tmp_path / "replay"
+        assert main(["sweep", "--config", str(old), "--out-dir", str(replay)]) == 1
+        assert "'5' does not match this code's '6'" in capsys.readouterr().err
+        assert not replay.exists()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6",

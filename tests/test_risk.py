@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -10,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
-from noisyrf.features import build_ensemble, make_noise_spec, sample_weights
+from noisyrf.features import RowSpaceWeights, build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import (TargetFunction, TestFeatures, decompose, make_target,
                           make_test_features, target_train_values)
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import make_spectrum, sample_covariates
+from noisyrf.spectral import eigenfeature_matrix, make_spectrum, sample_covariates
 
 MODE = "eigencoordinate"
 
@@ -38,7 +40,8 @@ def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
     if alpha is not None:
         spec = make_noise_spec(family, alpha, s)
         rng = seed_stream(seed, "noise")
-    return build_ensemble(spectrum, mode, X, W, noise_spec=spec, noise_rng=rng)
+    return build_ensemble(spectrum, mode, eigenfeature_matrix(spectrum, mode, X), W,
+                          noise_spec=spec, noise_rng=rng)
 
 
 def identity_ensemble(X):
@@ -48,7 +51,8 @@ def identity_ensemble(X):
     s = X.shape[1]
     W = sample_weights(s, s, seed_stream(0))
     W[:] = math.sqrt(s) * np.eye(s)
-    return build_ensemble(make_spectrum("custom", s, eigenvalues=[1.0] * s), MODE, X, W)
+    sp = make_spectrum("custom", s, eigenvalues=[1.0] * s)
+    return build_ensemble(sp, MODE, eigenfeature_matrix(sp, MODE, X), W)
 
 
 def rows_sample(rows):
@@ -76,6 +80,14 @@ def preset_cell(monkeypatch, s, seed=7, replicate=0):
         with pytest.raises(_Captured) as exc:
             sweep_mod.compute_row(cfg, cfg.s_grid.index(s), replicate)
     return exc.value.args
+
+
+def decompose_cell(args, rng, **kwargs):
+    """decompose on a cell captured by preset_cell, with rng for the label
+    redraws.  Each call gets its own copy of the cell's weights: row-space
+    weights draw W's complement once, and every copy draws the same one."""
+    ens = dataclasses.replace(args[0], weights=copy.deepcopy(args[0].weights))
+    return decompose(ens, *args[1:5], rng, **kwargs)
 
 
 def quadratic_oracle(Z, rows):
@@ -453,7 +465,8 @@ def tiny_misspec_instance(train_cov):
     sp = make_spectrum("custom", 2, eigenvalues=[1.0, 1.0])
     W = sample_weights(2, 1, seed_stream(0))
     W[:] = np.array([[1.0], [0.0]])
-    ens = build_ensemble(sp, MODE, np.asarray(train_cov, dtype=float), W)
+    ens = build_ensemble(sp, MODE,
+                         eigenfeature_matrix(sp, MODE, np.asarray(train_cov, dtype=float)), W)
     t = TargetFunction(mode="unrealizable", beta_star=np.zeros(1),
                        tail_coeffs=np.array([0.0, 1.0]), norm=0.0)
     phi = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
@@ -511,7 +524,7 @@ class TestMisspecTerm:
             for seed in range(20):
                 X = sample_covariates(MODE, 64, seed_stream(seed, "cov", s), p=p)
                 W = sample_weights(p, s, seed_stream(seed, "w", s))
-                ens = build_ensemble(sp, MODE, X, W)
+                ens = build_ensemble(sp, MODE, eigenfeature_matrix(sp, MODE, X), W)
                 t = TargetFunction(mode="unrealizable", beta_star=np.zeros(s),
                                    tail_coeffs=c, norm=0.0)
                 tots.append(closed_form(ens, t).misspec)
@@ -647,7 +660,7 @@ class TestDecompose:
         # every singular value, so scaling it 100x either way moves nothing
         args, kwargs = preset_cell(monkeypatch, s)
         rtol = default_rtol(100, s)
-        runs = [decompose(*args[:5], seed_stream(7, "peak"), **dict(kwargs, rtol=rtol * k))
+        runs = [decompose_cell(args, seed_stream(7, "peak"), **dict(kwargs, rtol=rtol * k))
                 for k in (1.0, 0.01, 100.0)]
         assert runs[0].rank == min(100, s)
         for d in runs[1:]:
@@ -684,7 +697,7 @@ class TestDecompose:
         # one preset cell, many label-redraw seeds: the spread of R across
         # seeds is what R_se claims it is
         args, kwargs = preset_cell(monkeypatch, 75)
-        runs = [decompose(*args[:5], seed_stream(k, "redraw"), **kwargs) for k in range(40)]
+        runs = [decompose_cell(args, seed_stream(k, "redraw"), **kwargs) for k in range(40)]
         spread = float(np.std([d.total for d in runs], ddof=1))
         ratio = spread / float(np.median([d.total_se for d in runs]))
         assert 0.6 <= ratio <= 1.6, ratio
@@ -866,3 +879,98 @@ class TestUnrealizableSolves:
         assert [what for what, _ in events] == ["input", "factor"] * 2
         for (_, peak), buffer in zip(events[::2], buffers):
             assert peak <= 2.25 * buffer, (peak / buffer)
+
+
+def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode):
+    """(B, V, R) of one closed-form cell whose weights take `route`: the dense
+    p x s W, or G = R^T W with W's complement drawn by the risk split.  Its
+    draws come from the streams seed_stream(*key, purpose)."""
+    spectrum = make_spectrum("polynomial", p, gamma=2.0)
+    phi = eigenfeature_matrix(spectrum, mode,
+                              sample_covariates(mode, n, seed_stream(*key, "cov"), p=p))
+    spec = make_noise_spec(family, 0.5, s)
+    if route == "dense":
+        W = sample_weights(p, s, seed_stream(*key, "w"))
+        ens = build_ensemble(spectrum, mode, phi, W, spec, seed_stream(*key, "noise"))
+    else:
+        G = sample_weights(min(n, p), s, seed_stream(*key, "w"))
+        ens = build_ensemble(spectrum, mode, phi, G, spec, seed_stream(*key, "noise"),
+                             complement_rng=seed_stream(*key, "wc"))
+    t = make_target(target_mode, ens, 1.0, seed_stream(*key, "t"))
+    d = decompose(ens, t, 0.5, None, 2, seed_stream(*key, "d"), clean_test=clean_test,
+                  method="closed-form")
+    return d.bias, d.variance, d.total
+
+
+# |z| bound on the difference of the two routes' sample means of B, V and R
+LAW_Z = 4.0
+LAW_DRAWS = 300
+# (target mode, clean_test, noise family, covariate mode): each level of each
+# factor appears at least once
+LAW_CASES = [("realizable-clean", False, "gaussian", "eigencoordinate"),
+             ("realizable-noisy", True, "rademacher", "fourier"),
+             ("realizable-noisy", False, "rademacher", "eigencoordinate"),
+             ("realizable-clean", True, "gaussian", "fourier")]
+
+
+class TestRowSpaceRoute:
+    """Weights held in the eigenfeature rows' span against the dense W."""
+
+    @staticmethod
+    def _assert_same_law(n, p, s, case):
+        # two independent samples: every draw of either route has its own seed
+        samples = {route: np.array([law_cell(route, (11, route, n, p, s, *case, i), n, p, s,
+                                             *case) for i in range(LAW_DRAWS)])
+                   for route in ("dense", "row-space")}
+        a, b = samples["dense"], samples["row-space"]
+        se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+        z = (b.mean(axis=0) - a.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= LAW_Z), dict(zip("BVR", z))
+
+    @pytest.mark.parametrize("s", [10, 40, 200])
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_same_law_as_dense(self, case, s):
+        self._assert_same_law(20, 60, s, case)
+
+    @pytest.mark.parametrize("s", [10, 40, 200])
+    def test_same_law_as_dense_with_p_below_n(self, s):
+        # k = p: the basis spans every eigendirection and the complement is empty
+        self._assert_same_law(20, 12, s, LAW_CASES[0])
+
+    def test_product_has_the_dense_second_moments(self):
+        # for a fixed G and C = [V, e]: R^T (W C) = G C to rounding, and the
+        # complement part M = (I - R R^T) W C has E[M^T M] = (p - k) C^T C
+        n, p, s, r, draws = 6, 30, 40, 4, 4000
+        phi = seed_stream(1, "phi").standard_normal((n, p))
+        G = sample_weights(n, s, seed_stream(1, "g"))
+        V = np.linalg.qr(seed_stream(1, "v").standard_normal((s, r)))[0]
+        e = V @ seed_stream(1, "a").standard_normal(r) \
+            + 0.5 * seed_stream(1, "e").standard_normal(s)
+        C = np.column_stack([V, e])
+        rng = seed_stream(1, "complement")
+        R = build_ensemble(make_spectrum("polynomial", p, gamma=2.0), MODE, phi, G,
+                           complement_rng=rng).weights.basis
+        gram = np.zeros((r + 1, r + 1))
+        for _ in range(draws):
+            WC = RowSpaceWeights(R, G, rng).times(V, e)
+            np.testing.assert_allclose(R.T @ WC, G @ C, rtol=1e-10, atol=1e-10)
+            M = WC - R @ (G @ C)
+            gram += M.T @ M
+        # Wishart entries: var((M^T M)_ij) = (p - k) (S_ij^2 + S_ii S_jj), S = C^T C
+        S = C.T @ C
+        se = np.sqrt((p - n) * (S ** 2 + np.outer(np.diag(S), np.diag(S))) / draws)
+        assert np.all(np.abs(gram / draws - (p - n) * S) <= LAW_Z * se)
+
+    def test_second_product_raises(self):
+        ens = build_ensemble(make_spectrum("polynomial", 30, gamma=2.0), MODE,
+                             seed_stream(2, "phi").standard_normal((6, 30)),
+                             sample_weights(6, 40, seed_stream(2, "g")),
+                             complement_rng=seed_stream(2, "complement"))
+        V = np.linalg.qr(seed_stream(2, "v").standard_normal((40, 3)))[0]
+        e = seed_stream(2, "e").standard_normal(40)
+        ens.weights.times(V, e)
+        with pytest.raises(RuntimeError, match="already drawn"):
+            ens.weights.times(V, e)
+        # nor can a test sample, which needs the dense W
+        with pytest.raises(TypeError):
+            make_test_features(ens, 5, seed_stream(2, "tf"))
