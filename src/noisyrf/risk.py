@@ -15,6 +15,14 @@ A realizable target reads W only as the product W [V, e], so its split also
 runs on row-space weights (`features.RowSpaceWeights`), which draw W's part
 outside the eigenfeature rows' span just for that product.  An unrealizable
 target, and a test sample, need the dense p x s W.
+
+An unrealizable target's tail is orthogonal to the feature span in the
+population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
+feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
++ q_p ||w||^2 plus the tail's energy.  Its best in-span fit b* is the ridge
+fit with penalty q_p, and `make_target` solves it from the triangle S of its
+own QR sqrt(Lambda) W = Q S, since A^T A = S^T S / s; `decompose` reads it
+off the target.
 """
 
 from __future__ import annotations
@@ -42,13 +50,23 @@ class TargetFunction:
                        noise on training points
     unrealizable     : adds an eigenfeature component orthogonal (in the
                        population inner product) to everything the sampled
-                       features can express
+                       features can express: W^T Lambda tail_coeffs = 0
+
+    An unrealizable target drawn on a noisy ensemble also carries its best
+    in-span fit at the ensemble's feature-noise entry variance fit_q:
+    b_star minimizes ||A (w - beta_star)||^2 + fit_q ||w||^2 over w, with
+    A = sqrt(Lambda) W / sqrt(s), and rho_sq is that minimum.  Without
+    feature noise b_star is beta_star itself, so it is left None and rho_sq
+    is 0.
     """
 
     mode: str
     beta_star: np.ndarray
     tail_coeffs: np.ndarray | None
     norm: float
+    b_star: np.ndarray | None = None
+    rho_sq: float = 0.0
+    fit_q: float = 0.0
 
 
 @dataclass(eq=False)
@@ -76,7 +94,10 @@ class RiskDecomposition:
     in-span fit b*: b* = beta_star for a realizable target, whose misspec is
     0; for an unrealizable target b* minimizes the population risk over the
     feature span, and misspec is that minimum, the target's population
-    distance from the span.  variance is the label-noise variance.
+    distance from the span.  That b* is the ridge fit at the test points'
+    feature-noise variance, the one `make_target` stored on the target, or
+    beta_star on clean test features; misspec is the tail's energy plus the
+    fit's in-span risk.  variance is the label-noise variance.
 
     Over the population the split is exact: in closed form total = bias +
     variance + misspec to rounding and every se is 0.  Monte-carlo replaces
@@ -98,26 +119,35 @@ class RiskDecomposition:
     rank: int    # numerical rank of the design in the factorization the split used
 
 
-def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float]:
+def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     """Least squares of y on X by one Householder QR of aug = [X | y].
 
-    fill writes the m x k matrix X and the m-vector y into a zeroed m x (k+1)
-    array.  With aug = Q [R, r; 0, rho], the coefficients x minimizing
-    ||X x - y|| solve R x = r and the minimum is rho^2; returns (x, rho^2).
-    numpy's raw QR hands back R^T in a Fortran array whose first columns are
-    contiguous, so the triangular solve reads it in place: no triangle is
-    copied out.  Raises LinAlgError when R has a zero on its diagonal.
+    fill writes the m x k matrix X and the m-vector y into a zeroed,
+    Fortran-ordered m x (k+1) array.  With aug = Q [R, r; 0, rho], the
+    coefficients x minimizing ||X x - y|| solve R x = r and the minimum is
+    rho^2; returns (x, rho^2, factor).  numpy's raw QR of a Fortran array
+    hands back the transpose of LAPACK's Fortran output, whose first k
+    columns are contiguous, so the triangular solve reads R there in place:
+    no triangle is copied out.  factor is those m x k columns, R on and
+    above the diagonal of the top k rows and Householder vectors below it.
+    As a view it keeps the whole QR output alive, so a caller that does not
+    read R drops it; `make_target` reads it to refine its projection and to
+    solve an unrealizable target's best in-span fit.  Fortran order also
+    makes the fill from a Fortran-ordered W and numpy's copies of aug into
+    LAPACK's buffer straight column copies.  Raises LinAlgError when R has
+    a zero on its diagonal.
     """
-    aug = np.zeros((m, k + 1))
+    aug = np.zeros((m, k + 1), order="F")
     fill(aug)
     h, _ = np.linalg.qr(aug, mode="raw")
     # released before h, so the allocator can return both at once; freed the
     # other way round, aug stayed resident as heap in every later sweep
     del aug
-    x, info = dtrtrs(h[:, :k], h[k, :k], lower=1, trans=1)
+    out = h.T
+    x, info = dtrtrs(out[:, :k], out[:k, k], lower=0)
     if info > 0:
         raise np.linalg.LinAlgError("least-squares matrix is rank deficient")
-    return x, float(h[k, k] ** 2)
+    return x, float(out[k, k] ** 2), out[:, :k]
 
 
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
@@ -127,7 +157,11 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
 
     The component is a gaussian draw with its feature-span part projected
     out; a draw whose remainder is rounding (the span holds every direction
-    the spectrum gives energy to) is refused with a ValueError."""
+    the spectrum gives energy to) is refused with a ValueError.  On a noisy
+    ensemble the unrealizable target also gets its best in-span fit (see
+    TargetFunction) from the projection's own factor sqrt(Lambda) W = Q S,
+    by one QR of the 2s x (s+1) stack [S, S beta_star; sqrt(q s) I, 0] /
+    sqrt(s), q the feature-noise entry variance."""
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
     if norm <= 0:
@@ -135,39 +169,65 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     s = ensemble.s
     v = rng.standard_normal(s)
     beta = norm * v / np.linalg.norm(v)
-    tail = None
     if mode == "realizable-noisy" and ensemble.noise_spec is None:
         raise ValueError("realizable-noisy target needs an ensemble with injected noise")
-    if mode == "unrealizable":
-        p = ensemble.p
-        if p <= s:
-            raise ValueError("unrealizable target needs p > s so something lies outside the span")
-        if tail_energy <= 0:
-            raise ValueError("tail_energy must be positive")
-        lam = ensemble.spectrum.eigenvalues
-        sqrt_lam = np.sqrt(lam)
-        c = rng.standard_normal(p)
-        # remove the part of c the features can express, in the population
-        # inner product <u, v> = sum_i lambda_i u_i v_i: least squares of
-        # sqrt(Lambda) c on sqrt(Lambda) W
-        W = ensemble.weights
-        y = sqrt_lam * c
+    if mode != "unrealizable":
+        return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=None, norm=norm)
+    p = ensemble.p
+    if p <= s:
+        raise ValueError("unrealizable target needs p > s so something lies outside the span")
+    if tail_energy <= 0:
+        raise ValueError("tail_energy must be positive")
+    lam = ensemble.spectrum.eigenvalues
+    sqrt_lam = np.sqrt(lam)
+    c = rng.standard_normal(p)
+    # remove the part of c the features can express, in the population
+    # inner product <u, v> = sum_i lambda_i u_i v_i: least squares of
+    # sqrt(Lambda) c on sqrt(Lambda) W
+    W = ensemble.weights
+    y = sqrt_lam * c
 
-        def fill(aug):
-            np.multiply(sqrt_lam[:, None], W, out=aug[:, :s])
-            aug[:, s] = y
+    def fill(aug):
+        np.multiply(sqrt_lam[:, None], W, out=aug[:, :s])
+        aug[:, s] = y
 
-        try:
-            coef, rss = _lstsq_qr(p, s, fill)
-        except np.linalg.LinAlgError:  # zero eigenvalues left sqrt(Lambda) W rank < s
-            rss = 0.0
-        # a residual at rounding level means the span holds all of c's support
-        if rss <= default_rtol(p, s) ** 2 * float(y @ y):
-            raise ValueError("degenerate out-of-span draw; eigenvalues may vanish outside the span")
-        c -= W @ coef
-        energy = float(np.sum(lam * c * c))
-        tail = c * math.sqrt(tail_energy / energy)
-    return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm)
+    try:
+        coef, rss, factor = _lstsq_qr(p, s, fill)
+    except np.linalg.LinAlgError:  # zero eigenvalues left sqrt(Lambda) W rank < s
+        rss = 0.0
+    # a residual at rounding level means the span holds all of c's support
+    if rss <= default_rtol(p, s) ** 2 * float(y @ y):
+        raise ValueError("degenerate out-of-span draw; eigenvalues may vanish outside the span")
+    c -= W @ coef
+    # one more projection through the same factor, R^T R dx = W^T Lambda c:
+    # the first leaves c orthogonal to the span only to about eps times
+    # cond(sqrt(Lambda) W), which steep spectra push past what decompose
+    # accepts; the second brings it to rounding level
+    dx, _ = dtrtrs(factor, W.T @ (lam * c), lower=0, trans=1)
+    dx, _ = dtrtrs(factor, dx, lower=0, trans=0)
+    c -= W @ dx
+    energy = float(np.sum(lam * c * c))
+    tail = c * math.sqrt(tail_energy / energy)
+    spec = ensemble.noise_spec
+    q = spec.entry_variance if spec is not None else 0.0
+    if q == 0:
+        return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm)
+
+    # the ridge fit on A = Q S / sqrt(s): ||A (w - beta)|| = ||S (w - beta)|| / sqrt(s)
+    def fill_stack(stack):
+        nonlocal factor
+        S = stack[:s, :s]
+        np.copyto(S, factor[:s], where=np.tri(s, dtype=bool).T)
+        # the factor goes before the stack is factored; kept alive (or copied
+        # out) through that QR, it raised the peak resident set
+        factor = None
+        S /= math.sqrt(s)
+        stack[:s, s] = S @ beta
+        stack[s + np.arange(s), np.arange(s)] = math.sqrt(q)
+
+    b_star, rho_sq, _ = _lstsq_qr(2 * s, s, fill_stack)
+    return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm,
+                          b_star=b_star, rho_sq=rho_sq, fit_q=q)
 
 
 def target_train_values(target: TargetFunction, ensemble: FeatureEnsemble) -> np.ndarray:
@@ -253,25 +313,22 @@ def _test_noise(ensemble: FeatureEnsemble, target: TargetFunction, clean_test: b
     return q_p, q_x, q_t
 
 
-def _best_in_span(ensemble: FeatureEnsemble, target: TargetFunction,
-                  q_p: float) -> tuple[np.ndarray, float]:
-    """An unrealizable target's best in-span fit b* and its population risk M.
-
-    The risk of coefficients w is ||A w - t||^2 + q_p ||w||^2, with
-    A = sqrt(Lambda) W / sqrt(s) and t = A beta_star + sqrt(Lambda) c, so b*
-    is the least-squares solution on [A; sqrt(q_p) I] and M its squared
-    residual: one QR of [A, t; sqrt(q_p) I, 0] gives both.
-    """
-    p, s = ensemble.weights.shape
-    sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
-
-    def fill(aug):
-        A = aug[:p, :s]
-        np.multiply(sqrt_lam[:, None] / math.sqrt(s), ensemble.weights, out=A)
-        aug[:p, s] = A @ target.beta_star + sqrt_lam * target.tail_coeffs
-        aug[p + np.arange(s), np.arange(s)] = math.sqrt(q_p)
-
-    return _lstsq_qr(p + s, s, fill)
+def _tail_energy(ensemble: FeatureEnsemble, target: TargetFunction) -> float:
+    """An unrealizable target's tail energy sum(lambda * tail^2), once its
+    tail is checked to be orthogonal to the feature span in the population
+    inner product, the premise under which b* and M need no cross term; a
+    tail that is not is refused with a ValueError."""
+    lam = ensemble.spectrum.eigenvalues
+    W = ensemble.weights
+    lam_tail = lam * target.tail_coeffs
+    energy = float(target.tail_coeffs @ lam_tail)
+    overlap = float(np.linalg.norm(W.T @ lam_tail))
+    # ||W^T Lambda t|| against ||sqrt(Lambda) W||_F ||sqrt(Lambda) t||
+    scale = math.sqrt(float(np.einsum("ij,ij->i", W, W) @ lam) * energy)
+    if not overlap <= 1e-10 * scale:
+        raise ValueError("unrealizable target's tail is not orthogonal to the feature span "
+                         "in the population inner product; make_target draws one that is")
+    return energy
 
 
 def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarray,
@@ -371,7 +428,15 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
     b_star = None
     misspec = 0.0
     if target.mode == "unrealizable":
-        b_star, misspec = _best_in_span(ensemble, target, q_p)
+        misspec = _tail_energy(ensemble, target)
+        if q_p == 0:
+            b_star = target.beta_star
+        elif target.b_star is None or target.fit_q != q_p:
+            raise ValueError("unrealizable target carries no best in-span fit at the test "
+                             f"feature-noise variance {q_p!r}; draw it with make_target on "
+                             "this ensemble")
+        else:
+            b_star, misspec = target.b_star, misspec + target.rho_sq
     E = None
     if method == "monte-carlo":
         E = _label_draws(sigma_sq, ensemble.n, trials, rng)

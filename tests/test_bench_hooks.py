@@ -15,6 +15,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import noisyrf
 from noisyrf import sweep
 
@@ -50,12 +52,14 @@ def test_every_workload_config_parses():
             assert cfg.master_seed == 1
 
 
-def test_sweep_calls_of_run_and_replay_resolve(tmp_path):
+@pytest.mark.parametrize("name", ["dd-serial", "dd-unrealizable"])
+def test_sweep_calls_of_run_and_replay_resolve(tmp_path, name):
     # run.py: run_sweep, emit_outputs(...)["sweep"], then replay_checks'
     # compute_row rows through records_csv against that file; replay.py
-    # makes the same two calls
+    # makes the same two calls.  Every cell must pass the harness's own
+    # correctness check, M > 0 included where the workload asks for it
     workloads, checks = _load("workloads"), _load("checks")
-    cfg = workloads.make_config("dd-serial", seed=1, out_dir=str(tmp_path), tiny=True)
+    cfg = workloads.make_config(name, seed=1, out_dir=str(tmp_path), tiny=True)
     result = sweep.run_sweep(cfg)
     paths = sweep.emit_outputs(result, cfg, str(tmp_path / "sweep0"))
     with open(paths["sweep"], "r", encoding="utf-8", newline="") as fh:
@@ -65,7 +69,8 @@ def test_sweep_calls_of_run_and_replay_resolve(tmp_path):
     lines = sweep.records_csv(records).splitlines()[1:]
     assert len(lines) == len(indices)
     assert all(line == rows[checks.row_key(line)] for line in lines)
-    assert [checks.cell_problem(rec, False) for rec in result.records] == \
+    misspec_positive = workloads.WORKLOADS[name].misspec_positive
+    assert [checks.cell_problem(rec, misspec_positive) for rec in result.records] == \
         [""] * len(result.records)
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from noisyrf import risk as risk_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
@@ -511,12 +512,13 @@ class TestMisspecTerm:
             assert d.total == pytest.approx(2.0, rel=1e-12)
 
     def test_shrinks_as_features_accumulate(self):
-        # fixed out-of-span component, growing feature count: the span
-        # captures more of it, so the median distance must fall
+        # fixed component, growing feature count: the span captures more of
+        # it, so the median distance of what each span leaves must fall
         p = 256
         sp = make_spectrum("polynomial", p, gamma=2.0)
         c = seed_stream(99, "tail").standard_normal(p)
         lam = sp.eigenvalues
+        sqrt_lam = np.sqrt(lam)
         c = c / math.sqrt(float(np.sum(lam * c * c)))
         medians = {}
         for s in (8, 32, 128):
@@ -525,11 +527,45 @@ class TestMisspecTerm:
                 X = sample_covariates(MODE, 64, seed_stream(seed, "cov", s), p=p)
                 W = sample_weights(p, s, seed_stream(seed, "w", s))
                 ens = build_ensemble(sp, MODE, eigenfeature_matrix(sp, MODE, X), W)
+                # c's part outside this span in the population inner product,
+                # not renormalized: its energy is c's distance from the span
+                coef, *_ = np.linalg.lstsq(sqrt_lam[:, None] * W, sqrt_lam * c, rcond=None)
                 t = TargetFunction(mode="unrealizable", beta_star=np.zeros(s),
-                                   tail_coeffs=c, norm=0.0)
+                                   tail_coeffs=c - W @ coef, norm=0.0)
                 tots.append(closed_form(ens, t).misspec)
             medians[s] = float(np.median(tots))
         assert medians[8] > medians[32] > medians[128]
+
+    def test_tail_with_a_span_component_is_refused(self):
+        # M = tail energy + the fit's in-span risk only holds for a tail
+        # orthogonal to the span; the unprojected c is not, on either route
+        p, s = 256, 8
+        sp = make_spectrum("polynomial", p, gamma=2.0)
+        X = sample_covariates(MODE, 64, seed_stream(0, "cov"), p=p)
+        W = sample_weights(p, s, seed_stream(0, "w"))
+        ens = build_ensemble(sp, MODE, eigenfeature_matrix(sp, MODE, X), W)
+        t = TargetFunction(mode="unrealizable", beta_star=np.zeros(s),
+                           tail_coeffs=seed_stream(99, "tail").standard_normal(p), norm=0.0)
+        tf = make_test_features(ens, 20, seed_stream(0, "tf"))
+        for test in (None, tf):
+            with pytest.raises(ValueError, match="not orthogonal"):
+                closed_form(ens, t, test)
+
+    def test_noisy_test_features_need_the_stored_fit(self):
+        # a hand-built target carries no best in-span fit, and one drawn on a
+        # noiseless ensemble or at another noise level carries none for q_p
+        ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=3)
+        t = make_target("unrealizable", ens, 1.0, seed_stream(3, "t"))
+        bare = dataclasses.replace(t, b_star=None, rho_sq=0.0, fit_q=0.0)
+        other = mk_ensemble(20, 40, p=120, alpha=0.25, seed=3)
+        for ensemble, target in [(ens, bare), (other, t)]:
+            with pytest.raises(ValueError, match="no best in-span fit"):
+                closed_form(ensemble, target)
+            # clean test features need none: b* = beta*
+            d = decompose(ensemble, target, 1.0, None, 2, seed_stream(0),
+                          method="closed-form", clean_test=True)
+            assert d.misspec == pytest.approx(float(np.sum(
+                ensemble.spectrum.eigenvalues * t.tail_coeffs ** 2)), rel=1e-12)
 
 
 class TestDecompose:
@@ -809,8 +845,9 @@ class TestDecompose:
 
 
 class TestUnrealizableSolves:
-    """make_target's projection and _best_in_span's b*, the two least-squares
-    solves of an unrealizable cell, against test-side references."""
+    """make_target's projection and the best in-span fit it solves from the
+    projection's own triangle, an unrealizable cell's two least-squares
+    solves, against test-side references."""
 
     @pytest.mark.parametrize("clean_test", [False, True])
     def test_near_square_population_matrix(self, clean_test):
@@ -841,17 +878,20 @@ class TestUnrealizableSolves:
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
 
     def test_traced_peak_stays_within_the_qr_buffers(self, monkeypatch):
-        # Each solve fills one augmented matrix, p x (s+1) in make_target and
-        # (p+s) x (s+1) in decompose.  numpy's QR copies it and factors the
-        # copy in a LAPACK buffer of its own, malloc'd out of tracemalloc's
-        # sight, so two traced buffers are live until the augmented matrix is
-        # released.  A triangle copied out of the factor, (s+1)^2 doubles, or
-        # a triangular-solve copy, s^2, made while it is live breaks the bound.
-        # The augmented matrix must go before the factor: freed the other way
-        # round, it stayed resident as heap in every later sweep.
+        # Each solve fills one augmented matrix: p x (s+1) for the projection
+        # and the 2s x (s+1) ridge stack built from its triangle.  numpy's QR
+        # copies it and factors the copy in a LAPACK buffer of its own,
+        # malloc'd out of tracemalloc's sight, so two traced buffers are live
+        # until the augmented matrix is released.  A triangle copied out of
+        # the factor, (s+1)^2 doubles, or a triangular-solve copy, s^2, made
+        # while it is live breaks the bound, and so does the projection's
+        # factor kept alive through the stack's QR: it must be released
+        # before that QR is called.  The augmented matrix must go before the
+        # factor: freed the other way round, it stayed resident as heap in
+        # every later sweep.  decompose factors nothing more.
         n, p, s = 20, 400, 360
         ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
-        buffers = [8 * p * (s + 1), 8 * (p + s) * (s + 1)]
+        buffers = [8 * p * (s + 1), 8 * 2 * s * (s + 1)]
         events = []
         real_qr = np.linalg.qr
 
@@ -860,9 +900,12 @@ class TestUnrealizableSolves:
             tracemalloc.reset_peak()
 
         def qr(a, mode="reduced"):
+            events.append(("call", None))
             weakref.finalize(a, released, "input")
             out = real_qr(a, mode=mode)
-            weakref.finalize(out[0], released, "factor")
+            # the raw factor is a transposed view: watch the array that owns
+            # its memory, which a view of the factor keeps alive
+            weakref.finalize(out[0].base, released, "factor")
             return out
 
         monkeypatch.setattr(np.linalg, "qr", qr)
@@ -876,9 +919,82 @@ class TestUnrealizableSolves:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert [what for what, _ in events] == ["input", "factor"] * 2
-        for (_, peak), buffer in zip(events[::2], buffers):
+        assert [what for what, _ in events] == ["call", "input", "factor"] * 2
+        peaks = [peak for what, peak in events if what == "input"]
+        for peak, buffer in zip(peaks, buffers):
             assert peak <= 2.25 * buffer, (peak / buffer)
+
+
+class TestBestInSpanFit:
+    """An unrealizable target's b* and M: the ridge fit make_target solves
+    on its projection's triangle, against lstsq on [A; sqrt(q) I]."""
+
+    @staticmethod
+    def cell(monkeypatch, s, p, alpha, family, clean_test):
+        """(ensemble, target, decomposition, the b* decompose measured
+        against, np.linalg.qr calls) of one closed-form cell."""
+        ens = mk_ensemble(20, s, p=p, alpha=alpha, family=family, seed=s)
+        calls, refs = [], []
+        real_qr, real_split = np.linalg.qr, risk_mod._population_split
+
+        def qr(a, mode="reduced"):
+            calls.append(a.shape)
+            return real_qr(a, mode=mode)
+
+        def split(*args):
+            refs.append(args[3])
+            return real_split(*args)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(risk_mod, "_population_split", split)
+        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
+        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form",
+                      clean_test=clean_test)
+        return ens, t, d, refs[0], len(calls)
+
+    @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("clean_test", [False, True])
+    def test_noisy_ensemble_matches_standalone(self, monkeypatch, s, p, family, clean_test):
+        ens, t, d, b, qr_calls = self.cell(monkeypatch, s, p, 0.5, family, clean_test)
+        q = 0.0 if clean_test else ens.noise_spec.entry_variance
+        b_ref, m_ref = standalone_best_fit(ens, t, q)
+        assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+        # the fit is solved once, with the target, whatever the test side
+        assert qr_calls == 2
+        if clean_test:
+            assert b is t.beta_star
+            tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
+            np.testing.assert_allclose(d.misspec, tail, rtol=1e-12)
+        else:
+            assert b is t.b_star and t.fit_q == q
+
+    @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
+    @pytest.mark.parametrize("clean_test", [False, True])
+    def test_noiseless_ensemble_fits_beta_star(self, monkeypatch, s, p, clean_test):
+        ens, t, d, b, qr_calls = self.cell(monkeypatch, s, p, None, "gaussian", clean_test)
+        assert t.b_star is None and t.rho_sq == 0.0
+        assert b is t.beta_star
+        tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
+        np.testing.assert_allclose(d.misspec, tail, rtol=1e-12)
+        b_ref, m_ref = standalone_best_fit(ens, t, 0.0)
+        assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+        assert qr_calls == 1
+
+    @pytest.mark.parametrize("kind,gamma,p,s", [("polynomial", 6.0, 200, 190),
+                                                ("exponential", None, 40, 30)])
+    def test_steep_spectrum_tail_passes_the_guard(self, kind, gamma, p, s):
+        # one projection leaves ||W^T Lambda c|| at about eps cond(sqrt(Lambda)
+        # W) relative, above decompose's 1e-10 on these spectra; make_target's
+        # second pass brings it to rounding level
+        sp = make_spectrum(kind, p, gamma=gamma)
+        ens = mk_ensemble(20, s, alpha=0.5, seed=9, spectrum=sp)
+        t = make_target("unrealizable", ens, 1.0, seed_stream(9, "t"))
+        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form")
+        _, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
 
 def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode):
