@@ -20,8 +20,7 @@ from .estimator import (MnlsFit, ProjectorDiag, mnls_fit, projector_diag,
                         ridge_fit, svd_factors)
 from .features import (FeatureEnsemble, NoiseSpec, build_ensemble, make_noise_spec,
                        noise_matrix, sample_weights)
-from .risk import (RiskDecomposition, TargetFunction, TestFeatures, decompose,
-                   make_target, make_test_features)
+from .risk import RiskDecomposition, TargetFunction, decompose, make_target
 from .seeding import seed_sequence, seed_stream
 from .spectral import (CovarianceSummary, Spectrum, eigenfeature_matrix,
                        empirical_covariance, fourier_basis, kernel_eval,
@@ -45,8 +44,7 @@ __all__ = [
     "svd_factors",
     "FeatureEnsemble", "NoiseSpec", "build_ensemble", "make_noise_spec",
     "noise_matrix", "sample_weights",
-    "RiskDecomposition", "TargetFunction", "TestFeatures", "decompose",
-    "make_target", "make_test_features",
+    "RiskDecomposition", "TargetFunction", "decompose", "make_target",
     "seed_sequence", "seed_stream",
     "CovarianceSummary", "Spectrum", "eigenfeature_matrix",
     "empirical_covariance", "fourier_basis", "kernel_eval", "make_spectrum",

@@ -8,13 +8,13 @@ known: E[phi phi^T] = Lambda in both covariate modes, and E[xi xi^T] =
 quadratic form over the weights W, the design's one SVD and the
 conditional-mean coefficients u_hat.  Label noise is integrated in closed form
 or redrawn (monte-carlo); the standard errors then measure the redraw error.
-A materialized test sample (`make_test_features`) is the reference measure
-the tests check the population route against.
+The tests check this route against a sampled test measure of their own
+(`tests/sampled_reference.py`), which shares only its inputs with it.
 
 A realizable target reads W only as the product W [V, e], so its split also
 runs on row-space weights (`features.RowSpaceWeights`), which draw W's part
 outside the eigenfeature rows' span just for that product.  An unrealizable
-target, and a test sample, need the dense p x s W.
+target needs the dense p x s W.
 
 An unrealizable target's tail is orthogonal to the feature span in the
 population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
@@ -34,8 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .estimator import SvdFactors, default_rtol, svd_factors
-from .features import FeatureEnsemble, noise_matrix
-from .spectral import eigenfeature_matrix, sample_covariates
+from .features import FeatureEnsemble
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
 TARGET_NOISE_MODES = ("shared", "fresh", "clean")
@@ -69,23 +68,6 @@ class TargetFunction:
     fit_q: float = 0.0
 
 
-@dataclass(eq=False)
-class TestFeatures:
-    """Materialized test-point features: eigenfeatures and the clean /
-    predictor-side / target-side sampled feature rows."""
-
-    __test__ = False  # keep pytest from collecting this despite the name
-
-    phi: np.ndarray
-    clean: np.ndarray
-    predictor: np.ndarray
-    target_rows: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.clean.shape[0]
-
-
 @dataclass(frozen=True)
 class RiskDecomposition:
     """The risk split total = bias + variance + misspec, with standard errors.
@@ -103,8 +85,6 @@ class RiskDecomposition:
     variance + misspec to rounding and every se is 0.  Monte-carlo replaces
     the label-noise part of total and variance by averages over the label
     redraws, with se over the redraws (bias and misspec stay exact, se 0).
-    Over a test sample every piece is a sample mean with its se over the
-    test points.
     """
 
     bias: float
@@ -241,54 +221,8 @@ def target_train_values(target: TargetFunction, ensemble: FeatureEnsemble) -> np
     return ensemble.Z @ target.beta_star + ensemble.phi @ target.tail_coeffs
 
 
-def _check_target_noise(target_noise: str) -> None:
-    if target_noise not in TARGET_NOISE_MODES:
-        raise ValueError("target_noise must be shared, fresh or clean")
-
-
-def make_test_features(ensemble: FeatureEnsemble, m: int, rng: np.random.Generator, *,
-                       clean_test: bool = False, target_noise: str = "fresh") -> TestFeatures:
-    """Sample m test points and their feature rows, the reference measure that
-    `decompose`'s exact population route is checked against.
-
-    Predictor-side rows carry a fresh feature-noise draw whenever the ensemble
-    was fit on noisy features (clean_test=True evaluates on clean features
-    instead).  Target-side rows get their own independent noise draw by
-    default ("fresh"); "shared" reuses the predictor rows and "clean" strips
-    target-side noise entirely.  They only matter for realizable-noisy targets.
-    """
-    _check_target_noise(target_noise)
-    spectrum, mode = ensemble.spectrum, ensemble.mode
-    X = sample_covariates(mode, m, rng, p=spectrum.p)
-    phi = eigenfeature_matrix(spectrum, mode, X)
-    clean = phi @ ensemble.weights / math.sqrt(ensemble.s)
-    spec = ensemble.noise_spec
-    if spec is not None and not clean_test:
-        predictor = clean + noise_matrix(spec, clean.shape, rng)
-    else:
-        predictor = clean
-    if spec is None or target_noise == "clean":
-        target_rows = clean
-    elif target_noise == "shared" and predictor is not clean:
-        target_rows = predictor
-    else:
-        target_rows = clean + noise_matrix(spec, clean.shape, rng)
-    return TestFeatures(phi=phi, clean=clean, predictor=predictor, target_rows=target_rows)
-
-
-def _target_test_values(target: TargetFunction, tf: TestFeatures) -> np.ndarray:
-    if target.mode == "realizable-clean":
-        return tf.clean @ target.beta_star
-    if target.mode == "realizable-noisy":
-        return tf.target_rows @ target.beta_star
-    return tf.clean @ target.beta_star + tf.phi @ target.tail_coeffs
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = values.size
-    if m < 2:
-        return float(values.mean()) if m else 0.0, 0.0
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(m))
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def _label_draws(sigma_sq: float, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -302,8 +236,9 @@ def _test_noise(ensemble: FeatureEnsemble, target: TargetFunction, clean_test: b
     """Per-entry variances (q_p, q_x, q_t) of a test point's feature noise.
 
     q_p is the predictor row's, q_t the target row's (realizable-noisy
-    targets only) and q_x the part the two share; the law is the one
-    `make_test_features` draws from.
+    targets only) and q_x the part the two share.  The predictor row's noise
+    is a fresh draw unless clean_test; the target row's is a fresh draw
+    ("fresh"), the predictor row's own ("shared") or none ("clean").
     """
     spec = ensemble.noise_spec
     q = spec.entry_variance if spec is not None else 0.0
@@ -368,46 +303,15 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
     return bias, variance, variance_se, noise, noise_se
 
 
-def _sampled_split(tf: TestFeatures, target: TargetFunction, f: SvdFactors,
-                   u_hat: np.ndarray, b_star: np.ndarray | None, E: np.ndarray | None,
-                   sigma_sq: float):
-    """Per-test-point (bias, variance, total, misspec) rows over a sample.
-
-    b_star is an unrealizable target's best in-span fit (None for a
-    realizable one); bias and misspec are measured against its test values.
-    """
-    G = tf.predictor @ (f.V / f.sv) @ f.U.T
-    a = tf.predictor @ u_hat
-    fst = _target_test_values(target, tf)
-    d = a - fst
-    if E is None:
-        v = sigma_sq * np.sum(G * G, axis=1)
-        r = d * d + v
-    else:
-        trials = E.shape[1]
-        P = G @ E
-        mp = P.mean(axis=1)
-        mp2 = np.mean(P * P, axis=1)
-        v = (mp2 - mp * mp) * (trials / (trials - 1))
-        r = d * d + 2 * d * mp + mp2
-    if b_star is None:
-        return d * d, v, r, np.zeros(0)
-    fit = tf.predictor @ b_star
-    return (a - fit) ** 2, v, r, (fit - fst) ** 2
-
-
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float,
-              test: TestFeatures | None, trials: int, rng: np.random.Generator, *,
+              trials: int, rng: np.random.Generator, *,
               rtol: float | None = None, clean_test: bool = False,
               target_noise: str = "fresh", method: str = "monte-carlo") -> RiskDecomposition:
     """Full risk decomposition, exact over the test population.
 
-    The labels carry gaussian noise of variance `sigma_sq` >= 0.  `test=None`
-    integrates over the test population exactly; a TestFeatures sample
-    averages over its points instead (the reference measure, drawn with the
-    same clean_test and target_noise).  A count of test points is rejected,
-    as is an unknown `target_noise`.  The monte-carlo method redraws the
-    labels `trials` times, and they are the only draws taken from `rng`; the
+    The labels carry gaussian noise of variance `sigma_sq` >= 0.  An unknown
+    `target_noise` is rejected.  The monte-carlo method redraws the labels
+    `trials` times, and they are the only draws taken from `rng`; the
     closed-form method integrates the label noise exactly and draws nothing.
     The design is factored once, and the result's `rank` reports its
     numerical rank, so callers need no second SVD for it.
@@ -418,10 +322,8 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
         raise ValueError("monte-carlo decomposition needs at least 2 label redraws")
     if not sigma_sq >= 0:
         raise ValueError("sigma_sq must be >= 0")
-    _check_target_noise(target_noise)
-    if test is not None and not isinstance(test, TestFeatures):
-        raise ValueError("test must be None (the exact population) or a TestFeatures "
-                         f"sample, not {test!r}; a count of test points is not accepted")
+    if target_noise not in TARGET_NOISE_MODES:
+        raise ValueError("target_noise must be shared, fresh or clean")
     f = svd_factors(ensemble.design, rtol)
     u_hat = f.apply_pinv(target_train_values(target, ensemble))
     q_p, q_x, q_t = _test_noise(ensemble, target, clean_test, target_noise)
@@ -440,13 +342,6 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
     E = None
     if method == "monte-carlo":
         E = _label_draws(sigma_sq, ensemble.n, trials, rng)
-    if test is not None:
-        b, v, r, mis = _sampled_split(test, target, f, u_hat, b_star, E, sigma_sq)
-        (bias, bias_se), (var, var_se) = _mean_se(b), _mean_se(v)
-        (total, total_se), (misspec, misspec_se) = _mean_se(r), _mean_se(mis)
-        return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
-                                 misspec=misspec, misspec_se=misspec_se, total=total,
-                                 total_se=total_se, method=method, rank=f.rank)
     if b_star is None:
         # q_p |w|^2 - 2 q_x w.beta + q_t |beta|^2 regrouped with non-negative
         # weights, so the bias cannot round below zero

@@ -183,7 +183,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
                               complement_rng=rng_complement)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
-    dec = decompose(ensemble, target, cfg.sigma_sq, None,
+    dec = decompose(ensemble, target, cfg.sigma_sq,
                     cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise, method=cfg.method)
 

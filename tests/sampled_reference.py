@@ -1,0 +1,151 @@
+"""A sampled test measure: the reference `noisyrf.risk.decompose` is checked
+against.
+
+`decompose` integrates the risk over the test population in closed form.
+This module measures it the plain way instead: draw m test points, evaluate
+the fit and the target on them, and average.  It shares only its inputs with
+`decompose`: the ensemble, the target and the label redraws.  It factors the
+design again through `estimator.svd_factors`, draws its test rows from the
+law `decompose` integrates over, and takes an unrealizable target's best
+in-span fit b* from `standalone_best_fit`, a dense lstsq, not from the fit
+`make_target` stored on the target.
+
+pytest does not collect this module (its name does not start with test_);
+the test modules import it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from noisyrf.estimator import svd_factors
+from noisyrf.features import FeatureEnsemble, noise_matrix
+from noisyrf.risk import (TARGET_NOISE_MODES, RiskDecomposition, TargetFunction,
+                          target_train_values)
+from noisyrf.spectral import eigenfeature_matrix, sample_covariates
+
+
+@dataclass(eq=False)
+class TestSample:
+    """Sampled test points: eigenfeatures and the clean / predictor-side /
+    target-side feature rows."""
+
+    __test__ = False  # keep pytest from collecting this despite the name
+
+    phi: np.ndarray
+    clean: np.ndarray
+    predictor: np.ndarray
+    target_rows: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.clean.shape[0]
+
+
+def draw_test_sample(ens: FeatureEnsemble, m: int, rng: np.random.Generator, *,
+                     clean_test: bool = False, target_noise: str = "fresh") -> TestSample:
+    """Sample m test points and their feature rows.
+
+    Predictor-side rows carry a fresh feature-noise draw whenever the ensemble
+    was fit on noisy features (clean_test=True evaluates on clean features
+    instead).  Target-side rows get their own independent noise draw by
+    default ("fresh"); "shared" reuses the predictor rows and "clean" strips
+    target-side noise entirely.  They only matter for realizable-noisy
+    targets.  Row-space weights hold no dense W to evaluate test rows with,
+    so they raise TypeError.
+    """
+    if target_noise not in TARGET_NOISE_MODES:
+        raise ValueError("target_noise must be shared, fresh or clean")
+    if not isinstance(ens.weights, np.ndarray):
+        raise TypeError("a test sample needs the dense p x s W, not row-space weights")
+    spectrum, mode = ens.spectrum, ens.mode
+    X = sample_covariates(mode, m, rng, p=spectrum.p)
+    phi = eigenfeature_matrix(spectrum, mode, X)
+    clean = phi @ ens.weights / math.sqrt(ens.s)
+    spec = ens.noise_spec
+    if spec is not None and not clean_test:
+        predictor = clean + noise_matrix(spec, clean.shape, rng)
+    else:
+        predictor = clean
+    if spec is None or target_noise == "clean":
+        target_rows = clean
+    elif target_noise == "shared" and predictor is not clean:
+        target_rows = predictor
+    else:
+        target_rows = clean + noise_matrix(spec, clean.shape, rng)
+    return TestSample(phi=phi, clean=clean, predictor=predictor, target_rows=target_rows)
+
+
+def standalone_best_fit(ens: FeatureEnsemble, t: TargetFunction, q: float):
+    """An unrealizable target's b* and M by lstsq on [A; sqrt(q) I], with
+    A = sqrt(Lambda) W / sqrt(s)."""
+    s = ens.s
+    sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
+    A = sqrt_lam[:, None] * ens.weights / math.sqrt(s)
+    target_vals = A @ t.beta_star + sqrt_lam * t.tail_coeffs
+    b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(s)]),
+                            np.concatenate([target_vals, np.zeros(s)]), rcond=None)
+    r = A @ b - target_vals
+    return b, r @ r + q * (b @ b)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    m = values.size
+    if m < 2:
+        return float(values.mean()), 0.0
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(m))
+
+
+def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: float,
+                      sample: TestSample, trials: int, rng: np.random.Generator, *,
+                      rtol: float | None = None, clean_test: bool = False,
+                      target_noise: str = "fresh",
+                      method: str = "monte-carlo") -> RiskDecomposition:
+    """The risk split averaged over `sample`, each piece a sample mean with its
+    se over the test points.
+
+    The sample must have been drawn with the same clean_test and target_noise.
+    The monte-carlo method takes from `rng` only the label redraws
+    sqrt(sigma_sq) * standard_normal((n, trials)), the draws `decompose`
+    takes, so the two measures run on one label stream differ only by the
+    test sample; closed form integrates the label noise and draws nothing.
+    """
+    if target_noise not in TARGET_NOISE_MODES:
+        raise ValueError("target_noise must be shared, fresh or clean")
+    f = svd_factors(ens.design, rtol)
+    u_hat = f.apply_pinv(target_train_values(target, ens))
+    # each test point's prediction is linear in the labels: row i of G maps
+    # a label vector to that point's prediction
+    G = sample.predictor @ (f.V / f.sv) @ f.U.T
+    a = sample.predictor @ u_hat
+    if target.mode == "realizable-clean":
+        fst = sample.clean @ target.beta_star
+    elif target.mode == "realizable-noisy":
+        fst = sample.target_rows @ target.beta_star
+    else:
+        fst = sample.clean @ target.beta_star + sample.phi @ target.tail_coeffs
+    d = a - fst
+    if method == "closed-form":
+        v = sigma_sq * np.sum(G * G, axis=1)
+        r = d * d + v
+    else:
+        E = math.sqrt(sigma_sq) * rng.standard_normal((ens.n, trials))
+        P = G @ E
+        mp = P.mean(axis=1)
+        mp2 = np.mean(P * P, axis=1)
+        v = (mp2 - mp * mp) * (trials / (trials - 1))
+        r = d * d + 2 * d * mp + mp2
+    if target.mode == "unrealizable":
+        q = 0.0 if clean_test or ens.noise_spec is None else ens.noise_spec.entry_variance
+        fit = sample.predictor @ standalone_best_fit(ens, target, q)[0]
+        b, mis = (a - fit) ** 2, (fit - fst) ** 2
+    else:
+        b, mis = d * d, np.zeros_like(d)
+    (bias, bias_se), (var, var_se) = _mean_se(b), _mean_se(v)
+    (total, total_se), (misspec, misspec_se) = _mean_se(r), _mean_se(mis)
+    return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
+                             misspec=misspec, misspec_se=misspec_se, total=total,
+                             total_se=total_se, method=method, rank=f.rank)

@@ -355,7 +355,7 @@ class TestSweep:
                              spec, stream("feature-noise"))
         target = risk_mod.make_target(cfg.target_mode, ens, cfg.target_norm, stream("target"),
                                       tail_energy=cfg.tail_energy)
-        d = risk_mod.decompose(ens, target, cfg.sigma_sq, None, cfg.label_redraws,
+        d = risk_mod.decompose(ens, target, cfg.sigma_sq, cfg.label_redraws,
                                stream("risk"), clean_test=cfg.clean_test,
                                target_noise=cfg.target_noise, method=cfg.method)
         rec = compute_row(cfg, s_index, 0)

@@ -14,10 +14,11 @@ from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
 from noisyrf.features import RowSpaceWeights, build_ensemble, make_noise_spec, sample_weights
-from noisyrf.risk import (TargetFunction, TestFeatures, decompose, make_target,
-                          make_test_features, target_train_values)
+from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import eigenfeature_matrix, make_spectrum, sample_covariates
+from sampled_reference import (TestSample, draw_test_sample, sampled_decompose,
+                               standalone_best_fit)
 
 MODE = "eigencoordinate"
 
@@ -58,7 +59,7 @@ def identity_ensemble(X):
 
 def rows_sample(rows):
     rows = np.asarray(rows, dtype=float)
-    return TestFeatures(phi=rows, clean=rows, predictor=rows, target_rows=rows)
+    return TestSample(phi=rows, clean=rows, predictor=rows, target_rows=rows)
 
 
 def zero_target(s):
@@ -88,7 +89,7 @@ def decompose_cell(args, rng, **kwargs):
     redraws.  Each call gets its own copy of the cell's weights: row-space
     weights draw W's complement once, and every copy draws the same one."""
     ens = dataclasses.replace(args[0], weights=copy.deepcopy(args[0].weights))
-    return decompose(ens, *args[1:5], rng, **kwargs)
+    return decompose(ens, *args[1:4], rng, **kwargs)
 
 
 def quadratic_oracle(Z, rows):
@@ -105,21 +106,16 @@ def assert_agree_within_4se(d1, d2):
         assert abs(a - b) <= 4 * math.sqrt(sa ** 2 + sb ** 2), field
 
 
-def standalone_best_fit(ens, t, q):
-    """An unrealizable target's b* and M by lstsq on [A; sqrt(q) I], with
-    A = sqrt(Lambda) W / sqrt(s)."""
-    s = ens.s
-    sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
-    A = sqrt_lam[:, None] * ens.weights / math.sqrt(s)
-    target_vals = A @ t.beta_star + sqrt_lam * t.tail_coeffs
-    b, *_ = np.linalg.lstsq(np.vstack([A, math.sqrt(q) * np.eye(s)]),
-                            np.concatenate([target_vals, np.zeros(s)]), rcond=None)
-    r = A @ b - target_vals
-    return b, r @ r + q * (b @ b)
+def measure(ens, t, sigma_sq, sample, trials, rng, **kwargs):
+    """decompose over the test population when sample is None, else the
+    sampled reference over sample."""
+    if sample is None:
+        return decompose(ens, t, sigma_sq, trials, rng, **kwargs)
+    return sampled_decompose(ens, t, sigma_sq, sample, trials, rng, **kwargs)
 
 
-def closed_form(ens, t, tf=None):
-    return decompose(ens, t, 1.0, tf, 2, seed_stream(0), method="closed-form")
+def closed_form(ens, t, sample=None):
+    return measure(ens, t, 1.0, sample, 2, seed_stream(0), method="closed-form")
 
 
 class TestMakeTarget:
@@ -194,7 +190,7 @@ class TestMakeTarget:
         t = make_target("unrealizable", ens, 1.0, seed_stream(1, "t"), tail_energy=0.8)
         lam = ens.spectrum.eigenvalues
         assert float(np.sum(lam * t.tail_coeffs ** 2)) == pytest.approx(0.8, rel=1e-12)
-        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form",
+        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form",
                       clean_test=clean_test)
         assert d.misspec >= 0.8 * (1 - 1e-12)
 
@@ -226,60 +222,60 @@ class TestTargetValuesAndLabels:
         np.testing.assert_allclose(target_train_values(t, ens), want, rtol=1e-12)
 
     def test_label_model_validation(self):
-        # a negative label variance is refused on every route, not turned into
-        # a negative risk (closed form) or a math domain error (monte-carlo)
+        # a negative label variance is refused by either method, not turned
+        # into a negative risk (closed form) or a math domain error (monte-carlo)
         ens = mk_ensemble(10, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        tf = make_test_features(ens, 5, seed_stream(0, "tf"))
         for method in ("closed-form", "monte-carlo"):
-            for test in (None, tf):
-                with pytest.raises(ValueError, match="sigma_sq"):
-                    decompose(ens, t, -1.0, test, 50, seed_stream(0), method=method)
+            with pytest.raises(ValueError, match="sigma_sq"):
+                decompose(ens, t, -1.0, 50, seed_stream(0), method=method)
 
 
 class TestMakeTestFeatures:
+    """The sampled reference's test points (`draw_test_sample`)."""
+
     def test_clean_ensemble_has_single_row_set(self):
         ens = mk_ensemble(10, 20)
-        tf = make_test_features(ens, 50, seed_stream(11, "tf"))
+        tf = draw_test_sample(ens, 50, seed_stream(11, "tf"))
         assert tf.m == 50
         np.testing.assert_array_equal(tf.predictor, tf.clean)
         np.testing.assert_array_equal(tf.target_rows, tf.clean)
 
     def test_noisy_predictor_rows_perturbed(self):
         ens = mk_ensemble(10, 20, alpha=0.3, seed=1)
-        tf = make_test_features(ens, 50, seed_stream(12, "tf"))
+        tf = draw_test_sample(ens, 50, seed_stream(12, "tf"))
         assert not np.array_equal(tf.predictor, tf.clean)
 
     def test_clean_test_flag(self):
         ens = mk_ensemble(10, 20, alpha=0.3, seed=1)
-        tf = make_test_features(ens, 50, seed_stream(12, "tf"), clean_test=True)
+        tf = draw_test_sample(ens, 50, seed_stream(12, "tf"), clean_test=True)
         np.testing.assert_array_equal(tf.predictor, tf.clean)
 
     def test_target_noise_shared(self):
         ens = mk_ensemble(10, 20, alpha=0.3, seed=1)
-        tf = make_test_features(ens, 50, seed_stream(13, "tf"), target_noise="shared")
+        tf = draw_test_sample(ens, 50, seed_stream(13, "tf"), target_noise="shared")
         np.testing.assert_array_equal(tf.target_rows, tf.predictor)
 
     def test_target_noise_fresh_is_independent(self):
         ens = mk_ensemble(10, 20, alpha=0.3, seed=1)
-        tf = make_test_features(ens, 50, seed_stream(13, "tf"), target_noise="fresh")
+        tf = draw_test_sample(ens, 50, seed_stream(13, "tf"), target_noise="fresh")
         assert not np.array_equal(tf.target_rows, tf.predictor)
         assert not np.array_equal(tf.target_rows, tf.clean)
 
     def test_target_noise_clean(self):
         ens = mk_ensemble(10, 20, alpha=0.3, seed=1)
-        tf = make_test_features(ens, 50, seed_stream(13, "tf"), target_noise="clean")
+        tf = draw_test_sample(ens, 50, seed_stream(13, "tf"), target_noise="clean")
         np.testing.assert_array_equal(tf.target_rows, tf.clean)
 
     def test_target_noise_validation(self):
         ens = mk_ensemble(10, 20)
         with pytest.raises(ValueError, match="target_noise"):
-            make_test_features(ens, 5, seed_stream(0), target_noise="dirty")
+            draw_test_sample(ens, 5, seed_stream(0), target_noise="dirty")
 
     def test_determinism(self):
         ens = mk_ensemble(10, 20, alpha=0.3, seed=1)
-        a = make_test_features(ens, 20, seed_stream(14, "tf"))
-        b = make_test_features(ens, 20, seed_stream(14, "tf"))
+        a = draw_test_sample(ens, 20, seed_stream(14, "tf"))
+        b = draw_test_sample(ens, 20, seed_stream(14, "tf"))
         np.testing.assert_array_equal(a.predictor, b.predictor)
         np.testing.assert_array_equal(a.target_rows, b.target_rows)
 
@@ -291,7 +287,7 @@ class TestBiasTerm:
         # s <= n with generic gaussian features: nothing outside the row space
         ens = mk_ensemble(40, 12)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(15, "t"))
-        tf = make_test_features(ens, 100, seed_stream(15, "tf"))
+        tf = draw_test_sample(ens, 100, seed_stream(15, "tf"))
         assert closed_form(ens, t, tf).bias <= 1e-20
         assert closed_form(ens, t).bias <= 1e-20
 
@@ -301,14 +297,14 @@ class TestBiasTerm:
         beta = ens.Z.T @ w
         t = TargetFunction(mode="realizable-clean", beta_star=beta,
                            tail_coeffs=None, norm=float(np.linalg.norm(beta)))
-        tf = make_test_features(ens, 100, seed_stream(16, "tf"))
+        tf = draw_test_sample(ens, 100, seed_stream(16, "tf"))
         assert closed_form(ens, t, tf).bias <= 1e-20
         assert closed_form(ens, t).bias <= 1e-20
 
     def test_small_instance_matches_pinv_oracle(self):
         ens = mk_ensemble(2, 3, p=6, seed=17)
         t = make_target("realizable-clean", ens, 1.5, seed_stream(17, "t"))
-        tf = make_test_features(ens, 3, seed_stream(17, "tf"))
+        tf = draw_test_sample(ens, 3, seed_stream(17, "tf"))
         Z = np.asarray(ens.design, dtype=float)
         pib = sla.pinv(Z) @ (Z @ t.beta_star) - t.beta_star
         vals = (tf.predictor @ pib) ** 2
@@ -336,7 +332,7 @@ class TestVarianceClosed:
         ens = identity_ensemble(np.eye(4))
         t = zero_target(4)
         for test, want in ((rows_sample(np.eye(4)), 2.5), (None, 4 * 2.5)):
-            d = decompose(ens, t, 2.5, test, 2, seed_stream(0), method="closed-form")
+            d = measure(ens, t, 2.5, test, 2, seed_stream(0), method="closed-form")
             assert d.variance == pytest.approx(want, rel=1e-14)
 
     def test_sample_route_matches_pinv_oracle(self):
@@ -345,10 +341,10 @@ class TestVarianceClosed:
             ens = identity_ensemble(rng.standard_normal((n, s)))
             rows = rng.standard_normal((30, s))
             want = float(np.mean(quadratic_oracle(ens.design, rows)))
-            d = decompose(ens, zero_target(s), 1.3, rows_sample(rows), 2,
-                          seed_stream(0), method="closed-form")
+            d = sampled_decompose(ens, zero_target(s), 1.3, rows_sample(rows), 2,
+                                  seed_stream(0), method="closed-form")
             np.testing.assert_allclose(d.variance, 1.3 * want, rtol=1e-10)
-            d = decompose(ens, zero_target(s), 1.3, None, 2, seed_stream(0),
+            d = decompose(ens, zero_target(s), 1.3, 2, seed_stream(0),
                           method="closed-form")
             pinv = sla.pinv(np.asarray(ens.design))
             np.testing.assert_allclose(d.variance, 1.3 * float(np.sum(pinv * pinv)),
@@ -365,9 +361,9 @@ class TestVarianceClosed:
         ens = mk_ensemble(15, 40, alpha=0.5, seed=20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(20, "t"))
         flags = dict(method="closed-form")
-        base = decompose(ens, t, 2.0, None, 2, seed_stream(0), clean_test=True,
+        base = decompose(ens, t, 2.0, 2, seed_stream(0), clean_test=True,
                          **flags).variance
-        with_noise = decompose(ens, t, 2.0, None, 2, seed_stream(0),
+        with_noise = decompose(ens, t, 2.0, 2, seed_stream(0),
                                **flags).variance
         sv = sla.svdvals(np.asarray(ens.design, dtype=float))
         sv = sv[sv > 1e-12]
@@ -378,7 +374,7 @@ class TestVarianceClosed:
         ens = mk_ensemble(25, 70, p=140, alpha=0.5, seed=6)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(6, "t"))
         m = 40_000
-        tf = make_test_features(ens, m, seed_stream(6, "pop"))
+        tf = draw_test_sample(ens, m, seed_stream(6, "pop"))
         v_pop = closed_form(ens, t).variance
         vals = quadratic_oracle(ens.design, tf.predictor)
         d = closed_form(ens, t, tf)
@@ -393,9 +389,9 @@ class TestVarianceMc:
     def test_zero_label_noise_is_exactly_zero(self):
         ens = mk_ensemble(12, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(21, "t"))
-        tf = make_test_features(ens, 40, seed_stream(21, "tf"))
+        tf = draw_test_sample(ens, 40, seed_stream(21, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, 0.0, test, 50, seed_stream(21, "v"))
+            d = measure(ens, t, 0.0, test, 50, seed_stream(21, "v"))
             assert d.variance == 0.0 and d.variance_se == 0.0
 
     def test_exact_sigma_scaling_same_stream(self):
@@ -403,28 +399,27 @@ class TestVarianceMc:
         # empirical variance scales by exactly sigma^2
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
-        tf = make_test_features(ens, 200, seed_stream(2, "tf"))
+        tf = draw_test_sample(ens, 200, seed_stream(2, "tf"))
         for test in (tf, None):
-            d1 = decompose(ens, t, 1.0, test, 300, seed_stream(41, "v"))
-            d4 = decompose(ens, t, 4.0, test, 300, seed_stream(41, "v"))
+            d1 = measure(ens, t, 1.0, test, 300, seed_stream(41, "v"))
+            d4 = measure(ens, t, 4.0, test, 300, seed_stream(41, "v"))
             np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
 
     def test_matches_closed_form(self):
         for seed in range(3):
             ens = mk_ensemble(25, 60, alpha=0.5, seed=seed)
             t = make_target("realizable-noisy", ens, 1.0, seed_stream(seed, "t"))
-            tf = make_test_features(ens, 2000, seed_stream(seed, "tf"))
+            tf = draw_test_sample(ens, 2000, seed_stream(seed, "tf"))
             for test in (tf, None):
                 vc = closed_form(ens, t, test).variance
-                d = decompose(ens, t, 1.0, test, 4000, seed_stream(seed, "v"))
+                d = measure(ens, t, 1.0, test, 4000, seed_stream(seed, "v"))
                 assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        tf = make_test_features(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, 1.0, tf, 1, seed_stream(0))
+            decompose(ens, t, 1.0, 1, seed_stream(0))
 
 
 class TestExcessRiskMc:
@@ -434,9 +429,9 @@ class TestExcessRiskMc:
         # rank-s design recovers beta exactly from noiseless labels
         ens = mk_ensemble(40, 12)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(22, "t"))
-        tf = make_test_features(ens, 100, seed_stream(22, "tf"))
+        tf = draw_test_sample(ens, 100, seed_stream(22, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, 0.0, test, 5, seed_stream(22, "e"))
+            d = measure(ens, t, 0.0, test, 5, seed_stream(22, "e"))
             assert d.total <= 1e-20
 
     def test_scalar_hand_value(self):
@@ -447,16 +442,15 @@ class TestExcessRiskMc:
                            tail_coeffs=None, norm=0.5)
         trials = 50_000
         for test in (rows_sample([[1.0]]), None):
-            d = decompose(ens, t, 1.0, test, trials, seed_stream(0, "e"))
+            d = measure(ens, t, 1.0, test, trials, seed_stream(0, "e"))
             # chi^2 mean concentrates at rate sqrt(2/trials)
             assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        tf = make_test_features(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, 1.0, tf, 0, seed_stream(0))
+            decompose(ens, t, 1.0, 0, seed_stream(0))
 
 
 def tiny_misspec_instance(train_cov):
@@ -472,12 +466,12 @@ def tiny_misspec_instance(train_cov):
                        tail_coeffs=np.array([0.0, 1.0]), norm=0.0)
     phi = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
     clean = phi @ W
-    tf = TestFeatures(phi=phi, clean=clean, predictor=clean, target_rows=clean)
+    tf = TestSample(phi=phi, clean=clean, predictor=clean, target_rows=clean)
     return ens, t, tf
 
 
 def noiseless(ens, t, test):
-    return decompose(ens, t, 0.0, test, 2, seed_stream(0), method="closed-form")
+    return measure(ens, t, 0.0, test, 2, seed_stream(0), method="closed-form")
 
 
 class TestMisspecTerm:
@@ -486,9 +480,9 @@ class TestMisspecTerm:
     def test_realizable_target_gives_zero(self):
         ens = mk_ensemble(15, 10)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(23, "t"))
-        tf = make_test_features(ens, 200, seed_stream(23, "tf"))
+        tf = draw_test_sample(ens, 200, seed_stream(23, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, 1.0, test, 50, seed_stream(23, "d"))
+            d = measure(ens, t, 1.0, test, 50, seed_stream(23, "d"))
             assert d.misspec == 0.0 and d.misspec_se == 0.0
 
     def test_hand_instance_pure_tail(self):
@@ -538,7 +532,7 @@ class TestMisspecTerm:
 
     def test_tail_with_a_span_component_is_refused(self):
         # M = tail energy + the fit's in-span risk only holds for a tail
-        # orthogonal to the span; the unprojected c is not, on either route
+        # orthogonal to the span; the unprojected c is not
         p, s = 256, 8
         sp = make_spectrum("polynomial", p, gamma=2.0)
         X = sample_covariates(MODE, 64, seed_stream(0, "cov"), p=p)
@@ -546,10 +540,8 @@ class TestMisspecTerm:
         ens = build_ensemble(sp, MODE, eigenfeature_matrix(sp, MODE, X), W)
         t = TargetFunction(mode="unrealizable", beta_star=np.zeros(s),
                            tail_coeffs=seed_stream(99, "tail").standard_normal(p), norm=0.0)
-        tf = make_test_features(ens, 20, seed_stream(0, "tf"))
-        for test in (None, tf):
-            with pytest.raises(ValueError, match="not orthogonal"):
-                closed_form(ens, t, test)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            closed_form(ens, t)
 
     def test_noisy_test_features_need_the_stored_fit(self):
         # a hand-built target carries no best in-span fit, and one drawn on a
@@ -562,23 +554,24 @@ class TestMisspecTerm:
             with pytest.raises(ValueError, match="no best in-span fit"):
                 closed_form(ensemble, target)
             # clean test features need none: b* = beta*
-            d = decompose(ensemble, target, 1.0, None, 2, seed_stream(0),
+            d = decompose(ensemble, target, 1.0, 2, seed_stream(0),
                           method="closed-form", clean_test=True)
             assert d.misspec == pytest.approx(float(np.sum(
                 ensemble.spectrum.eigenvalues * t.tail_coeffs ** 2)), rel=1e-12)
 
 
 class TestDecompose:
-    # the tests named "streamed" check the population route (test=None)
+    # "streamed" in a test name means decompose's population route, and
+    # "materialized" the sampled reference (tests/sampled_reference.py)
     def test_identity_monte_carlo(self):
         # R = B + V up to redraw and test-sampling noise
         for (n, s) in [(20, 30), (20, 80), (50, 200)]:
             for seed in (0, 1):
                 ens = mk_ensemble(n, s, seed=seed)
                 t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
-                tf = make_test_features(ens, 1500, seed_stream(seed, "tf"))
+                tf = draw_test_sample(ens, 1500, seed_stream(seed, "tf"))
                 for test in (tf, None):
-                    d = decompose(ens, t, 1.0, test, 2000, seed_stream(seed, "d"))
+                    d = measure(ens, t, 1.0, test, 2000, seed_stream(seed, "d"))
                     gap = abs(d.total - d.bias - d.variance)
                     comb = math.sqrt(d.bias_se ** 2 + d.variance_se ** 2 + d.total_se ** 2)
                     assert gap <= 3 * comb
@@ -586,10 +579,11 @@ class TestDecompose:
     def test_identity_closed_form_exact(self):
         ens = mk_ensemble(30, 90, seed=3)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(3, "t"))
-        tf = make_test_features(ens, 400, seed_stream(3, "tf"))
-        d = decompose(ens, t, 0.7, tf, 2, seed_stream(0), method="closed-form")
-        assert abs(d.total - d.bias - d.variance) <= 1e-12 * d.total
-        assert d.method == "closed-form"
+        tf = draw_test_sample(ens, 400, seed_stream(3, "tf"))
+        for test in (tf, None):
+            d = measure(ens, t, 0.7, test, 2, seed_stream(0), method="closed-form")
+            assert abs(d.total - d.bias - d.variance) <= 1e-12 * d.total
+            assert d.method == "closed-form"
 
     @pytest.mark.parametrize("mode,alpha,p", [
         ("realizable-clean", None, 80), ("realizable-noisy", 0.5, 80),
@@ -600,7 +594,7 @@ class TestDecompose:
         ens = mk_ensemble(20, 40, p=p, alpha=alpha, seed=28)
         t = make_target(mode, ens, 1.0, seed_stream(28, "t"))
         for sigma_sq, method in ((0.7, "closed-form"), (0.0, "monte-carlo")):
-            d = decompose(ens, t, sigma_sq, None, 30, seed_stream(28, "d"),
+            d = decompose(ens, t, sigma_sq, 30, seed_stream(28, "d"),
                           method=method)
             assert d.total == d.bias + d.variance + d.misspec
             assert d.bias_se == d.misspec_se == 0.0
@@ -609,11 +603,11 @@ class TestDecompose:
     def test_closed_form_variance_linearity(self):
         ens = mk_ensemble(25, 70, seed=4)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(4, "t"))
-        tf = make_test_features(ens, 300, seed_stream(4, "tf"))
+        tf = draw_test_sample(ens, 300, seed_stream(4, "tf"))
         for test in (tf, None):
-            d1 = decompose(ens, t, 1.0, test, 2, seed_stream(0),
+            d1 = measure(ens, t, 1.0, test, 2, seed_stream(0),
                            method="closed-form")
-            d4 = decompose(ens, t, 4.0, test, 2, seed_stream(0),
+            d4 = measure(ens, t, 4.0, test, 2, seed_stream(0),
                            method="closed-form")
             np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
             assert d4.bias == d1.bias
@@ -623,8 +617,8 @@ class TestDecompose:
         # the same normals, scaled by sigma
         ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(9, "t"))
-        d1 = decompose(ens, t, 1.0, None, 60, seed_stream(21, "q"))
-        d2 = decompose(ens, t, 100.0, None, 60, seed_stream(21, "q"))
+        d1 = decompose(ens, t, 1.0, 60, seed_stream(21, "q"))
+        d2 = decompose(ens, t, 100.0, 60, seed_stream(21, "q"))
         assert d1.bias == d2.bias and d1.bias_se == d2.bias_se == 0.0
         np.testing.assert_allclose(d2.variance, 100.0 * d1.variance, rtol=1e-9)
 
@@ -636,9 +630,9 @@ class TestDecompose:
         ens = mk_ensemble(n, 40, p=120, alpha=0.5, seed=29)
         t = make_target(mode, ens, 1.0, seed_stream(29, "t"))
         rng = seed_stream(29, "d")
-        decompose(ens, t, 1.0, None, trials, rng, method="closed-form")
+        decompose(ens, t, 1.0, trials, rng, method="closed-form")
         assert rng.bit_generator.state == seed_stream(29, "d").bit_generator.state
-        decompose(ens, t, 1.0, None, trials, rng)
+        decompose(ens, t, 1.0, trials, rng)
         ref = seed_stream(29, "d")
         ref.standard_normal((n, trials))
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -647,7 +641,7 @@ class TestDecompose:
         ens = mk_ensemble(40, 120, seed=7)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(7, "t"))
         d_s = closed_form(ens, t)
-        d_m = closed_form(ens, t, make_test_features(ens, 3000, seed_stream(13, "x")))
+        d_m = closed_form(ens, t, draw_test_sample(ens, 3000, seed_stream(13, "x")))
         assert_agree_within_4se(d_s, d_m)
 
     @pytest.mark.parametrize("clean_test,target_noise,family,mode,target_mode", [
@@ -668,9 +662,9 @@ class TestDecompose:
         t = make_target(target_mode, ens, 1.0, seed_stream(8, "t"))
         flags = dict(clean_test=clean_test, target_noise=target_noise)
         # the same label redraws on both routes, so only the test sample differs
-        d_s = decompose(ens, t, 1.0, None, 500, seed_stream(12, "x"), **flags)
-        tf = make_test_features(ens, 3000, seed_stream(13, "x"), **flags)
-        d_m = decompose(ens, t, 1.0, tf, 500, seed_stream(12, "x"), **flags)
+        d_s = decompose(ens, t, 1.0, 500, seed_stream(12, "x"), **flags)
+        tf = draw_test_sample(ens, 3000, seed_stream(13, "x"), **flags)
+        d_m = sampled_decompose(ens, t, 1.0, tf, 500, seed_stream(12, "x"), **flags)
         assert_agree_within_4se(d_s, d_m)
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
@@ -685,7 +679,7 @@ class TestDecompose:
         for jitter in (0.0, 1e-13):
             ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=seed, jitter=jitter)
             t = make_target(mode, ens, 1.0, seed_stream(seed, "t"))
-            d = decompose(ens, t, 1.0, None, 50, seed_stream(seed, "d"))
+            d = decompose(ens, t, 1.0, 50, seed_stream(seed, "d"))
             splits.append([d.bias, d.variance, d.total])
         np.testing.assert_allclose(splits[1], splits[0], rtol=1e-9, atol=1e-9 * splits[0][2])
 
@@ -710,7 +704,7 @@ class TestDecompose:
         n, s, trials = 20, 40, 6
         ens = mk_ensemble(n, s, p=120, alpha=0.5, seed=31)
         t = make_target(mode, ens, 1.0, seed_stream(31, "t"))
-        d = decompose(ens, t, 0.8, None, trials, seed_stream(31, "d"),
+        d = decompose(ens, t, 0.8, trials, seed_stream(31, "d"),
                       target_noise=target_noise)
         E = math.sqrt(0.8) * seed_stream(31, "d").standard_normal((n, trials))
         sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
@@ -741,11 +735,11 @@ class TestDecompose:
     def test_monte_carlo_variance_tracks_closed_form(self):
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
-        tf = make_test_features(ens, 2500, seed_stream(2, "tf"))
+        tf = draw_test_sample(ens, 2500, seed_stream(2, "tf"))
         for test in (tf, None):
-            dc = decompose(ens, t, 1.0, test, 2, seed_stream(0),
+            dc = measure(ens, t, 1.0, test, 2, seed_stream(0),
                            method="closed-form")
-            dm = decompose(ens, t, 1.0, test, 3000, seed_stream(30, "m"))
+            dm = measure(ens, t, 1.0, test, 3000, seed_stream(30, "m"))
             assert dm.bias == dc.bias
             assert abs(dm.variance - dc.variance) <= 0.05 * dc.variance + 3 * dm.variance_se
 
@@ -755,11 +749,11 @@ class TestDecompose:
         ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=24)
         t = make_target("unrealizable", ens, 1.0, seed_stream(24, "t"))
         b, misspec = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
-        d = decompose(ens, t, 1.0, None, 400, seed_stream(24, "d"))
+        d = decompose(ens, t, 1.0, 400, seed_stream(24, "d"))
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
         assert d.misspec > 0
-        tf = make_test_features(ens, 600, seed_stream(24, "tf"))
-        d_m = decompose(ens, t, 1.0, tf, 400, seed_stream(24, "d"))
+        tf = draw_test_sample(ens, 600, seed_stream(24, "tf"))
+        d_m = sampled_decompose(ens, t, 1.0, tf, 400, seed_stream(24, "d"))
         fst = tf.clean @ t.beta_star + tf.phi @ t.tail_coeffs
         np.testing.assert_allclose(d_m.misspec, np.mean((tf.predictor @ b - fst) ** 2),
                                    rtol=1e-9)
@@ -783,23 +777,22 @@ class TestDecompose:
         np.testing.assert_allclose(d.bias + d.misspec, r @ r + q * (u_hat @ u_hat),
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("n,s,p,mode,materialized", [
-        (20, 12, 64, "realizable-clean", False), (20, 60, 120, "realizable-clean", False),
-        (20, 12, 64, "realizable-clean", True), (20, 60, 120, "unrealizable", True)])
-    def test_rank_matches_design_factorization(self, n, s, p, mode, materialized):
+    @pytest.mark.parametrize("n,s,p,mode", [
+        (20, 12, 64, "realizable-clean"), (20, 60, 120, "realizable-clean"),
+        (20, 12, 64, "unrealizable"), (20, 60, 120, "unrealizable")])
+    def test_rank_matches_design_factorization(self, n, s, p, mode):
         ens = mk_ensemble(n, s, p=p, seed=27)
         t = make_target(mode, ens, 1.0, seed_stream(27, "t"))
-        test = make_test_features(ens, 200, seed_stream(27, "tf")) if materialized else None
-        d = decompose(ens, t, 1.0, test, 20, seed_stream(27, "d"))
+        d = decompose(ens, t, 1.0, 20, seed_stream(27, "d"))
         assert d.rank == svd_factors(ens.design).rank == min(n, s)
         assert projector_diag(ens.design).null_dim == s - d.rank
 
     def test_realizable_reports_zero_misspec(self):
         ens = mk_ensemble(20, 40, seed=25)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(25, "t"))
-        tf = make_test_features(ens, 200, seed_stream(25, "tf"))
+        tf = draw_test_sample(ens, 200, seed_stream(25, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, 1.0, test, 100, seed_stream(25, "d"))
+            d = measure(ens, t, 1.0, test, 100, seed_stream(25, "d"))
             assert d.misspec == 0.0 and d.misspec_se == 0.0
 
     def test_all_target_modes_run(self):
@@ -808,38 +801,33 @@ class TestDecompose:
                                ("unrealizable", None, 120)]:
             ens = mk_ensemble(15, 40, p=p, alpha=alpha, seed=26)
             t = make_target(mode, ens, 1.0, seed_stream(26, "t"))
-            d = decompose(ens, t, 1.0, None, 50, seed_stream(26, "d", mode))
+            d = decompose(ens, t, 1.0, 50, seed_stream(26, "d", mode))
             assert d.total >= 0 and d.variance >= 0 and d.bias >= 0
 
     def test_argument_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
         with pytest.raises(ValueError, match="method"):
-            decompose(ens, t, 1.0, None, 50, seed_stream(0), method="analytic")
+            decompose(ens, t, 1.0, 50, seed_stream(0), method="analytic")
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, 1.0, None, 1, seed_stream(0))
-        for count in (0, 4096):
-            with pytest.raises(ValueError, match="test point"):
-                decompose(ens, t, 1.0, count, 50, seed_stream(0))
+            decompose(ens, t, 1.0, 1, seed_stream(0))
 
     def test_unknown_target_noise_rejected_on_every_route(self):
         ens = mk_ensemble(10, 20, p=80, alpha=0.5)
         realizable = make_target("realizable-noisy", ens, 1.0, seed_stream(0, "t"))
         unrealizable = make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
-        tf = make_test_features(ens, 10, seed_stream(0, "tf"))
-        for target, test in [(realizable, None), (unrealizable, None), (realizable, tf)]:
+        for target in (realizable, unrealizable):
             with pytest.raises(ValueError, match="target_noise"):
-                decompose(ens, target, 1.0, test, 50, seed_stream(0),
-                          target_noise="dirty")
+                decompose(ens, target, 1.0, 50, seed_stream(0), target_noise="dirty")
 
     @settings(max_examples=20)
     @given(n=st.integers(3, 10), s=st.integers(2, 12), seed=st.integers(0, 30))
     def test_closed_form_identity_property(self, n, s, seed):
         ens = mk_ensemble(n, s, p=24, seed=seed)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
-        tf = make_test_features(ens, 25, seed_stream(seed, "tf"))
+        tf = draw_test_sample(ens, 25, seed_stream(seed, "tf"))
         for test in (tf, None):
-            d = decompose(ens, t, 0.5, test, 2, seed_stream(0), method="closed-form")
+            d = measure(ens, t, 0.5, test, 2, seed_stream(0), method="closed-form")
             assert d.bias >= 0 and d.variance >= 0
             assert abs(d.total - d.bias - d.variance) <= 1e-10 * max(d.total, 1.0)
 
@@ -873,7 +861,7 @@ class TestUnrealizableSolves:
         # M against the standalone ridge least squares
         _, misspec = standalone_best_fit(
             ens, t, 0.0 if clean_test else ens.noise_spec.entry_variance)
-        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form",
+        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form",
                       clean_test=clean_test)
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
 
@@ -915,7 +903,7 @@ class TestUnrealizableSolves:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"))
-            decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form")
+            decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form")
         finally:
             if not was_tracing:
                 tracemalloc.stop()
@@ -948,7 +936,7 @@ class TestBestInSpanFit:
         monkeypatch.setattr(np.linalg, "qr", qr)
         monkeypatch.setattr(risk_mod, "_population_split", split)
         t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
-        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form",
+        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form",
                       clean_test=clean_test)
         return ens, t, d, refs[0], len(calls)
 
@@ -992,7 +980,7 @@ class TestBestInSpanFit:
         sp = make_spectrum(kind, p, gamma=gamma)
         ens = mk_ensemble(20, s, alpha=0.5, seed=9, spectrum=sp)
         t = make_target("unrealizable", ens, 1.0, seed_stream(9, "t"))
-        d = decompose(ens, t, 1.0, None, 2, seed_stream(0), method="closed-form")
+        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form")
         _, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
@@ -1013,7 +1001,7 @@ def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode):
         ens = build_ensemble(spectrum, mode, phi, G, spec, seed_stream(*key, "noise"),
                              complement_rng=seed_stream(*key, "wc"))
     t = make_target(target_mode, ens, 1.0, seed_stream(*key, "t"))
-    d = decompose(ens, t, 0.5, None, 2, seed_stream(*key, "d"), clean_test=clean_test,
+    d = decompose(ens, t, 0.5, 2, seed_stream(*key, "d"), clean_test=clean_test,
                   method="closed-form")
     return d.bias, d.variance, d.total
 
@@ -1087,6 +1075,6 @@ class TestRowSpaceRoute:
         ens.weights.times(V, e)
         with pytest.raises(RuntimeError, match="already drawn"):
             ens.weights.times(V, e)
-        # nor can a test sample, which needs the dense W
+        # nor can the sampled reference draw a test sample, which needs the dense W
         with pytest.raises(TypeError):
-            make_test_features(ens, 5, seed_stream(2, "tf"))
+            draw_test_sample(ens, 5, seed_stream(2, "tf"))
