@@ -30,7 +30,7 @@ def main() -> int:
     print(f"wrote {paths['sweep']}")
 
     summaries = aggregate(result.records)
-    print(f"{'s':>6} {'risk':>12} {'bias':>12} {'variance':>12} {'k*':>4}")
+    print(f"{'s':>6} {'risk':>12} {'bias':>12} {'variance':>12}")
     peak = max(summaries, key=lambda a: a.R_mean)
     for a in summaries:
         mark = "  <- peak" if a.s == peak.s else ""

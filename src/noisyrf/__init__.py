@@ -7,7 +7,7 @@ bounds and their concentration ingredients.
 """
 
 from .bounds import (BoundInputs, BoundReport, CurvePoint, RegimeLabel,
-                     bias_bound, bound_report, clean_mnls_bounds,
+                     bound_report, clean_mnls_bounds,
                      cov_concentration_bound, double_descent_curve, k_star,
                      regime_classify, variance_bound)
 from .conclab import (ExperimentReport, cross_outer_norm_check,
@@ -32,8 +32,7 @@ from .sweep import (SweepRecord, SweepResult, SweepSummary, aggregate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundInputs", "BoundReport", "CurvePoint", "RegimeLabel", "bias_bound",
-    "bound_report", "clean_mnls_bounds", "cov_concentration_bound",
+    "BoundInputs", "BoundReport", "CurvePoint", "RegimeLabel", "bound_report", "clean_mnls_bounds", "cov_concentration_bound",
     "double_descent_curve", "k_star", "regime_classify", "variance_bound",
     "ExperimentReport", "cross_outer_norm_check", "gram_eigen_experiment",
     "mgf_product_check", "noisy_spectrum_identity_check",

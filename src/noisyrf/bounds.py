@@ -3,14 +3,13 @@
 The central object is the tail index k_star: the smallest head length after
 which the remaining noise-shifted empirical eigenvalues, summed, dominate the
 next eigenvalue by a factor n/a.  Bias bounds are only stated when that index
-exists.  All bounds carry unit constant multipliers by default; callers can
-rescale them.
+exists.  Every bound carries the unit constants it is stated with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ class BoundInputs:
 
     n: int
     s: int
-    p: int
     lambda_hat: np.ndarray      # empirical eigenvalues, at most n entries
     sigma0_sq: float            # feature-noise energy
     sigma_sq: float             # label-noise variance
@@ -61,6 +59,12 @@ def k_star(lambda_hat, sigma0_sq: float, n: int, a: float = 2.0) -> int | None:
 
     lambda_hat is zero-padded to length n; candidates whose pivot eigenvalue is
     exactly zero are skipped.  Returns None when no k in [0, n) qualifies.
+
+    A sweep cell takes k* on its n empirical eigenvalues (the nonzero
+    spectrum of the empirical covariance of its n samples), zero-padded and
+    each shifted by sigma0_sq/n: the spectrum as the bound states it.
+    Neither the spectrum, its truncation, the shift nor a is tuned until the
+    bound appears.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -80,59 +84,55 @@ def k_star(lambda_hat, sigma0_sq: float, n: int, a: float = 2.0) -> int | None:
     return None
 
 
-def _bias_formula(inputs: BoundInputs, b: float) -> float:
-    sigma0 = math.sqrt(inputs.sigma0_sq)
-    conc = (inputs.lambda_W / inputs.s) * inputs.op_norm_Sigma * math.sqrt(
-        math.log(14.0 * inputs.effective_rank / inputs.delta) / inputs.n)
-    return b * (conc + sigma0 + inputs.sigma0_sq) * inputs.pi_norm ** 2 * inputs.beta_norm ** 2
+def _concentration(inputs: BoundInputs) -> float:
+    """(lambda_W / s) times the covariance concentration bound."""
+    return (inputs.lambda_W / inputs.s) * cov_concentration_bound(
+        inputs.op_norm_Sigma, inputs.effective_rank, inputs.n, inputs.delta)
 
 
-def bias_bound(inputs: BoundInputs, b: float = 1.0) -> float:
+def _bias_formula(inputs: BoundInputs) -> float:
     """Conditional-mean error bound for the interpolator fit on noisy features.
 
-    Requires the tail index to exist for the noise-shifted spectrum; the value
-    scales the squared projector norm and target norm by a concentration term
-    plus the noise scale and its square.
+    It holds where the tail index exists for the noise-shifted spectrum; the
+    value scales the squared projector norm and target norm by the
+    concentration term plus the noise scale and its square.
     """
-    if k_star(inputs.lambda_hat, inputs.sigma0_sq, inputs.n, inputs.a) is None:
-        raise ValueError("no tail index exists for these eigenvalues; the bias bound is not stated")
-    return _bias_formula(inputs, b)
+    sigma0 = math.sqrt(inputs.sigma0_sq)
+    return (_concentration(inputs) + sigma0 + inputs.sigma0_sq) \
+        * inputs.pi_norm ** 2 * inputs.beta_norm ** 2
 
 
-def variance_bound(sigma_sq: float, trace_Sigma: float, s: int, n: int,
-                   c: float = 1.0) -> float:
-    """Label-noise variance bound c * sigma^2 * trace * s / n^2 for the noisy fit."""
-    return c * sigma_sq * trace_Sigma * s / float(n) ** 2
+def variance_bound(sigma_sq: float, trace_Sigma: float, s: int, n: int) -> float:
+    """Label-noise variance bound sigma^2 * trace * s / n^2 for the noisy fit."""
+    return sigma_sq * trace_Sigma * s / float(n) ** 2
 
 
-def clean_mnls_bounds(inputs: BoundInputs, b: float = 1.0, c: float = 1.0,
-                      c_prime: float = 1.0) -> tuple[float, float, int]:
+def clean_mnls_bounds(inputs: BoundInputs) -> tuple[float, float, int]:
     """(upper, lower, k) risk bounds for the noiseless-feature interpolator.
 
-    The tail index is computed with no noise shift.  Upper combines the bias
-    concentration term with sigma^2 * (s/n) * trace / tail-mass; lower is the
-    same variance shape with its own constant.
+    The tail index is computed with no noise shift.  Upper adds the bias
+    concentration term to sigma^2 * (s/n) * trace / tail-mass; lower is that
+    variance shape alone.
     """
     k = k_star(inputs.lambda_hat, 0.0, inputs.n, inputs.a)
     if k is None:
         raise ValueError("no tail index exists for these eigenvalues; the bounds are not stated")
     lam = _padded(inputs.lambda_hat, inputs.n)
     tail = float(np.sum(lam[k:]))
-    conc = b * (inputs.lambda_W / inputs.s) * inputs.pi_norm ** 2 * inputs.beta_norm ** 2 \
-        * inputs.op_norm_Sigma * math.sqrt(math.log(14.0 * inputs.effective_rank / inputs.delta) / inputs.n)
+    conc = _concentration(inputs) * inputs.pi_norm ** 2 * inputs.beta_norm ** 2
     vshape = inputs.sigma_sq * (inputs.s / inputs.n) * inputs.trace_Sigma / tail
-    return conc + c * vshape, c_prime * vshape, k
+    return conc + vshape, vshape, k
 
 
-def cov_concentration_bound(op_norm: float, effective_rank: float, n: int, delta: float,
-                            c: float = 1.0) -> float:
+def cov_concentration_bound(op_norm: float, effective_rank: float, n: int,
+                            delta: float) -> float:
     """High-probability operator-norm error of the empirical covariance:
-    c * ||Sigma|| * sqrt(log(14 r / delta) / n)."""
+    ||Sigma|| * sqrt(log(14 r / delta) / n)."""
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     if effective_rank < 1:
         raise ValueError("effective rank is at least 1")
-    return c * op_norm * math.sqrt(math.log(14.0 * effective_rank / delta) / n)
+    return op_norm * math.sqrt(math.log(14.0 * effective_rank / delta) / n)
 
 
 @dataclass(frozen=True)
@@ -182,51 +182,31 @@ class CurvePoint:
     regime: str
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class BoundReport:
-    """All bound values for one configuration, JSON-friendly."""
+    """The bound columns of one sweep.csv row."""
 
-    n: int
-    s: int
-    p: int
-    sigma0_sq: float
     k_star: int | None
     bias_bound: float
     variance_bound: float
-    clean_upper: float
-    clean_lower: float
-    clean_k_star: int | None
-    cov_bound: float
     regime: str
-    gamma: float
-    rates: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
-def bound_report(inputs: BoundInputs, b: float = 1.0, c: float = 1.0) -> BoundReport:
-    """Evaluate every bound that is defined for the given inputs.
+def bound_report(inputs: BoundInputs) -> BoundReport:
+    """The tail index, the bias and variance bounds and the regime of one cell.
 
-    Undefined pieces (missing tail index) are reported as nan rather than
-    raised, so a report can always be produced.  lambda_W may be nan (a sweep
-    row computes it only where it states the bias bound); bias_bound and
-    clean_upper then read nan.
+    The bias bound is stated only where the tail index exists and the fit has
+    a null space (pi_norm > 0): the bound speaks about the out-of-span
+    projector, whose premise is vacuous for an underparameterized fit.
+    Elsewhere it reads nan, as it does where lambda_W is nan (a sweep row
+    computes lambda_W only where it states the bias bound).
     """
     ks = k_star(inputs.lambda_hat, inputs.sigma0_sq, inputs.n, inputs.a)
-    bias = _bias_formula(inputs, b) if ks is not None else float("nan")
-    var = variance_bound(inputs.sigma_sq, inputs.trace_Sigma, inputs.s, inputs.n, c)
-    try:
-        upper, lower, kc = clean_mnls_bounds(inputs, b, c)
-    except ValueError:
-        upper, lower, kc = float("nan"), float("nan"), None
-    cov = cov_concentration_bound(inputs.op_norm_Sigma, inputs.effective_rank,
-                                  inputs.n, inputs.delta, c)
-    reg = regime_classify(inputs.n, inputs.s)
-    return BoundReport(n=inputs.n, s=inputs.s, p=inputs.p, sigma0_sq=inputs.sigma0_sq,
-                       k_star=ks, bias_bound=bias, variance_bound=var, clean_upper=upper,
-                       clean_lower=lower, clean_k_star=kc, cov_bound=cov,
-                       regime=reg.regime, gamma=reg.gamma, rates=reg.rate)
+    states_bias = ks is not None and inputs.pi_norm > 0
+    return BoundReport(
+        k_star=ks, bias_bound=_bias_formula(inputs) if states_bias else float("nan"),
+        variance_bound=variance_bound(inputs.sigma_sq, inputs.trace_Sigma, inputs.s, inputs.n),
+        regime=regime_classify(inputs.n, inputs.s).regime)
 
 
 def empirical_eigenvalues(spectrum: Spectrum, mode: str, n: int,
@@ -239,46 +219,38 @@ def empirical_eigenvalues(spectrum: Spectrum, mode: str, n: int,
 
 
 def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: float,
-                         s_grid, *, mode: str = "eigencoordinate", delta: float = 0.05,
-                         a: float = 2.0, beta_norm: float = 1.0, m0: float | None = None,
-                         b: float = 1.0, c: float = 1.0, lambda_hat=None,
-                         rng: np.random.Generator | None = None) -> list[CurvePoint]:
+                         s_grid, lambda_hat, *, delta: float = 0.05, a: float = 2.0,
+                         beta_norm: float = 1.0) -> list[CurvePoint]:
     """Bound-predicted risk curve across a feature-count grid.
 
-    Each s gets sigma0_sq = s**(-alpha), lambda_W at the Bai-Yin edge
-    (sqrt(p) + sqrt(s))^2 of a Gaussian p x s W's squared top singular value,
-    and the projector norm pinned at its worst case 1.  Below the interpolation
-    threshold the bias column is an illustrative out-of-span proxy
-    m0 * (n / s), m0 defaulting to 0.1 * sigma_sq; it is marked by the
-    classical regime label and is not a stated bound.  Above the threshold the
-    bias column is the formula value itself; the k_star column reports whether
-    its hypothesis held (nan when not).
+    lambda_hat is the empirical spectrum the tail index is taken on (at most
+    n entries).  Each s gets sigma0_sq = s**(-alpha), lambda_W at the Bai-Yin
+    edge (sqrt(p) + sqrt(s))^2 of a Gaussian p x s W's squared top singular
+    value, and the projector norm pinned at its worst case 1.  Below the
+    interpolation threshold the bias column is an illustrative out-of-span
+    proxy 0.1 * sigma_sq * (n / s); it is marked by the classical regime label
+    and is not a stated bound.  Above the threshold the bias column is the
+    formula value itself; the k_star column reports whether its hypothesis
+    held (nan when not).
     """
-    if lambda_hat is None:
-        if rng is not None:
-            lambda_hat = empirical_eigenvalues(spectrum, mode, n, rng)
-        else:
-            lambda_hat = spectrum.eigenvalues[:n]
-    trace, eff_rank = trace_and_rank(spectrum)
+    trace, _ = trace_and_rank(spectrum)
     op = float(spectrum.eigenvalues[0])
-    if m0 is None:
-        m0 = 0.1 * sigma_sq
     points = []
     for s in s_grid:
         s = int(s)
         sigma0_sq = noise_energy(alpha, s)
-        inputs = BoundInputs(n=n, s=s, p=spectrum.p, lambda_hat=lambda_hat,
+        inputs = BoundInputs(n=n, s=s, lambda_hat=lambda_hat,
                              sigma0_sq=sigma0_sq, sigma_sq=sigma_sq, trace_Sigma=trace,
                              op_norm_Sigma=op,
                              lambda_W=(math.sqrt(spectrum.p) + math.sqrt(s)) ** 2, pi_norm=1.0,
                              beta_norm=beta_norm, delta=delta, a=a)
         ks = k_star(lambda_hat, sigma0_sq, n, a)
-        var = variance_bound(sigma_sq, trace, s, n, c)
+        var = variance_bound(sigma_sq, trace, s, n)
         reg = regime_classify(n, s).regime
         if s < n:
-            bias = m0 * (n / s)
+            bias = 0.1 * sigma_sq * (n / s)
         else:
-            bias = _bias_formula(inputs, b)
+            bias = _bias_formula(inputs)
         points.append(CurvePoint(s=s, sigma0_sq=sigma0_sq, k_star=ks, bias_bound=bias,
                                  variance_bound=var, total=bias + var, regime=reg))
     return points

@@ -59,9 +59,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", dest="ensemble_replicates", type=int)
     p.add_argument("--a", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--bias-multiplier", dest="bias_multiplier", type=float)
-    p.add_argument("--variance-multiplier", dest="variance_multiplier", type=float)
-    p.add_argument("--m0", type=float)
     p.add_argument("--clean-test", dest="clean_test", action="store_true", default=None)
     p.add_argument("--target-noise", dest="target_noise", choices=TARGET_NOISE_MODES)
     p.add_argument("--method", choices=METHODS)
@@ -126,9 +123,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_risk(args) -> int:
     cfg = _build_config(args, require_seed=False)
-    if args.s is not None:
+    s_index = 0
+    if args.s in cfg.s_grid:
+        # the grid index seeds the cell's streams, so this is the sweep's cell
+        s_index = cfg.s_grid.index(args.s)
+    elif args.s is not None:
         cfg = dataclasses.replace(cfg, s_grid=[args.s])
-    record = compute_row(cfg, 0, args.replicate)
+    record = compute_row(cfg, s_index, args.replicate)
     out = dataclasses.asdict(record)
     out["regime_detail"] = dataclasses.asdict(regime_classify(cfg.n, record.s))
     print(json.dumps(conclab._jsonable(out), indent=2))
@@ -214,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rk = sub.add_parser("risk", help="decompose risk for one feature count")
     _add_config_args(rk)
-    rk.add_argument("--s", type=int, help="feature count (defaults to first grid entry)")
+    rk.add_argument("--s", type=int,
+                    help="feature count (defaults to the first grid entry); on the grid it "
+                         "reproduces the sweep's cell, off it runs as a one-cell grid")
     rk.add_argument("--replicate", type=int, default=0)
     rk.set_defaults(func=_cmd_risk)
 

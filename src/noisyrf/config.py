@@ -24,7 +24,7 @@ SPECTRUM_KINDS = tuple(k for k in KINDS if k != "custom")
 # The version stamped on emitted manifests.  Bumped whenever a change moves
 # the random stream or the config schema, so a manifest only replays on the
 # code that wrote it.
-ARTIFACT_VERSION = "6"
+ARTIFACT_VERSION = "7"
 
 
 class ValidationError(ValueError):
@@ -56,9 +56,6 @@ class ExperimentConfig:
     master_seed: int | None = None
     a: float = 2.0
     delta: float = 0.05
-    bias_multiplier: float = 1.0
-    variance_multiplier: float = 1.0
-    m0: float | None = None
     clean_test: bool = False
     target_noise: str = "fresh"
     method: str = "monte-carlo"
@@ -136,8 +133,8 @@ def _is_real(value) -> bool:
 
 
 _REAL_FIELDS = ("gamma", "omega1", "alpha", "sigma_sq", "target_norm", "tail_energy",
-                "a", "delta", "bias_multiplier", "variance_multiplier", "m0")
-_NULLABLE_REALS = ("gamma", "m0")
+                "a", "delta")
+_NULLABLE_REALS = ("gamma",)
 
 
 def validate(cfg: ExperimentConfig) -> list:
@@ -200,12 +197,6 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append("a must be > 0")
     if _is_real(cfg.delta) and not (0 < cfg.delta < 1):
         e.append("delta must lie in (0, 1)")
-    if _is_real(cfg.bias_multiplier) and not cfg.bias_multiplier > 0:
-        e.append("bias_multiplier must be > 0")
-    if _is_real(cfg.variance_multiplier) and not cfg.variance_multiplier > 0:
-        e.append("variance_multiplier must be > 0")
-    if _is_real(cfg.m0) and not cfg.m0 >= 0:
-        e.append("m0 must be >= 0")
     if cfg.target_noise not in TARGET_NOISE_MODES:
         e.append(f"target_noise must be one of {TARGET_NOISE_MODES}")
     if cfg.method not in METHODS:

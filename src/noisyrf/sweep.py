@@ -97,12 +97,17 @@ def _make_spectrum(cfg: ExperimentConfig):
 
 
 def bound_curve(cfg: ExperimentConfig) -> list:
-    """The closed-form bound curve over the config's grid, as bounds_curve.csv holds it."""
+    """The closed-form bound curve over the config's grid, as bounds_curve.csv holds it.
+
+    Its tail index is taken on the empirical spectrum of n covariates drawn
+    from the `curve` stream.
+    """
+    spectrum = _make_spectrum(cfg)
+    lam_hat = bounds_mod.empirical_eigenvalues(spectrum, cfg.mode, cfg.n,
+                                               seed_stream(cfg.master_seed, "curve"))
     return bounds_mod.double_descent_curve(
-        _make_spectrum(cfg), cfg.n, cfg.alpha, cfg.sigma_sq, cfg.s_grid, mode=cfg.mode,
-        delta=cfg.delta, a=cfg.a, beta_norm=cfg.target_norm, m0=cfg.m0,
-        b=cfg.bias_multiplier, c=cfg.variance_multiplier,
-        rng=seed_stream(cfg.master_seed, "curve"))
+        spectrum, cfg.n, cfg.alpha, cfg.sigma_sq, cfg.s_grid, lam_hat,
+        delta=cfg.delta, a=cfg.a, beta_norm=cfg.target_norm)
 
 
 # ARPACK's stopping tolerance on the residual r of the top Ritz pair.  The
@@ -191,27 +196,24 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     # decompose factored the design; a nonempty null space makes the row-space
     # defect projector an orthogonal projector of norm exactly 1
     null_dim = s - dec.rank
-    # the row states the bias bound only when the tail index exists and the
-    # fit has a null space: the bound speaks about the out-of-span projector,
-    # whose premise is vacuous for an underparameterized fit.  lambda_W
-    # reaches no other column, so the other rows skip its eigensolve.  A row
-    # with k* took the dense route, so it holds the W that lambda_W needs
+    # the report states the bias bound only where k* exists and the fit has a
+    # null space.  lambda_W reaches no other column, so the other rows skip
+    # its eigensolve.  A row with k* took the dense route, so it holds the W
+    # that lambda_W needs
     states_bias = null_dim > 0 and k_star is not None
     inputs = bounds_mod.BoundInputs(
-        n=n, s=s, p=cfg.p, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
+        n=n, s=s, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
         sigma_sq=cfg.sigma_sq, trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
         lambda_W=_lambda_w(ensemble.weights) if states_bias else NAN,
         pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
-    report = bounds_mod.bound_report(inputs, b=cfg.bias_multiplier,
-                                     c=cfg.variance_multiplier)
-    bias_bound = report.bias_bound if states_bias else NAN
+    report = bounds_mod.bound_report(inputs)
     return SweepRecord(
         s=s, replicate=replicate, sigma0_sq=noise_spec.sigma0_sq,
         k_star=report.k_star,
         B=dec.bias, B_se=dec.bias_se, V=dec.variance, V_se=dec.variance_se,
         M=dec.misspec, M_se=dec.misspec_se, R=dec.total, R_se=dec.total_se,
-        bias_bound=bias_bound, variance_bound=report.variance_bound,
+        bias_bound=report.bias_bound, variance_bound=report.variance_bound,
         regime=report.regime, wall_ms=NAN)
 
 

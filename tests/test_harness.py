@@ -95,7 +95,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "6",
+        manifest = {"artifact_version": "7",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -109,7 +109,7 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'6'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'7'" in str(exc.value)
 
     def test_version_3_manifest_gets_the_version_error(self):
         # a version "3" config block still holds the retired lower_multiplier;
@@ -120,8 +120,27 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '6'; "
+            "manifest artifact_version '3' does not match this code's '7'; "
             "its draws would differ"]
+
+    def test_version_6_manifest_gets_the_version_error(self):
+        # a version "6" config block still holds the retired multiplier keys
+        manifest = {"artifact_version": "6",
+                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9,
+                               "bias_multiplier": 1.0, "variance_multiplier": 1.0,
+                               "m0": None}}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(manifest)
+        assert exc.value.errors == [
+            "manifest artifact_version '6' does not match this code's '7'; "
+            "its draws would differ"]
+
+    @pytest.mark.parametrize("key", ["bias_multiplier", "variance_multiplier", "m0"])
+    def test_retired_multiplier_keys_are_unknown(self, key):
+        # the bounds carry their own unit constants; nothing rescales them
+        with pytest.raises(ValidationError) as exc:
+            parse_config({"n": 4, "p": 8, "s_grid": [2], key: 1.0})
+        assert exc.value.errors == [f"unknown config key: {key!r}"]
 
     def test_overrides_win(self):
         cfg = parse_config({"n": 4, "p": 8, "s_grid": [2], "alpha": 0.5},
@@ -177,8 +196,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("gamma", "2"), ("omega1", "x"), ("alpha", "0.5"), ("alpha", True),
         ("sigma_sq", None), ("target_norm", [1.0]), ("tail_energy", "1"),
-        ("a", None), ("delta", "0.05"), ("bias_multiplier", True),
-        ("variance_multiplier", {}), ("m0", "0"),
+        ("a", None), ("delta", "0.05"),
         ("clean_test", "yes"), ("clean_test", 1),
     ])
     def test_malformed_value_is_reported(self, field, value):
@@ -198,9 +216,9 @@ class TestConfig:
             parse_config({"n": 20, "p": 40, "s_grid": [5], "test_points": 0})
 
     def test_nullable_float_fields_accept_null(self):
-        cfg = parse_config({"n": 20, "p": 40, "s_grid": [5], "m0": None,
+        cfg = parse_config({"n": 20, "p": 40, "s_grid": [5],
                             "spectrum": {"kind": "exponential", "gamma": None}})
-        assert cfg.m0 is None and cfg.gamma is None
+        assert cfg.gamma is None
 
 
 def small_cfg(**kw):
@@ -428,9 +446,9 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "6"
+        assert manifest["artifact_version"] == "7"
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "6"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "7"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -640,12 +658,31 @@ class TestCli:
         assert main(["risk", *RISK_FLAGS, "--kind", "custom"]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_risk_cell(self, capsys):
-        assert main(["risk", *RISK_FLAGS, "--s", "8"]) == 0
+    def test_risk_cell(self, tmp_path, capsys):
+        # s = 8 is the second grid entry: its streams are seeded by that index,
+        # so risk reproduces the sweep's cell
+        flags = [*RISK_FLAGS, "--s-grid", "6,8,20"]
+        assert main(["risk", *flags, "--s", "8"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["s"] == 8
         assert out["regime_detail"]["regime"] == "classical"
         assert out["R"] >= 0
+        assert main(["sweep", *flags, "--out-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), next(r for r in rows if r.startswith("8,")).split(",")))
+        for column in ("B", "V", "M", "R"):
+            assert out[column] == float(row[column])
+
+    def test_risk_cell_off_the_grid(self, capsys):
+        # an s off the grid runs as the one cell of a one-cell grid
+        assert main(["risk", *RISK_FLAGS, "--s", "9"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = small_cfg(s_grid=[9], label_redraws=30, master_seed=3)
+        assert out["R"] == compute_row(cfg, 0, 0).R
+
+    def test_retired_multiplier_flags_are_refused(self, capsys):
+        assert main(["risk", *RISK_FLAGS, "--m0", "1"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bounds_stdout(self, capsys):
         assert main(["bounds", *RISK_FLAGS, "--stdout"]) == 0
@@ -713,7 +750,7 @@ class TestCli:
         capsys.readouterr()
         replay = tmp_path / "replay"
         assert main(["sweep", "--config", str(old), "--out-dir", str(replay)]) == 1
-        assert "'5' does not match this code's '6'" in capsys.readouterr().err
+        assert "'5' does not match this code's '7'" in capsys.readouterr().err
         assert not replay.exists()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):

@@ -561,8 +561,6 @@ class TestMisspecTerm:
 
 
 class TestDecompose:
-    # "streamed" in a test name means decompose's population route, and
-    # "materialized" the sampled reference (tests/sampled_reference.py)
     def test_identity_monte_carlo(self):
         # R = B + V up to redraw and test-sampling noise
         for (n, s) in [(20, 30), (20, 80), (50, 200)]:
@@ -612,7 +610,7 @@ class TestDecompose:
             np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
             assert d4.bias == d1.bias
 
-    def test_streamed_bias_invariant_under_sigma(self):
+    def test_population_bias_invariant_under_sigma(self):
         # the bias is exact and the label draws are always the same number of
         # the same normals, scaled by sigma
         ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
@@ -637,7 +635,7 @@ class TestDecompose:
         ref.standard_normal((n, trials))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_streamed_agrees_with_materialized_when_clean(self):
+    def test_population_agrees_with_the_sampled_reference_when_clean(self):
         ens = mk_ensemble(40, 120, seed=7)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(7, "t"))
         d_s = closed_form(ens, t)
@@ -656,8 +654,8 @@ class TestDecompose:
         for mode, target_mode in (("fourier", "realizable-noisy"), (MODE, "unrealizable"),
                                   ("fourier", "unrealizable"))
         for clean_test in (False, True)])
-    def test_streamed_agrees_with_materialized_when_noisy(self, clean_test, target_noise,
-                                                          family, mode, target_mode):
+    def test_population_agrees_with_the_sampled_reference_when_noisy(
+            self, clean_test, target_noise, family, mode, target_mode):
         ens = mk_ensemble(40, 120, alpha=0.5, seed=8, family=family, mode=mode)
         t = make_target(target_mode, ens, 1.0, seed_stream(8, "t"))
         flags = dict(clean_test=clean_test, target_noise=target_noise)
@@ -669,7 +667,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
     @pytest.mark.parametrize("s", [20, 40, 90])
-    def test_streamed_split_is_stable_under_rounding(self, s, alpha):
+    def test_population_split_is_stable_under_rounding(self, s, alpha):
         # n = 40, so s < n, s = n and s > n: a 1e-13 nudge of W moves the
         # exact split by rounding only.  Tolerances are relative to R: a clean
         # fit of full column rank has a bias of rounding, ~1e-31
