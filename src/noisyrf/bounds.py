@@ -16,8 +16,6 @@ import numpy as np
 from .features import noise_energy
 from .spectral import Spectrum, empirical_covariance, sample_covariates, eigenfeature_matrix, trace_and_rank
 
-REGIMES = ("classical", "threshold", "benign", "explosive")
-
 
 @dataclass(eq=False)
 class BoundInputs:
@@ -135,40 +133,20 @@ def cov_concentration_bound(op_norm: float, effective_rank: float, n: int,
     return op_norm * math.sqrt(math.log(14.0 * effective_rank / delta) / n)
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    regime: str
-    gamma: float              # log s / log n
-    variance_exponent: float  # variance scales like n ** this
-    rate: str                 # textual rate label for the regime
-    note: str
+def regime_classify(n: int, s: int) -> str:
+    """The overparameterization regime label of (n, s), as sweep rows write it.
 
-
-def regime_classify(n: int, s: int) -> RegimeLabel:
-    """Which overparameterization regime (n, s) falls in.
-
-    classical s < n; threshold s = n; benign n < s with log s / log n < 2
-    (variance decays); explosive beyond (variance grows like n^(gamma-2)).
+    classical s < n; threshold s = n; benign n < s with log s / log n < 2;
+    explosive beyond.  The label only partitions the (n, s) plane: it states
+    no rate for the measured variance.
     """
     if n < 2 or s < 1:
         raise ValueError("need n >= 2 and s >= 1")
-    gamma = math.log(s) / math.log(n)
-    exponent = gamma - 2.0
     if s < n:
-        return RegimeLabel("classical", gamma, exponent,
-                           "no stated rate (s < n)",
-                           "underparameterized: out-of-span error dominates")
+        return "classical"
     if s == n:
-        return RegimeLabel("threshold", gamma, exponent,
-                           "B: O(p/n^1.5 + sigma0 + sigma0^2); V: O(1/n)",
-                           "interpolation threshold: variance peaks")
-    if gamma < 2.0:
-        return RegimeLabel("benign", gamma, exponent,
-                           "V: O(n^{:+.2f})".format(exponent),
-                           "overparameterized: variance decays as n^{:+.2f}".format(exponent))
-    return RegimeLabel("explosive", gamma, exponent,
-                       "V: Theta(n^{:+.2f})".format(exponent),
-                       "too many features: variance grows as n^{:+.2f}".format(exponent))
+        return "threshold"
+    return "benign" if math.log(s) / math.log(n) < 2.0 else "explosive"
 
 
 @dataclass(frozen=True)
@@ -206,16 +184,14 @@ def bound_report(inputs: BoundInputs) -> BoundReport:
     return BoundReport(
         k_star=ks, bias_bound=_bias_formula(inputs) if states_bias else float("nan"),
         variance_bound=variance_bound(inputs.sigma_sq, inputs.trace_Sigma, inputs.s, inputs.n),
-        regime=regime_classify(inputs.n, inputs.s).regime)
+        regime=regime_classify(inputs.n, inputs.s))
 
 
 def empirical_eigenvalues(spectrum: Spectrum, mode: str, n: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """First min(n, p) eigenvalues of the empirical covariance from n fresh covariates."""
+    """The min(n, p) eigenvalues of the empirical covariance from n fresh covariates."""
     X = sample_covariates(mode, n, rng, p=spectrum.p)
-    Phi = eigenfeature_matrix(spectrum, mode, X)
-    summary = empirical_covariance(Phi)
-    return summary.eigenvalues[: min(n, spectrum.p)]
+    return empirical_covariance(eigenfeature_matrix(spectrum, mode, X))
 
 
 def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: float,
@@ -246,7 +222,7 @@ def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: flo
                              beta_norm=beta_norm, delta=delta, a=a)
         ks = k_star(lambda_hat, sigma0_sq, n, a)
         var = variance_bound(sigma_sq, trace, s, n)
-        reg = regime_classify(n, s).regime
+        reg = regime_classify(n, s)
         if s < n:
             bias = 0.1 * sigma_sq * (n / s)
         else:

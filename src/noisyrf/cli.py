@@ -15,7 +15,6 @@ import os
 import sys
 
 from . import conclab
-from .bounds import regime_classify
 from .config import (METHODS, PRESETS, SPECTRUM_KINDS, ExperimentConfig,
                      ValidationError, load_raw_config, parse_config)
 from .features import NOISE_FAMILIES
@@ -35,6 +34,16 @@ class _Parser(argparse.ArgumentParser):
     # partial failures, so route usage errors through exit code 1 instead
     def error(self, message):
         raise CliError(message)
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -130,9 +139,7 @@ def _cmd_risk(args) -> int:
     elif args.s is not None:
         cfg = dataclasses.replace(cfg, s_grid=[args.s])
     record = compute_row(cfg, s_index, args.replicate)
-    out = dataclasses.asdict(record)
-    out["regime_detail"] = dataclasses.asdict(regime_classify(cfg.n, record.s))
-    print(json.dumps(conclab._jsonable(out), indent=2))
+    print(json.dumps(conclab._jsonable(dataclasses.asdict(record)), indent=2))
     return 0
 
 
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int)
     sp.add_argument("--omega1", type=float)
     sp.add_argument("--eigenvalues", help="comma-separated values for --kind custom")
-    sp.add_argument("--head", type=int, default=10)
+    sp.add_argument("--head", type=_nonnegative_int, default=10)
     sp.set_defaults(func=_cmd_spectrum)
 
     rk = sub.add_parser("risk", help="decompose risk for one feature count")
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--s", type=int,
                     help="feature count (defaults to the first grid entry); on the grid it "
                          "reproduces the sweep's cell, off it runs as a one-cell grid")
-    rk.add_argument("--replicate", type=int, default=0)
+    rk.add_argument("--replicate", type=_nonnegative_int, default=0)
     rk.set_defaults(func=_cmd_risk)
 
     bd = sub.add_parser("bounds", help="bound curve over the feature grid")

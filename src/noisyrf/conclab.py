@@ -68,6 +68,18 @@ def _jsonable(x):
     return x
 
 
+def _trial_count(name: str, trials: int | None) -> int:
+    """The trial count of experiment `name`: its default unless given.
+
+    Every verdict below rests on a sample spread or quantile, so fewer than
+    2 trials is refused before anything is drawn.
+    """
+    trials = DEFAULT_TRIALS[name] if trials is None else int(trials)
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+    return trials
+
+
 def mgf_product_check(t: float, trials: int | None = None,
                       rng: np.random.Generator | None = None) -> ExperimentReport:
     """Sample mean of exp(t * x * y) for independent standard normals x, y.
@@ -105,7 +117,7 @@ def norm_concentration_check(n: int, family: str = "gaussian", trials: int | Non
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    trials = DEFAULT_TRIALS["norm-concentration"] if trials is None else int(trials)
+    trials = _trial_count("norm-concentration", trials)
     rng = rng or np.random.default_rng(0)
     vals = np.empty(trials)
     chunk = max(1, min(trials, 2_000_000 // max(n, 1)))
@@ -135,7 +147,7 @@ def weighted_subexp_sum_check(lambda_seq, trials: int | None = None,
     lam = np.asarray(lambda_seq, dtype=float)
     if lam.ndim != 1 or lam.size == 0 or np.any(lam < 0):
         raise ValueError("lambda_seq must be a nonempty nonnegative vector")
-    trials = DEFAULT_TRIALS["weighted-subexp-sum"] if trials is None else int(trials)
+    trials = _trial_count("weighted-subexp-sum", trials)
     rng = rng or np.random.default_rng(0)
     t = math.log(2.0 / TAIL_LEVEL)
     base = max(float(lam.max(initial=0.0)) * t, math.sqrt(t * float(np.sum(lam * lam))))
@@ -161,11 +173,15 @@ def gram_eigen_experiment(lambda_hat, n: int, s: int, trials: int | None = None,
     as an oracle for the flat-spectrum case.
     """
     lam_full = np.asarray(lambda_hat, dtype=float)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not (0 <= k < lam_full.size):
         raise ValueError("k must index into lambda_hat")
+    if s < 1:
+        raise ValueError("s must be >= 1")
     lam = lam_full[k:]
     q = lam.size
-    trials = DEFAULT_TRIALS["gram-eigenvalues"] if trials is None else int(trials)
+    trials = _trial_count("gram-eigenvalues", trials)
     rng = rng or np.random.default_rng(0)
     top_count = min(5, q)
     mu_max = np.empty(trials)
@@ -216,7 +232,7 @@ def cross_outer_norm_check(lambda_seq, n: int, trials: int | None = None,
         raise ValueError("lambda_seq must be a nonempty nonnegative vector")
     if n < 1:
         raise ValueError("n must be >= 1")
-    trials = DEFAULT_TRIALS["cross-outer-norm"] if trials is None else int(trials)
+    trials = _trial_count("cross-outer-norm", trials)
     rng = rng or np.random.default_rng(0)
     q = lam.size
     l2 = math.sqrt(float(np.sum(lam * lam)))
@@ -261,11 +277,15 @@ def noisy_spectrum_identity_check(lambda_hat, sigma0_sq: float, n: int, s: int,
     within 3 joint stderrs.
     """
     lam = np.asarray(lambda_hat, dtype=float)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if lam.size != n:
         raise ValueError("lambda_hat must have length n (the empirical spectrum of one draw)")
     if sigma0_sq < 0:
         raise ValueError("sigma0_sq must be >= 0")
-    trials = DEFAULT_TRIALS["noisy-spectrum-identity"] if trials is None else int(trials)
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    trials = _trial_count("noisy-spectrum-identity", trials)
     rng = rng or np.random.default_rng(0)
     top = min(top, n)
     sigma0 = math.sqrt(sigma0_sq)

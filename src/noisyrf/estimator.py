@@ -1,9 +1,9 @@
 """Minimum-norm least squares and ridge estimators, with rank diagnostics.
 
-The interpolating fit is assembled from the SVD of the design: singular values
-at or below rtol * sigma_max are treated as zero, the remaining directions are
-inverted, and the returned coefficient vector is the least-squares solution of
-minimum Euclidean norm.
+The interpolating fit is `svd_factors(Z).apply_pinv(Y)`, the route
+`risk.decompose` runs: singular values at or below rtol * sigma_max are
+treated as zero, the remaining directions are inverted, and the result is the
+least-squares solution of minimum Euclidean norm.
 """
 
 from __future__ import annotations
@@ -18,19 +18,6 @@ def default_rtol(n: int, s: int) -> float:
 
 
 @dataclass(eq=False)
-class MnlsFit:
-    beta: np.ndarray
-    rank: int
-    singular_values: np.ndarray  # all min(n, s) values, non-increasing
-    cutoff: float                # absolute threshold used for rank decisions
-    residual_norm: float         # ||Z beta - Y||; nonzero when Y is not fitted exactly
-
-    @property
-    def interpolates(self) -> bool:
-        return self.residual_norm <= 1e-8 * max(1.0, float(np.linalg.norm(self.beta)))
-
-
-@dataclass(eq=False)
 class SvdFactors:
     """Thin SVD of a design restricted to its numerically nonzero directions."""
 
@@ -39,10 +26,12 @@ class SvdFactors:
     V: np.ndarray      # (s, rank)
     rank: int
     cutoff: float
-    all_sv: np.ndarray
 
     def apply_pinv(self, Y: np.ndarray) -> np.ndarray:
-        """Z^+ Y, the minimum-norm least-squares coefficients."""
+        """Z^+ Y, the minimum-norm least-squares coefficients.
+
+        At rank 0 (an all-zero design) the factors are empty and this is zero.
+        """
         return self.V @ ((self.U.T @ Y).T / self.sv).T
 
 
@@ -66,24 +55,7 @@ def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
     keep = sv > cutoff
     rank = int(np.count_nonzero(keep))
     return SvdFactors(U=U[:, keep], sv=sv[keep], V=V[:, keep], rank=rank,
-                      cutoff=cutoff, all_sv=sv)
-
-
-def mnls_fit(Z: np.ndarray, Y: np.ndarray, rtol: float | None = None) -> MnlsFit:
-    """Minimum-norm least-squares fit of Y on the rows of Z.
-
-    An all-zero design is legal: the fit is beta = 0 and the residual norm
-    records the unfitted labels.
-    """
-    Z = np.asarray(Z, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Z.ndim != 2 or Y.shape[0] != Z.shape[0]:
-        raise ValueError("Z must be (n, s) and Y length n")
-    f = svd_factors(Z, rtol)
-    beta = f.apply_pinv(Y) if f.rank else np.zeros(Z.shape[1])
-    residual = float(np.linalg.norm(Z @ beta - Y))
-    return MnlsFit(beta=beta, rank=f.rank, singular_values=f.all_sv,
-                   cutoff=f.cutoff, residual_norm=residual)
+                      cutoff=cutoff)
 
 
 def ridge_fit(Z: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
@@ -92,7 +64,7 @@ def ridge_fit(Z: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     The penalty enters the normal equations multiplied by both the sample
     count and the feature count, matching a squared-error objective averaged
     over n with an s-scaled norm penalty.  lam = 0 is only accepted when
-    Z^T Z is invertible; otherwise use mnls_fit.
+    Z^T Z is invertible; otherwise use svd_factors(Z).apply_pinv(Y).
     """
     Z = np.asarray(Z, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -102,7 +74,7 @@ def ridge_fit(Z: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     if lam == 0.0:
         if n < s or np.linalg.matrix_rank(Z) < s:
             raise ValueError("lam = 0 with a rank-deficient design has no unique solution; "
-                             "use mnls_fit for the minimum-norm interpolator")
+                             "use svd_factors(Z).apply_pinv(Y) for the minimum-norm interpolator")
     A = Z.T @ Z + (n * lam * s) * np.eye(s)
     return np.linalg.solve(A, Z.T @ Y)
 

@@ -1,4 +1,4 @@
-"""Eigenvalue spectra, eigenfeature maps, kernels, and covariance summaries.
+"""Eigenvalue spectra, covariates, eigenfeature maps and the empirical spectrum.
 
 A kernel is described by its spectrum (a non-increasing, nonnegative sequence
 ``lambda_1 >= lambda_2 >= ... >= lambda_p``) together with an orthonormal
@@ -49,15 +49,6 @@ class Spectrum:
             raise ValueError("eigenvalues must be finite and nonnegative")
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalues must be non-increasing")
-
-
-@dataclass(eq=False)
-class CovarianceSummary:
-    """Sorted eigenvalues of a PSD covariance estimate plus scalar summaries."""
-
-    eigenvalues: np.ndarray
-    trace: float
-    operator_norm: float
 
 
 def make_spectrum(kind: str, p: int, *, gamma: float | None = None, d: int | None = None,
@@ -203,42 +194,18 @@ def eigenfeature_matrix(spectrum: Spectrum, mode: str, X) -> np.ndarray:
     return V * np.sqrt(spectrum.eigenvalues)
 
 
-def kernel_eval(spectrum: Spectrum, mode: str, x, y) -> np.ndarray:
-    """Kernel value k(x, y) = sum_i lambda_i e_i(x) e_i(y), elementwise over batches."""
-    Vx = eigenfunction_values(mode, spectrum.p, x)
-    Vy = eigenfunction_values(mode, spectrum.p, y)
-    if Vx.shape[0] != Vy.shape[0]:
-        raise ValueError("x and y batches must have equal length")
-    vals = np.einsum("ij,j,ij->i", Vx, spectrum.eigenvalues, Vy)
-    return vals if vals.size > 1 else float(vals[0])
+def empirical_covariance(feature_rows: np.ndarray) -> np.ndarray:
+    """The min(n, dim) leading eigenvalues of (1/n) * rows^T rows.
 
-
-def empirical_covariance(feature_rows: np.ndarray) -> CovarianceSummary:
-    """Eigenvalues of (1/n) * rows^T rows, sorted non-increasing.
-
-    Works on eigenfeature rows (giving the empirical covariance of phi) or on
-    sampled feature rows (giving the feature-space covariance estimate).  The
-    full length-dim eigenvalue vector is returned; at most min(n, dim) entries
-    are nonzero, so the small Gram factorization is used when n < dim.
+    They come non-increasing and clipped at 0; the other dim - n eigenvalues
+    of an n < dim estimate are exactly zero and are not returned.  Works on
+    eigenfeature rows (giving the empirical covariance of phi) or on sampled
+    feature rows (giving the feature-space covariance estimate).  The smaller
+    of the n x n Gram and the dim x dim covariance is factored.
     """
     rows = np.asarray(feature_rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("feature_rows must be a 2-d array")
     n, dim = rows.shape
-    if n <= dim:
-        gram = rows @ rows.T / n
-        vals = np.linalg.eigvalsh(gram)
-        eigs = np.zeros(dim)
-        eigs[: n] = vals[::-1]
-    else:
-        cov = rows.T @ rows / n
-        eigs = np.linalg.eigvalsh(cov)[::-1]
-    np.clip(eigs, 0.0, None, out=eigs)
-    trace = float(np.sum(rows * rows) / n)
-    return CovarianceSummary(eigenvalues=eigs, trace=trace, operator_norm=float(eigs[0]))
-
-
-def population_covariance(spectrum: Spectrum) -> CovarianceSummary:
-    tr, _ = trace_and_rank(spectrum)
-    return CovarianceSummary(eigenvalues=spectrum.eigenvalues.copy(), trace=tr,
-                             operator_norm=float(spectrum.eigenvalues[0]))
+    small = rows @ rows.T if n <= dim else rows.T @ rows
+    return np.clip(np.linalg.eigvalsh(small / n)[::-1], 0.0, None)

@@ -30,7 +30,7 @@ from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weig
 from .risk import decompose, make_target
 from .seeding import seed_stream
 from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
-                       population_covariance, sample_covariates)
+                       sample_covariates, trace_and_rank)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
@@ -175,7 +175,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     # X is not read again; freed before the weights are drawn, so no cell
     # holds it next to W
     del X
-    lam_hat = empirical_covariance(phi).eigenvalues[:n]
+    lam_hat = empirical_covariance(phi)
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     if cfg.target_mode == "unrealizable" or k_star is not None:
@@ -192,7 +192,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
                     cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise, method=cfg.method)
 
-    pop = population_covariance(spectrum)
+    trace, _ = trace_and_rank(spectrum)
     # decompose factored the design; a nonempty null space makes the row-space
     # defect projector an orthogonal projector of norm exactly 1
     null_dim = s - dec.rank
@@ -203,7 +203,8 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     states_bias = null_dim > 0 and k_star is not None
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, lambda_hat=lam_hat, sigma0_sq=noise_spec.sigma0_sq,
-        sigma_sq=cfg.sigma_sq, trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
+        sigma_sq=cfg.sigma_sq, trace_Sigma=trace,
+        op_norm_Sigma=float(spectrum.eigenvalues[0]),
         lambda_W=_lambda_w(ensemble.weights) if states_bias else NAN,
         pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
@@ -221,7 +222,7 @@ def _failed_record(cfg: ExperimentConfig, s_index: int, replicate: int,
                    message: str) -> SweepRecord:
     s = cfg.s_grid[s_index]
     noise = make_noise_spec(cfg.noise_family, cfg.alpha, s)
-    regime = bounds_mod.regime_classify(cfg.n, s).regime
+    regime = bounds_mod.regime_classify(cfg.n, s)
     return SweepRecord(s=s, replicate=replicate, sigma0_sq=noise.sigma0_sq,
                        k_star=None, B=NAN, B_se=NAN, V=NAN, V_se=NAN, M=NAN,
                        M_se=NAN, R=NAN, R_se=NAN, bias_bound=NAN,

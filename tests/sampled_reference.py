@@ -8,7 +8,9 @@ the fit and the target on them, and average.  It shares only its inputs with
 design again through `estimator.svd_factors`, draws its test rows from the
 law `decompose` integrates over, and takes an unrealizable target's best
 in-span fit b* from `standalone_best_fit`, a dense lstsq, not from the fit
-`make_target` stored on the target.
+`make_target` stored on the target.  `kernel_eval` is the kernel the sampled
+features approximate, the oracle the feature tests compare inner products of
+feature rows against.
 
 pytest does not collect this module (its name does not start with test_);
 the test modules import it.
@@ -25,7 +27,8 @@ from noisyrf.estimator import svd_factors
 from noisyrf.features import FeatureEnsemble, noise_matrix
 from noisyrf.risk import (TARGET_NOISE_MODES, RiskDecomposition, TargetFunction,
                           target_train_values)
-from noisyrf.spectral import eigenfeature_matrix, sample_covariates
+from noisyrf.spectral import (Spectrum, eigenfeature_matrix, eigenfunction_values,
+                              sample_covariates)
 
 
 @dataclass(eq=False)
@@ -77,6 +80,16 @@ def draw_test_sample(ens: FeatureEnsemble, m: int, rng: np.random.Generator, *,
     else:
         target_rows = clean + noise_matrix(spec, clean.shape, rng)
     return TestSample(phi=phi, clean=clean, predictor=predictor, target_rows=target_rows)
+
+
+def kernel_eval(spectrum: Spectrum, mode: str, x, y):
+    """Kernel value k(x, y) = sum_i lambda_i e_i(x) e_i(y), elementwise over batches."""
+    Vx = eigenfunction_values(mode, spectrum.p, x)
+    Vy = eigenfunction_values(mode, spectrum.p, y)
+    if Vx.shape[0] != Vy.shape[0]:
+        raise ValueError("x and y batches must have equal length")
+    vals = np.einsum("ij,j,ij->i", Vx, spectrum.eigenvalues, Vy)
+    return vals if vals.size > 1 else float(vals[0])
 
 
 def standalone_best_fit(ens: FeatureEnsemble, t: TargetFunction, q: float):

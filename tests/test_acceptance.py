@@ -18,12 +18,12 @@ from noisyrf import bounds as bounds_mod
 from noisyrf.conclab import (cross_outer_norm_check, mgf_product_check,
                              noisy_spectrum_identity_check, norm_concentration_check)
 from noisyrf.config import parse_config, preset_config
-from noisyrf.estimator import mnls_fit, projector_diag
+from noisyrf.estimator import projector_diag, svd_factors
 from noisyrf.features import build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import decompose, make_target
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (empirical_covariance, eigenfeature_matrix, make_spectrum,
-                              population_covariance, sample_covariates)
+                              sample_covariates, trace_and_rank)
 from noisyrf.sweep import _lambda_w, aggregate, emit_outputs, run_sweep
 from sampled_reference import draw_test_sample, sampled_decompose
 
@@ -49,7 +49,8 @@ def _poly_lab(n, s, p, seed, alpha=None):
 
 
 def test_criterion_1_min_norm_solution_matches_independent_oracle():
-    # 200 fuzzed designs, n, s <= 12, entries U(-1, 1); the reference solution
+    # 200 fuzzed designs, n, s <= 12, entries U(-1, 1), fit by the route
+    # decompose runs, svd_factors(Z).apply_pinv(y); the reference solution
     # comes from the gesvd LAPACK driver (the fit uses gesdd), so the two
     # pseudoinverse routes are computed independently.
     t0 = time.monotonic()
@@ -60,11 +61,11 @@ def test_criterion_1_min_norm_solution_matches_independent_oracle():
         s = int(rng.integers(1, 13))
         Z = rng.uniform(-1.0, 1.0, size=(n, s))
         y = rng.uniform(-1.0, 1.0, size=n)
-        fit = mnls_fit(Z, y)
+        beta = svd_factors(Z).apply_pinv(y)
         U, sv, Vt = sla.svd(Z, full_matrices=False, lapack_driver="gesvd")
         keep = sv > sv[0] * max(n, s) * np.finfo(float).eps
         oracle = Vt[keep].T @ ((U[:, keep].T @ y) / sv[keep])
-        worst = max(worst, float(np.max(np.abs(fit.beta - oracle))))
+        worst = max(worst, float(np.max(np.abs(beta - oracle))))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
     _report(1, ok, f"worst inf-norm gap {worst:.2e} over 200 designs (tol 1e-8), {elapsed:.2f}s")
@@ -166,15 +167,15 @@ def _sandwich_point(n, s, seed):
     target = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t6", n, s))
     dec = decompose(ens, target, 1.0, 0,
                     seed_stream(seed, "r6", n, s), method="closed-form")
-    lam_hat = empirical_covariance(eigenfeature_matrix(spectrum, MODE, X)).eigenvalues[:n]
-    pop = population_covariance(spectrum)
+    lam_hat = empirical_covariance(eigenfeature_matrix(spectrum, MODE, X))
+    trace, _ = trace_and_rank(spectrum)
     proj = projector_diag(ens.design)
     # a gamma=2 spectrum truncated at n entries has max tail/pivot mass near
     # n/4, so no unshifted tail index exists for slack a < 4; a = 5 keeps the
     # index well defined at every size used here
     inputs = bounds_mod.BoundInputs(
         n=n, s=s, lambda_hat=lam_hat, sigma0_sq=0.0, sigma_sq=1.0,
-        trace_Sigma=pop.trace, op_norm_Sigma=pop.operator_norm,
+        trace_Sigma=trace, op_norm_Sigma=float(spectrum.eigenvalues[0]),
         lambda_W=_lambda_w(W), pi_norm=proj.pi_norm,
         beta_norm=target.norm, a=5.0)
     upper, lower, _ = bounds_mod.clean_mnls_bounds(inputs)

@@ -160,24 +160,18 @@ class TestCovBound:
 
 class TestRegimes:
     def test_threshold(self):
-        r = regime_classify(100, 100)
-        assert r.regime == "threshold" and r.gamma == 1.0
+        assert regime_classify(100, 100) == "threshold"
 
     def test_benign(self):
-        r = regime_classify(100, 1000)
-        assert r.regime == "benign"
-        assert r.gamma == pytest.approx(1.5, rel=1e-14)
-        assert r.variance_exponent == pytest.approx(-0.5, rel=1e-12)
-        assert "-0.50" in r.rate
+        # log 1000 / log 100 = 1.5
+        assert regime_classify(100, 1000) == "benign"
 
     def test_explosive(self):
-        r = regime_classify(10, 10_000)
-        assert r.regime == "explosive"
-        assert r.gamma == pytest.approx(4.0, rel=1e-14)
-        assert "+2.00" in r.rate
+        # log 10^4 / log 10 = 4
+        assert regime_classify(10, 10_000) == "explosive"
 
     def test_classical(self):
-        assert regime_classify(100, 50).regime == "classical"
+        assert regime_classify(100, 50) == "classical"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,14 +184,13 @@ class TestRegimes:
         r = regime_classify(n, s)
         gamma = math.log(s) / math.log(n)
         if s < n:
-            assert r.regime == "classical"
+            assert r == "classical"
         elif s == n:
-            assert r.regime == "threshold"
+            assert r == "threshold"
         elif gamma < 2.0:
-            assert r.regime == "benign"
+            assert r == "benign"
         else:
-            assert r.regime == "explosive"
-        assert r.variance_exponent == pytest.approx(gamma - 2.0, abs=1e-12)
+            assert r == "explosive"
 
 
 class TestBoundReport:

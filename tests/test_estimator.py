@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from noisyrf.estimator import (default_rtol, mnls_fit, projector_diag, ridge_fit,
-                               svd_factors)
+from noisyrf.estimator import default_rtol, projector_diag, ridge_fit, svd_factors
 from noisyrf.seeding import seed_stream
 
 
@@ -25,38 +24,50 @@ def min_norm_oracle(Z, Y):
     return pinv_oracle(Z) @ Y
 
 
+def fit(Z, Y):
+    """The fit `risk.decompose` runs: the design's SVD factors applied to Y."""
+    return svd_factors(Z).apply_pinv(Y)
+
+
+def rank_deficient(rng, n, s, rank):
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, s))
+
+
 class TestMnlsFit:
     def test_identity_design(self):
-        fit = mnls_fit(np.eye(2), np.array([3.0, 5.0]))
-        np.testing.assert_allclose(fit.beta, [3.0, 5.0], atol=1e-12)
-        assert fit.rank == 2
+        f = svd_factors(np.eye(2))
+        np.testing.assert_allclose(f.apply_pinv(np.array([3.0, 5.0])), [3.0, 5.0], atol=1e-12)
+        assert f.rank == 2
 
     def test_min_norm_on_line(self):
-        fit = mnls_fit(np.array([[1.0, 1.0]]), np.array([2.0]))
-        np.testing.assert_allclose(fit.beta, [1.0, 1.0], atol=1e-12)
+        beta = fit(np.array([[1.0, 1.0]]), np.array([2.0]))
+        np.testing.assert_allclose(beta, [1.0, 1.0], atol=1e-12)
 
     def test_rank_deficient_tall(self):
         Z = np.array([[1.0, 0.0], [1.0, 0.0]])
-        fit = mnls_fit(Z, np.array([1.0, 3.0]))
-        np.testing.assert_allclose(fit.beta, [2.0, 0.0], atol=1e-12)
-        fitted = Z @ fit.beta
+        beta = fit(Z, np.array([1.0, 3.0]))
+        np.testing.assert_allclose(beta, [2.0, 0.0], atol=1e-12)
+        fitted = Z @ beta
         np.testing.assert_allclose(fitted, [2.0, 2.0], atol=1e-12)
         residual = fitted - np.array([1.0, 3.0])
         np.testing.assert_allclose(Z.T @ residual, 0.0, atol=1e-10)
 
     def test_all_zero_design(self):
-        fit = mnls_fit(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(fit.beta, [0.0, 0.0])
-        assert fit.rank == 0
-        assert fit.residual_norm > 0
-        assert not fit.interpolates
+        # rank 0 leaves empty factors, and the pseudoinverse of zero is zero,
+        # tall or wide, for one label vector or several
+        for n, s in ((3, 2), (2, 3)):
+            f = svd_factors(np.zeros((n, s)))
+            assert f.rank == 0 and f.sv.shape == (0,)
+            np.testing.assert_array_equal(f.apply_pinv(np.arange(1.0, n + 1)), np.zeros(s))
+            np.testing.assert_array_equal(f.apply_pinv(np.ones((n, 4))), np.zeros((s, 4)))
 
     def test_bad_rtol_rejected(self):
         with pytest.raises(ValueError):
-            mnls_fit(np.eye(2), np.zeros(2), rtol=1.5)
+            svd_factors(np.eye(2), rtol=1.5)
 
     def test_fuzz_against_eigh_oracle(self):
         rng = seed_stream(101)
+        shapes = set()
         for trial in range(200):
             n = int(rng.integers(1, 13))
             s = int(rng.integers(1, 13))
@@ -64,37 +75,39 @@ class TestMnlsFit:
             if trial % 3 == 0 and min(n, s) > 1:
                 Z[:, -1] = Z[:, 0]  # force rank deficiency
             Y = rng.standard_normal(n)
-            fit = mnls_fit(Z, Y)
-            np.testing.assert_allclose(fit.beta, min_norm_oracle(Z, Y),
+            shapes.add("wide" if n < s else "tall" if n > s else "square")
+            np.testing.assert_allclose(fit(Z, Y), min_norm_oracle(Z, Y),
                                        atol=1e-8, rtol=1e-8)
+        # a wide design is factored through its transpose: both branches ran
+        assert {"tall", "wide"} <= shapes
 
     def test_row_space_membership(self):
+        # wide designs, and tall ones of rank 3 < s, so that the row space is
+        # a proper subspace on both branches
         rng = seed_stream(102)
         for _ in range(50):
-            Z = rng.standard_normal((4, 9))
-            Y = rng.standard_normal(4)
-            fit = mnls_fit(Z, Y)
-            proj = pinv_oracle(Z) @ (Z @ fit.beta)
-            assert np.linalg.norm(fit.beta - proj) <= 1e-8 * max(np.linalg.norm(fit.beta), 1e-12)
+            for Z in (rng.standard_normal((4, 9)), rank_deficient(rng, 9, 4, 3)):
+                beta = fit(Z, rng.standard_normal(Z.shape[0]))
+                proj = pinv_oracle(Z) @ (Z @ beta)
+                assert np.linalg.norm(beta - proj) <= 1e-8 * max(np.linalg.norm(beta), 1e-12)
 
     def test_interpolation_when_full_row_rank(self):
         rng = seed_stream(103)
         Z = rng.standard_normal((5, 11))
         Y = rng.standard_normal(5)
-        fit = mnls_fit(Z, Y)
-        assert np.linalg.norm(Z @ fit.beta - Y) <= 1e-8 * np.linalg.norm(Y)
-        assert fit.interpolates
+        assert np.linalg.norm(Z @ fit(Z, Y) - Y) <= 1e-8 * np.linalg.norm(Y)
 
     def test_min_norm_dominance(self):
+        # random designs, mostly wide, and tall ones of rank below s, so that
+        # the tall branch meets a null space too
         rng = seed_stream(104)
         for _ in range(200):
             n, s = int(rng.integers(1, 6)), int(rng.integers(2, 10))
-            Z = rng.standard_normal((n, s))
-            Y = rng.standard_normal(n)
-            fit = mnls_fit(Z, Y)
-            null = (np.eye(s) - pinv_oracle(Z) @ Z) @ rng.standard_normal(s)
-            other = fit.beta + null
-            assert np.linalg.norm(other) >= np.linalg.norm(fit.beta) - 1e-10
+            tall = rank_deficient(rng, s + n, s, int(rng.integers(1, s)))
+            for Z in (rng.standard_normal((n, s)), tall):
+                beta = fit(Z, rng.standard_normal(Z.shape[0]))
+                null = (np.eye(s) - pinv_oracle(Z) @ Z) @ rng.standard_normal(s)
+                assert np.linalg.norm(beta + null) >= np.linalg.norm(beta) - 1e-10
 
     def test_default_rtol(self):
         assert default_rtol(100, 5000) == pytest.approx(1e-10 * 5000)
@@ -116,7 +129,7 @@ class TestSvdFactors:
         np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.rank), rtol=0, atol=1e-13)
         tall = svd_factors(np.ascontiguousarray(Z.T))
         assert f.rank == tall.rank == (rank or n)
-        np.testing.assert_allclose(f.all_sv, tall.all_sv, rtol=1e-13, atol=1e-13 * f.sv[0])
+        np.testing.assert_allclose(f.sv, tall.sv, rtol=1e-13, atol=1e-13 * f.sv[0])
         assert np.all(np.diff(f.sv) <= 0)
 
 
@@ -139,20 +152,20 @@ class TestRidgeFit:
         Z = rng.standard_normal((4, 4)) + 4 * np.eye(4)
         Y = rng.standard_normal(4)
         beta = ridge_fit(Z, Y, 1e-12)
-        np.testing.assert_allclose(beta, mnls_fit(Z, Y).beta, atol=1e-6)
+        np.testing.assert_allclose(beta, fit(Z, Y), atol=1e-6)
 
     def test_monotone_approach_to_mnls(self):
         rng = seed_stream(112)
         Z = rng.standard_normal((5, 5)) + 3 * np.eye(5)
         Y = rng.standard_normal(5)
-        ref = mnls_fit(Z, Y).beta
+        ref = fit(Z, Y)
         gaps = [np.linalg.norm(ridge_fit(Z, Y, lam) - ref)
                 for lam in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_zero_lambda_singular_raises(self):
         Z = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="mnls"):
+        with pytest.raises(ValueError, match="apply_pinv"):
             ridge_fit(Z, np.array([1.0, 2.0]), 0.0)
 
     def test_zero_lambda_full_rank_ok(self):
@@ -197,19 +210,19 @@ class TestPredict:
         rng = seed_stream(130)
         Z = rng.standard_normal((6, 14))
         Y = rng.standard_normal(6)
-        fit = mnls_fit(Z, Y)
-        np.testing.assert_allclose(Z @ fit.beta, Y, atol=1e-8 * np.linalg.norm(Y))
+        np.testing.assert_allclose(Z @ fit(Z, Y), Y, atol=1e-8 * np.linalg.norm(Y))
 
     def test_zero_beta(self):
-        fit = mnls_fit(np.zeros((2, 3)), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(np.ones((5, 3)) @ fit.beta, np.zeros(5))
+        beta = fit(np.zeros((2, 3)), np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(np.ones((5, 3)) @ beta, np.zeros(5))
 
     @given(n=st.integers(1, 6), s=st.integers(1, 6), seed=st.integers(0, 1000))
     def test_residual_orthogonality_property(self, n, s, seed):
+        # Z and its transpose: one tall and one wide design unless n = s
         rng = seed_stream(seed, "resid")
         Z = rng.standard_normal((n, s))
-        Y = rng.standard_normal(n)
-        fit = mnls_fit(Z, Y)
-        resid = Z @ fit.beta - Y
-        bound = 1e-8 * max(np.linalg.norm(Z) * np.linalg.norm(Y), 1e-12)
-        assert np.linalg.norm(Z.T @ resid) <= bound
+        for design in (Z, Z.T):
+            Y = rng.standard_normal(design.shape[0])
+            resid = design @ fit(design, Y) - Y
+            bound = 1e-8 * max(np.linalg.norm(design) * np.linalg.norm(Y), 1e-12)
+            assert np.linalg.norm(design.T @ resid) <= bound

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec,
                               noise_matrix, sample_weights)
 from noisyrf.seeding import seed_sequence, seed_stream
-from noisyrf.spectral import (eigenfeature_matrix, kernel_eval, make_spectrum,
-                              sample_covariates)
+from noisyrf.spectral import eigenfeature_matrix, make_spectrum, sample_covariates
+from sampled_reference import kernel_eval
 
 
 class TestSampleWeights:

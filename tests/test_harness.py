@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg as sla
 
 from noisyrf import bounds as bounds_mod
+from noisyrf import cli as cli_mod
 from noisyrf import config as config_mod
 from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
@@ -584,7 +585,7 @@ class TestSweep:
             X = spectral_mod.sample_covariates(
                 cfg.mode, cfg.n, seed_stream(seed, s_index, 0, "covariates"), p=cfg.p)
             phi = spectral_mod.eigenfeature_matrix(spectrum, cfg.mode, X)
-            lam_hat = spectral_mod.empirical_covariance(phi).eigenvalues[:cfg.n]
+            lam_hat = spectral_mod.empirical_covariance(phi)
             sigma0_sq = make_noise_spec(cfg.noise_family, cfg.alpha, s).sigma0_sq
             if bounds_mod.k_star(lam_hat, sigma0_sq, cfg.n, cfg.a) is not None:
                 with_index.append(s)
@@ -665,7 +666,7 @@ class TestCli:
         assert main(["risk", *flags, "--s", "8"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["s"] == 8
-        assert out["regime_detail"]["regime"] == "classical"
+        assert out["regime"] == "classical" and "regime_detail" not in out
         assert out["R"] >= 0
         assert main(["sweep", *flags, "--out-dir", str(tmp_path)]) == 0
         header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -808,6 +809,33 @@ class TestCli:
         assert main(["conc", "--experiment", "mgf", "--t", "0.99", "--seed", "0"]) == 2
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["verdict"] == "assert-fail"
+
+    @pytest.mark.parametrize("experiment", ["norm", "subexp", "gram", "cross",
+                                            "noisy-spectrum"])
+    def test_conc_refuses_too_few_trials_or_features(self, experiment, capsys, monkeypatch):
+        # a spread, quantile or Gram of fewer than 2 trials, of features of
+        # width 0 or of no samples has no verdict: refused as a usage error
+        # before any draw
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used before the arguments were checked")
+
+        monkeypatch.setattr(cli_mod, "seed_stream", lambda *labels: NoDraws())
+        bad = [["--trials", "0"], ["--trials", "1"]]
+        if experiment in ("gram", "noisy-spectrum"):
+            bad += [["--s", "0"], ["--n", "0"]]
+        for flags in bad:
+            assert main(["conc", "--experiment", experiment, *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and flags[0].lstrip("-") + " must be" in err
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--p", "5", "--head", "-2"],
+                                      ["risk", *RISK_FLAGS, "--replicate", "-1"]],
+                             ids=["spectrum-head", "risk-replicate"])
+    def test_negative_count_flags_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {argv[-2]}: expected an integer >= 0" in err
 
     def test_preset_listed(self, capsys):
         argv = ["risk", "--preset", "double-descent-default", "--s", "10",

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, empirical_covariance,
-                              fourier_basis, kernel_eval, make_spectrum,
-                              population_covariance, sample_covariates,
+                              fourier_basis, make_spectrum, sample_covariates,
                               suggest_truncation, trace_and_rank)
+from sampled_reference import kernel_eval
 
 
 def poly_tail(p):
@@ -179,19 +179,36 @@ class TestKernel:
 
 class TestEmpiricalCovariance:
     def test_single_row(self):
-        summary = empirical_covariance(np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(summary.eigenvalues, [1.0, 0.0], atol=1e-14)
+        # one row: the only nonzero eigenvalue, the n x n Gram's
+        np.testing.assert_allclose(empirical_covariance(np.array([[1.0, 0.0]])), [1.0],
+                                   atol=1e-14)
 
     def test_orthogonal_rows(self):
-        summary = empirical_covariance(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(summary.eigenvalues, [0.5, 0.5], atol=1e-14)
+        eigs = empirical_covariance(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_allclose(eigs, [0.5, 0.5], atol=1e-14)
 
-    def test_trace_consistency(self):
-        rng = seed_stream(23)
-        rows = rng.standard_normal((7, 3))
-        summary = empirical_covariance(rows)
-        assert summary.trace == pytest.approx(float(summary.eigenvalues.sum()), rel=1e-10)
-        assert summary.operator_norm == pytest.approx(float(summary.eigenvalues[0]))
+    @pytest.mark.parametrize("n,dim", [(3, 7), (7, 7), (7, 3)])
+    def test_min_n_dim_values_on_both_branches(self, n, dim):
+        rows = seed_stream(23, n, dim).standard_normal((n, dim))
+        eigs = empirical_covariance(rows)
+        assert eigs.shape == (min(n, dim),)
+        assert np.all(np.diff(eigs) <= 0) and eigs[-1] >= 0
+        want = np.linalg.eigvalsh(rows.T @ rows / n)[::-1][:min(n, dim)]
+        np.testing.assert_allclose(eigs, want, rtol=1e-12, atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("n,dim", [(3, 7), (7, 3), (5, 5)])
+    def test_rows_and_their_transpose_agree(self, n, dim):
+        # rows^T rows and rows rows^T share their nonzero eigenvalues, so the
+        # two branches agree once each is scaled back by its own row count
+        rows = seed_stream(24, n, dim).standard_normal((n, dim))
+        tall, wide = n * empirical_covariance(rows), dim * empirical_covariance(rows.T)
+        np.testing.assert_allclose(tall, wide, rtol=1e-12, atol=1e-12 * tall[0])
+
+    def test_rank_deficient_rows_clip_at_zero(self):
+        rows = np.outer(seed_stream(25).standard_normal(6), np.ones(4))
+        eigs = empirical_covariance(rows)
+        assert eigs.shape == (4,) and np.all(eigs >= 0)
+        assert eigs[0] == pytest.approx(float(np.sum(rows * rows)) / 6, rel=1e-12)
 
     def test_concentration_at_n2000(self):
         # calibrated: operator error below 0.15 in at least 95% of 200 seeds
@@ -205,7 +222,7 @@ class TestEmpiricalCovariance:
             err = np.linalg.norm(M - np.diag(sp.eigenvalues), 2)
             if err <= 0.15:
                 hits += 1
-            assert emp.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-8)
+            assert emp[0] == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-8)
         assert hits >= 190
 
     def test_error_decreasing_in_sample_size(self):
@@ -221,10 +238,3 @@ class TestEmpiricalCovariance:
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
 
-
-class TestPopulationCovariance:
-    def test_matches_spectrum(self):
-        sp = make_spectrum("polynomial", 5, gamma=2.0)
-        pop = population_covariance(sp)
-        np.testing.assert_array_equal(pop.eigenvalues, sp.eigenvalues)
-        assert pop.trace == pytest.approx(float(sp.eigenvalues.sum()))
