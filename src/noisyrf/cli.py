@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import conclab
-from .config import (METHODS, PRESETS, SPECTRUM_KINDS, ExperimentConfig,
-                     ValidationError, load_raw_config, parse_config)
+from .config import (PRESETS, SPECTRUM_KINDS, ExperimentConfig, ValidationError,
+                     load_raw_config, parse_config)
 from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .seeding import seed_stream
@@ -36,14 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type for a count flag: an integer >= least, else a usage
+    error that names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -64,13 +68,11 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-mode", dest="target_mode", choices=TARGET_MODES)
     p.add_argument("--target-norm", dest="target_norm", type=float)
     p.add_argument("--tail-energy", dest="tail_energy", type=float)
-    p.add_argument("--label-redraws", dest="label_redraws", type=int)
     p.add_argument("--replicates", dest="ensemble_replicates", type=int)
     p.add_argument("--a", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--clean-test", dest="clean_test", action="store_true", default=None)
     p.add_argument("--target-noise", dest="target_noise", choices=TARGET_NOISE_MODES)
-    p.add_argument("--method", choices=METHODS)
     p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", dest="out_dir")
 
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int)
     sp.add_argument("--omega1", type=float)
     sp.add_argument("--eigenvalues", help="comma-separated values for --kind custom")
-    sp.add_argument("--head", type=_nonnegative_int, default=10)
+    sp.add_argument("--head", type=_int_at_least(0), default=10)
     sp.set_defaults(func=_cmd_spectrum)
 
     rk = sub.add_parser("risk", help="decompose risk for one feature count")
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--s", type=int,
                     help="feature count (defaults to the first grid entry); on the grid it "
                          "reproduces the sweep's cell, off it runs as a one-cell grid")
-    rk.add_argument("--replicate", type=_nonnegative_int, default=0)
+    rk.add_argument("--replicate", type=_int_at_least(0), default=0)
     rk.set_defaults(func=_cmd_risk)
 
     bd = sub.add_parser("bounds", help="bound curve over the feature grid")
@@ -244,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--seed", type=int, default=0)
     cc.add_argument("--trials", type=int)
     cc.add_argument("--t", type=float, default=0.5)
-    cc.add_argument("--n", type=int, default=64)
-    cc.add_argument("--s", type=int, default=256)
-    cc.add_argument("--dim", type=int, default=20)
+    cc.add_argument("--n", type=_int_at_least(1), default=64)
+    cc.add_argument("--s", type=_int_at_least(1), default=256)
+    cc.add_argument("--dim", type=_int_at_least(1), default=20)
     cc.add_argument("--family", default="gaussian", choices=NOISE_FAMILIES)
     cc.add_argument("--sigma0-sq", dest="sigma0_sq", type=float, default=0.5)
     cc.set_defaults(func=_cmd_conc)

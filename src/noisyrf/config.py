@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -17,14 +18,13 @@ from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .spectral import KINDS, MODES
 
-METHODS = ("monte-carlo", "closed-form")
 # a config cannot carry eigenvalues, so it cannot name a custom spectrum
 SPECTRUM_KINDS = tuple(k for k in KINDS if k != "custom")
 
 # The version stamped on emitted manifests.  Bumped whenever a change moves
 # the random stream or the config schema, so a manifest only replays on the
 # code that wrote it.
-ARTIFACT_VERSION = "7"
+ARTIFACT_VERSION = "8"
 
 
 class ValidationError(ValueError):
@@ -51,14 +51,12 @@ class ExperimentConfig:
     target_mode: str = "realizable-clean"
     target_norm: float = 1.0
     tail_energy: float = 1.0
-    label_redraws: int = 500
     ensemble_replicates: int = 20
     master_seed: int | None = None
     a: float = 2.0
     delta: float = 0.05
     clean_test: bool = False
     target_noise: str = "fresh"
-    method: str = "monte-carlo"
     workers: int = 1
     out_dir: str = "out"
 
@@ -68,6 +66,11 @@ class ExperimentConfig:
 
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _SPECTRUM_KEYS = {"kind", "gamma", "d", "omega1"}
+# Count keys of older configs that no field holds, with the least value each
+# accepted: checked as before, then dropped.  The risk is exact over the test
+# population, label noise included, so neither a test-point count nor a
+# label-redraw count sizes anything.
+_RETIRED_COUNTS = {"test_points": 1, "label_redraws": 2}
 
 # 25 log-spaced feature counts from 10 to 10^4; hits s = n = 100 exactly,
 # which is where the risk peak should sit
@@ -87,15 +90,14 @@ PRESETS = {
         "sigma_sq": 0.5,
         "target_mode": "realizable-clean",
         "target_norm": 1.0,
-        "label_redraws": 500,
         "ensemble_replicates": 20,
     },
 }
 
 
 def _flatten(raw: dict) -> tuple[dict, list]:
-    """Lift a nested spectrum block into flat fields; check and drop a retired
-    test_points key; report unknown keys."""
+    """Lift a nested spectrum block into flat fields; check and drop retired
+    keys; report unknown keys."""
     errors = []
     flat = {}
     for key, value in raw.items():
@@ -112,11 +114,10 @@ def _flatten(raw: dict) -> tuple[dict, list]:
                     flat[sk] = sv
         elif key in _FIELDS:
             flat[key] = value
-        elif key == "test_points":
-            # the risk is exact over the test population; an old config's test
-            # count is checked as before and then has nothing to size
-            if not _is_int(value) or value < 1:
-                errors.append("test_points must be an integer >= 1")
+        elif key in _RETIRED_COUNTS:
+            least = _RETIRED_COUNTS[key]
+            if not _is_int(value) or value < least:
+                errors.append(f"{key} must be an integer >= {least}")
         else:
             errors.append(f"unknown config key: {key!r}")
     return flat, errors
@@ -135,19 +136,32 @@ def _is_real(value) -> bool:
 _REAL_FIELDS = ("gamma", "omega1", "alpha", "sigma_sq", "target_norm", "tail_energy",
                 "a", "delta")
 _NULLABLE_REALS = ("gamma",)
+# alpha = inf is the noiseless limit; these have no infinite setting
+_FINITE_REALS = ("gamma", "omega1", "sigma_sq", "target_norm", "tail_energy", "a")
 
 
 def validate(cfg: ExperimentConfig) -> list:
     """Return every constraint violation; empty list means the config is usable.
 
-    A float field holding a non-real value gets one type error and no range
-    check, so a malformed value is reported rather than raised on.
+    A float field holding a non-real value, or a non-finite one where the
+    field needs a finite value, gets one error and no range check, so a
+    malformed value is reported rather than raised on.
     """
     e = []
+    malformed = set()
     for name in _REAL_FIELDS:
         value = getattr(cfg, name)
-        if not (_is_real(value) or (value is None and name in _NULLABLE_REALS)):
-            e.append(f"{name} must be a real number, not {value!r}")
+        if value is None and name in _NULLABLE_REALS:
+            continue
+        if not _is_real(value):
+            problem = "must be a real number"
+        elif name in _FINITE_REALS and not math.isfinite(value):
+            problem = "must be finite"
+        else:
+            continue
+        e.append(f"{name} {problem}, not {value!r}")
+        malformed.add(name)
+
     if not isinstance(cfg.clean_test, bool):
         e.append(f"clean_test must be true or false, not {cfg.clean_test!r}")
     if not _is_int(cfg.n) or cfg.n < 2:
@@ -163,44 +177,40 @@ def validate(cfg: ExperimentConfig) -> list:
     if cfg.spectrum_kind not in SPECTRUM_KINDS:
         e.append(f"spectrum kind must be one of {SPECTRUM_KINDS}")
     elif cfg.spectrum_kind == "polynomial":
-        if cfg.gamma is None or (_is_real(cfg.gamma) and not cfg.gamma > 1):
+        if cfg.gamma is None or ("gamma" not in malformed and not cfg.gamma > 1):
             e.append("polynomial spectra need gamma > 1; slower decay has a divergent trace")
     elif cfg.spectrum_kind == "finite-rank":
         if cfg.d is None or not _is_int(cfg.d) or not (1 <= cfg.d):
             e.append("finite-rank spectra need an integer rank d >= 1")
         elif _is_int(cfg.p) and cfg.d > cfg.p:
             e.append("finite-rank d cannot exceed p")
-    if _is_real(cfg.omega1) and not cfg.omega1 > 0:
+    if "omega1" not in malformed and not cfg.omega1 > 0:
         e.append("omega1 must be > 0")
     if cfg.mode not in MODES:
         e.append(f"mode must be one of {MODES}")
     if cfg.noise_family not in NOISE_FAMILIES:
         e.append(f"noise_family must be one of {NOISE_FAMILIES}")
-    if _is_real(cfg.alpha) and not cfg.alpha >= 0:
+    if "alpha" not in malformed and not cfg.alpha >= 0:
         e.append("alpha must be >= 0: the noise energy s**(-alpha) may not grow with s")
-    if _is_real(cfg.sigma_sq) and not cfg.sigma_sq >= 0:
+    if "sigma_sq" not in malformed and not cfg.sigma_sq >= 0:
         e.append("sigma_sq must be >= 0")
     if cfg.target_mode not in TARGET_MODES:
         e.append(f"target_mode must be one of {TARGET_MODES}")
-    if _is_real(cfg.target_norm) and not cfg.target_norm > 0:
+    if "target_norm" not in malformed and not cfg.target_norm > 0:
         e.append("target_norm must be > 0")
-    if (cfg.target_mode == "unrealizable" and _is_real(cfg.tail_energy)
+    if (cfg.target_mode == "unrealizable" and "tail_energy" not in malformed
             and not cfg.tail_energy > 0):
         e.append("tail_energy must be > 0 for unrealizable targets")
-    if not _is_int(cfg.label_redraws) or cfg.label_redraws < 2:
-        e.append("label_redraws must be an integer >= 2 (a variance needs replicates)")
     if not _is_int(cfg.ensemble_replicates) or cfg.ensemble_replicates < 1:
         e.append("ensemble_replicates must be an integer >= 1")
     if cfg.master_seed is not None and (not _is_int(cfg.master_seed) or cfg.master_seed < 0):
         e.append("master_seed must be a nonnegative integer")
-    if _is_real(cfg.a) and not cfg.a > 0:
+    if "a" not in malformed and not cfg.a > 0:
         e.append("a must be > 0")
-    if _is_real(cfg.delta) and not (0 < cfg.delta < 1):
+    if "delta" not in malformed and not (0 < cfg.delta < 1):
         e.append("delta must lie in (0, 1)")
     if cfg.target_noise not in TARGET_NOISE_MODES:
         e.append(f"target_noise must be one of {TARGET_NOISE_MODES}")
-    if cfg.method not in METHODS:
-        e.append(f"method must be one of {METHODS}")
     if not _is_int(cfg.workers) or cfg.workers < 1:
         e.append("workers must be an integer >= 1")
     return e

@@ -7,9 +7,10 @@ known: E[phi phi^T] = Lambda in both covariate modes, and E[xi xi^T] =
 (sigma0^2 / s) I for every noise family.  So every piece of the split is a
 quadratic form over the weights W, the design's one SVD and the
 conditional-mean coefficients u_hat.  Label noise is integrated in closed form
-or redrawn (monte-carlo); the standard errors then measure the redraw error.
-The tests check this route against a sampled test measure of their own
-(`tests/sampled_reference.py`), which shares only its inputs with it.
+too: its variance is sigma^2 tr(Q) (see `_population_split`), so nothing is
+redrawn and the split has no sampling error.  The tests check this route
+against a sampled test measure of their own (`tests/sampled_reference.py`),
+which shares only its inputs with it and redraws labels by Monte Carlo.
 
 A realizable target reads W only as the product W [V, e], so its split also
 runs on row-space weights (`features.RowSpaceWeights`), which draw W's part
@@ -70,7 +71,7 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class RiskDecomposition:
-    """The risk split total = bias + variance + misspec, with standard errors.
+    """The risk split total = bias + variance + misspec over the test population.
 
     bias is the risk of the conditional-mean fit u_hat in excess of the best
     in-span fit b*: b* = beta_star for a realizable target, whose misspec is
@@ -79,23 +80,14 @@ class RiskDecomposition:
     distance from the span.  That b* is the ridge fit at the test points'
     feature-noise variance, the one `make_target` stored on the target, or
     beta_star on clean test features; misspec is the tail's energy plus the
-    fit's in-span risk.  variance is the label-noise variance.
-
-    Over the population the split is exact: in closed form total = bias +
-    variance + misspec to rounding and every se is 0.  Monte-carlo replaces
-    the label-noise part of total and variance by averages over the label
-    redraws, with se over the redraws (bias and misspec stay exact, se 0).
+    fit's in-span risk.  variance is the label-noise variance.  Every piece is
+    exact, and total is their sum.
     """
 
     bias: float
-    bias_se: float
     variance: float
-    variance_se: float
     misspec: float
-    misspec_se: float
     total: float
-    total_se: float
-    method: str  # monte-carlo | closed-form
     rank: int    # numerical rank of the design in the factorization the split used
 
 
@@ -221,16 +213,6 @@ def target_train_values(target: TargetFunction, ensemble: FeatureEnsemble) -> np
     return ensemble.Z @ target.beta_star + ensemble.phi @ target.tail_coeffs
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def _label_draws(sigma_sq: float, n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    # always consume the same number of draws so downstream streams do not
-    # shift when sigma_sq hits zero
-    return math.sqrt(sigma_sq) * rng.standard_normal((n, trials))
-
-
 def _test_noise(ensemble: FeatureEnsemble, target: TargetFunction, clean_test: bool,
                 target_noise: str) -> tuple[float, float, float]:
     """Per-entry variances (q_p, q_x, q_t) of a test point's feature noise.
@@ -268,18 +250,18 @@ def _tail_energy(ensemble: FeatureEnsemble, target: TargetFunction) -> float:
 
 def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarray,
                       ref: np.ndarray, q_e: float, q_u: float, q_r: float,
-                      E: np.ndarray | None, sigma_sq: float):
-    """(bias, variance, variance_se, label-noise part of total, its se) over the
-    test population.
+                      sigma_sq: float) -> tuple[float, float]:
+    """(bias, variance) over the test population.
 
     The risk of coefficients w, less M, is ||A e||^2 + q_e ||e||^2 +
     q_u ||w||^2 + q_r ||ref||^2 with e = w - ref and A = sqrt(Lambda) W /
     sqrt(s).  A label draw eps moves the fit to u_hat + V Sigma^-1 g with
-    g = U^T eps, which adds 2 l.g + g^T Q g to that risk, where K = A V Sigma^-1,
-    Q = K^T K + q_p Sigma^-2 with q_p = q_e + q_u, and l = K^T A e +
-    Sigma^-1 V^T (q_e e + q_u u_hat).  A is never formed: W @ [V, e] is all
-    the split needs, and row-space weights give it from their one draw of
-    W's complement.
+    g = U^T eps, which adds to that risk a term linear in g and g^T Q g,
+    where K = A V Sigma^-1 and Q = K^T K + (q_e + q_u) Sigma^-2.  g has mean
+    0 and covariance sigma^2 I, so on average the label noise adds sigma^2
+    tr(Q): the variance.  A is never formed: W @ [V, e] is all the split
+    needs, and row-space weights give it from their one draw of W's
+    complement.
     """
     e = u_hat - ref
     sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
@@ -291,35 +273,19 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
     bias = float(Ae @ Ae) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \
         + q_r * float(ref @ ref)
     Q = K.T @ K + np.diag((q_e + q_u) / f.sv ** 2)
-    if E is None:
-        variance = sigma_sq * float(np.trace(Q))
-        return bias, variance, 0.0, variance, 0.0
-    g = f.U.T @ E
-    ell = K.T @ Ae + (f.V.T @ (q_e * e + q_u * u_hat)) / f.sv
-    noise, noise_se = _mean_se(2.0 * (ell @ g) + np.sum(g * (Q @ g), axis=0))
-    trials = E.shape[1]
-    gc = g - g.mean(axis=1, keepdims=True)
-    variance, variance_se = _mean_se(np.sum(gc * (Q @ gc), axis=0) * (trials / (trials - 1)))
-    return bias, variance, variance_se, noise, noise_se
+    return bias, sigma_sq * float(np.trace(Q))
 
 
-def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float,
-              trials: int, rng: np.random.Generator, *,
+def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float, *,
               rtol: float | None = None, clean_test: bool = False,
-              target_noise: str = "fresh", method: str = "monte-carlo") -> RiskDecomposition:
+              target_noise: str = "fresh") -> RiskDecomposition:
     """Full risk decomposition, exact over the test population.
 
-    The labels carry gaussian noise of variance `sigma_sq` >= 0.  An unknown
-    `target_noise` is rejected.  The monte-carlo method redraws the labels
-    `trials` times, and they are the only draws taken from `rng`; the
-    closed-form method integrates the label noise exactly and draws nothing.
-    The design is factored once, and the result's `rank` reports its
-    numerical rank, so callers need no second SVD for it.
+    The labels carry gaussian noise of variance `sigma_sq` >= 0, integrated
+    in closed form, so nothing is drawn.  An unknown `target_noise` is
+    rejected.  The design is factored once, and the result's `rank` reports
+    its numerical rank, so callers need no second SVD for it.
     """
-    if method not in ("monte-carlo", "closed-form"):
-        raise ValueError("method must be monte-carlo or closed-form")
-    if method == "monte-carlo" and trials < 2:
-        raise ValueError("monte-carlo decomposition needs at least 2 label redraws")
     if not sigma_sq >= 0:
         raise ValueError("sigma_sq must be >= 0")
     if target_noise not in TARGET_NOISE_MODES:
@@ -339,9 +305,6 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
                              "this ensemble")
         else:
             b_star, misspec = target.b_star, misspec + target.rho_sq
-    E = None
-    if method == "monte-carlo":
-        E = _label_draws(sigma_sq, ensemble.n, trials, rng)
     if b_star is None:
         # q_p |w|^2 - 2 q_x w.beta + q_t |beta|^2 regrouped with non-negative
         # weights, so the bias cannot round below zero
@@ -349,9 +312,6 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
     else:
         # the normal equations at b* kill the cross term
         ref, q_e, q_u, q_r = b_star, q_p, 0.0, 0.0
-    bias, var, var_se, noise, noise_se = _population_split(
-        ensemble, f, u_hat, ref, q_e, q_u, q_r, E, sigma_sq)
-    total = bias + var + misspec if E is None else bias + misspec + noise
-    return RiskDecomposition(bias=bias, bias_se=0.0, variance=var, variance_se=var_se,
-                             misspec=misspec, misspec_se=0.0, total=total,
-                             total_se=noise_se, method=method, rank=f.rank)
+    bias, var = _population_split(ensemble, f, u_hat, ref, q_e, q_u, q_r, sigma_sq)
+    return RiskDecomposition(bias=bias, variance=var, misspec=misspec,
+                             total=bias + var + misspec, rank=f.rank)

@@ -1,7 +1,7 @@
 """Deterministic derivation of independent random streams from one master seed.
 
 Every stochastic stage of an experiment (covariates, weights, feature noise,
-target draw, label redraws) pulls from its own generator, keyed
+target draw) pulls from its own generator, keyed
 by a label tuple.  Distinct tuples give statistically independent streams and
 the same tuple always reproduces the same stream, so results do not depend on
 execution order or worker count.

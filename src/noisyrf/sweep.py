@@ -168,7 +168,6 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     rng_w = seed_stream(seed, s_index, replicate, "weights")
     rng_noise = seed_stream(seed, s_index, replicate, "feature-noise")
     rng_target = seed_stream(seed, s_index, replicate, "target")
-    rng_risk = seed_stream(seed, s_index, replicate, "risk")
 
     X = sample_covariates(cfg.mode, n, rng_x, p=cfg.p)
     phi = eigenfeature_matrix(spectrum, cfg.mode, X)
@@ -188,9 +187,8 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
                               complement_rng=rng_complement)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
-    dec = decompose(ensemble, target, cfg.sigma_sq,
-                    cfg.label_redraws, rng_risk, clean_test=cfg.clean_test,
-                    target_noise=cfg.target_noise, method=cfg.method)
+    dec = decompose(ensemble, target, cfg.sigma_sq, clean_test=cfg.clean_test,
+                    target_noise=cfg.target_noise)
 
     trace, _ = trace_and_rank(spectrum)
     # decompose factored the design; a nonempty null space makes the row-space
@@ -209,11 +207,13 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
         pi_norm=1.0 if null_dim > 0 else 0.0,
         beta_norm=target.norm, delta=cfg.delta, a=cfg.a)
     report = bounds_mod.bound_report(inputs)
+    # the split is exact, so its standard errors are 0; sweep.csv keeps the
+    # columns
     return SweepRecord(
         s=s, replicate=replicate, sigma0_sq=noise_spec.sigma0_sq,
         k_star=report.k_star,
-        B=dec.bias, B_se=dec.bias_se, V=dec.variance, V_se=dec.variance_se,
-        M=dec.misspec, M_se=dec.misspec_se, R=dec.total, R_se=dec.total_se,
+        B=dec.bias, B_se=0.0, V=dec.variance, V_se=0.0,
+        M=dec.misspec, M_se=0.0, R=dec.total, R_se=0.0,
         bias_bound=report.bias_bound, variance_bound=report.variance_bound,
         regime=report.regime, wall_ms=NAN)
 
@@ -393,7 +393,7 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "master_seed": cfg.master_seed,
         "seed_scheme": "seed_stream(master_seed, s_index, replicate, purpose); "
                        "purposes: covariates, weights, weights-complement, feature-noise, "
-                       "target, risk; "
+                       "target; "
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
                        "child j of the weights stream's seed sequence (spawn order); "
                        "unrealizable targets and rows where the tail index k* exists "

@@ -4,11 +4,12 @@ against.
 `decompose` integrates the risk over the test population in closed form.
 This module measures it the plain way instead: draw m test points, evaluate
 the fit and the target on them, and average.  It shares only its inputs with
-`decompose`: the ensemble, the target and the label redraws.  It factors the
-design again through `estimator.svd_factors`, draws its test rows from the
-law `decompose` integrates over, and takes an unrealizable target's best
-in-span fit b* from `standalone_best_fit`, a dense lstsq, not from the fit
-`make_target` stored on the target.  `kernel_eval` is the kernel the sampled
+`decompose`: the ensemble and the target.  It factors the design again
+through `estimator.svd_factors`, draws its test rows from the law `decompose`
+integrates over, takes an unrealizable target's best in-span fit b* from
+`standalone_best_fit`, a dense lstsq, not from the fit `make_target` stored on
+the target, and either integrates the label noise per test point or redraws
+the labels by Monte Carlo.  `kernel_eval` is the kernel the sampled
 features approximate, the oracle the feature tests compare inner products of
 feature rows against.
 
@@ -25,8 +26,7 @@ import numpy as np
 
 from noisyrf.estimator import svd_factors
 from noisyrf.features import FeatureEnsemble, noise_matrix
-from noisyrf.risk import (TARGET_NOISE_MODES, RiskDecomposition, TargetFunction,
-                          target_train_values)
+from noisyrf.risk import TARGET_NOISE_MODES, TargetFunction, target_train_values
 from noisyrf.spectral import (Spectrum, eigenfeature_matrix, eigenfunction_values,
                               sample_covariates)
 
@@ -105,6 +105,23 @@ def standalone_best_fit(ens: FeatureEnsemble, t: TargetFunction, q: float):
     return b, r @ r + q * (b @ b)
 
 
+@dataclass(frozen=True)
+class SampledSplit:
+    """The risk split total = bias + variance + misspec as sample means over
+    the test points, each with its standard error over them (and over the
+    label redraws, where the labels were redrawn)."""
+
+    bias: float
+    bias_se: float
+    variance: float
+    variance_se: float
+    misspec: float
+    misspec_se: float
+    total: float
+    total_se: float
+    rank: int
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     m = values.size
     if m < 2:
@@ -113,21 +130,21 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: float,
-                      sample: TestSample, trials: int, rng: np.random.Generator, *,
-                      rtol: float | None = None, clean_test: bool = False,
-                      target_noise: str = "fresh",
-                      method: str = "monte-carlo") -> RiskDecomposition:
-    """The risk split averaged over `sample`, each piece a sample mean with its
-    se over the test points.
+                      sample: TestSample, rng: np.random.Generator | None = None,
+                      trials: int = 0, *, rtol: float | None = None,
+                      clean_test: bool = False, target_noise: str = "fresh") -> SampledSplit:
+    """The risk split averaged over `sample`.
 
     The sample must have been drawn with the same clean_test and target_noise.
-    The monte-carlo method takes from `rng` only the label redraws
-    sqrt(sigma_sq) * standard_normal((n, trials)), the draws `decompose`
-    takes, so the two measures run on one label stream differ only by the
-    test sample; closed form integrates the label noise and draws nothing.
+    Without rng the label noise is integrated at each test point; with rng
+    the labels are redrawn `trials` >= 2 times, as sqrt(sigma_sq) *
+    rng.standard_normal((n, trials)), and every piece but bias and misspec
+    averages over the redraws too (Monte Carlo).
     """
     if target_noise not in TARGET_NOISE_MODES:
         raise ValueError("target_noise must be shared, fresh or clean")
+    if rng is not None and trials < 2:
+        raise ValueError("monte-carlo needs at least 2 label redraws")
     f = svd_factors(ens.design, rtol)
     u_hat = f.apply_pinv(target_train_values(target, ens))
     # each test point's prediction is linear in the labels: row i of G maps
@@ -141,7 +158,7 @@ def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: fl
     else:
         fst = sample.clean @ target.beta_star + sample.phi @ target.tail_coeffs
     d = a - fst
-    if method == "closed-form":
+    if rng is None:
         v = sigma_sq * np.sum(G * G, axis=1)
         r = d * d + v
     else:
@@ -159,6 +176,6 @@ def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: fl
         b, mis = d * d, np.zeros_like(d)
     (bias, bias_se), (var, var_se) = _mean_se(b), _mean_se(v)
     (total, total_se), (misspec, misspec_se) = _mean_se(r), _mean_se(mis)
-    return RiskDecomposition(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
-                             misspec=misspec, misspec_se=misspec_se, total=total,
-                             total_se=total_se, method=method, rank=f.rank)
+    return SampledSplit(bias=bias, bias_se=bias_se, variance=var, variance_se=var_se,
+                        misspec=misspec, misspec_se=misspec_se, total=total,
+                        total_se=total_se, rank=f.rank)

@@ -73,33 +73,32 @@ def test_criterion_1_min_norm_solution_matches_independent_oracle():
 
 def test_criterion_2_risk_decomposition_identity():
     # Realizable target on clean features: total excess risk must equal
-    # bias + variance within 3 combined standard errors, per seed, on both
-    # measures: decompose over the test population (label redraws by Monte
-    # Carlo) and the sampled reference over 4096 test points.
+    # bias + variance on both measures.  decompose over the test population
+    # integrates the label noise, so there it holds to the bit; the sampled
+    # reference over 4096 test points with 2000 Monte Carlo label redraws
+    # must meet it within 3 combined standard errors, per seed.
     t0 = time.monotonic()
-    worst = {"population": 0.0, "sampled": 0.0}
+    worst = 0.0
     for s in (80, 200):
         for seed in range(5):
             _, _, _, ens = _poly_lab(50, s, 512, seed * 7 + 1)
             target = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t", s))
+            dec = decompose(ens, target, 1.0)
+            assert dec.total == dec.bias + dec.variance + dec.misspec, \
+                f"population s={s} seed={seed}: R={dec.total!r} is not B+V+M"
+            assert dec.misspec == 0.0
             tf = draw_test_sample(ens, 4096, seed_stream(seed, "m", s))
-            decs = {"population": decompose(ens, target, 1.0, 2000, seed_stream(seed, "r", s),
-                                            method="monte-carlo"),
-                    "sampled": sampled_decompose(ens, target, 1.0, tf, 2000,
-                                                 seed_stream(seed, "r", s),
-                                                 method="monte-carlo")}
-            for route, dec in decs.items():
-                gap = abs(dec.total - (dec.bias + dec.variance + dec.misspec))
-                budget = 3.0 * math.sqrt(dec.bias_se ** 2 + dec.variance_se ** 2
-                                         + dec.total_se ** 2)
-                assert gap <= budget, (f"{route} s={s} seed={seed}: "
-                                       f"|R-(B+V)|={gap:.3e} > {budget:.3e}")
-                worst[route] = max(worst[route], gap / budget)
+            ref = sampled_decompose(ens, target, 1.0, tf, seed_stream(seed, "r", s), 2000)
+            gap = abs(ref.total - (ref.bias + ref.variance + ref.misspec))
+            budget = 3.0 * math.sqrt(ref.bias_se ** 2 + ref.variance_se ** 2
+                                     + ref.total_se ** 2)
+            assert gap <= budget, (f"sampled s={s} seed={seed}: "
+                                   f"|R-(B+V)|={gap:.3e} > {budget:.3e}")
+            worst = max(worst, gap / budget)
     elapsed = time.monotonic() - t0
     ok = elapsed < 120.0
-    _report(2, ok, f"|R-(B+V)| <= 3 combined se on 10 runs, worst ratio "
-                   f"{worst['population']:.3f} (population), {worst['sampled']:.3f} "
-                   f"(sampled), {elapsed:.1f}s")
+    _report(2, ok, f"R == B+V to the bit over the population; sampled |R-(B+V)| <= 3 "
+                   f"combined se, worst ratio {worst:.3f}; 10 runs, {elapsed:.1f}s")
 
 
 @pytest.mark.slow
@@ -165,8 +164,7 @@ def _sandwich_point(n, s, seed):
     p = 1000
     spectrum, X, W, ens = _poly_lab(n, s, p, seed)
     target = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t6", n, s))
-    dec = decompose(ens, target, 1.0, 0,
-                    seed_stream(seed, "r6", n, s), method="closed-form")
+    dec = decompose(ens, target, 1.0)
     lam_hat = empirical_covariance(eigenfeature_matrix(spectrum, MODE, X))
     trace, _ = trace_and_rank(spectrum)
     proj = projector_diag(ens.design)
@@ -242,7 +240,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
     # exercise both the classical and overparameterized branches.
     t0 = time.monotonic()
     base = {"n": 12, "p": 24, "s_grid": [6, 20],
-            "label_redraws": 50, "ensemble_replicates": 2, "master_seed": 5}
+            "ensemble_replicates": 2, "master_seed": 5}
     blobs = {}
     for tag, extra in (("first", {}), ("second", {}), ("fourway", {"workers": 4})):
         cfg = parse_config(dict(base, **extra))
@@ -268,8 +266,7 @@ def test_criterion_9_feature_noise_regularization_trend():
     def run_once(alpha, seed):
         _, _, _, ens = _poly_lab(100, 400, 1000, 900 + seed, alpha=alpha)
         target = make_target("realizable-clean", ens, 1.0, seed_stream(900 + seed, "t9"))
-        dec = decompose(ens, target, 1.0, 0,
-                        seed_stream(900 + seed, "r9"), method="closed-form")
+        dec = decompose(ens, target, 1.0)
         return dec.total
 
     R0 = np.array([run_once(None, seed) for seed in range(20)])

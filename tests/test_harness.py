@@ -68,7 +68,6 @@ class TestConfig:
     def test_minimal_dict_with_defaults(self):
         cfg = parse_config({"n": 4, "p": 8, "s_grid": [2, 4]})
         assert cfg.spectrum_kind == "polynomial" and cfg.gamma == 2.0
-        assert cfg.method == "monte-carlo"
         assert cfg.target_noise == "fresh"
         assert cfg.master_seed is None
 
@@ -96,7 +95,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "7",
+        manifest = {"artifact_version": "8",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -110,7 +109,7 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'7'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'8'" in str(exc.value)
 
     def test_version_3_manifest_gets_the_version_error(self):
         # a version "3" config block still holds the retired lower_multiplier;
@@ -121,7 +120,7 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '7'; "
+            "manifest artifact_version '3' does not match this code's '8'; "
             "its draws would differ"]
 
     def test_version_6_manifest_gets_the_version_error(self):
@@ -133,14 +132,17 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '6' does not match this code's '7'; "
+            "manifest artifact_version '6' does not match this code's '8'; "
             "its draws would differ"]
 
-    @pytest.mark.parametrize("key", ["bias_multiplier", "variance_multiplier", "m0"])
-    def test_retired_multiplier_keys_are_unknown(self, key):
-        # the bounds carry their own unit constants; nothing rescales them
+    @pytest.mark.parametrize("key,value", [
+        ("bias_multiplier", 1.0), ("variance_multiplier", 1.0), ("m0", 1.0),
+        ("method", "closed-form")])
+    def test_retired_knobs_are_unknown_keys(self, key, value):
+        # the bounds carry their own unit constants, so nothing rescales them,
+        # and the label noise has one route, so nothing selects it
         with pytest.raises(ValidationError) as exc:
-            parse_config({"n": 4, "p": 8, "s_grid": [2], key: 1.0})
+            parse_config({"n": 4, "p": 8, "s_grid": [2], key: value})
         assert exc.value.errors == [f"unknown config key: {key!r}"]
 
     def test_overrides_win(self):
@@ -206,15 +208,37 @@ class TestConfig:
             parse_config(raw)
         assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(field)
 
-    def test_retired_test_points_key_is_checked_and_dropped(self):
-        # older configs, and the benchmark's shrunken preset, still set it;
-        # the risk is exact over the test population, so it sizes nothing
+    def test_retired_count_keys_are_checked_and_dropped(self):
+        # older configs, and the benchmark's shrunken preset, still set them;
+        # the risk is exact over the test population, label noise included,
+        # so they size nothing
         cfg = preset_config("double-descent-default",
                             {"n": 20, "p": 200, "s_grid": [5, 8], "test_points": 512,
                              "label_redraws": 50, "master_seed": 1})
-        assert cfg.label_redraws == 50 and not hasattr(cfg, "test_points")
-        with pytest.raises(ValidationError, match="test_points"):
-            parse_config({"n": 20, "p": 40, "s_grid": [5], "test_points": 0})
+        assert not hasattr(cfg, "test_points") and not hasattr(cfg, "label_redraws")
+        assert cfg == preset_config("double-descent-default",
+                                    {"n": 20, "p": 200, "s_grid": [5, 8], "master_seed": 1})
+        for key, least in (("test_points", 1), ("label_redraws", 2)):
+            with pytest.raises(ValidationError) as exc:
+                parse_config({"n": 20, "p": 40, "s_grid": [5], key: least - 1})
+            assert exc.value.errors == [f"{key} must be an integer >= {least}"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma_sq", math.inf), ("sigma_sq", math.nan), ("target_norm", math.inf),
+        ("tail_energy", math.inf), ("omega1", math.inf), ("omega1", -math.inf),
+        ("a", math.inf), ("gamma", math.inf)])
+    def test_non_finite_value_is_refused(self, field, value):
+        # an infinite label or target scale gave nan rows, an infinite omega1
+        # failed after the artifacts were written, a = inf silently gave k* = 0
+        raw = {"n": 20, "p": 40, "s_grid": [5, 10], "target_mode": "unrealizable",
+               field: value}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(raw)
+        assert exc.value.errors == [f"{field} must be finite, not {value!r}"]
+
+    def test_infinite_alpha_is_the_noiseless_limit(self):
+        cfg = parse_config({"n": 20, "p": 40, "s_grid": [5], "alpha": math.inf})
+        assert cfg.alpha == math.inf
 
     def test_nullable_float_fields_accept_null(self):
         cfg = parse_config({"n": 20, "p": 40, "s_grid": [5],
@@ -224,7 +248,7 @@ class TestConfig:
 
 def small_cfg(**kw):
     base = {"n": 12, "p": 24, "s_grid": [6, 20],
-            "label_redraws": 40, "ensemble_replicates": 1, "master_seed": 5}
+            "ensemble_replicates": 1, "master_seed": 5}
     base.update(kw)
     return parse_config(base)
 
@@ -291,7 +315,7 @@ class TestSweep:
     def test_worker_count_does_not_change_results(self, weight_shapes):
         # no cell has a tail index at alpha = 0.5, so all take the row-space
         # route; at s = 600, G = R^T W spans three weight blocks
-        cfg = small_cfg(ensemble_replicates=2, label_redraws=20, s_grid=[6, 20, 600])
+        cfg = small_cfg(ensemble_replicates=2, s_grid=[6, 20, 600])
         serial = records_csv(run_sweep(cfg).records)
         assert sorted(set(weight_shapes)) == [(cfg.n, 6), (cfg.n, 20), (cfg.n, 600)]
         parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
@@ -299,7 +323,7 @@ class TestSweep:
 
     def test_worker_count_does_not_change_unrealizable_rows(self):
         # both least-squares solves of an unrealizable cell run in each worker
-        cfg = small_cfg(ensemble_replicates=2, label_redraws=20, target_mode="unrealizable")
+        cfg = small_cfg(ensemble_replicates=2, target_mode="unrealizable")
         serial = run_sweep(cfg).records
         assert all(r.error == "" and r.M > 0 for r in serial)
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
@@ -374,15 +398,13 @@ class TestSweep:
                              spec, stream("feature-noise"))
         target = risk_mod.make_target(cfg.target_mode, ens, cfg.target_norm, stream("target"),
                                       tail_energy=cfg.tail_energy)
-        d = risk_mod.decompose(ens, target, cfg.sigma_sq, cfg.label_redraws,
-                               stream("risk"), clean_test=cfg.clean_test,
-                               target_noise=cfg.target_noise, method=cfg.method)
+        d = risk_mod.decompose(ens, target, cfg.sigma_sq, clean_test=cfg.clean_test,
+                               target_noise=cfg.target_noise)
         rec = compute_row(cfg, s_index, 0)
         dense = target_mode == "unrealizable" or alpha == 0.0
         assert weight_shapes == [(cfg.p if dense else cfg.n, s)]
-        got = (rec.B, rec.B_se, rec.V, rec.V_se, rec.M, rec.M_se, rec.R, rec.R_se)
-        want = (d.bias, d.bias_se, d.variance, d.variance_se, d.misspec, d.misspec_se,
-                d.total, d.total_se)
+        got = (rec.B, rec.V, rec.M, rec.R)
+        want = (d.bias, d.variance, d.misspec, d.total)
         assert (got == want) == dense
 
     def test_row_space_cell_never_holds_a_p_by_s_array(self, weight_shapes):
@@ -447,9 +469,12 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "7"
+        assert manifest["artifact_version"] == "8"
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "7"
+        # the label noise is integrated, so no stream is drawn for it
+        assert "purposes: covariates, weights, weights-complement, feature-noise, " \
+            "target; " in manifest["seed_scheme"]
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "8"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -517,12 +542,16 @@ class TestSweep:
         assert rec.error == "" and math.isfinite(rec.R)
         assert calls == [cfg.mode]
 
-    def test_closed_form_unrealizable_row_is_exact(self):
-        cfg = small_cfg(target_mode="unrealizable", method="closed-form")
-        for s_index in range(len(cfg.s_grid)):
-            rec = compute_row(cfg, s_index, 0)
-            assert rec.error == "" and rec.M > 0
-            np.testing.assert_allclose(rec.R, rec.B + rec.V + rec.M, rtol=1e-12)
+    @pytest.mark.parametrize("target_mode", ["realizable-clean", "unrealizable"])
+    def test_sweep_rows_are_exact(self, target_mode):
+        # the label noise is integrated, not redrawn: R is the sum to the bit
+        # and every se column reads 0, on both sides of s = n
+        cfg = small_cfg(target_mode=target_mode, ensemble_replicates=2)
+        records = run_sweep(cfg).records
+        assert len(records) == 4
+        for rec in records:
+            assert rec.error == "" and (rec.M > 0) == (target_mode == "unrealizable")
+            assert rec.R == rec.B + rec.V + rec.M
             assert rec.B_se == rec.V_se == rec.M_se == rec.R_se == 0.0
 
     def test_bias_bound_nan_exactly_without_null_space(self):
@@ -540,7 +569,7 @@ class TestSweep:
                                                              target_mode):
         cfg = parse_config({"n": 20, "p": 200, "s_grid": [10, 50, 100, 150],
                             "alpha": alpha, "target_mode": target_mode,
-                            "label_redraws": 20, "ensemble_replicates": 1,
+                            "ensemble_replicates": 1,
                             "master_seed": 3})
         evaluated = []
 
@@ -621,7 +650,7 @@ class TestSweep:
 
 
 RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
-              "--label-redraws", "30", "--replicates", "1", "--seed", "3"]
+              "--replicates", "1", "--seed", "3"]
 
 
 class TestCli:
@@ -678,11 +707,14 @@ class TestCli:
         # an s off the grid runs as the one cell of a one-cell grid
         assert main(["risk", *RISK_FLAGS, "--s", "9"]) == 0
         out = json.loads(capsys.readouterr().out)
-        cfg = small_cfg(s_grid=[9], label_redraws=30, master_seed=3)
+        cfg = small_cfg(s_grid=[9], master_seed=3)
         assert out["R"] == compute_row(cfg, 0, 0).R
 
-    def test_retired_multiplier_flags_are_refused(self, capsys):
-        assert main(["risk", *RISK_FLAGS, "--m0", "1"]) == 1
+    @pytest.mark.parametrize("flags", [["--m0", "1"], ["--method", "closed-form"],
+                                       ["--label-redraws", "20"]],
+                             ids=["m0", "method", "label-redraws"])
+    def test_retired_flags_are_refused(self, flags, capsys):
+        assert main(["risk", *RISK_FLAGS, *flags]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bounds_stdout(self, capsys):
@@ -712,7 +744,6 @@ class TestCli:
 
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
-                "--label-redraws", "20",
                 "--replicates", "1", "--seed", "3", "--out-dir", str(tmp_path)]
         assert main(argv) == 0
         paths = capsys.readouterr().out.splitlines()
@@ -721,7 +752,7 @@ class TestCli:
     def test_replay_refuses_to_overwrite_its_manifest(self, tmp_path, capsys):
         run, replay = tmp_path / "run", tmp_path / "replay"
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
-                "--label-redraws", "20", "--replicates", "1", "--seed", "3",
+                "--replicates", "1", "--seed", "3",
                 "--out-dir", str(run)]
         assert main(argv) == 0
         manifest = run / "manifest.json"
@@ -741,7 +772,7 @@ class TestCli:
         # eigenfeature rows' span where no tail index exists
         run = tmp_path / "run"
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,20",
-                "--label-redraws", "20", "--replicates", "1", "--seed", "3",
+                "--replicates", "1", "--seed", "3",
                 "--out-dir", str(run)]
         assert main(argv) == 0
         manifest = json.loads((run / "manifest.json").read_text())
@@ -751,7 +782,7 @@ class TestCli:
         capsys.readouterr()
         replay = tmp_path / "replay"
         assert main(["sweep", "--config", str(old), "--out-dir", str(replay)]) == 1
-        assert "'5' does not match this code's '7'" in capsys.readouterr().err
+        assert "'5' does not match this code's '8'" in capsys.readouterr().err
         assert not replay.exists()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):
@@ -763,7 +794,7 @@ class TestCli:
     def test_sweep_partial_failure_exit_code(self, tmp_path, capsys):
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,24",
                 "--target-mode", "unrealizable",
-                "--label-redraws", "20", "--replicates", "1", "--seed", "3",
+                "--replicates", "1", "--seed", "3",
                 "--out-dir", str(tmp_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -774,8 +805,7 @@ class TestCli:
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 12, "p": 24, "s_grid": [8]}))
-        argv = ["risk", "--config", str(cfg_path),
-                "--label-redraws", "20", "--seed", "1"]
+        argv = ["risk", "--config", str(cfg_path), "--replicates", "2", "--seed", "1"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 8
 
@@ -821,25 +851,30 @@ class TestCli:
                 raise AssertionError(f"rng.{name} used before the arguments were checked")
 
         monkeypatch.setattr(cli_mod, "seed_stream", lambda *labels: NoDraws())
-        bad = [["--trials", "0"], ["--trials", "1"]]
+        bad = [(["--trials", "0"], "trials must be"), (["--trials", "1"], "trials must be")]
         if experiment in ("gram", "noisy-spectrum"):
-            bad += [["--s", "0"], ["--n", "0"]]
-        for flags in bad:
+            # a width is refused by the flag's own type, naming the flag
+            bad += [([flag, "0"], f"argument {flag}: expected an integer >= 1")
+                    for flag in ("--s", "--n")]
+        for flags, message in bad:
             assert main(["conc", "--experiment", experiment, *flags]) == 1
             out, err = capsys.readouterr()
-            assert out == "" and flags[0].lstrip("-") + " must be" in err
+            assert out == "" and message in err
 
-    @pytest.mark.parametrize("argv", [["spectrum", "--p", "5", "--head", "-2"],
-                                      ["risk", *RISK_FLAGS, "--replicate", "-1"]],
-                             ids=["spectrum-head", "risk-replicate"])
-    def test_negative_count_flags_are_usage_errors(self, argv, capsys):
+    @pytest.mark.parametrize("argv,least", [
+        (["spectrum", "--p", "5", "--head", "-2"], 0),
+        (["risk", *RISK_FLAGS, "--replicate", "-1"], 0),
+        (["conc", "--experiment", "subexp", "--n", "0"], 1),
+        (["conc", "--experiment", "cross", "--dim", "0"], 1),
+        (["conc", "--experiment", "gram", "--s", "-3"], 1)],
+        ids=["spectrum-head", "risk-replicate", "conc-n", "conc-dim", "conc-s"])
+    def test_negative_count_flags_are_usage_errors(self, argv, least, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
-        assert out == "" and f"argument {argv[-2]}: expected an integer >= 0" in err
+        assert out == "" and f"argument {argv[-2]}: expected an integer >= {least}" in err
 
     def test_preset_listed(self, capsys):
         argv = ["risk", "--preset", "double-descent-default", "--s", "10",
-                "--label-redraws", "20",
                 "--replicates", "1", "--seed", "1"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 10

@@ -84,12 +84,12 @@ def preset_cell(monkeypatch, s, seed=7, replicate=0):
     return exc.value.args
 
 
-def decompose_cell(args, rng, **kwargs):
-    """decompose on a cell captured by preset_cell, with rng for the label
-    redraws.  Each call gets its own copy of the cell's weights: row-space
-    weights draw W's complement once, and every copy draws the same one."""
+def decompose_cell(args, **kwargs):
+    """decompose on a cell captured by preset_cell.  Each call gets its own
+    copy of the cell's weights: row-space weights draw W's complement once,
+    and every copy draws the same one."""
     ens = dataclasses.replace(args[0], weights=copy.deepcopy(args[0].weights))
-    return decompose(ens, *args[1:4], rng, **kwargs)
+    return decompose(ens, *args[1:], **kwargs)
 
 
 def quadratic_oracle(Z, rows):
@@ -99,23 +99,28 @@ def quadratic_oracle(Z, rows):
     return np.sum(core * core, axis=1)
 
 
+def se(d, field):
+    """A piece's standard error: the sampled reference's over its test
+    points, or 0 for decompose's exact split."""
+    return getattr(d, field + "_se", 0.0)
+
+
 def assert_agree_within_4se(d1, d2):
     for field in ("bias", "variance", "misspec", "total"):
         a, b = getattr(d1, field), getattr(d2, field)
-        sa, sb = getattr(d1, field + "_se"), getattr(d2, field + "_se")
-        assert abs(a - b) <= 4 * math.sqrt(sa ** 2 + sb ** 2), field
+        assert abs(a - b) <= 4 * math.sqrt(se(d1, field) ** 2 + se(d2, field) ** 2), field
 
 
-def measure(ens, t, sigma_sq, sample, trials, rng, **kwargs):
+def measure(ens, t, sigma_sq, sample=None, **kwargs):
     """decompose over the test population when sample is None, else the
-    sampled reference over sample."""
+    sampled reference over sample, label noise integrated on both."""
     if sample is None:
-        return decompose(ens, t, sigma_sq, trials, rng, **kwargs)
-    return sampled_decompose(ens, t, sigma_sq, sample, trials, rng, **kwargs)
+        return decompose(ens, t, sigma_sq, **kwargs)
+    return sampled_decompose(ens, t, sigma_sq, sample, **kwargs)
 
 
 def closed_form(ens, t, sample=None):
-    return measure(ens, t, 1.0, sample, 2, seed_stream(0), method="closed-form")
+    return measure(ens, t, 1.0, sample)
 
 
 class TestMakeTarget:
@@ -190,8 +195,7 @@ class TestMakeTarget:
         t = make_target("unrealizable", ens, 1.0, seed_stream(1, "t"), tail_energy=0.8)
         lam = ens.spectrum.eigenvalues
         assert float(np.sum(lam * t.tail_coeffs ** 2)) == pytest.approx(0.8, rel=1e-12)
-        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form",
-                      clean_test=clean_test)
+        d = decompose(ens, t, 1.0, clean_test=clean_test)
         assert d.misspec >= 0.8 * (1 - 1e-12)
 
 
@@ -222,13 +226,13 @@ class TestTargetValuesAndLabels:
         np.testing.assert_allclose(target_train_values(t, ens), want, rtol=1e-12)
 
     def test_label_model_validation(self):
-        # a negative label variance is refused by either method, not turned
-        # into a negative risk (closed form) or a math domain error (monte-carlo)
+        # a negative or undefined label variance is refused, not turned into a
+        # negative or NaN risk
         ens = mk_ensemble(10, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        for method in ("closed-form", "monte-carlo"):
+        for sigma_sq in (-1.0, math.nan):
             with pytest.raises(ValueError, match="sigma_sq"):
-                decompose(ens, t, -1.0, 50, seed_stream(0), method=method)
+                decompose(ens, t, sigma_sq)
 
 
 class TestMakeTestFeatures:
@@ -332,7 +336,7 @@ class TestVarianceClosed:
         ens = identity_ensemble(np.eye(4))
         t = zero_target(4)
         for test, want in ((rows_sample(np.eye(4)), 2.5), (None, 4 * 2.5)):
-            d = measure(ens, t, 2.5, test, 2, seed_stream(0), method="closed-form")
+            d = measure(ens, t, 2.5, test)
             assert d.variance == pytest.approx(want, rel=1e-14)
 
     def test_sample_route_matches_pinv_oracle(self):
@@ -341,11 +345,9 @@ class TestVarianceClosed:
             ens = identity_ensemble(rng.standard_normal((n, s)))
             rows = rng.standard_normal((30, s))
             want = float(np.mean(quadratic_oracle(ens.design, rows)))
-            d = sampled_decompose(ens, zero_target(s), 1.3, rows_sample(rows), 2,
-                                  seed_stream(0), method="closed-form")
+            d = sampled_decompose(ens, zero_target(s), 1.3, rows_sample(rows))
             np.testing.assert_allclose(d.variance, 1.3 * want, rtol=1e-10)
-            d = decompose(ens, zero_target(s), 1.3, 2, seed_stream(0),
-                          method="closed-form")
+            d = decompose(ens, zero_target(s), 1.3)
             pinv = sla.pinv(np.asarray(ens.design))
             np.testing.assert_allclose(d.variance, 1.3 * float(np.sum(pinv * pinv)),
                                        rtol=1e-10)
@@ -360,11 +362,8 @@ class TestVarianceClosed:
         # singular values, on top of the clean population term
         ens = mk_ensemble(15, 40, alpha=0.5, seed=20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(20, "t"))
-        flags = dict(method="closed-form")
-        base = decompose(ens, t, 2.0, 2, seed_stream(0), clean_test=True,
-                         **flags).variance
-        with_noise = decompose(ens, t, 2.0, 2, seed_stream(0),
-                               **flags).variance
+        base = decompose(ens, t, 2.0, clean_test=True).variance
+        with_noise = decompose(ens, t, 2.0).variance
         sv = sla.svdvals(np.asarray(ens.design, dtype=float))
         sv = sv[sv > 1e-12]
         extra = 2.0 * ens.noise_spec.sigma0_sq / 40 * float(np.sum(1.0 / sv ** 2))
@@ -384,15 +383,15 @@ class TestVarianceClosed:
 
 
 class TestVarianceMc:
-    """decompose's monte-carlo variance piece."""
+    """The sampled reference's monte-carlo variance, which redraws the labels."""
 
     def test_zero_label_noise_is_exactly_zero(self):
         ens = mk_ensemble(12, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(21, "t"))
         tf = draw_test_sample(ens, 40, seed_stream(21, "tf"))
-        for test in (tf, None):
-            d = measure(ens, t, 0.0, test, 50, seed_stream(21, "v"))
-            assert d.variance == 0.0 and d.variance_se == 0.0
+        d = sampled_decompose(ens, t, 0.0, tf, seed_stream(21, "v"), 50)
+        assert d.variance == 0.0 and d.variance_se == 0.0
+        assert decompose(ens, t, 0.0).variance == 0.0
 
     def test_exact_sigma_scaling_same_stream(self):
         # the same underlying normal draws are scaled by sigma, so the
@@ -400,39 +399,38 @@ class TestVarianceMc:
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = draw_test_sample(ens, 200, seed_stream(2, "tf"))
-        for test in (tf, None):
-            d1 = measure(ens, t, 1.0, test, 300, seed_stream(41, "v"))
-            d4 = measure(ens, t, 4.0, test, 300, seed_stream(41, "v"))
-            np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
+        d1 = sampled_decompose(ens, t, 1.0, tf, seed_stream(41, "v"), 300)
+        d4 = sampled_decompose(ens, t, 4.0, tf, seed_stream(41, "v"), 300)
+        np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
 
     def test_matches_closed_form(self):
         for seed in range(3):
             ens = mk_ensemble(25, 60, alpha=0.5, seed=seed)
             t = make_target("realizable-noisy", ens, 1.0, seed_stream(seed, "t"))
             tf = draw_test_sample(ens, 2000, seed_stream(seed, "tf"))
-            for test in (tf, None):
-                vc = closed_form(ens, t, test).variance
-                d = measure(ens, t, 1.0, test, 4000, seed_stream(seed, "v"))
-                assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
+            vc = closed_form(ens, t, tf).variance
+            d = sampled_decompose(ens, t, 1.0, tf, seed_stream(seed, "v"), 4000)
+            assert abs(d.variance - vc) <= 0.05 * vc + 3 * d.variance_se
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
+        tf = draw_test_sample(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, 1.0, 1, seed_stream(0))
+            sampled_decompose(ens, t, 1.0, tf, seed_stream(0), 1)
 
 
 class TestExcessRiskMc:
-    """decompose's monte-carlo total risk."""
+    """The total risk: the sampled reference's monte-carlo one, which redraws
+    the labels, and decompose's exact one."""
 
     def test_noiseless_full_column_rank_fit_is_exact(self):
         # rank-s design recovers beta exactly from noiseless labels
         ens = mk_ensemble(40, 12)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(22, "t"))
         tf = draw_test_sample(ens, 100, seed_stream(22, "tf"))
-        for test in (tf, None):
-            d = measure(ens, t, 0.0, test, 5, seed_stream(22, "e"))
-            assert d.total <= 1e-20
+        assert sampled_decompose(ens, t, 0.0, tf, seed_stream(22, "e"), 5).total <= 1e-20
+        assert decompose(ens, t, 0.0).total <= 1e-20
 
     def test_scalar_hand_value(self):
         # one point, one feature, Z = [[1]]: the fit returns y, and
@@ -441,16 +439,17 @@ class TestExcessRiskMc:
         t = TargetFunction(mode="realizable-clean", beta_star=np.array([0.5]),
                            tail_coeffs=None, norm=0.5)
         trials = 50_000
-        for test in (rows_sample([[1.0]]), None):
-            d = measure(ens, t, 1.0, test, trials, seed_stream(0, "e"))
-            # chi^2 mean concentrates at rate sqrt(2/trials)
-            assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
+        d = sampled_decompose(ens, t, 1.0, rows_sample([[1.0]]), seed_stream(0, "e"), trials)
+        # chi^2 mean concentrates at rate sqrt(2/trials)
+        assert abs(d.total - 1.0) <= 5 * math.sqrt(2 / trials)
+        assert decompose(ens, t, 1.0).total == 1.0
 
     def test_trials_validation(self):
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
+        tf = draw_test_sample(ens, 5, seed_stream(0, "tf"))
         with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, 1.0, 0, seed_stream(0))
+            sampled_decompose(ens, t, 1.0, tf, seed_stream(0), 0)
 
 
 def tiny_misspec_instance(train_cov):
@@ -471,7 +470,7 @@ def tiny_misspec_instance(train_cov):
 
 
 def noiseless(ens, t, test):
-    return measure(ens, t, 0.0, test, 2, seed_stream(0), method="closed-form")
+    return measure(ens, t, 0.0, test)
 
 
 class TestMisspecTerm:
@@ -482,8 +481,8 @@ class TestMisspecTerm:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(23, "t"))
         tf = draw_test_sample(ens, 200, seed_stream(23, "tf"))
         for test in (tf, None):
-            d = measure(ens, t, 1.0, test, 50, seed_stream(23, "d"))
-            assert d.misspec == 0.0 and d.misspec_se == 0.0
+            d = measure(ens, t, 1.0, test)
+            assert d.misspec == 0.0 and se(d, "misspec") == 0.0
 
     def test_hand_instance_pure_tail(self):
         # training rows orthogonal to the tail: no leakage, unit distance
@@ -491,7 +490,7 @@ class TestMisspecTerm:
         for test in (tf, None):
             d = noiseless(ens, t, test)
             assert d.bias == 0.0
-            assert d.misspec == 1.0 and d.misspec_se == 0.0
+            assert d.misspec == 1.0 and se(d, "misspec") == 0.0
             assert d.total == 1.0
 
     def test_hand_instance_with_leakage(self):
@@ -554,86 +553,65 @@ class TestMisspecTerm:
             with pytest.raises(ValueError, match="no best in-span fit"):
                 closed_form(ensemble, target)
             # clean test features need none: b* = beta*
-            d = decompose(ensemble, target, 1.0, 2, seed_stream(0),
-                          method="closed-form", clean_test=True)
+            d = decompose(ensemble, target, 1.0, clean_test=True)
             assert d.misspec == pytest.approx(float(np.sum(
                 ensemble.spectrum.eigenvalues * t.tail_coeffs ** 2)), rel=1e-12)
 
 
 class TestDecompose:
     def test_identity_monte_carlo(self):
-        # R = B + V up to redraw and test-sampling noise
+        # R = B + V: up to redraw and test-sampling noise on the sampled
+        # reference's redrawn labels, exactly over the population
         for (n, s) in [(20, 30), (20, 80), (50, 200)]:
             for seed in (0, 1):
                 ens = mk_ensemble(n, s, seed=seed)
                 t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
                 tf = draw_test_sample(ens, 1500, seed_stream(seed, "tf"))
-                for test in (tf, None):
-                    d = measure(ens, t, 1.0, test, 2000, seed_stream(seed, "d"))
-                    gap = abs(d.total - d.bias - d.variance)
-                    comb = math.sqrt(d.bias_se ** 2 + d.variance_se ** 2 + d.total_se ** 2)
-                    assert gap <= 3 * comb
+                d = sampled_decompose(ens, t, 1.0, tf, seed_stream(seed, "d"), 2000)
+                gap = abs(d.total - d.bias - d.variance)
+                comb = math.sqrt(d.bias_se ** 2 + d.variance_se ** 2 + d.total_se ** 2)
+                assert gap <= 3 * comb
+                d = decompose(ens, t, 1.0)
+                assert d.total == d.bias + d.variance
 
     def test_identity_closed_form_exact(self):
         ens = mk_ensemble(30, 90, seed=3)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(3, "t"))
         tf = draw_test_sample(ens, 400, seed_stream(3, "tf"))
         for test in (tf, None):
-            d = measure(ens, t, 0.7, test, 2, seed_stream(0), method="closed-form")
+            d = measure(ens, t, 0.7, test)
             assert abs(d.total - d.bias - d.variance) <= 1e-12 * d.total
-            assert d.method == "closed-form"
 
     @pytest.mark.parametrize("mode,alpha,p", [
         ("realizable-clean", None, 80), ("realizable-noisy", 0.5, 80),
         ("unrealizable", 0.5, 120)])
     def test_population_total_is_the_sum_to_the_bit(self, mode, alpha, p):
-        # every se is 0 in closed form, and monte-carlo at sigma^2 = 0 has no
-        # redraw error, so the benchmark's 4-se bracket has no slack there
+        # a sweep row's se columns read 0, so the benchmark's se bracket has
+        # no slack: the split must add up exactly, with and without label noise
         ens = mk_ensemble(20, 40, p=p, alpha=alpha, seed=28)
         t = make_target(mode, ens, 1.0, seed_stream(28, "t"))
-        for sigma_sq, method in ((0.7, "closed-form"), (0.0, "monte-carlo")):
-            d = decompose(ens, t, sigma_sq, 30, seed_stream(28, "d"),
-                          method=method)
+        for sigma_sq in (0.7, 0.0):
+            d = decompose(ens, t, sigma_sq)
             assert d.total == d.bias + d.variance + d.misspec
-            assert d.bias_se == d.misspec_se == 0.0
-            assert d.total_se == d.variance_se == 0.0
 
     def test_closed_form_variance_linearity(self):
         ens = mk_ensemble(25, 70, seed=4)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(4, "t"))
         tf = draw_test_sample(ens, 300, seed_stream(4, "tf"))
         for test in (tf, None):
-            d1 = measure(ens, t, 1.0, test, 2, seed_stream(0),
-                           method="closed-form")
-            d4 = measure(ens, t, 4.0, test, 2, seed_stream(0),
-                           method="closed-form")
+            d1 = measure(ens, t, 1.0, test)
+            d4 = measure(ens, t, 4.0, test)
             np.testing.assert_allclose(d4.variance, 4.0 * d1.variance, rtol=1e-12)
             assert d4.bias == d1.bias
 
     def test_population_bias_invariant_under_sigma(self):
-        # the bias is exact and the label draws are always the same number of
-        # the same normals, scaled by sigma
+        # the bias does not read the label noise; the variance is linear in it
         ens = mk_ensemble(30, 100, alpha=0.5, seed=9)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(9, "t"))
-        d1 = decompose(ens, t, 1.0, 60, seed_stream(21, "q"))
-        d2 = decompose(ens, t, 100.0, 60, seed_stream(21, "q"))
-        assert d1.bias == d2.bias and d1.bias_se == d2.bias_se == 0.0
+        d1 = decompose(ens, t, 1.0)
+        d2 = decompose(ens, t, 100.0)
+        assert d1.bias == d2.bias
         np.testing.assert_allclose(d2.variance, 100.0 * d1.variance, rtol=1e-9)
-
-    @pytest.mark.parametrize("mode", ["realizable-noisy", "unrealizable"])
-    def test_population_route_draws_only_the_label_redraws(self, mode):
-        # closed form takes nothing from rng; monte-carlo takes exactly the
-        # n x trials label normals
-        n, trials = 20, 30
-        ens = mk_ensemble(n, 40, p=120, alpha=0.5, seed=29)
-        t = make_target(mode, ens, 1.0, seed_stream(29, "t"))
-        rng = seed_stream(29, "d")
-        decompose(ens, t, 1.0, trials, rng, method="closed-form")
-        assert rng.bit_generator.state == seed_stream(29, "d").bit_generator.state
-        decompose(ens, t, 1.0, trials, rng)
-        ref = seed_stream(29, "d")
-        ref.standard_normal((n, trials))
-        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_population_agrees_with_the_sampled_reference_when_clean(self):
         ens = mk_ensemble(40, 120, seed=7)
@@ -659,10 +637,10 @@ class TestDecompose:
         ens = mk_ensemble(40, 120, alpha=0.5, seed=8, family=family, mode=mode)
         t = make_target(target_mode, ens, 1.0, seed_stream(8, "t"))
         flags = dict(clean_test=clean_test, target_noise=target_noise)
-        # the same label redraws on both routes, so only the test sample differs
-        d_s = decompose(ens, t, 1.0, 500, seed_stream(12, "x"), **flags)
+        # label noise integrated on both routes, so only the test sample differs
+        d_s = decompose(ens, t, 1.0, **flags)
         tf = draw_test_sample(ens, 3000, seed_stream(13, "x"), **flags)
-        d_m = sampled_decompose(ens, t, 1.0, tf, 500, seed_stream(12, "x"), **flags)
+        d_m = sampled_decompose(ens, t, 1.0, tf, **flags)
         assert_agree_within_4se(d_s, d_m)
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
@@ -677,7 +655,7 @@ class TestDecompose:
         for jitter in (0.0, 1e-13):
             ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=seed, jitter=jitter)
             t = make_target(mode, ens, 1.0, seed_stream(seed, "t"))
-            d = decompose(ens, t, 1.0, 50, seed_stream(seed, "d"))
+            d = decompose(ens, t, 1.0)
             splits.append([d.bias, d.variance, d.total])
         np.testing.assert_allclose(splits[1], splits[0], rtol=1e-9, atol=1e-9 * splits[0][2])
 
@@ -688,23 +666,22 @@ class TestDecompose:
         # every singular value, so scaling it 100x either way moves nothing
         args, kwargs = preset_cell(monkeypatch, s)
         rtol = default_rtol(100, s)
-        runs = [decompose_cell(args, seed_stream(7, "peak"), **dict(kwargs, rtol=rtol * k))
-                for k in (1.0, 0.01, 100.0)]
+        runs = [decompose_cell(args, **dict(kwargs, rtol=rtol * k)) for k in (1.0, 0.01, 100.0)]
         assert runs[0].rank == min(100, s)
         for d in runs[1:]:
             assert d == runs[0]
 
     @pytest.mark.parametrize("mode,target_noise", [
         ("realizable-noisy", "shared"), ("realizable-noisy", "fresh"), ("unrealizable", "fresh")])
-    def test_monte_carlo_total_is_the_mean_risk_of_the_redrawn_fits(self, mode, target_noise):
-        # refit every label redraw through LAPACK's pinv and evaluate its
-        # population risk ||A w - t||^2 + q||w||^2 - 2 q_x w.beta + q_t||beta||^2
-        n, s, trials = 20, 40, 6
+    def test_total_is_the_expected_risk_of_the_refit_labels(self, mode, target_noise):
+        # the fit of labels y + eps is P (y + eps), P the pseudoinverse by
+        # LAPACK's pinv, and its population risk is ||A w - t||^2 + q||w||^2 -
+        # 2 q_x w.beta + q_t||beta||^2; over eps ~ N(0, sigma^2 I) that
+        # averages to the risk of P y plus sigma^2 (||A P||_F^2 + q ||P||_F^2)
+        n, s, sigma_sq = 20, 40, 0.8
         ens = mk_ensemble(n, s, p=120, alpha=0.5, seed=31)
         t = make_target(mode, ens, 1.0, seed_stream(31, "t"))
-        d = decompose(ens, t, 0.8, trials, seed_stream(31, "d"),
-                      target_noise=target_noise)
-        E = math.sqrt(0.8) * seed_stream(31, "d").standard_normal((n, trials))
+        d = decompose(ens, t, sigma_sq, target_noise=target_noise)
         sqrt_lam = np.sqrt(ens.spectrum.eigenvalues)
         A = sqrt_lam[:, None] * ens.weights / math.sqrt(s)
         target_vals = A @ t.beta_star
@@ -713,33 +690,23 @@ class TestDecompose:
         q = ens.noise_spec.entry_variance
         q_t = q if mode == "realizable-noisy" else 0.0
         q_x = q_t if target_noise == "shared" else 0.0
-        fits = sla.pinv(np.asarray(ens.design)) @ (target_train_values(t, ens)[:, None] + E)
-        risks = [float(np.sum((A @ w - target_vals) ** 2)) + q * (w @ w)
-                 - 2 * q_x * (w @ t.beta_star) + q_t * (t.beta_star @ t.beta_star)
-                 for w in fits.T]
-        np.testing.assert_allclose(d.total, np.mean(risks), rtol=1e-9)
-        np.testing.assert_allclose(d.total_se, np.std(risks, ddof=1) / math.sqrt(trials),
-                                   rtol=1e-6)
-
-    def test_monte_carlo_total_se_covers_label_redraw_error(self, monkeypatch):
-        # one preset cell, many label-redraw seeds: the spread of R across
-        # seeds is what R_se claims it is
-        args, kwargs = preset_cell(monkeypatch, 75)
-        runs = [decompose_cell(args, seed_stream(k, "redraw"), **kwargs) for k in range(40)]
-        spread = float(np.std([d.total for d in runs], ddof=1))
-        ratio = spread / float(np.median([d.total_se for d in runs]))
-        assert 0.6 <= ratio <= 1.6, ratio
+        P = sla.pinv(np.asarray(ens.design))
+        w = P @ target_train_values(t, ens)
+        risk = float(np.sum((A @ w - target_vals) ** 2)) + q * (w @ w) \
+            - 2 * q_x * (w @ t.beta_star) + q_t * (t.beta_star @ t.beta_star)
+        noise = sigma_sq * (float(np.sum((A @ P) ** 2)) + q * float(np.sum(P * P)))
+        np.testing.assert_allclose(d.variance, noise, rtol=1e-9)
+        np.testing.assert_allclose(d.total, risk + noise, rtol=1e-9)
 
     def test_monte_carlo_variance_tracks_closed_form(self):
+        # the sampled reference's two label-noise routes over one test sample
         ens = mk_ensemble(30, 80, alpha=0.5, seed=2)
         t = make_target("realizable-noisy", ens, 1.0, seed_stream(2, "t"))
         tf = draw_test_sample(ens, 2500, seed_stream(2, "tf"))
-        for test in (tf, None):
-            dc = measure(ens, t, 1.0, test, 2, seed_stream(0),
-                           method="closed-form")
-            dm = measure(ens, t, 1.0, test, 3000, seed_stream(30, "m"))
-            assert dm.bias == dc.bias
-            assert abs(dm.variance - dc.variance) <= 0.05 * dc.variance + 3 * dm.variance_se
+        dc = sampled_decompose(ens, t, 1.0, tf)
+        dm = sampled_decompose(ens, t, 1.0, tf, seed_stream(30, "m"), 3000)
+        assert dm.bias == dc.bias
+        assert abs(dm.variance - dc.variance) <= 0.05 * dc.variance + 3 * dm.variance_se
 
     def test_unrealizable_misspec_matches_standalone(self):
         # M against a standalone population least squares, and the sample's
@@ -747,11 +714,11 @@ class TestDecompose:
         ens = mk_ensemble(20, 40, p=120, alpha=0.5, seed=24)
         t = make_target("unrealizable", ens, 1.0, seed_stream(24, "t"))
         b, misspec = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
-        d = decompose(ens, t, 1.0, 400, seed_stream(24, "d"))
+        d = decompose(ens, t, 1.0)
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
         assert d.misspec > 0
         tf = draw_test_sample(ens, 600, seed_stream(24, "tf"))
-        d_m = sampled_decompose(ens, t, 1.0, tf, 400, seed_stream(24, "d"))
+        d_m = sampled_decompose(ens, t, 1.0, tf)
         fst = tf.clean @ t.beta_star + tf.phi @ t.tail_coeffs
         np.testing.assert_allclose(d_m.misspec, np.mean((tf.predictor @ b - fst) ** 2),
                                    rtol=1e-9)
@@ -781,7 +748,7 @@ class TestDecompose:
     def test_rank_matches_design_factorization(self, n, s, p, mode):
         ens = mk_ensemble(n, s, p=p, seed=27)
         t = make_target(mode, ens, 1.0, seed_stream(27, "t"))
-        d = decompose(ens, t, 1.0, 20, seed_stream(27, "d"))
+        d = decompose(ens, t, 1.0)
         assert d.rank == svd_factors(ens.design).rank == min(n, s)
         assert projector_diag(ens.design).null_dim == s - d.rank
 
@@ -790,8 +757,8 @@ class TestDecompose:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(25, "t"))
         tf = draw_test_sample(ens, 200, seed_stream(25, "tf"))
         for test in (tf, None):
-            d = measure(ens, t, 1.0, test, 100, seed_stream(25, "d"))
-            assert d.misspec == 0.0 and d.misspec_se == 0.0
+            d = measure(ens, t, 1.0, test)
+            assert d.misspec == 0.0 and se(d, "misspec") == 0.0
 
     def test_all_target_modes_run(self):
         for mode, alpha, p in [("realizable-clean", None, 80),
@@ -799,16 +766,17 @@ class TestDecompose:
                                ("unrealizable", None, 120)]:
             ens = mk_ensemble(15, 40, p=p, alpha=alpha, seed=26)
             t = make_target(mode, ens, 1.0, seed_stream(26, "t"))
-            d = decompose(ens, t, 1.0, 50, seed_stream(26, "d", mode))
+            d = decompose(ens, t, 1.0)
             assert d.total >= 0 and d.variance >= 0 and d.bias >= 0
 
     def test_argument_validation(self):
+        # one route: a redraw count, an rng or a method is refused, not ignored
         ens = mk_ensemble(10, 20)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        with pytest.raises(ValueError, match="method"):
-            decompose(ens, t, 1.0, 50, seed_stream(0), method="analytic")
-        with pytest.raises(ValueError, match="redraws"):
-            decompose(ens, t, 1.0, 1, seed_stream(0))
+        with pytest.raises(TypeError):
+            decompose(ens, t, 1.0, 50, seed_stream(0))
+        with pytest.raises(TypeError):
+            decompose(ens, t, 1.0, method="monte-carlo")
 
     def test_unknown_target_noise_rejected_on_every_route(self):
         ens = mk_ensemble(10, 20, p=80, alpha=0.5)
@@ -816,7 +784,7 @@ class TestDecompose:
         unrealizable = make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
         for target in (realizable, unrealizable):
             with pytest.raises(ValueError, match="target_noise"):
-                decompose(ens, target, 1.0, 50, seed_stream(0), target_noise="dirty")
+                decompose(ens, target, 1.0, target_noise="dirty")
 
     @settings(max_examples=20)
     @given(n=st.integers(3, 10), s=st.integers(2, 12), seed=st.integers(0, 30))
@@ -825,7 +793,7 @@ class TestDecompose:
         t = make_target("realizable-clean", ens, 1.0, seed_stream(seed, "t"))
         tf = draw_test_sample(ens, 25, seed_stream(seed, "tf"))
         for test in (tf, None):
-            d = measure(ens, t, 0.5, test, 2, seed_stream(0), method="closed-form")
+            d = measure(ens, t, 0.5, test)
             assert d.bias >= 0 and d.variance >= 0
             assert abs(d.total - d.bias - d.variance) <= 1e-10 * max(d.total, 1.0)
 
@@ -859,8 +827,7 @@ class TestUnrealizableSolves:
         # M against the standalone ridge least squares
         _, misspec = standalone_best_fit(
             ens, t, 0.0 if clean_test else ens.noise_spec.entry_variance)
-        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form",
-                      clean_test=clean_test)
+        d = decompose(ens, t, 1.0, clean_test=clean_test)
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
 
     def test_traced_peak_stays_within_the_qr_buffers(self, monkeypatch):
@@ -901,7 +868,7 @@ class TestUnrealizableSolves:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"))
-            decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form")
+            decompose(ens, t, 1.0)
         finally:
             if not was_tracing:
                 tracemalloc.stop()
@@ -934,8 +901,7 @@ class TestBestInSpanFit:
         monkeypatch.setattr(np.linalg, "qr", qr)
         monkeypatch.setattr(risk_mod, "_population_split", split)
         t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
-        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form",
-                      clean_test=clean_test)
+        d = decompose(ens, t, 1.0, clean_test=clean_test)
         return ens, t, d, refs[0], len(calls)
 
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
@@ -978,7 +944,7 @@ class TestBestInSpanFit:
         sp = make_spectrum(kind, p, gamma=gamma)
         ens = mk_ensemble(20, s, alpha=0.5, seed=9, spectrum=sp)
         t = make_target("unrealizable", ens, 1.0, seed_stream(9, "t"))
-        d = decompose(ens, t, 1.0, 2, seed_stream(0), method="closed-form")
+        d = decompose(ens, t, 1.0)
         _, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
@@ -999,8 +965,7 @@ def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode):
         ens = build_ensemble(spectrum, mode, phi, G, spec, seed_stream(*key, "noise"),
                              complement_rng=seed_stream(*key, "wc"))
     t = make_target(target_mode, ens, 1.0, seed_stream(*key, "t"))
-    d = decompose(ens, t, 0.5, 2, seed_stream(*key, "d"), clean_test=clean_test,
-                  method="closed-form")
+    d = decompose(ens, t, 0.5, clean_test=clean_test)
     return d.bias, d.variance, d.total
 
 
