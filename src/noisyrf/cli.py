@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -48,6 +49,18 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
         return value
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type for a real flag with no infinite setting: a finite
+    float, else a usage error that names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -215,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="print a spectrum summary")
     sp.add_argument("--kind", dest="spectrum_kind", default="polynomial", choices=KINDS)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--gamma", type=float)
+    sp.add_argument("--gamma", type=_finite_float)
     sp.add_argument("--d", type=int)
-    sp.add_argument("--omega1", type=float)
+    sp.add_argument("--omega1", type=_finite_float)
     sp.add_argument("--eigenvalues", help="comma-separated values for --kind custom")
     sp.add_argument("--head", type=_int_at_least(0), default=10)
     sp.set_defaults(func=_cmd_spectrum)
@@ -245,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "noisy-spectrum", "all"])
     cc.add_argument("--seed", type=int, default=0)
     cc.add_argument("--trials", type=int)
-    cc.add_argument("--t", type=float, default=0.5)
+    cc.add_argument("--t", type=_finite_float, default=0.5)
     cc.add_argument("--n", type=_int_at_least(1), default=64)
     cc.add_argument("--s", type=_int_at_least(1), default=256)
     cc.add_argument("--dim", type=_int_at_least(1), default=20)
     cc.add_argument("--family", default="gaussian", choices=NOISE_FAMILIES)
-    cc.add_argument("--sigma0-sq", dest="sigma0_sq", type=float, default=0.5)
+    cc.add_argument("--sigma0-sq", dest="sigma0_sq", type=_finite_float, default=0.5)
     cc.set_defaults(func=_cmd_conc)
     return parser
 

@@ -281,8 +281,8 @@ def noisy_spectrum_identity_check(lambda_hat, sigma0_sq: float, n: int, s: int,
         raise ValueError("n must be >= 1")
     if lam.size != n:
         raise ValueError("lambda_hat must have length n (the empirical spectrum of one draw)")
-    if sigma0_sq < 0:
-        raise ValueError("sigma0_sq must be >= 0")
+    if not 0 <= sigma0_sq < math.inf:
+        raise ValueError(f"sigma0_sq must be finite and >= 0, not {sigma0_sq!r}")
     if s < 1:
         raise ValueError("s must be >= 1")
     trials = _trial_count("noisy-spectrum-identity", trials)

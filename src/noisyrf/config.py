@@ -184,6 +184,15 @@ def validate(cfg: ExperimentConfig) -> list:
             e.append("finite-rank spectra need an integer rank d >= 1")
         elif _is_int(cfg.p) and cfg.d > cfg.p:
             e.append("finite-rank d cannot exceed p")
+    # an unrealizable target needs a direction outside the feature span, so
+    # every s must lie below the spectrum's count of nonzero eigenvalues
+    support = cfg.d if cfg.spectrum_kind == "finite-rank" else cfg.p
+    if (cfg.target_mode == "unrealizable" and _is_int(support)
+            and isinstance(grid, (list, tuple))):
+        too_wide = [s for s in grid if _is_int(s) and s >= support]
+        if too_wide:
+            e.append(f"unrealizable targets need every s below the spectrum's {support} "
+                     f"nonzero eigenvalues; s_grid has {too_wide}")
     if "omega1" not in malformed and not cfg.omega1 > 0:
         e.append("omega1 must be > 0")
     if cfg.mode not in MODES:

@@ -18,7 +18,6 @@ give every quantity of the cell the same law.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,7 @@ from .spectral import Spectrum
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
 _ROOT3 = math.sqrt(3.0)
 # W is drawn in blocks of this many columns; block j comes from child j of the
-# weight generator's seed sequence, so W does not depend on the thread count
-# and any block can be regenerated on its own
+# weight generator's seed sequence, so any block can be regenerated on its own
 WEIGHT_BLOCK = 256
 
 
@@ -55,34 +53,19 @@ class NoiseSpec:
         return math.sqrt(self.sigma0_sq / self.s)
 
 
-def sample_weights(p: int, s: int, rng: np.random.Generator, *,
-                   threads: int = 1) -> np.ndarray:
+def sample_weights(p: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the p x s weights W, i.i.d. N(0, 1) and Fortran-ordered, column
-    block by column block, `threads` blocks at a time.
+    block by column block.
 
     Block j (the WEIGHT_BLOCK columns from j * WEIGHT_BLOCK on) is filled in
-    place by child j of `rng.spawn`, so the result is the same for every
-    thread count.
+    place by child j of `rng.spawn`.
     """
     if p < 1 or s < 1:
         raise ValueError("weight matrix dimensions must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     W = np.empty((p, s), order="F")
     starts = range(0, s, WEIGHT_BLOCK)
-    children = rng.spawn(len(starts))
-
-    def fill(j):
-        lo = starts[j]
-        children[j].standard_normal(out=W[:, lo:lo + WEIGHT_BLOCK])
-
-    workers = min(threads, len(starts))
-    if workers == 1:
-        for j in range(len(starts)):
-            fill(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(len(starts))))
+    for child, lo in zip(rng.spawn(len(starts)), starts):
+        child.standard_normal(out=W[:, lo:lo + WEIGHT_BLOCK])
     return W
 
 

@@ -62,6 +62,9 @@ def make_spectrum(kind: str, p: int, *, gamma: float | None = None, d: int | Non
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    for name, value in (("gamma", gamma), ("omega1", omega1)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value!r}")
     if kind == "custom":
         if eigenvalues is None:
             raise ValueError("custom spectrum requires eigenvalues")

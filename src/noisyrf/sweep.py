@@ -10,8 +10,6 @@ manifest.json instead.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import json
 import math
 import os
@@ -140,15 +138,6 @@ def _pool_size(cfg: ExperimentConfig) -> int:
     return min(cfg.workers, len(cfg.s_grid) * cfg.ensemble_replicates)
 
 
-def _draw_threads(cfg: ExperimentConfig) -> int:
-    """Threads a cell draws W with: this process's CPUs shared among the pool's workers."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _pool_size(cfg))
-
-
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
     """Run the full pipeline for one (feature count, replicate) cell.
 
@@ -182,7 +171,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     else:
         rows = min(n, cfg.p)
         rng_complement = seed_stream(seed, s_index, replicate, "weights-complement")
-    weights = sample_weights(rows, s, rng_w, threads=_draw_threads(cfg))
+    weights = sample_weights(rows, s, rng_w)
     ensemble = build_ensemble(spectrum, cfg.mode, phi, weights, noise_spec, rng_noise,
                               complement_rng=rng_complement)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
@@ -230,21 +219,6 @@ def _failed_record(cfg: ExperimentConfig, s_index: int, replicate: int,
                        error=message)
 
 
-@functools.cache
-def _malloc_trim():
-    """The C library's malloc_trim, or None where it has none (glibc has it).
-
-    Looked up on first use through the process's own symbols (POSIX only):
-    ctypes.util.find_library would spawn ldconfig.
-    """
-    if os.name != "posix":
-        return None
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
 def _row_task(payload):
     cfg_dict, s_index, replicate = payload
     cfg = ExperimentConfig(**cfg_dict)
@@ -256,13 +230,6 @@ def _row_task(payload):
         record = _failed_record(cfg, s_index, replicate, f"{type(exc).__name__}: {exc}")
         err = record.error
     wall = (time.perf_counter() - start) * 1e3
-    # the cell's arrays are freed now; handing the heap's free pages back
-    # keeps the next cell's resident set independent of the heap that earlier
-    # cells left (else a large W can get a fresh mmap next to tens of MB of
-    # free but resident heap)
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
     return s_index, replicate, record, wall, err
 
 

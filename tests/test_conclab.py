@@ -185,8 +185,14 @@ class TestNoisySpectrumIdentity:
     def test_validation(self):
         with pytest.raises(ValueError, match="length n"):
             noisy_spectrum_identity_check(POLY20, 0.5, n=10, s=40)
-        with pytest.raises(ValueError, match="sigma0_sq"):
-            noisy_spectrum_identity_check(POLY20, -0.5, n=20, s=40)
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used before the arguments were checked")
+
+        # a non-finite noise energy once drew every trial before failing
+        for sigma0_sq in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma0_sq must be finite and >= 0"):
+                noisy_spectrum_identity_check(POLY20, sigma0_sq, n=20, s=40, rng=NoDraws())
 
     def test_top_clamped_to_n(self):
         r = noisy_spectrum_identity_check(np.ones(3), 0.0, n=3, s=12, trials=40,

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import json
 import math
@@ -236,6 +235,24 @@ class TestConfig:
             parse_config(raw)
         assert exc.value.errors == [f"{field} must be finite, not {value!r}"]
 
+    @pytest.mark.parametrize("spectrum,support", [
+        ({"kind": "polynomial", "gamma": 2.0}, 40), ({"kind": "finite-rank", "d": 12}, 12)])
+    def test_unrealizable_grid_stays_below_the_support(self, spectrum, support):
+        # make_target needs a direction outside the feature span: some s
+        # below the count of nonzero eigenvalues, p or d
+        raw = {"n": 20, "p": 40, "s_grid": [5, 11, 12, 40, 50], "spectrum": spectrum,
+               "master_seed": 1}
+        assert parse_config(raw).s_grid == [5, 11, 12, 40, 50]
+        with pytest.raises(ValidationError) as exc:
+            parse_config({**raw, "target_mode": "unrealizable"})
+        too_wide = [s for s in raw["s_grid"] if s >= support]
+        assert exc.value.errors == [
+            f"unrealizable targets need every s below the spectrum's {support} nonzero "
+            f"eigenvalues; s_grid has {too_wide}"]
+        cfg = parse_config({**raw, "target_mode": "unrealizable",
+                            "s_grid": [s for s in raw["s_grid"] if s < support]})
+        assert all(r.error == "" for r in run_sweep(cfg).records)
+
     def test_infinite_alpha_is_the_noiseless_limit(self):
         cfg = parse_config({"n": 20, "p": 40, "s_grid": [5], "alpha": math.inf})
         assert cfg.alpha == math.inf
@@ -253,17 +270,16 @@ def small_cfg(**kw):
     return parse_config(base)
 
 
-@pytest.fixture
-def draw_threads_seen(monkeypatch):
-    """The thread count of every sample_weights call the sweep makes."""
-    seen = []
+def fail_cells_of_width(monkeypatch, s):
+    """Make every cell of feature count s raise inside the sweep's pipeline."""
+    inner = sweep_mod.make_target
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["threads"])
-        return sample_weights(*args, **kwargs)
+    def failing(mode, ensemble, *args, **kwargs):
+        if ensemble.s == s:
+            raise ValueError(f"stub failure at s = {s}")
+        return inner(mode, ensemble, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "sample_weights", recording)
-    return seen
+    monkeypatch.setattr(sweep_mod, "make_target", failing)
 
 
 @pytest.fixture
@@ -329,25 +345,10 @@ class TestSweep:
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
         assert records_csv(serial) == records_csv(parallel)
 
-    def test_draw_threads_do_not_change_rows(self, monkeypatch, draw_threads_seen,
-                                             weight_shapes):
-        # s = 600 draws its weights in three column blocks: the dense p x s W
-        # where the tail index exists (alpha = 0), G = R^T W with min(n, p)
-        # rows where it does not (alpha = 0.5)
-        for alpha in (0.0, 0.5):
-            cfg = small_cfg(s_grid=[600], alpha=alpha)
-            rows = []
-            for threads in (1, 2):
-                monkeypatch.setattr(sweep_mod, "_draw_threads", lambda cfg, t=threads: t)
-                rows.append(records_csv([compute_row(cfg, 0, 0)]))
-            assert rows[0] == rows[1]
-        assert draw_threads_seen == [1, 2] * 2
-        assert weight_shapes == [(cfg.p, 600)] * 2 + [(cfg.n, 600)] * 2
-
-    def test_pool_is_never_wider_than_the_grid(self, monkeypatch, draw_threads_seen):
+    def test_pool_is_never_wider_than_the_grid(self, monkeypatch):
         # a stub executor records the pool size and maps in this process, so
         # no worker is ever started
-        sizes, threads = [], draw_threads_seen
+        sizes = []
 
         class StubPool:
             def __init__(self, max_workers):
@@ -363,18 +364,13 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", StubPool)
-        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: set(range(6)),
-                            raising=False)
         cfg = small_cfg(ensemble_replicates=2, workers=5000)
         result = run_sweep(cfg)
         assert sizes == [4]  # 2 s-values x 2 replicates
-        assert threads == [1] * 4  # 6 CPUs over 4 workers
         assert records_csv(result.records) == records_csv(
             run_sweep(dataclasses.replace(cfg, workers=1)).records)
-        # with the pool at 3 workers each cell draws on 6 // 3 = 2 threads
-        threads.clear()
         run_sweep(dataclasses.replace(cfg, workers=3))
-        assert sizes[-1] == 3 and threads == [2] * 4
+        assert sizes[-1] == 3
 
     @pytest.mark.parametrize("target_mode,alpha", [
         ("unrealizable", 0.5), ("realizable-clean", 0.0), ("realizable-clean", 0.5)])
@@ -425,10 +421,11 @@ class TestSweep:
         assert weight_shapes == [(cfg.n, 10000)] and rec.k_star is None
         assert peak < 0.5 * 8 * cfg.p * 10000, peak
 
-    def test_row_failure_captured_not_raised(self):
-        # unrealizable targets need p > s; the second grid entry violates
-        # that at runtime while the config itself is legal
-        cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 24])
+    def test_row_failure_captured_not_raised(self, monkeypatch):
+        # the stub fails the second grid entry's cell at runtime while the
+        # config itself is legal
+        fail_cells_of_width(monkeypatch, 24)
+        cfg = small_cfg(s_grid=[6, 24])
         result = run_sweep(cfg)
         assert list(result.errors) == ["1:0"]
         good, bad = result.records
@@ -621,33 +618,6 @@ class TestSweep:
         assert with_index == [s for s in cfg.s_grid if s <= 42]
         assert max(with_index) < cfg.n
 
-    def test_every_cell_trims_the_heap(self, monkeypatch):
-        trims = []
-        monkeypatch.setattr(sweep_mod, "_malloc_trim", lambda: trims.append)
-        cfg = small_cfg(ensemble_replicates=2)
-        run_sweep(cfg)
-        assert trims == [0] * 4
-
-    def test_a_libc_without_malloc_trim_is_skipped(self, monkeypatch):
-        cfg = small_cfg()
-        payload = (cfg.to_dict(), 1, 0)
-        want = sweep_mod._row_task(payload)
-
-        class NoTrim:
-            pass
-
-        sweep_mod._malloc_trim.cache_clear()
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: NoTrim())
-        try:
-            got = sweep_mod._row_task(payload)
-            assert sweep_mod._malloc_trim() is None
-            result = run_sweep(cfg)
-        finally:
-            sweep_mod._malloc_trim.cache_clear()
-        assert got[:2] == want[:2] and got[4] == want[4] == ""
-        assert records_csv([got[2]]) == records_csv([want[2]])
-        assert result.errors == {} and len(result.records) == 2
-
 
 RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
               "--replicates", "1", "--seed", "3"]
@@ -791,9 +761,9 @@ class TestCli:
         assert main(argv) == 1
         assert "seed" in capsys.readouterr().err
 
-    def test_sweep_partial_failure_exit_code(self, tmp_path, capsys):
+    def test_sweep_partial_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        fail_cells_of_width(monkeypatch, 24)
         argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,24",
-                "--target-mode", "unrealizable",
                 "--replicates", "1", "--seed", "3",
                 "--out-dir", str(tmp_path)]
         assert main(argv) == 2
@@ -872,6 +842,29 @@ class TestCli:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and f"argument {argv[-2]}: expected an integer >= {least}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--p", "5", "--gamma", "inf"],
+        ["spectrum", "--p", "5", "--gamma", "nan"],
+        ["spectrum", "--p", "5", "--omega1", "inf"],
+        ["spectrum", "--p", "5", "--omega1", "nan"],
+        ["conc", "--experiment", "mgf", "--t", "nan"],
+        ["conc", "--experiment", "noisy-spectrum", "--sigma0-sq", "nan"],
+        ["conc", "--experiment", "noisy-spectrum", "--sigma0-sq", "inf"]],
+        ids=["gamma-inf", "gamma-nan", "omega1-inf", "omega1-nan", "t-nan",
+             "sigma0-sq-nan", "sigma0-sq-inf"])
+    def test_non_finite_real_flags_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {argv[-2]}: expected a finite number" in err
+
+    def test_sweep_refuses_an_unrealizable_grid_it_cannot_run(self, tmp_path, capsys):
+        argv = ["sweep", "--n", "12", "--p", "24", "--s-grid", "6,30",
+                "--target-mode", "unrealizable", "--seed", "3",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "s_grid has [30]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_preset_listed(self, capsys):
         argv = ["risk", "--preset", "double-descent-default", "--s", "10",

@@ -40,6 +40,15 @@ class TestMakeSpectrum:
         with pytest.raises(ValueError):
             make_spectrum("polynomial", 4, gamma=2.0, omega1=0.0)
 
+    @pytest.mark.parametrize("kind,param,value", [
+        ("polynomial", "gamma", math.inf), ("polynomial", "gamma", math.nan),
+        ("polynomial", "omega1", math.inf), ("exponential", "omega1", math.nan)])
+    def test_non_finite_parameter_rejected(self, kind, param, value):
+        # gamma = inf once gave a one-eigenvalue spectrum
+        kwargs = {"gamma": 2.0, param: value}
+        with pytest.raises(ValueError, match=f"{param} must be finite"):
+            make_spectrum(kind, 4, **kwargs)
+
     def test_finite_rank_needs_valid_d(self):
         with pytest.raises(ValueError):
             make_spectrum("finite-rank", 5, d=6)
