@@ -17,7 +17,7 @@ import sys
 
 from . import conclab
 from .config import (PRESETS, SPECTRUM_KINDS, ExperimentConfig, ValidationError,
-                     load_raw_config, parse_config)
+                     load_raw_config, parse_config, validate)
 from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .seeding import seed_stream
@@ -153,6 +153,10 @@ def _cmd_risk(args) -> int:
         s_index = cfg.s_grid.index(args.s)
     elif args.s is not None:
         cfg = dataclasses.replace(cfg, s_grid=[args.s])
+        errors = validate(cfg)
+        if errors:
+            raise ValidationError([f"--s {args.s} (run as the grid [{args.s}]): {err}"
+                                   for err in errors])
     record = compute_row(cfg, s_index, args.replicate)
     print(json.dumps(conclab._jsonable(dataclasses.asdict(record)), indent=2))
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
-from .spectral import KINDS, MODES
+from .spectral import KINDS, MODES, make_spectrum, numerical_support
 
 # a config cannot carry eigenvalues, so it cannot name a custom spectrum
 SPECTRUM_KINDS = tuple(k for k in KINDS if k != "custom")
@@ -24,7 +24,7 @@ SPECTRUM_KINDS = tuple(k for k in KINDS if k != "custom")
 # The version stamped on emitted manifests.  Bumped whenever a change moves
 # the random stream or the config schema, so a manifest only replays on the
 # code that wrote it.
-ARTIFACT_VERSION = "8"
+ARTIFACT_VERSION = "9"
 
 
 class ValidationError(ValueError):
@@ -140,6 +140,19 @@ _NULLABLE_REALS = ("gamma",)
 _FINITE_REALS = ("gamma", "omega1", "sigma_sq", "target_norm", "tail_energy", "a")
 
 
+def _support(cfg: ExperimentConfig) -> int | None:
+    """The spectrum's `numerical_support`, or None when its fields are
+    malformed (validate reports those on their own)."""
+    if not _is_int(cfg.p) or (cfg.d is not None and not _is_int(cfg.d)):
+        return None
+    try:
+        spectrum = make_spectrum(cfg.spectrum_kind, cfg.p, gamma=cfg.gamma, d=cfg.d,
+                                 omega1=cfg.omega1)
+    except (TypeError, ValueError):
+        return None
+    return numerical_support(spectrum)
+
+
 def validate(cfg: ExperimentConfig) -> list:
     """Return every constraint violation; empty list means the config is usable.
 
@@ -185,14 +198,13 @@ def validate(cfg: ExperimentConfig) -> list:
         elif _is_int(cfg.p) and cfg.d > cfg.p:
             e.append("finite-rank d cannot exceed p")
     # an unrealizable target needs a direction outside the feature span, so
-    # every s must lie below the spectrum's count of nonzero eigenvalues
-    support = cfg.d if cfg.spectrum_kind == "finite-rank" else cfg.p
-    if (cfg.target_mode == "unrealizable" and _is_int(support)
-            and isinstance(grid, (list, tuple))):
+    # every s must lie below the count of eigenvalues above rounding
+    support = _support(cfg) if cfg.target_mode == "unrealizable" else None
+    if support is not None and isinstance(grid, (list, tuple)):
         too_wide = [s for s in grid if _is_int(s) and s >= support]
         if too_wide:
             e.append(f"unrealizable targets need every s below the spectrum's {support} "
-                     f"nonzero eigenvalues; s_grid has {too_wide}")
+                     f"eigenvalues above p * eps times the top one; s_grid has {too_wide}")
     if "omega1" not in malformed and not cfg.omega1 > 0:
         e.append("omega1 must be > 0")
     if cfg.mode not in MODES:

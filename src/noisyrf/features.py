@@ -6,13 +6,13 @@ over W, z(x)^T z(y) recovers the kernel.  Feature noise perturbs every sampled
 feature entry independently with variance sigma0^2 / s, where sigma0^2 decays
 with the feature count as s**(-alpha).
 
-A training design sees W only through phi(X) W.  With the thin QR
-phi(X)^T = R T (R p x k orthonormal, k = min(n, p)), that is T^T G for
-G = R^T W, a k x s standard normal matrix; the rest of W, (I - R R^T) W, is a
-Gaussian independent of G.  An ensemble may therefore hold W in one of two
-forms: the dense p x s array, or a `RowSpaceWeights` that keeps only R and G
-and draws W's complement when the one product a cell needs is taken.  Both
-give every quantity of the cell the same law.
+A training design sees W only through phi(X) W.  With a factorization
+phi(X)^T = R T (R p x k orthonormal, k = min(n, p); see `row_space_factor`),
+that is T^T G for G = R^T W, a k x s standard normal matrix; the rest of W,
+(I - R R^T) W, is a Gaussian independent of G.  An ensemble may therefore
+hold W in one of two forms: the dense p x s array, or a `RowSpaceWeights`
+that keeps only R and G and draws W's complement when the one product a cell
+needs is taken.  Both give every quantity of the cell the same law.
 """
 
 from __future__ import annotations
@@ -22,13 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import GramEigen, Spectrum, gram_eigh
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
 _ROOT3 = math.sqrt(3.0)
 # W is drawn in blocks of this many columns; block j comes from child j of the
 # weight generator's seed sequence, so any block can be regenerated on its own
 WEIGHT_BLOCK = 256
+# The largest orthonormality defect max |R^T R - I| that `row_space_factor`
+# accepts from the eigenpairs of phi phi^T; the Gram condition number it
+# allows follows from the defect's size, about eps * d_max / d_min
+ROW_BASIS_DEFECT = 1e-10
+_MAX_GRAM_CONDITION = ROW_BASIS_DEFECT / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -185,16 +190,52 @@ class FeatureEnsemble:
         return self.spectrum.p
 
 
+def row_space_factor(phi: np.ndarray, gram: GramEigen) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T^T) with phi^T = R T: R p x k with orthonormal columns, T^T n x k,
+    k = min(n, p), from the eigenpairs `gram` of phi's Gram (`gram_eigh(phi)`).
+
+    With phi phi^T = U D U^T, T is the Gram's square root U D^1/2 U^T and
+    R = phi^T U D^-1/2 U^T, the polar factor of phi^T: two n x n products and
+    one product with phi, and no factorization beyond the eigensolve the
+    cell already ran for its empirical spectrum.  Not U D^1/2 itself: the
+    eigenvectors of a cluster of close eigenvalues are fixed only up to a
+    rotation within it, which the Gram's last bits (the BLAS thread count)
+    move, and that rotation would move G = R^T W with it.  U D^1/2 U^T and
+    U D^-1/2 U^T do not depend on it, so Z repeats across thread counts.
+
+    R^T R = U D^-1/2 U^T phi phi^T U D^-1/2 U^T carries the eigensolver's
+    backward error, a small multiple of eps * d_max in each entry of
+    U^T phi phi^T U - D, divided by sqrt(d_i d_j), so R's orthonormality
+    defect max |R^T R - I| is about eps * d_max / d_min.  The switch: the
+    eigenpairs give the factor where that estimate stays within
+    ROW_BASIS_DEFECT (1e-10), i.e. where d_min / d_max > eps /
+    ROW_BASIS_DEFECT, about 2.2e-6.  A Gram that is singular or nearer to
+    it (p < n, a finite rank below n, an exponential or a steep polynomial
+    spectrum) takes the thin QR phi^T = R T instead, whose R is orthonormal
+    to rounding whatever phi's conditioning.
+    """
+    n, p = phi.shape
+    d, U = gram.values, gram.vectors
+    if n <= p and d[-1] * _MAX_GRAM_CONDITION > d[0]:
+        root = np.sqrt(d)
+        return phi.T @ ((U / root) @ U.T), (U * root) @ U.T
+    basis, tri = np.linalg.qr(phi.T)
+    return basis, tri.T
+
+
 def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray, weights: np.ndarray,
                    noise_spec: NoiseSpec | None = None,
                    noise_rng: np.random.Generator | None = None, *,
-                   complement_rng: np.random.Generator | None = None) -> FeatureEnsemble:
+                   complement_rng: np.random.Generator | None = None,
+                   gram: GramEigen | None = None) -> FeatureEnsemble:
     """The features and the design over the eigenfeature rows phi = phi(X), (n, p).
 
     weights is W, p x s.  With complement_rng it is instead G = R^T W, a
-    min(n, p) x s standard normal draw, where phi^T = R T is the thin QR:
-    then Z = T^T G / sqrt(s) and the ensemble holds RowSpaceWeights(R, G,
-    complement_rng).
+    min(n, p) x s standard normal draw, where phi^T = R T comes from
+    `row_space_factor` on phi's Gram eigenpairs `gram` (taken here when the
+    caller has not: `compute_row` passes the ones its empirical spectrum
+    came from): then Z = T^T G / sqrt(s) and the ensemble holds
+    RowSpaceWeights(R, G, complement_rng).
     """
     p = phi.shape[1]
     s = weights.shape[1]
@@ -206,11 +247,11 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray, weights: np.n
                              f"dimension ({p})")
         Z = phi @ weights / math.sqrt(s)
     else:
-        basis, tri = np.linalg.qr(phi.T)
-        if weights.shape[0] != basis.shape[1]:
+        if weights.shape[0] != min(phi.shape):
             raise ValueError(f"row-space weight rows ({weights.shape[0]}) must equal "
-                             f"min(n, p) = {basis.shape[1]}")
-        Z = tri.T @ weights / math.sqrt(s)
+                             f"min(n, p) = {min(phi.shape)}")
+        basis, tri_t = row_space_factor(phi, gram if gram is not None else gram_eigh(phi))
+        Z = tri_t @ weights / math.sqrt(s)
         weights = RowSpaceWeights(basis, weights, complement_rng)
     design = Z
     if noise_spec is not None and noise_spec.sigma0_sq != 0.0:

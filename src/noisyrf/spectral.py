@@ -197,6 +197,44 @@ def eigenfeature_matrix(spectrum: Spectrum, mode: str, X) -> np.ndarray:
     return V * np.sqrt(spectrum.eigenvalues)
 
 
+@dataclass(frozen=True)
+class GramEigen:
+    """The eigenpairs of the smaller Gram of n rows (an n x dim matrix).
+
+    For n <= dim that is rows rows^T = U diag(d) U^T, n x n; for n > dim it
+    is rows^T rows, dim x dim.  `values` is d non-increasing as
+    `np.linalg.eigh` returns it (a rounding-level negative stays) and
+    `vectors` holds the matching orthonormal eigenvectors as columns.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    n: int
+
+    @property
+    def lambda_hat(self) -> np.ndarray:
+        """The min(n, dim) leading eigenvalues of (1/n) rows^T rows,
+        non-increasing and clipped at 0."""
+        return np.clip(self.values / self.n, 0.0, None)
+
+
+def gram_eigh(feature_rows: np.ndarray) -> GramEigen:
+    """One symmetric eigensolve of the smaller of the n x n Gram and the
+    dim x dim covariance of the rows.
+
+    It is the one factorization behind both the empirical spectrum and the
+    row-space basis of `features.row_space_factor`: a sweep cell runs it
+    once and hands the result to both.
+    """
+    rows = np.asarray(feature_rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("feature_rows must be a 2-d array")
+    n, dim = rows.shape
+    small = rows @ rows.T if n <= dim else rows.T @ rows
+    values, vectors = np.linalg.eigh(small)
+    return GramEigen(values=values[::-1], vectors=vectors[:, ::-1], n=n)
+
+
 def empirical_covariance(feature_rows: np.ndarray) -> np.ndarray:
     """The min(n, dim) leading eigenvalues of (1/n) * rows^T rows.
 
@@ -204,11 +242,23 @@ def empirical_covariance(feature_rows: np.ndarray) -> np.ndarray:
     of an n < dim estimate are exactly zero and are not returned.  Works on
     eigenfeature rows (giving the empirical covariance of phi) or on sampled
     feature rows (giving the feature-space covariance estimate).  The smaller
-    of the n x n Gram and the dim x dim covariance is factored.
+    of the n x n Gram and the dim x dim covariance is factored, by
+    `gram_eigh`; a sweep cell calls that itself, since it also needs the
+    eigenvectors.
     """
-    rows = np.asarray(feature_rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("feature_rows must be a 2-d array")
-    n, dim = rows.shape
-    small = rows @ rows.T if n <= dim else rows.T @ rows
-    return np.clip(np.linalg.eigvalsh(small / n)[::-1], 0.0, None)
+    return gram_eigh(feature_rows).lambda_hat
+
+
+def numerical_support(spectrum: Spectrum) -> int:
+    """How many eigenvalues exceed p * eps times the top one.
+
+    The floor has the form of numpy's `matrix_rank` tolerance: an eigenvalue
+    at or below it is rounding next to the top one, so no computed feature span
+    can be told apart from one that holds its direction.  A finite-rank
+    spectrum's support is its rank d, an exponential one's about
+    -ln(p * eps) (32 at p = 60) and a polynomial one's about
+    (p * eps)^(-1/gamma), when that is below p.
+    """
+    vals = spectrum.eigenvalues
+    floor = spectrum.p * np.finfo(float).eps * vals[0]
+    return int(np.count_nonzero(vals > floor))

@@ -24,11 +24,15 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
-from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
+from .features import (ROW_BASIS_DEFECT, WEIGHT_BLOCK, build_ensemble, make_noise_spec,
+                       sample_weights)
 from .risk import decompose, make_target
 from .seeding import seed_stream
-from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
-                       sample_covariates, trace_and_rank)
+# empirical_covariance likewise: compute_row takes the spectrum from its own
+# gram_eigh call, whose eigenvectors it also needs; the tracer looks the name
+# up here
+from .spectral import (eigenfeature_matrix, empirical_covariance,  # noqa: F401
+                       gram_eigh, make_spectrum, sample_covariates, trace_and_rank)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
@@ -148,6 +152,10 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     R an orthonormal basis of the eigenfeature rows' span; the one product
     its risk split needs draws W's complement from the `weights-complement`
     stream.  Both routes give the row the same law (features module).
+
+    The cell runs one eigensolve of phi's Gram (`gram_eigh`).  It gives the
+    empirical spectrum, and a row-space cell's basis R comes from the same
+    eigenpairs (`features.row_space_factor`).
     """
     seed = cfg.master_seed
     s = cfg.s_grid[s_index]
@@ -163,7 +171,8 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     # X is not read again; freed before the weights are drawn, so no cell
     # holds it next to W
     del X
-    lam_hat = empirical_covariance(phi)
+    gram = gram_eigh(phi)
+    lam_hat = gram.lambda_hat
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     if cfg.target_mode == "unrealizable" or k_star is not None:
@@ -173,7 +182,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
         rng_complement = seed_stream(seed, s_index, replicate, "weights-complement")
     weights = sample_weights(rows, s, rng_w)
     ensemble = build_ensemble(spectrum, cfg.mode, phi, weights, noise_spec, rng_noise,
-                              complement_rng=rng_complement)
+                              complement_rng=rng_complement, gram=gram)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
     dec = decompose(ensemble, target, cfg.sigma_sq, clean_test=cfg.clean_test,
@@ -366,7 +375,9 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        "unrealizable targets and rows where the tail index k* exists "
                        "draw the p x s W there, every other row draws only G = R^T W "
                        "(min(n, p) rows, the same column blocks; R an orthonormal basis "
-                       "of the eigenfeature rows' span, from the thin QR of phi^T) and "
+                       "of the eigenfeature rows' span: R = phi^T U D^-1/2 U^T from the "
+                       "eigenpairs phi phi^T = U D U^T where d_min / d_max > "
+                       f"eps / {ROW_BASIS_DEFECT:g}, else the thin QR of phi^T) and "
                        "takes W's complement for its risk split from weights-complement "
                        "as one p x (rank + 1) standard normal draw",
         "grid": list(cfg.s_grid),

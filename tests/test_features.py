@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec,
-                              noise_matrix, sample_weights)
+from noisyrf import features as features_mod
+from noisyrf.features import (ROW_BASIS_DEFECT, WEIGHT_BLOCK, build_ensemble,
+                              make_noise_spec, noise_matrix, row_space_factor,
+                              sample_weights)
 from noisyrf.seeding import seed_sequence, seed_stream
-from noisyrf.spectral import eigenfeature_matrix, make_spectrum, sample_covariates
+from noisyrf.spectral import (eigenfeature_matrix, gram_eigh, make_spectrum,
+                              sample_covariates)
 from sampled_reference import kernel_eval
 
 
@@ -251,3 +254,84 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="min\\(n, p\\)"):
             build_ensemble(sp, "eigencoordinate", phi, sample_weights(9, 7, seed_stream(41)),
                            complement_rng=seed_stream(42))
+
+
+def counted_factor(monkeypatch, phi):
+    """(R, T^T, np.linalg.qr calls) of row_space_factor on phi's own Gram."""
+    calls = []
+    real_qr = np.linalg.qr
+
+    def qr(a, mode="reduced"):
+        calls.append(a.shape)
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    R, Tt = row_space_factor(phi, gram_eigh(phi))
+    return R, Tt, len(calls)
+
+
+def defect(R):
+    return float(np.abs(R.T @ R - np.eye(R.shape[1])).max())
+
+
+def conditioned_rows(n, p, condition, seed):
+    """n x p rows whose Gram has eigenvalues geometric from 1 to 1 / condition."""
+    A = np.linalg.qr(seed_stream(seed, "a").standard_normal((n, n)))[0]
+    B = np.linalg.qr(seed_stream(seed, "b").standard_normal((p, n)))[0]
+    return (A * np.sqrt(np.geomspace(1.0, 1.0 / condition, n))) @ B.T
+
+
+class TestRowSpaceFactor:
+    """phi^T = R T from the Gram's eigenpairs, or from a QR past the switch."""
+
+    # the eigenpairs give the factor below this Gram condition d_max / d_min
+    EDGE = ROW_BASIS_DEFECT / np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_preset_rows_take_the_eigenpairs(self, monkeypatch, seed):
+        # n = 100, p = 2000, i^-2: the Gram's condition is about 1.5e4, so no
+        # QR; R's defect stays within the bound (measured about 4e-13)
+        sp = make_spectrum("polynomial", 2000, gamma=2.0)
+        phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
+            "eigencoordinate", 100, seed_stream(seed, "cov"), p=2000))
+        R, Tt, qr_calls = counted_factor(monkeypatch, phi)
+        assert qr_calls == 0
+        assert R.shape == (2000, 100) and Tt.shape == (100, 100)
+        assert defect(R) <= ROW_BASIS_DEFECT
+        np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-12 * np.abs(phi).max())
+
+    @pytest.mark.parametrize("side,condition", [("eigh", 0.9), ("qr", 1.1)])
+    def test_switch_edge(self, monkeypatch, side, condition):
+        # just inside the edge the eigenpairs' R meets the stated bound; just
+        # past it the QR's R is orthonormal to rounding
+        phi = conditioned_rows(40, 300, condition * self.EDGE, seed=3)
+        R, Tt, qr_calls = counted_factor(monkeypatch, phi)
+        assert qr_calls == (1 if side == "qr" else 0)
+        assert defect(R) <= (ROW_BASIS_DEFECT if side == "eigh" else 1e-14)
+        np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-12 * np.abs(phi).max())
+
+    @pytest.mark.parametrize("kind,n,p,params", [
+        ("polynomial", 30, 12, {"gamma": 2.0}),       # p < n: the Gram is singular
+        ("finite-rank", 20, 60, {"d": 8}),            # rank d < n
+        ("exponential", 20, 60, {}),                  # rounding-level eigenvalues
+        ("polynomial", 20, 400, {"gamma": 8.0})])     # a steep polynomial
+    def test_singular_grams_take_the_qr(self, monkeypatch, kind, n, p, params):
+        sp = make_spectrum(kind, p, **params)
+        phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
+            "eigencoordinate", n, seed_stream(5, kind, n, p), p=p))
+        R, Tt, qr_calls = counted_factor(monkeypatch, phi)
+        assert qr_calls == 1
+        assert R.shape == (p, min(n, p)) and defect(R) <= 1e-14
+        np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-14 * np.abs(phi).max())
+
+    def test_ensemble_takes_the_callers_eigenpairs(self, monkeypatch):
+        # given the Gram's eigenpairs, build_ensemble runs no eigensolve of its own
+        sp = make_spectrum("polynomial", 30, gamma=2.0)
+        phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
+            "eigencoordinate", 6, seed_stream(6), p=30))
+        gram = gram_eigh(phi)
+        monkeypatch.setattr(features_mod, "gram_eigh", None)
+        G = sample_weights(6, 9, seed_stream(7))
+        ens = build_ensemble(sp, "eigencoordinate", phi, G, complement_rng=seed_stream(8),
+                             gram=gram)
+        np.testing.assert_allclose(ens.Z, phi @ (ens.weights.basis @ G) / 3.0, atol=1e-14)

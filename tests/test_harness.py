@@ -94,7 +94,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "8",
+        manifest = {"artifact_version": "9",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -108,7 +108,7 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'8'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'9'" in str(exc.value)
 
     def test_version_3_manifest_gets_the_version_error(self):
         # a version "3" config block still holds the retired lower_multiplier;
@@ -119,7 +119,7 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '8'; "
+            "manifest artifact_version '3' does not match this code's '9'; "
             "its draws would differ"]
 
     def test_version_6_manifest_gets_the_version_error(self):
@@ -131,7 +131,18 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '6' does not match this code's '8'; "
+            "manifest artifact_version '6' does not match this code's '9'; "
+            "its draws would differ"]
+
+    def test_version_8_manifest_gets_the_version_error(self):
+        # version "8" row-space cells took R from the thin QR of phi^T; this
+        # code takes it from the Gram's eigenpairs, so their G is another draw
+        manifest = {"artifact_version": "8",
+                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(manifest)
+        assert exc.value.errors == [
+            "manifest artifact_version '8' does not match this code's '9'; "
             "its draws would differ"]
 
     @pytest.mark.parametrize("key,value", [
@@ -236,10 +247,12 @@ class TestConfig:
         assert exc.value.errors == [f"{field} must be finite, not {value!r}"]
 
     @pytest.mark.parametrize("spectrum,support", [
-        ({"kind": "polynomial", "gamma": 2.0}, 40), ({"kind": "finite-rank", "d": 12}, 12)])
+        ({"kind": "polynomial", "gamma": 2.0}, 40), ({"kind": "finite-rank", "d": 12}, 12),
+        ({"kind": "exponential"}, 33)])
     def test_unrealizable_grid_stays_below_the_support(self, spectrum, support):
         # make_target needs a direction outside the feature span: some s
-        # below the count of nonzero eigenvalues, p or d
+        # below the count of eigenvalues above p * eps times the top one,
+        # p or d here, and 33 for exp(-i) at p = 40 (e^-32 > 40 eps > e^-33)
         raw = {"n": 20, "p": 40, "s_grid": [5, 11, 12, 40, 50], "spectrum": spectrum,
                "master_seed": 1}
         assert parse_config(raw).s_grid == [5, 11, 12, 40, 50]
@@ -247,11 +260,28 @@ class TestConfig:
             parse_config({**raw, "target_mode": "unrealizable"})
         too_wide = [s for s in raw["s_grid"] if s >= support]
         assert exc.value.errors == [
-            f"unrealizable targets need every s below the spectrum's {support} nonzero "
-            f"eigenvalues; s_grid has {too_wide}"]
+            f"unrealizable targets need every s below the spectrum's {support} eigenvalues "
+            f"above p * eps times the top one; s_grid has {too_wide}"]
         cfg = parse_config({**raw, "target_mode": "unrealizable",
                             "s_grid": [s for s in raw["s_grid"] if s < support]})
         assert all(r.error == "" for r in run_sweep(cfg).records)
+
+    @pytest.mark.parametrize("flags,support", [
+        (["--p", "60", "--kind", "exponential"], 32), (["--p", "2000", "--gamma", "8"], 34)])
+    def test_unrealizable_grid_past_rounding_is_refused_before_a_write(
+            self, tmp_path, capsys, flags, support):
+        # exp(-i) at p = 60 gives energy above rounding to 32 directions, and
+        # i^-8 at p = 2000 to 34.  Counted as p, both passed validation, and
+        # cells past the floor failed at run time ("degenerate out-of-span
+        # draw"): s = 40 in 7 of 20 cells of the first, s = 100 in 3 of 5 of
+        # the second.  The floor is stated from rounding, not from where
+        # make_target starts to fail, so it also refuses the second's s = 40
+        argv = ["sweep", "--n", "10", *flags, "--s-grid", "5,40",
+                "--target-mode", "unrealizable", "--seed", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert (f"the spectrum's {support} eigenvalues above p * eps times the top one; "
+                "s_grid has [40]") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_infinite_alpha_is_the_noiseless_limit(self):
         cfg = parse_config({"n": 20, "p": 40, "s_grid": [5], "alpha": math.inf})
@@ -466,12 +496,12 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "8"
+        assert manifest["artifact_version"] == "9"
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
         # the label noise is integrated, so no stream is drawn for it
         assert "purposes: covariates, weights, weights-complement, feature-noise, " \
             "target; " in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "8"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "9"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -599,6 +629,54 @@ class TestSweep:
         assert records_csv(records) == records_csv(run_sweep(cfg).records)
         assert len(draws) == len(cfg.s_grid)
 
+    @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
+    def test_preset_cell_factors_the_gram_once(self, monkeypatch, weight_shapes, s, route):
+        # one eigensolve of phi phi^T gives both the empirical spectrum and a
+        # row-space cell's basis: no QR of the 2000 x 100 phi^T, and neither
+        # route runs a second eigensolve (lambda_W is not stated on the preset)
+        calls = {"eigh": 0, "eigvalsh": 0, "qr": 0}
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        cfg = preset_config("double-descent-default", {"master_seed": 7})
+        rec = compute_row(cfg, cfg.s_grid.index(s), 0)
+        assert rec.error == "" and math.isfinite(rec.R)
+        assert weight_shapes == [(cfg.n if route == "row-space" else cfg.p, s)]
+        assert calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
+
+    def test_row_space_cells_repeat_across_blas_thread_counts(self):
+        # a BLAS thread count changes the Gram's last bits, and with them the
+        # eigenvectors eigh picks inside a cluster of close eigenvalues.  The
+        # basis R = phi^T U D^-1/2 U^T does not depend on that pick; taken
+        # as phi^T U D^-1/2, these cells drew another G on 1 thread than on 2
+        # and R moved by up to 150%.  1e-9 is perfbench's pool-vs-serial bound
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        code = ("import json\n"
+                "from noisyrf.config import preset_config\n"
+                "from noisyrf.sweep import compute_row\n"
+                "rows = []\n"
+                "for seed, s in [(317, 100), (333, 100), (301, 133)]:\n"
+                "    cfg = preset_config('double-descent-default', {'master_seed': seed})\n"
+                "    rec = compute_row(cfg, cfg.s_grid.index(s), 0)\n"
+                "    rows.append([rec.B, rec.V, rec.R])\n"
+                "print(json.dumps(rows))\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, check=True, timeout=300)
+            runs.append(json.loads(out.stdout))
+        np.testing.assert_allclose(runs[0], runs[1], rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("seed", [7, 13])
     def test_preset_never_states_the_bias_bound(self, seed):
         # k* needs only each cell's covariates (replicate 0), not W: it exists
@@ -680,6 +758,19 @@ class TestCli:
         cfg = small_cfg(s_grid=[9], master_seed=3)
         assert out["R"] == compute_row(cfg, 0, 0).R
 
+    @pytest.mark.parametrize("s,problem", [
+        ("30", "unrealizable targets need every s below"),
+        ("0", "s_grid must be a nonempty list of integers >= 1")])
+    def test_risk_cell_off_the_grid_is_validated(self, capsys, s, problem):
+        # the one-cell grid an off-grid s makes is checked like any config:
+        # neither case reaches compute_row's own errors
+        argv = ["risk", "--n", "12", "--p", "24", "--s-grid", "6",
+                "--target-mode", "unrealizable", "--s", s]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"--s {s} (run as the grid [{s}]): {problem}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [["--m0", "1"], ["--method", "closed-form"],
                                        ["--label-redraws", "20"]],
                              ids=["m0", "method", "label-redraws"])
@@ -752,7 +843,7 @@ class TestCli:
         capsys.readouterr()
         replay = tmp_path / "replay"
         assert main(["sweep", "--config", str(old), "--out-dir", str(replay)]) == 1
-        assert "'5' does not match this code's '8'" in capsys.readouterr().err
+        assert "'5' does not match this code's '9'" in capsys.readouterr().err
         assert not replay.exists()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):

@@ -949,11 +949,12 @@ class TestBestInSpanFit:
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
 
-def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode):
+def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode, kind="polynomial"):
     """(B, V, R) of one closed-form cell whose weights take `route`: the dense
     p x s W, or G = R^T W with W's complement drawn by the risk split.  Its
-    draws come from the streams seed_stream(*key, purpose)."""
-    spectrum = make_spectrum("polynomial", p, gamma=2.0)
+    draws come from the streams seed_stream(*key, purpose).  The spectrum is
+    i^-2, or exp(-i) for kind "exponential"."""
+    spectrum = make_spectrum(kind, p, **({"gamma": 2.0} if kind == "polynomial" else {}))
     phi = eigenfeature_matrix(spectrum, mode,
                               sample_covariates(mode, n, seed_stream(*key, "cov"), p=p))
     spec = make_noise_spec(family, 0.5, s)
@@ -984,10 +985,10 @@ class TestRowSpaceRoute:
     """Weights held in the eigenfeature rows' span against the dense W."""
 
     @staticmethod
-    def _assert_same_law(n, p, s, case):
+    def _assert_same_law(n, p, s, case, kind="polynomial"):
         # two independent samples: every draw of either route has its own seed
-        samples = {route: np.array([law_cell(route, (11, route, n, p, s, *case, i), n, p, s,
-                                             *case) for i in range(LAW_DRAWS)])
+        samples = {route: np.array([law_cell(route, (11, route, n, p, s, *case, kind, i), n, p,
+                                             s, *case, kind) for i in range(LAW_DRAWS)])
                    for route in ("dense", "row-space")}
         a, b = samples["dense"], samples["row-space"]
         se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
@@ -1003,6 +1004,22 @@ class TestRowSpaceRoute:
     def test_same_law_as_dense_with_p_below_n(self, s):
         # k = p: the basis spans every eigendirection and the complement is empty
         self._assert_same_law(20, 12, s, LAW_CASES[0])
+
+    @pytest.mark.parametrize("s", [10, 40, 200])
+    def test_same_law_as_dense_past_the_switch(self, monkeypatch, s):
+        # exp(-i) at n = 20, p = 60 leaves the Gram's condition above 1e9, so
+        # every row-space cell takes its basis from the QR of phi^T; the i^-2
+        # eigencoordinate cases stay near 1e3, on the eigenpairs' side
+        qr_calls = []
+        real_qr = np.linalg.qr
+
+        def qr(a, mode="reduced"):
+            qr_calls.append(a.shape)
+            return real_qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        self._assert_same_law(20, 60, s, LAW_CASES[0], kind="exponential")
+        assert qr_calls == [(60, 20)] * LAW_DRAWS
 
     def test_product_has_the_dense_second_moments(self):
         # for a fixed G and C = [V, e]: R^T (W C) = G C to rounding, and the

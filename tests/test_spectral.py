@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, empirical_covariance,
-                              fourier_basis, make_spectrum, sample_covariates,
-                              suggest_truncation, trace_and_rank)
+                              fourier_basis, make_spectrum, numerical_support,
+                              sample_covariates, suggest_truncation, trace_and_rank)
 from sampled_reference import kernel_eval
 
 
@@ -184,6 +184,21 @@ class TestKernel:
         K = kernel_eval(sp, "fourier", np.repeat(x, 5), np.tile(x, 5)).reshape(5, 5)
         np.testing.assert_allclose(K, K.T, atol=1e-12)
         assert np.linalg.eigvalsh(K).min() >= -1e-10
+
+
+class TestNumericalSupport:
+    @pytest.mark.parametrize("kind,p,params,support", [
+        ("finite-rank", 40, {"d": 12}, 12),
+        ("polynomial", 2000, {"gamma": 2.0}, 2000),
+        # e^-(i-1) > p eps holds for i <= 32 at p = 60, and for both at p = 2
+        ("exponential", 60, {}, 32), ("exponential", 2, {}, 2),
+        ("polynomial", 2000, {"gamma": 8.0}, 34)])
+    def test_counts_eigenvalues_above_p_eps_of_the_top(self, kind, p, params, support):
+        sp = make_spectrum(kind, p, omega1=3.0, **params)
+        assert numerical_support(sp) == support
+        floor = p * np.finfo(float).eps * sp.eigenvalues[0]
+        assert sp.eigenvalues[support - 1] > floor
+        assert support == p or sp.eigenvalues[support] <= floor
 
 
 class TestEmpiricalCovariance:
