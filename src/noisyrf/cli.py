@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--experiment", default="all",
                     choices=["mgf", "norm", "subexp", "gram", "cross",
                              "noisy-spectrum", "all"])
-    cc.add_argument("--seed", type=int, default=0)
+    cc.add_argument("--seed", type=_int_at_least(0), default=0)
     cc.add_argument("--trials", type=int)
     cc.add_argument("--t", type=_finite_float, default=0.5)
     cc.add_argument("--n", type=_int_at_least(1), default=64)

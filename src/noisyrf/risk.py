@@ -22,8 +22,10 @@ population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
 feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 + q_p ||w||^2 plus the tail's energy.  Its best in-span fit b* is the ridge
 fit with penalty q_p, and `make_target` solves it from the triangle S of its
-own QR sqrt(Lambda) W = Q S, since A^T A = S^T S / s; `decompose` reads it
-off the target.
+own QR sqrt(Lambda) W = Q S, since A^T A = S^T S / s: by a Cholesky of
+G = S^T S / s + q_p I where G's condition bound keeps its error within
+RIDGE_RTOL, else by a QR (see `_ridge_fit`); `decompose` reads it off the
+target.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     no triangle is copied out.  factor is those m x k columns, R on and
     above the diagonal of the top k rows and Householder vectors below it.
     As a view it keeps the whole QR output alive, so a caller that does not
-    read R drops it; `make_target` reads it to refine its projection and to
-    solve an unrealizable target's best in-span fit.  Fortran order also
+    read R drops it; `make_target` reads it to refine its projection and
+    copies the triangle out for the best in-span fit.  This QR serves the
+    projection and the QR side of `_ridge_fit`'s switch.  Fortran order also
     makes the fill from a Fortran-ordered W and numpy's copies of aug into
     LAPACK's buffer straight column copies.  Raises LinAlgError when R has
     a zero on its diagonal.
@@ -122,6 +125,58 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     return x, float(out[k, k] ** 2), out[:, :k]
 
 
+# the largest error bound on b* / ||beta_star|| the ridge step's Cholesky side
+# may carry (see _ridge_fit)
+RIDGE_RTOL = 1e-10
+
+
+def _ridge_fit(S: np.ndarray, beta: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """(b*, rho^2): the w minimizing ||S (w - beta)||^2 / s + q ||w||^2, q > 0,
+    and that minimum, for an s x s upper triangle S.
+
+    The Cholesky side factors G = S^T S / s + q I = L L^T (a syrk and a
+    Cholesky, both on numpy's BLAS) and sets b* = beta - q G^-1 beta by two
+    triangular solves; rho^2 is the objective at b*, so an error in b* enters
+    it only squared.  The error bound: Cholesky's backward error leaves the
+    computed G^-1 beta off by about eps cond(G) relative, and q G^-1 has its
+    eigenvalues in (0, 1], so b* is off by at most about eps cond(G)
+    ||beta||, with cond(G) <= kappa = 1 + ||S||_F^2 / (s q).  The ridge
+    switch: the Cholesky side runs where eps kappa <= RIDGE_RTOL = 1e-10,
+    that is kappa up to about 4.5e5.  Above it, and where the Cholesky
+    raises LinAlgError, the fit is one QR of the 2s x (s+1) stack [S,
+    S beta; sqrt(q s) I, 0] / sqrt(s) by `_lstsq_qr`, which works on the
+    square root of G's condition.  G is released before the solves, so at
+    most S, G and L (s^2 doubles each) are live at once.
+    """
+    s = beta.size
+    kappa = 1.0 + float(np.linalg.norm(S)) ** 2 / (s * q)
+    if np.finfo(float).eps * kappa <= RIDGE_RTOL:
+        G = S.T @ S   # numpy runs A^T A as a syrk
+        G /= s
+        G.flat[::s + 1] += q
+        try:
+            # L^T is Fortran-ordered, so dtrtrs reads it without a copy
+            U = np.linalg.cholesky(G).T
+        except np.linalg.LinAlgError:
+            U = None
+        del G
+        if U is not None:
+            y, _ = dtrtrs(U, beta, lower=0, trans=1)
+            x, _ = dtrtrs(U, y, lower=0, trans=0)
+            b_star = beta - q * x
+            r = S @ (b_star - beta)
+            return b_star, float(r @ r) / s + q * float(b_star @ b_star)
+
+    def fill_stack(stack):
+        top = stack[:s, :s]
+        np.divide(S, math.sqrt(s), out=top)
+        stack[:s, s] = top @ beta
+        stack[s + np.arange(s), np.arange(s)] = math.sqrt(q)
+
+    b_star, rho_sq, _ = _lstsq_qr(2 * s, s, fill_stack)
+    return b_star, rho_sq
+
+
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
                 rng: np.random.Generator, *, tail_energy: float = 1.0) -> TargetFunction:
     """Draw a target: beta_star uniform on the radius-`norm` sphere, plus an
@@ -131,25 +186,30 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     out; a draw whose remainder is rounding (the span holds every direction
     the spectrum gives energy to) is refused with a ValueError.  On a noisy
     ensemble the unrealizable target also gets its best in-span fit (see
-    TargetFunction) from the projection's own factor sqrt(Lambda) W = Q S,
-    by one QR of the 2s x (s+1) stack [S, S beta_star; sqrt(q s) I, 0] /
-    sqrt(s), q the feature-noise entry variance."""
+    TargetFunction) from the triangle S of the projection's own factor
+    sqrt(Lambda) W = Q S, q the feature-noise entry variance: by a Cholesky
+    of G = S^T S / s + q I, or by one QR of the 2s x (s+1) stack
+    [S, S beta_star; sqrt(q s) I, 0] / sqrt(s) where G's condition bound
+    is too large for it (`_ridge_fit` states the switch).  A norm or
+    tail_energy that is not positive and finite is refused before any
+    draw."""
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
-    if norm <= 0:
-        raise ValueError("norm must be positive")
-    s = ensemble.s
-    v = rng.standard_normal(s)
-    beta = norm * v / np.linalg.norm(v)
+    if not 0 < norm < math.inf:
+        raise ValueError(f"norm must be positive and finite, got {norm!r}")
+    s, p = ensemble.s, ensemble.p
     if mode == "realizable-noisy" and ensemble.noise_spec is None:
         raise ValueError("realizable-noisy target needs an ensemble with injected noise")
+    if mode == "unrealizable":
+        if p <= s:
+            raise ValueError("unrealizable target needs p > s so something lies outside "
+                             "the span")
+        if not 0 < tail_energy < math.inf:
+            raise ValueError(f"tail_energy must be positive and finite, got {tail_energy!r}")
+    v = rng.standard_normal(s)
+    beta = norm * v / np.linalg.norm(v)
     if mode != "unrealizable":
         return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=None, norm=norm)
-    p = ensemble.p
-    if p <= s:
-        raise ValueError("unrealizable target needs p > s so something lies outside the span")
-    if tail_energy <= 0:
-        raise ValueError("tail_energy must be positive")
     lam = ensemble.spectrum.eigenvalues
     sqrt_lam = np.sqrt(lam)
     c = rng.standard_normal(p)
@@ -186,18 +246,12 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
         return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm)
 
     # the ridge fit on A = Q S / sqrt(s): ||A (w - beta)|| = ||S (w - beta)|| / sqrt(s)
-    def fill_stack(stack):
-        nonlocal factor
-        S = stack[:s, :s]
-        np.copyto(S, factor[:s], where=np.tri(s, dtype=bool).T)
-        # the factor goes before the stack is factored; kept alive (or copied
-        # out) through that QR, it raised the peak resident set
-        factor = None
-        S /= math.sqrt(s)
-        stack[:s, s] = S @ beta
-        stack[s + np.arange(s), np.arange(s)] = math.sqrt(q)
-
-    b_star, rho_sq, _ = _lstsq_qr(2 * s, s, fill_stack)
+    S = np.zeros((s, s), order="F")
+    np.copyto(S, factor[:s], where=np.tri(s, dtype=bool).T)
+    # the factor goes before G is formed; kept alive through the ridge step,
+    # it raised the peak resident set
+    del factor
+    b_star, rho_sq = _ridge_fit(S, beta, q)
     return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm,
                           b_star=b_star, rho_sq=rho_sq, fit_q=q)
 
@@ -281,13 +335,13 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
               target_noise: str = "fresh") -> RiskDecomposition:
     """Full risk decomposition, exact over the test population.
 
-    The labels carry gaussian noise of variance `sigma_sq` >= 0, integrated
-    in closed form, so nothing is drawn.  An unknown `target_noise` is
-    rejected.  The design is factored once, and the result's `rank` reports
+    The labels carry gaussian noise of finite variance `sigma_sq` >= 0,
+    integrated in closed form, so nothing is drawn.  An unknown
+    `target_noise` is rejected.  The design is factored once, and the result's `rank` reports
     its numerical rank, so callers need no second SVD for it.
     """
-    if not sigma_sq >= 0:
-        raise ValueError("sigma_sq must be >= 0")
+    if not 0 <= sigma_sq < math.inf:
+        raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq!r}")
     if target_noise not in TARGET_NOISE_MODES:
         raise ValueError("target_noise must be shared, fresh or clean")
     f = svd_factors(ensemble.design, rtol)

@@ -927,8 +927,9 @@ class TestCli:
         (["risk", *RISK_FLAGS, "--replicate", "-1"], 0),
         (["conc", "--experiment", "subexp", "--n", "0"], 1),
         (["conc", "--experiment", "cross", "--dim", "0"], 1),
-        (["conc", "--experiment", "gram", "--s", "-3"], 1)],
-        ids=["spectrum-head", "risk-replicate", "conc-n", "conc-dim", "conc-s"])
+        (["conc", "--experiment", "gram", "--s", "-3"], 1),
+        (["conc", "--experiment", "mgf", "--seed", "-1"], 0)],
+        ids=["spectrum-head", "risk-replicate", "conc-n", "conc-dim", "conc-s", "conc-seed"])
     def test_negative_count_flags_are_usage_errors(self, argv, least, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()

@@ -46,6 +46,14 @@ def mk_ensemble(n, s, p=None, gamma=2.0, alpha=None, seed=0, family="gaussian",
                           noise_spec=spec, noise_rng=rng)
 
 
+class NoDraws:
+    """A generator stand-in that fails any draw: arguments must be checked
+    before the first one."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the arguments were checked")
+
+
 def identity_ensemble(X):
     """Unit spectrum and W = sqrt(s) I, so the design is the covariates X
     and a test row's features are its eigencoordinates."""
@@ -147,6 +155,21 @@ class TestMakeTarget:
         with pytest.raises(ValueError, match="norm"):
             make_target("realizable-clean", ens, 0.0, seed_stream(0))
 
+    @pytest.mark.parametrize("mode", ["realizable-clean", "unrealizable"])
+    @pytest.mark.parametrize("norm", [math.nan, math.inf])
+    def test_non_finite_norm_refused_before_any_draw(self, mode, norm):
+        # passed through, nan or inf gave a NaN bias and total with no error
+        ens = mk_ensemble(12, 20, p=80)
+        with pytest.raises(ValueError, match="norm must be positive and finite"):
+            make_target(mode, ens, norm, NoDraws())
+
+    @pytest.mark.parametrize("tail_energy", [math.nan, math.inf])
+    def test_non_finite_tail_energy_refused_before_any_draw(self, tail_energy):
+        # passed through, it failed later as a tail not orthogonal to the span
+        ens = mk_ensemble(12, 20, p=80, alpha=0.5)
+        with pytest.raises(ValueError, match="tail_energy must be positive and finite"):
+            make_target("unrealizable", ens, 1.0, NoDraws(), tail_energy=tail_energy)
+
     def test_noisy_needs_injected_ensemble(self):
         ens = mk_ensemble(10, 25)  # no noise injected
         with pytest.raises(ValueError, match="injected noise"):
@@ -230,8 +253,8 @@ class TestTargetValuesAndLabels:
         # negative or NaN risk
         ens = mk_ensemble(10, 30)
         t = make_target("realizable-clean", ens, 1.0, seed_stream(0, "t"))
-        for sigma_sq in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="sigma_sq"):
+        for sigma_sq in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma_sq must be finite and >= 0"):
                 decompose(ens, t, sigma_sq)
 
 
@@ -830,30 +853,31 @@ class TestUnrealizableSolves:
         d = decompose(ens, t, 1.0, clean_test=clean_test)
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
 
-    def test_traced_peak_stays_within_the_qr_buffers(self, monkeypatch):
-        # Each solve fills one augmented matrix: p x (s+1) for the projection
-        # and the 2s x (s+1) ridge stack built from its triangle.  numpy's QR
+    def test_traced_peak_stays_within_the_solve_buffers(self, monkeypatch):
+        # The projection fills one p x (s+1) augmented matrix; numpy's QR
         # copies it and factors the copy in a LAPACK buffer of its own,
         # malloc'd out of tracemalloc's sight, so two traced buffers are live
-        # until the augmented matrix is released.  A triangle copied out of
-        # the factor, (s+1)^2 doubles, or a triangular-solve copy, s^2, made
-        # while it is live breaks the bound, and so does the projection's
-        # factor kept alive through the stack's QR: it must be released
-        # before that QR is called.  The augmented matrix must go before the
-        # factor: freed the other way round, it stayed resident as heap in
-        # every later sweep.  decompose factors nothing more.
+        # until the augmented matrix is released.  The augmented matrix must
+        # go before the factor: freed the other way round, it stayed resident
+        # as heap in every later sweep.  The ridge step copies the triangle S
+        # out of the factor, which must be released before G is formed: while
+        # it lives, the peak is the factor, S and np.tri's boolean mask.  From
+        # then on the buffers are S, G and L, s^2 doubles each, so with up to
+        # 16 s- and p-vectors each their sum bounds the peak; a copy of S, G
+        # or L made for LAPACK while the three live breaks it.  decompose
+        # factors nothing more.
         n, p, s = 20, 400, 360
         ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
-        buffers = [8 * p * (s + 1), 8 * 2 * s * (s + 1)]
+        square = 8 * s * s
         events = []
-        real_qr = np.linalg.qr
+        real_qr, real_chol = np.linalg.qr, np.linalg.cholesky
 
         def released(what):
             events.append((what, tracemalloc.get_traced_memory()[1] - base))
             tracemalloc.reset_peak()
 
         def qr(a, mode="reduced"):
-            events.append(("call", None))
+            events.append(("qr", None))
             weakref.finalize(a, released, "input")
             out = real_qr(a, mode=mode)
             # the raw factor is a transposed view: watch the array that owns
@@ -861,7 +885,12 @@ class TestUnrealizableSolves:
             weakref.finalize(out[0].base, released, "factor")
             return out
 
+        def cholesky(a):
+            events.append(("cholesky", None))
+            return real_chol(a)
+
         monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -869,13 +898,19 @@ class TestUnrealizableSolves:
             tracemalloc.reset_peak()
             t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"))
             decompose(ens, t, 1.0)
+            released("end")
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert [what for what, _ in events] == ["call", "input", "factor"] * 2
-        peaks = [peak for what, peak in events if what == "input"]
-        for peak, buffer in zip(peaks, buffers):
-            assert peak <= 2.25 * buffer, (peak / buffer)
+        assert [what for what, _ in events] == ["qr", "input", "factor", "cholesky", "end"]
+        peaks = {what: peak for what, peak in events if peak is not None}
+        factor = 8 * p * (s + 1)
+        assert peaks["input"] <= 2.25 * factor, peaks["input"] / factor
+        vectors = 16 * 8 * (p + s)
+        assert peaks["factor"] <= factor + 1.25 * square + vectors, \
+            (peaks["factor"] - factor) / square
+        # from the factor's release on
+        assert peaks["end"] <= 3 * square + vectors, peaks["end"] / square
 
 
 class TestBestInSpanFit:
@@ -885,36 +920,53 @@ class TestBestInSpanFit:
     @staticmethod
     def cell(monkeypatch, s, p, alpha, family, clean_test):
         """(ensemble, target, decomposition, the b* decompose measured
-        against, np.linalg.qr calls) of one closed-form cell."""
+        against, np.linalg.qr calls, np.linalg.cholesky calls) of one
+        closed-form cell."""
         ens = mk_ensemble(20, s, p=p, alpha=alpha, family=family, seed=s)
-        calls, refs = [], []
-        real_qr, real_split = np.linalg.qr, risk_mod._population_split
+        calls, refs = {"qr": 0, "cholesky": 0}, []
+        real_qr, real_chol = np.linalg.qr, np.linalg.cholesky
+        real_split = risk_mod._population_split
 
         def qr(a, mode="reduced"):
-            calls.append(a.shape)
+            calls["qr"] += 1
             return real_qr(a, mode=mode)
+
+        def cholesky(a):
+            calls["cholesky"] += 1
+            return real_chol(a)
 
         def split(*args):
             refs.append(args[3])
             return real_split(*args)
 
         monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         monkeypatch.setattr(risk_mod, "_population_split", split)
         t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
         d = decompose(ens, t, 1.0, clean_test=clean_test)
-        return ens, t, d, refs[0], len(calls)
+        return ens, t, d, refs[0], calls["qr"], calls["cholesky"]
+
+    @staticmethod
+    def kappa(ens):
+        """The ridge switch's bound on cond(G): 1 + ||S||_F^2 / (s q), with
+        ||S||_F = ||sqrt(Lambda) W||_F."""
+        W = ens.weights
+        fro_sq = float(ens.spectrum.eigenvalues @ np.einsum("ij,ij->i", W, W))
+        return 1.0 + fro_sq / (ens.s * ens.noise_spec.entry_variance)
 
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
     @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
     @pytest.mark.parametrize("clean_test", [False, True])
     def test_noisy_ensemble_matches_standalone(self, monkeypatch, s, p, family, clean_test):
-        ens, t, d, b, qr_calls = self.cell(monkeypatch, s, p, 0.5, family, clean_test)
+        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, p, 0.5, family,
+                                                       clean_test)
         q = 0.0 if clean_test else ens.noise_spec.entry_variance
         b_ref, m_ref = standalone_best_fit(ens, t, q)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
-        # the fit is solved once, with the target, whatever the test side
-        assert qr_calls == 2
+        # the fit is solved once, with the target, whatever the test side:
+        # the projection's QR and the ridge step's Cholesky
+        assert (qr_calls, chol_calls) == (1, 1)
         if clean_test:
             assert b is t.beta_star
             tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
@@ -922,10 +974,36 @@ class TestBestInSpanFit:
         else:
             assert b is t.b_star and t.fit_q == q
 
+    @pytest.mark.parametrize("alpha,side", [(0.5, "cholesky"), (2.0, "qr"), (8.0, "qr")])
+    def test_ridge_switch_sides_match_standalone(self, monkeypatch, alpha, side):
+        # p=120, s=110: kappa is 1.7e3 at alpha 0.5, 2.0e6 at alpha 2 and
+        # 3.5e18 at alpha 8, against the switch's 1e-10 / eps = 4.5e5
+        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, alpha,
+                                                       "gaussian", False)
+        kappa = self.kappa(ens)
+        assert (np.finfo(float).eps * kappa <= risk_mod.RIDGE_RTOL) == (side == "cholesky")
+        assert (qr_calls, chol_calls) == ((1, 1) if side == "cholesky" else (2, 0))
+        b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
+        assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+
+    def test_failed_cholesky_takes_the_stack_qr(self, monkeypatch):
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, 0.5, "gaussian",
+                                                       False)
+        assert (qr_calls, chol_calls) == (2, 1)
+        b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
+        assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
     @pytest.mark.parametrize("clean_test", [False, True])
     def test_noiseless_ensemble_fits_beta_star(self, monkeypatch, s, p, clean_test):
-        ens, t, d, b, qr_calls = self.cell(monkeypatch, s, p, None, "gaussian", clean_test)
+        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, p, None, "gaussian",
+                                                       clean_test)
         assert t.b_star is None and t.rho_sq == 0.0
         assert b is t.beta_star
         tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
@@ -933,7 +1011,7 @@ class TestBestInSpanFit:
         b_ref, m_ref = standalone_best_fit(ens, t, 0.0)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
-        assert qr_calls == 1
+        assert (qr_calls, chol_calls) == (1, 0)
 
     @pytest.mark.parametrize("kind,gamma,p,s", [("polynomial", 6.0, 200, 190),
                                                 ("exponential", None, 40, 30)])
