@@ -21,11 +21,13 @@ An unrealizable target's tail is orthogonal to the feature span in the
 population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
 feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 + q_p ||w||^2 plus the tail's energy.  Its best in-span fit b* is the ridge
-fit with penalty q_p, and `make_target` solves it from the triangle S of its
-own QR sqrt(Lambda) W = Q S, since A^T A = S^T S / s: by a Cholesky of
-G = S^T S / s + q_p I where G's condition bound keeps its error within
-RIDGE_RTOL, else by a QR (see `_ridge_fit`); `decompose` reads it off the
-target.
+fit with penalty q_p.  `make_target` solves the projection and that fit from
+one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A: two projection
+passes on H's Cholesky factor, then a Cholesky of G = H / s + q_p I formed
+in H's place, where G's condition bound keeps the fit's error within
+RIDGE_RTOL (see `_ridge_fit`).  Where H's factor, the projection's check or
+that bound fails, one Householder QR of sqrt(Lambda) W does both solves as
+before (`_qr_route`).  `decompose` reads b* off the target.
 """
 
 from __future__ import annotations
@@ -105,12 +107,12 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     no triangle is copied out.  factor is those m x k columns, R on and
     above the diagonal of the top k rows and Householder vectors below it.
     As a view it keeps the whole QR output alive, so a caller that does not
-    read R drops it; `make_target` reads it to refine its projection and
-    copies the triangle out for the best in-span fit.  This QR serves the
-    projection and the QR side of `_ridge_fit`'s switch.  Fortran order also
-    makes the fill from a Fortran-ordered W and numpy's copies of aug into
-    LAPACK's buffer straight column copies.  Raises LinAlgError when R has
-    a zero on its diagonal.
+    read R drops it; `_qr_route` reads it to refine its projection and copies
+    the triangle out for the best in-span fit.  This QR is the fallback only:
+    `_qr_route`'s projection and the QR side of the ridge switch.  Fortran
+    order also makes the fill from a Fortran-ordered W and numpy's copies of
+    aug into LAPACK's buffer straight column copies.  Raises LinAlgError when
+    R has a zero on its diagonal.
     """
     aug = np.zeros((m, k + 1), order="F")
     fill(aug)
@@ -128,44 +130,96 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
 # the largest error bound on b* / ||beta_star|| the ridge step's Cholesky side
 # may carry (see _ridge_fit)
 RIDGE_RTOL = 1e-10
+# the largest ||W^T Lambda c|| / sqrt(tr(H) energy) the Gram route's projection
+# may leave (see make_target): 100x inside _tail_energy's 1e-10 and about 100x
+# above the rounding of W^T Lambda c itself, about sqrt(p) eps ~ 1e-14 at p = 2000
+TAIL_RTOL = 1e-12
+_DEGENERATE = "degenerate out-of-span draw; eigenvalues may vanish outside the span"
+
+
+def _ridge_switch(tr: float, s: int, q: float, H: np.ndarray | None = None) -> bool:
+    """Whether the ridge step's Cholesky side may run on G = H / s + q I, H
+    an s x s Gram with trace tr: the switch `_ridge_fit` states.  The second
+    bound needs H itself; without it only the first is read.  H is left as
+    it was, up to the rounding of one shift of its diagonal and back."""
+    eps = np.finfo(float).eps
+    limit = RIDGE_RTOL / eps   # the largest cond(G) the Cholesky side takes
+    if tr / s + q <= limit * q:
+        return True
+    if H is None:
+        return False
+    top = float(np.linalg.norm(H)) / s + q   # >= lambda_max(G)
+    need = s * (top / limit - q)             # lambda_min(H) >= need gives cond(G) <= limit
+    if need <= 0:
+        return True
+    # a Cholesky that succeeds on fl(H - shift I) factors H - shift I + E
+    # exactly, with ||E||_2 <= (s + 1) eps tr(H) (Demmel 1989), so
+    # lambda_min(H) >= need
+    shift = need + (s + 1) * eps * tr
+    H.flat[::s + 1] -= shift
+    try:
+        np.linalg.cholesky(H)
+        certified = True
+    except np.linalg.LinAlgError:
+        certified = False
+    H.flat[::s + 1] += shift
+    return certified
+
+
+def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """The Cholesky side of the ridge step (see `_ridge_fit`): G = H / s + q I
+    is formed in H's place, so H is overwritten.  Raises LinAlgError where
+    G's Cholesky fails."""
+    s = beta.size
+    G = H
+    G /= s
+    G.flat[::s + 1] += q
+    # L^T is Fortran-ordered, so dtrtrs reads it without a copy
+    U = np.linalg.cholesky(G).T
+    y, _ = dtrtrs(U, beta, lower=0, trans=1)
+    x, _ = dtrtrs(U, y, lower=0, trans=0)
+    b_star = beta - q * x
+    return b_star, q * float(beta @ b_star)
 
 
 def _ridge_fit(S: np.ndarray, beta: np.ndarray, q: float) -> tuple[np.ndarray, float]:
     """(b*, rho^2): the w minimizing ||S (w - beta)||^2 / s + q ||w||^2, q > 0,
-    and that minimum, for an s x s upper triangle S.
+    and that minimum, for an s x s upper triangle S, so H = S^T S; the ridge
+    step of `_qr_route`.
 
-    The Cholesky side factors G = S^T S / s + q I = L L^T (a syrk and a
-    Cholesky, both on numpy's BLAS) and sets b* = beta - q G^-1 beta by two
-    triangular solves; rho^2 is the objective at b*, so an error in b* enters
-    it only squared.  The error bound: Cholesky's backward error leaves the
-    computed G^-1 beta off by about eps cond(G) relative, and q G^-1 has its
-    eigenvalues in (0, 1], so b* is off by at most about eps cond(G)
-    ||beta||, with cond(G) <= kappa = 1 + ||S||_F^2 / (s q).  The ridge
-    switch: the Cholesky side runs where eps kappa <= RIDGE_RTOL = 1e-10,
-    that is kappa up to about 4.5e5.  Above it, and where the Cholesky
-    raises LinAlgError, the fit is one QR of the 2s x (s+1) stack [S,
-    S beta; sqrt(q s) I, 0] / sqrt(s) by `_lstsq_qr`, which works on the
-    square root of G's condition.  G is released before the solves, so at
-    most S, G and L (s^2 doubles each) are live at once.
+    The Cholesky side (`_ridge_cholesky`) factors G = H / s + q I = L L^T on
+    numpy's BLAS and sets b* = beta - q G^-1 beta by two triangular solves;
+    rho^2 = q beta . b*, the objective at the exact minimizer, off by at most
+    q ||beta|| times b*'s error.  The error bound: Cholesky's backward error
+    leaves the computed G^-1 beta off by about eps cond(G) relative, and
+    q G^-1 has its eigenvalues in (0, 1], so b* is off by at most about
+    eps cond(G) ||beta||, with cond(G) = (lambda_max(H) / s + q) /
+    (lambda_min(H) / s + q).
+
+    The ridge switch: the Cholesky side runs where an upper bound kappa on
+    cond(G) has eps kappa <= RIDGE_RTOL = 1e-10, that is kappa up to about
+    4.5e5 (`_ridge_switch`).  First kappa = 1 + tr(H) / (s q), from
+    lambda_max(H) <= tr(H) = ||S||_F^2 and lambda_min(H) >= 0; it reads only
+    the trace.  Where that refuses and H is at hand (`_gram_route`), kappa =
+    (||H||_F / s + q) / (t / s + q), from lambda_max(H) <= ||H||_F, where
+    t = s ((||H||_F / s + q) / 4.5e5 - q) and lambda_min(H) >= t is
+    certified by a Cholesky of H - (t + (s + 1) eps tr(H)) I that succeeds:
+    the added term covers that Cholesky's own backward error.  Computed only
+    there, it costs one s x s Cholesky.  Where the switch refuses, and where
+    G's Cholesky raises LinAlgError, the fit is one QR of the 2s x (s+1)
+    stack [S, S beta; sqrt(q s) I, 0] / sqrt(s) by `_lstsq_qr`, which works
+    on the square root of G's condition; it needs the Householder triangle
+    S of sqrt(Lambda) W, since a Cholesky factor of H carries H's rounding,
+    about eps ||H||, which the stack would read at cond(G).  This function
+    reads the first bound alone: the QR route runs where the Gram route's
+    factor or projection failed, or where its switch already refused.
     """
     s = beta.size
-    kappa = 1.0 + float(np.linalg.norm(S)) ** 2 / (s * q)
-    if np.finfo(float).eps * kappa <= RIDGE_RTOL:
-        G = S.T @ S   # numpy runs A^T A as a syrk
-        G /= s
-        G.flat[::s + 1] += q
+    if _ridge_switch(float(np.linalg.norm(S)) ** 2, s, q):
         try:
-            # L^T is Fortran-ordered, so dtrtrs reads it without a copy
-            U = np.linalg.cholesky(G).T
+            return _ridge_cholesky(S.T @ S, beta, q)   # numpy runs A^T A as a syrk
         except np.linalg.LinAlgError:
-            U = None
-        del G
-        if U is not None:
-            y, _ = dtrtrs(U, beta, lower=0, trans=1)
-            x, _ = dtrtrs(U, y, lower=0, trans=0)
-            b_star = beta - q * x
-            r = S @ (b_star - beta)
-            return b_star, float(r @ r) / s + q * float(b_star @ b_star)
+            pass
 
     def fill_stack(stack):
         top = stack[:s, :s]
@@ -177,22 +231,120 @@ def _ridge_fit(S: np.ndarray, beta: np.ndarray, q: float) -> tuple[np.ndarray, f
     return b_star, rho_sq
 
 
+def _gram_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
+                q: float) -> tuple[np.ndarray, np.ndarray | None, float] | None:
+    """(tail, b*, rho^2) of an unrealizable target from one Gram
+    H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) and its Cholesky factor, or None
+    where `_qr_route` must run (see `make_target`)."""
+    p, s = W.shape
+    B = np.sqrt(lam)[:, None] * W
+    H = B.T @ B   # numpy runs A^T A as a syrk
+    # released before H is factored: kept alive next to H and L, it raised
+    # the peak resident set
+    del B
+    tr = float(np.trace(H))
+    if q > 0 and not _ridge_switch(tr, s, q, H):
+        return None
+    try:
+        # L^T is Fortran-ordered, so dtrtrs reads it without a copy
+        U = np.linalg.cholesky(H).T
+    except np.linalg.LinAlgError:
+        return None
+    c0_energy = float(c @ (lam * c))
+    for _ in range(2):
+        # c <- c - W H^-1 W^T Lambda c; the second pass takes the first's
+        # error, about eps cond(H) relative, to its square
+        dx, _ = dtrtrs(U, W.T @ (lam * c), lower=0, trans=1)
+        dx, _ = dtrtrs(U, dx, lower=0, trans=0)
+        c = c - W @ dx
+    # L goes before G is factored, so at most G and its factor are live
+    del U
+    lam_c = lam * c
+    energy = float(c @ lam_c)
+    # the projection only adds an in-span part to the true residual, so a
+    # residual at rounding level here is one in exact arithmetic too
+    if energy <= default_rtol(p, s) ** 2 * c0_energy:
+        raise ValueError(_DEGENERATE)
+    if not float(np.linalg.norm(W.T @ lam_c)) <= TAIL_RTOL * math.sqrt(tr * energy):
+        return None
+    if q == 0:
+        return c, None, 0.0
+    try:
+        b_star, rho_sq = _ridge_cholesky(H, beta, q)
+    except np.linalg.LinAlgError:
+        return None
+    return c, b_star, rho_sq
+
+
+def _qr_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
+              q: float) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """(tail, b*, rho^2) of an unrealizable target from one Householder QR
+    sqrt(Lambda) W = Q S (see `make_target`)."""
+    p, s = W.shape
+    sqrt_lam = np.sqrt(lam)
+    y = sqrt_lam * c
+
+    def fill(aug):
+        np.multiply(sqrt_lam[:, None], W, out=aug[:, :s])
+        aug[:, s] = y
+
+    try:
+        coef, rss, factor = _lstsq_qr(p, s, fill)
+    except np.linalg.LinAlgError:  # zero eigenvalues left sqrt(Lambda) W rank < s
+        rss = 0.0
+    # a residual at rounding level means the span holds all of c's support
+    if rss <= default_rtol(p, s) ** 2 * float(y @ y):
+        raise ValueError(_DEGENERATE)
+    c = c - W @ coef
+    # one more projection through the same factor, R^T R dx = W^T Lambda c:
+    # the first leaves c orthogonal to the span only to about eps times
+    # cond(sqrt(Lambda) W), which steep spectra push past what decompose
+    # accepts; the second brings it to rounding level
+    dx, _ = dtrtrs(factor, W.T @ (lam * c), lower=0, trans=1)
+    dx, _ = dtrtrs(factor, dx, lower=0, trans=0)
+    c -= W @ dx
+    if q == 0:
+        return c, None, 0.0
+    # the ridge fit on A = Q S / sqrt(s): ||A (w - beta)|| = ||S (w - beta)|| / sqrt(s)
+    S = np.zeros((s, s), order="F")
+    np.copyto(S, factor[:s], where=np.tri(s, dtype=bool).T)
+    # the factor goes before G is formed; kept alive through the ridge step,
+    # it raised the peak resident set
+    del factor
+    b_star, rho_sq = _ridge_fit(S, beta, q)
+    return c, b_star, rho_sq
+
+
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
                 rng: np.random.Generator, *, tail_energy: float = 1.0) -> TargetFunction:
     """Draw a target: beta_star uniform on the radius-`norm` sphere, plus an
     out-of-span component of the requested energy in unrealizable mode.
 
-    The component is a gaussian draw with its feature-span part projected
-    out; a draw whose remainder is rounding (the span holds every direction
-    the spectrum gives energy to) is refused with a ValueError.  On a noisy
+    The component is a gaussian draw c with its feature-span part projected
+    out in the population inner product <u, v> = sum_i lambda_i u_i v_i; a
+    draw whose remainder is rounding (the span holds every direction the
+    spectrum gives energy to) is refused with a ValueError.  On a noisy
     ensemble the unrealizable target also gets its best in-span fit (see
-    TargetFunction) from the triangle S of the projection's own factor
-    sqrt(Lambda) W = Q S, q the feature-noise entry variance: by a Cholesky
-    of G = S^T S / s + q I, or by one QR of the 2s x (s+1) stack
-    [S, S beta_star; sqrt(q s) I, 0] / sqrt(s) where G's condition bound
-    is too large for it (`_ridge_fit` states the switch).  A norm or
-    tail_energy that is not positive and finite is refused before any
-    draw."""
+    TargetFunction), a ridge fit with penalty q, the feature-noise entry
+    variance.  A norm or tail_energy that is not positive and finite is
+    refused before any draw.
+
+    Both solves run on one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W)
+    (`_gram_route`): one syrk on numpy's BLAS, then one Cholesky H = L L^T.
+    The projection c <- c - W H^-1 W^T Lambda c runs twice, each pass two
+    triangular solves on L; the second takes the first's error, about eps
+    cond(H) relative, to its square, which is rounding while cond(sqrt(Lambda)
+    W) <= eps^-1/2 (CholeskyQR2's range; Fukaya et al. 2014).  The draw is
+    degenerate where the projected energy sum(lambda c^2) <= default_rtol(p,
+    s)^2 ||sqrt(Lambda) c_0||^2.  The ridge fit forms G = H / s + q I in H's
+    place and factors it once more (`_ridge_fit` states its bound).  The
+    switch: the QR route (`_qr_route`, one Householder QR of [sqrt(Lambda)
+    W | sqrt(Lambda) c], its second pass on R, then `_ridge_fit`'s own
+    switch) runs instead where H's Cholesky raises, where the projected tail
+    fails ||W^T Lambda c|| <= TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL =
+    1e-12, 100x inside the 1e-10 `decompose` demands, where the ridge
+    switch's bounds on cond(G) both refuse, or where G's Cholesky raises.
+    """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
     if not 0 < norm < math.inf:
@@ -211,47 +363,14 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     if mode != "unrealizable":
         return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=None, norm=norm)
     lam = ensemble.spectrum.eigenvalues
-    sqrt_lam = np.sqrt(lam)
     c = rng.standard_normal(p)
-    # remove the part of c the features can express, in the population
-    # inner product <u, v> = sum_i lambda_i u_i v_i: least squares of
-    # sqrt(Lambda) c on sqrt(Lambda) W
-    W = ensemble.weights
-    y = sqrt_lam * c
-
-    def fill(aug):
-        np.multiply(sqrt_lam[:, None], W, out=aug[:, :s])
-        aug[:, s] = y
-
-    try:
-        coef, rss, factor = _lstsq_qr(p, s, fill)
-    except np.linalg.LinAlgError:  # zero eigenvalues left sqrt(Lambda) W rank < s
-        rss = 0.0
-    # a residual at rounding level means the span holds all of c's support
-    if rss <= default_rtol(p, s) ** 2 * float(y @ y):
-        raise ValueError("degenerate out-of-span draw; eigenvalues may vanish outside the span")
-    c -= W @ coef
-    # one more projection through the same factor, R^T R dx = W^T Lambda c:
-    # the first leaves c orthogonal to the span only to about eps times
-    # cond(sqrt(Lambda) W), which steep spectra push past what decompose
-    # accepts; the second brings it to rounding level
-    dx, _ = dtrtrs(factor, W.T @ (lam * c), lower=0, trans=1)
-    dx, _ = dtrtrs(factor, dx, lower=0, trans=0)
-    c -= W @ dx
-    energy = float(np.sum(lam * c * c))
-    tail = c * math.sqrt(tail_energy / energy)
     spec = ensemble.noise_spec
     q = spec.entry_variance if spec is not None else 0.0
-    if q == 0:
-        return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm)
-
-    # the ridge fit on A = Q S / sqrt(s): ||A (w - beta)|| = ||S (w - beta)|| / sqrt(s)
-    S = np.zeros((s, s), order="F")
-    np.copyto(S, factor[:s], where=np.tri(s, dtype=bool).T)
-    # the factor goes before G is formed; kept alive through the ridge step,
-    # it raised the peak resident set
-    del factor
-    b_star, rho_sq = _ridge_fit(S, beta, q)
+    W = ensemble.weights
+    solved = _gram_route(W, lam, c, beta, q)
+    c, b_star, rho_sq = solved if solved is not None else _qr_route(W, lam, c, beta, q)
+    tail = c * math.sqrt(tail_energy / float(np.sum(lam * c * c)))
+    # without feature noise b_star is None, rho_sq 0 and fit_q 0: the defaults
     return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm,
                           b_star=b_star, rho_sq=rho_sq, fit_q=q)
 

@@ -312,6 +312,14 @@ def fail_cells_of_width(monkeypatch, s):
     monkeypatch.setattr(sweep_mod, "make_target", failing)
 
 
+def unrealizable_preset(seed):
+    """The double-descent preset with an unrealizable target on its s < p grid."""
+    base = PRESETS["double-descent-default"]
+    return preset_config("double-descent-default", {
+        "master_seed": seed, "target_mode": "unrealizable",
+        "s_grid": [s for s in base["s_grid"] if s < base["p"]]})
+
+
 @pytest.fixture
 def weight_shapes(monkeypatch):
     """The (rows, s) shape of every weight draw the sweep makes: p rows for
@@ -630,22 +638,11 @@ class TestSweep:
         assert len(draws) == len(cfg.s_grid)
 
     @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
-    def test_preset_cell_factors_the_gram_once(self, monkeypatch, weight_shapes, s, route):
+    def test_preset_cell_factors_the_gram_once(self, linalg_calls, weight_shapes, s, route):
         # one eigensolve of phi phi^T gives both the empirical spectrum and a
         # row-space cell's basis: no QR of the 2000 x 100 phi^T, and neither
         # route runs a second eigensolve (lambda_W is not stated on the preset)
-        calls = {"eigh": 0, "eigvalsh": 0, "qr": 0}
-
-        def counting(name):
-            real = getattr(np.linalg, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        calls = linalg_calls("eigh", "eigvalsh", "qr")
         cfg = preset_config("double-descent-default", {"master_seed": 7})
         rec = compute_row(cfg, cfg.s_grid.index(s), 0)
         assert rec.error == "" and math.isfinite(rec.R)
@@ -675,6 +672,46 @@ class TestSweep:
             out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                  env=env, check=True, timeout=300)
             runs.append(json.loads(out.stdout))
+        np.testing.assert_allclose(runs[0], runs[1], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("s", [10, 1778])
+    def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, s):
+        # make_target's projection and ridge fit share one Gram H: its
+        # Cholesky and G's, and no QR
+        calls = linalg_calls("qr", "cholesky")
+        cfg = unrealizable_preset(7)
+        rec = compute_row(cfg, cfg.s_grid.index(s), 0)
+        assert rec.error == "" and rec.M > 0
+        assert calls == {"qr": 0, "cholesky": 2}
+
+    def test_unrealizable_cells_repeat_across_blas_thread_counts(self):
+        # syrk sums H = W^T Lambda W in another order on 1 thread than on 2,
+        # which moves H, the tail and b* in their last bits.  b* is within
+        # eps cond(G) <= 1.7e-11 of the exact fit on these cells (cond(G)
+        # 2.4e3 and 7.8e4), so B moves by at most about 2 ||A|| ||db*||
+        # / sqrt(B) relative, under 1e-9 for B >= 0.01; M moves by q times
+        # that, and the tail's energy is scaled to tail_energy exactly
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        code = ("import json\n"
+                "from noisyrf.config import PRESETS, preset_config\n"
+                "from noisyrf.sweep import compute_row\n"
+                "base = PRESETS['double-descent-default']\n"
+                "grid = [s for s in base['s_grid'] if s < base['p']]\n"
+                "rows = []\n"
+                "for seed, s in [(7, 178), (13, 1778)]:\n"
+                "    cfg = preset_config('double-descent-default', {\n"
+                "        'master_seed': seed, 'target_mode': 'unrealizable', 's_grid': grid})\n"
+                "    rec = compute_row(cfg, grid.index(s), 0)\n"
+                "    rows.append([rec.B, rec.V, rec.M, rec.R])\n"
+                "print(json.dumps(rows))\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, check=True, timeout=300)
+            runs.append(json.loads(out.stdout))
+        assert min(row[0] for row in runs[0]) >= 0.01
         np.testing.assert_allclose(runs[0], runs[1], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("seed", [7, 13])

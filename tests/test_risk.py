@@ -16,7 +16,8 @@ from noisyrf.estimator import default_rtol, projector_diag, svd_factors
 from noisyrf.features import RowSpaceWeights, build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import eigenfeature_matrix, make_spectrum, sample_covariates
+from noisyrf.spectral import (eigenfeature_matrix, make_spectrum, numerical_support,
+                              sample_covariates)
 from sampled_reference import (TestSample, draw_test_sample, sampled_decompose,
                                standalone_best_fit)
 
@@ -73,6 +74,11 @@ def rows_sample(rows):
 def zero_target(s):
     return TargetFunction(mode="realizable-clean", beta_star=np.zeros(s),
                           tail_coeffs=None, norm=0.0)
+
+
+def no_qr(*args, **kwargs):
+    """np.linalg.qr's stand-in where the Gram route must run no QR."""
+    raise AssertionError("np.linalg.qr called on the Gram route")
 
 
 class _Captured(Exception):
@@ -208,6 +214,16 @@ class TestMakeTarget:
         # out-of-span residual is rounding; scaling it up to tail_energy
         # gave a tail that M (0.018 for the finite rank) did not reflect
         ens = mk_ensemble(10, 20, spectrum=make_spectrum("custom", 60, eigenvalues=eigenvalues))
+        with pytest.raises(ValueError, match="degenerate out-of-span draw"):
+            make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
+
+    def test_degenerate_draw_is_refused_on_the_gram_route(self, monkeypatch):
+        # 20 columns span the 20 directions that carry energy, and H is well
+        # conditioned, so the Gram route projects the draw and refuses it
+        # on its projected energy, with no QR
+        ens = mk_ensemble(10, 20, spectrum=make_spectrum(
+            "custom", 60, eigenvalues=[1.0] * 20 + [1e-30] * 40))
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
         with pytest.raises(ValueError, match="degenerate out-of-span draw"):
             make_target("unrealizable", ens, 1.0, seed_stream(0, "t"))
 
@@ -854,30 +870,74 @@ class TestUnrealizableSolves:
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
 
     def test_traced_peak_stays_within_the_solve_buffers(self, monkeypatch):
-        # The projection fills one p x (s+1) augmented matrix; numpy's QR
-        # copies it and factors the copy in a LAPACK buffer of its own,
-        # malloc'd out of tracemalloc's sight, so two traced buffers are live
-        # until the augmented matrix is released.  The augmented matrix must
-        # go before the factor: freed the other way round, it stayed resident
-        # as heap in every later sweep.  The ridge step copies the triangle S
-        # out of the factor, which must be released before G is formed: while
-        # it lives, the peak is the factor, S and np.tri's boolean mask.  From
+        # The Gram route's buffers: the scaled p x s copy B = sqrt(Lambda) W,
+        # H = B^T B and H's factor L, then G formed in H's place and G's
+        # factor, 8 p s or 8 s^2 bytes each.  B must go before H is factored
+        # and L before G is: until the first Cholesky the peak is B and H,
+        # from there to the second H and L, and from there on G and its
+        # factor, each with up to 16 s- and p-vectors.  numpy's Cholesky
+        # factors a copy of its input in a LAPACK buffer malloc'd out of
+        # tracemalloc's sight, so that copy is not counted.  decompose
+        # factors nothing as large.
+        n, p, s = 20, 400, 360
+        ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
+        square, copy = 8 * s * s, 8 * p * s
+        events = []
+        real_chol = np.linalg.cholesky
+
+        def peak(what):
+            events.append((what, tracemalloc.get_traced_memory()[1] - base))
+            tracemalloc.reset_peak()
+
+        def cholesky(a):
+            peak("cholesky")
+            return real_chol(a)
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"))
+            decompose(ens, t, 1.0)
+            peak("end")
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert [what for what, _ in events] == ["cholesky", "cholesky", "end"]
+        (_, gram), (_, projection), (_, ridge) = events
+        vectors = 16 * 8 * (p + s)
+        assert gram <= copy + square + vectors, (gram - copy) / square
+        assert projection <= 2 * square + vectors, projection / square
+        assert ridge <= 2 * square + vectors, ridge / square
+
+
+    def test_traced_peak_of_the_qr_route_stays_within_its_buffers(self, monkeypatch):
+        # The QR route, reached here by failing the Gram route's projection
+        # check, fills one p x (s+1) augmented matrix; numpy's QR copies it
+        # and factors the copy in a LAPACK buffer of its own, malloc'd out of
+        # tracemalloc's sight, so two traced buffers are live until the
+        # augmented matrix is released.  The augmented matrix must go before
+        # the factor: freed the other way round, it stayed resident as heap
+        # in every later sweep.  The ridge step copies the triangle S out of
+        # the factor, which must be released before G is formed: while it
+        # lives, the peak is the factor, S and np.tri's boolean mask.  From
         # then on the buffers are S, G and L, s^2 doubles each, so with up to
-        # 16 s- and p-vectors each their sum bounds the peak; a copy of S, G
-        # or L made for LAPACK while the three live breaks it.  decompose
-        # factors nothing more.
+        # 16 s- and p-vectors each their sum bounds the peak.
         n, p, s = 20, 400, 360
         ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
         square = 8 * s * s
         events = []
-        real_qr, real_chol = np.linalg.qr, np.linalg.cholesky
+        real_qr = np.linalg.qr
 
         def released(what):
             events.append((what, tracemalloc.get_traced_memory()[1] - base))
             tracemalloc.reset_peak()
 
         def qr(a, mode="reduced"):
-            events.append(("qr", None))
+            released("qr")   # the Gram route's peak, checked by the test above
             weakref.finalize(a, released, "input")
             out = real_qr(a, mode=mode)
             # the raw factor is a transposed view: watch the array that owns
@@ -885,12 +945,8 @@ class TestUnrealizableSolves:
             weakref.finalize(out[0].base, released, "factor")
             return out
 
-        def cholesky(a):
-            events.append(("cholesky", None))
-            return real_chol(a)
-
+        monkeypatch.setattr(risk_mod, "TAIL_RTOL", 0.0)
         monkeypatch.setattr(np.linalg, "qr", qr)
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -902,8 +958,8 @@ class TestUnrealizableSolves:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert [what for what, _ in events] == ["qr", "input", "factor", "cholesky", "end"]
-        peaks = {what: peak for what, peak in events if peak is not None}
+        assert [what for what, _ in events] == ["qr", "input", "factor", "end"]
+        peaks = dict(events)
         factor = 8 * p * (s + 1)
         assert peaks["input"] <= 2.25 * factor, peaks["input"] / factor
         vectors = 16 * 8 * (p + s)
@@ -915,7 +971,8 @@ class TestUnrealizableSolves:
 
 class TestBestInSpanFit:
     """An unrealizable target's b* and M: the ridge fit make_target solves
-    on its projection's triangle, against lstsq on [A; sqrt(q) I]."""
+    on the Gram H it factors for the projection, against lstsq on
+    [A; sqrt(q) I]."""
 
     @staticmethod
     def cell(monkeypatch, s, p, alpha, family, clean_test):
@@ -948,11 +1005,19 @@ class TestBestInSpanFit:
 
     @staticmethod
     def kappa(ens):
-        """The ridge switch's bound on cond(G): 1 + ||S||_F^2 / (s q), with
-        ||S||_F = ||sqrt(Lambda) W||_F."""
+        """The ridge switch's first bound on cond(G): 1 + tr(H) / (s q), with
+        tr(H) = ||sqrt(Lambda) W||_F^2."""
         W = ens.weights
         fro_sq = float(ens.spectrum.eigenvalues @ np.einsum("ij,ij->i", W, W))
         return 1.0 + fro_sq / (ens.s * ens.noise_spec.entry_variance)
+
+    @staticmethod
+    def cond_g(ens):
+        """cond(G) of G = A^T A + q I, from the singular values of A."""
+        A = np.sqrt(ens.spectrum.eigenvalues)[:, None] * ens.weights / math.sqrt(ens.s)
+        sv = np.linalg.svd(A, compute_uv=False)
+        q = ens.noise_spec.entry_variance
+        return (sv[0] ** 2 + q) / (sv[-1] ** 2 + q)
 
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
     @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
@@ -965,8 +1030,8 @@ class TestBestInSpanFit:
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
         # the fit is solved once, with the target, whatever the test side:
-        # the projection's QR and the ridge step's Cholesky
-        assert (qr_calls, chol_calls) == (1, 1)
+        # H's Cholesky for the projection and G's for the ridge step, no QR
+        assert (qr_calls, chol_calls) == (0, 2)
         if clean_test:
             assert b is t.beta_star
             tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
@@ -976,13 +1041,31 @@ class TestBestInSpanFit:
 
     @pytest.mark.parametrize("alpha,side", [(0.5, "cholesky"), (2.0, "qr"), (8.0, "qr")])
     def test_ridge_switch_sides_match_standalone(self, monkeypatch, alpha, side):
-        # p=120, s=110: kappa is 1.7e3 at alpha 0.5, 2.0e6 at alpha 2 and
-        # 3.5e18 at alpha 8, against the switch's 1e-10 / eps = 4.5e5
+        # p=120, s=110: kappa = 1 + tr(H) / (s q) is 1.7e3 at alpha 0.5,
+        # 2.0e6 at alpha 2 and 3.5e18 at alpha 8, against the switch's limit
+        # 1e-10 / eps = 4.5e5, and cond(G) itself is 6.0e5 and 1.3e6 on the
+        # QR side, so the certificate refuses those too
         ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, alpha,
                                                        "gaussian", False)
-        kappa = self.kappa(ens)
-        assert (np.finfo(float).eps * kappa <= risk_mod.RIDGE_RTOL) == (side == "cholesky")
-        assert (qr_calls, chol_calls) == ((1, 1) if side == "cholesky" else (2, 0))
+        limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
+        assert (self.kappa(ens) <= limit) == (side == "cholesky")
+        assert (self.cond_g(ens) <= limit) == (side == "cholesky")
+        # the QR side: the certificate's Cholesky refuses before H is
+        # factored, and the cell takes the projection's QR and the stack QR
+        assert (qr_calls, chol_calls) == ((0, 2) if side == "cholesky" else (2, 1))
+        b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
+        assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+
+    def test_certificate_keeps_a_well_conditioned_fit_on_the_cholesky_side(self, monkeypatch):
+        # p=120, s=60, alpha 8: kappa = 1.5e16 refuses, but cond(G) is 1.8e4
+        # and ||H||_F / s + q over lambda_min(G) is 1.9e4, so the shifted
+        # Cholesky certifies it: the certificate's, H's and G's Cholesky
+        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 60, 120, 8.0, "gaussian",
+                                                       False)
+        limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
+        assert self.kappa(ens) > limit >= self.cond_g(ens)
+        assert (qr_calls, chol_calls) == (0, 3)
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
@@ -994,9 +1077,44 @@ class TestBestInSpanFit:
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, 0.5, "gaussian",
                                                        False)
-        assert (qr_calls, chol_calls) == (2, 1)
+        # H's Cholesky, then the QR route's ridge Cholesky, both refused
+        assert (qr_calls, chol_calls) == (2, 2)
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("handover", ["h-cholesky", "orthogonality", "steep"])
+    def test_failed_gram_route_takes_the_projection_qr(self, monkeypatch, linalg_calls,
+                                                        handover):
+        # the QR route runs when H's Cholesky raises (the first Cholesky
+        # refused), when the projected tail fails the orthogonality check
+        # (TAIL_RTOL stubbed to 0), and on a steep spectrum inside
+        # validate's support (exponential, p = 60, support 32, s = 31), where
+        # two Cholesky passes leave ||W^T Lambda c|| above TAIL_RTOL
+        s, p, spectrum = 110, 120, None
+        if handover == "h-cholesky":
+            real_chol, first = np.linalg.cholesky, []
+
+            def refuse_first(a):
+                if not first:
+                    first.append(True)
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+                return real_chol(a)
+
+            monkeypatch.setattr(np.linalg, "cholesky", refuse_first)
+        elif handover == "orthogonality":
+            monkeypatch.setattr(risk_mod, "TAIL_RTOL", 0.0)
+        else:
+            s, p, spectrum = 31, 60, make_spectrum("exponential", 60)
+            assert numerical_support(spectrum) == 32
+        ens = mk_ensemble(20, s, p=p, alpha=0.5, seed=s, spectrum=spectrum)
+        calls = linalg_calls("qr", "cholesky")
+        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
+        # H's Cholesky, the projection's QR, then the ridge step's Cholesky
+        assert calls == {"qr": 1, "cholesky": 2}
+        d = decompose(ens, t, 1.0)
+        b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
+        assert np.linalg.norm(t.b_star - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
@@ -1011,7 +1129,7 @@ class TestBestInSpanFit:
         b_ref, m_ref = standalone_best_fit(ens, t, 0.0)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
-        assert (qr_calls, chol_calls) == (1, 0)
+        assert (qr_calls, chol_calls) == (0, 1)
 
     @pytest.mark.parametrize("kind,gamma,p,s", [("polynomial", 6.0, 200, 190),
                                                 ("exponential", None, 40, 30)])
