@@ -24,10 +24,11 @@ feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 fit with penalty q_p.  `make_target` solves the projection and that fit from
 one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A: two projection
 passes on H's Cholesky factor, then a Cholesky of G = H / s + q_p I formed
-in H's place, where G's condition bound keeps the fit's error within
-RIDGE_RTOL (see `_ridge_fit`).  Where H's factor, the projection's check or
-that bound fails, one Householder QR of sqrt(Lambda) W does both solves as
-before (`_qr_route`).  `decompose` reads b* off the target.
+in H's place, where a bound on G's condition keeps the fit's error within
+RIDGE_RTOL (see `_ridge_fit`).  Each solve falls back to a Householder QR on
+its own: the projection where H's factor or the projection's check fails
+(`_qr_projection`), the fit where the bound refuses (`_ridge_fit`).
+`decompose` reads b* off the target.
 """
 
 from __future__ import annotations
@@ -107,12 +108,12 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     no triangle is copied out.  factor is those m x k columns, R on and
     above the diagonal of the top k rows and Householder vectors below it.
     As a view it keeps the whole QR output alive, so a caller that does not
-    read R drops it; `_qr_route` reads it to refine its projection and copies
-    the triangle out for the best in-span fit.  This QR is the fallback only:
-    `_qr_route`'s projection and the QR side of the ridge switch.  Fortran
-    order also makes the fill from a Fortran-ordered W and numpy's copies of
-    aug into LAPACK's buffer straight column copies.  Raises LinAlgError when
-    R has a zero on its diagonal.
+    read R drops it; `_qr_projection` reads it for its second pass.  This QR
+    is the fallback only: `_qr_projection` and the ridge step's stack
+    (`_ridge_fit`).  Fortran order also makes the fill from a
+    Fortran-ordered W and numpy's copies of aug into LAPACK's buffer
+    straight column copies.  Raises LinAlgError when R has a zero on its
+    diagonal.
     """
     aug = np.zeros((m, k + 1), order="F")
     fill(aug)
@@ -130,121 +131,20 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
 # the largest error bound on b* / ||beta_star|| the ridge step's Cholesky side
 # may carry (see _ridge_fit)
 RIDGE_RTOL = 1e-10
-# the largest ||W^T Lambda c|| / sqrt(tr(H) energy) the Gram route's projection
-# may leave (see make_target): 100x inside _tail_energy's 1e-10 and about 100x
+# the largest ||W^T Lambda c|| / sqrt(tr(H) energy) the Gram projection may
+# leave (see make_target): 100x inside _tail_energy's 1e-10 and about 100x
 # above the rounding of W^T Lambda c itself, about sqrt(p) eps ~ 1e-14 at p = 2000
 TAIL_RTOL = 1e-12
 _DEGENERATE = "degenerate out-of-span draw; eigenvalues may vanish outside the span"
 
 
-def _ridge_switch(tr: float, s: int, q: float, H: np.ndarray | None = None) -> bool:
-    """Whether the ridge step's Cholesky side may run on G = H / s + q I, H
-    an s x s Gram with trace tr: the switch `_ridge_fit` states.  The second
-    bound needs H itself; without it only the first is read.  H is left as
-    it was, up to the rounding of one shift of its diagonal and back."""
-    eps = np.finfo(float).eps
-    limit = RIDGE_RTOL / eps   # the largest cond(G) the Cholesky side takes
-    if tr / s + q <= limit * q:
-        return True
-    if H is None:
-        return False
-    top = float(np.linalg.norm(H)) / s + q   # >= lambda_max(G)
-    need = s * (top / limit - q)             # lambda_min(H) >= need gives cond(G) <= limit
-    if need <= 0:
-        return True
-    # a Cholesky that succeeds on fl(H - shift I) factors H - shift I + E
-    # exactly, with ||E||_2 <= (s + 1) eps tr(H) (Demmel 1989), so
-    # lambda_min(H) >= need
-    shift = need + (s + 1) * eps * tr
-    H.flat[::s + 1] -= shift
-    try:
-        np.linalg.cholesky(H)
-        certified = True
-    except np.linalg.LinAlgError:
-        certified = False
-    H.flat[::s + 1] += shift
-    return certified
-
-
-def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float) -> tuple[np.ndarray, float]:
-    """The Cholesky side of the ridge step (see `_ridge_fit`): G = H / s + q I
-    is formed in H's place, so H is overwritten.  Raises LinAlgError where
-    G's Cholesky fails."""
-    s = beta.size
-    G = H
-    G /= s
-    G.flat[::s + 1] += q
-    # L^T is Fortran-ordered, so dtrtrs reads it without a copy
-    U = np.linalg.cholesky(G).T
-    y, _ = dtrtrs(U, beta, lower=0, trans=1)
-    x, _ = dtrtrs(U, y, lower=0, trans=0)
-    b_star = beta - q * x
-    return b_star, q * float(beta @ b_star)
-
-
-def _ridge_fit(S: np.ndarray, beta: np.ndarray, q: float) -> tuple[np.ndarray, float]:
-    """(b*, rho^2): the w minimizing ||S (w - beta)||^2 / s + q ||w||^2, q > 0,
-    and that minimum, for an s x s upper triangle S, so H = S^T S; the ridge
-    step of `_qr_route`.
-
-    The Cholesky side (`_ridge_cholesky`) factors G = H / s + q I = L L^T on
-    numpy's BLAS and sets b* = beta - q G^-1 beta by two triangular solves;
-    rho^2 = q beta . b*, the objective at the exact minimizer, off by at most
-    q ||beta|| times b*'s error.  The error bound: Cholesky's backward error
-    leaves the computed G^-1 beta off by about eps cond(G) relative, and
-    q G^-1 has its eigenvalues in (0, 1], so b* is off by at most about
-    eps cond(G) ||beta||, with cond(G) = (lambda_max(H) / s + q) /
-    (lambda_min(H) / s + q).
-
-    The ridge switch: the Cholesky side runs where an upper bound kappa on
-    cond(G) has eps kappa <= RIDGE_RTOL = 1e-10, that is kappa up to about
-    4.5e5 (`_ridge_switch`).  First kappa = 1 + tr(H) / (s q), from
-    lambda_max(H) <= tr(H) = ||S||_F^2 and lambda_min(H) >= 0; it reads only
-    the trace.  Where that refuses and H is at hand (`_gram_route`), kappa =
-    (||H||_F / s + q) / (t / s + q), from lambda_max(H) <= ||H||_F, where
-    t = s ((||H||_F / s + q) / 4.5e5 - q) and lambda_min(H) >= t is
-    certified by a Cholesky of H - (t + (s + 1) eps tr(H)) I that succeeds:
-    the added term covers that Cholesky's own backward error.  Computed only
-    there, it costs one s x s Cholesky.  Where the switch refuses, and where
-    G's Cholesky raises LinAlgError, the fit is one QR of the 2s x (s+1)
-    stack [S, S beta; sqrt(q s) I, 0] / sqrt(s) by `_lstsq_qr`, which works
-    on the square root of G's condition; it needs the Householder triangle
-    S of sqrt(Lambda) W, since a Cholesky factor of H carries H's rounding,
-    about eps ||H||, which the stack would read at cond(G).  This function
-    reads the first bound alone: the QR route runs where the Gram route's
-    factor or projection failed, or where its switch already refused.
-    """
-    s = beta.size
-    if _ridge_switch(float(np.linalg.norm(S)) ** 2, s, q):
-        try:
-            return _ridge_cholesky(S.T @ S, beta, q)   # numpy runs A^T A as a syrk
-        except np.linalg.LinAlgError:
-            pass
-
-    def fill_stack(stack):
-        top = stack[:s, :s]
-        np.divide(S, math.sqrt(s), out=top)
-        stack[:s, s] = top @ beta
-        stack[s + np.arange(s), np.arange(s)] = math.sqrt(q)
-
-    b_star, rho_sq, _ = _lstsq_qr(2 * s, s, fill_stack)
-    return b_star, rho_sq
-
-
-def _gram_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
-                q: float) -> tuple[np.ndarray, np.ndarray | None, float] | None:
-    """(tail, b*, rho^2) of an unrealizable target from one Gram
-    H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) and its Cholesky factor, or None
-    where `_qr_route` must run (see `make_target`)."""
+def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
+                     tr: float) -> np.ndarray | None:
+    """c with its feature-span part projected out by two passes on the
+    Cholesky factor of H = (sqrt(Lambda) W)^T (sqrt(Lambda) W), whose trace
+    is tr, or None where H's Cholesky raises or the projected tail fails the
+    orthogonality check (see `make_target`).  H is left as it is."""
     p, s = W.shape
-    B = np.sqrt(lam)[:, None] * W
-    H = B.T @ B   # numpy runs A^T A as a syrk
-    # released before H is factored: kept alive next to H and L, it raised
-    # the peak resident set
-    del B
-    tr = float(np.trace(H))
-    if q > 0 and not _ridge_switch(tr, s, q, H):
-        return None
     try:
         # L^T is Fortran-ordered, so dtrtrs reads it without a copy
         U = np.linalg.cholesky(H).T
@@ -257,8 +157,6 @@ def _gram_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
         dx, _ = dtrtrs(U, W.T @ (lam * c), lower=0, trans=1)
         dx, _ = dtrtrs(U, dx, lower=0, trans=0)
         c = c - W @ dx
-    # L goes before G is factored, so at most G and its factor are live
-    del U
     lam_c = lam * c
     energy = float(c @ lam_c)
     # the projection only adds an in-span part to the true residual, so a
@@ -267,19 +165,13 @@ def _gram_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
         raise ValueError(_DEGENERATE)
     if not float(np.linalg.norm(W.T @ lam_c)) <= TAIL_RTOL * math.sqrt(tr * energy):
         return None
-    if q == 0:
-        return c, None, 0.0
-    try:
-        b_star, rho_sq = _ridge_cholesky(H, beta, q)
-    except np.linalg.LinAlgError:
-        return None
-    return c, b_star, rho_sq
+    return c
 
 
-def _qr_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
-              q: float) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """(tail, b*, rho^2) of an unrealizable target from one Householder QR
-    sqrt(Lambda) W = Q S (see `make_target`)."""
+def _qr_projection(W: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c with its feature-span part projected out by one Householder QR of
+    [sqrt(Lambda) W | sqrt(Lambda) c] and a second pass on its triangle R;
+    the fallback of `_gram_projection` (see `make_target`)."""
     p, s = W.shape
     sqrt_lam = np.sqrt(lam)
     y = sqrt_lam * c
@@ -302,17 +194,108 @@ def _qr_route(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
     # accepts; the second brings it to rounding level
     dx, _ = dtrtrs(factor, W.T @ (lam * c), lower=0, trans=1)
     dx, _ = dtrtrs(factor, dx, lower=0, trans=0)
-    c -= W @ dx
-    if q == 0:
-        return c, None, 0.0
-    # the ridge fit on A = Q S / sqrt(s): ||A (w - beta)|| = ||S (w - beta)|| / sqrt(s)
-    S = np.zeros((s, s), order="F")
-    np.copyto(S, factor[:s], where=np.tri(s, dtype=bool).T)
-    # the factor goes before G is formed; kept alive through the ridge step,
-    # it raised the peak resident set
-    del factor
-    b_star, rho_sq = _ridge_fit(S, beta, q)
-    return c, b_star, rho_sq
+    return c - W @ dx
+
+
+def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float,
+                    tr: float) -> tuple[np.ndarray, float] | None:
+    """(b*, rho^2) by the Cholesky side of the ridge step, or None where its
+    switch refuses or G's Cholesky raises (see `_ridge_fit`).  G = H / s + q I
+    is formed in H's place, so H is overwritten; tr is H's trace."""
+    s = beta.size
+    eps = np.finfo(float).eps
+    limit = RIDGE_RTOL / eps   # the largest cond(G) the Cholesky side takes
+    # lambda_min(G) >= floor gives cond(G) <= limit; lambda_min(G) >= q always
+    floor = (tr / s + q) / limit
+    if floor > q:
+        floor = (float(np.linalg.norm(H)) / s + q) / limit
+    G = H
+    G /= s
+    G.flat[::s + 1] += q
+    try:
+        if floor > q:
+            shift = floor + (s + 2) * eps * (tr / s + s * q)
+            G.flat[::s + 1] -= shift
+            try:
+                np.linalg.cholesky(G)   # succeeds only where lambda_min(G) >= floor
+            finally:
+                G.flat[::s + 1] += shift
+        # L^T is Fortran-ordered, so dtrtrs reads it without a copy
+        U = np.linalg.cholesky(G).T
+    except np.linalg.LinAlgError:
+        return None
+    y, _ = dtrtrs(U, beta, lower=0, trans=1)
+    x, _ = dtrtrs(U, y, lower=0, trans=0)
+    b_star = beta - q * x
+    return b_star, q * float(beta @ b_star)
+
+
+def _ridge_fit(W: np.ndarray, lam: np.ndarray, beta: np.ndarray,
+               q: float) -> tuple[np.ndarray, float]:
+    """(b*, rho^2): the w minimizing ||A (w - beta)||^2 + q ||w||^2, q > 0,
+    with A = sqrt(Lambda) W / sqrt(s), and that minimum, by one QR of the
+    (p+s) x (s+1) stack [A, A beta; sqrt(q) I, 0]: the QR side of the ridge
+    step.
+
+    The Cholesky side (`_ridge_cholesky`) forms G = A^T A + q I = H / s + q I
+    in the place of H = s A^T A, factors G = L L^T on numpy's BLAS and sets
+    b* = beta - q G^-1 beta by two triangular solves; rho^2 = q beta . b*,
+    the objective at the exact minimizer, off by at most q ||beta|| times
+    b*'s error.  The error bound: Cholesky's backward error leaves the
+    computed G^-1 beta off by about eps cond(G) relative, and q G^-1 has its
+    eigenvalues in (0, 1], so b* is off by at most about eps cond(G)
+    ||beta||, with cond(G) = (lambda_max(H) / s + q) / (lambda_min(H) / s +
+    q).
+
+    The ridge switch: the Cholesky side runs where an upper bound kappa on
+    cond(G) has eps kappa <= RIDGE_RTOL = 1e-10, that is kappa up to about
+    4.5e5.  First kappa = 1 + tr(H) / (s q), from lambda_max(H) <= tr(H) =
+    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0; it reads only the trace.
+    Where that refuses, kappa = top / floor with top = ||H||_F / s + q >=
+    lambda_max(G) and floor = top / 4.5e5, where lambda_min(G) >= floor is
+    certified by a Cholesky of fl(G - shift I), shift = floor + (s + 2) eps
+    tr(G), that succeeds: it factors G - shift I + E exactly with ||E||_2 <=
+    (s + 1) eps tr(G) (Demmel 1989), and one more eps tr(G) covers the
+    shift's rounding.  Computed only there, it costs one s x s Cholesky on G
+    before G's own, and G's diagonal is shifted back, so b* moves by
+    rounding in G's diagonal at most.  Where the switch refuses, and where
+    G's Cholesky raises LinAlgError, this QR runs instead: it works on the
+    square root of G's condition, and reads sqrt(Lambda) W itself, since H
+    carries rounding of about eps ||H||, which any factor of it would carry
+    into the fit at cond(G).
+    """
+    p, s = W.shape
+    scale = np.sqrt(lam / s)
+
+    def fill_stack(stack):
+        top = stack[:p, :s]
+        np.multiply(scale[:, None], W, out=top)
+        stack[:p, s] = top @ beta
+        stack[p + np.arange(s), np.arange(s)] = math.sqrt(q)
+
+    b_star, rho_sq, _ = _lstsq_qr(p + s, s, fill_stack)
+    return b_star, rho_sq
+
+
+def _solve_unrealizable(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
+                        q: float) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """(tail, b*, rho^2) of an unrealizable target drawn as c with
+    beta_star = beta, at feature-noise variance q (see `make_target`)."""
+    B = np.sqrt(lam)[:, None] * W
+    H = B.T @ B   # numpy runs A^T A as a syrk
+    # released before H is factored: kept alive next to H and L, it raised
+    # the peak resident set
+    del B
+    tr = float(np.trace(H))
+    projected = _gram_projection(H, W, lam, c, tr)
+    fit = _ridge_cholesky(H, beta, q, tr) if q > 0 else (None, 0.0)
+    # G, in H's place, goes before either QR
+    del H
+    if projected is None:
+        projected = _qr_projection(W, lam, c)
+    if fit is None:
+        fit = _ridge_fit(W, lam, beta, q)
+    return projected, *fit
 
 
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
@@ -330,20 +313,23 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     refused before any draw.
 
     Both solves run on one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W)
-    (`_gram_route`): one syrk on numpy's BLAS, then one Cholesky H = L L^T.
-    The projection c <- c - W H^-1 W^T Lambda c runs twice, each pass two
-    triangular solves on L; the second takes the first's error, about eps
-    cond(H) relative, to its square, which is rounding while cond(sqrt(Lambda)
-    W) <= eps^-1/2 (CholeskyQR2's range; Fukaya et al. 2014).  The draw is
-    degenerate where the projected energy sum(lambda c^2) <= default_rtol(p,
-    s)^2 ||sqrt(Lambda) c_0||^2.  The ridge fit forms G = H / s + q I in H's
-    place and factors it once more (`_ridge_fit` states its bound).  The
-    switch: the QR route (`_qr_route`, one Householder QR of [sqrt(Lambda)
-    W | sqrt(Lambda) c], its second pass on R, then `_ridge_fit`'s own
-    switch) runs instead where H's Cholesky raises, where the projected tail
-    fails ||W^T Lambda c|| <= TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL =
-    1e-12, 100x inside the 1e-10 `decompose` demands, where the ridge
-    switch's bounds on cond(G) both refuse, or where G's Cholesky raises.
+    (`_solve_unrealizable`): one syrk on numpy's BLAS, then one Cholesky
+    H = L L^T (`_gram_projection`).  The projection c <- c - W H^-1 W^T
+    Lambda c runs twice, each pass two triangular solves on L; the second
+    takes the first's error, about eps cond(H) relative, to its square,
+    which is rounding while cond(sqrt(Lambda) W) <= eps^-1/2 (CholeskyQR2's
+    range; Fukaya et al. 2014).  The draw is degenerate where the projected
+    energy sum(lambda c^2) <= default_rtol(p, s)^2 ||sqrt(Lambda) c_0||^2.
+    L is released, and the ridge fit forms G = H / s + q I in H's place and
+    factors it once more where its switch allows (`_ridge_fit` states the
+    switch and its bound).  The fallbacks, each for its own solve: where H's
+    Cholesky raises, or the projected tail fails ||W^T Lambda c|| <=
+    TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL = 1e-12, 100x inside the
+    1e-10 `decompose` demands, the projection reruns as one Householder QR
+    of [sqrt(Lambda) W | sqrt(Lambda) c] and a second pass on its triangle
+    (`_qr_projection`); where the ridge switch refuses or G's Cholesky
+    raises, the fit is one QR of the stack [A, A beta; sqrt(q) I, 0]
+    (`_ridge_fit`).  Both QRs run after G is released.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
@@ -367,8 +353,7 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     spec = ensemble.noise_spec
     q = spec.entry_variance if spec is not None else 0.0
     W = ensemble.weights
-    solved = _gram_route(W, lam, c, beta, q)
-    c, b_star, rho_sq = solved if solved is not None else _qr_route(W, lam, c, beta, q)
+    c, b_star, rho_sq = _solve_unrealizable(W, lam, c, beta, q)
     tail = c * math.sqrt(tail_energy / float(np.sum(lam * c * c)))
     # without feature noise b_star is None, rho_sq 0 and fit_q 0: the defaults
     return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm,

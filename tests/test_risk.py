@@ -914,21 +914,29 @@ class TestUnrealizableSolves:
         assert ridge <= 2 * square + vectors, ridge / square
 
 
-    def test_traced_peak_of_the_qr_route_stays_within_its_buffers(self, monkeypatch):
-        # The QR route, reached here by failing the Gram route's projection
-        # check, fills one p x (s+1) augmented matrix; numpy's QR copies it
-        # and factors the copy in a LAPACK buffer of its own, malloc'd out of
+    @pytest.mark.parametrize("route", ["projection", "fit"])
+    def test_traced_peak_of_a_qr_fallback_stays_within_its_buffers(self, monkeypatch,
+                                                                   route):
+        # Each fallback QR runs after the Gram route has released G: the
+        # projection's (TAIL_RTOL stubbed to 0 fails the Gram projection's
+        # check) on the p x (s+1) matrix [sqrt(Lambda) W | sqrt(Lambda) c],
+        # the fit's (alpha 2, where cond(G) is past the switch's limit) on
+        # the (p+s) x (s+1) stack.  Until the QR the peak is the larger of
+        # the Gram route's B and H and the QR's input.  numpy's QR copies it and
+        # factors the copy in a LAPACK buffer of its own, malloc'd out of
         # tracemalloc's sight, so two traced buffers are live until the
-        # augmented matrix is released.  The augmented matrix must go before
-        # the factor: freed the other way round, it stayed resident as heap
-        # in every later sweep.  The ridge step copies the triangle S out of
-        # the factor, which must be released before G is formed: while it
-        # lives, the peak is the factor, S and np.tri's boolean mask.  From
-        # then on the buffers are S, G and L, s^2 doubles each, so with up to
-        # 16 s- and p-vectors each their sum bounds the peak.
+        # input is released.  The input must go before the factor: freed
+        # the other way round, it stayed resident as heap in every later
+        # sweep.  While the factor lives no s x s buffer does, and after it
+        # only decompose runs, whose buffers are n x s and p x (n+1).  A
+        # finalizer runs before its array's memory goes, so each window
+        # after one counts the released array too.  The stack's fill writes
+        # a strided block, for which numpy's ufunc loop allocates two
+        # buffers of np.getbufsize() doubles.
         n, p, s = 20, 400, 360
-        ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
-        square = 8 * s * s
+        alpha, m = (0.5, p) if route == "projection" else (2.0, p + s)
+        ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=5)
+        square, copy = 8 * s * s, 8 * p * s
         events = []
         real_qr = np.linalg.qr
 
@@ -937,7 +945,7 @@ class TestUnrealizableSolves:
             tracemalloc.reset_peak()
 
         def qr(a, mode="reduced"):
-            released("qr")   # the Gram route's peak, checked by the test above
+            released("qr")
             weakref.finalize(a, released, "input")
             out = real_qr(a, mode=mode)
             # the raw factor is a transposed view: watch the array that owns
@@ -945,7 +953,8 @@ class TestUnrealizableSolves:
             weakref.finalize(out[0].base, released, "factor")
             return out
 
-        monkeypatch.setattr(risk_mod, "TAIL_RTOL", 0.0)
+        if route == "projection":
+            monkeypatch.setattr(risk_mod, "TAIL_RTOL", 0.0)
         monkeypatch.setattr(np.linalg, "qr", qr)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -960,13 +969,16 @@ class TestUnrealizableSolves:
                 tracemalloc.stop()
         assert [what for what, _ in events] == ["qr", "input", "factor", "end"]
         peaks = dict(events)
-        factor = 8 * p * (s + 1)
+        factor = 8 * m * (s + 1)
+        vectors = 16 * 8 * (m + s) + 2 * 8 * np.getbufsize()
+        assert peaks["qr"] <= max(copy + square, factor) + vectors, peaks["qr"] / square
         assert peaks["input"] <= 2.25 * factor, peaks["input"] / factor
-        vectors = 16 * 8 * (p + s)
-        assert peaks["factor"] <= factor + 1.25 * square + vectors, \
-            (peaks["factor"] - factor) / square
-        # from the factor's release on
-        assert peaks["end"] <= 3 * square + vectors, peaks["end"] / square
+        # the input, counted as it goes, and the factor
+        assert peaks["factor"] <= 2 * factor + vectors, (peaks["factor"] - factor) / square
+        # the factor, counted as it goes, and decompose
+        decomposed = 4 * 8 * (n * s + p * (n + 1))
+        assert peaks["end"] <= factor + decomposed + vectors, \
+            (peaks["end"] - factor) / decomposed
 
 
 class TestBestInSpanFit:
@@ -1050,9 +1062,10 @@ class TestBestInSpanFit:
         limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
         assert (self.kappa(ens) <= limit) == (side == "cholesky")
         assert (self.cond_g(ens) <= limit) == (side == "cholesky")
-        # the QR side: the certificate's Cholesky refuses before H is
-        # factored, and the cell takes the projection's QR and the stack QR
-        assert (qr_calls, chol_calls) == ((0, 2) if side == "cholesky" else (2, 1))
+        # the QR side: H's Cholesky still does the projection, the
+        # certificate's Cholesky on G refuses, and the fit alone takes the
+        # stack QR
+        assert (qr_calls, chol_calls) == ((0, 2) if side == "cholesky" else (1, 2))
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
@@ -1060,7 +1073,7 @@ class TestBestInSpanFit:
     def test_certificate_keeps_a_well_conditioned_fit_on_the_cholesky_side(self, monkeypatch):
         # p=120, s=60, alpha 8: kappa = 1.5e16 refuses, but cond(G) is 1.8e4
         # and ||H||_F / s + q over lambda_min(G) is 1.9e4, so the shifted
-        # Cholesky certifies it: the certificate's, H's and G's Cholesky
+        # Cholesky certifies it: H's Cholesky, the certificate's and G's
         ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 60, 120, 8.0, "gaussian",
                                                        False)
         limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
@@ -1077,7 +1090,8 @@ class TestBestInSpanFit:
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, 0.5, "gaussian",
                                                        False)
-        # H's Cholesky, then the QR route's ridge Cholesky, both refused
+        # H's Cholesky and G's, both refused: the projection's QR and the
+        # stack QR
         assert (qr_calls, chol_calls) == (2, 2)
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
@@ -1110,7 +1124,8 @@ class TestBestInSpanFit:
         ens = mk_ensemble(20, s, p=p, alpha=0.5, seed=s, spectrum=spectrum)
         calls = linalg_calls("qr", "cholesky")
         t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
-        # H's Cholesky, the projection's QR, then the ridge step's Cholesky
+        # H's Cholesky, the ridge step's Cholesky on G, then the projection's
+        # QR: the fit does not follow the projection onto the QR
         assert calls == {"qr": 1, "cholesky": 2}
         d = decompose(ens, t, 1.0)
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
