@@ -24,10 +24,11 @@ feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 fit with penalty q_p.  `make_target` solves the projection and that fit from
 one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A: two projection
 passes on H's Cholesky factor, then a Cholesky of G = H / s + q_p I formed
-in H's place, where a bound on G's condition keeps the fit's error within
-RIDGE_RTOL (see `_ridge_fit`).  Each solve falls back to a Householder QR on
-its own: the projection where H's factor or the projection's check fails
-(`_qr_projection`), the fit where the bound refuses (`_ridge_fit`).
+in H's place where one bound, eps (1 + tr(H) / (s q_p)) <= RIDGE_RTOL on
+G's condition, keeps the fit's error within RIDGE_RTOL (see `_ridge_fit`).
+Each solve falls back to a Householder QR on its own: the projection where
+H's factor or the projection's check fails (`_qr_projection`), the fit where
+the bound refuses (`_ridge_fit`).
 `decompose` reads b* off the target.
 """
 
@@ -138,6 +139,16 @@ TAIL_RTOL = 1e-12
 _DEGENERATE = "degenerate out-of-span draw; eigenvalues may vanish outside the span"
 
 
+def _projection_pass(U: np.ndarray, W: np.ndarray, lam: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+    """c - W (U^T U)^-1 W^T Lambda c: one pass of the span projection on the
+    upper triangle U with U^T U = (sqrt(Lambda) W)^T (sqrt(Lambda) W), read in
+    place from the top s rows of U by two triangular solves."""
+    dx, _ = dtrtrs(U, W.T @ (lam * c), lower=0, trans=1)
+    dx, _ = dtrtrs(U, dx, lower=0, trans=0)
+    return c - W @ dx
+
+
 def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
                      tr: float) -> np.ndarray | None:
     """c with its feature-span part projected out by two passes on the
@@ -151,12 +162,9 @@ def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarra
     except np.linalg.LinAlgError:
         return None
     c0_energy = float(c @ (lam * c))
-    for _ in range(2):
-        # c <- c - W H^-1 W^T Lambda c; the second pass takes the first's
-        # error, about eps cond(H) relative, to its square
-        dx, _ = dtrtrs(U, W.T @ (lam * c), lower=0, trans=1)
-        dx, _ = dtrtrs(U, dx, lower=0, trans=0)
-        c = c - W @ dx
+    # the second pass takes the first's error, about eps cond(H) relative, to
+    # its square
+    c = _projection_pass(U, W, lam, _projection_pass(U, W, lam, c))
     lam_c = lam * c
     energy = float(c @ lam_c)
     # the projection only adds an in-span part to the true residual, so a
@@ -187,39 +195,27 @@ def _qr_projection(W: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
     # a residual at rounding level means the span holds all of c's support
     if rss <= default_rtol(p, s) ** 2 * float(y @ y):
         raise ValueError(_DEGENERATE)
-    c = c - W @ coef
-    # one more projection through the same factor, R^T R dx = W^T Lambda c:
-    # the first leaves c orthogonal to the span only to about eps times
-    # cond(sqrt(Lambda) W), which steep spectra push past what decompose
-    # accepts; the second brings it to rounding level
-    dx, _ = dtrtrs(factor, W.T @ (lam * c), lower=0, trans=1)
-    dx, _ = dtrtrs(factor, dx, lower=0, trans=0)
-    return c - W @ dx
+    # one more projection through the same factor: the first leaves c
+    # orthogonal to the span only to about eps times cond(sqrt(Lambda) W),
+    # which steep spectra push past what decompose accepts; the second brings
+    # it to rounding level
+    return _projection_pass(factor, W, lam, c - W @ coef)
 
 
 def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float,
                     tr: float) -> tuple[np.ndarray, float] | None:
     """(b*, rho^2) by the Cholesky side of the ridge step, or None where its
-    switch refuses or G's Cholesky raises (see `_ridge_fit`).  G = H / s + q I
-    is formed in H's place, so H is overwritten; tr is H's trace."""
+    switch refuses or G's Cholesky raises (see `_ridge_fit`).  tr is H's
+    trace.  The switch reads only tr, so a cell it refuses leaves H as it
+    is; otherwise G = H / s + q I is formed in H's place."""
     s = beta.size
-    eps = np.finfo(float).eps
-    limit = RIDGE_RTOL / eps   # the largest cond(G) the Cholesky side takes
-    # lambda_min(G) >= floor gives cond(G) <= limit; lambda_min(G) >= q always
-    floor = (tr / s + q) / limit
-    if floor > q:
-        floor = (float(np.linalg.norm(H)) / s + q) / limit
+    # kappa = 1 + tr(H) / (s q) >= cond(G)
+    if np.finfo(float).eps * (1.0 + tr / (s * q)) > RIDGE_RTOL:
+        return None
     G = H
     G /= s
     G.flat[::s + 1] += q
     try:
-        if floor > q:
-            shift = floor + (s + 2) * eps * (tr / s + s * q)
-            G.flat[::s + 1] -= shift
-            try:
-                np.linalg.cholesky(G)   # succeeds only where lambda_min(G) >= floor
-            finally:
-                G.flat[::s + 1] += shift
         # L^T is Fortran-ordered, so dtrtrs reads it without a copy
         U = np.linalg.cholesky(G).T
     except np.linalg.LinAlgError:
@@ -247,21 +243,14 @@ def _ridge_fit(W: np.ndarray, lam: np.ndarray, beta: np.ndarray,
     ||beta||, with cond(G) = (lambda_max(H) / s + q) / (lambda_min(H) / s +
     q).
 
-    The ridge switch: the Cholesky side runs where an upper bound kappa on
-    cond(G) has eps kappa <= RIDGE_RTOL = 1e-10, that is kappa up to about
-    4.5e5.  First kappa = 1 + tr(H) / (s q), from lambda_max(H) <= tr(H) =
-    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0; it reads only the trace.
-    Where that refuses, kappa = top / floor with top = ||H||_F / s + q >=
-    lambda_max(G) and floor = top / 4.5e5, where lambda_min(G) >= floor is
-    certified by a Cholesky of fl(G - shift I), shift = floor + (s + 2) eps
-    tr(G), that succeeds: it factors G - shift I + E exactly with ||E||_2 <=
-    (s + 1) eps tr(G) (Demmel 1989), and one more eps tr(G) covers the
-    shift's rounding.  Computed only there, it costs one s x s Cholesky on G
-    before G's own, and G's diagonal is shifted back, so b* moves by
-    rounding in G's diagonal at most.  Where the switch refuses, and where
-    G's Cholesky raises LinAlgError, this QR runs instead: it works on the
-    square root of G's condition, and reads sqrt(Lambda) W itself, since H
-    carries rounding of about eps ||H||, which any factor of it would carry
+    The ridge switch is one a-priori bound: the Cholesky side runs where
+    kappa = 1 + tr(H) / (s q) >= cond(G), from lambda_max(H) <= tr(H) =
+    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0, has eps kappa <=
+    RIDGE_RTOL = 1e-10, that is kappa up to about 4.5e5.  It reads only the
+    trace, before G is formed.  Where it refuses (large alpha, q tiny), and
+    where G's Cholesky raises LinAlgError, this QR runs instead: it works on
+    the square root of G's condition, and reads sqrt(Lambda) W itself, since
+    H carries rounding of about eps ||H||, which any factor of it would carry
     into the fit at cond(G).
     """
     p, s = W.shape
@@ -289,7 +278,7 @@ def _solve_unrealizable(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.
     tr = float(np.trace(H))
     projected = _gram_projection(H, W, lam, c, tr)
     fit = _ridge_cholesky(H, beta, q, tr) if q > 0 else (None, 0.0)
-    # G, in H's place, goes before either QR
+    # H, or G in its place, goes before either QR
     del H
     if projected is None:
         projected = _qr_projection(W, lam, c)
@@ -309,8 +298,9 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     spectrum gives energy to) is refused with a ValueError.  On a noisy
     ensemble the unrealizable target also gets its best in-span fit (see
     TargetFunction), a ridge fit with penalty q, the feature-noise entry
-    variance.  A norm or tail_energy that is not positive and finite is
-    refused before any draw.
+    variance.  A norm or tail_energy that is not positive and finite, and an
+    unrealizable target on row-space weights, whose solves need the dense
+    p x s W, are refused before any draw.
 
     Both solves run on one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W)
     (`_solve_unrealizable`): one syrk on numpy's BLAS, then one Cholesky
@@ -320,16 +310,16 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     which is rounding while cond(sqrt(Lambda) W) <= eps^-1/2 (CholeskyQR2's
     range; Fukaya et al. 2014).  The draw is degenerate where the projected
     energy sum(lambda c^2) <= default_rtol(p, s)^2 ||sqrt(Lambda) c_0||^2.
-    L is released, and the ridge fit forms G = H / s + q I in H's place and
-    factors it once more where its switch allows (`_ridge_fit` states the
-    switch and its bound).  The fallbacks, each for its own solve: where H's
+    L is released, and where the ridge switch's one bound, eps (1 + tr(H) /
+    (s q)) <= RIDGE_RTOL, holds, the fit factors G = H / s + q I, formed in
+    H's place (`_ridge_fit`).  The fallbacks, each for its own solve: where H's
     Cholesky raises, or the projected tail fails ||W^T Lambda c|| <=
     TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL = 1e-12, 100x inside the
     1e-10 `decompose` demands, the projection reruns as one Householder QR
     of [sqrt(Lambda) W | sqrt(Lambda) c] and a second pass on its triangle
     (`_qr_projection`); where the ridge switch refuses or G's Cholesky
     raises, the fit is one QR of the stack [A, A beta; sqrt(q) I, 0]
-    (`_ridge_fit`).  Both QRs run after G is released.
+    (`_ridge_fit`).  Both QRs run after H, or G in its place, is released.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
@@ -344,6 +334,9 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
                              "the span")
         if not 0 < tail_energy < math.inf:
             raise ValueError(f"tail_energy must be positive and finite, got {tail_energy!r}")
+        if not isinstance(ensemble.weights, np.ndarray):
+            raise ValueError("unrealizable target needs the dense p x s W; build the "
+                             "ensemble without complement_rng")
     v = rng.standard_normal(s)
     beta = norm * v / np.linalg.norm(v)
     if mode != "unrealizable":

@@ -176,6 +176,18 @@ class TestMakeTarget:
         with pytest.raises(ValueError, match="tail_energy must be positive and finite"):
             make_target("unrealizable", ens, 1.0, NoDraws(), tail_energy=tail_energy)
 
+    def test_unrealizable_target_on_row_space_weights_refused_before_any_draw(self):
+        # its solves need the dense p x s W; row-space weights raised a
+        # TypeError from inside the projection
+        sp = make_spectrum("polynomial", 80, gamma=2.0)
+        phi = eigenfeature_matrix(sp, MODE, sample_covariates(MODE, 12, seed_stream(0, "cov"),
+                                                              p=80))
+        G = sample_weights(12, 20, seed_stream(0, "w"))
+        ens = build_ensemble(sp, MODE, phi, G, complement_rng=seed_stream(0, "wc"))
+        assert isinstance(ens.weights, RowSpaceWeights)
+        with pytest.raises(ValueError, match="needs the dense p x s W"):
+            make_target("unrealizable", ens, 1.0, NoDraws())
+
     def test_noisy_needs_injected_ensemble(self):
         ens = mk_ensemble(10, 25)  # no noise injected
         with pytest.raises(ValueError, match="injected noise"):
@@ -1051,34 +1063,22 @@ class TestBestInSpanFit:
         else:
             assert b is t.b_star and t.fit_q == q
 
-    @pytest.mark.parametrize("alpha,side", [(0.5, "cholesky"), (2.0, "qr"), (8.0, "qr")])
-    def test_ridge_switch_sides_match_standalone(self, monkeypatch, alpha, side):
-        # p=120, s=110: kappa = 1 + tr(H) / (s q) is 1.7e3 at alpha 0.5,
-        # 2.0e6 at alpha 2 and 3.5e18 at alpha 8, against the switch's limit
-        # 1e-10 / eps = 4.5e5, and cond(G) itself is 6.0e5 and 1.3e6 on the
-        # QR side, so the certificate refuses those too
-        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, alpha,
+    @pytest.mark.parametrize("s,alpha,side", [(110, 0.5, "cholesky"), (110, 2.0, "qr"),
+                                              (110, 8.0, "qr"), (60, 8.0, "qr")])
+    def test_ridge_switch_sides_match_standalone(self, monkeypatch, s, alpha, side):
+        # p=120: kappa = 1 + tr(H) / (s q) is 1.7e3 at s = 110, alpha 0.5,
+        # 2.0e6 at alpha 2, 3.5e18 at alpha 8 and 1.5e16 at s = 60, alpha 8,
+        # against the switch's limit 1e-10 / eps = 4.5e5.  cond(G) itself is
+        # 6.0e5, 1.3e6 and 1.8e4 on the QR side: the switch reads kappa alone,
+        # so the well-conditioned s = 60 fit takes the QR too
+        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, 120, alpha,
                                                        "gaussian", False)
         limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
         assert (self.kappa(ens) <= limit) == (side == "cholesky")
-        assert (self.cond_g(ens) <= limit) == (side == "cholesky")
-        # the QR side: H's Cholesky still does the projection, the
-        # certificate's Cholesky on G refuses, and the fit alone takes the
-        # stack QR
-        assert (qr_calls, chol_calls) == ((0, 2) if side == "cholesky" else (1, 2))
-        b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
-        assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
-        np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
-
-    def test_certificate_keeps_a_well_conditioned_fit_on_the_cholesky_side(self, monkeypatch):
-        # p=120, s=60, alpha 8: kappa = 1.5e16 refuses, but cond(G) is 1.8e4
-        # and ||H||_F / s + q over lambda_min(G) is 1.9e4, so the shifted
-        # Cholesky certifies it: H's Cholesky, the certificate's and G's
-        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 60, 120, 8.0, "gaussian",
-                                                       False)
-        limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
-        assert self.kappa(ens) > limit >= self.cond_g(ens)
-        assert (qr_calls, chol_calls) == (0, 3)
+        assert self.cond_g(ens) <= self.kappa(ens)
+        # the QR side: H's Cholesky still does the projection, G is never
+        # formed, and the fit alone takes the stack QR
+        assert (qr_calls, chol_calls) == ((0, 2) if side == "cholesky" else (1, 1))
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
