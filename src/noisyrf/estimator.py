@@ -3,11 +3,15 @@
 The interpolating fit is `svd_factors(Z).apply_pinv(Y)`, the route
 `risk.decompose` runs: singular values at or below rtol * sigma_max are
 treated as zero, the remaining directions are inverted, and the result is the
-least-squares solution of minimum Euclidean norm.
+least-squares solution of minimum Euclidean norm.  A wide design whose n x n
+Gram is well conditioned is factored through that Gram's eigensolve, every
+other design by LAPACK's SVD; both give the same `SvdFactors` contract (see
+`svd_factors`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +39,63 @@ class SvdFactors:
         return self.V @ ((self.U.T @ Y).T / self.sv).T
 
 
+# the largest eps d_max / d_min a wide design's Gram Z Z^T = U D U^T may have
+# for svd_factors to take its factors from that Gram (see svd_factors)
+GRAM_RTOL = 1e-10
+
+
 def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
+    """The thin SVD Z = U diag(sv) V^T restricted to the singular values above
+    rtol * sv_max, sv descending; a design with a NaN or infinite entry is
+    refused with a ValueError.
+
+    A wide design (n < s) is factored through its n x n Gram where that Gram
+    is well conditioned.  One syrk gives M = Z Z^T and `np.linalg.eigh`
+    M = U D U^T; then sv = sqrt(d), and V^T = U^T Z / sv, scaled in place.  The
+    bound: M is formed with an error of a small multiple of eps ||Z||^2 =
+    eps d_max, and eigh is backward stable, so its (U, D) are exact for a
+    Gram E away from Z Z^T with ||E|| about eps d_max.  Each d_i is then off
+    by about eps d_max absolute, eps d_max / d_i relative, and M^-1 by about
+    eps d_max / d_min = eps cond(Z)^2 relative.  Z^+ Y = Z^T M^-1 Y,
+    U Sigma^-2 U^T = M^-1 and V V^T = Z^T M^-1 Z, the forms the risk split
+    reads, all carry that error, and so does V's orthonormality:
+    V^T V = Sigma^-1 U^T M U Sigma^-1 is off from I by about eps d_max /
+    sqrt(d_i d_j).  The SVD's error is eps cond(Z) instead.  So the Gram
+    route runs only where the Gram's own eigenvalues show d_min > 0 and
+    eps d_max / d_min <= GRAM_RTOL (1e-10, 10x inside the 1e-9 at which
+    sweeps are checked to repeat), that is cond(Z) up to about 670, and
+    rtol sv_max < sv_min, so that every direction is kept and the rank is
+    n.  Everywhere else, and for every tall design, LAPACK's SVD runs: on
+    the tall transpose Z^T = V S U^T for a wide design (LAPACK's path for a
+    wide matrix is about twice as slow as the same call on its transpose),
+    on Z itself for a tall one.  That covers the peak s ~ n, where cond(Z)
+    reaches 1e3-1e5, and rank-deficient and steep designs.
+
+    The two routes give different orthonormal bases: signs differ, and
+    inside a cluster of close singular values the Gram route's vectors
+    rotate with the BLAS thread count.  Only basis-invariant forms of the
+    factors are meant to be read, such as the ones above.
+    """
     Z = np.asarray(Z, dtype=float)
     n, s = Z.shape
     if rtol is None:
         rtol = default_rtol(n, s)
     if not (0.0 < rtol < 1.0):
         raise ValueError("rtol must lie in (0, 1)")
+    if not np.isfinite(Z).all():
+        raise ValueError("design has a NaN or infinite entry")
     if n < s:
-        # LAPACK's path for a wide matrix is about twice as slow as the same
-        # call on its tall transpose, and Z^T = V S U^T gives the factors
+        d, U = np.linalg.eigh(Z @ Z.T)  # numpy runs Z Z^T as a syrk
+        d_min, d_max = float(d[0]), float(d[-1])
+        if d_min > 0 and np.finfo(float).eps * d_max <= GRAM_RTOL * d_min \
+                and rtol * math.sqrt(d_max) < math.sqrt(d_min):
+            sv = np.sqrt(d[::-1])
+            U = np.ascontiguousarray(U[:, ::-1])
+            # taken as the n x s U^T Z: on two OpenBLAS threads the s x n
+            # product Z^T U left up to 16 MB resident after it was freed
+            Vt = U.T @ Z
+            Vt /= sv[:, None]
+            return SvdFactors(U=U, sv=sv, V=Vt.T, rank=n, cutoff=rtol * float(sv[0]))
         V, sv, Ut = np.linalg.svd(Z.T, full_matrices=False)
         U = Ut.T
     else:

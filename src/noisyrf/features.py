@@ -133,14 +133,22 @@ class RowSpaceWeights:
         self.coords = coords  # G = R^T W, (k, s)
         self._complement_rng = complement_rng
 
-    def times(self, V: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """W [V, e] for V (s x r) with orthonormal columns, in the law of a dense W.
+    def times(self, V: np.ndarray, U: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """W [V, e] in the law of a dense W, for the design's thin SVD
+        D = U Sigma V^T (V s x r and U n x r with orthonormal columns) and a
+        coefficient vector e.
 
         The row-space part is R (G [V, e]).  The complement part is
-        (I - R R^T) W [V, e], whose law given [V, e] is that of
-        (I - R R^T) H T_c for a fresh p x (r+1) standard normal H and any
-        T_c with T_c^T T_c = [V, e]^T [V, e]; with a = V^T e and
-        rho = ||e - V a||, T_c = [[I, a], [0, rho]] in closed form.
+        (I - R R^T) W [V, e].  W's complement times D^T has the law of
+        (I - R R^T) H1 (D D^T)^1/2 = (I - R R^T) H1 U Sigma U^T for a fresh
+        p x n standard normal H1, so its product with V = D^T U Sigma^-1 is
+        (I - R R^T) H1 U.  e's part outside V, e - V a with a = V^T e and
+        rho = ||e - V a||, is met by one more fresh column h, independent of
+        H1 U: (I - R R^T) (H1 U a + rho h).  The draw is attached to the
+        design's rows, not to V's columns, so it transforms with the basis:
+        (V O, U O) for an orthogonal O gives this product times O.  A
+        factorization that picks other signs, or another rotation inside a
+        cluster of close singular values, gives the same row.
         """
         rng = self._complement_rng
         if rng is None:
@@ -148,14 +156,29 @@ class RowSpaceWeights:
                                "would not see the same W")
         self._complement_rng = None
         R = self.basis
+        p, r = R.shape[0], V.shape[1]
+        # out before H1, so that H1, freed first, leaves no hole under it
+        out = np.empty((p, r + 1), order="F")
+        H1 = rng.standard_normal((p, U.shape[0]))
+        np.matmul(H1, U, out=out[:, :r])
+        del H1
+        h = rng.standard_normal(p)
         a = V.T @ e
-        rho = float(np.linalg.norm(e - V @ a))
-        r = V.shape[1]
-        H = rng.standard_normal((R.shape[0], r + 1))
-        H[:, r] = H[:, :r] @ a + rho * H[:, r]
-        # R G [V, e] + (I - R R^T) H T_c, with one product through R
-        H += R @ (self.coords @ np.column_stack([V, e]) - R.T @ H)
-        return H
+        h *= float(np.linalg.norm(e - V @ a))
+        out[:, r] = out[:, :r] @ a + h
+        # R G [V, e] + (I - R R^T) out, with one product through R
+        GC = column_product(self.coords, V, e)
+        GC -= R.T @ out
+        out += R @ GC
+        return out
+
+
+def column_product(M: np.ndarray, V: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """M [V, e], Fortran-ordered, without forming the s x (r+1) stack [V, e]."""
+    out = np.empty((M.shape[0], V.shape[1] + 1), order="F")
+    np.matmul(M, V, out=out[:, :-1])
+    np.matmul(M, e, out=out[:, -1])
+    return out
 
 
 @dataclass(eq=False)

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .estimator import SvdFactors, default_rtol, svd_factors
-from .features import FeatureEnsemble
+from .features import FeatureEnsemble, column_product
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
 TARGET_NOISE_MODES = ("shared", "fresh", "clean")
@@ -410,14 +410,17 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
     g = U^T eps, which adds to that risk a term linear in g and g^T Q g,
     where K = A V Sigma^-1 and Q = K^T K + (q_e + q_u) Sigma^-2.  g has mean
     0 and covariance sigma^2 I, so on average the label noise adds sigma^2
-    tr(Q): the variance.  A is never formed: W @ [V, e] is all the split
-    needs, and row-space weights give it from their one draw of W's
-    complement.
+    tr(Q): the variance.  A is never formed: W [V, e] is all the split
+    needs, taken as W V and W e without stacking [V, e], and row-space
+    weights give it from their one draw of W's complement, attached to the
+    design's left singular vectors U.  The split reads the factors only
+    through K^T K, tr(Q) and A e, which do not change when (U, V) turn to
+    (U O, V O), so it does not depend on the basis the factorization picked.
     """
     e = u_hat - ref
     sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
     W = ensemble.weights
-    AC = W @ np.column_stack([f.V, e]) if isinstance(W, np.ndarray) else W.times(f.V, e)
+    AC = column_product(W, f.V, e) if isinstance(W, np.ndarray) else W.times(f.V, f.U, e)
     AC *= sqrt_lam[:, None]
     AC /= math.sqrt(ensemble.s)
     K, Ae = AC[:, :f.rank] / f.sv, AC[:, f.rank]

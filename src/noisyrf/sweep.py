@@ -38,9 +38,9 @@ CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se"
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
                "regime", "wall_ms"]
 
-AGGREGATE_COLUMNS = ["s", "sigma0_sq", "replicates", "B_mean", "B_se", "V_mean",
-                     "V_se", "M_mean", "M_se", "R_mean", "R_se",
-                     "bias_bound_mean", "variance_bound_mean"]
+AGGREGATE_COLUMNS = ["s", "sigma0_sq", "replicates", "B_mean", "B_se", "B_median",
+                     "V_mean", "V_se", "V_median", "M_mean", "M_se", "R_mean", "R_se",
+                     "R_median", "bias_bound_mean", "variance_bound_mean"]
 
 CURVE_COLUMNS = ["s", "sigma0_sq", "k_star", "bias_bound", "variance_bound", "total",
                  "regime"]
@@ -76,12 +76,15 @@ class SweepSummary:
     replicates: int
     B_mean: float
     B_se: float
+    B_median: float
     V_mean: float
     V_se: float
+    V_median: float
     M_mean: float
     M_se: float
     R_mean: float
     R_se: float
+    R_median: float
     bias_bound_mean: float
     variance_bound_mean: float
 
@@ -269,7 +272,17 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def aggregate(records) -> list:
-    """Collapse replicates into per-s means and stderrs; failed rows are skipped."""
+    """Collapse replicates into per-s means, stderrs and, for B, V and R,
+    medians; failed rows are skipped.
+
+    Near the interpolation threshold the mean does not exist: for an n x s
+    Gaussian design E[tr((Z^T Z)^-1)] = s / (n - s - 1) for s <= n - 2 and
+    E[tr((Z Z^T)^-1)] = n / (s - n - 1) for s >= n + 2, both infinite for
+    |s - n| <= 1 (the inverse-Wishart mean; Edelman 1988 for the smallest
+    singular value of a square Gaussian matrix).  So V = sigma^2 tr(Q), and
+    R with it, has no finite mean there, and a cell's mean and stderr do not
+    settle as replicates grow; its median does.
+    """
     by_s = {}
     for rec in records:
         if rec.error:
@@ -282,23 +295,27 @@ def aggregate(records) -> list:
 
         def stat(attr):
             vals = np.array([getattr(g, attr) for g in group], dtype=float)
-            mean = float(np.nanmean(vals)) if np.any(np.isfinite(vals)) else NAN
+            if np.any(np.isfinite(vals)):
+                mean, median = float(np.nanmean(vals)), float(np.nanmedian(vals))
+            else:
+                mean = median = NAN
             if r >= 2 and np.all(np.isfinite(vals)):
                 se = float(vals.std(ddof=1) / math.sqrt(r))
             else:
                 se = NAN
-            return mean, se
+            return mean, se, median
 
-        B, B_se = stat("B")
-        V, V_se = stat("V")
-        M, M_se = stat("M")
-        R, R_se = stat("R")
-        bb, _ = stat("bias_bound")
-        vb, _ = stat("variance_bound")
+        B, B_se, B_med = stat("B")
+        V, V_se, V_med = stat("V")
+        M, M_se, _ = stat("M")
+        R, R_se, R_med = stat("R")
+        bb, _, _ = stat("bias_bound")
+        vb, _, _ = stat("variance_bound")
         out.append(SweepSummary(s=s, sigma0_sq=group[0].sigma0_sq, replicates=r,
-                                B_mean=B, B_se=B_se, V_mean=V, V_se=V_se,
-                                M_mean=M, M_se=M_se, R_mean=R, R_se=R_se,
-                                bias_bound_mean=bb, variance_bound_mean=vb))
+                                B_mean=B, B_se=B_se, B_median=B_med, V_mean=V, V_se=V_se,
+                                V_median=V_med, M_mean=M, M_se=M_se, R_mean=R, R_se=R_se,
+                                R_median=R_med, bias_bound_mean=bb,
+                                variance_bound_mean=vb))
     return out
 
 
@@ -379,7 +396,10 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        "eigenpairs phi phi^T = U D U^T where d_min / d_max > "
                        f"eps / {ROW_BASIS_DEFECT:g}, else the thin QR of phi^T) and "
                        "takes W's complement for its risk split from weights-complement "
-                       "as one p x (rank + 1) standard normal draw",
+                       "as one p x n standard normal draw H1, then one p-vector h: with "
+                       "the design's thin SVD U Sigma V^T and the fit's coefficient error "
+                       "e = V a + e_perp, W's complement times [V, e] is "
+                       "(I - R R^T) [H1 U, H1 U a + ||e_perp|| h]",
         "grid": list(cfg.s_grid),
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,

@@ -11,7 +11,9 @@ integrates over, takes an unrealizable target's best in-span fit b* from
 the target, and either integrates the label noise per test point or redraws
 the labels by Monte Carlo.  `kernel_eval` is the kernel the sampled
 features approximate, the oracle the feature tests compare inner products of
-feature rows against.
+feature rows against.  `svd_reference` factors a design by LAPACK's SVD
+alone, the route `svd_factors` takes past its Gram switch, so a test can
+force that route on a design the switch would send to the Gram.
 
 pytest does not collect this module (its name does not start with test_);
 the test modules import it.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisyrf.estimator import svd_factors
+from noisyrf.estimator import SvdFactors, default_rtol, svd_factors
 from noisyrf.features import FeatureEnsemble, noise_matrix
 from noisyrf.risk import TARGET_NOISE_MODES, TargetFunction, target_train_values
 from noisyrf.spectral import (Spectrum, eigenfeature_matrix, eigenfunction_values,
@@ -90,6 +92,19 @@ def kernel_eval(spectrum: Spectrum, mode: str, x, y):
         raise ValueError("x and y batches must have equal length")
     vals = np.einsum("ij,j,ij->i", Vx, spectrum.eigenvalues, Vy)
     return vals if vals.size > 1 else float(vals[0])
+
+
+def svd_reference(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
+    """`svd_factors(Z, rtol)` by LAPACK's SVD of Z, whatever Z's shape and
+    conditioning: the same cutoff rtol * sv_max, no Gram."""
+    Z = np.asarray(Z, dtype=float)
+    if rtol is None:
+        rtol = default_rtol(*Z.shape)
+    U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
+    cutoff = rtol * float(sv[0]) if sv.size else 0.0
+    keep = sv > cutoff
+    return SvdFactors(U=U[:, keep], sv=sv[keep], V=Vt.T[:, keep],
+                      rank=int(np.count_nonzero(keep)), cutoff=cutoff)
 
 
 def standalone_best_fit(ens: FeatureEnsemble, t: TargetFunction, q: float):

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from noisyrf.estimator import default_rtol, projector_diag, ridge_fit, svd_factors
+from noisyrf import sweep as sweep_mod
+from noisyrf.config import preset_config
+from noisyrf.estimator import (GRAM_RTOL, default_rtol, projector_diag, ridge_fit,
+                               svd_factors)
 from noisyrf.seeding import seed_stream
+from sampled_reference import svd_reference
+
+EPS = np.finfo(float).eps
 
 
 def pinv_oracle(Z, tol=1e-11):
@@ -78,7 +84,8 @@ class TestMnlsFit:
             shapes.add("wide" if n < s else "tall" if n > s else "square")
             np.testing.assert_allclose(fit(Z, Y), min_norm_oracle(Z, Y),
                                        atol=1e-8, rtol=1e-8)
-        # a wide design is factored through its transpose: both branches ran
+        # a wide design is factored through its Gram or its transpose: both
+        # the wide and the tall branch ran
         assert {"tall", "wide"} <= shapes
 
     def test_row_space_membership(self):
@@ -115,8 +122,9 @@ class TestMnlsFit:
 
 class TestSvdFactors:
     @pytest.mark.parametrize("rank", [None, 5])
-    def test_wide_design_through_its_transpose(self, rank):
-        # n < s is factored as Z^T; the factors must still describe Z itself
+    def test_wide_design_through_its_gram_or_transpose(self, rank):
+        # n < s is factored through Z Z^T at full rank and as Z^T at rank 5;
+        # the factors must still describe Z itself
         rng = seed_stream(120, rank or 0)
         n, s = 20, 300
         Z = rng.standard_normal((n, s))
@@ -131,6 +139,108 @@ class TestSvdFactors:
         assert f.rank == tall.rank == (rank or n)
         np.testing.assert_allclose(f.sv, tall.sv, rtol=1e-13, atol=1e-13 * f.sv[0])
         assert np.all(np.diff(f.sv) <= 0)
+
+
+def conditioned_design(n, s, cond, seed):
+    """An n x s design with singular values spread geometrically from 1 to
+    1 / cond, between random orthonormal bases."""
+    rng = seed_stream(seed, "conditioned")
+    left = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((s, n)))[0]
+    return (left * np.geomspace(1.0, 1.0 / cond, n)) @ right.T
+
+
+def invariant_forms(f, Y):
+    """Z^+ Y, U Sigma^-2 U^T and V V^T: what the factors give whatever basis
+    the factorization picked."""
+    return f.apply_pinv(Y), (f.U / f.sv ** 2) @ f.U.T, f.V @ f.V.T
+
+
+class _Captured(Exception):
+    pass
+
+
+def preset_design(monkeypatch, s, seed=7):
+    """The design one replicate-0 cell of the double-descent preset fits."""
+    def capture(ensemble, *args, **kwargs):
+        raise _Captured(ensemble.design)
+
+    cfg = preset_config("double-descent-default", {"master_seed": seed})
+    with monkeypatch.context() as m:
+        m.setattr(sweep_mod, "decompose", capture)
+        with pytest.raises(_Captured) as exc:
+            sweep_mod.compute_row(cfg, cfg.s_grid.index(s), 0)
+    return exc.value.args[0]
+
+
+class TestGramRoute:
+    """A wide design is factored through its n x n Gram where eps d_max / d_min
+    <= GRAM_RTOL; the error of every form read off the factors then grows
+    like eps cond(Z)^2 = eps d_max / d_min, against eps cond(Z) for the SVD."""
+
+    # cond(Z) 100 and 600 pass the switch (eps cond^2 = 2.2e-12 and 8.0e-11);
+    # 700 and 1e4 fail it (1.1e-10 and 2.2e-8) and keep the SVD
+    @pytest.mark.parametrize("cond,route", [(100.0, "gram"), (600.0, "gram"),
+                                            (700.0, "svd"), (1e4, "svd")])
+    def test_both_sides_of_the_switch_match_the_svd(self, linalg_calls, cond, route):
+        n, s = 20, 300
+        assert (EPS * cond ** 2 <= GRAM_RTOL) == (route == "gram")
+        # the bound's error, eps cond^2 on the Gram side and eps cond on the
+        # SVD side, with a factor 4 for the constants the bound leaves out
+        tol = 4 * EPS * (cond ** 2 if route == "gram" else cond)
+        for seed in range(3):
+            Z = conditioned_design(n, s, cond, seed)
+            Y = seed_stream(seed, "labels").standard_normal((n, 3))
+            calls = linalg_calls("svd", "eigh")
+            f = svd_factors(Z)
+            assert calls == {"svd": int(route == "svd"), "eigh": 1}
+            assert f.rank == n and f.U.shape == (n, n) and f.V.shape == (s, n)
+            assert np.all(np.diff(f.sv) <= 0)
+            ref = svd_reference(Z)
+            for got, want in zip(invariant_forms(f, Y), invariant_forms(ref, Y)):
+                assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+            np.testing.assert_allclose(f.sv, ref.sv, rtol=tol, atol=0)
+
+    def test_preset_wide_cell_runs_no_svd(self, monkeypatch, linalg_calls):
+        Z = preset_design(monkeypatch, 10000)
+        calls = linalg_calls("svd")
+        f = svd_factors(Z)
+        assert calls == {"svd": 0} and f.rank == 100
+
+    def test_preset_peak_cell_runs_the_svd(self, monkeypatch, linalg_calls):
+        # s = n: the design is square and its condition reaches 1e3-1e5
+        Z = preset_design(monkeypatch, 100)
+        calls = linalg_calls("svd")
+        svd_factors(Z)
+        assert calls == {"svd": 1}
+
+    def test_rank_deficient_wide_design_runs_the_svd(self, linalg_calls):
+        # the Gram of a rank-5 design has 15 eigenvalues at rounding level
+        Z = rank_deficient(seed_stream(140), 20, 300, 5)
+        calls = linalg_calls("svd")
+        f = svd_factors(Z)
+        assert calls == {"svd": 1} and f.rank == 5
+
+    def test_cutoff_that_would_drop_a_direction_keeps_the_svd(self, linalg_calls):
+        # cond 10 passes the Gram bound, but rtol = 0.5 cuts the singular
+        # values below half the top one, which only the SVD route drops
+        Z = conditioned_design(20, 300, 10.0, 141)
+        calls = linalg_calls("svd")
+        f = svd_factors(Z, rtol=0.5)
+        assert calls == {"svd": 1}
+        assert f.rank == int(np.count_nonzero(np.geomspace(1.0, 0.1, 20) > 0.5))
+
+    @pytest.mark.parametrize("shape", [(20, 300), (300, 20)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_refused_by_name(self, linalg_calls, shape, bad):
+        # a NaN design failed in LAPACK with "SVD did not converge"; neither
+        # route reaches a factorization
+        Z = seed_stream(142).standard_normal(shape)
+        Z[3, 7] = bad
+        calls = linalg_calls("svd", "eigh")
+        with pytest.raises(ValueError, match="design has a NaN or infinite entry"):
+            svd_factors(Z)
+        assert calls == {"svd": 0, "eigh": 0}
 
 
 class TestRidgeFit:

@@ -94,7 +94,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "9",
+        manifest = {"artifact_version": "10",
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -108,7 +108,7 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'9'" in str(exc.value)
+        assert "'1'" in str(exc.value) and "'10'" in str(exc.value)
 
     def test_version_3_manifest_gets_the_version_error(self):
         # a version "3" config block still holds the retired lower_multiplier;
@@ -119,7 +119,7 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '9'; "
+            "manifest artifact_version '3' does not match this code's '10'; "
             "its draws would differ"]
 
     def test_version_6_manifest_gets_the_version_error(self):
@@ -131,7 +131,7 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '6' does not match this code's '9'; "
+            "manifest artifact_version '6' does not match this code's '10'; "
             "its draws would differ"]
 
     def test_version_8_manifest_gets_the_version_error(self):
@@ -142,7 +142,19 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '8' does not match this code's '9'; "
+            "manifest artifact_version '8' does not match this code's '10'; "
+            "its draws would differ"]
+
+    def test_version_9_manifest_gets_the_version_error(self):
+        # version "9" row-space cells attached W's complement draw to the
+        # design's right singular vectors V; this code attaches it to the left
+        # ones U, so the complement is another draw
+        manifest = {"artifact_version": "9",
+                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
+        with pytest.raises(ValidationError) as exc:
+            parse_config(manifest)
+        assert exc.value.errors == [
+            "manifest artifact_version '9' does not match this code's '10'; "
             "its draws would differ"]
 
     @pytest.mark.parametrize("key,value", [
@@ -491,6 +503,35 @@ class TestSweep:
         assert out[1].replicates == 1
         assert math.isnan(out[1].B_se)  # one replicate has no spread estimate
 
+    def test_aggregate_medians(self):
+        # each median column is np.median over the cell's replicate rows, the
+        # failed row skipped; heavy tails (a peak cell's V) move the mean and
+        # not the median
+        rng = seed_stream(5, "medians")
+        records = []
+        for s, reps in ((8, 5), (16, 4)):
+            for rep in range(reps):
+                B, V = rng.exponential(), rng.pareto(0.8)
+                records.append(SweepRecord(
+                    s=s, replicate=rep, sigma0_sq=0.1, k_star=None, B=B, B_se=0.0,
+                    V=V, V_se=0.0, M=0.0, M_se=0.0, R=B + V, R_se=0.0, bias_bound=NAN,
+                    variance_bound=NAN, regime="benign", wall_ms=NAN))
+        records.append(SweepRecord(s=8, replicate=5, sigma0_sq=0.1, k_star=None, B=NAN,
+                                   B_se=NAN, V=NAN, V_se=NAN, M=NAN, M_se=NAN, R=NAN,
+                                   R_se=NAN, bias_bound=NAN, variance_bound=NAN,
+                                   regime="benign", wall_ms=NAN, error="boom"))
+        out = aggregate(records)
+        assert [a.s for a in out] == [8, 16]
+        for summary in out:
+            rows = [r for r in records if r.s == summary.s and not r.error]
+            for col in ("B", "V", "R"):
+                assert getattr(summary, col + "_median") == np.median(
+                    [getattr(r, col) for r in rows])
+        text = aggregate_csv(out).splitlines()
+        header = text[0].split(",")
+        assert {"B_median", "V_median", "R_median"} <= set(header)
+        assert float(text[1].split(",")[header.index("R_median")]) == out[0].R_median
+
     def test_emit_outputs_artifacts(self, tmp_path):
         cfg = small_cfg()
         result = run_sweep(cfg)
@@ -504,12 +545,12 @@ class TestSweep:
         curve_first = open(paths["curve"]).read().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
         manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "9"
+        assert manifest["artifact_version"] == "10"
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
         # the label noise is integrated, so no stream is drawn for it
         assert "purposes: covariates, weights, weights-complement, feature-noise, " \
             "target; " in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "9"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "10"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -673,6 +714,37 @@ class TestSweep:
                                  env=env, check=True, timeout=300)
             runs.append(json.loads(out.stdout))
         np.testing.assert_allclose(runs[0], runs[1], rtol=1e-9, atol=0)
+
+    def test_gram_route_cells_repeat_across_blas_thread_counts(self):
+        # these wide designs are factored through their Gram (no SVD runs),
+        # whose eigenvectors rotate inside a cluster of close eigenvalues with
+        # the BLAS thread count.  The split reads only basis-invariant forms,
+        # and W's complement is drawn against the design's rows, not against
+        # those eigenvectors; 1e-9 is perfbench's pool-vs-serial bound
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        code = ("import json\n"
+                "import numpy as np\n"
+                "from noisyrf.config import preset_config\n"
+                "from noisyrf.sweep import compute_row\n"
+                "svd = np.linalg.svd\n"
+                "calls = []\n"
+                "np.linalg.svd = lambda *a, **k: calls.append(1) or svd(*a, **k)\n"
+                "rows = []\n"
+                "for seed in (7, 13):\n"
+                "    cfg = preset_config('double-descent-default', {'master_seed': seed})\n"
+                "    for s in (133, 1000, 10000):\n"
+                "        rec = compute_row(cfg, cfg.s_grid.index(s), 0)\n"
+                "        rows.append([rec.B, rec.V, rec.R])\n"
+                "print(json.dumps({'svd_calls': len(calls), 'rows': rows}))\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, check=True, timeout=300)
+            runs.append(json.loads(out.stdout))
+        assert [run["svd_calls"] for run in runs] == [0, 0]
+        np.testing.assert_allclose(runs[0]["rows"], runs[1]["rows"], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("s", [10, 1778])
     def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, s):
@@ -880,7 +952,7 @@ class TestCli:
         capsys.readouterr()
         replay = tmp_path / "replay"
         assert main(["sweep", "--config", str(old), "--out-dir", str(replay)]) == 1
-        assert "'5' does not match this code's '9'" in capsys.readouterr().err
+        assert "'5' does not match this code's '10'" in capsys.readouterr().err
         assert not replay.exists()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):

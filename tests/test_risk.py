@@ -19,7 +19,7 @@ from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (eigenfeature_matrix, make_spectrum, numerical_support,
                               sample_covariates)
 from sampled_reference import (TestSample, draw_test_sample, sampled_decompose,
-                               standalone_best_fit)
+                               standalone_best_fit, svd_reference)
 
 MODE = "eigencoordinate"
 
@@ -1160,6 +1160,45 @@ class TestBestInSpanFit:
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
 
+# the largest relative difference in B, V, M and R between a wide cell's
+# Gram route and LAPACK's SVD: both are within eps cond(Z)^2 <= 1e-10 of the
+# exact split (estimator.svd_factors)
+ROUTE_RTOL = 1e-10
+
+
+class TestFactorizationRoute:
+    """A wide design's split does not depend on which route factored it."""
+
+    @staticmethod
+    def _assert_same_split(monkeypatch, linalg_calls, decompose_once):
+        calls = linalg_calls("svd")
+        gram = decompose_once()
+        assert calls == {"svd": 0}
+        with monkeypatch.context() as m:
+            m.setattr(risk_mod, "svd_factors", svd_reference)
+            forced = decompose_once()
+        assert calls == {"svd": 1} and forced.rank == gram.rank
+        for field in ("bias", "variance", "misspec", "total"):
+            np.testing.assert_allclose(getattr(gram, field), getattr(forced, field),
+                                       rtol=ROUTE_RTOL, atol=0, err_msg=field)
+
+    @pytest.mark.parametrize("s", [133, 1000])
+    def test_row_space_cell(self, monkeypatch, linalg_calls, s):
+        # each call gets its own copy of the cell's weights: the same
+        # complement draw, attached to each route's own basis
+        args, kwargs = preset_cell(monkeypatch, s)
+        assert isinstance(args[0].weights, RowSpaceWeights)
+        self._assert_same_split(monkeypatch, linalg_calls,
+                                lambda: decompose_cell(args, **kwargs))
+
+    @pytest.mark.parametrize("clean_test", [False, True])
+    def test_unrealizable_cell(self, monkeypatch, linalg_calls, clean_test):
+        ens = mk_ensemble(40, 300, p=600, alpha=0.5, seed=12)
+        t = make_target("unrealizable", ens, 1.0, seed_stream(12, "t"))
+        self._assert_same_split(monkeypatch, linalg_calls,
+                                lambda: decompose(ens, t, 0.5, clean_test=clean_test))
+
+
 def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode, kind="polynomial"):
     """(B, V, R) of one closed-form cell whose weights take `route`: the dense
     p x s W, or G = R^T W with W's complement drawn by the risk split.  Its
@@ -1247,7 +1286,7 @@ class TestRowSpaceRoute:
                            complement_rng=rng).weights.basis
         gram = np.zeros((r + 1, r + 1))
         for _ in range(draws):
-            WC = RowSpaceWeights(R, G, rng).times(V, e)
+            WC = RowSpaceWeights(R, G, rng).times(V, np.eye(n, r), e)
             np.testing.assert_allclose(R.T @ WC, G @ C, rtol=1e-10, atol=1e-10)
             M = WC - R @ (G @ C)
             gram += M.T @ M
@@ -1256,6 +1295,26 @@ class TestRowSpaceRoute:
         se = np.sqrt((p - n) * (S ** 2 + np.outer(np.diag(S), np.diag(S))) / draws)
         assert np.all(np.abs(gram / draws - (p - n) * S) <= LAW_Z * se)
 
+    def test_product_transforms_with_the_basis(self):
+        # (V O, U O) for an orthogonal O: the same complement draw gives the
+        # (V, U) product times O, and e's column unchanged, so a factorization
+        # that picks other signs or rotates a cluster gives the same row
+        n, p, s, r = 6, 30, 40, 4
+        phi = seed_stream(3, "phi").standard_normal((n, p))
+        G = sample_weights(n, s, seed_stream(3, "g"))
+        R = build_ensemble(make_spectrum("polynomial", p, gamma=2.0), MODE, phi, G,
+                           complement_rng=seed_stream(3, "unused")).weights.basis
+        V = np.linalg.qr(seed_stream(3, "v").standard_normal((s, r)))[0]
+        U = np.linalg.qr(seed_stream(3, "u").standard_normal((n, r)))[0]
+        O = np.linalg.qr(seed_stream(3, "o").standard_normal((r, r)))[0]
+        e = V @ seed_stream(3, "a").standard_normal(r) \
+            + 0.5 * seed_stream(3, "e").standard_normal(s)
+        WC = RowSpaceWeights(R, G, seed_stream(3, "complement")).times(V, U, e)
+        turned = RowSpaceWeights(R, G, seed_stream(3, "complement")).times(V @ O, U @ O, e)
+        scale = np.abs(WC).max()
+        np.testing.assert_allclose(turned[:, :r], WC[:, :r] @ O, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(turned[:, r], WC[:, r], rtol=0, atol=1e-13 * scale)
+
     def test_second_product_raises(self):
         ens = build_ensemble(make_spectrum("polynomial", 30, gamma=2.0), MODE,
                              seed_stream(2, "phi").standard_normal((6, 30)),
@@ -1263,9 +1322,9 @@ class TestRowSpaceRoute:
                              complement_rng=seed_stream(2, "complement"))
         V = np.linalg.qr(seed_stream(2, "v").standard_normal((40, 3)))[0]
         e = seed_stream(2, "e").standard_normal(40)
-        ens.weights.times(V, e)
+        ens.weights.times(V, np.eye(6, 3), e)
         with pytest.raises(RuntimeError, match="already drawn"):
-            ens.weights.times(V, e)
+            ens.weights.times(V, np.eye(6, 3), e)
         # nor can the sampled reference draw a test sample, which needs the dense W
         with pytest.raises(TypeError):
             draw_test_sample(ens, 5, seed_stream(2, "tf"))
