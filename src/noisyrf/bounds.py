@@ -203,11 +203,11 @@ def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: flo
     n entries).  Each s gets sigma0_sq = s**(-alpha), lambda_W at the Bai-Yin
     edge (sqrt(p) + sqrt(s))^2 of a Gaussian p x s W's squared top singular
     value, and the projector norm pinned at its worst case 1.  Below the
-    interpolation threshold the bias column is an illustrative out-of-span
-    proxy 0.1 * sigma_sq * (n / s); it is marked by the classical regime label
-    and is not a stated bound.  Above the threshold the bias column is the
-    formula value itself; the k_star column reports whether its hypothesis
-    held (nan when not).
+    interpolation threshold (s < n) the fit has no null space, the bound
+    speaks about nothing, and the bias column and the total read nan, as
+    `bound_report` leaves a sweep row's bias bound where it states none.
+    From the threshold on the bias column is the formula value itself; the
+    k_star column reports whether its hypothesis held (nan when not).
     """
     trace, _ = trace_and_rank(spectrum)
     op = float(spectrum.eigenvalues[0])
@@ -223,10 +223,7 @@ def double_descent_curve(spectrum: Spectrum, n: int, alpha: float, sigma_sq: flo
         ks = k_star(lambda_hat, sigma0_sq, n, a)
         var = variance_bound(sigma_sq, trace, s, n)
         reg = regime_classify(n, s)
-        if s < n:
-            bias = 0.1 * sigma_sq * (n / s)
-        else:
-            bias = _bias_formula(inputs)
+        bias = float("nan") if s < n else _bias_formula(inputs)
         points.append(CurvePoint(s=s, sigma0_sq=sigma0_sq, k_star=ks, bias_bound=bias,
                                  variance_bound=var, total=bias + var, regime=reg))
     return points

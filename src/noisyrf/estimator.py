@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import gram_eigh
+
 
 def default_rtol(n: int, s: int) -> float:
     return 1e-10 * max(n, s)
@@ -39,33 +41,19 @@ class SvdFactors:
         return self.V @ ((self.U.T @ Y).T / self.sv).T
 
 
-# the largest eps d_max / d_min a wide design's Gram Z Z^T = U D U^T may have
-# for svd_factors to take its factors from that Gram (see svd_factors)
-GRAM_RTOL = 1e-10
-
-
 def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
     """The thin SVD Z = U diag(sv) V^T restricted to the singular values above
     rtol * sv_max, sv descending; a design with a NaN or infinite entry is
     refused with a ValueError.
 
     A wide design (n < s) is factored through its n x n Gram where that Gram
-    is well conditioned.  One syrk gives M = Z Z^T and `np.linalg.eigh`
-    M = U D U^T; then sv = sqrt(d), and V^T = U^T Z / sv, scaled in place.  The
-    bound: M is formed with an error of a small multiple of eps ||Z||^2 =
-    eps d_max, and eigh is backward stable, so its (U, D) are exact for a
-    Gram E away from Z Z^T with ||E|| about eps d_max.  Each d_i is then off
-    by about eps d_max absolute, eps d_max / d_i relative, and M^-1 by about
-    eps d_max / d_min = eps cond(Z)^2 relative.  Z^+ Y = Z^T M^-1 Y,
-    U Sigma^-2 U^T = M^-1 and V V^T = Z^T M^-1 Z, the forms the risk split
-    reads, all carry that error, and so does V's orthonormality:
-    V^T V = Sigma^-1 U^T M U Sigma^-1 is off from I by about eps d_max /
-    sqrt(d_i d_j).  The SVD's error is eps cond(Z) instead.  So the Gram
-    route runs only where the Gram's own eigenvalues show d_min > 0 and
-    eps d_max / d_min <= GRAM_RTOL (1e-10, 10x inside the 1e-9 at which
-    sweeps are checked to repeat), that is cond(Z) up to about 670, and
-    rtol sv_max < sv_min, so that every direction is kept and the rank is
-    n.  Everywhere else, and for every tall design, LAPACK's SVD runs: on
+    passes `GramEigen.well_conditioned` (eps d_max / d_min <= 1e-10, cond(Z)
+    up to about 670) and rtol sv_max < sv_min, so that every direction is
+    kept and the rank is n: `spectral.gram_eigh` gives Z Z^T = U D U^T (one
+    syrk, one eigh), then sv = sqrt(d) and V^T = U^T Z / sv, scaled in
+    place.  The forms the risk split reads, Z^+ Y, U Sigma^-2 U^T and V V^T,
+    then carry about eps cond(Z)^2 (see `GramEigen`).  Everywhere else, and
+    for every tall design, LAPACK's SVD runs, whose error is eps cond(Z): on
     the tall transpose Z^T = V S U^T for a wide design (LAPACK's path for a
     wide matrix is about twice as slow as the same call on its transpose),
     on Z itself for a tall one.  That covers the peak s ~ n, where cond(Z)
@@ -85,12 +73,11 @@ def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
     if not np.isfinite(Z).all():
         raise ValueError("design has a NaN or infinite entry")
     if n < s:
-        d, U = np.linalg.eigh(Z @ Z.T)  # numpy runs Z Z^T as a syrk
-        d_min, d_max = float(d[0]), float(d[-1])
-        if d_min > 0 and np.finfo(float).eps * d_max <= GRAM_RTOL * d_min \
-                and rtol * math.sqrt(d_max) < math.sqrt(d_min):
-            sv = np.sqrt(d[::-1])
-            U = np.ascontiguousarray(U[:, ::-1])
+        gram = gram_eigh(Z)
+        d = gram.values
+        if gram.well_conditioned and rtol * math.sqrt(d[0]) < math.sqrt(d[-1]):
+            sv = np.sqrt(d)
+            U = np.ascontiguousarray(gram.vectors)
             # taken as the n x s U^T Z: on two OpenBLAS threads the s x n
             # product Z^T U left up to 16 MB resident after it was freed
             Vt = U.T @ Z

@@ -29,11 +29,6 @@ _ROOT3 = math.sqrt(3.0)
 # W is drawn in blocks of this many columns; block j comes from child j of the
 # weight generator's seed sequence, so any block can be regenerated on its own
 WEIGHT_BLOCK = 256
-# The largest orthonormality defect max |R^T R - I| that `row_space_factor`
-# accepts from the eigenpairs of phi phi^T; the Gram condition number it
-# allows follows from the defect's size, about eps * d_max / d_min
-ROW_BASIS_DEFECT = 1e-10
-_MAX_GRAM_CONDITION = ROW_BASIS_DEFECT / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -226,21 +221,18 @@ def row_space_factor(phi: np.ndarray, gram: GramEigen) -> tuple[np.ndarray, np.n
     move, and that rotation would move G = R^T W with it.  U D^1/2 U^T and
     U D^-1/2 U^T do not depend on it, so Z repeats across thread counts.
 
-    R^T R = U D^-1/2 U^T phi phi^T U D^-1/2 U^T carries the eigensolver's
-    backward error, a small multiple of eps * d_max in each entry of
-    U^T phi phi^T U - D, divided by sqrt(d_i d_j), so R's orthonormality
-    defect max |R^T R - I| is about eps * d_max / d_min.  The switch: the
-    eigenpairs give the factor where that estimate stays within
-    ROW_BASIS_DEFECT (1e-10), i.e. where d_min / d_max > eps /
-    ROW_BASIS_DEFECT, about 2.2e-6.  A Gram that is singular or nearer to
-    it (p < n, a finite rank below n, an exponential or a steep polynomial
-    spectrum) takes the thin QR phi^T = R T instead, whose R is orthonormal
-    to rounding whatever phi's conditioning.
+    R's orthonormality defect max |R^T R - I| is about eps * d_max / d_min
+    (derived in `GramEigen`), so the eigenpairs give the factor where n <= p
+    and the Gram passes `GramEigen.well_conditioned`, which holds the
+    defect within 1e-10 (d_min / d_max above about 2.2e-6).  A Gram that is
+    singular or nearer to it (p < n, a finite rank below n, an exponential
+    or a steep polynomial spectrum) takes the thin QR phi^T = R T instead,
+    whose R is orthonormal to rounding whatever phi's conditioning.
     """
     n, p = phi.shape
-    d, U = gram.values, gram.vectors
-    if n <= p and d[-1] * _MAX_GRAM_CONDITION > d[0]:
-        root = np.sqrt(d)
+    if n <= p and gram.well_conditioned:
+        U = gram.vectors
+        root = np.sqrt(gram.values)
         return phi.T @ ((U / root) @ U.T), (U * root) @ U.T
     basis, tri = np.linalg.qr(phi.T)
     return basis, tri.T

@@ -139,14 +139,29 @@ TAIL_RTOL = 1e-12
 _DEGENERATE = "degenerate out-of-span draw; eigenvalues may vanish outside the span"
 
 
+def _upper_cholesky(X: np.ndarray) -> np.ndarray | None:
+    """The upper triangle U with U^T U = X, or None where X's Cholesky raises.
+    U = L^T is Fortran-ordered, so dtrtrs reads it without a copy."""
+    try:
+        return np.linalg.cholesky(X).T
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cho_solve(U: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(U^T U)^-1 b by two triangular solves on the upper triangle held in
+    the top rows of U, read in place."""
+    y, _ = dtrtrs(U, b, lower=0, trans=1)
+    x, _ = dtrtrs(U, y, lower=0, trans=0)
+    return x
+
+
 def _projection_pass(U: np.ndarray, W: np.ndarray, lam: np.ndarray,
                      c: np.ndarray) -> np.ndarray:
     """c - W (U^T U)^-1 W^T Lambda c: one pass of the span projection on the
     upper triangle U with U^T U = (sqrt(Lambda) W)^T (sqrt(Lambda) W), read in
-    place from the top s rows of U by two triangular solves."""
-    dx, _ = dtrtrs(U, W.T @ (lam * c), lower=0, trans=1)
-    dx, _ = dtrtrs(U, dx, lower=0, trans=0)
-    return c - W @ dx
+    place from the top s rows of U."""
+    return c - W @ _cho_solve(U, W.T @ (lam * c))
 
 
 def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
@@ -156,10 +171,8 @@ def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarra
     is tr, or None where H's Cholesky raises or the projected tail fails the
     orthogonality check (see `make_target`).  H is left as it is."""
     p, s = W.shape
-    try:
-        # L^T is Fortran-ordered, so dtrtrs reads it without a copy
-        U = np.linalg.cholesky(H).T
-    except np.linalg.LinAlgError:
+    U = _upper_cholesky(H)
+    if U is None:
         return None
     c0_energy = float(c @ (lam * c))
     # the second pass takes the first's error, about eps cond(H) relative, to
@@ -215,14 +228,10 @@ def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float,
     G = H
     G /= s
     G.flat[::s + 1] += q
-    try:
-        # L^T is Fortran-ordered, so dtrtrs reads it without a copy
-        U = np.linalg.cholesky(G).T
-    except np.linalg.LinAlgError:
+    U = _upper_cholesky(G)
+    if U is None:
         return None
-    y, _ = dtrtrs(U, beta, lower=0, trans=1)
-    x, _ = dtrtrs(U, y, lower=0, trans=0)
-    b_star = beta - q * x
+    b_star = beta - q * _cho_solve(U, beta)
     return b_star, q * float(beta @ b_star)
 
 

@@ -197,6 +197,11 @@ def eigenfeature_matrix(spectrum: Spectrum, mode: str, X) -> np.ndarray:
     return V * np.sqrt(spectrum.eigenvalues)
 
 
+# the largest eps d_max / d_min of a Gram whose eigenpairs may stand in for a
+# factorization of its rows (see GramEigen)
+GRAM_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class GramEigen:
     """The eigenpairs of the smaller Gram of n rows (an n x dim matrix).
@@ -205,6 +210,19 @@ class GramEigen:
     is rows^T rows, dim x dim.  `values` is d non-increasing as
     `np.linalg.eigh` returns it (a rounding-level negative stays) and
     `vectors` holds the matching orthonormal eigenvectors as columns.
+
+    A factor of the rows read off the eigenpairs costs accuracy.  M = rows
+    rows^T is formed, and eigh solves it, with a backward error of about
+    eps d_max, so d_i is off by about eps d_max / d_i relative.  Every form
+    read off the eigenpairs then carries about eps d_max / d_min =
+    eps cond(rows)^2: M^-1, rows^+ Y = rows^T M^-1 Y, and the orthonormality
+    of the basis rows^T U D^-1/2 (`estimator.svd_factors`' V) or
+    rows^T U D^-1/2 U^T (`features.row_space_factor`'s R), whose Gram is off
+    from I by about eps d_max / sqrt(d_i d_j).  An SVD or QR of the rows
+    errs by eps cond(rows) instead.  `well_conditioned` holds the error
+    within GRAM_RTOL = 1e-10, 10x inside the 1e-9 at which sweeps are
+    checked to repeat: cond(rows) up to about 670, d_min / d_max above
+    about 2.2e-6.
     """
 
     values: np.ndarray
@@ -217,6 +235,13 @@ class GramEigen:
         non-increasing and clipped at 0."""
         return np.clip(self.values / self.n, 0.0, None)
 
+    @property
+    def well_conditioned(self) -> bool:
+        """d_min > 0 and eps d_max <= GRAM_RTOL d_min: the one test under which
+        the eigenpairs stand in for a factorization of the rows."""
+        d_max, d_min = float(self.values[0]), float(self.values[-1])
+        return d_min > 0 and np.finfo(float).eps * d_max <= GRAM_RTOL * d_min
+
 
 def gram_eigh(feature_rows: np.ndarray) -> GramEigen:
     """One symmetric eigensolve of the smaller of the n x n Gram and the
@@ -224,7 +249,8 @@ def gram_eigh(feature_rows: np.ndarray) -> GramEigen:
 
     It is the one factorization behind both the empirical spectrum and the
     row-space basis of `features.row_space_factor`: a sweep cell runs it
-    once and hands the result to both.
+    once on phi and hands the result to both.  `estimator.svd_factors` runs
+    it on a wide design.
     """
     rows = np.asarray(feature_rows, dtype=float)
     if rows.ndim != 2:

@@ -24,14 +24,13 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
-from .features import (ROW_BASIS_DEFECT, WEIGHT_BLOCK, build_ensemble, make_noise_spec,
-                       sample_weights)
+from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
 from .risk import decompose, make_target
 from .seeding import seed_stream
 # empirical_covariance likewise: compute_row takes the spectrum from its own
 # gram_eigh call, whose eigenvectors it also needs; the tracer looks the name
 # up here
-from .spectral import (eigenfeature_matrix, empirical_covariance,  # noqa: F401
+from .spectral import (GRAM_RTOL, eigenfeature_matrix, empirical_covariance,  # noqa: F401
                        gram_eigh, make_spectrum, sample_covariates, trace_and_rank)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
@@ -394,7 +393,7 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        "(min(n, p) rows, the same column blocks; R an orthonormal basis "
                        "of the eigenfeature rows' span: R = phi^T U D^-1/2 U^T from the "
                        "eigenpairs phi phi^T = U D U^T where d_min / d_max > "
-                       f"eps / {ROW_BASIS_DEFECT:g}, else the thin QR of phi^T) and "
+                       f"eps / {GRAM_RTOL:g}, else the thin QR of phi^T) and "
                        "takes W's complement for its risk split from weights-complement "
                        "as one p x n standard normal draw H1, then one p-vector h: with "
                        "the design's thin SVD U Sigma V^T and the fit's coefficient error "

@@ -247,9 +247,10 @@ class TestDoubleDescentCurve:
         return double_descent_curve(sp, 100, alpha, 0.5, GRID, sp.eigenvalues[:100], **kw)
 
     def test_peak_at_interpolation_threshold(self):
+        # the rows below n state no bias bound, so their total is nan
         pts = self.curve()
         totals = [p.total for p in pts]
-        assert pts[int(np.argmax(totals))].s == 100
+        assert pts[int(np.nanargmax(totals))].s == 100
 
     def test_descent_minimum_strictly_inside(self):
         # restricted to s >= n the curve dips and comes back up before n^2
@@ -260,15 +261,21 @@ class TestDoubleDescentCurve:
 
     def test_total_is_sum(self):
         for p in self.curve():
-            assert p.total == p.bias_bound + p.variance_bound
+            if math.isfinite(p.bias_bound):
+                assert p.total == p.bias_bound + p.variance_bound
+            else:
+                assert math.isnan(p.total)
 
     def test_classical_proxy_and_regimes(self):
+        # below the threshold the fit has no null space: no bias bound, and
+        # no invented stand-in for one
         for p in self.curve():
             if p.s < 100:
                 assert p.regime == "classical"
-                assert p.bias_bound == pytest.approx(0.05 * 100 / p.s, rel=1e-14)
+                assert math.isnan(p.bias_bound) and math.isnan(p.total)
             else:
                 assert p.regime in ("threshold", "benign", "explosive")
+                assert math.isfinite(p.bias_bound) and math.isfinite(p.total)
 
     def test_noise_level_tracks_alpha(self):
         for p4, p05 in zip(self.curve(alpha=4.0), self.curve(alpha=0.5)):
@@ -308,7 +315,8 @@ class TestDoubleDescentCurve:
             sp, "eigencoordinate", 50, seed_stream(5, "curve")))
         b = double_descent_curve(sp, 50, 0.5, 0.5, [25, 50, 200], empirical_eigenvalues(
             sp, "eigencoordinate", 50, seed_stream(5, "curve")))
-        assert [p.total for p in a] == [p.total for p in b]
+        # s = 25 < n reads nan, which the comparison takes as equal to itself
+        np.testing.assert_array_equal([p.total for p in a], [p.total for p in b])
 
     def test_explicit_lambda_hat_honored(self):
         sp = make_spectrum("polynomial", 200, gamma=2.0)

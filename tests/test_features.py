@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noisyrf import features as features_mod
-from noisyrf.features import (ROW_BASIS_DEFECT, WEIGHT_BLOCK, build_ensemble,
-                              make_noise_spec, noise_matrix, row_space_factor,
-                              sample_weights)
+from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec,
+                              noise_matrix, row_space_factor, sample_weights)
 from noisyrf.seeding import seed_sequence, seed_stream
-from noisyrf.spectral import (eigenfeature_matrix, gram_eigh, make_spectrum,
+from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, gram_eigh, make_spectrum,
                               sample_covariates)
 from sampled_reference import kernel_eval
 
@@ -285,7 +284,7 @@ class TestRowSpaceFactor:
     """phi^T = R T from the Gram's eigenpairs, or from a QR past the switch."""
 
     # the eigenpairs give the factor below this Gram condition d_max / d_min
-    EDGE = ROW_BASIS_DEFECT / np.finfo(float).eps
+    EDGE = GRAM_RTOL / np.finfo(float).eps
 
     @pytest.mark.parametrize("seed", [7, 13])
     def test_preset_rows_take_the_eigenpairs(self, monkeypatch, seed):
@@ -297,7 +296,7 @@ class TestRowSpaceFactor:
         R, Tt, qr_calls = counted_factor(monkeypatch, phi)
         assert qr_calls == 0
         assert R.shape == (2000, 100) and Tt.shape == (100, 100)
-        assert defect(R) <= ROW_BASIS_DEFECT
+        assert defect(R) <= GRAM_RTOL
         np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-12 * np.abs(phi).max())
 
     @pytest.mark.parametrize("side,condition", [("eigh", 0.9), ("qr", 1.1)])
@@ -307,7 +306,7 @@ class TestRowSpaceFactor:
         phi = conditioned_rows(40, 300, condition * self.EDGE, seed=3)
         R, Tt, qr_calls = counted_factor(monkeypatch, phi)
         assert qr_calls == (1 if side == "qr" else 0)
-        assert defect(R) <= (ROW_BASIS_DEFECT if side == "eigh" else 1e-14)
+        assert defect(R) <= (GRAM_RTOL if side == "eigh" else 1e-14)
         np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-12 * np.abs(phi).max())
 
     @pytest.mark.parametrize("kind,n,p,params", [

@@ -532,6 +532,27 @@ class TestSweep:
         assert {"B_median", "V_median", "R_median"} <= set(header)
         assert float(text[1].split(",")[header.index("R_median")]) == out[0].R_median
 
+    def test_cells_next_to_n_have_no_mean(self):
+        # E[tr((Z Z^T)^-1)] is infinite at |s - n| <= 1 (see aggregate), so
+        # R's sample mean there (s = 19, 20, 21) never settles: its se / mean stays at or above
+        # SE_FLOOR from 40 to 400 replicates, where a law with a finite
+        # variance would fall like 1 / sqrt(replicates).  Away from n it
+        # settles: se / mean below SE_FLOOR / 4 at 400 replicates, and mean and
+        # median within MEDIAN_RTOL at both counts.
+        SE_FLOOR, MEDIAN_RTOL = 0.1, 0.15
+        n, grid, few, many = 20, [12, 19, 20, 21, 30], 40, 400
+        cfg = parse_config({"n": n, "p": 200, "s_grid": grid, "master_seed": 7,
+                            "ensemble_replicates": many}, None)
+        records = [compute_row(cfg, i, r) for i in range(len(grid)) for r in range(many)]
+        for reps in (few, many):
+            for cell in aggregate([r for r in records if r.replicate < reps]):
+                rel_se = cell.R_se / cell.R_mean
+                if abs(cell.s - n) <= 1:
+                    assert rel_se >= SE_FLOOR, (cell.s, reps, rel_se)
+                elif abs(cell.s - n) >= 3:
+                    assert abs(cell.R_mean / cell.R_median - 1) <= MEDIAN_RTOL, (cell.s, reps)
+                    assert reps == few or rel_se <= SE_FLOOR / 4, (cell.s, rel_se)
+
     def test_emit_outputs_artifacts(self, tmp_path):
         cfg = small_cfg()
         result = run_sweep(cfg)

@@ -16,7 +16,7 @@ from noisyrf.estimator import default_rtol, projector_diag, svd_factors
 from noisyrf.features import RowSpaceWeights, build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (eigenfeature_matrix, make_spectrum, numerical_support,
+from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, make_spectrum, numerical_support,
                               sample_covariates)
 from sampled_reference import (TestSample, draw_test_sample, sampled_decompose,
                                standalone_best_fit, svd_reference)
@@ -1160,12 +1160,6 @@ class TestBestInSpanFit:
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
 
-# the largest relative difference in B, V, M and R between a wide cell's
-# Gram route and LAPACK's SVD: both are within eps cond(Z)^2 <= 1e-10 of the
-# exact split (estimator.svd_factors)
-ROUTE_RTOL = 1e-10
-
-
 class TestFactorizationRoute:
     """A wide design's split does not depend on which route factored it."""
 
@@ -1178,9 +1172,11 @@ class TestFactorizationRoute:
             m.setattr(risk_mod, "svd_factors", svd_reference)
             forced = decompose_once()
         assert calls == {"svd": 1} and forced.rank == gram.rank
+        # both routes are within eps cond(Z)^2 <= GRAM_RTOL of the exact split
+        # (spectral.GramEigen)
         for field in ("bias", "variance", "misspec", "total"):
             np.testing.assert_allclose(getattr(gram, field), getattr(forced, field),
-                                       rtol=ROUTE_RTOL, atol=0, err_msg=field)
+                                       rtol=GRAM_RTOL, atol=0, err_msg=field)
 
     @pytest.mark.parametrize("s", [133, 1000])
     def test_row_space_cell(self, monkeypatch, linalg_calls, s):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from noisyrf.estimator import svd_factors
+from noisyrf.features import row_space_factor
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (eigenfeature_matrix, empirical_covariance,
-                              fourier_basis, make_spectrum, numerical_support,
+from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, empirical_covariance,
+                              fourier_basis, gram_eigh, make_spectrum, numerical_support,
                               sample_covariates, suggest_truncation, trace_and_rank)
 from sampled_reference import kernel_eval
 
@@ -262,3 +264,29 @@ class TestEmpiricalCovariance:
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
 
+
+class TestWellConditioned:
+    """The one switch of both wide factorizations read off a Gram's
+    eigenpairs: the design's SVD (`svd_factors`) and phi's row basis
+    (`row_space_factor`) take the Gram side together, or their own
+    fallbacks (LAPACK's SVD, the thin QR) together."""
+
+    # the Gram condition d_max / d_min at the switch's edge, about 4.5e5
+    EDGE = GRAM_RTOL / np.finfo(float).eps
+
+    @pytest.mark.parametrize("side,condition", [("gram", 0.9), ("fallback", 1.1)])
+    def test_both_callers_take_the_same_side(self, linalg_calls, side, condition):
+        # one 20 x 300 matrix, read as a design and as eigenfeature rows, with
+        # its Gram's eigenvalues geometric from 1 to 1 / (condition * EDGE)
+        n, s = 20, 300
+        rng = seed_stream(150, side)
+        left = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        right = np.linalg.qr(rng.standard_normal((s, n)))[0]
+        rows = (left * np.geomspace(1.0, (condition * self.EDGE) ** -0.5, n)) @ right.T
+        gram = gram_eigh(rows)
+        assert gram.well_conditioned == (side == "gram")
+        calls = linalg_calls("svd", "qr")
+        assert svd_factors(rows).rank == n
+        row_space_factor(rows, gram)
+        fallback = int(side == "fallback")
+        assert calls == {"svd": fallback, "qr": fallback}
