@@ -1,12 +1,12 @@
 """Minimum-norm least squares and ridge estimators, with rank diagnostics.
 
 The interpolating fit is `svd_factors(Z).apply_pinv(Y)`, the route
-`risk.decompose` runs: singular values at or below rtol * sigma_max are
-treated as zero, the remaining directions are inverted, and the result is the
-least-squares solution of minimum Euclidean norm.  A wide design whose n x n
-Gram is well conditioned is factored through that Gram's eigensolve, every
-other design by LAPACK's SVD; both give the same `SvdFactors` contract (see
-`svd_factors`).
+`risk.decompose` runs: singular values at or below the one rank cutoff,
+`default_rtol(n, s)` * sigma_max, are treated as zero, the remaining
+directions are inverted, and the result is the least-squares solution of
+minimum Euclidean norm.  A wide design whose n x n Gram is well conditioned
+is factored through that Gram's eigensolve, every other design by LAPACK's
+SVD; both give the same `SvdFactors` contract (see `svd_factors`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .spectral import gram_eigh
 
 
 def default_rtol(n: int, s: int) -> float:
+    """The rank cutoff of an n x s design, relative to its top singular
+    value."""
     return 1e-10 * max(n, s)
 
 
@@ -41,10 +43,10 @@ class SvdFactors:
         return self.V @ ((self.U.T @ Y).T / self.sv).T
 
 
-def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
+def svd_factors(Z: np.ndarray) -> SvdFactors:
     """The thin SVD Z = U diag(sv) V^T restricted to the singular values above
-    rtol * sv_max, sv descending; a design with a NaN or infinite entry is
-    refused with a ValueError.
+    rtol * sv_max with rtol = default_rtol(n, s), sv descending; a design
+    with a NaN or infinite entry is refused with a ValueError.
 
     A wide design (n < s) is factored through its n x n Gram where that Gram
     passes `GramEigen.well_conditioned` (eps d_max / d_min <= 1e-10, cond(Z)
@@ -66,10 +68,7 @@ def svd_factors(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
     """
     Z = np.asarray(Z, dtype=float)
     n, s = Z.shape
-    if rtol is None:
-        rtol = default_rtol(n, s)
-    if not (0.0 < rtol < 1.0):
-        raise ValueError("rtol must lie in (0, 1)")
+    rtol = default_rtol(n, s)
     if not np.isfinite(Z).all():
         raise ValueError("design has a NaN or infinite entry")
     if n < s:
@@ -127,7 +126,7 @@ class ProjectorDiag:
     rank: int
 
 
-def projector_diag(Z: np.ndarray, rtol: float | None = None) -> ProjectorDiag:
+def projector_diag(Z: np.ndarray) -> ProjectorDiag:
     """Operator norm and idempotency defect of the row-space defect projector.
 
     Pi vanishes exactly when the design has full column rank and is minus an
@@ -138,7 +137,7 @@ def projector_diag(Z: np.ndarray, rtol: float | None = None) -> ProjectorDiag:
     pi_norm = 1 when null_dim > 0.  It stays as the standalone diagnostic
     that checks that shortcut.
     """
-    f = svd_factors(Z, rtol)
+    f = svd_factors(Z)
     s = Z.shape[1]
     null_dim = s - f.rank
     if f.rank == 0:

@@ -24,12 +24,12 @@ feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 fit with penalty q_p.  `make_target` solves the projection and that fit from
 one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A: two projection
 passes on H's Cholesky factor, then a Cholesky of G = H / s + q_p I formed
-in H's place where one bound, eps (1 + tr(H) / (s q_p)) <= RIDGE_RTOL on
-G's condition, keeps the fit's error within RIDGE_RTOL (see `_ridge_fit`).
-Each solve falls back to a Householder QR on its own: the projection where
-H's factor or the projection's check fails (`_qr_projection`), the fit where
-the bound refuses (`_ridge_fit`).
-`decompose` reads b* off the target.
+in H's place where one bound, eps (1 + tr(H) / (s q_p)) <= GRAM_RTOL on
+G's condition, keeps the fit's error within the budget every Gram here is
+held to (`spectral.GramEigen`; see `_ridge_cholesky`).  Each solve falls
+back to a Householder QR on its own: the projection where H's factor or the
+projection's check fails (`_qr_projection`), the fit where the bound
+refuses (`_ridge_fit`).  `decompose` reads b* off the target.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from .estimator import SvdFactors, default_rtol, svd_factors
 from .features import FeatureEnsemble, column_product
+from .spectral import GRAM_RTOL
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
 TARGET_NOISE_MODES = ("shared", "fresh", "clean")
@@ -129,12 +130,12 @@ def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     return x, float(out[k, k] ** 2), out[:, :k]
 
 
-# the largest error bound on b* / ||beta_star|| the ridge step's Cholesky side
-# may carry (see _ridge_fit)
-RIDGE_RTOL = 1e-10
-# the largest ||W^T Lambda c|| / sqrt(tr(H) energy) the Gram projection may
-# leave (see make_target): 100x inside _tail_energy's 1e-10 and about 100x
-# above the rounding of W^T Lambda c itself, about sqrt(p) eps ~ 1e-14 at p = 2000
+# the largest ||W^T Lambda t|| / sqrt(tr(H) energy) of a tail t (see
+# _span_overlap) that decompose accepts as orthogonal to the feature span
+TAIL_ACCEPT_RTOL = 1e-10
+# the largest such ratio the Gram projection may leave (see make_target):
+# 100x inside TAIL_ACCEPT_RTOL and about 100x above the rounding of
+# W^T Lambda c itself, about sqrt(p) eps ~ 1e-14 at p = 2000
 TAIL_RTOL = 1e-12
 _DEGENERATE = "degenerate out-of-span draw; eigenvalues may vanish outside the span"
 
@@ -164,6 +165,15 @@ def _projection_pass(U: np.ndarray, W: np.ndarray, lam: np.ndarray,
     return c - W @ _cho_solve(U, W.T @ (lam * c))
 
 
+def _span_overlap(W: np.ndarray, lam: np.ndarray,
+                  t: np.ndarray) -> tuple[float, float]:
+    """(sum(lambda t^2), ||W^T Lambda t||): a tail's energy and its overlap
+    with the feature span in the population inner product, which both
+    orthogonality tests hold below a multiple of sqrt(tr(H) energy)."""
+    lam_t = lam * t
+    return float(t @ lam_t), float(np.linalg.norm(W.T @ lam_t))
+
+
 def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
                      tr: float) -> np.ndarray | None:
     """c with its feature-span part projected out by two passes on the
@@ -178,13 +188,12 @@ def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarra
     # the second pass takes the first's error, about eps cond(H) relative, to
     # its square
     c = _projection_pass(U, W, lam, _projection_pass(U, W, lam, c))
-    lam_c = lam * c
-    energy = float(c @ lam_c)
+    energy, overlap = _span_overlap(W, lam, c)
     # the projection only adds an in-span part to the true residual, so a
     # residual at rounding level here is one in exact arithmetic too
     if energy <= default_rtol(p, s) ** 2 * c0_energy:
         raise ValueError(_DEGENERATE)
-    if not float(np.linalg.norm(W.T @ lam_c)) <= TAIL_RTOL * math.sqrt(tr * energy):
+    if not overlap <= TAIL_RTOL * math.sqrt(tr * energy):
         return None
     return c
 
@@ -219,11 +228,13 @@ def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float,
                     tr: float) -> tuple[np.ndarray, float] | None:
     """(b*, rho^2) by the Cholesky side of the ridge step, or None where its
     switch refuses or G's Cholesky raises (see `_ridge_fit`).  tr is H's
-    trace.  The switch reads only tr, so a cell it refuses leaves H as it
-    is; otherwise G = H / s + q I is formed in H's place."""
+    trace.  G = H / s + q I is the Gram of the stack the QR side factors, so
+    the switch holds it to `spectral.GramEigen`'s budget: eps kappa <=
+    GRAM_RTOL with kappa = 1 + tr(H) / (s q) >= cond(G), kappa up to about
+    4.5e5.  It reads only tr, so a cell it refuses leaves H as it is;
+    otherwise G is formed in H's place."""
     s = beta.size
-    # kappa = 1 + tr(H) / (s q) >= cond(G)
-    if np.finfo(float).eps * (1.0 + tr / (s * q)) > RIDGE_RTOL:
+    if np.finfo(float).eps * (1.0 + tr / (s * q)) > GRAM_RTOL:
         return None
     G = H
     G /= s
@@ -245,22 +256,15 @@ def _ridge_fit(W: np.ndarray, lam: np.ndarray, beta: np.ndarray,
     The Cholesky side (`_ridge_cholesky`) forms G = A^T A + q I = H / s + q I
     in the place of H = s A^T A, factors G = L L^T on numpy's BLAS and sets
     b* = beta - q G^-1 beta by two triangular solves; rho^2 = q beta . b*,
-    the objective at the exact minimizer, off by at most q ||beta|| times
-    b*'s error.  The error bound: Cholesky's backward error leaves the
-    computed G^-1 beta off by about eps cond(G) relative, and q G^-1 has its
-    eigenvalues in (0, 1], so b* is off by at most about eps cond(G)
-    ||beta||, with cond(G) = (lambda_max(H) / s + q) / (lambda_min(H) / s +
-    q).
-
-    The ridge switch is one a-priori bound: the Cholesky side runs where
-    kappa = 1 + tr(H) / (s q) >= cond(G), from lambda_max(H) <= tr(H) =
-    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0, has eps kappa <=
-    RIDGE_RTOL = 1e-10, that is kappa up to about 4.5e5.  It reads only the
-    trace, before G is formed.  Where it refuses (large alpha, q tiny), and
-    where G's Cholesky raises LinAlgError, this QR runs instead: it works on
-    the square root of G's condition, and reads sqrt(Lambda) W itself, since
-    H carries rounding of about eps ||H||, which any factor of it would carry
-    into the fit at cond(G).
+    the objective at the exact minimizer.  Its switch reads the a-priori
+    bound kappa = 1 + tr(H) / (s q) >= cond(G) = (lambda_max(H) / s + q) /
+    (lambda_min(H) / s + q), from lambda_max(H) <= tr(H) =
+    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0, before G is formed.
+    Where it refuses (large alpha, q tiny), and where G's Cholesky raises
+    LinAlgError, this QR runs instead: it works on the square root of G's
+    condition, and reads sqrt(Lambda) W itself, since H carries rounding of
+    about eps ||H||, which any factor of it would carry into the fit at
+    cond(G).
     """
     p, s = W.shape
     scale = np.sqrt(lam / s)
@@ -320,15 +324,16 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     range; Fukaya et al. 2014).  The draw is degenerate where the projected
     energy sum(lambda c^2) <= default_rtol(p, s)^2 ||sqrt(Lambda) c_0||^2.
     L is released, and where the ridge switch's one bound, eps (1 + tr(H) /
-    (s q)) <= RIDGE_RTOL, holds, the fit factors G = H / s + q I, formed in
-    H's place (`_ridge_fit`).  The fallbacks, each for its own solve: where H's
-    Cholesky raises, or the projected tail fails ||W^T Lambda c|| <=
-    TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL = 1e-12, 100x inside the
-    1e-10 `decompose` demands, the projection reruns as one Householder QR
-    of [sqrt(Lambda) W | sqrt(Lambda) c] and a second pass on its triangle
-    (`_qr_projection`); where the ridge switch refuses or G's Cholesky
-    raises, the fit is one QR of the stack [A, A beta; sqrt(q) I, 0]
-    (`_ridge_fit`).  Both QRs run after H, or G in its place, is released.
+    (s q)) <= GRAM_RTOL, holds, the fit factors G = H / s + q I, formed in
+    H's place (`_ridge_cholesky`).  The fallbacks, each for its own solve:
+    where H's Cholesky raises, or the projected tail fails ||W^T Lambda c||
+    <= TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL = 1e-12, 100x inside the
+    TAIL_ACCEPT_RTOL = 1e-10 `decompose` demands, the projection reruns as
+    one Householder QR of [sqrt(Lambda) W | sqrt(Lambda) c] and a second
+    pass on its triangle (`_qr_projection`); where the ridge switch refuses
+    or G's Cholesky raises, the fit is one QR of the stack
+    [A, A beta; sqrt(q) I, 0] (`_ridge_fit`).  Both QRs run after H, or G in
+    its place, is released.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
@@ -397,12 +402,10 @@ def _tail_energy(ensemble: FeatureEnsemble, target: TargetFunction) -> float:
     tail that is not is refused with a ValueError."""
     lam = ensemble.spectrum.eigenvalues
     W = ensemble.weights
-    lam_tail = lam * target.tail_coeffs
-    energy = float(target.tail_coeffs @ lam_tail)
-    overlap = float(np.linalg.norm(W.T @ lam_tail))
-    # ||W^T Lambda t|| against ||sqrt(Lambda) W||_F ||sqrt(Lambda) t||
-    scale = math.sqrt(float(np.einsum("ij,ij->i", W, W) @ lam) * energy)
-    if not overlap <= 1e-10 * scale:
+    energy, overlap = _span_overlap(W, lam, target.tail_coeffs)
+    # tr(H) = ||sqrt(Lambda) W||_F^2
+    tr = float(np.einsum("ij,ij->i", W, W) @ lam)
+    if not overlap <= TAIL_ACCEPT_RTOL * math.sqrt(tr * energy):
         raise ValueError("unrealizable target's tail is not orthogonal to the feature span "
                          "in the population inner product; make_target draws one that is")
     return energy
@@ -440,8 +443,7 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
 
 
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float, *,
-              rtol: float | None = None, clean_test: bool = False,
-              target_noise: str = "fresh") -> RiskDecomposition:
+              clean_test: bool = False, target_noise: str = "fresh") -> RiskDecomposition:
     """Full risk decomposition, exact over the test population.
 
     The labels carry gaussian noise of finite variance `sigma_sq` >= 0,
@@ -453,7 +455,7 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
         raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq!r}")
     if target_noise not in TARGET_NOISE_MODES:
         raise ValueError("target_noise must be shared, fresh or clean")
-    f = svd_factors(ensemble.design, rtol)
+    f = svd_factors(ensemble.design)
     u_hat = f.apply_pinv(target_train_values(target, ensemble))
     q_p, q_x, q_t = _test_noise(ensemble, target, clean_test, target_noise)
     b_star = None

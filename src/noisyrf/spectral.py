@@ -223,6 +223,15 @@ class GramEigen:
     within GRAM_RTOL = 1e-10, 10x inside the 1e-9 at which sweeps are
     checked to repeat: cond(rows) up to about 670, d_min / d_max above
     about 2.2e-6.
+
+    `risk`'s ridge step holds its Cholesky side to the same budget.
+    G = A^T A + q I is the Gram of the stack [A; sqrt(q) I] that its QR side
+    factors.  Cholesky's backward error leaves the computed G^-1 beta off by
+    about eps cond(G) relative, and q G^-1 has its eigenvalues in (0, 1], so
+    b* = beta - q G^-1 beta is off by at most about eps cond(G) ||beta||.
+    The switch runs before G is formed, so it reads an upper bound kappa >=
+    cond(G) in place of d_max / d_min and asks eps kappa <= GRAM_RTOL
+    (`risk._ridge_cholesky`).
     """
 
     values: np.ndarray

@@ -231,8 +231,7 @@ def _failed_record(cfg: ExperimentConfig, s_index: int, replicate: int,
 
 
 def _row_task(payload):
-    cfg_dict, s_index, replicate = payload
-    cfg = ExperimentConfig(**cfg_dict)
+    cfg, s_index, replicate = payload
     start = time.perf_counter()
     try:
         record = compute_row(cfg, s_index, replicate)
@@ -248,7 +247,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every (s, replicate) cell; failures are captured per row, not raised."""
     if cfg.master_seed is None:
         raise ValueError("a sweep needs master_seed; artifacts must be replayable")
-    tasks = [(cfg.to_dict(), si, r)
+    tasks = [(cfg, si, r)
              for si in range(len(cfg.s_grid))
              for r in range(cfg.ensemble_replicates)]
     # under fork the pool starts every worker at the first submit, so a pool

@@ -94,14 +94,12 @@ def kernel_eval(spectrum: Spectrum, mode: str, x, y):
     return vals if vals.size > 1 else float(vals[0])
 
 
-def svd_reference(Z: np.ndarray, rtol: float | None = None) -> SvdFactors:
-    """`svd_factors(Z, rtol)` by LAPACK's SVD of Z, whatever Z's shape and
-    conditioning: the same cutoff rtol * sv_max, no Gram."""
+def svd_reference(Z: np.ndarray) -> SvdFactors:
+    """`svd_factors(Z)` by LAPACK's SVD of Z, whatever Z's shape and
+    conditioning: the same cutoff default_rtol(n, s) * sv_max, no Gram."""
     Z = np.asarray(Z, dtype=float)
-    if rtol is None:
-        rtol = default_rtol(*Z.shape)
     U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
-    cutoff = rtol * float(sv[0]) if sv.size else 0.0
+    cutoff = default_rtol(*Z.shape) * float(sv[0]) if sv.size else 0.0
     keep = sv > cutoff
     return SvdFactors(U=U[:, keep], sv=sv[keep], V=Vt.T[:, keep],
                       rank=int(np.count_nonzero(keep)), cutoff=cutoff)
@@ -146,8 +144,8 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: float,
                       sample: TestSample, rng: np.random.Generator | None = None,
-                      trials: int = 0, *, rtol: float | None = None,
-                      clean_test: bool = False, target_noise: str = "fresh") -> SampledSplit:
+                      trials: int = 0, *, clean_test: bool = False,
+                      target_noise: str = "fresh") -> SampledSplit:
     """The risk split averaged over `sample`.
 
     The sample must have been drawn with the same clean_test and target_noise.
@@ -160,7 +158,7 @@ def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: fl
         raise ValueError("target_noise must be shared, fresh or clean")
     if rng is not None and trials < 2:
         raise ValueError("monte-carlo needs at least 2 label redraws")
-    f = svd_factors(ens.design, rtol)
+    f = svd_factors(ens.design)
     u_hat = f.apply_pinv(target_train_values(target, ens))
     # each test point's prediction is linear in the labels: row i of G maps
     # a label vector to that point's prediction

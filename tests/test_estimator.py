@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
+from noisyrf import estimator as estimator_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
 from noisyrf.estimator import default_rtol, projector_diag, ridge_fit, svd_factors
@@ -66,10 +67,6 @@ class TestMnlsFit:
             assert f.rank == 0 and f.sv.shape == (0,)
             np.testing.assert_array_equal(f.apply_pinv(np.arange(1.0, n + 1)), np.zeros(s))
             np.testing.assert_array_equal(f.apply_pinv(np.ones((n, 4))), np.zeros((s, 4)))
-
-    def test_bad_rtol_rejected(self):
-        with pytest.raises(ValueError):
-            svd_factors(np.eye(2), rtol=1.5)
 
     def test_fuzz_against_eigh_oracle(self):
         rng = seed_stream(101)
@@ -221,12 +218,14 @@ class TestGramRoute:
         f = svd_factors(Z)
         assert calls == {"svd": 1} and f.rank == 5
 
-    def test_cutoff_that_would_drop_a_direction_keeps_the_svd(self, linalg_calls):
-        # cond 10 passes the Gram bound, but rtol = 0.5 cuts the singular
-        # values below half the top one, which only the SVD route drops
+    def test_cutoff_that_would_drop_a_direction_keeps_the_svd(self, monkeypatch,
+                                                              linalg_calls):
+        # cond 10 passes the Gram bound, but a cutoff rtol = 0.5 cuts the
+        # singular values below half the top one, which only the SVD route drops
         Z = conditioned_design(20, 300, 10.0, 141)
+        monkeypatch.setattr(estimator_mod, "default_rtol", lambda n, s: 0.5)
         calls = linalg_calls("svd")
-        f = svd_factors(Z, rtol=0.5)
+        f = svd_factors(Z)
         assert calls == {"svd": 1}
         assert f.rank == int(np.count_nonzero(np.geomspace(1.0, 0.1, 20) > 0.5))
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestConfig:
             parse_config({"n": 4, "p": 8, "s_grid": [2], "spectrum": {"rank": 3}})
 
     def test_manifest_replays(self):
-        manifest = {"artifact_version": "10",
+        manifest = {"artifact_version": config_mod.ARTIFACT_VERSION,
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9},
                     "timings_ms": {}}
         cfg = parse_config(manifest)
@@ -108,54 +109,32 @@ class TestConfig:
                     "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
-        assert "'1'" in str(exc.value) and "'10'" in str(exc.value)
+        assert "'1'" in str(exc.value)
+        assert f"'{config_mod.ARTIFACT_VERSION}'" in str(exc.value)
 
-    def test_version_3_manifest_gets_the_version_error(self):
+    @pytest.mark.parametrize("version,retired", [
         # a version "3" config block still holds the retired lower_multiplier;
         # the version check speaks before the unknown key can
-        manifest = {"artifact_version": "3",
-                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9,
-                               "lower_multiplier": 0.1}}
-        with pytest.raises(ValidationError) as exc:
-            parse_config(manifest)
-        assert exc.value.errors == [
-            "manifest artifact_version '3' does not match this code's '10'; "
-            "its draws would differ"]
-
-    def test_version_6_manifest_gets_the_version_error(self):
+        pytest.param("3", {"lower_multiplier": 0.1}, id="3"),
         # a version "6" config block still holds the retired multiplier keys
-        manifest = {"artifact_version": "6",
-                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9,
-                               "bias_multiplier": 1.0, "variance_multiplier": 1.0,
-                               "m0": None}}
-        with pytest.raises(ValidationError) as exc:
-            parse_config(manifest)
-        assert exc.value.errors == [
-            "manifest artifact_version '6' does not match this code's '10'; "
-            "its draws would differ"]
-
-    def test_version_8_manifest_gets_the_version_error(self):
+        pytest.param("6", {"bias_multiplier": 1.0, "variance_multiplier": 1.0, "m0": None},
+                     id="6"),
         # version "8" row-space cells took R from the thin QR of phi^T; this
         # code takes it from the Gram's eigenpairs, so their G is another draw
-        manifest = {"artifact_version": "8",
-                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
-        with pytest.raises(ValidationError) as exc:
-            parse_config(manifest)
-        assert exc.value.errors == [
-            "manifest artifact_version '8' does not match this code's '10'; "
-            "its draws would differ"]
-
-    def test_version_9_manifest_gets_the_version_error(self):
+        pytest.param("8", {}, id="8"),
         # version "9" row-space cells attached W's complement draw to the
         # design's right singular vectors V; this code attaches it to the left
         # ones U, so the complement is another draw
-        manifest = {"artifact_version": "9",
-                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9}}
+        pytest.param("9", {}, id="9"),
+    ])
+    def test_old_version_manifest_gets_the_version_error(self, version, retired):
+        manifest = {"artifact_version": version,
+                    "config": {"n": 4, "p": 8, "s_grid": [2], "master_seed": 9, **retired}}
         with pytest.raises(ValidationError) as exc:
             parse_config(manifest)
         assert exc.value.errors == [
-            "manifest artifact_version '9' does not match this code's '10'; "
-            "its draws would differ"]
+            f"manifest artifact_version '{version}' does not match this code's "
+            f"'{config_mod.ARTIFACT_VERSION}'; its draws would differ"]
 
     @pytest.mark.parametrize("key,value", [
         ("bias_multiplier", 1.0), ("variance_multiplier", 1.0), ("m0", 1.0),
@@ -559,14 +538,14 @@ class TestSweep:
         paths = emit_outputs(result, cfg, str(tmp_path))
         for key in ("sweep", "aggregate", "curve", "manifest"):
             assert os.path.exists(paths[key])
-        sweep_text = open(paths["sweep"]).read()
+        sweep_text = Path(paths["sweep"]).read_text()
         assert sweep_text.splitlines()[0] == ",".join(CSV_COLUMNS)
-        agg_text = open(paths["aggregate"]).read()
+        agg_text = Path(paths["aggregate"]).read_text()
         assert agg_text.splitlines()[0] == ",".join(AGGREGATE_COLUMNS)
-        curve_first = open(paths["curve"]).read().splitlines()[0]
+        curve_first = Path(paths["curve"]).read_text().splitlines()[0]
         assert curve_first == "s,sigma0_sq,k_star,bias_bound,variance_bound,total,regime"
-        manifest = json.load(open(paths["manifest"]))
-        assert manifest["artifact_version"] == "10"
+        manifest = json.loads(Path(paths["manifest"]).read_text())
+        assert manifest["artifact_version"] == config_mod.ARTIFACT_VERSION
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
         # the label noise is integrated, so no stream is drawn for it
         assert "purposes: covariates, weights, weights-complement, feature-noise, " \
@@ -973,7 +952,8 @@ class TestCli:
         capsys.readouterr()
         replay = tmp_path / "replay"
         assert main(["sweep", "--config", str(old), "--out-dir", str(replay)]) == 1
-        assert "'5' does not match this code's '10'" in capsys.readouterr().err
+        assert f"'5' does not match this code's '{config_mod.ARTIFACT_VERSION}'" \
+            in capsys.readouterr().err
         assert not replay.exists()
 
     def test_sweep_requires_seed(self, tmp_path, capsys):
@@ -990,7 +970,7 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "failed" in captured.err
-        manifest = json.load(open(os.path.join(str(tmp_path), "manifest.json")))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["row_errors"]
 
     def test_config_file_with_overrides(self, tmp_path, capsys):

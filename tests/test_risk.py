@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
@@ -716,8 +717,11 @@ class TestDecompose:
         # singular value ~1e-5 of the top), yet the rank cutoff sits far from
         # every singular value, so scaling it 100x either way moves nothing
         args, kwargs = preset_cell(monkeypatch, s)
-        rtol = default_rtol(100, s)
-        runs = [decompose_cell(args, **dict(kwargs, rtol=rtol * k)) for k in (1.0, 0.01, 100.0)]
+        runs = []
+        for k in (1.0, 0.01, 100.0):
+            monkeypatch.setattr(estimator_mod, "default_rtol",
+                                lambda n, s, k=k: k * default_rtol(n, s))
+            runs.append(decompose_cell(args, **kwargs))
         assert runs[0].rank == min(100, s)
         for d in runs[1:]:
             assert d == runs[0]
@@ -1063,17 +1067,19 @@ class TestBestInSpanFit:
         else:
             assert b is t.b_star and t.fit_q == q
 
-    @pytest.mark.parametrize("s,alpha,side", [(110, 0.5, "cholesky"), (110, 2.0, "qr"),
+    @pytest.mark.parametrize("s,alpha,side", [(110, 0.5, "cholesky"), (110, 1.665, "cholesky"),
+                                              (110, 1.71, "qr"), (110, 2.0, "qr"),
                                               (110, 8.0, "qr"), (60, 8.0, "qr")])
     def test_ridge_switch_sides_match_standalone(self, monkeypatch, s, alpha, side):
         # p=120: kappa = 1 + tr(H) / (s q) is 1.7e3 at s = 110, alpha 0.5,
-        # 2.0e6 at alpha 2, 3.5e18 at alpha 8 and 1.5e16 at s = 60, alpha 8,
-        # against the switch's limit 1e-10 / eps = 4.5e5.  cond(G) itself is
-        # 6.0e5, 1.3e6 and 1.8e4 on the QR side: the switch reads kappa alone,
+        # 0.90x the switch's limit GRAM_RTOL / eps = 4.5e5 at alpha 1.665 and
+        # 1.11x at alpha 1.71, 2.0e6 at alpha 2, 3.5e18 at alpha 8 and 1.5e16
+        # at s = 60, alpha 8.  cond(G) itself is 2.0e5 and 2.4e5 at the edge,
+        # and 6.0e5, 1.3e6 and 1.8e4 past it: the switch reads kappa alone,
         # so the well-conditioned s = 60 fit takes the QR too
         ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, 120, alpha,
                                                        "gaussian", False)
-        limit = risk_mod.RIDGE_RTOL / np.finfo(float).eps
+        limit = GRAM_RTOL / np.finfo(float).eps
         assert (self.kappa(ens) <= limit) == (side == "cholesky")
         assert self.cond_g(ens) <= self.kappa(ens)
         # the QR side: H's Cholesky still does the projection, G is never
