@@ -13,6 +13,19 @@ that is T^T G for G = R^T W, a k x s standard normal matrix; the rest of W,
 hold W in one of two forms: the dense p x s array, or a `RowSpaceWeights`
 that keeps only R and G and draws W's complement when the one product a cell
 needs is taken.  Both give every quantity of the cell the same law.
+
+With Gaussian feature noise Xi (or none), a cell's law does not change under
+W -> W O, Xi -> Xi O, beta* -> O^T beta* for an orthogonal s x s O, so all it
+computes lives in the row span of M = [G; Xi], of dimension m = min(n, p) + n.
+By Bartlett's decomposition M = L Q^T, with L m x m lower-triangular,
+L_ii = sqrt(chi^2_{s-i+1}) and N(0, 1) below the diagonal, all independent,
+and Q^T Haar on the rows, independent of L.  Turning Q into the first m
+coordinates and beta*'s part outside Q's span into coordinate m + 1 leaves a
+reduced ensemble m + 1 wide: G' = [L[:k], 0], the noise rows [L[k:], 0] and
+the true s, whatever s is (`build_ensemble` given the weights stream itself,
+for s > m; `reducible` says where).  Its G' is held as row-space weights, so
+W's complement is drawn as on any row-space cell; `risk.make_target` draws
+beta*'s reduced image.
 """
 
 from __future__ import annotations
@@ -67,6 +80,36 @@ def sample_weights(p: int, s: int, rng: np.random.Generator) -> np.ndarray:
     for child, lo in zip(rng.spawn(len(starts)), starts):
         child.standard_normal(out=W[:, lo:lo + WEIGHT_BLOCK])
     return W
+
+
+def reducible(spec: NoiseSpec, n: int, p: int) -> bool:
+    """Whether a cell of n rows over p eigenfeatures, with feature noise
+    `spec`, may take the reduced route (module docstring): wider than
+    m = min(n, p) + n, with noise that is Gaussian or absent, the one law of
+    the three that an orthogonal turn of the columns leaves as it is."""
+    rotation_invariant = spec.family == "gaussian" or spec.sigma0_sq == 0.0
+    return rotation_invariant and spec.s > min(n, p) + n
+
+
+def _reduced_draw(shape: tuple[int, int], spec: NoiseSpec | None,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(G', Xi'): the reduced images [L[:k], 0] and [L[k:], 0] of G = R^T W
+    and of the unit-variance noise Xi, both m + 1 wide, for the Bartlett
+    factor L of M = [G; Xi] (module docstring; k = min(n, p), m = k + n).
+
+    rng draws L's diagonal first, sqrt(chi^2_{s-i+1}) for i = 1..m, then its
+    entries below the diagonal, row by row."""
+    n, p = shape
+    if spec is None or not reducible(spec, n, p):
+        raise ValueError("a reduced ensemble needs a noise spec, Gaussian noise or none, and "
+                         f"s > min(n, p) + n = {min(n, p) + n}")
+    k = min(n, p)
+    m = k + n
+    L = np.zeros((m, m + 1))
+    L[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(spec.s - np.arange(m)))
+    below = np.tril_indices(m, -1)
+    L[below] = rng.standard_normal(below[0].size)
+    return L[:k], L[k:]
 
 
 def noise_energy(alpha: float, s: int) -> float:
@@ -183,7 +226,8 @@ class FeatureEnsemble:
 
     `weights` is W as a p x s array, or a RowSpaceWeights whose one product
     is W [V, e] (see the module docstring); the first is what `make_target`,
-    the unrealizable risk split and lambda_W need.
+    the unrealizable risk split and lambda_W need.  A reduced ensemble's Z
+    and design are m + 1 wide (`width`), at most its s features.
     """
 
     spectrum: Spectrum
@@ -194,14 +238,23 @@ class FeatureEnsemble:
     # the matrix the fit uses: Z itself unless noise of positive energy was added
     design: np.ndarray
     noise_spec: NoiseSpec | None = None
+    # drawn in the reduced span by build_ensemble (module docstring)
+    reduced: bool = False
 
     @property
     def n(self) -> int:
         return self.Z.shape[0]
 
     @property
-    def s(self) -> int:
+    def width(self) -> int:
         return self.Z.shape[1]
+
+    @property
+    def s(self) -> int:
+        """The feature count: the noise spec's s where there is one (which
+        `build_ensemble` holds to the width, except on a reduced ensemble),
+        else the width."""
+        return self.noise_spec.s if self.noise_spec is not None else self.width
 
     @property
     def p(self) -> int:
@@ -238,7 +291,8 @@ def row_space_factor(phi: np.ndarray, gram: GramEigen) -> tuple[np.ndarray, np.n
     return basis, tri.T
 
 
-def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray, weights: np.ndarray,
+def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
+                   weights: np.ndarray | np.random.Generator,
                    noise_spec: NoiseSpec | None = None,
                    noise_rng: np.random.Generator | None = None, *,
                    complement_rng: np.random.Generator | None = None,
@@ -251,11 +305,25 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray, weights: np.n
     caller has not: `compute_row` passes the ones its empirical spectrum
     came from): then Z = T^T G / sqrt(s) and the ensemble holds
     RowSpaceWeights(R, G, complement_rng).
+
+    weights may instead be the `weights` stream's generator itself, with a
+    complement_rng and a noise spec that `reducible` accepts: then it draws
+    the Bartlett factor of [G; Xi] and the ensemble is reduced (module
+    docstring): Z = T^T G' / sqrt(s) and the design Z + sqrt(q) Xi', m + 1
+    wide, with the spec's s and q = sigma0^2 / s.  noise_rng is not read.
     """
     p = phi.shape[1]
-    s = weights.shape[1]
-    if noise_spec is not None and noise_spec.s != s:
-        raise ValueError(f"noise width must equal the feature count s={noise_spec.s}")
+    noise = None
+    if isinstance(weights, np.random.Generator):
+        if complement_rng is None:
+            raise ValueError("a reduced ensemble holds row-space weights: it needs "
+                             "complement_rng")
+        weights, noise = _reduced_draw(phi.shape, noise_spec, weights)
+        s = noise_spec.s
+    else:
+        s = weights.shape[1]
+        if noise_spec is not None and noise_spec.s != s:
+            raise ValueError(f"noise width must equal the feature count s={noise_spec.s}")
     if complement_rng is None:
         if weights.shape[0] != p:
             raise ValueError(f"weight rows ({weights.shape[0]}) must match eigenfeature "
@@ -270,8 +338,11 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray, weights: np.n
         weights = RowSpaceWeights(basis, weights, complement_rng)
     design = Z
     if noise_spec is not None and noise_spec.sigma0_sq != 0.0:
-        if noise_rng is None:
+        if noise is not None:
+            design = Z + noise_spec.entry_scale * noise
+        elif noise_rng is None:
             raise ValueError("noise injection needs a generator")
-        design = Z + noise_matrix(noise_spec, Z.shape, noise_rng)
+        else:
+            design = Z + noise_matrix(noise_spec, Z.shape, noise_rng)
     return FeatureEnsemble(spectrum=spectrum, mode=mode, phi=phi, weights=weights, Z=Z,
-                           design=design, noise_spec=noise_spec)
+                           design=design, noise_spec=noise_spec, reduced=noise is not None)

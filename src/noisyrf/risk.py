@@ -15,7 +15,13 @@ which shares only its inputs with it and redraws labels by Monte Carlo.
 A realizable target reads W only as the product W [V, e], so its split also
 runs on row-space weights (`features.RowSpaceWeights`), which draw W's part
 outside the eigenfeature rows' span just for that product.  An unrealizable
-target needs the dense p x s W.
+target needs the dense p x s W.  A reduced ensemble (features module) runs
+the same split at width m + 1 = min(n, p) + n + 1: the design, its factors,
+beta* and the fit live in those coordinates, while 1/sqrt(s) and the noise
+variance q = sigma0^2 / s read the ensemble's true s.  The last coordinate
+is zero in the design and in G', so beta*'s part outside the span of
+[G; Xi] meets W only through ||e - V a||, the column W's complement draw
+gives e's part outside V.
 
 An unrealizable target's tail is orthogonal to the feature span in the
 population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
@@ -313,7 +319,10 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     TargetFunction), a ridge fit with penalty q, the feature-noise entry
     variance.  A norm or tail_energy that is not positive and finite, and an
     unrealizable target on row-space weights, whose solves need the dense
-    p x s W, are refused before any draw.
+    p x s W, are refused before any draw.  On a reduced ensemble (m + 1
+    wide, `features.build_ensemble`) beta_star is drawn as its image there:
+    g ~ N(0, I_m), then rho^2 ~ chi^2_{s-m}, and beta_star =
+    norm [g, rho] / sqrt(||g||^2 + rho^2).
 
     Both solves run on one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W)
     (`_solve_unrealizable`): one syrk on numpy's BLAS, then one Cholesky
@@ -351,7 +360,13 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
         if not isinstance(ensemble.weights, np.ndarray):
             raise ValueError("unrealizable target needs the dense p x s W; build the "
                              "ensemble without complement_rng")
-    v = rng.standard_normal(s)
+    if ensemble.reduced:
+        # beta*'s image in the reduced coordinates (features module): its
+        # part in the span of [G; Xi], then the norm of the rest
+        m = ensemble.width - 1
+        v = np.append(rng.standard_normal(m), math.sqrt(rng.chisquare(s - m)))
+    else:
+        v = rng.standard_normal(s)
     beta = norm * v / np.linalg.norm(v)
     if mode != "unrealizable":
         return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=None, norm=norm)

@@ -24,7 +24,8 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
-from .features import WEIGHT_BLOCK, build_ensemble, make_noise_spec, sample_weights
+from .features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec, reducible,
+                       sample_weights)
 from .risk import decompose, make_target
 from .seeding import seed_stream
 # empirical_covariance likewise: compute_row takes the spectrum from its own
@@ -37,9 +38,10 @@ CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se"
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
                "regime", "wall_ms"]
 
-AGGREGATE_COLUMNS = ["s", "sigma0_sq", "replicates", "B_mean", "B_se", "B_median",
-                     "V_mean", "V_se", "V_median", "M_mean", "M_se", "R_mean", "R_se",
-                     "R_median", "bias_bound_mean", "variance_bound_mean"]
+AGGREGATE_COLUMNS = ["s", "sigma0_sq", "replicates", "B_mean", "B_se", "B_median", "B_q25",
+                     "B_q75", "V_mean", "V_se", "V_median", "V_q25", "V_q75", "M_mean", "M_se",
+                     "R_mean", "R_se", "R_median", "R_q25", "R_q75", "bias_bound_mean",
+                     "variance_bound_mean"]
 
 CURVE_COLUMNS = ["s", "sigma0_sq", "k_star", "bias_bound", "variance_bound", "total",
                  "regime"]
@@ -76,14 +78,20 @@ class SweepSummary:
     B_mean: float
     B_se: float
     B_median: float
+    B_q25: float
+    B_q75: float
     V_mean: float
     V_se: float
     V_median: float
+    V_q25: float
+    V_q75: float
     M_mean: float
     M_se: float
     R_mean: float
     R_se: float
     R_median: float
+    R_q25: float
+    R_q75: float
     bias_bound_mean: float
     variance_bound_mean: float
 
@@ -147,13 +155,19 @@ def _pool_size(cfg: ExperimentConfig) -> int:
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
     """Run the full pipeline for one (feature count, replicate) cell.
 
-    The cell takes one of two routes to its weights, by target mode and tail
-    index alone.  An unrealizable target, or a row where the tail index k*
-    exists (the row may state the bias bound, which needs lambda_W), draws
-    the dense p x s W.  Any other row draws only G = R^T W, min(n, p) x s,
-    R an orthonormal basis of the eigenfeature rows' span; the one product
-    its risk split needs draws W's complement from the `weights-complement`
-    stream.  Both routes give the row the same law (features module).
+    The cell takes one of three routes to its weights, by target mode, tail
+    index, noise law and width alone.  An unrealizable target, or a row
+    where the tail index k* exists (the row may state the bias bound, which
+    needs lambda_W), draws the dense p x s W.  Any other row holds row-space
+    weights: G = R^T W, R an orthonormal basis of the eigenfeature rows'
+    span, and the one product its risk split needs draws W's complement
+    from the `weights-complement` stream.  Of these, a row that
+    `features.reducible` accepts (s > m = min(n, p) + n, and Gaussian noise
+    or alpha = inf) is reduced: build_ensemble draws the Bartlett factor of
+    [G; Xi] from the `weights` stream and the ensemble is m + 1 wide, so
+    its cost does not grow with s; the `feature-noise` stream is not read.
+    The other rows draw G, min(n, p) x s.  All three routes give the row
+    the same law (features module).
 
     The cell runs one eigensolve of phi's Gram (`gram_eigh`).  It gives the
     empirical spectrum, and a row-space cell's basis R comes from the same
@@ -178,11 +192,12 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     if cfg.target_mode == "unrealizable" or k_star is not None:
-        rows, rng_complement = cfg.p, None
+        weights, rng_complement = sample_weights(cfg.p, s, rng_w), None
     else:
-        rows = min(n, cfg.p)
         rng_complement = seed_stream(seed, s_index, replicate, "weights-complement")
-    weights = sample_weights(rows, s, rng_w)
+        # a reduced cell's weights and noise are drawn inside build_ensemble
+        weights = rng_w if reducible(noise_spec, n, cfg.p) else \
+            sample_weights(min(n, cfg.p), s, rng_w)
     ensemble = build_ensemble(spectrum, cfg.mode, phi, weights, noise_spec, rng_noise,
                               complement_rng=rng_complement, gram=gram)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
@@ -271,7 +286,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 def aggregate(records) -> list:
     """Collapse replicates into per-s means, stderrs and, for B, V and R,
-    medians; failed rows are skipped.
+    medians and quartiles; failed rows are skipped.
 
     Near the interpolation threshold the mean does not exist: for an n x s
     Gaussian design E[tr((Z^T Z)^-1)] = s / (n - s - 1) for s <= n - 2 and
@@ -295,25 +310,27 @@ def aggregate(records) -> list:
             vals = np.array([getattr(g, attr) for g in group], dtype=float)
             if np.any(np.isfinite(vals)):
                 mean, median = float(np.nanmean(vals)), float(np.nanmedian(vals))
+                q25, q75 = (float(q) for q in np.nanquantile(vals, (0.25, 0.75)))
             else:
-                mean = median = NAN
+                mean = median = q25 = q75 = NAN
             if r >= 2 and np.all(np.isfinite(vals)):
                 se = float(vals.std(ddof=1) / math.sqrt(r))
             else:
                 se = NAN
-            return mean, se, median
+            return mean, se, median, q25, q75
 
-        B, B_se, B_med = stat("B")
-        V, V_se, V_med = stat("V")
-        M, M_se, _ = stat("M")
-        R, R_se, R_med = stat("R")
-        bb, _, _ = stat("bias_bound")
-        vb, _, _ = stat("variance_bound")
+        B, B_se, B_med, B_q25, B_q75 = stat("B")
+        V, V_se, V_med, V_q25, V_q75 = stat("V")
+        M, M_se, *_ = stat("M")
+        R, R_se, R_med, R_q25, R_q75 = stat("R")
+        bb = stat("bias_bound")[0]
+        vb = stat("variance_bound")[0]
         out.append(SweepSummary(s=s, sigma0_sq=group[0].sigma0_sq, replicates=r,
-                                B_mean=B, B_se=B_se, B_median=B_med, V_mean=V, V_se=V_se,
-                                V_median=V_med, M_mean=M, M_se=M_se, R_mean=R, R_se=R_se,
-                                R_median=R_med, bias_bound_mean=bb,
-                                variance_bound_mean=vb))
+                                B_mean=B, B_se=B_se, B_median=B_med, B_q25=B_q25,
+                                B_q75=B_q75, V_mean=V, V_se=V_se, V_median=V_med,
+                                V_q25=V_q25, V_q75=V_q75, M_mean=M, M_se=M_se, R_mean=R,
+                                R_se=R_se, R_median=R_med, R_q25=R_q25, R_q75=R_q75,
+                                bias_bound_mean=bb, variance_bound_mean=vb))
     return out
 
 
@@ -388,16 +405,24 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
                        "child j of the weights stream's seed sequence (spawn order); "
                        "unrealizable targets and rows where the tail index k* exists "
-                       "draw the p x s W there, every other row draws only G = R^T W "
-                       "(min(n, p) rows, the same column blocks; R an orthonormal basis "
-                       "of the eigenfeature rows' span: R = phi^T U D^-1/2 U^T from the "
-                       "eigenpairs phi phi^T = U D U^T where d_min / d_max > "
-                       f"eps / {GRAM_RTOL:g}, else the thin QR of phi^T) and "
-                       "takes W's complement for its risk split from weights-complement "
-                       "as one p x n standard normal draw H1, then one p-vector h: with "
-                       "the design's thin SVD U Sigma V^T and the fit's coefficient error "
-                       "e = V a + e_perp, W's complement times [V, e] is "
-                       "(I - R R^T) [H1 U, H1 U a + ||e_perp|| h]",
+                       "draw the p x s W there. Every other row holds row-space weights, "
+                       "G = R^T W with R an orthonormal basis of the eigenfeature rows' "
+                       "span (R = phi^T U D^-1/2 U^T from the eigenpairs phi phi^T = "
+                       f"U D U^T where d_min / d_max > eps / {GRAM_RTOL:g}, else the thin "
+                       "QR of phi^T). A row with s > m = min(n, p) + n and gaussian noise "
+                       "or alpha = inf is reduced: the weights stream draws the m x m "
+                       "Bartlett factor L of [G; Xi] (the diagonal "
+                       "sqrt(chisquare(s - i + 1)) for i = 1..m, then standard normals "
+                       "below it, row by row), the target stream draws g ~ N(0, I_m) "
+                       "then rho^2 ~ chisquare(s - m), beta* = target_norm [g, rho] / "
+                       "sqrt(||g||^2 + rho^2), and feature-noise is not read. The other "
+                       "row-space rows draw G, min(n, p) rows, in the same column blocks. "
+                       "Every row-space row, reduced or not, takes W's complement for its "
+                       "risk split from weights-complement as one p x n standard normal "
+                       "draw H1, then one p-vector h: with the design's thin SVD "
+                       "U Sigma V^T and the fit's coefficient error e = V a + e_perp, W's "
+                       "complement times [V, e] is (I - R R^T) [H1 U, H1 U a + "
+                       "||e_perp|| h]",
         "grid": list(cfg.s_grid),
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,

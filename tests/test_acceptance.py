@@ -4,7 +4,7 @@ Run `python3 -m pytest tests/test_acceptance.py -v -rA` to get a one-line
 pass/fail verdict per criterion together with the measured numbers.  The
 statistical criteria use pinned seeds screened for comfortable margins; every
 tolerance is stated inline next to its assertion.  Criterion 3 runs the full
-default sweep preset and takes about a quarter of the suite's runtime (13 s
+default sweep preset and takes about a sixth of the suite's runtime (8 s
 of 50 s on 2 CPUs).
 """
 import math

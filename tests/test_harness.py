@@ -126,6 +126,11 @@ class TestConfig:
         # design's right singular vectors V; this code attaches it to the left
         # ones U, so the complement is another draw
         pytest.param("9", {}, id="9"),
+        # version "10" drew the k x s G and the n x s noise of every
+        # realizable row without k*; this code draws the Bartlett factor of
+        # [G; Xi] where s > min(n, p) + n under gaussian noise, and its
+        # aggregate.csv has quartile columns
+        pytest.param("10", {}, id="10"),
     ])
     def test_old_version_manifest_gets_the_version_error(self, version, retired):
         manifest = {"artifact_version": version,
@@ -359,10 +364,20 @@ class TestSweep:
 
     def test_worker_count_does_not_change_results(self, weight_shapes):
         # no cell has a tail index at alpha = 0.5, so all take the row-space
-        # route; at s = 600, G = R^T W spans three weight blocks
-        cfg = small_cfg(ensemble_replicates=2, s_grid=[6, 20, 600])
+        # route; at s = 600, G = R^T W spans three weight blocks.  Rademacher
+        # noise keeps that cell off the reduced route, which draws no G
+        cfg = small_cfg(ensemble_replicates=2, s_grid=[6, 20, 600], noise_family="rademacher")
         serial = records_csv(run_sweep(cfg).records)
         assert sorted(set(weight_shapes)) == [(cfg.n, 6), (cfg.n, 20), (cfg.n, 600)]
+        parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
+        assert serial == parallel
+
+    def test_worker_count_does_not_change_reduced_rows(self, weight_shapes):
+        # under gaussian noise the s = 600 cell, wider than min(n, p) + n =
+        # 24, is reduced: build_ensemble draws its Bartlett factor
+        cfg = small_cfg(ensemble_replicates=2, s_grid=[6, 20, 600])
+        serial = records_csv(run_sweep(cfg).records)
+        assert sorted(set(weight_shapes)) == [(cfg.n, 6), (cfg.n, 20)]
         parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
         assert serial == parallel
 
@@ -434,9 +449,11 @@ class TestSweep:
 
     def test_row_space_cell_never_holds_a_p_by_s_array(self, weight_shapes):
         # a preset-sized cell without a tail index: its traced peak stays
-        # below half of one p x s float64 array (the dense route holds W)
+        # below half of one p x s float64 array (the dense route holds W).
+        # Rademacher noise keeps it off the reduced route, which draws no G
         cfg = preset_config("double-descent-default",
-                            {"master_seed": 7, "s_grid": [10000], "ensemble_replicates": 1})
+                            {"master_seed": 7, "s_grid": [10000], "ensemble_replicates": 1,
+                             "noise_family": "rademacher"})
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -449,6 +466,32 @@ class TestSweep:
                 tracemalloc.stop()
         assert weight_shapes == [(cfg.n, 10000)] and rec.k_star is None
         assert peak < 0.5 * 8 * cfg.p * 10000, peak
+
+    def test_reduced_cell_cost_does_not_grow_with_s(self, weight_shapes):
+        # a reduced cell holds no array with s in its shape.  Its largest
+        # buffers are p x (n + 1) at most: phi, R and, while W's complement
+        # is drawn, H1, the product and R (G [V, e]), five at once; the rest
+        # is O(m^2) with m = min(n, p) + n: L, Z, the design and V.  At
+        # s = 10^6 a cell holding G or the noise would allocate several
+        # n x s arrays of 800 MB each
+        cfg = preset_config("double-descent-default",
+                            {"master_seed": 7, "s_grid": [10 ** 6], "ensemble_replicates": 1})
+        n, p = cfg.n, cfg.p
+        m = min(n, p) + n
+        bound = 8 * (5 * p * (n + 1) + 4 * m * (m + 1))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rec = compute_row(cfg, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert weight_shapes == [] and rec.error == ""
+        assert rec.k_star is None and all(math.isfinite(x) for x in (rec.B, rec.V, rec.R))
+        assert peak < bound, (peak, bound)
 
     def test_row_failure_captured_not_raised(self, monkeypatch):
         # the stub fails the second grid entry's cell at runtime while the
@@ -483,9 +526,9 @@ class TestSweep:
         assert math.isnan(out[1].B_se)  # one replicate has no spread estimate
 
     def test_aggregate_medians(self):
-        # each median column is np.median over the cell's replicate rows, the
-        # failed row skipped; heavy tails (a peak cell's V) move the mean and
-        # not the median
+        # each median and quartile column is np.median or np.quantile over the
+        # cell's replicate rows, the failed row skipped; heavy tails (a peak
+        # cell's V) move the mean and not the median
         rng = seed_stream(5, "medians")
         records = []
         for s, reps in ((8, 5), (16, 4)):
@@ -504,12 +547,18 @@ class TestSweep:
         for summary in out:
             rows = [r for r in records if r.s == summary.s and not r.error]
             for col in ("B", "V", "R"):
-                assert getattr(summary, col + "_median") == np.median(
-                    [getattr(r, col) for r in rows])
+                vals = [getattr(r, col) for r in rows]
+                assert getattr(summary, col + "_median") == np.median(vals)
+                assert [getattr(summary, col + q) for q in ("_q25", "_q75")] == \
+                    list(np.quantile(vals, (0.25, 0.75)))
+                assert getattr(summary, col + "_q25") <= getattr(summary, col + "_median") \
+                    <= getattr(summary, col + "_q75")
         text = aggregate_csv(out).splitlines()
         header = text[0].split(",")
-        assert {"B_median", "V_median", "R_median"} <= set(header)
-        assert float(text[1].split(",")[header.index("R_median")]) == out[0].R_median
+        assert {f"{col}_{stat}" for col in "BVR" for stat in ("median", "q25", "q75")} \
+            <= set(header)
+        for col in ("R_median", "R_q25", "R_q75"):
+            assert float(text[1].split(",")[header.index(col)]) == getattr(out[0], col)
 
     def test_cells_next_to_n_have_no_mean(self):
         # E[tr((Z Z^T)^-1)] is infinite at |s - n| <= 1 (see aggregate), so
@@ -550,7 +599,7 @@ class TestSweep:
         # the label noise is integrated, so no stream is drawn for it
         assert "purposes: covariates, weights, weights-complement, feature-noise, " \
             "target; " in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "10"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "11"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -676,7 +725,11 @@ class TestSweep:
         monkeypatch.setattr(sweep_mod, "sample_weights", keeping)
         monkeypatch.setattr(bounds_mod, "bound_report", measured(bounds_mod.bound_report))
         assert records_csv(records) == records_csv(run_sweep(cfg).records)
-        assert len(draws) == len(cfg.s_grid)
+        # at alpha = 0.5 the realizable cells wider than min(n, p) + n = 40
+        # are reduced: build_ensemble draws their weights, sample_weights
+        # does not
+        reduced = target_mode != "unrealizable" and alpha > 0
+        assert len(draws) == (1 if reduced else len(cfg.s_grid))
 
     @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
     def test_preset_cell_factors_the_gram_once(self, linalg_calls, weight_shapes, s, route):
@@ -720,7 +773,9 @@ class TestSweep:
         # whose eigenvectors rotate inside a cluster of close eigenvalues with
         # the BLAS thread count.  The split reads only basis-invariant forms,
         # and W's complement is drawn against the design's rows, not against
-        # those eigenvectors; 1e-9 is perfbench's pool-vs-serial bound
+        # those eigenvectors; 1e-9 is perfbench's pool-vs-serial bound.  The
+        # gaussian cells at s = 1000 and 10000 are reduced (m + 1 = 201
+        # wide); the rademacher ones hold the 100 x s G
         src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
         code = ("import json\n"
                 "import numpy as np\n"
@@ -730,8 +785,9 @@ class TestSweep:
                 "calls = []\n"
                 "np.linalg.svd = lambda *a, **k: calls.append(1) or svd(*a, **k)\n"
                 "rows = []\n"
-                "for seed in (7, 13):\n"
-                "    cfg = preset_config('double-descent-default', {'master_seed': seed})\n"
+                "for seed, family in ((7, 'gaussian'), (13, 'gaussian'), (7, 'rademacher')):\n"
+                "    cfg = preset_config('double-descent-default',\n"
+                "                        {'master_seed': seed, 'noise_family': family})\n"
                 "    for s in (133, 1000, 10000):\n"
                 "        rec = compute_row(cfg, cfg.s_grid.index(s), 0)\n"
                 "        rows.append([rec.B, rec.V, rec.R])\n"

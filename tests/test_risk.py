@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
 from noisyrf import sweep as sweep_mod
-from noisyrf.config import preset_config
+from noisyrf.config import PRESETS, preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
 from noisyrf.features import RowSpaceWeights, build_ensemble, make_noise_spec, sample_weights
 from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
@@ -1201,22 +1201,26 @@ class TestFactorizationRoute:
                                 lambda: decompose(ens, t, 0.5, clean_test=clean_test))
 
 
-def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode, kind="polynomial"):
+def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode, kind="polynomial",
+             alpha=0.5):
     """(B, V, R) of one closed-form cell whose weights take `route`: the dense
-    p x s W, or G = R^T W with W's complement drawn by the risk split.  Its
+    p x s W, G = R^T W with W's complement drawn by the risk split
+    ("row-space"), or the reduced ensemble, m + 1 wide ("reduced").  Its
     draws come from the streams seed_stream(*key, purpose).  The spectrum is
     i^-2, or exp(-i) for kind "exponential"."""
     spectrum = make_spectrum(kind, p, **({"gamma": 2.0} if kind == "polynomial" else {}))
     phi = eigenfeature_matrix(spectrum, mode,
                               sample_covariates(mode, n, seed_stream(*key, "cov"), p=p))
-    spec = make_noise_spec(family, 0.5, s)
+    spec = make_noise_spec(family, alpha, s)
     if route == "dense":
         W = sample_weights(p, s, seed_stream(*key, "w"))
         ens = build_ensemble(spectrum, mode, phi, W, spec, seed_stream(*key, "noise"))
     else:
-        G = sample_weights(min(n, p), s, seed_stream(*key, "w"))
+        G = seed_stream(*key, "w") if route == "reduced" else \
+            sample_weights(min(n, p), s, seed_stream(*key, "w"))
         ens = build_ensemble(spectrum, mode, phi, G, spec, seed_stream(*key, "noise"),
                              complement_rng=seed_stream(*key, "wc"))
+        assert ens.reduced == (route == "reduced")
     t = make_target(target_mode, ens, 1.0, seed_stream(*key, "t"))
     d = decompose(ens, t, 0.5, clean_test=clean_test)
     return d.bias, d.variance, d.total
@@ -1233,29 +1237,31 @@ LAW_CASES = [("realizable-clean", False, "gaussian", "eigencoordinate"),
              ("realizable-clean", True, "gaussian", "fourier")]
 
 
+def assert_same_law(routes, n, p, s, case, kind="polynomial", alpha=0.5):
+    """B, V and R of the two routes' cells have the same means, to LAW_Z."""
+    # two independent samples: every draw of either route has its own seed;
+    # alpha enters the key where it is not the default 0.5
+    tag = () if alpha == 0.5 else (repr(alpha),)
+    a, b = (np.array([law_cell(route, (11, route, n, p, s, *case, kind, *tag, i), n, p, s,
+                               *case, kind, alpha) for i in range(LAW_DRAWS)])
+            for route in routes)
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    z = (b.mean(axis=0) - a.mean(axis=0)) / se
+    assert np.all(np.abs(z) <= LAW_Z), dict(zip("BVR", z))
+
+
 class TestRowSpaceRoute:
     """Weights held in the eigenfeature rows' span against the dense W."""
-
-    @staticmethod
-    def _assert_same_law(n, p, s, case, kind="polynomial"):
-        # two independent samples: every draw of either route has its own seed
-        samples = {route: np.array([law_cell(route, (11, route, n, p, s, *case, kind, i), n, p,
-                                             s, *case, kind) for i in range(LAW_DRAWS)])
-                   for route in ("dense", "row-space")}
-        a, b = samples["dense"], samples["row-space"]
-        se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
-        z = (b.mean(axis=0) - a.mean(axis=0)) / se
-        assert np.all(np.abs(z) <= LAW_Z), dict(zip("BVR", z))
 
     @pytest.mark.parametrize("s", [10, 40, 200])
     @pytest.mark.parametrize("case", LAW_CASES)
     def test_same_law_as_dense(self, case, s):
-        self._assert_same_law(20, 60, s, case)
+        assert_same_law(("dense", "row-space"), 20, 60, s, case)
 
     @pytest.mark.parametrize("s", [10, 40, 200])
     def test_same_law_as_dense_with_p_below_n(self, s):
         # k = p: the basis spans every eigendirection and the complement is empty
-        self._assert_same_law(20, 12, s, LAW_CASES[0])
+        assert_same_law(("dense", "row-space"), 20, 12, s, LAW_CASES[0])
 
     @pytest.mark.parametrize("s", [10, 40, 200])
     def test_same_law_as_dense_past_the_switch(self, monkeypatch, s):
@@ -1270,7 +1276,7 @@ class TestRowSpaceRoute:
             return real_qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", qr)
-        self._assert_same_law(20, 60, s, LAW_CASES[0], kind="exponential")
+        assert_same_law(("dense", "row-space"), 20, 60, s, LAW_CASES[0], kind="exponential")
         assert qr_calls == [(60, 20)] * LAW_DRAWS
 
     def test_product_has_the_dense_second_moments(self):
@@ -1330,3 +1336,111 @@ class TestRowSpaceRoute:
         # nor can the sampled reference draw a test sample, which needs the dense W
         with pytest.raises(TypeError):
             draw_test_sample(ens, 5, seed_stream(2, "tf"))
+
+
+# (target mode, clean_test, covariate mode, alpha) under gaussian noise: each
+# level of each factor appears at least once; alpha = inf is the noiseless limit
+REDUCED_CASES = [("realizable-clean", False, "eigencoordinate", 0.5),
+                 ("realizable-noisy", True, "fourier", 0.5),
+                 ("realizable-noisy", False, "fourier", math.inf),
+                 ("realizable-clean", True, "eigencoordinate", math.inf)]
+
+
+class TestReducedRoute:
+    """The reduced ensemble, m + 1 wide, against row-space weights s wide."""
+
+    @pytest.mark.parametrize("s", [41, 400])
+    @pytest.mark.parametrize("case", REDUCED_CASES)
+    def test_same_law_as_row_space(self, case, s):
+        # n = 20, p = 60: m = min(n, p) + n = 40, so s = 41 is just past the
+        # switch and s = 400 is 10 m
+        target_mode, clean_test, mode, alpha = case
+        assert_same_law(("row-space", "reduced"), 20, 60, s,
+                        (target_mode, clean_test, "gaussian", mode), alpha=alpha)
+
+    @pytest.mark.parametrize("s", [33, 320])
+    def test_same_law_as_row_space_with_p_below_n(self, s):
+        # k = p = 12: m = 32, and W's complement is empty
+        assert_same_law(("row-space", "reduced"), 20, 12, s,
+                        ("realizable-noisy", False, "gaussian", "eigencoordinate"))
+
+    def test_ensemble_carries_the_true_s(self):
+        n, p, s = 6, 30, 1000
+        sp = make_spectrum("polynomial", p, gamma=2.0)
+        phi = eigenfeature_matrix(sp, MODE, sample_covariates(MODE, n, seed_stream(4), p=p))
+        spec = make_noise_spec("gaussian", 0.5, s)
+        ens = build_ensemble(sp, MODE, phi, seed_stream(4, "w"), spec,
+                             complement_rng=seed_stream(4, "wc"))
+        m = min(n, p) + n
+        assert ens.reduced and ens.s == s and ens.width == m + 1
+        assert ens.design.shape == (n, m + 1) and ens.weights.coords.shape == (n, m + 1)
+        # the last column carries only beta*'s part outside [G; Xi]'s span
+        assert not ens.design[:, m:].any() and not ens.weights.coords[:, m:].any()
+        t = make_target("realizable-clean", ens, 2.0, seed_stream(4, "t"))
+        assert t.beta_star.shape == (m + 1,) and np.linalg.norm(t.beta_star) == \
+            pytest.approx(2.0, rel=1e-14)
+        d = decompose(ens, t, 0.5)
+        assert d.rank == n and d.misspec == 0.0
+
+    @pytest.mark.parametrize("family,s", [("rademacher", 100), ("uniform", 100),
+                                          ("gaussian", 12)])
+    def test_refused_where_the_law_would_change(self, family, s):
+        # rademacher and uniform noise are not rotation invariant, and no
+        # Bartlett factor of [G; Xi] exists for s <= m = 12
+        sp = make_spectrum("polynomial", 30, gamma=2.0)
+        phi = eigenfeature_matrix(sp, MODE, sample_covariates(MODE, 6, seed_stream(5), p=30))
+        with pytest.raises(ValueError, match="reduced ensemble"):
+            build_ensemble(sp, MODE, phi, seed_stream(5, "w"), make_noise_spec(family, 0.5, s),
+                           complement_rng=seed_stream(5, "wc"))
+        with pytest.raises(ValueError, match="complement_rng"):
+            build_ensemble(sp, MODE, phi, seed_stream(5, "w"),
+                           make_noise_spec("gaussian", 0.5, 100))
+
+
+def route_of(monkeypatch, cfg, s_index):
+    """The route of one sweep cell's weights: "dense", "row-space" or
+    "reduced", read off the ensemble compute_row hands make_target."""
+    def capture(mode, ensemble, *args, **kwargs):
+        raise _Captured(ensemble)
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep_mod, "make_target", capture)
+        with pytest.raises(_Captured) as exc:
+            sweep_mod.compute_row(cfg, s_index, 0)
+    ens = exc.value.args[0]
+    if isinstance(ens.weights, np.ndarray):
+        return "dense"
+    return "reduced" if ens.reduced else "row-space"
+
+
+class TestReducedRoutePin:
+    """Which preset cells compute_row reduces."""
+
+    def test_preset_grid(self, monkeypatch):
+        cfg = preset_config("double-descent-default", {"master_seed": 7})
+        routes = {s: route_of(monkeypatch, cfg, i) for i, s in enumerate(cfg.s_grid)}
+        assert {s for s, r in routes.items() if r == "reduced"} == \
+            {s for s in cfg.s_grid if s >= 237}
+        assert all(routes[s] != "reduced" for s in cfg.s_grid if s <= 178)
+
+    @pytest.mark.parametrize("overrides", [{"noise_family": "rademacher"},
+                                           {"noise_family": "uniform"},
+                                           {"target_mode": "unrealizable"}],
+                             ids=["rademacher", "uniform", "unrealizable"])
+    def test_never_reduced(self, monkeypatch, overrides):
+        # an unrealizable target needs s < p = 2000
+        top = 2000 if "target_mode" in overrides else math.inf
+        grid = [s for s in PRESETS["double-descent-default"]["s_grid"] if 237 <= s < top]
+        cfg = preset_config("double-descent-default",
+                            {"master_seed": 7, "s_grid": grid, **overrides})
+        want = "dense" if "target_mode" in overrides else "row-space"
+        assert [route_of(monkeypatch, cfg, i) for i in range(len(grid))] == [want] * len(grid)
+
+    def test_rows_with_a_tail_index_keep_the_dense_w(self, monkeypatch):
+        # unit noise energy (alpha = 0) makes k* exist at every s here, all
+        # past m = 40: these rows state the bias bound, whose lambda_W reads W
+        cfg = preset_config("double-descent-default",
+                            {"master_seed": 3, "n": 20, "p": 200, "alpha": 0.0,
+                             "s_grid": [50, 100, 150, 1000]})
+        assert all(sweep_mod.compute_row(cfg, i, 0).k_star is not None for i in range(4))
+        assert [route_of(monkeypatch, cfg, i) for i in range(4)] == ["dense"] * 4
