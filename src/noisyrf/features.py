@@ -267,8 +267,8 @@ def row_space_factor(phi: np.ndarray, gram: GramEigen) -> tuple[np.ndarray, np.n
 
     With phi phi^T = U D U^T, T is the Gram's square root U D^1/2 U^T and
     R = phi^T U D^-1/2 U^T, the polar factor of phi^T: two n x n products and
-    one product with phi, and no factorization beyond the eigensolve the
-    cell already ran for its empirical spectrum.  Not U D^1/2 itself: the
+    one product with phi, and no factorization beyond the eigensolve that
+    gave the replicate's empirical spectrum.  Not U D^1/2 itself: the
     eigenvectors of a cluster of close eigenvalues are fixed only up to a
     rotation within it, which the Gram's last bits (the BLAS thread count)
     move, and that rotation would move G = R^T W with it.  U D^1/2 U^T and
@@ -296,15 +296,16 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
                    noise_spec: NoiseSpec | None = None,
                    noise_rng: np.random.Generator | None = None, *,
                    complement_rng: np.random.Generator | None = None,
-                   gram: GramEigen | None = None) -> FeatureEnsemble:
+                   factor: tuple[np.ndarray, np.ndarray] | None = None) -> FeatureEnsemble:
     """The features and the design over the eigenfeature rows phi = phi(X), (n, p).
 
     weights is W, p x s.  With complement_rng it is instead G = R^T W, a
-    min(n, p) x s standard normal draw, where phi^T = R T comes from
-    `row_space_factor` on phi's Gram eigenpairs `gram` (taken here when the
-    caller has not: `compute_row` passes the ones its empirical spectrum
-    came from): then Z = T^T G / sqrt(s) and the ensemble holds
-    RowSpaceWeights(R, G, complement_rng).
+    min(n, p) x s standard normal draw, where factor = (R, T^T) is
+    `row_space_factor`'s phi^T = R T (taken here from phi's Gram when the
+    caller has not: `compute_row` passes its replicate's, computed once
+    from the eigenpairs its empirical spectrum came from): then
+    Z = T^T G / sqrt(s) and the ensemble holds RowSpaceWeights(R, G,
+    complement_rng).  A dense ensemble does not read factor.
 
     weights may instead be the `weights` stream's generator itself, with a
     complement_rng and a noise spec that `reducible` accepts: then it draws
@@ -333,7 +334,7 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
         if weights.shape[0] != min(phi.shape):
             raise ValueError(f"row-space weight rows ({weights.shape[0]}) must equal "
                              f"min(n, p) = {min(phi.shape)}")
-        basis, tri_t = row_space_factor(phi, gram if gram is not None else gram_eigh(phi))
+        basis, tri_t = factor if factor is not None else row_space_factor(phi, gram_eigh(phi))
         Z = tri_t @ weights / math.sqrt(s)
         weights = RowSpaceWeights(basis, weights, complement_rng)
     design = Z

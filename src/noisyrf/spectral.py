@@ -257,9 +257,9 @@ def gram_eigh(feature_rows: np.ndarray) -> GramEigen:
     dim x dim covariance of the rows.
 
     It is the one factorization behind both the empirical spectrum and the
-    row-space basis of `features.row_space_factor`: a sweep cell runs it
-    once on phi and hands the result to both.  `estimator.svd_factors` runs
-    it on a wide design.
+    row-space basis of `features.row_space_factor`: a sweep runs it once
+    per replicate on phi and hands the result to both.
+    `estimator.svd_factors` runs it on a wide design.
     """
     rows = np.asarray(feature_rows, dtype=float)
     if rows.ndim != 2:
@@ -278,8 +278,8 @@ def empirical_covariance(feature_rows: np.ndarray) -> np.ndarray:
     eigenfeature rows (giving the empirical covariance of phi) or on sampled
     feature rows (giving the feature-space covariance estimate).  The smaller
     of the n x n Gram and the dim x dim covariance is factored, by
-    `gram_eigh`; a sweep cell calls that itself, since it also needs the
-    eigenvectors.
+    `gram_eigh`; a sweep calls that itself, once per replicate, since it
+    also needs the eigenvectors.
     """
     return gram_eigh(feature_rows).lambda_hat
 

@@ -5,11 +5,18 @@ a sweep re-run with the same seed reproduces sweep.csv byte for byte and the
 worker count never changes results, only wall time.  Measured timings are
 deliberately kept out of the CSV (they would break that property) and land in
 manifest.json instead.
+
+A replicate is one training set: its covariates are keyed by (master_seed,
+replicate) alone, so every cell of the replicate sees the same rows and the
+replicate traces one fixed-data risk curve over the s grid.  The rows, their
+Gram eigenpairs and the row-space factor are computed once per replicate
+(`_training_rows`) and shared, read-only, by its cells.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -25,14 +32,15 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
 from .features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec, reducible,
-                       sample_weights)
+                       row_space_factor, sample_weights)
 from .risk import decompose, make_target
 from .seeding import seed_stream
-# empirical_covariance likewise: compute_row takes the spectrum from its own
-# gram_eigh call, whose eigenvectors it also needs; the tracer looks the name
-# up here
-from .spectral import (GRAM_RTOL, eigenfeature_matrix, empirical_covariance,  # noqa: F401
-                       gram_eigh, make_spectrum, sample_covariates, trace_and_rank)
+# empirical_covariance likewise: compute_row takes the spectrum from its
+# replicate's gram_eigh call, whose eigenvectors it also needs; the tracer
+# looks the name up here
+from .spectral import (GRAM_RTOL, GramEigen, eigenfeature_matrix,  # noqa: F401
+                       empirical_covariance, gram_eigh, make_spectrum, sample_covariates,
+                       trace_and_rank)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
@@ -152,6 +160,47 @@ def _pool_size(cfg: ExperimentConfig) -> int:
     return min(cfg.workers, len(cfg.s_grid) * cfg.ensemble_replicates)
 
 
+class _TrainingRows:
+    """A replicate's training set, shared by every cell of it: the
+    spectrum, phi = phi(X) (n x p), gram = gram_eigh(phi) and, formed by the
+    first row-space cell that asks, factor = (R, T^T), `row_space_factor`'s
+    phi^T = R T from the same eigenpairs.  A replicate whose cells all draw
+    the dense W (an unrealizable target) never forms R, p x min(n, p).
+
+    The arrays are read-only: a cell that wrote to one would change the next
+    cell's row.
+    """
+
+    def __init__(self, spectrum, phi: np.ndarray, gram: GramEigen):
+        for array in (phi, gram.values, gram.vectors):
+            array.flags.writeable = False
+        self.spectrum, self.phi, self.gram = spectrum, phi, gram
+
+    @functools.cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        factor = row_space_factor(self.phi, self.gram)
+        for array in factor:
+            array.flags.writeable = False
+        return factor
+
+
+@functools.lru_cache(maxsize=1)
+def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, kind: str,
+                   gamma: float | None, d: int | None, omega1: float) -> _TrainingRows:
+    """The replicate's training set, its covariates drawn from
+    seed_stream(master_seed, replicate, "covariates").
+
+    The arguments are exactly what the rows depend on, so the cache key is
+    the argument tuple.  run_sweep clears the cache on entry and on exit.
+    """
+    spectrum = make_spectrum(kind, p, gamma=gamma, d=d, omega1=omega1)
+    X = sample_covariates(mode, n, seed_stream(master_seed, replicate, "covariates"), p=p)
+    phi = eigenfeature_matrix(spectrum, mode, X)
+    # X is not read again; freed before the Gram is formed
+    del X
+    return _TrainingRows(spectrum, phi, gram_eigh(phi))
+
+
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
     """Run the full pipeline for one (feature count, replicate) cell.
 
@@ -169,37 +218,36 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     The other rows draw G, min(n, p) x s.  All three routes give the row
     the same law (features module).
 
-    The cell runs one eigensolve of phi's Gram (`gram_eigh`).  It gives the
-    empirical spectrum, and a row-space cell's basis R comes from the same
-    eigenpairs (`features.row_space_factor`).
+    The training rows are the replicate's (`_training_rows`): its
+    covariates, phi, one eigensolve of phi's Gram and the row-space factor
+    (R, T^T) from the same eigenpairs, computed by the first cell of the
+    replicate that runs in this process (the factor by the first row-space
+    cell) and reused by the others.  The eigenpairs give the empirical
+    spectrum; the factor serves row-space cells.
     """
     seed = cfg.master_seed
     s = cfg.s_grid[s_index]
     n = cfg.n
-    spectrum = _make_spectrum(cfg)
-    rng_x = seed_stream(seed, s_index, replicate, "covariates")
+    rows = _training_rows(seed, replicate, cfg.mode, n, cfg.p, cfg.spectrum_kind, cfg.gamma,
+                          cfg.d, cfg.omega1)
+    spectrum = rows.spectrum
     rng_w = seed_stream(seed, s_index, replicate, "weights")
     rng_noise = seed_stream(seed, s_index, replicate, "feature-noise")
     rng_target = seed_stream(seed, s_index, replicate, "target")
 
-    X = sample_covariates(cfg.mode, n, rng_x, p=cfg.p)
-    phi = eigenfeature_matrix(spectrum, cfg.mode, X)
-    # X is not read again; freed before the weights are drawn, so no cell
-    # holds it next to W
-    del X
-    gram = gram_eigh(phi)
-    lam_hat = gram.lambda_hat
+    lam_hat = rows.gram.lambda_hat
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     if cfg.target_mode == "unrealizable" or k_star is not None:
-        weights, rng_complement = sample_weights(cfg.p, s, rng_w), None
+        weights, rng_complement, factor = sample_weights(cfg.p, s, rng_w), None, None
     else:
+        factor = rows.factor
         rng_complement = seed_stream(seed, s_index, replicate, "weights-complement")
         # a reduced cell's weights and noise are drawn inside build_ensemble
         weights = rng_w if reducible(noise_spec, n, cfg.p) else \
             sample_weights(min(n, cfg.p), s, rng_w)
-    ensemble = build_ensemble(spectrum, cfg.mode, phi, weights, noise_spec, rng_noise,
-                              complement_rng=rng_complement, gram=gram)
+    ensemble = build_ensemble(spectrum, cfg.mode, rows.phi, weights, noise_spec, rng_noise,
+                              complement_rng=rng_complement, factor=factor)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
     dec = decompose(ensemble, target, cfg.sigma_sq, clean_test=cfg.clean_test,
@@ -262,17 +310,25 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every (s, replicate) cell; failures are captured per row, not raised."""
     if cfg.master_seed is None:
         raise ValueError("a sweep needs master_seed; artifacts must be replayable")
+    # replicate-major, so the cells a worker takes in turn share their
+    # training rows and each replicate's are drawn once per worker
     tasks = [(cfg, si, r)
-             for si in range(len(cfg.s_grid))
-             for r in range(cfg.ensemble_replicates)]
+             for r in range(cfg.ensemble_replicates)
+             for si in range(len(cfg.s_grid))]
     # under fork the pool starts every worker at the first submit, so a pool
     # wider than the grid would only fork idle processes
     workers = _pool_size(cfg)
-    if workers <= 1:
-        results = [_row_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_row_task, tasks, chunksize=1))
+    # cleared on entry, so every sweep (and every forked worker) draws its
+    # replicates' rows itself, and on exit, so none stay resident after it
+    _training_rows.cache_clear()
+    try:
+        if workers <= 1:
+            results = [_row_task(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_row_task, tasks, chunksize=1))
+    finally:
+        _training_rows.cache_clear()
     results.sort(key=lambda item: (item[0], item[1]))
     records, timings, errors = [], {}, {}
     for s_index, replicate, record, wall, err in results:
@@ -399,9 +455,11 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "artifact_version": ARTIFACT_VERSION,
         "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
-        "seed_scheme": "seed_stream(master_seed, s_index, replicate, purpose); "
-                       "purposes: covariates, weights, weights-complement, feature-noise, "
-                       "target; "
+        "seed_scheme": "covariates are keyed seed_stream(master_seed, replicate, "
+                       "'covariates') and shared by every s: a replicate is one training "
+                       "set; every other draw is seed_stream(master_seed, s_index, "
+                       "replicate, purpose), purposes: weights, weights-complement, "
+                       "feature-noise, target; "
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
                        "child j of the weights stream's seed sequence (spawn order); "
                        "unrealizable targets and rows where the tail index k* exists "

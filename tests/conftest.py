@@ -25,3 +25,14 @@ def linalg_calls(monkeypatch):
             monkeypatch.setattr(np.linalg, name, counting(name))
         return calls
     return count
+
+
+@pytest.fixture(autouse=True)
+def fresh_training_rows():
+    """Every test starts and ends with an empty per-replicate memo, as a
+    fresh process would: a test that counts or patches the draws behind a
+    replicate's rows must not find them cached by an earlier test."""
+    from noisyrf import sweep
+    sweep._training_rows.cache_clear()
+    yield
+    sweep._training_rows.cache_clear()

@@ -324,13 +324,16 @@ class TestRowSpaceFactor:
         np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-14 * np.abs(phi).max())
 
     def test_ensemble_takes_the_callers_eigenpairs(self, monkeypatch):
-        # given the Gram's eigenpairs, build_ensemble runs no eigensolve of its own
+        # given the factor read off the Gram's eigenpairs, build_ensemble runs
+        # no eigensolve or factorization of its own and holds the caller's R
         sp = make_spectrum("polynomial", 30, gamma=2.0)
         phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
             "eigencoordinate", 6, seed_stream(6), p=30))
-        gram = gram_eigh(phi)
+        factor = row_space_factor(phi, gram_eigh(phi))
         monkeypatch.setattr(features_mod, "gram_eigh", None)
+        monkeypatch.setattr(features_mod, "row_space_factor", None)
         G = sample_weights(6, 9, seed_stream(7))
         ens = build_ensemble(sp, "eigencoordinate", phi, G, complement_rng=seed_stream(8),
-                             gram=gram)
+                             factor=factor)
+        assert ens.weights.basis is factor[0]
         np.testing.assert_allclose(ens.Z, phi @ (ens.weights.basis @ G) / 3.0, atol=1e-14)

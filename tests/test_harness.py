@@ -131,6 +131,9 @@ class TestConfig:
         # [G; Xi] where s > min(n, p) + n under gaussian noise, and its
         # aggregate.csv has quartile columns
         pytest.param("10", {}, id="10"),
+        # version "11" drew each cell's covariates from its own (s_index,
+        # replicate) stream; this code draws them once per replicate
+        pytest.param("11", {}, id="11"),
     ])
     def test_old_version_manifest_gets_the_version_error(self, version, retired):
         manifest = {"artifact_version": version,
@@ -374,16 +377,20 @@ class TestSweep:
 
     def test_worker_count_does_not_change_reduced_rows(self, weight_shapes):
         # under gaussian noise the s = 600 cell, wider than min(n, p) + n =
-        # 24, is reduced: build_ensemble draws its Bartlett factor
-        cfg = small_cfg(ensemble_replicates=2, s_grid=[6, 20, 600])
+        # 24, is reduced: build_ensemble draws its Bartlett factor.  Three
+        # replicates, so a worker's cells span more than one replicate's
+        # shared rows; replicate 2's rows have a tail index at s = 6, so that
+        # cell draws the dense W and the grid holds all three routes
+        cfg = small_cfg(ensemble_replicates=3, s_grid=[6, 20, 600])
         serial = records_csv(run_sweep(cfg).records)
-        assert sorted(set(weight_shapes)) == [(cfg.n, 6), (cfg.n, 20)]
+        assert sorted(set(weight_shapes)) == [(cfg.n, 6), (cfg.n, 20), (cfg.p, 6)]
         parallel = records_csv(run_sweep(dataclasses.replace(cfg, workers=2)).records)
         assert serial == parallel
 
     def test_worker_count_does_not_change_unrealizable_rows(self):
-        # both least-squares solves of an unrealizable cell run in each worker
-        cfg = small_cfg(ensemble_replicates=2, target_mode="unrealizable")
+        # both least-squares solves of an unrealizable cell run in each
+        # worker, over three replicates' shared rows
+        cfg = small_cfg(ensemble_replicates=3, target_mode="unrealizable")
         serial = run_sweep(cfg).records
         assert all(r.error == "" and r.M > 0 for r in serial)
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
@@ -422,17 +429,20 @@ class TestSweep:
                                                           alpha):
         # an unrealizable cell and one with a tail index (alpha = 0) draw the
         # dense W, bit for bit as a pipeline assembled by hand; a realizable
-        # cell without one (alpha = 0.5) takes the row-space route instead
-        cfg = small_cfg(target_mode=target_mode, alpha=alpha)
-        seed, s_index, s = cfg.master_seed, 1, cfg.s_grid[1]
+        # cell without one (alpha = 0.5) takes the row-space route instead.
+        # The covariates are the replicate's, keyed without the s index.
+        # Replicate 1: at seed 5 its rows have a tail index at alpha = 0,
+        # replicate 0's have none
+        cfg = small_cfg(target_mode=target_mode, alpha=alpha, ensemble_replicates=2)
+        seed, s_index, s, rep = cfg.master_seed, 1, cfg.s_grid[1], 1
 
         def stream(purpose):
-            return seed_stream(seed, s_index, 0, purpose)
+            return seed_stream(seed, s_index, rep, purpose)
 
         spectrum = sweep_mod._make_spectrum(cfg)
         phi = spectral_mod.eigenfeature_matrix(
-            spectrum, cfg.mode, spectral_mod.sample_covariates(cfg.mode, cfg.n,
-                                                               stream("covariates"), p=cfg.p))
+            spectrum, cfg.mode, spectral_mod.sample_covariates(
+                cfg.mode, cfg.n, seed_stream(seed, rep, "covariates"), p=cfg.p))
         spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
         ens = build_ensemble(spectrum, cfg.mode, phi, sample_weights(cfg.p, s, stream("weights")),
                              spec, stream("feature-noise"))
@@ -440,8 +450,9 @@ class TestSweep:
                                       tail_energy=cfg.tail_energy)
         d = risk_mod.decompose(ens, target, cfg.sigma_sq, clean_test=cfg.clean_test,
                                target_noise=cfg.target_noise)
-        rec = compute_row(cfg, s_index, 0)
+        rec = compute_row(cfg, s_index, rep)
         dense = target_mode == "unrealizable" or alpha == 0.0
+        assert (rec.k_star is not None) == (alpha == 0.0)
         assert weight_shapes == [(cfg.p if dense else cfg.n, s)]
         got = (rec.B, rec.V, rec.M, rec.R)
         want = (d.bias, d.variance, d.misspec, d.total)
@@ -596,10 +607,14 @@ class TestSweep:
         manifest = json.loads(Path(paths["manifest"]).read_text())
         assert manifest["artifact_version"] == config_mod.ARTIFACT_VERSION
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
-        # the label noise is integrated, so no stream is drawn for it
-        assert "purposes: covariates, weights, weights-complement, feature-noise, " \
-            "target; " in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "11"
+        # a replicate's covariates are shared by its cells; the label noise is
+        # integrated, so no stream is drawn for it
+        assert manifest["seed_scheme"].startswith(
+            "covariates are keyed seed_stream(master_seed, replicate, 'covariates') and "
+            "shared by every s")
+        assert "purposes: weights, weights-complement, feature-noise, target; " \
+            in manifest["seed_scheme"]
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "12"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -650,7 +665,7 @@ class TestSweep:
         assert calls == [(cfg.n, cfg.s_grid[s_index])]
 
     @pytest.mark.parametrize("target_mode", ["realizable-clean", "unrealizable"])
-    def test_one_eigenfeature_evaluation_per_cell(self, monkeypatch, target_mode):
+    def test_one_eigenfeature_evaluation_per_replicate(self, monkeypatch, target_mode):
         calls = []
         original = spectral_mod.eigenfeature_matrix
 
@@ -662,10 +677,12 @@ class TestSweep:
             if name.startswith("noisyrf") and \
                     getattr(module, "eigenfeature_matrix", None) is original:
                 monkeypatch.setattr(module, "eigenfeature_matrix", counting)
-        cfg = small_cfg(target_mode=target_mode)
-        rec = compute_row(cfg, 0, 0)
-        assert rec.error == "" and math.isfinite(rec.R)
-        assert calls == [cfg.mode]
+        # every cell of a replicate shares its rows: a serial sweep of two
+        # s-values and two replicates evaluates phi twice, not four times
+        cfg = small_cfg(target_mode=target_mode, ensemble_replicates=2)
+        records = run_sweep(cfg).records
+        assert all(r.error == "" and math.isfinite(r.R) for r in records)
+        assert calls == [cfg.mode] * cfg.ensemble_replicates
 
     @pytest.mark.parametrize("target_mode", ["realizable-clean", "unrealizable"])
     def test_sweep_rows_are_exact(self, target_mode):
@@ -680,13 +697,17 @@ class TestSweep:
             assert rec.B_se == rec.V_se == rec.M_se == rec.R_se == 0.0
 
     def test_bias_bound_nan_exactly_without_null_space(self):
-        # unit feature-noise energy (alpha = 0) makes the tail index exist on
-        # every cell, so a nan can only come from the missing null space
-        cfg = small_cfg(s_grid=[4, 8, 12, 16, 24, 48], alpha=0.0)
+        # at unit feature-noise energy (alpha = 0) the tail index depends on
+        # the replicate's rows alone, so it exists on all of a replicate's
+        # cells or on none: at seed 5 on replicate 1's, not on replicate 0's.
+        # Where it exists, a nan can only come from the missing null space
+        cfg = small_cfg(s_grid=[4, 8, 12, 16, 24, 48], alpha=0.0, ensemble_replicates=2)
         records = run_sweep(cfg).records
-        assert all(r.k_star is not None for r in records)
-        assert [math.isnan(r.bias_bound) for r in records] == \
-            [r.s <= cfg.n for r in records]
+        with_index = [r for r in records if r.k_star is not None]
+        assert [r.replicate for r in with_index] == [1] * len(cfg.s_grid)
+        assert [math.isnan(r.bias_bound) for r in with_index] == \
+            [r.s <= cfg.n for r in with_index]
+        assert all(math.isnan(r.bias_bound) for r in records if r.k_star is None)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("target_mode", ["realizable-clean", "unrealizable"])
@@ -733,15 +754,18 @@ class TestSweep:
 
     @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
     def test_preset_cell_factors_the_gram_once(self, linalg_calls, weight_shapes, s, route):
-        # one eigensolve of phi phi^T gives both the empirical spectrum and a
-        # row-space cell's basis: no QR of the 2000 x 100 phi^T, and neither
-        # route runs a second eigensolve (lambda_W is not stated on the preset)
+        # one eigensolve of phi phi^T per replicate gives both the empirical
+        # spectrum and its row-space cells' basis: no QR of the 2000 x 100
+        # phi^T, and no cell runs a second eigensolve (lambda_W is not stated
+        # on the preset, and designs of s - 5 and s columns keep the SVD)
         calls = linalg_calls("eigh", "eigvalsh", "qr")
-        cfg = preset_config("double-descent-default", {"master_seed": 7})
-        rec = compute_row(cfg, cfg.s_grid.index(s), 0)
-        assert rec.error == "" and math.isfinite(rec.R)
-        assert weight_shapes == [(cfg.n if route == "row-space" else cfg.p, s)]
-        assert calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
+        cfg = preset_config("double-descent-default",
+                            {"master_seed": 7, "s_grid": [s - 5, s], "ensemble_replicates": 2})
+        records = run_sweep(cfg).records
+        assert all(r.error == "" and math.isfinite(r.R) for r in records)
+        rows = cfg.n if route == "row-space" else cfg.p
+        assert weight_shapes == [(rows, s - 5), (rows, s)] * 2
+        assert calls == {"eigh": 2, "eigvalsh": 0, "qr": 0}
 
     def test_row_space_cells_repeat_across_blas_thread_counts(self):
         # a BLAS thread count changes the Gram's last bits, and with them the
@@ -844,22 +868,95 @@ class TestSweep:
 
     @pytest.mark.parametrize("seed", [7, 13])
     def test_preset_never_states_the_bias_bound(self, seed):
-        # k* needs only each cell's covariates (replicate 0), not W: it exists
-        # for s <= 42 alone, all below n, where the fit has no null space, so
-        # no row of the preset's sweep.csv states the bias bound
+        # k* needs only the replicate's covariates (replicate 0), not W: it
+        # exists on a prefix of the grid, s <= 42 at seed 7 and s <= 56 at
+        # seed 13, all below n, where the fit has no null space, so no row of
+        # the preset's sweep.csv states the bias bound
         cfg = preset_config("double-descent-default", {"master_seed": seed})
         spectrum = sweep_mod._make_spectrum(cfg)
+        X = spectral_mod.sample_covariates(
+            cfg.mode, cfg.n, seed_stream(seed, 0, "covariates"), p=cfg.p)
+        lam_hat = spectral_mod.empirical_covariance(
+            spectral_mod.eigenfeature_matrix(spectrum, cfg.mode, X))
         with_index = []
-        for s_index, s in enumerate(cfg.s_grid):
-            X = spectral_mod.sample_covariates(
-                cfg.mode, cfg.n, seed_stream(seed, s_index, 0, "covariates"), p=cfg.p)
-            phi = spectral_mod.eigenfeature_matrix(spectrum, cfg.mode, X)
-            lam_hat = spectral_mod.empirical_covariance(phi)
+        for s in cfg.s_grid:
             sigma0_sq = make_noise_spec(cfg.noise_family, cfg.alpha, s).sigma0_sq
             if bounds_mod.k_star(lam_hat, sigma0_sq, cfg.n, cfg.a) is not None:
                 with_index.append(s)
-        assert with_index == [s for s in cfg.s_grid if s <= 42]
+        assert with_index == [s for s in cfg.s_grid if s <= {7: 42, 13: 56}[seed]]
         assert max(with_index) < cfg.n
+
+
+class TestReplicateRows:
+    """A replicate is one training set: its covariates, phi, the Gram's
+    eigenpairs and the row-space factor are drawn once and shared, read-only,
+    by every cell of it."""
+
+    def test_cells_of_a_replicate_share_phi(self, monkeypatch):
+        phis = []
+        inner = sweep_mod.build_ensemble
+
+        def recording(*args, **kwargs):
+            ens = inner(*args, **kwargs)
+            phis.append(ens.phi)
+            return ens
+
+        monkeypatch.setattr(sweep_mod, "build_ensemble", recording)
+        # replicate-major: replicate 0's three cells run first, then replicate 1's
+        cfg = small_cfg(s_grid=[6, 20, 600], ensemble_replicates=2)
+        assert all(r.error == "" for r in run_sweep(cfg).records)
+        first, second = phis[:3], phis[3:]
+        assert len(second) == 3
+        assert all(phi is first[0] for phi in first)
+        assert all(phi is second[0] for phi in second)
+        assert not np.array_equal(first[0], second[0])
+
+    def test_shared_rows_are_read_only(self):
+        cfg = small_cfg()
+        rows = sweep_mod._training_rows(cfg.master_seed, 0, cfg.mode, cfg.n, cfg.p,
+                                        cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
+        for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+
+    def test_unrealizable_replicate_forms_no_basis(self, monkeypatch):
+        # its cells all draw the dense W, so R (p x min(n, p)) is never formed
+        def refused(*args):
+            raise AssertionError("an unrealizable cell formed the row-space factor")
+
+        monkeypatch.setattr(sweep_mod, "row_space_factor", refused)
+        records = run_sweep(small_cfg(target_mode="unrealizable", ensemble_replicates=2)).records
+        assert all(r.error == "" and r.M > 0 for r in records)
+
+    def test_memo_is_empty_after_a_sweep(self):
+        cfg = small_cfg(ensemble_replicates=3)
+        sweep_mod._training_rows(cfg.master_seed, 7, cfg.mode, cfg.n, cfg.p, cfg.spectrum_kind,
+                                 cfg.gamma, cfg.d, cfg.omega1)
+        run_sweep(cfg)
+        assert sweep_mod._training_rows.cache_info().currsize == 0
+
+    def test_warm_memo_cell_equals_a_fresh_interpreter(self):
+        # a row-space (s = 20) and a reduced (s = 600) cell, each computed
+        # after the other cells of its replicate in this process and alone
+        # in a fresh one; perfbench's replay check compares rows the same way
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        overrides = {"s_grid": [6, 20, 600], "ensemble_replicates": 2}
+        cfg = small_cfg(**overrides)
+        warm = {}
+        for s_index in range(len(cfg.s_grid)):
+            warm[s_index] = records_csv([compute_row(cfg, s_index, 1)])
+        assert sweep_mod._training_rows.cache_info().hits == len(cfg.s_grid) - 1
+        for s_index in (1, 2):
+            code = ("import sys\n"
+                    "from noisyrf.config import parse_config\n"
+                    "from noisyrf.sweep import compute_row, records_csv\n"
+                    f"cfg = parse_config({dict(cfg.to_dict(), **overrides)!r})\n"
+                    f"sys.stdout.write(records_csv([compute_row(cfg, {s_index}, 1)]))\n")
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src), check=True, timeout=300)
+            assert out.stdout == warm[s_index]
 
 
 RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
