@@ -11,8 +11,11 @@ phi(X)^T = R T (R p x k orthonormal, k = min(n, p); see `row_space_factor`),
 that is T^T G for G = R^T W, a k x s standard normal matrix; the rest of W,
 (I - R R^T) W, is a Gaussian independent of G.  An ensemble may therefore
 hold W in one of two forms: the dense p x s array, or a `RowSpaceWeights`
-that keeps only R and G and draws W's complement when the one product a cell
-needs is taken.  Both give every quantity of the cell the same law.
+that keeps only G and reads W's complement, in the one product a cell
+needs, from a `ComplementFrame`: one p x (n + 1) standard normal draw F,
+made once per training set and kept as R^T F and a (k + n + 1)-square
+triangle, so that product costs no p-row array and no draw.  Both forms
+give every quantity of the cell the same law.
 
 With Gaussian feature noise Xi (or none), a cell's law does not change under
 W -> W O, Xi -> Xi O, beta* -> O^T beta* for an orthogonal s x s O, so all it
@@ -24,7 +27,7 @@ coordinates and beta*'s part outside Q's span into coordinate m + 1 leaves a
 reduced ensemble m + 1 wide: G' = [L[:k], 0], the noise rows [L[k:], 0] and
 the true s, whatever s is (`build_ensemble` given the weights stream itself,
 for s > m; `reducible` says where).  Its G' is held as row-space weights, so
-W's complement is drawn as on any row-space cell; `risk.make_target` draws
+W's complement is read as on any row-space cell; `risk.make_target` draws
 beta*'s reduced image.
 """
 
@@ -150,65 +153,145 @@ def noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray
     return spec.entry_scale * _unit_variance_draw(spec.family, shape, rng)
 
 
+@dataclass(frozen=True, eq=False)
+class ComplementFrame:
+    """W's complement for every row-space cell of one training set, held in
+    k + n + 1 coordinates (k = min(n, p); see `complement_frame`).
+
+    F = [H1, h] is one p x (n + 1) standard normal draw.  The frame keeps
+    R^T F and the left factor: an upper triangle T, k + n + 1 square, with
+    T^T T = E^T E for E = sqrt(Lambda) [R, F], or E itself where no such T
+    is certified.  Column norms and inner products of E M are those of
+    left M.
+    """
+
+    RtF: np.ndarray   # R^T F, (k, n + 1)
+    left: np.ndarray  # T, (k + n + 1, k + n + 1), or E, (p, k + n + 1)
+
+
+# rows of E = sqrt(Lambda) [R, F] formed at a time by the CholeskyQR2 passes,
+# so that a frame with a triangle never holds E, p x (k + n + 1)
+_FRAME_BLOCK = 256
+
+
+def _gram_of_blocks(R: np.ndarray, F: np.ndarray, scale: np.ndarray,
+                    right: np.ndarray | None = None) -> np.ndarray:
+    """(E right)^T (E right), or E^T E without right, for E = scale [R, F],
+    summed over blocks of _FRAME_BLOCK rows."""
+    c = R.shape[1] + F.shape[1]
+    gram = np.zeros((c, c))
+    for lo in range(0, R.shape[0], _FRAME_BLOCK):
+        block = np.hstack([R[lo:lo + _FRAME_BLOCK], F[lo:lo + _FRAME_BLOCK]])
+        block *= scale[lo:lo + _FRAME_BLOCK, None]
+        if right is not None:
+            block = block @ right
+        gram += block.T @ block
+    return gram
+
+
+def _cholesky_qr2(R: np.ndarray, F: np.ndarray, scale: np.ndarray) -> np.ndarray | None:
+    """The upper triangle T with T^T T = E^T E for E = scale [R, F], by
+    CholeskyQR2 on numpy's BLAS, or None where no T is certified.
+
+    T1 is the Cholesky factor of E^T E and T2 that of E1^T E1 for
+    E1 = E T1^-1; T = T2 T1.  Both Grams are summed over row blocks of E, so
+    neither E nor E1 is held.  E1's orthogonality defect is about
+    eps cond(E)^2; the second pass takes it to rounding where the defect is
+    small, which ||E1^T E1 - I||_F <= 1/2 certifies (Yamamoto et al. 2015).
+    Then T M has E M's column norms to about eps cond(E), as a Householder
+    QR would give.  A single Cholesky of E^T E errs by up to
+    eps cond(E)^2, about 2e-9 on the preset, above `spectral.GRAM_RTOL`.
+    None where E is wider than tall, E^T E's Cholesky raises or the test
+    fails: exponential and finite-rank spectra, and p < k + n + 1.
+    """
+    p, c = R.shape[0], R.shape[1] + F.shape[1]
+    if p < c:
+        return None
+    try:
+        T1 = np.linalg.cholesky(_gram_of_blocks(R, F, scale)).T
+    except np.linalg.LinAlgError:
+        return None
+    # an upper triangle's LU does not pivot, so this is its triangular inverse
+    gram = _gram_of_blocks(R, F, scale, np.linalg.inv(T1))
+    if not np.linalg.norm(gram - np.eye(c)) <= 0.5:
+        return None
+    return np.linalg.cholesky(gram).T @ T1
+
+
+def complement_frame(basis: np.ndarray, eigenvalues: np.ndarray, n: int,
+                     rng: np.random.Generator) -> ComplementFrame:
+    """Draw F = [H1, h], one p x (n + 1) standard normal draw from rng, and
+    hold it against R = basis and sqrt(Lambda) for `RowSpaceWeights.times`:
+    R^T F and the left factor of E = sqrt(Lambda) [R, F], p x (k + n + 1),
+    the triangle of `_cholesky_qr2` where it certifies one, else E itself.
+    F is the only p-row buffer a frame with a triangle forms."""
+    F = rng.standard_normal((basis.shape[0], n + 1))
+    scale = np.sqrt(eigenvalues)
+    left = _cholesky_qr2(basis, F, scale)
+    if left is None:
+        left = np.hstack([basis, F])
+        left *= scale[:, None]
+    return ComplementFrame(basis.T @ F, left)
+
+
 class RowSpaceWeights:
-    """The p x s weights W held as R and G = R^T W, R an orthonormal basis of
-    the eigenfeature rows' span; W's complement (I - R R^T) W is not drawn
-    until `times` needs it.
+    """The p x s weights W held as G = R^T W, R an orthonormal basis of the
+    eigenfeature rows' span, and W's complement (I - R R^T) W as the
+    training set's `ComplementFrame`, which holds R's part of the product.
 
     The complement is a Gaussian independent of G, of the covariates and of
-    every later draw of the cell, so `times` can draw it from its own
-    generator and give W [V, e] exactly the law a dense W gives.  It draws
-    once: a second product would need the same complement and raises.
+    every later draw of the cell, so the frame's F, drawn once for the
+    training set, gives W [V, e] exactly the law a dense W gives in each
+    cell.  A cell takes one product: a second one would need the complement
+    that the first one's design fixed, and raises.
     """
 
     # an ndarray on the left of @ defers to this class, which has no
     # __rmatmul__: phi @ weights raises instead of building an object array
     __array_ufunc__ = None
 
-    def __init__(self, basis: np.ndarray, coords: np.ndarray,
-                 complement_rng: np.random.Generator):
-        self.basis = basis    # R, (p, k) with orthonormal columns
+    def __init__(self, coords: np.ndarray, complement: ComplementFrame):
         self.coords = coords  # G = R^T W, (k, s)
-        self._complement_rng = complement_rng
+        self._complement = complement
 
     def times(self, V: np.ndarray, U: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """W [V, e] in the law of a dense W, for the design's thin SVD
-        D = U Sigma V^T (V s x r and U n x r with orthonormal columns) and a
-        coefficient vector e.
+        """An array Y, k + n + 1 rows (p where the frame holds E), whose
+        columns have the norms and inner products of sqrt(Lambda) W [V, e]'s,
+        W in the law of a dense W, for the design's thin SVD D = U Sigma V^T
+        (V s x r and U n x r with orthonormal columns) and a coefficient
+        vector e.
 
-        The row-space part is R (G [V, e]).  The complement part is
-        (I - R R^T) W [V, e].  W's complement times D^T has the law of
-        (I - R R^T) H1 (D D^T)^1/2 = (I - R R^T) H1 U Sigma U^T for a fresh
-        p x n standard normal H1, so its product with V = D^T U Sigma^-1 is
+        W's complement times D^T has the law of (I - R R^T) H1 (D D^T)^1/2 =
+        (I - R R^T) H1 U Sigma U^T, so its product with V = D^T U Sigma^-1 is
         (I - R R^T) H1 U.  e's part outside V, e - V a with a = V^T e and
-        rho = ||e - V a||, is met by one more fresh column h, independent of
-        H1 U: (I - R R^T) (H1 U a + rho h).  The draw is attached to the
-        design's rows, not to V's columns, so it transforms with the basis:
-        (V O, U O) for an orthogonal O gives this product times O.  A
-        factorization that picks other signs, or another rotation inside a
-        cluster of close singular values, gives the same row.
+        rho = ||e - V a||, is met by F's last column h, independent of H1 U:
+        (I - R R^T) (H1 U a + rho h).  With B = [[U, U a], [0, rho]],
+        (n + 1) x (r + 1), that is (I - R R^T) F B, and
+
+            W [V, e] = R (G [V, e] - RtF B) + F B = [R, F] M,
+            M = [G [V, e] - RtF B; B],
+
+        so Y = left M, (k + n + 1) x (r + 1), with no p-row array and no draw
+        (`ComplementFrame`).  F is attached to the design's rows, not to V's
+        columns, so Y transforms with the basis: (V O, U O) for an orthogonal
+        O gives Y times O.  A factorization that picks other signs, or
+        another rotation inside a cluster of close singular values, gives
+        the same row.
         """
-        rng = self._complement_rng
-        if rng is None:
-            raise RuntimeError("W's complement is already drawn; a second product "
-                               "would not see the same W")
-        self._complement_rng = None
-        R = self.basis
-        p, r = R.shape[0], V.shape[1]
-        # out before H1, so that H1, freed first, leaves no hole under it
-        out = np.empty((p, r + 1), order="F")
-        H1 = rng.standard_normal((p, U.shape[0]))
-        np.matmul(H1, U, out=out[:, :r])
-        del H1
-        h = rng.standard_normal(p)
+        frame = self._complement
+        if frame is None:
+            raise RuntimeError("this cell's product with W is already taken; a second "
+                               "product would not see the same W")
+        self._complement = None
+        n, r = U.shape[0], V.shape[1]
         a = V.T @ e
-        h *= float(np.linalg.norm(e - V @ a))
-        out[:, r] = out[:, :r] @ a + h
-        # R G [V, e] + (I - R R^T) out, with one product through R
-        GC = column_product(self.coords, V, e)
-        GC -= R.T @ out
-        out += R @ GC
-        return out
+        B = np.zeros((n + 1, r + 1))
+        B[:n, :r] = U
+        B[:n, r] = U @ a
+        B[n, r] = np.linalg.norm(e - V @ a)
+        C = column_product(self.coords, V, e)
+        C -= frame.RtF @ B
+        return frame.left @ np.concatenate([C, B])
 
 
 def column_product(M: np.ndarray, V: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -295,37 +378,39 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
                    weights: np.ndarray | np.random.Generator,
                    noise_spec: NoiseSpec | None = None,
                    noise_rng: np.random.Generator | None = None, *,
-                   complement_rng: np.random.Generator | None = None,
+                   complement: ComplementFrame | np.random.Generator | None = None,
                    factor: tuple[np.ndarray, np.ndarray] | None = None) -> FeatureEnsemble:
     """The features and the design over the eigenfeature rows phi = phi(X), (n, p).
 
-    weights is W, p x s.  With complement_rng it is instead G = R^T W, a
+    weights is W, p x s.  With a complement it is instead G = R^T W, a
     min(n, p) x s standard normal draw, where factor = (R, T^T) is
     `row_space_factor`'s phi^T = R T (taken here from phi's Gram when the
     caller has not: `compute_row` passes its replicate's, computed once
     from the eigenpairs its empirical spectrum came from): then
-    Z = T^T G / sqrt(s) and the ensemble holds RowSpaceWeights(R, G,
-    complement_rng).  A dense ensemble does not read factor.
+    Z = T^T G / sqrt(s) and the ensemble holds RowSpaceWeights(G, frame).
+    complement is that frame (`compute_row` passes its replicate's), or a
+    generator that `complement_frame` draws one from here.  A dense
+    ensemble reads neither factor nor complement.
 
     weights may instead be the `weights` stream's generator itself, with a
-    complement_rng and a noise spec that `reducible` accepts: then it draws
+    complement and a noise spec that `reducible` accepts: then it draws
     the Bartlett factor of [G; Xi] and the ensemble is reduced (module
     docstring): Z = T^T G' / sqrt(s) and the design Z + sqrt(q) Xi', m + 1
     wide, with the spec's s and q = sigma0^2 / s.  noise_rng is not read.
     """
-    p = phi.shape[1]
+    n, p = phi.shape
     noise = None
     if isinstance(weights, np.random.Generator):
-        if complement_rng is None:
+        if complement is None:
             raise ValueError("a reduced ensemble holds row-space weights: it needs "
-                             "complement_rng")
+                             "a complement")
         weights, noise = _reduced_draw(phi.shape, noise_spec, weights)
         s = noise_spec.s
     else:
         s = weights.shape[1]
         if noise_spec is not None and noise_spec.s != s:
             raise ValueError(f"noise width must equal the feature count s={noise_spec.s}")
-    if complement_rng is None:
+    if complement is None:
         if weights.shape[0] != p:
             raise ValueError(f"weight rows ({weights.shape[0]}) must match eigenfeature "
                              f"dimension ({p})")
@@ -336,7 +421,9 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
                              f"min(n, p) = {min(phi.shape)}")
         basis, tri_t = factor if factor is not None else row_space_factor(phi, gram_eigh(phi))
         Z = tri_t @ weights / math.sqrt(s)
-        weights = RowSpaceWeights(basis, weights, complement_rng)
+        if isinstance(complement, np.random.Generator):
+            complement = complement_frame(basis, spectrum.eigenvalues, n, complement)
+        weights = RowSpaceWeights(weights, complement)
     design = Z
     if noise_spec is not None and noise_spec.sigma0_sq != 0.0:
         if noise is not None:

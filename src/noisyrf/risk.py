@@ -12,15 +12,17 @@ redrawn and the split has no sampling error.  The tests check this route
 against a sampled test measure of their own (`tests/sampled_reference.py`),
 which shares only its inputs with it and redraws labels by Monte Carlo.
 
-A realizable target reads W only as the product W [V, e], so its split also
-runs on row-space weights (`features.RowSpaceWeights`), which draw W's part
-outside the eigenfeature rows' span just for that product.  An unrealizable
-target needs the dense p x s W.  A reduced ensemble (features module) runs
+A realizable target reads W only through the column norms of
+sqrt(Lambda) W [V, e], so its split also runs on row-space weights
+(`features.RowSpaceWeights`), which give those norms in k + n + 1
+coordinates, k = min(n, p), from W's part outside the eigenfeature rows'
+span as their training set's one draw F (`features.ComplementFrame`).  An
+unrealizable target needs the dense p x s W.  A reduced ensemble (features module) runs
 the same split at width m + 1 = min(n, p) + n + 1: the design, its factors,
 beta* and the fit live in those coordinates, while 1/sqrt(s) and the noise
 variance q = sigma0^2 / s read the ensemble's true s.  The last coordinate
 is zero in the design and in G', so beta*'s part outside the span of
-[G; Xi] meets W only through ||e - V a||, the column W's complement draw
+[G; Xi] meets W only through ||e - V a||, the weight that W's complement
 gives e's part outside V.
 
 An unrealizable target's tail is orthogonal to the feature span in the
@@ -359,7 +361,7 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
             raise ValueError(f"tail_energy must be positive and finite, got {tail_energy!r}")
         if not isinstance(ensemble.weights, np.ndarray):
             raise ValueError("unrealizable target needs the dense p x s W; build the "
-                             "ensemble without complement_rng")
+                             "ensemble without a complement")
     if ensemble.reduced:
         # beta*'s image in the reduced coordinates (features module): its
         # part in the span of [G; Xi], then the norm of the rest
@@ -437,24 +439,28 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
     g = U^T eps, which adds to that risk a term linear in g and g^T Q g,
     where K = A V Sigma^-1 and Q = K^T K + (q_e + q_u) Sigma^-2.  g has mean
     0 and covariance sigma^2 I, so on average the label noise adds sigma^2
-    tr(Q): the variance.  A is never formed: W [V, e] is all the split
-    needs, taken as W V and W e without stacking [V, e], and row-space
-    weights give it from their one draw of W's complement, attached to the
-    design's left singular vectors U.  The split reads the factors only
-    through K^T K, tr(Q) and A e, which do not change when (U, V) turn to
-    (U O, V O), so it does not depend on the basis the factorization picked.
+    tr(Q) = sigma^2 (||K||_F^2 + sum((q_e + q_u) / sv^2)): the variance.
+    A is never formed, nor K^T K: the split reads only the column norms of
+    A [V, e].  Dense weights give them from sqrt(Lambda) W V and
+    sqrt(Lambda) W e, taken without stacking [V, e]; row-space weights give
+    them from `RowSpaceWeights.times`, k + n + 1 rows whose columns have
+    the norms of sqrt(Lambda) W [V, e]'s, with W's complement attached to
+    the design's left singular vectors U.  ||A e||^2 and tr(Q) do not change
+    when (U, V) turn to (U O, V O), so the split does not depend on the
+    basis the factorization picked.
     """
     e = u_hat - ref
-    sqrt_lam = np.sqrt(ensemble.spectrum.eigenvalues)
     W = ensemble.weights
-    AC = column_product(W, f.V, e) if isinstance(W, np.ndarray) else W.times(f.V, f.U, e)
-    AC *= sqrt_lam[:, None]
-    AC /= math.sqrt(ensemble.s)
-    K, Ae = AC[:, :f.rank] / f.sv, AC[:, f.rank]
-    bias = float(Ae @ Ae) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \
+    if isinstance(W, np.ndarray):
+        AC = column_product(W, f.V, e)
+        AC *= np.sqrt(ensemble.spectrum.eigenvalues)[:, None]
+    else:
+        AC = W.times(f.V, f.U, e)
+    # the squared column norms of A [V, e]
+    energy = np.einsum("ij,ij->j", AC, AC) / ensemble.s
+    bias = float(energy[f.rank]) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \
         + q_r * float(ref @ ref)
-    Q = K.T @ K + np.diag((q_e + q_u) / f.sv ** 2)
-    return bias, sigma_sq * float(np.trace(Q))
+    return bias, sigma_sq * float(np.sum((energy[:f.rank] + (q_e + q_u)) / f.sv ** 2))
 
 
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float, *,

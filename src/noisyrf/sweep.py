@@ -9,8 +9,8 @@ manifest.json instead.
 A replicate is one training set: its covariates are keyed by (master_seed,
 replicate) alone, so every cell of the replicate sees the same rows and the
 replicate traces one fixed-data risk curve over the s grid.  The rows, their
-Gram eigenpairs and the row-space factor are computed once per replicate
-(`_training_rows`) and shared, read-only, by its cells.
+Gram eigenpairs, the row-space factor and W's complement frame are computed
+once per replicate (`_training_rows`) and shared, read-only, by its cells.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
-from .features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec, reducible,
-                       row_space_factor, sample_weights)
+from .features import (WEIGHT_BLOCK, ComplementFrame, build_ensemble, complement_frame,
+                       make_noise_spec, reducible, row_space_factor, sample_weights)
 from .risk import decompose, make_target
-from .seeding import seed_stream
+from .seeding import seed_sequence, seed_stream
 # empirical_covariance likewise: compute_row takes the spectrum from its
 # replicate's gram_eigh call, whose eigenvectors it also needs; the tracer
 # looks the name up here
@@ -164,17 +164,22 @@ class _TrainingRows:
     """A replicate's training set, shared by every cell of it: the
     spectrum, phi = phi(X) (n x p), gram = gram_eigh(phi) and, formed by the
     first row-space cell that asks, factor = (R, T^T), `row_space_factor`'s
-    phi^T = R T from the same eigenpairs.  A replicate whose cells all draw
-    the dense W (an unrealizable target) never forms R, p x min(n, p).
+    phi^T = R T from the same eigenpairs, and complement, W's complement
+    frame (`features.complement_frame`) drawn from a generator seeded by
+    complement_seed, made afresh on each attempt so that every attempt
+    draws the same F.  A replicate whose cells all draw the dense W (an
+    unrealizable target) forms neither R, p x min(n, p), nor the frame.
 
     The arrays are read-only: a cell that wrote to one would change the next
     cell's row.
     """
 
-    def __init__(self, spectrum, phi: np.ndarray, gram: GramEigen):
+    def __init__(self, spectrum, phi: np.ndarray, gram: GramEigen,
+                 complement_seed: np.random.SeedSequence):
         for array in (phi, gram.values, gram.vectors):
             array.flags.writeable = False
         self.spectrum, self.phi, self.gram = spectrum, phi, gram
+        self._complement_seed = complement_seed
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +188,22 @@ class _TrainingRows:
             array.flags.writeable = False
         return factor
 
+    @functools.cached_property
+    def complement(self) -> ComplementFrame:
+        frame = complement_frame(self.factor[0], self.spectrum.eigenvalues, self.phi.shape[0],
+                                 np.random.default_rng(self._complement_seed))
+        for array in (frame.RtF, frame.left):
+            array.flags.writeable = False
+        return frame
+
 
 @functools.lru_cache(maxsize=1)
 def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, kind: str,
                    gamma: float | None, d: int | None, omega1: float) -> _TrainingRows:
     """The replicate's training set, its covariates drawn from
-    seed_stream(master_seed, replicate, "covariates").
+    seed_stream(master_seed, replicate, "covariates") and W's complement,
+    when a row-space cell asks for it, from seed_stream(master_seed,
+    replicate, "weights-complement").
 
     The arguments are exactly what the rows depend on, so the cache key is
     the argument tuple.  run_sweep clears the cache on entry and on exit.
@@ -198,7 +213,8 @@ def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, 
     phi = eigenfeature_matrix(spectrum, mode, X)
     # X is not read again; freed before the Gram is formed
     del X
-    return _TrainingRows(spectrum, phi, gram_eigh(phi))
+    return _TrainingRows(spectrum, phi, gram_eigh(phi),
+                         seed_sequence(master_seed, replicate, "weights-complement"))
 
 
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
@@ -209,8 +225,8 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     where the tail index k* exists (the row may state the bias bound, which
     needs lambda_W), draws the dense p x s W.  Any other row holds row-space
     weights: G = R^T W, R an orthonormal basis of the eigenfeature rows'
-    span, and the one product its risk split needs draws W's complement
-    from the `weights-complement` stream.  Of these, a row that
+    span, and the one product its risk split needs reads W's complement
+    from the replicate's frame.  Of these, a row that
     `features.reducible` accepts (s > m = min(n, p) + n, and Gaussian noise
     or alpha = inf) is reduced: build_ensemble draws the Bartlett factor of
     [G; Xi] from the `weights` stream and the ensemble is m + 1 wide, so
@@ -219,11 +235,12 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     the same law (features module).
 
     The training rows are the replicate's (`_training_rows`): its
-    covariates, phi, one eigensolve of phi's Gram and the row-space factor
-    (R, T^T) from the same eigenpairs, computed by the first cell of the
-    replicate that runs in this process (the factor by the first row-space
-    cell) and reused by the others.  The eigenpairs give the empirical
-    spectrum; the factor serves row-space cells.
+    covariates, phi, one eigensolve of phi's Gram, the row-space factor
+    (R, T^T) from the same eigenpairs and W's complement frame, computed by
+    the first cell of the replicate that runs in this process (the factor
+    and the frame by the first row-space cell) and reused by the others.
+    The eigenpairs give the empirical spectrum; the factor and the frame
+    serve row-space cells.
     """
     seed = cfg.master_seed
     s = cfg.s_grid[s_index]
@@ -239,15 +256,14 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     if cfg.target_mode == "unrealizable" or k_star is not None:
-        weights, rng_complement, factor = sample_weights(cfg.p, s, rng_w), None, None
+        weights, complement, factor = sample_weights(cfg.p, s, rng_w), None, None
     else:
-        factor = rows.factor
-        rng_complement = seed_stream(seed, s_index, replicate, "weights-complement")
+        factor, complement = rows.factor, rows.complement
         # a reduced cell's weights and noise are drawn inside build_ensemble
         weights = rng_w if reducible(noise_spec, n, cfg.p) else \
             sample_weights(min(n, cfg.p), s, rng_w)
     ensemble = build_ensemble(spectrum, cfg.mode, rows.phi, weights, noise_spec, rng_noise,
-                              complement_rng=rng_complement, factor=factor)
+                              complement=complement, factor=factor)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
                          tail_energy=cfg.tail_energy)
     dec = decompose(ensemble, target, cfg.sigma_sq, clean_test=cfg.clean_test,
@@ -455,11 +471,11 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "artifact_version": ARTIFACT_VERSION,
         "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
-        "seed_scheme": "covariates are keyed seed_stream(master_seed, replicate, "
-                       "'covariates') and shared by every s: a replicate is one training "
-                       "set; every other draw is seed_stream(master_seed, s_index, "
-                       "replicate, purpose), purposes: weights, weights-complement, "
-                       "feature-noise, target; "
+        "seed_scheme": "covariates and weights-complement are keyed "
+                       "seed_stream(master_seed, replicate, purpose) and shared by every "
+                       "s: a replicate is one training set; every other draw is "
+                       "seed_stream(master_seed, s_index, replicate, purpose), purposes: "
+                       "weights, feature-noise, target; "
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
                        "child j of the weights stream's seed sequence (spawn order); "
                        "unrealizable targets and rows where the tail index k* exists "
@@ -476,11 +492,12 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        "sqrt(||g||^2 + rho^2), and feature-noise is not read. The other "
                        "row-space rows draw G, min(n, p) rows, in the same column blocks. "
                        "Every row-space row, reduced or not, takes W's complement for its "
-                       "risk split from weights-complement as one p x n standard normal "
-                       "draw H1, then one p-vector h: with the design's thin SVD "
+                       "risk split from its replicate's weights-complement stream: one "
+                       "(p, n + 1) standard normal draw F = [H1, h], drawn once per "
+                       "replicate: with the design's thin SVD "
                        "U Sigma V^T and the fit's coefficient error e = V a + e_perp, W's "
-                       "complement times [V, e] is (I - R R^T) [H1 U, H1 U a + "
-                       "||e_perp|| h]",
+                       "complement times [V, e] is (I - R R^T) F [[U, U a], [0, "
+                       "||e_perp||]] = (I - R R^T) [H1 U, H1 U a + ||e_perp|| h]",
         "grid": list(cfg.s_grid),
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,

@@ -4,8 +4,8 @@ Run `python3 -m pytest tests/test_acceptance.py -v -rA` to get a one-line
 pass/fail verdict per criterion together with the measured numbers.  The
 statistical criteria use pinned seeds screened for comfortable margins; every
 tolerance is stated inline next to its assertion.  Criterion 3 runs the full
-default sweep preset and takes about a tenth of the suite's runtime (3-4 s
-of 34-42 s on 2 CPUs).
+default sweep preset and takes about a twentieth of the suite's runtime
+(about 2 s of 35-42 s on 2 CPUs).
 """
 import math
 import time

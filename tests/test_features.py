@@ -246,13 +246,13 @@ class TestEnsemble:
         x = sample_covariates("eigencoordinate", 4, seed_stream(40), p=9)
         phi = eigenfeature_matrix(sp, "eigencoordinate", x)
         G = sample_weights(4, 7, seed_stream(41))
-        ens = build_ensemble(sp, "eigencoordinate", phi, G, complement_rng=seed_stream(42))
-        R = ens.weights.basis
+        ens = build_ensemble(sp, "eigencoordinate", phi, G, complement=seed_stream(42))
+        R, _ = row_space_factor(phi, gram_eigh(phi))
         np.testing.assert_allclose(R.T @ R, np.eye(4), atol=1e-14)
         np.testing.assert_allclose(ens.Z, phi @ (R @ G) / math.sqrt(7), rtol=1e-12, atol=1e-14)
         with pytest.raises(ValueError, match="min\\(n, p\\)"):
             build_ensemble(sp, "eigencoordinate", phi, sample_weights(9, 7, seed_stream(41)),
-                           complement_rng=seed_stream(42))
+                           complement=seed_stream(42))
 
 
 def counted_factor(monkeypatch, phi):
@@ -325,7 +325,7 @@ class TestRowSpaceFactor:
 
     def test_ensemble_takes_the_callers_eigenpairs(self, monkeypatch):
         # given the factor read off the Gram's eigenpairs, build_ensemble runs
-        # no eigensolve or factorization of its own and holds the caller's R
+        # no eigensolve or factorization of its own and takes the caller's T^T
         sp = make_spectrum("polynomial", 30, gamma=2.0)
         phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
             "eigencoordinate", 6, seed_stream(6), p=30))
@@ -333,7 +333,7 @@ class TestRowSpaceFactor:
         monkeypatch.setattr(features_mod, "gram_eigh", None)
         monkeypatch.setattr(features_mod, "row_space_factor", None)
         G = sample_weights(6, 9, seed_stream(7))
-        ens = build_ensemble(sp, "eigencoordinate", phi, G, complement_rng=seed_stream(8),
+        ens = build_ensemble(sp, "eigencoordinate", phi, G, complement=seed_stream(8),
                              factor=factor)
-        assert ens.weights.basis is factor[0]
-        np.testing.assert_allclose(ens.Z, phi @ (ens.weights.basis @ G) / 3.0, atol=1e-14)
+        np.testing.assert_array_equal(ens.Z, factor[1] @ G / 3.0)
+        np.testing.assert_allclose(ens.Z, phi @ (factor[0] @ G) / 3.0, atol=1e-14)

@@ -134,6 +134,10 @@ class TestConfig:
         # version "11" drew each cell's covariates from its own (s_index,
         # replicate) stream; this code draws them once per replicate
         pytest.param("11", {}, id="11"),
+        # version "12" drew W's complement for each row-space cell from its
+        # own (s_index, replicate) stream, p x n then a p-vector; this code
+        # draws one p x (n + 1) F per replicate
+        pytest.param("12", {}, id="12"),
     ])
     def test_old_version_manifest_gets_the_version_error(self, version, retired):
         manifest = {"artifact_version": version,
@@ -480,9 +484,10 @@ class TestSweep:
 
     def test_reduced_cell_cost_does_not_grow_with_s(self, weight_shapes):
         # a reduced cell holds no array with s in its shape.  Its largest
-        # buffers are p x (n + 1) at most: phi, R and, while W's complement
-        # is drawn, H1, the product and R (G [V, e]), five at once; the rest
-        # is O(m^2) with m = min(n, p) + n: L, Z, the design and V.  At
+        # buffers are p x (n + 1) at most: phi, R and, while the replicate's
+        # complement frame is formed, F, three at once; the product the
+        # split takes holds none.  The rest is O(m^2) with m = min(n, p) + n:
+        # L, Z, the design, V and the frame's triangle.  At
         # s = 10^6 a cell holding G or the noise would allocate several
         # n x s arrays of 800 MB each
         cfg = preset_config("double-descent-default",
@@ -607,14 +612,15 @@ class TestSweep:
         manifest = json.loads(Path(paths["manifest"]).read_text())
         assert manifest["artifact_version"] == config_mod.ARTIFACT_VERSION
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
-        # a replicate's covariates are shared by its cells; the label noise is
-        # integrated, so no stream is drawn for it
+        # a replicate's covariates and W's complement are shared by its cells;
+        # the label noise is integrated, so no stream is drawn for it
         assert manifest["seed_scheme"].startswith(
-            "covariates are keyed seed_stream(master_seed, replicate, 'covariates') and "
-            "shared by every s")
-        assert "purposes: weights, weights-complement, feature-noise, target; " \
+            "covariates and weights-complement are keyed seed_stream(master_seed, "
+            "replicate, purpose) and shared by every s")
+        assert "purposes: weights, feature-noise, target; " in manifest["seed_scheme"]
+        assert "one (p, n + 1) standard normal draw F = [H1, h], drawn once per replicate" \
             in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "12"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "13"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -889,8 +895,8 @@ class TestSweep:
 
 class TestReplicateRows:
     """A replicate is one training set: its covariates, phi, the Gram's
-    eigenpairs and the row-space factor are drawn once and shared, read-only,
-    by every cell of it."""
+    eigenpairs, the row-space factor and W's complement frame are drawn once
+    and shared, read-only, by every cell of it."""
 
     def test_cells_of_a_replicate_share_phi(self, monkeypatch):
         phis = []
@@ -911,22 +917,61 @@ class TestReplicateRows:
         assert all(phi is second[0] for phi in second)
         assert not np.array_equal(first[0], second[0])
 
-    def test_shared_rows_are_read_only(self):
-        cfg = small_cfg()
+    def test_cells_of_a_replicate_share_one_complement(self, monkeypatch):
+        frames = []
+        inner = sweep_mod.build_ensemble
+
+        def recording(*args, **kwargs):
+            ens = inner(*args, **kwargs)
+            if kwargs["complement"] is not None:
+                frames.append(kwargs["complement"])
+            return ens
+
+        monkeypatch.setattr(sweep_mod, "build_ensemble", recording)
+        # s = 20 holds the 12 x 20 G and s = 600 is reduced: both row-space
+        cfg = small_cfg(s_grid=[20, 600], ensemble_replicates=2)
+        assert all(r.error == "" and r.k_star is None for r in run_sweep(cfg).records)
+        assert len(frames) == 4
+        assert frames[0] is frames[1] and frames[2] is frames[3]
+        assert not np.array_equal(frames[0].RtF, frames[2].RtF)
+
+    def test_complement_frame_repeats_on_a_second_attempt(self):
+        # the frame draws from a generator made afresh from the replicate's
+        # seed, so a cell that retries it after a failed first attempt draws
+        # the same F as the others
+        cfg = small_cfg(p=60)
         rows = sweep_mod._training_rows(cfg.master_seed, 0, cfg.mode, cfg.n, cfg.p,
                                         cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
-        for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor):
+        first = rows.complement
+        del rows.complement
+        second = rows.complement
+        assert second is not first
+        np.testing.assert_array_equal(second.RtF, first.RtF)
+        np.testing.assert_array_equal(second.left, first.left)
+
+    def test_shared_rows_are_read_only(self):
+        # p = 60 > k + n + 1 = 25, so the frame holds the triangle T
+        cfg = small_cfg(p=60)
+        rows = sweep_mod._training_rows(cfg.master_seed, 0, cfg.mode, cfg.n, cfg.p,
+                                        cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
+        frame = rows.complement
+        assert frame.left.shape == (25, 25)
+        for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor, frame.RtF,
+                      frame.left):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
             with pytest.raises(ValueError, match="read-only"):
                 array *= 2.0
 
     def test_unrealizable_replicate_forms_no_basis(self, monkeypatch):
-        # its cells all draw the dense W, so R (p x min(n, p)) is never formed
+        # its cells all draw the dense W, so neither R (p x min(n, p)) nor
+        # W's complement frame is ever formed
         def refused(*args):
-            raise AssertionError("an unrealizable cell formed the row-space factor")
+            raise AssertionError("an unrealizable cell formed the row-space factor or the "
+                                 "complement frame")
 
         monkeypatch.setattr(sweep_mod, "row_space_factor", refused)
+        monkeypatch.setattr(sweep_mod, "complement_frame", refused)
         records = run_sweep(small_cfg(target_mode="unrealizable", ensemble_replicates=2)).records
         assert all(r.error == "" and r.M > 0 for r in records)
 

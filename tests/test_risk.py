@@ -14,11 +14,12 @@ from noisyrf import risk as risk_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import PRESETS, preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
-from noisyrf.features import RowSpaceWeights, build_ensemble, make_noise_spec, sample_weights
+from noisyrf.features import (RowSpaceWeights, build_ensemble, complement_frame, make_noise_spec,
+                              row_space_factor, sample_weights)
 from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, make_spectrum, numerical_support,
-                              sample_covariates)
+from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, gram_eigh, make_spectrum,
+                              numerical_support, sample_covariates)
 from sampled_reference import (TestSample, draw_test_sample, sampled_decompose,
                                standalone_best_fit, svd_reference)
 
@@ -184,7 +185,7 @@ class TestMakeTarget:
         phi = eigenfeature_matrix(sp, MODE, sample_covariates(MODE, 12, seed_stream(0, "cov"),
                                                               p=80))
         G = sample_weights(12, 20, seed_stream(0, "w"))
-        ens = build_ensemble(sp, MODE, phi, G, complement_rng=seed_stream(0, "wc"))
+        ens = build_ensemble(sp, MODE, phi, G, complement=seed_stream(0, "wc"))
         assert isinstance(ens.weights, RowSpaceWeights)
         with pytest.raises(ValueError, match="needs the dense p x s W"):
             make_target("unrealizable", ens, 1.0, NoDraws())
@@ -1219,7 +1220,7 @@ def law_cell(route, key, n, p, s, target_mode, clean_test, family, mode, kind="p
         G = seed_stream(*key, "w") if route == "reduced" else \
             sample_weights(min(n, p), s, seed_stream(*key, "w"))
         ens = build_ensemble(spectrum, mode, phi, G, spec, seed_stream(*key, "noise"),
-                             complement_rng=seed_stream(*key, "wc"))
+                             complement=seed_stream(*key, "wc"))
         assert ens.reduced == (route == "reduced")
     t = make_target(target_mode, ens, 1.0, seed_stream(*key, "t"))
     d = decompose(ens, t, 0.5, clean_test=clean_test)
@@ -1280,8 +1281,9 @@ class TestRowSpaceRoute:
         assert qr_calls == [(60, 20)] * LAW_DRAWS
 
     def test_product_has_the_dense_second_moments(self):
-        # for a fixed G and C = [V, e]: R^T (W C) = G C to rounding, and the
-        # complement part M = (I - R R^T) W C has E[M^T M] = (p - k) C^T C
+        # for a fixed G and C = [V, e], on a flat spectrum: Y^T Y = (W C)^T
+        # (W C) = (G C)^T (G C) + M^T M, where the complement part
+        # M = (I - R R^T) W C has E[M^T M] = (p - k) C^T C
         n, p, s, r, draws = 6, 30, 40, 4, 4000
         phi = seed_stream(1, "phi").standard_normal((n, p))
         G = sample_weights(n, s, seed_stream(1, "g"))
@@ -1290,14 +1292,13 @@ class TestRowSpaceRoute:
             + 0.5 * seed_stream(1, "e").standard_normal(s)
         C = np.column_stack([V, e])
         rng = seed_stream(1, "complement")
-        R = build_ensemble(make_spectrum("polynomial", p, gamma=2.0), MODE, phi, G,
-                           complement_rng=rng).weights.basis
+        R, _ = row_space_factor(phi, gram_eigh(phi))
+        GC = G @ C
         gram = np.zeros((r + 1, r + 1))
         for _ in range(draws):
-            WC = RowSpaceWeights(R, G, rng).times(V, np.eye(n, r), e)
-            np.testing.assert_allclose(R.T @ WC, G @ C, rtol=1e-10, atol=1e-10)
-            M = WC - R @ (G @ C)
-            gram += M.T @ M
+            frame = complement_frame(R, np.ones(p), n, rng)
+            WC = RowSpaceWeights(G, frame).times(V, np.eye(n, r), e)
+            gram += WC.T @ WC - GC.T @ GC
         # Wishart entries: var((M^T M)_ij) = (p - k) (S_ij^2 + S_ii S_jj), S = C^T C
         S = C.T @ C
         se = np.sqrt((p - n) * (S ** 2 + np.outer(np.diag(S), np.diag(S))) / draws)
@@ -1310,28 +1311,75 @@ class TestRowSpaceRoute:
         n, p, s, r = 6, 30, 40, 4
         phi = seed_stream(3, "phi").standard_normal((n, p))
         G = sample_weights(n, s, seed_stream(3, "g"))
-        R = build_ensemble(make_spectrum("polynomial", p, gamma=2.0), MODE, phi, G,
-                           complement_rng=seed_stream(3, "unused")).weights.basis
+        spectrum = make_spectrum("polynomial", p, gamma=2.0)
+        R, _ = row_space_factor(phi, gram_eigh(phi))
+        frame = complement_frame(R, spectrum.eigenvalues, n, seed_stream(3, "complement"))
         V = np.linalg.qr(seed_stream(3, "v").standard_normal((s, r)))[0]
         U = np.linalg.qr(seed_stream(3, "u").standard_normal((n, r)))[0]
         O = np.linalg.qr(seed_stream(3, "o").standard_normal((r, r)))[0]
         e = V @ seed_stream(3, "a").standard_normal(r) \
             + 0.5 * seed_stream(3, "e").standard_normal(s)
-        WC = RowSpaceWeights(R, G, seed_stream(3, "complement")).times(V, U, e)
-        turned = RowSpaceWeights(R, G, seed_stream(3, "complement")).times(V @ O, U @ O, e)
+        WC = RowSpaceWeights(G, frame).times(V, U, e)
+        turned = RowSpaceWeights(G, frame).times(V @ O, U @ O, e)
         scale = np.abs(WC).max()
         np.testing.assert_allclose(turned[:, :r], WC[:, :r] @ O, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(turned[:, r], WC[:, r], rtol=0, atol=1e-13 * scale)
+
+    # (spectrum kind, its parameters, n, p, whether CholeskyQR2 certifies T):
+    # the preset's i^-2 takes T; exp(-i) and a rank-10 spectrum leave E^T E
+    # singular to rounding, and p = 30 < 2n + 1 = 41 makes E wider than tall
+    ORACLE_CASES = [("polynomial", {"gamma": 2.0}, 100, 2000, True),
+                    ("exponential", {}, 20, 60, False),
+                    ("finite-rank", {"d": 10}, 20, 60, False),
+                    ("polynomial", {"gamma": 2.0}, 20, 30, False)]
+
+    @pytest.mark.parametrize("kind,params,n,p,triangle", ORACLE_CASES)
+    def test_product_matches_the_p_row_product(self, kind, params, n, p, triangle):
+        # the frame's product against sqrt(Lambda) W [V, e] built in p rows
+        # from the same F and G: R G [V, e] + (I - R R^T) [H1 U, H1 U a + rho h]
+        s, r = 3 * n, n - 2
+        spectrum = make_spectrum(kind, p, **params)
+        phi = eigenfeature_matrix(spectrum, MODE,
+                                  sample_covariates(MODE, n, seed_stream(6, "cov"), p=p))
+        R, _ = row_space_factor(phi, gram_eigh(phi))
+        k = R.shape[1]
+        G = sample_weights(k, s, seed_stream(6, "g"))
+        V = np.linalg.qr(seed_stream(6, "v").standard_normal((s, r)))[0]
+        U = np.linalg.qr(seed_stream(6, "u").standard_normal((n, r)))[0]
+        e = V @ seed_stream(6, "a").standard_normal(r) \
+            + 0.5 * seed_stream(6, "e").standard_normal(s)
+        frame = complement_frame(R, spectrum.eigenvalues, n, seed_stream(6, "wc"))
+        assert frame.left.shape == ((k + n + 1, k + n + 1) if triangle else (p, k + n + 1))
+        Y = RowSpaceWeights(G, frame).times(V, U, e)
+
+        F = seed_stream(6, "wc").standard_normal((p, n + 1))
+        a = V.T @ e
+        out = F[:, :n] @ np.column_stack([U, U @ a])
+        out[:, r] += np.linalg.norm(e - V @ a) * F[:, n]
+        WC = R @ (G @ np.column_stack([V, e])) + out - R @ (R.T @ out)
+        X = np.sqrt(spectrum.eigenvalues)[:, None] * WC
+        norms = np.linalg.norm(X, axis=0)
+        # 1e-12 is 200x the error measured on the CholeskyQR2 side, about 5e-15
+        np.testing.assert_allclose(np.linalg.norm(Y, axis=0), norms, rtol=1e-12, atol=0)
+        np.testing.assert_array_less(np.abs(Y.T @ Y - X.T @ X),
+                                     1e-12 * np.outer(norms, norms))
+        # down to E's smallest singular direction, where one Cholesky of
+        # E^T E errs most: about 1e-12 on the preset, against 3e-15 for the
+        # frame's two passes
+        E = np.sqrt(spectrum.eigenvalues)[:, None] * np.column_stack([R, F])
+        Vt = np.linalg.svd(E, full_matrices=False)[2]
+        np.testing.assert_allclose(np.linalg.norm(frame.left @ Vt.T, axis=0),
+                                   np.linalg.norm(E @ Vt.T, axis=0), rtol=1e-12, atol=0)
 
     def test_second_product_raises(self):
         ens = build_ensemble(make_spectrum("polynomial", 30, gamma=2.0), MODE,
                              seed_stream(2, "phi").standard_normal((6, 30)),
                              sample_weights(6, 40, seed_stream(2, "g")),
-                             complement_rng=seed_stream(2, "complement"))
+                             complement=seed_stream(2, "complement"))
         V = np.linalg.qr(seed_stream(2, "v").standard_normal((40, 3)))[0]
         e = seed_stream(2, "e").standard_normal(40)
         ens.weights.times(V, np.eye(6, 3), e)
-        with pytest.raises(RuntimeError, match="already drawn"):
+        with pytest.raises(RuntimeError, match="already taken"):
             ens.weights.times(V, np.eye(6, 3), e)
         # nor can the sampled reference draw a test sample, which needs the dense W
         with pytest.raises(TypeError):
@@ -1370,7 +1418,7 @@ class TestReducedRoute:
         phi = eigenfeature_matrix(sp, MODE, sample_covariates(MODE, n, seed_stream(4), p=p))
         spec = make_noise_spec("gaussian", 0.5, s)
         ens = build_ensemble(sp, MODE, phi, seed_stream(4, "w"), spec,
-                             complement_rng=seed_stream(4, "wc"))
+                             complement=seed_stream(4, "wc"))
         m = min(n, p) + n
         assert ens.reduced and ens.s == s and ens.width == m + 1
         assert ens.design.shape == (n, m + 1) and ens.weights.coords.shape == (n, m + 1)
@@ -1391,8 +1439,8 @@ class TestReducedRoute:
         phi = eigenfeature_matrix(sp, MODE, sample_covariates(MODE, 6, seed_stream(5), p=30))
         with pytest.raises(ValueError, match="reduced ensemble"):
             build_ensemble(sp, MODE, phi, seed_stream(5, "w"), make_noise_spec(family, 0.5, s),
-                           complement_rng=seed_stream(5, "wc"))
-        with pytest.raises(ValueError, match="complement_rng"):
+                           complement=seed_stream(5, "wc"))
+        with pytest.raises(ValueError, match="needs a complement"):
             build_ensemble(sp, MODE, phi, seed_stream(5, "w"),
                            make_noise_spec("gaussian", 0.5, 100))
 
