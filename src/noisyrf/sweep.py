@@ -9,8 +9,10 @@ manifest.json instead.
 A replicate is one training set: its covariates are keyed by (master_seed,
 replicate) alone, so every cell of the replicate sees the same rows and the
 replicate traces one fixed-data risk curve over the s grid.  The rows, their
-Gram eigenpairs, the row-space factor and W's complement frame are computed
-once per replicate (`_training_rows`) and shared, read-only, by its cells.
+Gram eigenpairs, the row-space factor, W's complement frame and, for an
+unrealizable target, the p x max(s_grid) weight pool whose first s columns
+are each cell's W, are computed once per replicate (`_training_rows`) and
+shared, read-only, by its cells.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .estimator import projector_diag  # noqa: F401
 from .features import (WEIGHT_BLOCK, ComplementFrame, build_ensemble, complement_frame,
                        make_noise_spec, reducible, row_space_factor, sample_weights)
 from .risk import decompose, make_target
-from .seeding import seed_sequence, seed_stream
+from .seeding import seed_stream
 # empirical_covariance likewise: compute_row takes the spectrum from its
 # replicate's gram_eigh call, whose eigenvectors it also needs; the tracer
 # looks the name up here
@@ -162,24 +164,33 @@ def _pool_size(cfg: ExperimentConfig) -> int:
 
 class _TrainingRows:
     """A replicate's training set, shared by every cell of it: the
-    spectrum, phi = phi(X) (n x p), gram = gram_eigh(phi) and, formed by the
-    first row-space cell that asks, factor = (R, T^T), `row_space_factor`'s
-    phi^T = R T from the same eigenpairs, and complement, W's complement
-    frame (`features.complement_frame`) drawn from a generator seeded by
-    complement_seed, made afresh on each attempt so that every attempt
-    draws the same F.  A replicate whose cells all draw the dense W (an
-    unrealizable target) forms neither R, p x min(n, p), nor the frame.
+    spectrum, phi = phi(X) (n x p), gram = gram_eigh(phi) and the weight
+    arrays its cells share, each formed by the first cell that asks:
+
+    - for row-space cells, factor = (R, T^T), `row_space_factor`'s
+      phi^T = R T from the same eigenpairs, and complement, W's complement
+      frame (`features.complement_frame`) drawn from the replicate's
+      weights-complement stream;
+    - for unrealizable cells, the weight pool (`weight_pool`), one p x S
+      draw from its weights-dense stream whose first s columns are the W of
+      the cell at s.
+
+    Both streams are made afresh on each attempt, so every attempt draws
+    the same arrays.  A replicate whose cells all hold the dense W (an
+    unrealizable target) forms neither R, p x min(n, p), nor the frame; a
+    realizable one never forms the pool.
 
     The arrays are read-only: a cell that wrote to one would change the next
     cell's row.
     """
 
-    def __init__(self, spectrum, phi: np.ndarray, gram: GramEigen,
-                 complement_seed: np.random.SeedSequence):
+    def __init__(self, spectrum, phi: np.ndarray, gram: GramEigen, master_seed: int,
+                 replicate: int):
         for array in (phi, gram.values, gram.vectors):
             array.flags.writeable = False
         self.spectrum, self.phi, self.gram = spectrum, phi, gram
-        self._complement_seed = complement_seed
+        self._key = (master_seed, replicate)
+        self._pool = None
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -191,19 +202,36 @@ class _TrainingRows:
     @functools.cached_property
     def complement(self) -> ComplementFrame:
         frame = complement_frame(self.factor[0], self.spectrum.eigenvalues, self.phi.shape[0],
-                                 np.random.default_rng(self._complement_seed))
+                                 seed_stream(*self._key, "weights-complement"))
         for array in (frame.RtF, frame.left):
             array.flags.writeable = False
         return frame
+
+    def weight_pool(self, width: int) -> np.ndarray:
+        """The replicate's p x S weight pool, S >= width: drawn by the first
+        call, and again only by a call wider than the pool held.
+
+        `sample_weights` fills column block j from child j of the stream's
+        spawn, so the first s columns of a pool are the same p x s array
+        whatever its width: a cell's W does not depend on the grid it sits
+        in.
+        """
+        if self._pool is None or self._pool.shape[1] < width:
+            pool = sample_weights(self.phi.shape[1], width,
+                                  seed_stream(*self._key, "weights-dense"))
+            pool.flags.writeable = False
+            self._pool = pool
+        return self._pool
 
 
 @functools.lru_cache(maxsize=1)
 def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, kind: str,
                    gamma: float | None, d: int | None, omega1: float) -> _TrainingRows:
     """The replicate's training set, its covariates drawn from
-    seed_stream(master_seed, replicate, "covariates") and W's complement,
-    when a row-space cell asks for it, from seed_stream(master_seed,
-    replicate, "weights-complement").
+    seed_stream(master_seed, replicate, "covariates"); W's complement, when
+    a row-space cell asks for it, from seed_stream(master_seed, replicate,
+    "weights-complement"), and the weight pool, when an unrealizable cell
+    asks for it, from seed_stream(master_seed, replicate, "weights-dense").
 
     The arguments are exactly what the rows depend on, so the cache key is
     the argument tuple.  run_sweep clears the cache on entry and on exit.
@@ -213,17 +241,18 @@ def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, 
     phi = eigenfeature_matrix(spectrum, mode, X)
     # X is not read again; freed before the Gram is formed
     del X
-    return _TrainingRows(spectrum, phi, gram_eigh(phi),
-                         seed_sequence(master_seed, replicate, "weights-complement"))
+    return _TrainingRows(spectrum, phi, gram_eigh(phi), master_seed, replicate)
 
 
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
     """Run the full pipeline for one (feature count, replicate) cell.
 
     The cell takes one of three routes to its weights, by target mode, tail
-    index, noise law and width alone.  An unrealizable target, or a row
-    where the tail index k* exists (the row may state the bias bound, which
-    needs lambda_W), draws the dense p x s W.  Any other row holds row-space
+    index, noise law and width alone.  An unrealizable target holds the
+    dense p x s W as the first s columns of its replicate's weight pool,
+    p x max(s_grid), drawn once; a realizable row where the tail index k*
+    exists (the row may state the bias bound, which needs lambda_W) draws
+    its own dense W from the `weights` stream.  Any other row holds row-space
     weights: G = R^T W, R an orthonormal basis of the eigenfeature rows'
     span, and the one product its risk split needs reads W's complement
     from the replicate's frame.  Of these, a row that
@@ -236,11 +265,12 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
 
     The training rows are the replicate's (`_training_rows`): its
     covariates, phi, one eigensolve of phi's Gram, the row-space factor
-    (R, T^T) from the same eigenpairs and W's complement frame, computed by
-    the first cell of the replicate that runs in this process (the factor
-    and the frame by the first row-space cell) and reused by the others.
-    The eigenpairs give the empirical spectrum; the factor and the frame
-    serve row-space cells.
+    (R, T^T) from the same eigenpairs, W's complement frame and the weight
+    pool, computed by the first cell of the replicate that runs in this
+    process (the factor and the frame by the first row-space cell, the pool
+    by the first unrealizable one) and reused by the others.  The
+    eigenpairs give the empirical spectrum; the factor and the frame serve
+    row-space cells, the pool unrealizable ones.
     """
     seed = cfg.master_seed
     s = cfg.s_grid[s_index]
@@ -255,7 +285,11 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     lam_hat = rows.gram.lambda_hat
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
-    if cfg.target_mode == "unrealizable" or k_star is not None:
+    if cfg.target_mode == "unrealizable":
+        # a view of the replicate's pool, neither copied nor drawn here
+        weights = rows.weight_pool(max(cfg.s_grid))[:, :s]
+        complement = factor = None
+    elif k_star is not None:
         weights, complement, factor = sample_weights(cfg.p, s, rng_w), None, None
     else:
         factor, complement = rows.factor, rows.complement
@@ -471,15 +505,17 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "artifact_version": ARTIFACT_VERSION,
         "config": cfg.to_dict(),
         "master_seed": cfg.master_seed,
-        "seed_scheme": "covariates and weights-complement are keyed "
+        "seed_scheme": "covariates, weights-complement and weights-dense are keyed "
                        "seed_stream(master_seed, replicate, purpose) and shared by every "
                        "s: a replicate is one training set; every other draw is "
                        "seed_stream(master_seed, s_index, replicate, purpose), purposes: "
                        "weights, feature-noise, target; "
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
-                       "child j of the weights stream's seed sequence (spawn order); "
-                       "unrealizable targets and rows where the tail index k* exists "
-                       "draw the p x s W there. Every other row holds row-space weights, "
+                       "child j of the stream's seed sequence (spawn order). An "
+                       "unrealizable target draws one p x S pool from weights-dense per "
+                       "replicate, S = max(s_grid), and the row at s takes its first s "
+                       "columns as W; a realizable row where the tail index k* exists "
+                       "draws its p x s W from weights. Every other row holds row-space weights, "
                        "G = R^T W with R an orthonormal basis of the eigenfeature rows' "
                        "span (R = phi^T U D^-1/2 U^T from the eigenpairs phi phi^T = "
                        f"U D U^T where d_min / d_max > eps / {GRAM_RTOL:g}, else the thin "

@@ -47,6 +47,18 @@ class TestSampleWeights:
             want = np.random.default_rng(child).standard_normal(block.shape[::-1]).T
             np.testing.assert_array_equal(block, want)
 
+    @pytest.mark.parametrize("s", [1, WEIGHT_BLOCK - 1, WEIGHT_BLOCK, WEIGHT_BLOCK + 1,
+                                   3 * WEIGHT_BLOCK - 2])
+    def test_narrow_draw_is_a_prefix_of_a_wide_one(self, s):
+        # an unrealizable replicate's cells read the first s columns of one
+        # p x S pool; each must be the draw of p x s from the same stream, bit
+        # for bit, on either side of a block edge and one short of S
+        S = 3 * WEIGHT_BLOCK - 1
+        wide = sample_weights(7, S, seed_stream(11, "pool"))
+        narrow = sample_weights(7, s, seed_stream(11, "pool"))
+        assert wide[:, :s].flags.f_contiguous
+        np.testing.assert_array_equal(narrow, wide[:, :s])
+
 
 class TestFeatureMatrix:
     def test_single_feature_reduction(self):

@@ -138,6 +138,10 @@ class TestConfig:
         # own (s_index, replicate) stream, p x n then a p-vector; this code
         # draws one p x (n + 1) F per replicate
         pytest.param("12", {}, id="12"),
+        # version "13" drew each unrealizable cell's p x s W from its own
+        # (s_index, replicate) weights stream; this code reads the first s
+        # columns of one p x max(s_grid) pool per replicate
+        pytest.param("13", {}, id="13"),
     ])
     def test_old_version_manifest_gets_the_version_error(self, version, retired):
         manifest = {"artifact_version": version,
@@ -400,6 +404,44 @@ class TestSweep:
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
         assert records_csv(serial) == records_csv(parallel)
 
+    def test_dropping_the_widest_unrealizable_s_leaves_the_other_rows(self):
+        # each cell's W is the first s columns of its replicate's pool, and
+        # the pool's prefix does not depend on its width; s = 257 and 520
+        # cross weight-block edges, so the pool of the shorter grid ends
+        # inside another block than the longer one's
+        cfg = small_cfg(p=600, s_grid=[6, 257, 520], ensemble_replicates=2,
+                        target_mode="unrealizable")
+        full = records_csv(run_sweep(cfg).records).splitlines()
+        short = records_csv(run_sweep(dataclasses.replace(cfg, s_grid=[6, 257])).records)
+        kept = [line for line in full if not line.startswith("520,")]
+        assert len(kept) == 1 + 2 * 2
+        assert short.splitlines() == kept
+
+    def test_unrealizable_pool_adds_no_memory_at_the_peak(self):
+        # the pool is the widest cell's own W, so a preset unrealizable sweep
+        # peaks at that cell, as when every cell drew its own W: W and
+        # sqrt(Lambda) W (2 p S) while syrk forms H, then H and its Cholesky
+        # factor (2 S^2).  The slack covers twice the n-row arrays of a cell
+        # (phi; Z and the design, n x S).  Two replicates, so the second
+        # draws its pool after the first's is gone.  Measured: 86.8 MB
+        # against a bound of 113.5 MB, as when every cell drew its own W; a
+        # cell that copied its columns of the pool would add p S, 28 MB
+        cfg = dataclasses.replace(unrealizable_preset(7), ensemble_replicates=2)
+        n, p, S = cfg.n, cfg.p, max(cfg.s_grid)
+        bound = 8 * (2 * p * S + 2 * S * S) + 8 * 2 * n * (p + S)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            records = run_sweep(cfg).records
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert all(r.error == "" and r.M > 0 for r in records)
+        assert peak < bound, (peak, bound)
+
     def test_pool_is_never_wider_than_the_grid(self, monkeypatch):
         # a stub executor records the pool size and maps in this process, so
         # no worker is ever started
@@ -431,25 +473,31 @@ class TestSweep:
         ("unrealizable", 0.5), ("realizable-clean", 0.0), ("realizable-clean", 0.5)])
     def test_dense_route_cells_equal_a_hand_assembled_cell(self, weight_shapes, target_mode,
                                                           alpha):
-        # an unrealizable cell and one with a tail index (alpha = 0) draw the
+        # an unrealizable cell and one with a tail index (alpha = 0) hold the
         # dense W, bit for bit as a pipeline assembled by hand; a realizable
         # cell without one (alpha = 0.5) takes the row-space route instead.
-        # The covariates are the replicate's, keyed without the s index.
-        # Replicate 1: at seed 5 its rows have a tail index at alpha = 0,
-        # replicate 0's have none
-        cfg = small_cfg(target_mode=target_mode, alpha=alpha, ensemble_replicates=2)
+        # The covariates are the replicate's, keyed without the s index; so
+        # is an unrealizable cell's W, the first s columns of the replicate's
+        # p x max(s_grid) pool, here 20 of 22.  Replicate 1: at seed 5 its
+        # rows have a tail index at alpha = 0, replicate 0's have none
+        cfg = small_cfg(target_mode=target_mode, alpha=alpha, ensemble_replicates=2,
+                        s_grid=[6, 20, 22])
         seed, s_index, s, rep = cfg.master_seed, 1, cfg.s_grid[1], 1
 
         def stream(purpose):
             return seed_stream(seed, s_index, rep, purpose)
+
+        if target_mode == "unrealizable":
+            W = sample_weights(cfg.p, 22, seed_stream(seed, rep, "weights-dense"))[:, :s]
+        else:
+            W = sample_weights(cfg.p, s, stream("weights"))
 
         spectrum = sweep_mod._make_spectrum(cfg)
         phi = spectral_mod.eigenfeature_matrix(
             spectrum, cfg.mode, spectral_mod.sample_covariates(
                 cfg.mode, cfg.n, seed_stream(seed, rep, "covariates"), p=cfg.p))
         spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
-        ens = build_ensemble(spectrum, cfg.mode, phi, sample_weights(cfg.p, s, stream("weights")),
-                             spec, stream("feature-noise"))
+        ens = build_ensemble(spectrum, cfg.mode, phi, W, spec, stream("feature-noise"))
         target = risk_mod.make_target(cfg.target_mode, ens, cfg.target_norm, stream("target"),
                                       tail_energy=cfg.tail_energy)
         d = risk_mod.decompose(ens, target, cfg.sigma_sq, clean_test=cfg.clean_test,
@@ -457,7 +505,8 @@ class TestSweep:
         rec = compute_row(cfg, s_index, rep)
         dense = target_mode == "unrealizable" or alpha == 0.0
         assert (rec.k_star is not None) == (alpha == 0.0)
-        assert weight_shapes == [(cfg.p if dense else cfg.n, s)]
+        assert weight_shapes == [(cfg.p if dense else cfg.n,
+                                  22 if target_mode == "unrealizable" else s)]
         got = (rec.B, rec.V, rec.M, rec.R)
         want = (d.bias, d.variance, d.misspec, d.total)
         assert (got == want) == dense
@@ -612,15 +661,18 @@ class TestSweep:
         manifest = json.loads(Path(paths["manifest"]).read_text())
         assert manifest["artifact_version"] == config_mod.ARTIFACT_VERSION
         assert f"blocks of {WEIGHT_BLOCK}" in manifest["seed_scheme"]
-        # a replicate's covariates and W's complement are shared by its cells;
-        # the label noise is integrated, so no stream is drawn for it
+        # a replicate's covariates, W's complement and the unrealizable
+        # weight pool are shared by its cells; the label noise is integrated,
+        # so no stream is drawn for it
         assert manifest["seed_scheme"].startswith(
-            "covariates and weights-complement are keyed seed_stream(master_seed, "
-            "replicate, purpose) and shared by every s")
+            "covariates, weights-complement and weights-dense are keyed "
+            "seed_stream(master_seed, replicate, purpose) and shared by every s")
         assert "purposes: weights, feature-noise, target; " in manifest["seed_scheme"]
         assert "one (p, n + 1) standard normal draw F = [H1, h], drawn once per replicate" \
             in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "13"
+        assert "draws one p x S pool from weights-dense per replicate, S = max(s_grid), " \
+            "and the row at s takes its first s columns as W" in manifest["seed_scheme"]
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "14"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -737,6 +789,8 @@ class TestSweep:
         assert stated == ([50, 100, 150] if alpha == 0.0 else [])
         assert evaluated == stated
         # the reference: every row's bound report sees the measured lambda_W
+        # of its W, the first s columns of the last draw (the draw itself on
+        # the realizable rows, the replicate's pool on the unrealizable ones)
         draws = []
 
         def keeping(*args, **kwargs):
@@ -745,7 +799,8 @@ class TestSweep:
 
         def measured(original):
             def report(inputs, **kwargs):
-                inputs = dataclasses.replace(inputs, lambda_W=_lambda_w(draws[-1]))
+                inputs = dataclasses.replace(inputs,
+                                             lambda_W=_lambda_w(draws[-1][:, :inputs.s]))
                 return original(inputs, **kwargs)
             return report
 
@@ -754,9 +809,11 @@ class TestSweep:
         assert records_csv(records) == records_csv(run_sweep(cfg).records)
         # at alpha = 0.5 the realizable cells wider than min(n, p) + n = 40
         # are reduced: build_ensemble draws their weights, sample_weights
-        # does not
-        reduced = target_mode != "unrealizable" and alpha > 0
-        assert len(draws) == (1 if reduced else len(cfg.s_grid))
+        # does not.  The unrealizable replicate draws its pool once
+        if target_mode == "unrealizable":
+            assert [W.shape for W in draws] == [(cfg.p, max(cfg.s_grid))]
+        else:
+            assert len(draws) == (1 if alpha > 0 else len(cfg.s_grid))
 
     @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
     def test_preset_cell_factors_the_gram_once(self, linalg_calls, weight_shapes, s, route):
@@ -956,15 +1013,16 @@ class TestReplicateRows:
                                         cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
         frame = rows.complement
         assert frame.left.shape == (25, 25)
+        pool = rows.weight_pool(20)
         for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor, frame.RtF,
-                      frame.left):
+                      frame.left, pool, pool[:, :6]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
             with pytest.raises(ValueError, match="read-only"):
                 array *= 2.0
 
     def test_unrealizable_replicate_forms_no_basis(self, monkeypatch):
-        # its cells all draw the dense W, so neither R (p x min(n, p)) nor
+        # its cells all hold the dense W, so neither R (p x min(n, p)) nor
         # W's complement frame is ever formed
         def refused(*args):
             raise AssertionError("an unrealizable cell formed the row-space factor or the "
@@ -975,6 +1033,58 @@ class TestReplicateRows:
         records = run_sweep(small_cfg(target_mode="unrealizable", ensemble_replicates=2)).records
         assert all(r.error == "" and r.M > 0 for r in records)
 
+    def test_realizable_replicate_forms_no_pool(self, monkeypatch):
+        # dense k* rows (replicate 2 at s = 6), row-space and reduced rows all
+        # take their weights from their own cell's stream
+        def refused(*args):
+            raise AssertionError("a realizable cell formed the weight pool")
+
+        monkeypatch.setattr(sweep_mod._TrainingRows, "weight_pool", refused)
+        records = run_sweep(small_cfg(ensemble_replicates=3, s_grid=[6, 20, 600])).records
+        assert all(r.error == "" for r in records)
+        assert [r.s for r in records if r.k_star is not None] == [6]
+
+    def test_unrealizable_replicate_draws_its_pool_once(self, weight_shapes):
+        cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 20, 23], ensemble_replicates=3)
+        assert all(r.error == "" for r in run_sweep(cfg).records)
+        assert weight_shapes == [(cfg.p, 23)] * 3
+
+    def test_a_wider_cell_redraws_the_pool(self):
+        # compute_row on two grids of the same rows in one process: a cell
+        # wider than the pool held gets a wider pool, whose prefix is the
+        # narrower one's; a narrower cell reads the pool it finds
+        cfg = small_cfg(target_mode="unrealizable")
+        rows = sweep_mod._training_rows(cfg.master_seed, 0, cfg.mode, cfg.n, cfg.p,
+                                        cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
+        narrow = rows.weight_pool(6)
+        wide = rows.weight_pool(20)
+        assert narrow.shape == (cfg.p, 6) and wide.shape == (cfg.p, 20)
+        np.testing.assert_array_equal(wide[:, :6], narrow)
+        assert rows.weight_pool(6) is wide
+
+    def test_pool_workers_draw_each_replicates_pool_once(self, monkeypatch, tmp_path):
+        # forked workers inherit the recording stub, which logs each draw's
+        # process and stream to a file; a replicate whose cells two workers
+        # share is drawn once in each, and no worker draws a pool twice
+        log = tmp_path / "draws.txt"
+        inner = sweep_mod.sample_weights
+
+        def recording(rows, s, rng):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {rng.bit_generator.seed_seq.entropy}\n")
+            return inner(rows, s, rng)
+
+        monkeypatch.setattr(sweep_mod, "sample_weights", recording)
+        cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 20, 23], ensemble_replicates=3,
+                        workers=2)
+        assert all(r.error == "" for r in run_sweep(cfg).records)
+        draws = log.read_text().splitlines()
+        assert len(draws) == len(set(draws))
+        assert os.getpid() not in {int(line.split()[0]) for line in draws}
+        pools = {str(seed_sequence(cfg.master_seed, r, "weights-dense").entropy)
+                 for r in range(3)}
+        assert {line.split(" ", 1)[1] for line in draws} == pools
+
     def test_memo_is_empty_after_a_sweep(self):
         cfg = small_cfg(ensemble_replicates=3)
         sweep_mod._training_rows(cfg.master_seed, 7, cfg.mode, cfg.n, cfg.p, cfg.spectrum_kind,
@@ -983,25 +1093,31 @@ class TestReplicateRows:
         assert sweep_mod._training_rows.cache_info().currsize == 0
 
     def test_warm_memo_cell_equals_a_fresh_interpreter(self):
-        # a row-space (s = 20) and a reduced (s = 600) cell, each computed
-        # after the other cells of its replicate in this process and alone
-        # in a fresh one; perfbench's replay check compares rows the same way
+        # a row-space (s = 20) and a reduced (s = 600) cell, and an
+        # unrealizable one (s = 20) that reads the pool its replicate's
+        # s = 6 cell drew, each computed after the other cells of its
+        # replicate in this process and alone in a fresh one; perfbench's
+        # replay check compares rows the same way
         src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
-        overrides = {"s_grid": [6, 20, 600], "ensemble_replicates": 2}
-        cfg = small_cfg(**overrides)
-        warm = {}
-        for s_index in range(len(cfg.s_grid)):
-            warm[s_index] = records_csv([compute_row(cfg, s_index, 1)])
-        assert sweep_mod._training_rows.cache_info().hits == len(cfg.s_grid) - 1
-        for s_index in (1, 2):
-            code = ("import sys\n"
-                    "from noisyrf.config import parse_config\n"
-                    "from noisyrf.sweep import compute_row, records_csv\n"
-                    f"cfg = parse_config({dict(cfg.to_dict(), **overrides)!r})\n"
-                    f"sys.stdout.write(records_csv([compute_row(cfg, {s_index}, 1)]))\n")
-            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                 env=dict(os.environ, PYTHONPATH=src), check=True, timeout=300)
-            assert out.stdout == warm[s_index]
+        for overrides, cold in (({"s_grid": [6, 20, 600]}, (1, 2)),
+                                ({"s_grid": [6, 20, 23], "target_mode": "unrealizable"}, (1,))):
+            overrides = dict(overrides, ensemble_replicates=2)
+            cfg = small_cfg(**overrides)
+            sweep_mod._training_rows.cache_clear()
+            warm = {}
+            for s_index in range(len(cfg.s_grid)):
+                warm[s_index] = records_csv([compute_row(cfg, s_index, 1)])
+            assert sweep_mod._training_rows.cache_info().hits == len(cfg.s_grid) - 1
+            for s_index in cold:
+                code = ("import sys\n"
+                        "from noisyrf.config import parse_config\n"
+                        "from noisyrf.sweep import compute_row, records_csv\n"
+                        f"cfg = parse_config({dict(cfg.to_dict(), **overrides)!r})\n"
+                        f"sys.stdout.write(records_csv([compute_row(cfg, {s_index}, 1)]))\n")
+                out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                     text=True, env=dict(os.environ, PYTHONPATH=src),
+                                     check=True, timeout=300)
+                assert out.stdout == warm[s_index]
 
 
 RISK_FLAGS = ["--n", "12", "--p", "24", "--s-grid", "8",
