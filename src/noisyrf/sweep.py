@@ -1,10 +1,12 @@
 """Feature-count sweeps: per-row pipelines, aggregation, artifact emission.
 
 Every row is a pure function of (config, master_seed, s-index, replicate), so
-a sweep re-run with the same seed reproduces sweep.csv byte for byte and the
-worker count never changes results, only wall time.  Measured timings are
-deliberately kept out of the CSV (they would break that property) and land in
-manifest.json instead.
+a sweep re-run with the same seed and worker count reproduces sweep.csv byte
+for byte.  Across worker counts rows agree to the last bits only: pool
+workers run one BLAS thread each, and a BLAS thread count moves the rounding
+of a large product (measured on the preset: at most 9.5e-12 relative).
+Measured timings are deliberately kept out of the CSV (they would break
+byte-identity) and land in manifest.json instead, with the run's environment.
 
 A replicate is one training set: its covariates are keyed by (master_seed,
 replicate) alone, so every cell of the replicate sees the same rows and the
@@ -12,15 +14,18 @@ replicate traces one fixed-data risk curve over the s grid.  The rows, their
 Gram eigenpairs, the row-space factor, W's complement frame and, for an
 unrealizable target, the p x max(s_grid) weight pool whose first s columns
 are each cell's W, are computed once per replicate (`_training_rows`) and
-shared, read-only, by its cells.
+shared, read-only, by its cells.  A pool worker runs whole replicates, so
+each replicate's shared arrays are drawn once per sweep.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -157,9 +162,68 @@ def _lambda_w(W: np.ndarray) -> float:
                        return_eigenvectors=False)[0])
 
 
+def _tasks(cfg: ExperimentConfig) -> list:
+    """The sweep's tasks, (cfg, replicate, s-indices), replicate-major.
+
+    A task is a whole replicate, its cells in s order.  Where the workers
+    outnumber the replicates, each replicate is split into k = ceil(workers /
+    replicates) interleaved parts instead (s-indices j, j + k, j + 2k, ...;
+    k at most the s-values), which share out its cheap narrow and costly
+    wide cells alike.
+    """
+    grid = len(cfg.s_grid)
+    parts = min(grid, -(-cfg.workers // cfg.ensemble_replicates))
+    return [(cfg, replicate, tuple(range(j, grid, parts)))
+            for replicate in range(cfg.ensemble_replicates) for j in range(parts)]
+
+
 def _pool_size(cfg: ExperimentConfig) -> int:
-    """Worker processes run_sweep starts: the requested count, never more than the cells."""
-    return min(cfg.workers, len(cfg.s_grid) * cfg.ensemble_replicates)
+    """Worker processes run_sweep starts: the requested count, never more than the tasks."""
+    return min(cfg.workers, len(_tasks(cfg)))
+
+
+# The OpenBLAS copies numpy and scipy bundle (ILP64 and LP64, each with its own
+# thread pool): per copy, the symbol that sets its thread count and the one
+# that reads it
+_OPENBLAS_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"))
+
+# BLAS threads in each pool worker, so that the workers' threads do not
+# outnumber the CPUs: unpinned, each worker started one thread per CPU, and a
+# 2-worker preset sweep (20 replicates, 2 vCPUs) took 13.6-24.4 s against
+# 1.4-2.5 s in one process
+_WORKER_BLAS_THREADS = 1
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas() -> tuple:
+    """(file name, set_num_threads, get_num_threads) of each bundled OpenBLAS
+    copy this process has loaded, as /proc/self/maps lists them; empty where
+    that file is missing or neither copy is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # a line naming a file ends in its path, the sixth field
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)  # already loaded: dlopen returns its handle
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((os.path.basename(path), setter, getter))
+                break
+    return tuple(found)
+
+
+def _pin_blas() -> None:
+    """Pool initializer: each OpenBLAS copy of the worker runs _WORKER_BLAS_THREADS threads."""
+    for _, set_threads, _ in _openblas():
+        set_threads(_WORKER_BLAS_THREADS)
 
 
 class _TrainingRows:
@@ -343,8 +407,7 @@ def _failed_record(cfg: ExperimentConfig, s_index: int, replicate: int,
                        error=message)
 
 
-def _row_task(payload):
-    cfg, s_index, replicate = payload
+def _row_task(cfg: ExperimentConfig, s_index: int, replicate: int):
     start = time.perf_counter()
     try:
         record = compute_row(cfg, s_index, replicate)
@@ -356,27 +419,36 @@ def _row_task(payload):
     return s_index, replicate, record, wall, err
 
 
+def _replicate_task(task) -> list:
+    """One task's cells, in s order, as one list of _row_task results."""
+    cfg, replicate, s_indices = task
+    return [_row_task(cfg, s_index, replicate) for s_index in s_indices]
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every (s, replicate) cell; failures are captured per row, not raised."""
     if cfg.master_seed is None:
         raise ValueError("a sweep needs master_seed; artifacts must be replayable")
-    # replicate-major, so the cells a worker takes in turn share their
-    # training rows and each replicate's are drawn once per worker
-    tasks = [(cfg, si, r)
-             for r in range(cfg.ensemble_replicates)
-             for si in range(len(cfg.s_grid))]
+    # one task per replicate (or per interleaved part of one, where the
+    # workers outnumber the replicates): a worker runs a replicate's cells
+    # in turn and draws its training rows once, and its records come back
+    # in one message
+    tasks = _tasks(cfg)
     # under fork the pool starts every worker at the first submit, so a pool
-    # wider than the grid would only fork idle processes
+    # wider than the task list would only fork idle processes
     workers = _pool_size(cfg)
     # cleared on entry, so every sweep (and every forked worker) draws its
     # replicates' rows itself, and on exit, so none stay resident after it
     _training_rows.cache_clear()
     try:
         if workers <= 1:
-            results = [_row_task(t) for t in tasks]
+            results = [row for task in tasks for row in _replicate_task(task)]
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_row_task, tasks, chunksize=1))
+            # fork (the platform default), not spawn: a spawned worker would
+            # import numpy and scipy again.  Each worker pins its own BLAS
+            # threads; the calling process keeps its count
+            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+                results = [row for rows in pool.map(_replicate_task, tasks) for row in rows]
     finally:
         _training_rows.cache_clear()
     results.sort(key=lambda item: (item[0], item[1]))
@@ -391,8 +463,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def aggregate(records) -> list:
-    """Collapse replicates into per-s means, stderrs and, for B, V and R,
-    medians and quartiles; failed rows are skipped.
+    """Collapse replicates into the per-s statistics aggregate.csv holds:
+    the mean and stderr of B, V, M and R, the median and quartiles of B, V
+    and R, and the mean of each bound; failed rows are skipped.
 
     Near the interpolation threshold the mean does not exist: for an n x s
     Gaussian design E[tr((Z^T Z)^-1)] = s / (n - s - 1) for s <= n - 2 and
@@ -411,32 +484,35 @@ def aggregate(records) -> list:
     for s in sorted(by_s):
         group = by_s[s]
         r = len(group)
+        vals = {attr: np.array([getattr(g, attr) for g in group], dtype=float)
+                for attr in ("B", "V", "M", "R", "bias_bound", "variance_bound")}
 
-        def stat(attr):
-            vals = np.array([getattr(g, attr) for g in group], dtype=float)
-            if np.any(np.isfinite(vals)):
-                mean, median = float(np.nanmean(vals)), float(np.nanmedian(vals))
-                q25, q75 = (float(q) for q in np.nanquantile(vals, (0.25, 0.75)))
-            else:
-                mean = median = q25 = q75 = NAN
-            if r >= 2 and np.all(np.isfinite(vals)):
-                se = float(vals.std(ddof=1) / math.sqrt(r))
-            else:
-                se = NAN
-            return mean, se, median, q25, q75
+        def mean(attr):
+            v = vals[attr]
+            return float(np.nanmean(v)) if np.any(np.isfinite(v)) else NAN
 
-        B, B_se, B_med, B_q25, B_q75 = stat("B")
-        V, V_se, V_med, V_q25, V_q75 = stat("V")
-        M, M_se, *_ = stat("M")
-        R, R_se, R_med, R_q25, R_q75 = stat("R")
-        bb = stat("bias_bound")[0]
-        vb = stat("variance_bound")[0]
+        def se(attr):
+            v = vals[attr]
+            return float(v.std(ddof=1) / math.sqrt(r)) if r >= 2 and np.all(np.isfinite(v)) \
+                else NAN
+
+        def quartiles(attr):
+            v = vals[attr]
+            if not np.any(np.isfinite(v)):
+                return NAN, NAN, NAN
+            q25, q75 = (float(q) for q in np.nanquantile(v, (0.25, 0.75)))
+            return float(np.nanmedian(v)), q25, q75
+
+        B_med, B_q25, B_q75 = quartiles("B")
+        V_med, V_q25, V_q75 = quartiles("V")
+        R_med, R_q25, R_q75 = quartiles("R")
         out.append(SweepSummary(s=s, sigma0_sq=group[0].sigma0_sq, replicates=r,
-                                B_mean=B, B_se=B_se, B_median=B_med, B_q25=B_q25,
-                                B_q75=B_q75, V_mean=V, V_se=V_se, V_median=V_med,
-                                V_q25=V_q25, V_q75=V_q75, M_mean=M, M_se=M_se, R_mean=R,
-                                R_se=R_se, R_median=R_med, R_q25=R_q25, R_q75=R_q75,
-                                bias_bound_mean=bb, variance_bound_mean=vb))
+                                B_mean=mean("B"), B_se=se("B"), B_median=B_med, B_q25=B_q25,
+                                B_q75=B_q75, V_mean=mean("V"), V_se=se("V"), V_median=V_med,
+                                V_q25=V_q25, V_q75=V_q75, M_mean=mean("M"), M_se=se("M"),
+                                R_mean=mean("R"), R_se=se("R"), R_median=R_med, R_q25=R_q25,
+                                R_q75=R_q75, bias_bound_mean=mean("bias_bound"),
+                                variance_bound_mean=mean("variance_bound")))
     return out
 
 
@@ -493,6 +569,26 @@ def artifact_paths(out_dir: str) -> dict:
     }
 
 
+def _environment(cfg: ExperimentConfig) -> dict:
+    """What a sweep of cfg runs on, as manifest.json's `environment` records it.
+
+    numpy's and scipy's versions, os.cpu_count(), the file names of the
+    OpenBLAS copies this process has loaded and, where run_sweep starts a
+    pool, its width, start method and the BLAS threads each worker was
+    pinned to (null where no OpenBLAS copy was found to pin); `pool` is null
+    where the cells run in the calling process.
+    """
+    import scipy
+
+    workers, libraries = _pool_size(cfg), _openblas()
+    pool = None
+    if workers > 1:
+        pool = {"workers": workers, "start_method": multiprocessing.get_start_method(),
+                "blas_threads": _WORKER_BLAS_THREADS if libraries else None}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "openblas": [name for name, _, _ in libraries], "pool": pool}
+
+
 def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> dict:
     """Write sweep.csv, aggregate.csv, bounds_curve.csv, manifest.json atomically."""
     os.makedirs(out_dir, exist_ok=True)
@@ -538,6 +634,7 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,
         "row_errors": result.errors,
+        "environment": _environment(cfg),
     }
     _write_atomic(paths["manifest"], json.dumps(manifest, indent=2) + "\n")
     return paths

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 
 from noisyrf import bounds as bounds_mod
@@ -404,6 +406,58 @@ class TestSweep:
         parallel = run_sweep(dataclasses.replace(cfg, workers=2)).records
         assert records_csv(serial) == records_csv(parallel)
 
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
+        # each cell logs the thread count of every OpenBLAS copy loaded
+        # (numpy's ILP64 and scipy's LP64 copy, each with its own pool), read
+        # through the copy's own get_num_threads: 1 in every worker, while
+        # this process keeps its count
+        libraries = sweep_mod._openblas()
+        if not libraries:
+            pytest.skip("no bundled OpenBLAS copy is loaded")
+        assert len(libraries) == 2
+        log = tmp_path / "threads.txt"
+        inner = sweep_mod.compute_row
+
+        def recording(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {[get() for _, _, get in sweep_mod._openblas()]}\n")
+            return inner(*args)
+
+        before = [get() for _, _, get in libraries]
+        monkeypatch.setattr(sweep_mod, "compute_row", recording)
+        run_sweep(small_cfg(ensemble_replicates=2, workers=2))
+        cells = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert len(cells) == 4 and str(os.getpid()) not in {pid for pid, _ in cells}
+        assert {threads for _, threads in cells} == {"[1, 1]"}
+        assert [get() for _, _, get in libraries] == before
+
+    def test_worker_count_moves_preset_rows_by_rounding_only(self):
+        # with the thread variables unset this process's BLAS runs one thread
+        # per CPU and each pool worker one, and a BLAS thread count moves the
+        # last bits of a large product: the rows agree to rounding, not byte
+        # for byte.  Measured on the preset at 20 replicates (2 vCPUs, seeds
+        # 7, 13 and 20260814): 1426-1436 of 2000 values differ, by at most
+        # 9.5e-12 relative.  1e-9 is perfbench's pool-vs-serial bound
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        code = ("import json\n"
+                "from noisyrf.config import preset_config\n"
+                "from noisyrf.sweep import run_sweep\n"
+                "rows = []\n"
+                "for workers in (1, 2):\n"
+                "    cfg = preset_config('double-descent-default', {'master_seed': 29,\n"
+                "                        'ensemble_replicates': 4, 'workers': workers})\n"
+                "    result = run_sweep(cfg)\n"
+                "    assert not result.errors, result.errors\n"
+                "    rows.append([[r.B, r.V, r.M, r.R] for r in result.records])\n"
+                "print(json.dumps(rows))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(env, PYTHONPATH=src), check=True, timeout=300)
+        serial, pooled = json.loads(out.stdout)
+        assert len(serial) == 25 * 4
+        np.testing.assert_allclose(pooled, serial, rtol=1e-9, atol=0)
+
     def test_dropping_the_widest_unrealizable_s_leaves_the_other_rows(self):
         # each cell's W is the first s columns of its replicate's pool, and
         # the pool's prefix does not depend on its width; s = 257 and 520
@@ -443,13 +497,14 @@ class TestSweep:
         assert peak < bound, (peak, bound)
 
     def test_pool_is_never_wider_than_the_grid(self, monkeypatch):
-        # a stub executor records the pool size and maps in this process, so
-        # no worker is ever started
-        sizes = []
+        # a stub executor records the pool size, its initializer and the
+        # tasks, and maps in this process, so no worker is ever started
+        sizes, initializers, tasks = [], [], []
 
         class StubPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
+                initializers.append(initializer)
 
             def __enter__(self):
                 return self
@@ -457,17 +512,25 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, items):
+                items = list(items)
+                tasks.append([item[1:] for item in items])
+                return map(fn, items)
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", StubPool)
         cfg = small_cfg(ensemble_replicates=2, workers=5000)
         result = run_sweep(cfg)
-        assert sizes == [4]  # 2 s-values x 2 replicates
+        # 2 replicates, each split into one part per s-value
+        assert sizes == [4]
+        assert tasks[-1] == [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
+        assert initializers == [sweep_mod._pin_blas]
         assert records_csv(result.records) == records_csv(
             run_sweep(dataclasses.replace(cfg, workers=1)).records)
         run_sweep(dataclasses.replace(cfg, workers=3))
-        assert sizes[-1] == 3
+        assert sizes[-1] == 3 and len(tasks[-1]) == 4
+        # as many workers as replicates: one task per whole replicate
+        run_sweep(dataclasses.replace(cfg, workers=2))
+        assert sizes[-1] == 2 and tasks[-1] == [(0, (0, 1)), (1, (0, 1))]
 
     @pytest.mark.parametrize("target_mode,alpha", [
         ("unrealizable", 0.5), ("realizable-clean", 0.0), ("realizable-clean", 0.5)])
@@ -677,6 +740,21 @@ class TestSweep:
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
         assert parse_config(manifest) == cfg
+        # the run's environment; one worker runs the cells in this process
+        libraries = [name for name, _, _ in sweep_mod._openblas()]
+        assert manifest["environment"] == {
+            "numpy": np.__version__, "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "openblas": libraries, "pool": None}
+        # two workers on the two cells: a pool, its workers pinned where an
+        # OpenBLAS copy was found; the rows and the replay do not change
+        pooled = dataclasses.replace(cfg, workers=2)
+        paths = emit_outputs(run_sweep(pooled), pooled, str(tmp_path / "pooled"))
+        manifest = json.loads(Path(paths["manifest"]).read_text())
+        assert manifest["environment"]["pool"] == {
+            "workers": 2, "start_method": multiprocessing.get_start_method(),
+            "blas_threads": 1 if libraries else None}
+        assert Path(paths["sweep"]).read_text() == sweep_text
+        assert parse_config(manifest) == pooled
 
     def test_lambda_w_matches_lapack(self):
         W = seed_stream(2, "lw").standard_normal((30, 20))
@@ -1063,27 +1141,58 @@ class TestReplicateRows:
         assert rows.weight_pool(6) is wide
 
     def test_pool_workers_draw_each_replicates_pool_once(self, monkeypatch, tmp_path):
-        # forked workers inherit the recording stub, which logs each draw's
-        # process and stream to a file; a replicate whose cells two workers
-        # share is drawn once in each, and no worker draws a pool twice
+        # forked workers inherit the recording stubs, which log each draw's
+        # process and stream to a file.  A worker runs whole replicates, so
+        # each replicate's covariates, W's complement (realizable row-space
+        # cells) and weight pool (unrealizable cells) are drawn once per
+        # sweep, by a worker, never by this process.  Three replicates on
+        # two workers, so one worker runs two of them in turn
         log = tmp_path / "draws.txt"
-        inner = sweep_mod.sample_weights
 
-        def recording(rows, s, rng):
+        def recording(inner, rng_at):
+            def draw(*args, **kwargs):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {args[rng_at].bit_generator.seed_seq.entropy}\n")
+                return inner(*args, **kwargs)
+            return draw
+
+        for name, rng_at in (("sample_covariates", 2), ("complement_frame", 3),
+                             ("sample_weights", 2)):
+            monkeypatch.setattr(sweep_mod, name, recording(getattr(sweep_mod, name), rng_at))
+        for overrides, shared in (
+                ({"s_grid": [6, 20, 600]}, ("covariates", "weights-complement")),
+                ({"s_grid": [6, 20, 23], "target_mode": "unrealizable"},
+                 ("covariates", "weights-dense"))):
+            log.write_text("")
+            cfg = small_cfg(ensemble_replicates=3, workers=2, **overrides)
+            assert all(r.error == "" for r in run_sweep(cfg).records)
+            draws = [line.split(" ", 1) for line in log.read_text().splitlines()]
+            assert os.getpid() not in {int(pid) for pid, _ in draws}
+            streams = sorted(str(seed_sequence(cfg.master_seed, r, purpose).entropy)
+                             for r in range(3) for purpose in shared)
+            # the realizable grid's dense k* cell (replicate 2, s = 6) draws
+            # from its own cell's weights stream, which no other cell reads
+            assert sorted(e for _, e in draws if e in streams) == streams
+
+    def test_one_replicate_splits_into_interleaved_parts(self, monkeypatch, tmp_path):
+        # one replicate on two workers: its cells run as two tasks, s-indices
+        # (0, 2) and (1, 3), each in one worker, and the rows are the serial
+        # rows.  s = 600 is a reduced cell, s = 6 and 20 row-space ones
+        log = tmp_path / "cells.txt"
+        inner = sweep_mod.compute_row
+
+        def recording(cfg, s_index, replicate):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {rng.bit_generator.seed_seq.entropy}\n")
-            return inner(rows, s, rng)
+                fh.write(f"{s_index} {os.getpid()}\n")
+            return inner(cfg, s_index, replicate)
 
-        monkeypatch.setattr(sweep_mod, "sample_weights", recording)
-        cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 20, 23], ensemble_replicates=3,
-                        workers=2)
-        assert all(r.error == "" for r in run_sweep(cfg).records)
-        draws = log.read_text().splitlines()
-        assert len(draws) == len(set(draws))
-        assert os.getpid() not in {int(line.split()[0]) for line in draws}
-        pools = {str(seed_sequence(cfg.master_seed, r, "weights-dense").entropy)
-                 for r in range(3)}
-        assert {line.split(" ", 1)[1] for line in draws} == pools
+        monkeypatch.setattr(sweep_mod, "compute_row", recording)
+        cfg = small_cfg(s_grid=[6, 20, 23, 600], workers=2)
+        parallel = records_csv(run_sweep(cfg).records)
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        assert pids["0"] == pids["2"] and pids["1"] == pids["3"]
+        assert str(os.getpid()) not in pids.values()
+        assert parallel == records_csv(run_sweep(dataclasses.replace(cfg, workers=1)).records)
 
     def test_memo_is_empty_after_a_sweep(self):
         cfg = small_cfg(ensemble_replicates=3)
