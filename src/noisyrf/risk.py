@@ -30,14 +30,18 @@ population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
 feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 + q_p ||w||^2 plus the tail's energy.  Its best in-span fit b* is the ridge
 fit with penalty q_p.  `make_target` solves the projection and that fit from
-one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A: two projection
-passes on H's Cholesky factor, then a Cholesky of G = H / s + q_p I formed
-in H's place where one bound, eps (1 + tr(H) / (s q_p)) <= GRAM_RTOL on
-G's condition, keeps the fit's error within the budget every Gram here is
-held to (`spectral.GramEigen`; see `_ridge_cholesky`).  Each solve falls
-back to a Householder QR on its own: the projection where H's factor or the
-projection's check fails (`_qr_projection`), the fit where the bound
-refuses (`_ridge_fit`).  `decompose` reads b* off the target.
+one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A, read-only: the
+leading block of the replicate's Gram in a sweep (`lambda_gram`, whose
+leading blocks do not depend on W's width), else formed for the call.  Both
+factors are taken in place in one s x s buffer on numpy's OpenBLAS
+(`blas.cholesky_in_place`): H's, for two projection passes, then that of
+G = H / s + q_p I formed in the same buffer where one bound, eps (1 + tr(H)
+/ (s q_p)) <= GRAM_RTOL on G's condition, keeps the fit's error within the
+budget every Gram here is held to (`spectral.GramEigen`; see
+`_ridge_cholesky`).  Each solve falls back to a Householder QR on its own:
+the projection where H's factor or the projection's check fails
+(`_qr_projection`), the fit where the bound refuses or G's factor fails
+(`_ridge_fit`).  `decompose` reads b* off the target.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
+from .blas import cholesky_in_place
 from .estimator import SvdFactors, default_rtol, svd_factors
-from .features import FeatureEnsemble, column_product
+from .features import WEIGHT_BLOCK, FeatureEnsemble, column_product
 from .spectral import GRAM_RTOL
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
@@ -148,15 +153,6 @@ TAIL_RTOL = 1e-12
 _DEGENERATE = "degenerate out-of-span draw; eigenvalues may vanish outside the span"
 
 
-def _upper_cholesky(X: np.ndarray) -> np.ndarray | None:
-    """The upper triangle U with U^T U = X, or None where X's Cholesky raises.
-    U = L^T is Fortran-ordered, so dtrtrs reads it without a copy."""
-    try:
-        return np.linalg.cholesky(X).T
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _cho_solve(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(U^T U)^-1 b by two triangular solves on the upper triangle held in
     the top rows of U, read in place."""
@@ -182,15 +178,15 @@ def _span_overlap(W: np.ndarray, lam: np.ndarray,
     return float(t @ lam_t), float(np.linalg.norm(W.T @ lam_t))
 
 
-def _gram_projection(H: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
+def _gram_projection(U: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
                      tr: float) -> np.ndarray | None:
     """c with its feature-span part projected out by two passes on the
     Cholesky factor of H = (sqrt(Lambda) W)^T (sqrt(Lambda) W), whose trace
-    is tr, or None where H's Cholesky raises or the projected tail fails the
-    orthogonality check (see `make_target`).  H is left as it is."""
+    is tr, or None where H's factor fails or the projected tail fails the
+    orthogonality check (see `make_target`).  U holds H's upper triangle on
+    entry and is factored in place (`blas.cholesky_in_place`)."""
     p, s = W.shape
-    U = _upper_cholesky(H)
-    if U is None:
+    if cholesky_in_place(U) != 0:
         return None
     c0_energy = float(c @ (lam * c))
     # the second pass takes the first's error, about eps cond(H) relative, to
@@ -232,25 +228,24 @@ def _qr_projection(W: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _projection_pass(factor, W, lam, c - W @ coef)
 
 
-def _ridge_cholesky(H: np.ndarray, beta: np.ndarray, q: float,
+def _ridge_cholesky(H: np.ndarray, G: np.ndarray, beta: np.ndarray, q: float,
                     tr: float) -> tuple[np.ndarray, float] | None:
     """(b*, rho^2) by the Cholesky side of the ridge step, or None where its
-    switch refuses or G's Cholesky raises (see `_ridge_fit`).  tr is H's
+    switch refuses or G's factor fails (see `_ridge_fit`).  tr is H's
     trace.  G = H / s + q I is the Gram of the stack the QR side factors, so
     the switch holds it to `spectral.GramEigen`'s budget: eps kappa <=
     GRAM_RTOL with kappa = 1 + tr(H) / (s q) >= cond(G), kappa up to about
-    4.5e5.  It reads only tr, so a cell it refuses leaves H as it is;
-    otherwise G is formed in H's place."""
+    4.5e5.  It reads only tr, so a cell it refuses leaves the buffer G as it
+    is; otherwise G is formed in that buffer and factored there.  H is only
+    read."""
     s = beta.size
     if np.finfo(float).eps * (1.0 + tr / (s * q)) > GRAM_RTOL:
         return None
-    G = H
-    G /= s
+    np.divide(H, s, out=G)
     G.flat[::s + 1] += q
-    U = _upper_cholesky(G)
-    if U is None:
+    if cholesky_in_place(G) != 0:
         return None
-    b_star = beta - q * _cho_solve(U, beta)
+    b_star = beta - q * _cho_solve(G, beta)
     return b_star, q * float(beta @ b_star)
 
 
@@ -262,14 +257,15 @@ def _ridge_fit(W: np.ndarray, lam: np.ndarray, beta: np.ndarray,
     step.
 
     The Cholesky side (`_ridge_cholesky`) forms G = A^T A + q I = H / s + q I
-    in the place of H = s A^T A, factors G = L L^T on numpy's BLAS and sets
+    from H = s A^T A in the cell's one s x s buffer, factors G = U^T U there
+    on numpy's BLAS and sets
     b* = beta - q G^-1 beta by two triangular solves; rho^2 = q beta . b*,
     the objective at the exact minimizer.  Its switch reads the a-priori
     bound kappa = 1 + tr(H) / (s q) >= cond(G) = (lambda_max(H) / s + q) /
     (lambda_min(H) / s + q), from lambda_max(H) <= tr(H) =
     ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0, before G is formed.
-    Where it refuses (large alpha, q tiny), and where G's Cholesky raises
-    LinAlgError, this QR runs instead: it works on the square root of G's
+    Where it refuses (large alpha, q tiny), and where G's factor fails
+    (info > 0), this QR runs instead: it works on the square root of G's
     condition, and reads sqrt(Lambda) W itself, since H carries rounding of
     about eps ||H||, which any factor of it would carry into the fit at
     cond(G).
@@ -287,20 +283,44 @@ def _ridge_fit(W: np.ndarray, lam: np.ndarray, beta: np.ndarray,
     return b_star, rho_sq
 
 
+def lambda_gram(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = W^T Lambda W of the p x s
+    weights W, on and above its diagonal blocks, as an s x s Fortran array.
+
+    Block column j, the WEIGHT_BLOCK columns from lo = j WEIGHT_BLOCK to hi,
+    holds W[:, :hi]^T (Lambda W[:, lo:hi]) in its first hi rows: one gemm on
+    numpy's BLAS per block column, beside one p x WEIGHT_BLOCK panel
+    Lambda W[:, lo:hi].  The blocks below are zero; the factor and the trace
+    read only the upper triangle.  A block column reads W's first hi columns
+    alone, through a gemm whose shape depends on j alone, so where W is
+    whole blocks wide its H is the leading block, to the bit, of the H of
+    any wider W that starts with it.  One syrk of W is not: its leading
+    block moves with the width it factors.
+    """
+    s = W.shape[1]
+    H = np.zeros((s, s), order="F")
+    for lo in range(0, s, WEIGHT_BLOCK):
+        hi = min(lo + WEIGHT_BLOCK, s)
+        np.matmul(W[:, :hi].T, lam[:, None] * W[:, lo:hi], out=H[:hi, lo:hi])
+    return H
+
+
 def _solve_unrealizable(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
-                        q: float) -> tuple[np.ndarray, np.ndarray | None, float]:
+                        q: float, gram: np.ndarray | None
+                        ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """(tail, b*, rho^2) of an unrealizable target drawn as c with
-    beta_star = beta, at feature-noise variance q (see `make_target`)."""
-    B = np.sqrt(lam)[:, None] * W
-    H = B.T @ B   # numpy runs A^T A as a syrk
-    # released before H is factored: kept alive next to H and L, it raised
-    # the peak resident set
-    del B
+    beta_star = beta, at feature-noise variance q, on H = gram's leading
+    s x s block, or on H formed here where gram is None (see
+    `make_target`)."""
+    s = W.shape[1]
+    H = lambda_gram(W, lam) if gram is None else gram[:s, :s]
     tr = float(np.trace(H))
-    projected = _gram_projection(H, W, lam, c, tr)
-    fit = _ridge_cholesky(H, beta, q, tr) if q > 0 else (None, 0.0)
-    # H, or G in its place, goes before either QR
-    del H
+    # the cell's one s x s buffer: H's factor, then G and G's factor
+    U = H.copy(order="F")
+    projected = _gram_projection(U, W, lam, c, tr)
+    fit = _ridge_cholesky(H, U, beta, q, tr) if q > 0 else (None, 0.0)
+    # the buffer, and H where this call formed it, go before either QR
+    del H, U
     if projected is None:
         projected = _qr_projection(W, lam, c)
     if fit is None:
@@ -309,7 +329,8 @@ def _solve_unrealizable(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.
 
 
 def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
-                rng: np.random.Generator, *, tail_energy: float = 1.0) -> TargetFunction:
+                rng: np.random.Generator, *, tail_energy: float = 1.0,
+                gram: np.ndarray | None = None) -> TargetFunction:
     """Draw a target: beta_star uniform on the radius-`norm` sphere, plus an
     out-of-span component of the requested energy in unrealizable mode.
 
@@ -327,24 +348,30 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     norm [g, rho] / sqrt(||g||^2 + rho^2).
 
     Both solves run on one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W)
-    (`_solve_unrealizable`): one syrk on numpy's BLAS, then one Cholesky
-    H = L L^T (`_gram_projection`).  The projection c <- c - W H^-1 W^T
-    Lambda c runs twice, each pass two triangular solves on L; the second
-    takes the first's error, about eps cond(H) relative, to its square,
-    which is rounding while cond(sqrt(Lambda) W) <= eps^-1/2 (CholeskyQR2's
-    range; Fukaya et al. 2014).  The draw is degenerate where the projected
-    energy sum(lambda c^2) <= default_rtol(p, s)^2 ||sqrt(Lambda) c_0||^2.
-    L is released, and where the ridge switch's one bound, eps (1 + tr(H) /
-    (s q)) <= GRAM_RTOL, holds, the fit factors G = H / s + q I, formed in
-    H's place (`_ridge_cholesky`).  The fallbacks, each for its own solve:
-    where H's Cholesky raises, or the projected tail fails ||W^T Lambda c||
+    (`_solve_unrealizable`): the leading s x s block of gram, the
+    `lambda_gram` of a W whose first s columns are the ensemble's (a sweep
+    forms one per unrealizable replicate), or else `lambda_gram(W, lam)`
+    formed here.  H is only read.  It is copied into the cell's one
+    Fortran s x s buffer and factored there, H = U^T U, on numpy's
+    OpenBLAS (`blas.cholesky_in_place`, `_gram_projection`).  The
+    projection c <- c - W H^-1 W^T Lambda c runs twice, each pass two
+    triangular solves on U; the second takes the first's error, about
+    eps cond(H) relative, to its square, which is rounding while
+    cond(sqrt(Lambda) W) <= eps^-1/2 (CholeskyQR2's range; Fukaya et al.
+    2014).  The draw is degenerate where the projected energy
+    sum(lambda c^2) <= default_rtol(p, s)^2 ||sqrt(Lambda) c_0||^2.  Where
+    the ridge switch's one bound, eps (1 + tr(H) / (s q)) <= GRAM_RTOL,
+    holds, G = H / s + q I is formed in the same buffer and factored there
+    (`_ridge_cholesky`).  The fallbacks, each for its own solve: where H's
+    factor fails (info > 0), or the projected tail fails ||W^T Lambda c||
     <= TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL = 1e-12, 100x inside the
     TAIL_ACCEPT_RTOL = 1e-10 `decompose` demands, the projection reruns as
     one Householder QR of [sqrt(Lambda) W | sqrt(Lambda) c] and a second
     pass on its triangle (`_qr_projection`); where the ridge switch refuses
-    or G's Cholesky raises, the fit is one QR of the stack
-    [A, A beta; sqrt(q) I, 0] (`_ridge_fit`).  Both QRs run after H, or G in
-    its place, is released.
+    or G's factor fails, the fit is one QR of the stack
+    [A, A beta; sqrt(q) I, 0] (`_ridge_fit`).  Both QRs run after the
+    buffer, and an H formed here, is released.  A gram that is not square
+    or has fewer than s rows is refused before any draw.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
@@ -362,6 +389,9 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
         if not isinstance(ensemble.weights, np.ndarray):
             raise ValueError("unrealizable target needs the dense p x s W; build the "
                              "ensemble without a complement")
+        if gram is not None and not (gram.ndim == 2 and gram.shape[0] == gram.shape[1] >= s):
+            raise ValueError(f"gram must be square with at least s = {s} rows, got shape "
+                             f"{gram.shape}")
     if ensemble.reduced:
         # beta*'s image in the reduced coordinates (features module): its
         # part in the span of [G; Xi], then the norm of the rest
@@ -377,7 +407,7 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     spec = ensemble.noise_spec
     q = spec.entry_variance if spec is not None else 0.0
     W = ensemble.weights
-    c, b_star, rho_sq = _solve_unrealizable(W, lam, c, beta, q)
+    c, b_star, rho_sq = _solve_unrealizable(W, lam, c, beta, q, gram)
     tail = c * math.sqrt(tail_energy / float(np.sum(lam * c * c)))
     # without feature noise b_star is None, rho_sq 0 and fit_q 0: the defaults
     return TargetFunction(mode=mode, beta_star=beta, tail_coeffs=tail, norm=norm,

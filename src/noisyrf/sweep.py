@@ -1,27 +1,32 @@
 """Feature-count sweeps: per-row pipelines, aggregation, artifact emission.
 
 Every row is a pure function of (config, master_seed, s-index, replicate), so
-a sweep re-run with the same seed and worker count reproduces sweep.csv byte
-for byte.  Across worker counts rows agree to the last bits only: pool
-workers run one BLAS thread each, and a BLAS thread count moves the rounding
-of a large product (measured on the preset: at most 9.5e-12 relative).
-Measured timings are deliberately kept out of the CSV (they would break
-byte-identity) and land in manifest.json instead, with the run's environment.
+at one BLAS thread count a sweep re-run with the same seed, and a cell
+recomputed alone (`compute_row`, as `noisyrf risk --s` runs it), reproduce
+sweep.csv byte for byte.  A BLAS thread count moves the rounding of a large
+product, so rows computed at different counts agree within rtol 1e-9, not to
+the bit (measured on the preset: at most 9.5e-12 relative).  Pool workers
+run one BLAS thread each while the calling process keeps its own count, so
+that tolerance is what holds across worker counts, and between a sweep and
+`noisyrf risk --s` run with other thread settings.  Measured timings are
+deliberately kept out of the CSV (they would break byte-identity) and land
+in manifest.json instead, with the run's environment.
 
 A replicate is one training set: its covariates are keyed by (master_seed,
 replicate) alone, so every cell of the replicate sees the same rows and the
 replicate traces one fixed-data risk curve over the s grid.  The rows, their
 Gram eigenpairs, the row-space factor, W's complement frame and, for an
-unrealizable target, the p x max(s_grid) weight pool whose first s columns
-are each cell's W, are computed once per replicate (`_training_rows`) and
-shared, read-only, by its cells.  A pool worker runs whole replicates, so
-each replicate's shared arrays are drawn once per sweep.
+unrealizable target, the weight pool, p x max(s_grid) rounded up to whole
+weight blocks, whose first s columns are each cell's W, and the pool's
+Lambda-Gram, whose leading s x s block is each cell's H, are computed once
+per replicate (`_training_rows`) and shared, read-only, by its cells.  A
+pool worker runs whole replicates, so each replicate's shared arrays are
+drawn once per sweep.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import json
 import math
@@ -34,13 +39,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
+# _openblas and _pin_blas keep their names here, where the tests look them up
+from .blas import WORKER_BLAS_THREADS, factor_backend
+from .blas import openblas as _openblas
+from .blas import pin_blas as _pin_blas
 from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
 from .features import (WEIGHT_BLOCK, ComplementFrame, build_ensemble, complement_frame,
                        make_noise_spec, reducible, row_space_factor, sample_weights)
-from .risk import decompose, make_target
+from .risk import decompose, lambda_gram, make_target
 from .seeding import seed_stream
 # empirical_covariance likewise: compute_row takes the spectrum from its
 # replicate's gram_eigh call, whose eigenvectors it also needs; the tracer
@@ -182,50 +191,6 @@ def _pool_size(cfg: ExperimentConfig) -> int:
     return min(cfg.workers, len(_tasks(cfg)))
 
 
-# The OpenBLAS copies numpy and scipy bundle (ILP64 and LP64, each with its own
-# thread pool): per copy, the symbol that sets its thread count and the one
-# that reads it
-_OPENBLAS_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-                     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"))
-
-# BLAS threads in each pool worker, so that the workers' threads do not
-# outnumber the CPUs: unpinned, each worker started one thread per CPU, and a
-# 2-worker preset sweep (20 replicates, 2 vCPUs) took 13.6-24.4 s against
-# 1.4-2.5 s in one process
-_WORKER_BLAS_THREADS = 1
-
-
-@functools.lru_cache(maxsize=1)
-def _openblas() -> tuple:
-    """(file name, set_num_threads, get_num_threads) of each bundled OpenBLAS
-    copy this process has loaded, as /proc/self/maps lists them; empty where
-    that file is missing or neither copy is loaded."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            # a line naming a file ends in its path, the sixth field
-            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh
-                            if "openblas" in line})
-    except OSError:
-        return ()
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)  # already loaded: dlopen returns its handle
-        for set_name, get_name in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, set_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                found.append((os.path.basename(path), setter, getter))
-                break
-    return tuple(found)
-
-
-def _pin_blas() -> None:
-    """Pool initializer: each OpenBLAS copy of the worker runs _WORKER_BLAS_THREADS threads."""
-    for _, set_threads, _ in _openblas():
-        set_threads(_WORKER_BLAS_THREADS)
-
-
 class _TrainingRows:
     """A replicate's training set, shared by every cell of it: the
     spectrum, phi = phi(X) (n x p), gram = gram_eigh(phi) and the weight
@@ -236,13 +201,16 @@ class _TrainingRows:
       frame (`features.complement_frame`) drawn from the replicate's
       weights-complement stream;
     - for unrealizable cells, the weight pool (`weight_pool`), one p x S
-      draw from its weights-dense stream whose first s columns are the W of
-      the cell at s.
+      draw from its weights-dense stream, S = max(s_grid) rounded up to
+      whole WEIGHT_BLOCK columns, whose first s columns are the W of the
+      cell at s, and the pool's Lambda-Gram H_pool (`weight_gram`), S x S,
+      whose leading s x s block is that cell's H: each cell factors a copy
+      of that block in place of forming its own (`risk.make_target`).
 
     Both streams are made afresh on each attempt, so every attempt draws
     the same arrays.  A replicate whose cells all hold the dense W (an
     unrealizable target) forms neither R, p x min(n, p), nor the frame; a
-    realizable one never forms the pool.
+    realizable one never forms the pool or its Gram.
 
     The arrays are read-only: a cell that wrote to one would change the next
     cell's row.
@@ -254,7 +222,7 @@ class _TrainingRows:
             array.flags.writeable = False
         self.spectrum, self.phi, self.gram = spectrum, phi, gram
         self._key = (master_seed, replicate)
-        self._pool = None
+        self._pool = self._pool_gram = None
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -272,20 +240,36 @@ class _TrainingRows:
         return frame
 
     def weight_pool(self, width: int) -> np.ndarray:
-        """The replicate's p x S weight pool, S >= width: drawn by the first
-        call, and again only by a call wider than the pool held.
+        """The replicate's p x S weight pool, S = width rounded up to whole
+        WEIGHT_BLOCK columns: drawn by the first call, and again only by a
+        call wider than the pool held.
 
         `sample_weights` fills column block j from child j of the stream's
         spawn, so the first s columns of a pool are the same p x s array
         whatever its width: a cell's W does not depend on the grid it sits
         in.
         """
+        width = -(-width // WEIGHT_BLOCK) * WEIGHT_BLOCK
         if self._pool is None or self._pool.shape[1] < width:
             pool = sample_weights(self.phi.shape[1], width,
                                   seed_stream(*self._key, "weights-dense"))
             pool.flags.writeable = False
-            self._pool = pool
+            self._pool, self._pool_gram = pool, None
         return self._pool
+
+    def weight_gram(self, width: int) -> np.ndarray:
+        """H_pool = (sqrt(Lambda) pool)^T (sqrt(Lambda) pool), S x S, of the
+        pool `weight_pool(width)` returns (`risk.lambda_gram`): formed by the
+        first call on that pool.  Its leading s x s block is the Gram of the
+        cell at s; the pool is whole blocks wide, so that block does not
+        depend on the pool's width either.
+        """
+        pool = self.weight_pool(width)
+        if self._pool_gram is None:
+            gram = lambda_gram(pool, self.spectrum.eigenvalues)
+            gram.flags.writeable = False
+            self._pool_gram = gram
+        return self._pool_gram
 
 
 @functools.lru_cache(maxsize=1)
@@ -295,7 +279,8 @@ def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, 
     seed_stream(master_seed, replicate, "covariates"); W's complement, when
     a row-space cell asks for it, from seed_stream(master_seed, replicate,
     "weights-complement"), and the weight pool, when an unrealizable cell
-    asks for it, from seed_stream(master_seed, replicate, "weights-dense").
+    asks for it, from seed_stream(master_seed, replicate, "weights-dense"),
+    with its Gram.
 
     The arguments are exactly what the rows depend on, so the cache key is
     the argument tuple.  run_sweep clears the cache on entry and on exit.
@@ -314,7 +299,9 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     The cell takes one of three routes to its weights, by target mode, tail
     index, noise law and width alone.  An unrealizable target holds the
     dense p x s W as the first s columns of its replicate's weight pool,
-    p x max(s_grid), drawn once; a realizable row where the tail index k*
+    p x max(s_grid) rounded up to whole blocks, drawn once, and reads its
+    Gram H as the leading s x s block of the pool's, formed once
+    (`make_target`'s gram); a realizable row where the tail index k*
     exists (the row may state the bias bound, which needs lambda_W) draws
     its own dense W from the `weights` stream.  Any other row holds row-space
     weights: G = R^T W, R an orthonormal basis of the eigenfeature rows'
@@ -329,12 +316,12 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
 
     The training rows are the replicate's (`_training_rows`): its
     covariates, phi, one eigensolve of phi's Gram, the row-space factor
-    (R, T^T) from the same eigenpairs, W's complement frame and the weight
-    pool, computed by the first cell of the replicate that runs in this
-    process (the factor and the frame by the first row-space cell, the pool
-    by the first unrealizable one) and reused by the others.  The
-    eigenpairs give the empirical spectrum; the factor and the frame serve
-    row-space cells, the pool unrealizable ones.
+    (R, T^T) from the same eigenpairs, W's complement frame, the weight
+    pool and its Gram, computed by the first cell of the replicate that runs
+    in this process (the factor and the frame by the first row-space cell,
+    the pool and its Gram by the first unrealizable one) and reused by the
+    others.  The eigenpairs give the empirical spectrum; the factor and the
+    frame serve row-space cells, the pool and its Gram unrealizable ones.
     """
     seed = cfg.master_seed
     s = cfg.s_grid[s_index]
@@ -349,9 +336,12 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     lam_hat = rows.gram.lambda_hat
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
+    pool_gram = None
     if cfg.target_mode == "unrealizable":
-        # a view of the replicate's pool, neither copied nor drawn here
+        # a view of the replicate's pool, and its Gram, neither copied nor
+        # formed here
         weights = rows.weight_pool(max(cfg.s_grid))[:, :s]
+        pool_gram = rows.weight_gram(max(cfg.s_grid))
         complement = factor = None
     elif k_star is not None:
         weights, complement, factor = sample_weights(cfg.p, s, rng_w), None, None
@@ -363,7 +353,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     ensemble = build_ensemble(spectrum, cfg.mode, rows.phi, weights, noise_spec, rng_noise,
                               complement=complement, factor=factor)
     target = make_target(cfg.target_mode, ensemble, cfg.target_norm, rng_target,
-                         tail_energy=cfg.tail_energy)
+                         tail_energy=cfg.tail_energy, gram=pool_gram)
     dec = decompose(ensemble, target, cfg.sigma_sq, clean_test=cfg.clean_test,
                     target_noise=cfg.target_noise)
 
@@ -573,10 +563,13 @@ def _environment(cfg: ExperimentConfig) -> dict:
     """What a sweep of cfg runs on, as manifest.json's `environment` records it.
 
     numpy's and scipy's versions, os.cpu_count(), the file names of the
-    OpenBLAS copies this process has loaded and, where run_sweep starts a
-    pool, its width, start method and the BLAS threads each worker was
-    pinned to (null where no OpenBLAS copy was found to pin); `pool` is null
-    where the cells run in the calling process.
+    OpenBLAS copies this process has loaded, what factored an unrealizable
+    target's Grams (`gram_factor`: the file name of numpy's OpenBLAS copy,
+    or "scipy" where its dpotrf was not found; null for the other targets,
+    which factor none) and, where run_sweep starts a pool, its width, start
+    method and the BLAS threads each worker was pinned to (null where no
+    OpenBLAS copy was found to pin); `pool` is null where the cells run in
+    the calling process.
     """
     import scipy
 
@@ -584,9 +577,11 @@ def _environment(cfg: ExperimentConfig) -> dict:
     pool = None
     if workers > 1:
         pool = {"workers": workers, "start_method": multiprocessing.get_start_method(),
-                "blas_threads": _WORKER_BLAS_THREADS if libraries else None}
+                "blas_threads": WORKER_BLAS_THREADS if libraries else None}
     return {"numpy": np.__version__, "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-            "openblas": [name for name, _, _ in libraries], "pool": pool}
+            "openblas": [name for name, _, _ in libraries],
+            "gram_factor": factor_backend() if cfg.target_mode == "unrealizable" else None,
+            "pool": pool}
 
 
 def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -609,7 +604,9 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        f"weight columns drawn in blocks of {WEIGHT_BLOCK}, block j from "
                        "child j of the stream's seed sequence (spawn order). An "
                        "unrealizable target draws one p x S pool from weights-dense per "
-                       "replicate, S = max(s_grid), and the row at s takes its first s "
+                       "replicate, S = max(s_grid) rounded up to whole blocks of "
+                       f"{WEIGHT_BLOCK} columns, whose first max(s_grid) columns do not "
+                       "depend on that rounding, and the row at s takes its first s "
                        "columns as W; a realizable row where the tail index k* exists "
                        "draws its p x s W from weights. Every other row holds row-space weights, "
                        "G = R^T W with R an orthonormal basis of the eigenfeature rows' "

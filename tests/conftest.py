@@ -27,6 +27,27 @@ def linalg_calls(monkeypatch):
     return count
 
 
+@pytest.fixture
+def gram_factors(monkeypatch):
+    """gram_factors(refuse=()) -> [info, ...]: the info of every in-place
+    Gram factor `risk.make_target` takes from then on, in call order; a
+    call whose index is in refuse returns info 1, a failed factor, without
+    factoring."""
+    from noisyrf import risk
+
+    def record(refuse=()):
+        infos = []
+        real = risk.cholesky_in_place
+
+        def factor(a):
+            infos.append(1 if len(infos) in refuse else real(a))
+            return infos[-1]
+
+        monkeypatch.setattr(risk, "cholesky_in_place", factor)
+        return infos
+    return record
+
+
 @pytest.fixture(autouse=True)
 def fresh_training_rows():
     """Every test starts and ends with an empty per-replicate memo, as a

@@ -237,7 +237,13 @@ def test_criterion_7_concentration_lab_checks():
 def test_criterion_8_sweep_determinism(tmp_path):
     # Same seed twice must give byte-identical sweep.csv, serial or 4 workers.
     # A reduced grid keeps this well under twice the preset runtime; the cells
-    # exercise both the classical and overparameterized branches.
+    # exercise both the classical and overparameterized branches.  Pool
+    # workers run one BLAS thread and this process its default, which moves
+    # the last bits of a product large enough for OpenBLAS to thread; every
+    # product on this n=12, p=24 grid is too small to thread, which is why
+    # the 4-worker run stays byte-identical (on a grid that threads, rows
+    # agree within rtol 1e-9: test_harness's
+    # test_unrealizable_rows_agree_across_threads_workers_and_the_cli).
     t0 = time.monotonic()
     base = {"n": 12, "p": 24, "s_grid": [6, 20],
             "ensemble_replicates": 2, "master_seed": 5}

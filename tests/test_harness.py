@@ -13,6 +13,7 @@ import pytest
 import scipy
 import scipy.linalg as sla
 
+from noisyrf import blas as blas_mod
 from noisyrf import bounds as bounds_mod
 from noisyrf import cli as cli_mod
 from noisyrf import config as config_mod
@@ -458,6 +459,54 @@ class TestSweep:
         assert len(serial) == 25 * 4
         np.testing.assert_allclose(pooled, serial, rtol=1e-9, atol=0)
 
+    def test_unrealizable_rows_agree_across_threads_workers_and_the_cli(self):
+        # the unrealizable preset grid at 1 replicate, thread variables
+        # unset: the calling process runs one BLAS thread per CPU, the pool's
+        # two workers (each an interleaved part of the one replicate) one
+        # each, and `noisyrf risk --s` its own default.  The grid threads, so
+        # its rows move with the thread count: serial rows are not those of
+        # an OPENBLAS_NUM_THREADS=1 run, which the pinned workers reproduce
+        # byte for byte.  Serial, pooled and CLI rows agree within rtol 1e-9
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
+        grid = unrealizable_preset(7).s_grid
+        code = ("import dataclasses, json, sys\n"
+                "from noisyrf.config import preset_config\n"
+                "from noisyrf.sweep import _openblas, run_sweep\n"
+                "rows, cfg = {}, preset_config('double-descent-default', {\n"
+                "    'master_seed': 7, 'target_mode': 'unrealizable', 'ensemble_replicates': 1,\n"
+                f"    's_grid': {grid}}})\n"
+                "for workers in map(int, sys.argv[1:]):\n"
+                "    result = run_sweep(dataclasses.replace(cfg, workers=workers))\n"
+                "    assert not result.errors, result.errors\n"
+                "    rows[workers] = [[r.B, r.V, r.M, r.R] for r in result.records]\n"
+                "print(json.dumps({'threads': [get() for _, _, get in _openblas()],\n"
+                "                  'rows': rows}))\n")
+        unset = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        unset["PYTHONPATH"] = src
+
+        def run(args, env):
+            return json.loads(subprocess.run([sys.executable, *args], capture_output=True,
+                                             text=True, env=env, check=True,
+                                             timeout=300).stdout)
+
+        default = run(["-c", code, "1", "2"], unset)
+        one = run(["-c", code, "1"], dict(unset, OPENBLAS_NUM_THREADS="1",
+                                          OMP_NUM_THREADS="1"))
+        serial, pooled = default["rows"]["1"], default["rows"]["2"]
+        assert len(serial) == len(grid)
+        if max(default["threads"]) < 2:
+            pytest.skip("numpy's OpenBLAS runs one thread here; nothing to compare")
+        assert serial != one["rows"]["1"]
+        assert pooled == one["rows"]["1"]
+        np.testing.assert_allclose(pooled, serial, rtol=1e-9, atol=0)
+        for s in (178, 1778):
+            rec = run(["-m", "noisyrf.cli", "risk", "--preset", "double-descent-default",
+                       "--seed", "7", "--target-mode", "unrealizable",
+                       "--s-grid", ",".join(map(str, grid)), "--s", str(s)], unset)
+            np.testing.assert_allclose([rec["B"], rec["V"], rec["M"], rec["R"]],
+                                       serial[grid.index(s)], rtol=1e-9, atol=0)
+
     def test_dropping_the_widest_unrealizable_s_leaves_the_other_rows(self):
         # each cell's W is the first s columns of its replicate's pool, and
         # the pool's prefix does not depend on its width; s = 257 and 520
@@ -471,18 +520,34 @@ class TestSweep:
         assert len(kept) == 1 + 2 * 2
         assert short.splitlines() == kept
 
+    def test_preset_unrealizable_rows_do_not_depend_on_the_widest_s(self):
+        # on the preset's grid the pool is max(s_grid) = 1778 rounded up to
+        # 1792, seven blocks; without s = 1778 it is 1334 rounded up to
+        # 1536, and without every s >= 1334 it is 1000 rounded up to 1024.
+        # Each cell factors the leading block of its pool's Gram, which
+        # lambda_gram forms by whole block columns, so the other rows do
+        # not move by a bit
+        cfg = dataclasses.replace(unrealizable_preset(7), ensemble_replicates=2)
+        full = records_csv(run_sweep(cfg).records).splitlines()
+        for widest in (1778, 1334):
+            grid = [s for s in cfg.s_grid if s < widest]
+            short = records_csv(run_sweep(dataclasses.replace(cfg, s_grid=grid)).records)
+            kept = [line for line in full[1:] if int(line.split(",")[0]) < widest]
+            assert len(kept) == 2 * len(grid)
+            assert short.splitlines() == full[:1] + kept
+
     def test_unrealizable_pool_adds_no_memory_at_the_peak(self):
-        # the pool is the widest cell's own W, so a preset unrealizable sweep
-        # peaks at that cell, as when every cell drew its own W: W and
-        # sqrt(Lambda) W (2 p S) while syrk forms H, then H and its Cholesky
-        # factor (2 S^2).  The slack covers twice the n-row arrays of a cell
+        # the peak is the widest cell's: the pool, p x S' with S' =
+        # max(s_grid) = 1778 rounded up to 1792 whole blocks, its Gram
+        # H_pool (S'^2) and the one s x s buffer both the cell's factors
+        # are taken in (s = 1778).  A cell forms no p x s array and no H
+        # of its own.  The slack covers twice the n-row arrays of a cell
         # (phi; Z and the design, n x S).  Two replicates, so the second
-        # draws its pool after the first's is gone.  Measured: 86.8 MB
-        # against a bound of 113.5 MB, as when every cell drew its own W; a
-        # cell that copied its columns of the pool would add p S, 28 MB
+        # draws its pool after the first's is gone.  The bound is 85.7 MB
         cfg = dataclasses.replace(unrealizable_preset(7), ensemble_replicates=2)
         n, p, S = cfg.n, cfg.p, max(cfg.s_grid)
-        bound = 8 * (2 * p * S + 2 * S * S) + 8 * 2 * n * (p + S)
+        wide = -(-S // WEIGHT_BLOCK) * WEIGHT_BLOCK
+        bound = 8 * (p * wide + wide * wide + S * S) + 8 * 2 * n * (p + S)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -541,8 +606,9 @@ class TestSweep:
         # cell without one (alpha = 0.5) takes the row-space route instead.
         # The covariates are the replicate's, keyed without the s index; so
         # is an unrealizable cell's W, the first s columns of the replicate's
-        # p x max(s_grid) pool, here 20 of 22.  Replicate 1: at seed 5 its
-        # rows have a tail index at alpha = 0, replicate 0's have none
+        # pool, max(s_grid) = 22 rounded up to one WEIGHT_BLOCK, and its H,
+        # the leading s x s block of the pool's Gram.  Replicate 1: at seed
+        # 5 its rows have a tail index at alpha = 0, replicate 0's have none
         cfg = small_cfg(target_mode=target_mode, alpha=alpha, ensemble_replicates=2,
                         s_grid=[6, 20, 22])
         seed, s_index, s, rep = cfg.master_seed, 1, cfg.s_grid[1], 1
@@ -550,26 +616,28 @@ class TestSweep:
         def stream(purpose):
             return seed_stream(seed, s_index, rep, purpose)
 
+        spectrum = sweep_mod._make_spectrum(cfg)
+        gram = None
         if target_mode == "unrealizable":
-            W = sample_weights(cfg.p, 22, seed_stream(seed, rep, "weights-dense"))[:, :s]
+            pool = sample_weights(cfg.p, WEIGHT_BLOCK, seed_stream(seed, rep, "weights-dense"))
+            W, gram = pool[:, :s], risk_mod.lambda_gram(pool, spectrum.eigenvalues)
         else:
             W = sample_weights(cfg.p, s, stream("weights"))
 
-        spectrum = sweep_mod._make_spectrum(cfg)
         phi = spectral_mod.eigenfeature_matrix(
             spectrum, cfg.mode, spectral_mod.sample_covariates(
                 cfg.mode, cfg.n, seed_stream(seed, rep, "covariates"), p=cfg.p))
         spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
         ens = build_ensemble(spectrum, cfg.mode, phi, W, spec, stream("feature-noise"))
         target = risk_mod.make_target(cfg.target_mode, ens, cfg.target_norm, stream("target"),
-                                      tail_energy=cfg.tail_energy)
+                                      tail_energy=cfg.tail_energy, gram=gram)
         d = risk_mod.decompose(ens, target, cfg.sigma_sq, clean_test=cfg.clean_test,
                                target_noise=cfg.target_noise)
         rec = compute_row(cfg, s_index, rep)
         dense = target_mode == "unrealizable" or alpha == 0.0
         assert (rec.k_star is not None) == (alpha == 0.0)
         assert weight_shapes == [(cfg.p if dense else cfg.n,
-                                  22 if target_mode == "unrealizable" else s)]
+                                  WEIGHT_BLOCK if target_mode == "unrealizable" else s)]
         got = (rec.B, rec.V, rec.M, rec.R)
         want = (d.bias, d.variance, d.misspec, d.total)
         assert (got == want) == dense
@@ -733,18 +801,28 @@ class TestSweep:
         assert "purposes: weights, feature-noise, target; " in manifest["seed_scheme"]
         assert "one (p, n + 1) standard normal draw F = [H1, h], drawn once per replicate" \
             in manifest["seed_scheme"]
-        assert "draws one p x S pool from weights-dense per replicate, S = max(s_grid), " \
-            "and the row at s takes its first s columns as W" in manifest["seed_scheme"]
+        assert "draws one p x S pool from weights-dense per replicate, S = max(s_grid) " \
+            f"rounded up to whole blocks of {WEIGHT_BLOCK} columns, whose first max(s_grid) " \
+            "columns do not depend on that rounding, and the row at s takes its first s " \
+            "columns as W" in manifest["seed_scheme"]
         assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "14"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
         assert parse_config(manifest) == cfg
-        # the run's environment; one worker runs the cells in this process
+        # the run's environment; one worker runs the cells in this process,
+        # and a realizable target factors no Gram
         libraries = [name for name, _, _ in sweep_mod._openblas()]
         assert manifest["environment"] == {
             "numpy": np.__version__, "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-            "openblas": libraries, "pool": None}
+            "openblas": libraries, "gram_factor": None, "pool": None}
+        # an unrealizable target's Grams are factored on numpy's OpenBLAS
+        # copy, one of those loaded, or by scipy where it has no dpotrf
+        unrealizable = dataclasses.replace(cfg, target_mode="unrealizable")
+        paths = emit_outputs(run_sweep(unrealizable), unrealizable, str(tmp_path / "unreal"))
+        backend = json.loads(Path(paths["manifest"]).read_text())["environment"]["gram_factor"]
+        assert backend == blas_mod.factor_backend()
+        assert backend in libraries + ["scipy"]
         # two workers on the two cells: a pool, its workers pinned where an
         # OpenBLAS copy was found; the rows and the replay do not change
         pooled = dataclasses.replace(cfg, workers=2)
@@ -887,9 +965,10 @@ class TestSweep:
         assert records_csv(records) == records_csv(run_sweep(cfg).records)
         # at alpha = 0.5 the realizable cells wider than min(n, p) + n = 40
         # are reduced: build_ensemble draws their weights, sample_weights
-        # does not.  The unrealizable replicate draws its pool once
+        # does not.  The unrealizable replicate draws its pool once,
+        # max(s_grid) = 150 rounded up to one WEIGHT_BLOCK
         if target_mode == "unrealizable":
-            assert [W.shape for W in draws] == [(cfg.p, max(cfg.s_grid))]
+            assert [W.shape for W in draws] == [(cfg.p, WEIGHT_BLOCK)]
         else:
             assert len(draws) == (1 if alpha > 0 else len(cfg.s_grid))
 
@@ -968,22 +1047,24 @@ class TestSweep:
         np.testing.assert_allclose(runs[0]["rows"], runs[1]["rows"], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("s", [10, 1778])
-    def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, s):
+    def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, gram_factors, s):
         # make_target's projection and ridge fit share one Gram H: its
-        # Cholesky and G's, and no QR
+        # factor and G's, both in place and both accepted, and no QR
         calls = linalg_calls("qr", "cholesky")
+        infos = gram_factors()
         cfg = unrealizable_preset(7)
         rec = compute_row(cfg, cfg.s_grid.index(s), 0)
         assert rec.error == "" and rec.M > 0
-        assert calls == {"qr": 0, "cholesky": 2}
+        assert calls == {"qr": 0, "cholesky": 0} and infos == [0, 0]
 
     def test_unrealizable_cells_repeat_across_blas_thread_counts(self):
-        # syrk sums H = W^T Lambda W in another order on 1 thread than on 2,
-        # which moves H, the tail and b* in their last bits.  b* is within
-        # eps cond(G) <= 1.7e-11 of the exact fit on these cells (cond(G)
-        # 2.4e3 and 7.8e4), so B moves by at most about 2 ||A|| ||db*||
-        # / sqrt(B) relative, under 1e-9 for B >= 0.01; M moves by q times
-        # that, and the tail's energy is scaled to tail_energy exactly
+        # lambda_gram's gemms sum H = W^T Lambda W in another order on 1
+        # thread than on 2, which moves H, the tail and b* in their last
+        # bits.  b* is within eps cond(G) <= 1.7e-11 of the exact fit on
+        # these cells (cond(G) 2.4e3 and 7.8e4), so B moves by at most about
+        # 2 ||A|| ||db*|| / sqrt(B) relative, under 1e-9 for B >= 0.01; M
+        # moves by q times that, and the tail's energy is scaled to
+        # tail_energy exactly
         src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
         code = ("import json\n"
                 "from noisyrf.config import PRESETS, preset_config\n"
@@ -1091,9 +1172,9 @@ class TestReplicateRows:
                                         cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
         frame = rows.complement
         assert frame.left.shape == (25, 25)
-        pool = rows.weight_pool(20)
+        pool, pool_gram = rows.weight_pool(20), rows.weight_gram(20)
         for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor, frame.RtF,
-                      frame.left, pool, pool[:, :6]):
+                      frame.left, pool, pool[:, :6], pool_gram, pool_gram[:6, :6]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -1113,32 +1194,62 @@ class TestReplicateRows:
 
     def test_realizable_replicate_forms_no_pool(self, monkeypatch):
         # dense k* rows (replicate 2 at s = 6), row-space and reduced rows all
-        # take their weights from their own cell's stream
+        # take their weights from their own cell's stream, and form no Gram
         def refused(*args):
-            raise AssertionError("a realizable cell formed the weight pool")
+            raise AssertionError("a realizable cell formed the weight pool or a Gram")
 
         monkeypatch.setattr(sweep_mod._TrainingRows, "weight_pool", refused)
+        monkeypatch.setattr(sweep_mod._TrainingRows, "weight_gram", refused)
+        monkeypatch.setattr(sweep_mod, "lambda_gram", refused)
+        monkeypatch.setattr(risk_mod, "lambda_gram", refused)
         records = run_sweep(small_cfg(ensemble_replicates=3, s_grid=[6, 20, 600])).records
         assert all(r.error == "" for r in records)
         assert [r.s for r in records if r.k_star is not None] == [6]
 
     def test_unrealizable_replicate_draws_its_pool_once(self, weight_shapes):
+        # max(s_grid) = 23, rounded up to one WEIGHT_BLOCK
         cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 20, 23], ensemble_replicates=3)
         assert all(r.error == "" for r in run_sweep(cfg).records)
-        assert weight_shapes == [(cfg.p, 23)] * 3
+        assert weight_shapes == [(cfg.p, WEIGHT_BLOCK)] * 3
+
+    def test_unrealizable_replicate_forms_its_gram_once(self, monkeypatch):
+        # one lambda_gram per replicate, of its whole pool, and none in a
+        # cell: make_target reads each cell's H off it
+        grams, standalone = [], []
+        inner = sweep_mod.lambda_gram
+
+        def recording(W, lam):
+            grams.append(W.shape)
+            return inner(W, lam)
+
+        def refused(W, lam):
+            standalone.append(W.shape)
+            return inner(W, lam)
+
+        monkeypatch.setattr(sweep_mod, "lambda_gram", recording)
+        monkeypatch.setattr(risk_mod, "lambda_gram", refused)
+        cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 20, 23], ensemble_replicates=3)
+        assert all(r.error == "" and r.M > 0 for r in run_sweep(cfg).records)
+        assert grams == [(cfg.p, WEIGHT_BLOCK)] * 3 and standalone == []
 
     def test_a_wider_cell_redraws_the_pool(self):
-        # compute_row on two grids of the same rows in one process: a cell
-        # wider than the pool held gets a wider pool, whose prefix is the
-        # narrower one's; a narrower cell reads the pool it finds
-        cfg = small_cfg(target_mode="unrealizable")
+        # compute_row on two grids of the same rows in one process: a pool
+        # is whole blocks wide, so a width in the block it holds reads it; a
+        # cell wider than the pool held gets a wider pool, whose prefix is
+        # the narrower one's, and a new Gram, whose leading block is the
+        # narrower one's to the bit; a narrower cell reads the pool it finds
+        cfg = small_cfg(target_mode="unrealizable", p=600)
         rows = sweep_mod._training_rows(cfg.master_seed, 0, cfg.mode, cfg.n, cfg.p,
                                         cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
-        narrow = rows.weight_pool(6)
-        wide = rows.weight_pool(20)
-        assert narrow.shape == (cfg.p, 6) and wide.shape == (cfg.p, 20)
-        np.testing.assert_array_equal(wide[:, :6], narrow)
-        assert rows.weight_pool(6) is wide
+        narrow, narrow_gram = rows.weight_pool(6), rows.weight_gram(6)
+        assert rows.weight_pool(WEIGHT_BLOCK) is narrow
+        assert rows.weight_gram(20) is narrow_gram
+        wide, wide_gram = rows.weight_pool(300), rows.weight_gram(300)
+        assert narrow.shape == (cfg.p, WEIGHT_BLOCK) and wide.shape == (cfg.p, 2 * WEIGHT_BLOCK)
+        assert wide_gram.shape == (2 * WEIGHT_BLOCK,) * 2
+        np.testing.assert_array_equal(wide[:, :WEIGHT_BLOCK], narrow)
+        np.testing.assert_array_equal(wide_gram[:WEIGHT_BLOCK, :WEIGHT_BLOCK], narrow_gram)
+        assert rows.weight_pool(6) is wide and rows.weight_gram(6) is wide_gram
 
     def test_pool_workers_draw_each_replicates_pool_once(self, monkeypatch, tmp_path):
         # forked workers inherit the recording stubs, which log each draw's

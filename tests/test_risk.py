@@ -14,8 +14,8 @@ from noisyrf import risk as risk_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import PRESETS, preset_config
 from noisyrf.estimator import default_rtol, projector_diag, svd_factors
-from noisyrf.features import (RowSpaceWeights, build_ensemble, complement_frame, make_noise_spec,
-                              row_space_factor, sample_weights)
+from noisyrf.features import (WEIGHT_BLOCK, RowSpaceWeights, build_ensemble, complement_frame,
+                              make_noise_spec, row_space_factor, sample_weights)
 from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
 from noisyrf.seeding import seed_stream
 from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, gram_eigh, make_spectrum,
@@ -886,60 +886,81 @@ class TestUnrealizableSolves:
         d = decompose(ens, t, 1.0, clean_test=clean_test)
         np.testing.assert_allclose(d.misspec, misspec, rtol=1e-10)
 
-    def test_traced_peak_stays_within_the_solve_buffers(self, monkeypatch):
-        # The Gram route's buffers: the scaled p x s copy B = sqrt(Lambda) W,
-        # H = B^T B and H's factor L, then G formed in H's place and G's
-        # factor, 8 p s or 8 s^2 bytes each.  B must go before H is factored
-        # and L before G is: until the first Cholesky the peak is B and H,
-        # from there to the second H and L, and from there on G and its
-        # factor, each with up to 16 s- and p-vectors.  numpy's Cholesky
-        # factors a copy of its input in a LAPACK buffer malloc'd out of
-        # tracemalloc's sight, so that copy is not counted.  decompose
-        # factors nothing as large.
+    @staticmethod
+    def traced_peaks(monkeypatch, shared):
+        """(bytes per s x s array, per p x WEIGHT_BLOCK panel, per window of
+        16 s- and p-vectors, the traced peaks [(what, bytes)] up to H's
+        factor, up to G's and to the end) of one Gram-route cell, whose H is
+        read off a replicate-shaped Gram where shared, else formed by the
+        call.
+
+        The route's buffers, 8 s^2 bytes each: H, and the one Fortran s x s
+        buffer both factors are taken in, H's first and then G's, formed
+        there.  The factor runs in place, so no LAPACK copy is held out of
+        tracemalloc's sight.  decompose factors nothing as large."""
         n, p, s = 20, 400, 360
         ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
-        square, copy = 8 * s * s, 8 * p * s
+        gram = None
+        if shared:
+            # a pool two blocks wide whose first s columns are the cell's W
+            pool = sample_weights(p, 2 * WEIGHT_BLOCK, seed_stream(5, "w"))
+            np.testing.assert_array_equal(pool[:, :s], ens.weights)
+            gram = risk_mod.lambda_gram(pool, ens.spectrum.eigenvalues)
         events = []
-        real_chol = np.linalg.cholesky
+        real_factor = risk_mod.cholesky_in_place
 
         def peak(what):
             events.append((what, tracemalloc.get_traced_memory()[1] - base))
             tracemalloc.reset_peak()
 
-        def cholesky(a):
-            peak("cholesky")
-            return real_chol(a)
+        def factor(a):
+            peak("factor")
+            return real_factor(a)
 
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(risk_mod, "cholesky_in_place", factor)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"))
+            t = make_target("unrealizable", ens, 1.0, seed_stream(5, "t"), gram=gram)
             decompose(ens, t, 1.0)
             peak("end")
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert [what for what, _ in events] == ["cholesky", "cholesky", "end"]
-        (_, gram), (_, projection), (_, ridge) = events
-        vectors = 16 * 8 * (p + s)
-        assert gram <= copy + square + vectors, (gram - copy) / square
-        assert projection <= 2 * square + vectors, projection / square
-        assert ridge <= 2 * square + vectors, ridge / square
+        assert [what for what, _ in events] == ["factor", "factor", "end"]
+        return 8 * s * s, 8 * p * WEIGHT_BLOCK, 16 * 8 * (p + s), [b for _, b in events]
 
+    def test_traced_peak_stays_within_the_solve_buffers(self, monkeypatch):
+        # a sweep cell reads H as the leading block of its replicate's Gram,
+        # formed before the cell and not counted here: each window, up to
+        # H's factor, up to G's and to the end, holds the buffer alone
+        square, _, vectors, peaks = self.traced_peaks(monkeypatch, shared=True)
+        for got in peaks:
+            assert got <= square + vectors, (got - square) / square
+
+    def test_traced_peak_of_a_standalone_call_stays_within_its_buffers(self, monkeypatch):
+        # a standalone call forms H itself: up to H's factor it holds H and
+        # the larger of lambda_gram's p x WEIGHT_BLOCK panel and the buffer,
+        # from there on H and the buffer
+        square, panel, vectors, peaks = self.traced_peaks(monkeypatch, shared=False)
+        bounds = (square + max(square, panel), 2 * square, 2 * square)
+        for got, bound in zip(peaks, bounds):
+            assert got <= bound + vectors, (got - bound) / square
 
     @pytest.mark.parametrize("route", ["projection", "fit"])
     def test_traced_peak_of_a_qr_fallback_stays_within_its_buffers(self, monkeypatch,
                                                                    route):
-        # Each fallback QR runs after the Gram route has released G: the
-        # projection's (TAIL_RTOL stubbed to 0 fails the Gram projection's
-        # check) on the p x (s+1) matrix [sqrt(Lambda) W | sqrt(Lambda) c],
-        # the fit's (alpha 2, where cond(G) is past the switch's limit) on
-        # the (p+s) x (s+1) stack.  Until the QR the peak is the larger of
-        # the Gram route's B and H and the QR's input.  numpy's QR copies it and
+        # Each fallback QR runs after the Gram route has released H and its
+        # factor's buffer: the projection's (TAIL_RTOL stubbed to 0 fails
+        # the Gram projection's check) on the p x (s+1) matrix
+        # [sqrt(Lambda) W | sqrt(Lambda) c], the fit's (alpha 2, where
+        # cond(G) is past the switch's limit) on the (p+s) x (s+1) stack.
+        # Until the QR the peak is the larger of the Gram route's (H beside
+        # lambda_gram's p x WEIGHT_BLOCK panel or the buffer) and the QR's
+        # input.  numpy's QR copies it and
         # factors the copy in a LAPACK buffer of its own, malloc'd out of
         # tracemalloc's sight, so two traced buffers are live until the
         # input is released.  The input must go before the factor: freed
@@ -953,7 +974,7 @@ class TestUnrealizableSolves:
         n, p, s = 20, 400, 360
         alpha, m = (0.5, p) if route == "projection" else (2.0, p + s)
         ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=5)
-        square, copy = 8 * s * s, 8 * p * s
+        square, panel = 8 * s * s, 8 * p * WEIGHT_BLOCK
         events = []
         real_qr = np.linalg.qr
 
@@ -988,7 +1009,8 @@ class TestUnrealizableSolves:
         peaks = dict(events)
         factor = 8 * m * (s + 1)
         vectors = 16 * 8 * (m + s) + 2 * 8 * np.getbufsize()
-        assert peaks["qr"] <= max(copy + square, factor) + vectors, peaks["qr"] / square
+        assert peaks["qr"] <= max(square + max(square, panel), factor) + vectors, \
+            peaks["qr"] / square
         assert peaks["input"] <= 2.25 * factor, peaks["input"] / factor
         # the input, counted as it goes, and the factor
         assert peaks["factor"] <= 2 * factor + vectors, (peaks["factor"] - factor) / square
@@ -1004,33 +1026,34 @@ class TestBestInSpanFit:
     [A; sqrt(q) I]."""
 
     @staticmethod
-    def cell(monkeypatch, s, p, alpha, family, clean_test):
+    def cell(monkeypatch, gram_factors, s, p, alpha, family, clean_test, refuse=()):
         """(ensemble, target, decomposition, the b* decompose measured
-        against, np.linalg.qr calls, np.linalg.cholesky calls) of one
-        closed-form cell."""
+        against, np.linalg.qr calls, in-place Gram factors) of one
+        closed-form cell; the factors whose index is in refuse fail.  The
+        Gram route never calls np.linalg.cholesky."""
         ens = mk_ensemble(20, s, p=p, alpha=alpha, family=family, seed=s)
-        calls, refs = {"qr": 0, "cholesky": 0}, []
-        real_qr, real_chol = np.linalg.qr, np.linalg.cholesky
+        calls, refs = {"qr": 0}, []
+        real_qr = np.linalg.qr
         real_split = risk_mod._population_split
 
         def qr(a, mode="reduced"):
             calls["qr"] += 1
             return real_qr(a, mode=mode)
 
-        def cholesky(a):
-            calls["cholesky"] += 1
-            return real_chol(a)
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called on the Gram route")
 
         def split(*args):
             refs.append(args[3])
             return real_split(*args)
 
         monkeypatch.setattr(np.linalg, "qr", qr)
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
         monkeypatch.setattr(risk_mod, "_population_split", split)
+        factors = gram_factors(refuse)
         t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
         d = decompose(ens, t, 1.0, clean_test=clean_test)
-        return ens, t, d, refs[0], calls["qr"], calls["cholesky"]
+        return ens, t, d, refs[0], calls["qr"], len(factors)
 
     @staticmethod
     def kappa(ens):
@@ -1051,16 +1074,17 @@ class TestBestInSpanFit:
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
     @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
     @pytest.mark.parametrize("clean_test", [False, True])
-    def test_noisy_ensemble_matches_standalone(self, monkeypatch, s, p, family, clean_test):
-        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, p, 0.5, family,
-                                                       clean_test)
+    def test_noisy_ensemble_matches_standalone(self, monkeypatch, gram_factors, s, p, family,
+                                               clean_test):
+        ens, t, d, b, qr_calls, factor_calls = self.cell(monkeypatch, gram_factors, s, p, 0.5,
+                                                         family, clean_test)
         q = 0.0 if clean_test else ens.noise_spec.entry_variance
         b_ref, m_ref = standalone_best_fit(ens, t, q)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
         # the fit is solved once, with the target, whatever the test side:
-        # H's Cholesky for the projection and G's for the ridge step, no QR
-        assert (qr_calls, chol_calls) == (0, 2)
+        # H's factor for the projection and G's for the ridge step, no QR
+        assert (qr_calls, factor_calls) == (0, 2)
         if clean_test:
             assert b is t.beta_star
             tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
@@ -1071,69 +1095,81 @@ class TestBestInSpanFit:
     @pytest.mark.parametrize("s,alpha,side", [(110, 0.5, "cholesky"), (110, 1.665, "cholesky"),
                                               (110, 1.71, "qr"), (110, 2.0, "qr"),
                                               (110, 8.0, "qr"), (60, 8.0, "qr")])
-    def test_ridge_switch_sides_match_standalone(self, monkeypatch, s, alpha, side):
+    def test_ridge_switch_sides_match_standalone(self, monkeypatch, gram_factors, s, alpha,
+                                                 side):
         # p=120: kappa = 1 + tr(H) / (s q) is 1.7e3 at s = 110, alpha 0.5,
         # 0.90x the switch's limit GRAM_RTOL / eps = 4.5e5 at alpha 1.665 and
         # 1.11x at alpha 1.71, 2.0e6 at alpha 2, 3.5e18 at alpha 8 and 1.5e16
         # at s = 60, alpha 8.  cond(G) itself is 2.0e5 and 2.4e5 at the edge,
         # and 6.0e5, 1.3e6 and 1.8e4 past it: the switch reads kappa alone,
         # so the well-conditioned s = 60 fit takes the QR too
-        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, 120, alpha,
-                                                       "gaussian", False)
+        ens, t, d, b, qr_calls, factor_calls = self.cell(monkeypatch, gram_factors, s, 120,
+                                                         alpha, "gaussian", False)
         limit = GRAM_RTOL / np.finfo(float).eps
         assert (self.kappa(ens) <= limit) == (side == "cholesky")
         assert self.cond_g(ens) <= self.kappa(ens)
-        # the QR side: H's Cholesky still does the projection, G is never
+        # the QR side: H's factor still does the projection, G is never
         # formed, and the fit alone takes the stack QR
-        assert (qr_calls, chol_calls) == ((0, 2) if side == "cholesky" else (1, 1))
+        assert (qr_calls, factor_calls) == ((0, 2) if side == "cholesky" else (1, 1))
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
-    def test_failed_cholesky_takes_the_stack_qr(self, monkeypatch):
-        def refuse(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, 110, 120, 0.5, "gaussian",
-                                                       False)
-        # H's Cholesky and G's, both refused: the projection's QR and the
-        # stack QR
-        assert (qr_calls, chol_calls) == (2, 2)
+    def test_failed_cholesky_takes_the_stack_qr(self, monkeypatch, gram_factors):
+        ens, t, d, b, qr_calls, factor_calls = self.cell(monkeypatch, gram_factors, 110, 120,
+                                                         0.5, "gaussian", False, refuse=(0, 1))
+        # H's factor and G's, both failed (info > 0): the projection's QR and
+        # the stack QR
+        assert (qr_calls, factor_calls) == (2, 2)
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
+
+    def test_indefinite_gram_takes_both_qrs(self, linalg_calls, gram_factors):
+        # a gram whose leading block is -H, factored for real: H's factor
+        # reports info > 0, so the projection reruns as a QR; tr(-H) < 0
+        # passes the ridge switch, and G = -H / s + q I is indefinite too,
+        # so the fit takes the stack QR.  Both QRs read W, never the gram,
+        # so the target is the one the QR route gives with both factors
+        # refused on the true H
+        s = 110
+        ens = mk_ensemble(20, s, p=120, alpha=0.5, seed=s)
+        H = risk_mod.lambda_gram(ens.weights, ens.spectrum.eigenvalues)
+        calls = linalg_calls("qr", "cholesky")
+        infos = gram_factors()
+        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"), gram=-H)
+        assert len(infos) == 2 and min(infos) > 0
+        assert calls == {"qr": 2, "cholesky": 0}
+        gram_factors(refuse=(0, 1))
+        ref = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
+        np.testing.assert_array_equal(t.tail_coeffs, ref.tail_coeffs)
+        np.testing.assert_array_equal(t.b_star, ref.b_star)
+        assert t.rho_sq == ref.rho_sq
+        b_ref, _ = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
+        assert np.linalg.norm(t.b_star - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
 
     @pytest.mark.parametrize("handover", ["h-cholesky", "orthogonality", "steep"])
     def test_failed_gram_route_takes_the_projection_qr(self, monkeypatch, linalg_calls,
-                                                        handover):
-        # the QR route runs when H's Cholesky raises (the first Cholesky
-        # refused), when the projected tail fails the orthogonality check
+                                                        gram_factors, handover):
+        # the QR route runs when H's factor fails (the first factor refused,
+        # info 1), when the projected tail fails the orthogonality check
         # (TAIL_RTOL stubbed to 0), and on a steep spectrum inside
         # validate's support (exponential, p = 60, support 32, s = 31), where
-        # two Cholesky passes leave ||W^T Lambda c|| above TAIL_RTOL
+        # two passes on H's factor leave ||W^T Lambda c|| above TAIL_RTOL
         s, p, spectrum = 110, 120, None
-        if handover == "h-cholesky":
-            real_chol, first = np.linalg.cholesky, []
-
-            def refuse_first(a):
-                if not first:
-                    first.append(True)
-                    raise np.linalg.LinAlgError("Matrix is not positive definite")
-                return real_chol(a)
-
-            monkeypatch.setattr(np.linalg, "cholesky", refuse_first)
-        elif handover == "orthogonality":
+        if handover == "orthogonality":
             monkeypatch.setattr(risk_mod, "TAIL_RTOL", 0.0)
-        else:
+        elif handover == "steep":
             s, p, spectrum = 31, 60, make_spectrum("exponential", 60)
             assert numerical_support(spectrum) == 32
         ens = mk_ensemble(20, s, p=p, alpha=0.5, seed=s, spectrum=spectrum)
         calls = linalg_calls("qr", "cholesky")
+        factors = gram_factors(refuse=(0,) if handover == "h-cholesky" else ())
         t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
-        # H's Cholesky, the ridge step's Cholesky on G, then the projection's
+        # H's factor, the ridge step's factor of G, then the projection's
         # QR: the fit does not follow the projection onto the QR
-        assert calls == {"qr": 1, "cholesky": 2}
+        assert calls == {"qr": 1, "cholesky": 0} and len(factors) == 2
+        assert factors[1] == 0 and (factors[0] > 0) == (handover == "h-cholesky")
         d = decompose(ens, t, 1.0)
         b_ref, m_ref = standalone_best_fit(ens, t, ens.noise_spec.entry_variance)
         assert np.linalg.norm(t.b_star - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
@@ -1141,9 +1177,10 @@ class TestBestInSpanFit:
 
     @pytest.mark.parametrize("s,p", [(110, 120), (12, 200)])
     @pytest.mark.parametrize("clean_test", [False, True])
-    def test_noiseless_ensemble_fits_beta_star(self, monkeypatch, s, p, clean_test):
-        ens, t, d, b, qr_calls, chol_calls = self.cell(monkeypatch, s, p, None, "gaussian",
-                                                       clean_test)
+    def test_noiseless_ensemble_fits_beta_star(self, monkeypatch, gram_factors, s, p,
+                                               clean_test):
+        ens, t, d, b, qr_calls, factor_calls = self.cell(monkeypatch, gram_factors, s, p, None,
+                                                         "gaussian", clean_test)
         assert t.b_star is None and t.rho_sq == 0.0
         assert b is t.beta_star
         tail = float(np.sum(ens.spectrum.eigenvalues * t.tail_coeffs ** 2))
@@ -1151,7 +1188,7 @@ class TestBestInSpanFit:
         b_ref, m_ref = standalone_best_fit(ens, t, 0.0)
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
-        assert (qr_calls, chol_calls) == (0, 1)
+        assert (qr_calls, factor_calls) == (0, 1)
 
     @pytest.mark.parametrize("kind,gamma,p,s", [("polynomial", 6.0, 200, 190),
                                                 ("exponential", None, 40, 30)])
