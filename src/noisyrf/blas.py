@@ -3,8 +3,9 @@
 numpy loads its own OpenBLAS (ILP64, libscipy_openblas64_) and scipy its own
 (LP64, libscipy_openblas), each with its own thread pool.  `openblas` finds
 the copies this process has loaded, `pin_blas` sets their thread counts in a
-pool worker, and `cholesky_in_place` factors a Gram in place on numpy's copy,
-the one whose gemm formed it.  Every lookup runs at its first call, never at
+pool worker, `cholesky_in_place` factors a Gram in place on numpy's copy,
+the one whose gemm formed it, and `triangular_inverse_in_place` inverts a
+triangular factor there.  Every lookup runs at its first call, never at
 import.
 """
 
@@ -20,9 +21,14 @@ import numpy as np
 _OPENBLAS_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
                      ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"))
 
-# LAPACKE's dpotrf in numpy's copy: lapack_int (int matrix_layout, char uplo,
-# lapack_int n, double *a, lapack_int lda), lapack_int 64 bits wide
-_DPOTRF = "scipy_LAPACKE_dpotrf64_"
+# LAPACKE's dpotrf and dtrtri in numpy's copy, lapack_int 64 bits wide:
+# dpotrf(int matrix_layout, char uplo, lapack_int n, double *a, lapack_int lda)
+# and dtrtri(int matrix_layout, char uplo, char diag, lapack_int n, double *a,
+# lapack_int lda)
+_DPOTRF = ("scipy_LAPACKE_dpotrf64_", (ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                                       ctypes.c_void_p, ctypes.c_int64))
+_DTRTRI = ("scipy_LAPACKE_dtrtri64_", (ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                                       ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64))
 _COL_MAJOR = 102
 
 # BLAS threads in each pool worker, so that the workers' threads do not
@@ -67,19 +73,36 @@ def pin_blas() -> None:
         set_threads(WORKER_BLAS_THREADS)
 
 
+def _lapacke(symbol: str, argtypes: tuple) -> tuple | None:
+    """(file name, routine) of the loaded OpenBLAS copy that exports the
+    LAPACKE symbol, numpy's, or None where none does."""
+    for path in _loaded_paths():
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, symbol):
+            routine = getattr(lib, symbol)
+            routine.argtypes, routine.restype = list(argtypes), ctypes.c_int64
+            return os.path.basename(path), routine
+    return None
+
+
 @functools.lru_cache(maxsize=1)
 def _lapacke_dpotrf() -> tuple | None:
     """(file name, dpotrf) of numpy's OpenBLAS copy, or None where no
     loaded copy exports LAPACKE's ILP64 dpotrf."""
-    for path in _loaded_paths():
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, _DPOTRF):
-            potrf = getattr(lib, _DPOTRF)
-            potrf.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
-                              ctypes.c_int64]
-            potrf.restype = ctypes.c_int64
-            return os.path.basename(path), potrf
-    return None
+    return _lapacke(*_DPOTRF)
+
+
+@functools.lru_cache(maxsize=1)
+def _lapacke_dtrtri() -> tuple | None:
+    """(file name, dtrtri) of numpy's OpenBLAS copy, or None where no
+    loaded copy exports LAPACKE's ILP64 dtrtri."""
+    return _lapacke(*_DTRTRI)
+
+
+def _check_in_place(a: np.ndarray, name: str) -> None:
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] \
+            or not a.flags.f_contiguous or not a.flags.writeable:
+        raise ValueError(f"{name} needs a writable Fortran-ordered square float64 array")
 
 
 def factor_backend() -> str:
@@ -104,10 +127,7 @@ def cholesky_in_place(a: np.ndarray) -> int:
     array.  Where that copy or its symbol is missing, scipy's dpotrf, which
     runs on scipy's own copy, overwrites a instead.
     """
-    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] \
-            or not a.flags.f_contiguous or not a.flags.writeable:
-        raise ValueError("cholesky_in_place needs a writable Fortran-ordered square "
-                         "float64 array")
+    _check_in_place(a, "cholesky_in_place")
     n = a.shape[0]
     found = _lapacke_dpotrf()
     if found is None:
@@ -118,3 +138,30 @@ def cholesky_in_place(a: np.ndarray) -> int:
         _, info = dpotrf(a, lower=0, clean=0, overwrite_a=1)
         return int(info)
     return int(found[1](_COL_MAJOR, b"U", n, a.ctypes.data, max(n, 1)))
+
+
+def triangular_inverse_in_place(a: np.ndarray) -> int:
+    """Overwrite the upper triangle of a with its inverse and return LAPACK
+    dtrtri's info.
+
+    a is a writable, Fortran-ordered square float64 array whose upper
+    triangle holds a triangle with a nonzero diagonal; the part below the
+    diagonal is neither read nor written.  info > 0 where that diagonal
+    entry is exactly zero (a is then unchanged), info < 0 where LAPACKE
+    refuses an argument.  dtrtri runs on numpy's OpenBLAS copy, in a's own
+    memory, for n^3 / 3 flops: `np.linalg.inv` takes an LU of a copy
+    (1.6 ms against 0.3 ms on a 201 x 201 triangle, 2 vCPUs), and scipy's
+    own copy keeps its BLAS threads busy into numpy's next gemms (twenty
+    2000 x 201 by 201 x 201 products took 56 ms after scipy's dtrtri of
+    that triangle, 26-27 ms after this one or none).  Where numpy's copy
+    or its symbol is missing, scipy's dtrtri overwrites a instead.
+    """
+    _check_in_place(a, "triangular_inverse_in_place")
+    n = a.shape[0]
+    found = _lapacke_dtrtri()
+    if found is None:
+        from scipy.linalg.lapack import dtrtri
+
+        _, info = dtrtri(a, lower=0, unitdiag=0, overwrite_c=1)
+        return int(info)
+    return int(found[1](_COL_MAJOR, b"U", b"N", n, a.ctypes.data, max(n, 1)))

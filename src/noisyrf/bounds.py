@@ -72,14 +72,9 @@ def k_star(lambda_hat, sigma0_sq: float, n: int, a: float = 2.0) -> int | None:
         raise ValueError("sigma0_sq must be >= 0")
     shifted = _padded(lambda_hat, n) + sigma0_sq / n
     tails = np.cumsum(shifted[::-1])[::-1]  # tails[k] = sum over indices k..n-1
-    threshold = n / a
-    for k in range(n):
-        pivot = shifted[k]
-        if pivot == 0.0:
-            continue
-        if tails[k] >= threshold * pivot:
-            return k
-    return None
+    qualifies = (shifted != 0.0) & (tails >= (n / a) * shifted)
+    k = int(np.argmax(qualifies))
+    return k if qualifies[k] else None
 
 
 def _concentration(inputs: BoundInputs) -> float:

@@ -4,19 +4,22 @@ The interpolating fit is `svd_factors(Z).apply_pinv(Y)`, the route
 `risk.decompose` runs: singular values at or below the one rank cutoff,
 `default_rtol(n, s)` * sigma_max, are treated as zero, the remaining
 directions are inverted, and the result is the least-squares solution of
-minimum Euclidean norm.  A wide design whose n x n Gram is well conditioned
-is factored through that Gram's eigensolve, every other design by LAPACK's
-SVD; both give the same `SvdFactors` contract (see `svd_factors`).
+minimum Euclidean norm.  A design whose smaller Gram is certified well
+conditioned is factored through that Gram's Cholesky factor, every other
+design by LAPACK's SVD; both give the same `SvdFactors` contract (see
+`svd_factors`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import gram_eigh
+from .blas import triangular_inverse_in_place
+from .spectral import GRAM_RTOL
+
+_EPS = float(np.finfo(float).eps)
 
 
 def default_rtol(n: int, s: int) -> float:
@@ -27,72 +30,146 @@ def default_rtol(n: int, s: int) -> float:
 
 @dataclass(eq=False)
 class SvdFactors:
-    """Thin SVD of a design restricted to its numerically nonzero directions."""
+    """An n x s design D factored on its numerically nonzero directions:
+    D = U T V^T, with U (n x r) and V (s x r) of orthonormal columns and T
+    an invertible r x r triangle, r the rank.
+
+    LAPACK's SVD gives T = diag(sv), sv descending.  The Gram route of
+    `svd_factors` factors the smaller Gram G = L L^T: U = I, T = L and
+    V = D^T L^-T for a wide D (G = D D^T), U = D L^-T, T = L^T and V = I
+    for a tall one (G = D^T D).  Only forms that do not depend on that
+    choice are meant to be read: D^+ Y = V T^-1 U^T Y (`apply_pinv`),
+    V V^T, the Frobenius norms of T^-1 and of M V T^-1 for any M (the risk
+    split's variance), and V's coordinates in the QR basis of D^T
+    (`qr_coords`).
+    """
 
     U: np.ndarray      # (n, rank)
-    sv: np.ndarray     # (rank,)
+    Tinv: np.ndarray   # (rank, rank): T^-1, triangular or diagonal
     V: np.ndarray      # (s, rank)
     rank: int
-    cutoff: float
+    # T itself where `qr_coords` needs it: diag(sv) on the SVD route, L^T
+    # on a tall design's Gram route; None on a wide design's, where V is
+    # already the QR basis
+    T: np.ndarray | None = None
 
     def apply_pinv(self, Y: np.ndarray) -> np.ndarray:
-        """Z^+ Y, the minimum-norm least-squares coefficients.
+        """D^+ Y, the minimum-norm least-squares coefficients.
 
         At rank 0 (an all-zero design) the factors are empty and this is zero.
         """
-        return self.V @ ((self.U.T @ Y).T / self.sv).T
+        return self.V @ (self.Tinv @ (self.U.T @ Y))
+
+    def qr_coords(self) -> np.ndarray:
+        """The orthogonal r x r matrix B with V = Q B, for D^T = Q R the QR
+        factorization whose R (r x n, upper) has a positive diagonal.
+
+        Q depends on D alone, not on the route that factored it, so B is
+        how a draw attached to D's rows reaches V (`features.RowSpaceWeights`).
+        On a wide design's Gram route D^T = V L^T is that factorization, so
+        B = I.  Elsewhere D^T = V (U T)^T, and the QR (U T)^T = Q' R of one
+        r x n matrix gives Q = V Q' and B = Q'^T: (U T)^T is Sigma U^T on
+        the SVD route and D^T itself on a tall design's Gram route.
+        """
+        if self.T is None:
+            return np.eye(self.rank)
+        q, r = np.linalg.qr((self.U @ self.T).T)
+        # turn R's diagonal positive; an exact zero stays, with sign +1
+        q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
+        return q.T
+
+
+def _svd_route(U: np.ndarray, sv: np.ndarray, V: np.ndarray, rtol: float) -> SvdFactors:
+    """The factors of a thin SVD U diag(sv) V^T, sv descending, kept where
+    sv > rtol * sv_max."""
+    cutoff = rtol * (float(sv[0]) if sv.size else 0.0)
+    keep = sv > cutoff
+    sv = sv[keep]
+    return SvdFactors(U=U[:, keep], Tinv=np.diag(1.0 / sv), V=V[:, keep], rank=sv.size,
+                      T=np.diag(sv))
+
+
+def _gram_factor(rows: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(kappa, L, L^-1) for the Cholesky factor G = rows rows^T = L L^T of
+    a wide array, with kappa = ||G||_F ||G^-1||_F >= cond(G); None where
+    the Cholesky or the triangular inversion fails."""
+    gram = rows @ rows.T
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # a Fortran copy of L^T, inverted in place: L^-T, and G^-1 = L^-T L^-1
+    Lt_inv = np.array(L.T, order="F")
+    if triangular_inverse_in_place(Lt_inv) != 0:
+        return None
+    kappa = float(np.linalg.norm(gram)) * float(np.linalg.norm(Lt_inv @ Lt_inv.T))
+    return kappa, L, Lt_inv.T
+
+
+def _gram_route(Z: np.ndarray, rtol: float) -> SvdFactors | None:
+    """The Gram route of `svd_factors` for a wide or tall Z, or None where
+    its certificate refuses."""
+    n, s = Z.shape
+    tall = s < n
+    found = _gram_factor(Z.T if tall else Z)
+    if found is None:
+        return None
+    kappa, L, L_inv = found
+    if not (_EPS * kappa <= GRAM_RTOL and rtol * rtol * kappa < 1.0):
+        return None
+    if tall:
+        # Z = (Z L^-T) L^T, and Z L^-T has orthonormal columns
+        return SvdFactors(U=Z @ L_inv.T, Tinv=L_inv.T, V=np.eye(s), rank=s, T=L.T)
+    # taken as the n x s L^-1 Z: on two OpenBLAS threads an s x n product
+    # left up to 16 MB resident after it was freed
+    Vt = L_inv @ Z
+    return SvdFactors(U=np.eye(n), Tinv=L_inv, V=Vt.T, rank=n)
 
 
 def svd_factors(Z: np.ndarray) -> SvdFactors:
-    """The thin SVD Z = U diag(sv) V^T restricted to the singular values above
-    rtol * sv_max with rtol = default_rtol(n, s), sv descending; a design
-    with a NaN or infinite entry is refused with a ValueError.
+    """Z = U T V^T on the singular values above rtol * sv_max, with
+    rtol = default_rtol(n, s) (`SvdFactors`); a design with a NaN or
+    infinite entry is refused with a ValueError.
 
-    A wide design (n < s) is factored through its n x n Gram where that Gram
-    passes `GramEigen.well_conditioned` (eps d_max / d_min <= 1e-10, cond(Z)
-    up to about 670) and rtol sv_max < sv_min, so that every direction is
-    kept and the rank is n: `spectral.gram_eigh` gives Z Z^T = U D U^T (one
-    syrk, one eigh), then sv = sqrt(d) and V^T = U^T Z / sv, scaled in
-    place.  The forms the risk split reads, Z^+ Y, U Sigma^-2 U^T and V V^T,
-    then carry about eps cond(Z)^2 (see `GramEigen`).  Everywhere else, and
-    for every tall design, LAPACK's SVD runs, whose error is eps cond(Z): on
-    the tall transpose Z^T = V S U^T for a wide design (LAPACK's path for a
-    wide matrix is about twice as slow as the same call on its transpose),
-    on Z itself for a tall one.  That covers the peak s ~ n, where cond(Z)
-    reaches 1e3-1e5, and rank-deficient and steep designs.
+    A design that is not square is factored through its smaller Gram G,
+    Z Z^T (n x n) for a wide one and Z^T Z (s x s) for a tall one, where a
+    computed bound certifies it: G = L L^T (one syrk, one Cholesky), L^-1
+    by one in-place triangular inversion on numpy's OpenBLAS, and
+    kappa = ||G||_F ||G^-1||_F >= cond(G) must satisfy eps kappa <=
+    GRAM_RTOL (1e-10, cond(Z) up to about 670) and rtol^2 kappa < 1, so
+    that every direction clears the rank cutoff and the rank is min(n, s).
+    A wide Z then has U = I, T = L and V^T = L^-1 Z, an orthonormal basis of
+    its rows; a tall one has U = Z L^-T, an orthonormal basis of its
+    columns, T = L^T and V = I.  Cholesky's backward error leaves every form
+    the risk split reads (Z^+ Y, ||T^-1||_F, V V^T) within about
+    eps cond(G) = eps cond(Z)^2 <= GRAM_RTOL (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10; `spectral.GramEigen`
+    holds the budget).  Everywhere else, and for every square design,
+    LAPACK's SVD runs, whose error is eps cond(Z): on the tall transpose
+    Z^T = V S U^T for a wide design (LAPACK's path for a wide matrix is
+    about twice as slow as the same call on its transpose), on Z itself
+    otherwise.  That covers the peak s = n, where cond(Z) reaches 1e3-1e5,
+    and rank-deficient and steep designs.
 
-    The two routes give different orthonormal bases: signs differ, and
-    inside a cluster of close singular values the Gram route's vectors
-    rotate with the BLAS thread count.  Only basis-invariant forms of the
-    factors are meant to be read, such as the ones above.
+    The routes give different bases: T is triangular on one and diagonal on
+    the other, and the SVD's vectors inside a cluster of close singular
+    values rotate with the BLAS thread count.  Only basis-invariant forms of
+    the factors are meant to be read (`SvdFactors`).
     """
     Z = np.asarray(Z, dtype=float)
     n, s = Z.shape
     rtol = default_rtol(n, s)
     if not np.isfinite(Z).all():
         raise ValueError("design has a NaN or infinite entry")
+    if n != s:
+        factors = _gram_route(Z, rtol)
+        if factors is not None:
+            return factors
     if n < s:
-        gram = gram_eigh(Z)
-        d = gram.values
-        if gram.well_conditioned and rtol * math.sqrt(d[0]) < math.sqrt(d[-1]):
-            sv = np.sqrt(d)
-            U = np.ascontiguousarray(gram.vectors)
-            # taken as the n x s U^T Z: on two OpenBLAS threads the s x n
-            # product Z^T U left up to 16 MB resident after it was freed
-            Vt = U.T @ Z
-            Vt /= sv[:, None]
-            return SvdFactors(U=U, sv=sv, V=Vt.T, rank=n, cutoff=rtol * float(sv[0]))
         V, sv, Ut = np.linalg.svd(Z.T, full_matrices=False)
-        U = Ut.T
-    else:
-        U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
-        V = Vt.T
-    top = sv[0] if sv.size else 0.0
-    cutoff = rtol * float(top)
-    keep = sv > cutoff
-    rank = int(np.count_nonzero(keep))
-    return SvdFactors(U=U[:, keep], sv=sv[keep], V=V[:, keep], rank=rank,
-                      cutoff=cutoff)
+        return _svd_route(Ut.T, sv, V, rtol)
+    U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
+    return _svd_route(U, sv, Vt.T, rtol)
 
 
 def ridge_fit(Z: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:

@@ -12,7 +12,8 @@ that is T^T G for G = R^T W, a k x s standard normal matrix; the rest of W,
 (I - R R^T) W, is a Gaussian independent of G.  An ensemble may therefore
 hold W in one of two forms: the dense p x s array, or a `RowSpaceWeights`
 that keeps only G and reads W's complement, in the one product a cell
-needs, from a `ComplementFrame`: one p x (n + 1) standard normal draw F,
+needs, attached to the rows of the design D through the QR basis of D^T, from a
+`ComplementFrame`: one p x (n + 1) standard normal draw F,
 made once per training set and kept as R^T F and a (k + n + 1)-square
 triangle, so that product costs no p-row array and no draw.  Both forms
 give every quantity of the cell the same law.
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import triangular_inverse_in_place
 from .spectral import GramEigen, Spectrum, gram_eigh
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
@@ -211,8 +213,12 @@ def _cholesky_qr2(R: np.ndarray, F: np.ndarray, scale: np.ndarray) -> np.ndarray
         T1 = np.linalg.cholesky(_gram_of_blocks(R, F, scale)).T
     except np.linalg.LinAlgError:
         return None
-    # an upper triangle's LU does not pivot, so this is its triangular inverse
-    gram = _gram_of_blocks(R, F, scale, np.linalg.inv(T1))
+    # T1^-1 by one dtrtri on numpy's OpenBLAS, in a Fortran copy of T1 (zero
+    # below its diagonal, as np.linalg.cholesky leaves L above it)
+    T1_inv = np.array(T1, order="F")
+    if triangular_inverse_in_place(T1_inv) != 0:
+        return None
+    gram = _gram_of_blocks(R, F, scale, T1_inv)
     if not np.linalg.norm(gram - np.eye(c)) <= 0.5:
         return None
     return np.linalg.cholesky(gram).T @ T1
@@ -254,40 +260,44 @@ class RowSpaceWeights:
         self.coords = coords  # G = R^T W, (k, s)
         self._complement = complement
 
-    def times(self, V: np.ndarray, U: np.ndarray, e: np.ndarray) -> np.ndarray:
+    def times(self, V: np.ndarray, Vq: np.ndarray, e: np.ndarray) -> np.ndarray:
         """An array Y, k + n + 1 rows (p where the frame holds E), whose
         columns have the norms and inner products of sqrt(Lambda) W [V, e]'s,
-        W in the law of a dense W, for the design's thin SVD D = U Sigma V^T
-        (V s x r and U n x r with orthonormal columns) and a coefficient
-        vector e.
+        W in the law of a dense W, for an orthonormal basis V (s x r) of the
+        design D's rows, its coordinates Vq (c x r, c <= n) in a basis Q of
+        the same rows that D alone fixes, V = Q Vq, and a coefficient
+        vector e.  `SvdFactors.qr_coords` gives Vq, r x r, with Q from the
+        QR factorization of D^T whose triangle has a positive diagonal.
 
-        W's complement times D^T has the law of (I - R R^T) H1 (D D^T)^1/2 =
-        (I - R R^T) H1 U Sigma U^T, so its product with V = D^T U Sigma^-1 is
-        (I - R R^T) H1 U.  e's part outside V, e - V a with a = V^T e and
-        rho = ||e - V a||, is met by F's last column h, independent of H1 U:
-        (I - R R^T) (H1 U a + rho h).  With B = [[U, U a], [0, rho]],
-        (n + 1) x (r + 1), that is (I - R R^T) F B, and
+        Q has orthonormal columns and depends on D alone, which W's
+        complement is independent of, so W's complement times Q has the law
+        of (I - R R^T) H1[:, :c] (H1 = F's first n columns), and its product
+        with V is (I - R R^T) H1 Vq.  e's part outside V, e - V a with
+        a = V^T e and rho = ||e - V a||, is met by F's last column h,
+        independent of H1 Vq: (I - R R^T) (H1 Vq a + rho h).  With
+        B = [[Vq, Vq a], [0, rho]], (n + 1) x (r + 1) (zero rows below Vq
+        where c < n), that is (I - R R^T) F B, and
 
             W [V, e] = R (G [V, e] - RtF B) + F B = [R, F] M,
             M = [G [V, e] - RtF B; B],
 
         so Y = left M, (k + n + 1) x (r + 1), with no p-row array and no draw
-        (`ComplementFrame`).  F is attached to the design's rows, not to V's
-        columns, so Y transforms with the basis: (V O, U O) for an orthogonal
-        O gives Y times O.  A factorization that picks other signs, or
-        another rotation inside a cluster of close singular values, gives
-        the same row.
+        (`ComplementFrame`).  F is attached to Q, which does not depend on
+        how D was factored: on `svd_factors`' Gram route Q = V and Vq = I,
+        on its SVD route Vq comes from one small QR, and the two give the
+        same Y up to a rotation of its first r columns, which the risk
+        split does not read.
         """
         frame = self._complement
         if frame is None:
             raise RuntimeError("this cell's product with W is already taken; a second "
                                "product would not see the same W")
         self._complement = None
-        n, r = U.shape[0], V.shape[1]
+        (c, r), n = Vq.shape, frame.RtF.shape[1] - 1
         a = V.T @ e
         B = np.zeros((n + 1, r + 1))
-        B[:n, :r] = U
-        B[:n, r] = U @ a
+        B[:c, :r] = Vq
+        B[:c, r] = Vq @ a
         B[n, r] = np.linalg.norm(e - V @ a)
         C = column_product(self.coords, V, e)
         C -= frame.RtF @ B

@@ -5,18 +5,22 @@ training draw, the prediction error at a test point is linear in its
 eigenfeatures phi and its feature-noise draw xi, and the second moments are
 known: E[phi phi^T] = Lambda in both covariate modes, and E[xi xi^T] =
 (sigma0^2 / s) I for every noise family.  So every piece of the split is a
-quadratic form over the weights W, the design's one SVD and the
+quadratic form over the weights W, the design's one factorization
+D = U T V^T (`estimator.svd_factors`: the Cholesky factor of the design's
+smaller Gram where it is well conditioned, else the SVD) and the
 conditional-mean coefficients u_hat.  Label noise is integrated in closed form
 too: its variance is sigma^2 tr(Q) (see `_population_split`), so nothing is
 redrawn and the split has no sampling error.  The tests check this route
 against a sampled test measure of their own (`tests/sampled_reference.py`),
 which shares only its inputs with it and redraws labels by Monte Carlo.
 
-A realizable target reads W only through the column norms of
-sqrt(Lambda) W [V, e], so its split also runs on row-space weights
-(`features.RowSpaceWeights`), which give those norms in k + n + 1
+A realizable target reads W only through the column norms and inner
+products of sqrt(Lambda) W [V, e], so its split also runs on row-space
+weights (`features.RowSpaceWeights`), which give them in k + n + 1
 coordinates, k = min(n, p), from W's part outside the eigenfeature rows'
-span as their training set's one draw F (`features.ComplementFrame`).  An
+span as their training set's one draw F (`features.ComplementFrame`),
+attached to the design's rows through the QR basis of D^T, which does not
+depend on the route that factored D (`SvdFactors.qr_coords`).  An
 unrealizable target needs the dense p x s W.  A reduced ensemble (features module) runs
 the same split at width m + 1 = min(n, p) + n + 1: the design, its factors,
 beta* and the fit live in those coordinates, while 1/sqrt(s) and the noise
@@ -465,32 +469,38 @@ def _population_split(ensemble: FeatureEnsemble, f: SvdFactors, u_hat: np.ndarra
 
     The risk of coefficients w, less M, is ||A e||^2 + q_e ||e||^2 +
     q_u ||w||^2 + q_r ||ref||^2 with e = w - ref and A = sqrt(Lambda) W /
-    sqrt(s).  A label draw eps moves the fit to u_hat + V Sigma^-1 g with
-    g = U^T eps, which adds to that risk a term linear in g and g^T Q g,
-    where K = A V Sigma^-1 and Q = K^T K + (q_e + q_u) Sigma^-2.  g has mean
-    0 and covariance sigma^2 I, so on average the label noise adds sigma^2
-    tr(Q) = sigma^2 (||K||_F^2 + sum((q_e + q_u) / sv^2)): the variance.
-    A is never formed, nor K^T K: the split reads only the column norms of
-    A [V, e].  Dense weights give them from sqrt(Lambda) W V and
-    sqrt(Lambda) W e, taken without stacking [V, e]; row-space weights give
-    them from `RowSpaceWeights.times`, k + n + 1 rows whose columns have
-    the norms of sqrt(Lambda) W [V, e]'s, with W's complement attached to
-    the design's left singular vectors U.  ||A e||^2 and tr(Q) do not change
-    when (U, V) turn to (U O, V O), so the split does not depend on the
-    basis the factorization picked.
+    sqrt(s).  With the design's factors D = U T V^T, a label draw eps moves
+    the fit to u_hat + V T^-1 g with g = U^T eps, which adds to that risk a
+    term linear in g and g^T Q g, where K = A V T^-1 and
+    Q = K^T K + (q_e + q_u) T^-T T^-1.  g has mean 0 and covariance
+    sigma^2 I, so on average the label noise adds sigma^2 tr(Q) =
+    sigma^2 (||K||_F^2 + (q_e + q_u) ||T^-1||_F^2): the variance.  On the
+    SVD route T = diag(sv), and this is sigma^2 sum((||A v_i||^2 +
+    q_e + q_u) / sv_i^2).  A is never formed, nor K^T K: the split reads
+    only column norms.  Dense weights give them from sqrt(Lambda) W V T^-1
+    and sqrt(Lambda) W e, taken without stacking the two; row-space weights
+    give them from `RowSpaceWeights.times`, k + n + 1 rows whose columns
+    have the norms and inner products of sqrt(Lambda) W [V, e]'s, with W's
+    complement attached to V's coordinates in the design's QR basis
+    (`SvdFactors.qr_coords`), then times T^-1.  ||A e||^2 and tr(Q) do not
+    depend on the factorization the design took.
     """
     e = u_hat - ref
     W = ensemble.weights
+    r = f.rank
     if isinstance(W, np.ndarray):
-        AC = column_product(W, f.V, e)
+        # V T^-1 is s x r, cheaper than the p x r product's T^-1 for s < p
+        AC = column_product(W, f.V @ f.Tinv, e)
         AC *= np.sqrt(ensemble.spectrum.eigenvalues)[:, None]
     else:
-        AC = W.times(f.V, f.U, e)
-    # the squared column norms of A [V, e]
+        AC = W.times(f.V, f.qr_coords(), e)
+        AC[:, :r] = AC[:, :r] @ f.Tinv
+    # the squared column norms of A [V T^-1, e]
     energy = np.einsum("ij,ij->j", AC, AC) / ensemble.s
-    bias = float(energy[f.rank]) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \
+    bias = float(energy[r]) + q_e * float(e @ e) + q_u * float(u_hat @ u_hat) \
         + q_r * float(ref @ ref)
-    return bias, sigma_sq * float(np.sum((energy[:f.rank] + (q_e + q_u)) / f.sv ** 2))
+    tinv_sq = float(np.einsum("ij,ij->", f.Tinv, f.Tinv))
+    return bias, sigma_sq * (float(np.sum(energy[:r])) + (q_e + q_u) * tinv_sq)
 
 
 def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float, *,
@@ -499,8 +509,9 @@ def decompose(ensemble: FeatureEnsemble, target: TargetFunction, sigma_sq: float
 
     The labels carry gaussian noise of finite variance `sigma_sq` >= 0,
     integrated in closed form, so nothing is drawn.  An unknown
-    `target_noise` is rejected.  The design is factored once, and the result's `rank` reports
-    its numerical rank, so callers need no second SVD for it.
+    `target_noise` is rejected.  The design is factored once, and the
+    result's `rank` reports its numerical rank, so callers need no second
+    factorization for it.
     """
     if not 0 <= sigma_sq < math.inf:
         raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq!r}")

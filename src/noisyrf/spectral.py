@@ -197,8 +197,8 @@ def eigenfeature_matrix(spectrum: Spectrum, mode: str, X) -> np.ndarray:
     return V * np.sqrt(spectrum.eigenvalues)
 
 
-# the largest eps d_max / d_min of a Gram whose eigenpairs may stand in for a
-# factorization of its rows (see GramEigen)
+# the largest eps cond(G) of a Gram G whose eigenpairs or Cholesky factor may
+# stand in for a factorization of its rows (see GramEigen)
 GRAM_RTOL = 1e-10
 
 
@@ -216,13 +216,21 @@ class GramEigen:
     eps d_max, so d_i is off by about eps d_max / d_i relative.  Every form
     read off the eigenpairs then carries about eps d_max / d_min =
     eps cond(rows)^2: M^-1, rows^+ Y = rows^T M^-1 Y, and the orthonormality
-    of the basis rows^T U D^-1/2 (`estimator.svd_factors`' V) or
-    rows^T U D^-1/2 U^T (`features.row_space_factor`'s R), whose Gram is off
-    from I by about eps d_max / sqrt(d_i d_j).  An SVD or QR of the rows
-    errs by eps cond(rows) instead.  `well_conditioned` holds the error
-    within GRAM_RTOL = 1e-10, 10x inside the 1e-9 at which sweeps are
-    checked to repeat: cond(rows) up to about 670, d_min / d_max above
-    about 2.2e-6.
+    of the basis rows^T U D^-1/2 U^T (`features.row_space_factor`'s R),
+    whose Gram is off from I by about eps d_max / sqrt(d_i d_j).  An SVD or
+    QR of the rows errs by eps cond(rows) instead.  `well_conditioned`
+    holds the error within GRAM_RTOL = 1e-10, 10x inside the 1e-9 at which
+    sweeps are checked to repeat: cond(rows) up to about 670, d_min / d_max
+    above about 2.2e-6.
+
+    `estimator.svd_factors` holds a design's Gram route to the same
+    budget without the eigenpairs.  Cholesky's backward error is also about
+    eps ||M||, so M = L L^T gives M^-1, rows^+ Y and the basis
+    L^-1 rows, orthonormal to about eps cond(M), the same eps cond(rows)^2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 10).  Without the eigenvalues it reads the computable upper bound
+    kappa = ||M||_F ||M^-1||_F >= cond(M) and asks eps kappa <= GRAM_RTOL,
+    which implies `well_conditioned` of the same rows.
 
     `risk`'s ridge step holds its Cholesky side to the same budget.
     G = A^T A + q I is the Gram of the stack [A; sqrt(q) I] that its QR side
@@ -259,7 +267,6 @@ def gram_eigh(feature_rows: np.ndarray) -> GramEigen:
     It is the one factorization behind both the empirical spectrum and the
     row-space basis of `features.row_space_factor`: a sweep runs it once
     per replicate on phi and hands the result to both.
-    `estimator.svd_factors` runs it on a wide design.
     """
     rows = np.asarray(feature_rows, dtype=float)
     if rows.ndim != 2:

@@ -452,6 +452,44 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(records=records, timings_ms=timings, errors=errors)
 
 
+# the record fields aggregate.csv summarizes, and whether it holds their
+# median and quartiles
+_SUMMARIZED = (("B", True), ("V", True), ("R", True), ("M", False), ("bias_bound", False),
+               ("variance_bound", False))
+
+
+def _summary_table(table: np.ndarray, quartiles: bool) -> dict:
+    """Per row of a (groups x replicates) table: the mean over its non-NaN
+    entries (NaN where none is finite), its stderr (NaN unless every entry
+    is finite and there are two or more) and, with quartiles, its median
+    and quartiles (NaN where no entry is finite).
+
+    Each statistic is one numpy call over the rows it applies to.  Each row
+    is reduced on its own and in full, as a 1-d call on that group alone
+    would reduce it, so the values are bit for bit the same; a row that
+    holds a NaN among finite entries takes the 1-d NaN-aware calls."""
+    groups, r = table.shape
+    names = ("mean", "se", "median", "q25", "q75") if quartiles else ("mean", "se")
+    out = {name: np.full(groups, NAN) for name in names}
+    finite = np.isfinite(table)
+    some = finite.any(axis=1)
+    if some.any():
+        out["mean"][some] = np.nanmean(table[some], axis=1)
+    whole = finite.all(axis=1)
+    if r >= 2 and whole.any():
+        out["se"][whole] = table[whole].std(axis=1, ddof=1) / math.sqrt(r)
+    if not quartiles:
+        return out
+    plain = some & ~np.isnan(table).any(axis=1)
+    if plain.any():
+        out["median"][plain] = np.median(table[plain], axis=1)
+        out["q25"][plain], out["q75"][plain] = np.quantile(table[plain], (0.25, 0.75), axis=1)
+    for i in np.flatnonzero(some & ~plain):
+        out["median"][i] = np.nanmedian(table[i])
+        out["q25"][i], out["q75"][i] = np.nanquantile(table[i], (0.25, 0.75))
+    return out
+
+
 def aggregate(records) -> list:
     """Collapse replicates into the per-s statistics aggregate.csv holds:
     the mean and stderr of B, V, M and R, the median and quartiles of B, V
@@ -464,45 +502,38 @@ def aggregate(records) -> list:
     singular value of a square Gaussian matrix).  So V = sigma^2 tr(Q), and
     R with it, has no finite mean there, and a cell's mean and stderr do not
     settle as replicates grow; its median does.
+
+    The groups of one size form one (s x replicate) table per field, so
+    each statistic is one pass over it (`_summary_table`); failed rows can
+    leave groups of several sizes, one table each.
     """
     by_s = {}
     for rec in records:
         if rec.error:
             continue
         by_s.setdefault(rec.s, []).append(rec)
+    by_size = {}
+    for s in sorted(by_s):
+        by_size.setdefault(len(by_s[s]), []).append(s)
+    stats = {}
+    for size, grid in by_size.items():
+        for attr, quartiles in _SUMMARIZED:
+            table = np.array([[getattr(g, attr) for g in by_s[s]] for s in grid], dtype=float)
+            summary = _summary_table(table, quartiles)
+            for i, s in enumerate(grid):
+                stats[s, attr] = {name: float(col[i]) for name, col in summary.items()}
     out = []
     for s in sorted(by_s):
-        group = by_s[s]
-        r = len(group)
-        vals = {attr: np.array([getattr(g, attr) for g in group], dtype=float)
-                for attr in ("B", "V", "M", "R", "bias_bound", "variance_bound")}
-
-        def mean(attr):
-            v = vals[attr]
-            return float(np.nanmean(v)) if np.any(np.isfinite(v)) else NAN
-
-        def se(attr):
-            v = vals[attr]
-            return float(v.std(ddof=1) / math.sqrt(r)) if r >= 2 and np.all(np.isfinite(v)) \
-                else NAN
-
-        def quartiles(attr):
-            v = vals[attr]
-            if not np.any(np.isfinite(v)):
-                return NAN, NAN, NAN
-            q25, q75 = (float(q) for q in np.nanquantile(v, (0.25, 0.75)))
-            return float(np.nanmedian(v)), q25, q75
-
-        B_med, B_q25, B_q75 = quartiles("B")
-        V_med, V_q25, V_q75 = quartiles("V")
-        R_med, R_q25, R_q75 = quartiles("R")
-        out.append(SweepSummary(s=s, sigma0_sq=group[0].sigma0_sq, replicates=r,
-                                B_mean=mean("B"), B_se=se("B"), B_median=B_med, B_q25=B_q25,
-                                B_q75=B_q75, V_mean=mean("V"), V_se=se("V"), V_median=V_med,
-                                V_q25=V_q25, V_q75=V_q75, M_mean=mean("M"), M_se=se("M"),
-                                R_mean=mean("R"), R_se=se("R"), R_median=R_med, R_q25=R_q25,
-                                R_q75=R_q75, bias_bound_mean=mean("bias_bound"),
-                                variance_bound_mean=mean("variance_bound")))
+        B, V, M, R = (stats[s, attr] for attr in ("B", "V", "M", "R"))
+        out.append(SweepSummary(s=s, sigma0_sq=by_s[s][0].sigma0_sq, replicates=len(by_s[s]),
+                                B_mean=B["mean"], B_se=B["se"], B_median=B["median"],
+                                B_q25=B["q25"], B_q75=B["q75"], V_mean=V["mean"],
+                                V_se=V["se"], V_median=V["median"], V_q25=V["q25"],
+                                V_q75=V["q75"], M_mean=M["mean"], M_se=M["se"],
+                                R_mean=R["mean"], R_se=R["se"], R_median=R["median"],
+                                R_q25=R["q25"], R_q75=R["q75"],
+                                bias_bound_mean=stats[s, "bias_bound"]["mean"],
+                                variance_bound_mean=stats[s, "variance_bound"]["mean"]))
     return out
 
 
@@ -623,10 +654,15 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        "Every row-space row, reduced or not, takes W's complement for its "
                        "risk split from its replicate's weights-complement stream: one "
                        "(p, n + 1) standard normal draw F = [H1, h], drawn once per "
-                       "replicate: with the design's thin SVD "
-                       "U Sigma V^T and the fit's coefficient error e = V a + e_perp, W's "
-                       "complement times [V, e] is (I - R R^T) F [[U, U a], [0, "
-                       "||e_perp||]] = (I - R R^T) [H1 U, H1 U a + ||e_perp|| h]",
+                       "replicate, attached to the design D's rows through the QR "
+                       "D^T = Q P whose triangle P has a positive diagonal: with V = Q B "
+                       "the orthonormal basis of D's rows the fit used (B = I where a wide "
+                       "D's Gram was factored by Cholesky, D^T = V L^T; else B from the QR "
+                       "of (U T)^T for D = U T V^T, Sigma U^T where D took the SVD U Sigma "
+                       "V^T, D^T where a tall D took its Gram's factor L^T) and the fit's "
+                       "coefficient error e = V a + e_perp, W's complement times [V, e] is "
+                       "(I - R R^T) F [[B, B a], [0, ||e_perp||]] = (I - R R^T) "
+                       "[H1 B, H1 B a + ||e_perp|| h]",
         "grid": list(cfg.s_grid),
         "outputs": ["sweep.csv", "aggregate.csv", "bounds_curve.csv"],
         "timings_ms": result.timings_ms,

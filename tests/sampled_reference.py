@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisyrf.estimator import SvdFactors, default_rtol, svd_factors
+from noisyrf.estimator import SvdFactors, _svd_route, default_rtol, svd_factors
 from noisyrf.features import FeatureEnsemble, noise_matrix
 from noisyrf.risk import TARGET_NOISE_MODES, TargetFunction, target_train_values
 from noisyrf.spectral import (Spectrum, eigenfeature_matrix, eigenfunction_values,
@@ -99,10 +99,7 @@ def svd_reference(Z: np.ndarray) -> SvdFactors:
     conditioning: the same cutoff default_rtol(n, s) * sv_max, no Gram."""
     Z = np.asarray(Z, dtype=float)
     U, sv, Vt = np.linalg.svd(Z, full_matrices=False)
-    cutoff = default_rtol(*Z.shape) * float(sv[0]) if sv.size else 0.0
-    keep = sv > cutoff
-    return SvdFactors(U=U[:, keep], sv=sv[keep], V=Vt.T[:, keep],
-                      rank=int(np.count_nonzero(keep)), cutoff=cutoff)
+    return _svd_route(U, sv, Vt.T, default_rtol(*Z.shape))
 
 
 def standalone_best_fit(ens: FeatureEnsemble, t: TargetFunction, q: float):
@@ -162,7 +159,7 @@ def sampled_decompose(ens: FeatureEnsemble, target: TargetFunction, sigma_sq: fl
     u_hat = f.apply_pinv(target_train_values(target, ens))
     # each test point's prediction is linear in the labels: row i of G maps
     # a label vector to that point's prediction
-    G = sample.predictor @ (f.V / f.sv) @ f.U.T
+    G = sample.predictor @ f.apply_pinv(np.eye(ens.n))
     a = sample.predictor @ u_hat
     if target.mode == "realizable-clean":
         fst = sample.clean @ target.beta_star

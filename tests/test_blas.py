@@ -1,4 +1,5 @@
-"""The in-place Gram factor on numpy's OpenBLAS, and its scipy fallback."""
+"""The in-place Gram factor and triangular inverse on numpy's OpenBLAS, and
+their scipy fallbacks."""
 
 import os
 import subprocess
@@ -13,12 +14,13 @@ from noisyrf.seeding import seed_stream
 
 @pytest.fixture(params=["openblas", "scipy"])
 def backend(request, monkeypatch):
-    """Each test runs on numpy's OpenBLAS, then with the lookup finding
-    nothing, on scipy's dpotrf."""
+    """Each test runs on numpy's OpenBLAS, then with the lookups finding
+    nothing, on scipy's dpotrf and dtrtri."""
     if request.param == "scipy":
         monkeypatch.setattr(blas_mod, "_lapacke_dpotrf", lambda: None)
-    elif blas_mod._lapacke_dpotrf() is None:
-        pytest.skip("no loaded OpenBLAS copy exports LAPACKE's ILP64 dpotrf")
+        monkeypatch.setattr(blas_mod, "_lapacke_dtrtri", lambda: None)
+    elif blas_mod._lapacke_dpotrf() is None or blas_mod._lapacke_dtrtri() is None:
+        pytest.skip("no loaded OpenBLAS copy exports LAPACKE's ILP64 dpotrf and dtrtri")
     return request.param
 
 
@@ -53,19 +55,52 @@ def test_indefinite_matrix_reports_its_minor(backend):
     assert blas_mod.cholesky_in_place(a) == 3
 
 
-@pytest.mark.parametrize("a", [np.eye(3), np.eye(3, dtype=np.float32, order="F"),
-                               np.eye(4, order="F")[:3, :3], np.ones((3, 4), order="F")],
-                         ids=["c-order", "float32", "strided", "not-square"])
+@pytest.mark.parametrize("s", [1, 100, 201, 600])
+def test_triangular_inverse_matches_numpy_inv(backend, s):
+    # the upper triangle becomes its inverse, to 1e-12 of its norm times
+    # the triangle's condition; the part below the diagonal is neither read
+    # nor written
+    X = seed_stream(1, "tri", s).standard_normal((s + 40, s))
+    T = np.linalg.cholesky(X.T @ X).T
+    a = np.array(T, order="F")
+    below = np.tril_indices(s, -1)
+    a[below] = np.nan
+    assert blas_mod.triangular_inverse_in_place(a) == 0
+    want = np.linalg.inv(T)
+    assert np.isnan(a[below]).all()
+    assert np.linalg.norm(np.triu(a) - want) <= 1e-12 * np.linalg.cond(T) * np.linalg.norm(want)
+
+
+def test_triangular_inverse_reports_a_zero_diagonal(backend):
+    a = np.asfortranarray(np.triu(np.ones((4, 4))))
+    a[2, 2] = 0.0
+    assert blas_mod.triangular_inverse_in_place(a) == 3
+
+
+UNUSABLE = pytest.mark.parametrize(
+    "a", [np.eye(3), np.eye(3, dtype=np.float32, order="F"), np.eye(4, order="F")[:3, :3],
+          np.ones((3, 4), order="F")],
+    ids=["c-order", "float32", "strided", "not-square"])
+
+
+@UNUSABLE
 def test_refuses_what_it_cannot_factor_in_place(a):
     with pytest.raises(ValueError, match="Fortran-ordered square float64"):
         blas_mod.cholesky_in_place(a)
 
 
+@UNUSABLE
+def test_triangular_inverse_refuses_what_it_cannot_invert_in_place(a):
+    with pytest.raises(ValueError, match="Fortran-ordered square float64"):
+        blas_mod.triangular_inverse_in_place(a)
+
+
 def test_refuses_a_read_only_buffer():
-    a = np.eye(3, order="F")
-    a.flags.writeable = False
-    with pytest.raises(ValueError, match="writable"):
-        blas_mod.cholesky_in_place(a)
+    for routine in (blas_mod.cholesky_in_place, blas_mod.triangular_inverse_in_place):
+        a = np.eye(3, order="F")
+        a.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            routine(a)
 
 
 def test_importing_the_package_looks_nothing_up():
@@ -75,6 +110,7 @@ def test_importing_the_package_looks_nothing_up():
     code = ("import noisyrf\n"
             "from noisyrf import blas\n"
             "assert blas._lapacke_dpotrf.cache_info().currsize == 0\n"
+            "assert blas._lapacke_dtrtri.cache_info().currsize == 0\n"
             "assert blas.openblas.cache_info().currsize == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=src))

@@ -88,6 +88,41 @@ class TestKStar:
         assert got == want
 
 
+    def test_matches_the_pivot_loop(self):
+        # the loop k_star ran before it took one array comparison, on the
+        # same shifted spectrum and the same tail sums: it must find the
+        # same k, or None, on spectra with zero pivots (zero eigenvalues and
+        # zero padding, with and without a shift), ties and exact boundary
+        # cases (a flat spectrum at a = 1 has tail == (n / a) * pivot at k = 0)
+        def loop(lambda_hat, sigma0_sq, n, a):
+            shifted = np.zeros(n)
+            shifted[:len(lambda_hat)] = lambda_hat
+            shifted += sigma0_sq / n
+            tails = np.cumsum(shifted[::-1])[::-1]
+            for k in range(n):
+                if shifted[k] != 0.0 and tails[k] >= (n / a) * shifted[k]:
+                    return k
+            return None
+
+        rng = seed_stream(31, "k-star-loop")
+        found = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 60))
+            size = int(rng.integers(0, n + 1))
+            # ties: values drawn from a few levels; zeros: a level at 0
+            levels = np.concatenate([[0.0], rng.uniform(0, 1, 3), rng.exponential(1, 2)])
+            lam = np.sort(rng.choice(levels, size))[::-1]
+            shift = 0.0 if trial % 3 else float(rng.choice([1e-3, 0.1, 1.0]))
+            for a in (0.5, 1.0, 2.0, 4.0, 16.0, 50.0):
+                want = loop(lam, shift, n, a)
+                assert k_star(lam, shift, n, a) == want
+                found.add(want is None)
+        for n in (1, 5, 32):
+            assert k_star(np.ones(n), 0.0, n, 1.0) == loop(np.ones(n), 0.0, n, 1.0) == 0
+        # both outcomes occurred
+        assert found == {True, False}
+
+
 def bias_bound(inputs):
     return bound_report(inputs).bias_bound
 

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack as scipy_lapack
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
+from noisyrf import blas as blas_mod
 from noisyrf import estimator as estimator_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
@@ -64,7 +68,7 @@ class TestMnlsFit:
         # tall or wide, for one label vector or several
         for n, s in ((3, 2), (2, 3)):
             f = svd_factors(np.zeros((n, s)))
-            assert f.rank == 0 and f.sv.shape == (0,)
+            assert f.rank == 0 and f.Tinv.shape == (0, 0)
             np.testing.assert_array_equal(f.apply_pinv(np.arange(1.0, n + 1)), np.zeros(s))
             np.testing.assert_array_equal(f.apply_pinv(np.ones((n, 4))), np.zeros((s, 4)))
 
@@ -120,22 +124,68 @@ class TestMnlsFit:
 class TestSvdFactors:
     @pytest.mark.parametrize("rank", [None, 5])
     def test_wide_design_through_its_gram_or_transpose(self, rank):
-        # n < s is factored through Z Z^T at full rank and as Z^T at rank 5;
-        # the factors must still describe Z itself
+        # n < s is factored through Z Z^T's Cholesky factor at full rank and
+        # as Z^T's SVD at rank 5; the factors must still describe Z itself
         rng = seed_stream(120, rank or 0)
         n, s = 20, 300
         Z = rng.standard_normal((n, s))
         if rank is not None:
             Z = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, s))
         f = svd_factors(Z)
-        assert f.U.shape == (n, f.rank) and f.V.shape == (s, f.rank)
-        np.testing.assert_allclose((f.U * f.sv) @ f.V.T, Z, rtol=0, atol=1e-12 * f.sv[0])
-        np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.rank), rtol=0, atol=1e-13)
+        r = f.rank
+        assert f.U.shape == (n, r) and f.V.shape == (s, r) and f.Tinv.shape == (r, r)
+        scale = np.linalg.norm(Z, 2)
+        np.testing.assert_allclose(f.U @ np.linalg.inv(f.Tinv) @ f.V.T, Z, rtol=0,
+                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(f.U.T @ f.U, np.eye(r), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f.V.T @ f.V, np.eye(r), rtol=0, atol=1e-13)
+        if rank is None:
+            # the Gram route: U = I and T = L, lower triangular with a
+            # positive diagonal, and so is L^-1
+            assert f.T is None
+            np.testing.assert_array_equal(f.U, np.eye(n))
+            assert not np.triu(f.Tinv, 1).any() and np.all(np.diagonal(f.Tinv) > 0)
+        else:
+            sv = np.diagonal(f.T)
+            np.testing.assert_array_equal(f.T, np.diag(sv))
+            assert np.all(np.diff(sv) <= 0)
+            np.testing.assert_array_equal(f.Tinv, np.diag(1.0 / sv))
+        # the transpose, tall, through its s x s Gram at full rank: V = I
+        # and T = L^T, upper triangular
         tall = svd_factors(np.ascontiguousarray(Z.T))
-        assert f.rank == tall.rank == (rank or n)
-        np.testing.assert_allclose(f.sv, tall.sv, rtol=1e-13, atol=1e-13 * f.sv[0])
-        assert np.all(np.diff(f.sv) <= 0)
+        if rank is None:
+            np.testing.assert_array_equal(tall.V, np.eye(n))
+            assert not np.tril(tall.T, -1).any() and np.all(np.diagonal(tall.T) > 0)
+        assert r == tall.rank == (rank or n)
+        # Z^+ = ((Z^T)^+)^T, and V V^T projects on Z's rows as U U^T does
+        # on Z^T's columns
+        pinv = f.apply_pinv(np.eye(n))
+        np.testing.assert_allclose(pinv, tall.apply_pinv(np.eye(s)).T, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(pinv, 2))
+        np.testing.assert_allclose(f.V @ f.V.T, tall.U @ tall.U.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,s,rank,route", [(20, 300, None, "gram"), (300, 20, None, "gram"),
+                                                (20, 300, 5, "svd"), (300, 20, 5, "svd"),
+                                                (20, 20, None, "svd")])
+    def test_qr_coords_locate_v_in_the_qr_basis_of_the_rows(self, linalg_calls, n, s, rank,
+                                                            route):
+        # V = Q B for Z^T = Q R with R's diagonal positive, on the Gram route
+        # (wide or tall, full rank) and the SVD route (rank-deficient, square)
+        rng = seed_stream(121, n, s, rank or 0)
+        Z = rng.standard_normal((n, s))
+        if rank is not None:
+            Z = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, s))
+        calls = linalg_calls("svd")
+        f = svd_factors(Z)
+        assert calls == {"svd": int(route == "svd")}
+        B = f.qr_coords()
+        r = f.rank
+        assert B.shape == (r, r) and (f.T is None) == (route == "gram" and n < s)
+        np.testing.assert_allclose(B.T @ B, np.eye(r), rtol=0, atol=1e-13)
+        # Z^T's QR with R's diagonal made positive, restricted to the rank
+        Q, R = np.linalg.qr(Z.T)
+        Q = Q[:, :r] * np.sign(np.diagonal(R)[:r])
+        np.testing.assert_allclose(f.V, Q @ B, rtol=0, atol=1e-12)
 
 
 def conditioned_design(n, s, cond, seed):
@@ -148,61 +198,116 @@ def conditioned_design(n, s, cond, seed):
 
 
 def invariant_forms(f, Y):
-    """Z^+ Y, U Sigma^-2 U^T and V V^T: what the factors give whatever basis
-    the factorization picked."""
-    return f.apply_pinv(Y), (f.U / f.sv ** 2) @ f.U.T, f.V @ f.V.T
+    """Z^+ Y, (Z Z^T)^+ = U T^-T T^-1 U^T and V V^T: what the factors give
+    whatever basis and triangle the factorization picked."""
+    M = f.U @ f.Tinv.T
+    return f.apply_pinv(Y), M @ M.T, f.V @ f.V.T
+
+
+def gram_kappa(cond, n=20):
+    """||G||_F ||G^-1||_F for conditioned_design's G = Z Z^T, whose
+    eigenvalues are geometric from 1 to cond^-2."""
+    d = np.geomspace(1.0, cond ** -2.0, n)
+    return float(np.linalg.norm(d) * np.linalg.norm(1.0 / d))
 
 
 class _Captured(Exception):
     pass
 
 
-def preset_design(monkeypatch, s, seed=7):
-    """The design one replicate-0 cell of the double-descent preset fits."""
-    def capture(ensemble, *args, **kwargs):
-        raise _Captured(ensemble.design)
+def preset_cell(monkeypatch, s, seed=7):
+    """decompose's (args, kwargs) in one replicate-0 cell of the
+    double-descent preset."""
+    def capture(*args, **kwargs):
+        raise _Captured(args, kwargs)
 
     cfg = preset_config("double-descent-default", {"master_seed": seed})
     with monkeypatch.context() as m:
         m.setattr(sweep_mod, "decompose", capture)
         with pytest.raises(_Captured) as exc:
             sweep_mod.compute_row(cfg, cfg.s_grid.index(s), 0)
-    return exc.value.args[0]
+    return exc.value.args
+
+
+def preset_design(monkeypatch, s, seed=7):
+    """The design one replicate-0 cell of the double-descent preset fits."""
+    return preset_cell(monkeypatch, s, seed)[0][0].design
 
 
 class TestGramRoute:
-    """A wide design is factored through its n x n Gram where eps d_max / d_min
-    <= GRAM_RTOL; the error of every form read off the factors then grows
-    like eps cond(Z)^2 = eps d_max / d_min, against eps cond(Z) for the SVD."""
+    """A design that is not square is factored through the Cholesky factor
+    of its smaller Gram where eps ||G||_F ||G^-1||_F <= GRAM_RTOL; the error
+    of every form read off the factors then grows like eps cond(Z)^2 =
+    eps cond(G), against eps cond(Z) for the SVD."""
 
-    # cond(Z) 100 and 600 pass the switch (eps cond^2 = 2.2e-12 and 8.0e-11);
-    # 700 and 1e4 fail it (1.1e-10 and 2.2e-8) and keep the SVD
-    @pytest.mark.parametrize("cond,route", [(100.0, "gram"), (600.0, "gram"),
+    # on these designs kappa = ||G||_F ||G^-1||_F is 1.17-1.61x cond(Z)^2:
+    # cond(Z) 100 and 550 pass the switch (eps kappa = 3.6e-12 and 9.1e-11);
+    # 700 and 1e4 fail it (1.5e-10 and 2.6e-8) and keep the SVD
+    @pytest.mark.parametrize("cond,route", [(100.0, "gram"), (550.0, "gram"),
                                             (700.0, "svd"), (1e4, "svd")])
     def test_both_sides_of_the_switch_match_the_svd(self, linalg_calls, cond, route):
         n, s = 20, 300
-        assert (EPS * cond ** 2 <= GRAM_RTOL) == (route == "gram")
+        assert (EPS * gram_kappa(cond) <= GRAM_RTOL) == (route == "gram")
         # the bound's error, eps cond^2 on the Gram side and eps cond on the
         # SVD side, with a factor 4 for the constants the bound leaves out
         tol = 4 * EPS * (cond ** 2 if route == "gram" else cond)
         for seed in range(3):
             Z = conditioned_design(n, s, cond, seed)
             Y = seed_stream(seed, "labels").standard_normal((n, 3))
-            calls = linalg_calls("svd", "eigh")
+            calls = linalg_calls("svd", "cholesky")
             f = svd_factors(Z)
-            assert calls == {"svd": int(route == "svd"), "eigh": 1}
+            assert calls == {"svd": int(route == "svd"), "cholesky": 1}
             assert f.rank == n and f.U.shape == (n, n) and f.V.shape == (s, n)
-            assert np.all(np.diff(f.sv) <= 0)
+            assert (f.T is None) == (route == "gram")
             ref = svd_reference(Z)
             for got, want in zip(invariant_forms(f, Y), invariant_forms(ref, Y)):
                 assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
-            np.testing.assert_allclose(f.sv, ref.sv, rtol=tol, atol=0)
+            # ||T^-1||_F^2 = tr((Z Z^T)^-1), what the variance reads
+            np.testing.assert_allclose(np.linalg.norm(f.Tinv), np.linalg.norm(ref.Tinv),
+                                       rtol=tol, atol=0)
+
+    @pytest.mark.parametrize("cond,route", [(100.0, "gram"), (550.0, "gram"),
+                                            (700.0, "svd"), (1e4, "svd")])
+    def test_tall_design_takes_the_same_switch(self, linalg_calls, cond, route):
+        # the transposes of the designs above, 300 x 20: the s x s Gram
+        # Z^T Z has the same condition, so the same bound and tolerance hold
+        n, s = 300, 20
+        tol = 4 * EPS * (cond ** 2 if route == "gram" else cond)
+        for seed in range(3):
+            Z = np.ascontiguousarray(conditioned_design(s, n, cond, seed).T)
+            Y = seed_stream(seed, "labels").standard_normal((n, 3))
+            calls = linalg_calls("svd", "cholesky")
+            f = svd_factors(Z)
+            assert calls == {"svd": int(route == "svd"), "cholesky": 1}
+            assert f.rank == s and f.U.shape == (n, s) and f.V.shape == (s, s)
+            ref = svd_reference(Z)
+            for got, want in zip(invariant_forms(f, Y), invariant_forms(ref, Y)):
+                assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+            np.testing.assert_allclose(np.linalg.norm(f.Tinv), np.linalg.norm(ref.Tinv),
+                                       rtol=tol, atol=0)
+
+    # G's condition as a multiple of the switch's edge GRAM_RTOL / eps,
+    # about 4.5e5: two designs inside it, two past it
+    @pytest.mark.parametrize("multiple", [0.3, 0.7, 1.5, 10.0])
+    def test_certified_bound_is_at_least_the_gram_condition(self, multiple):
+        n, s = 20, 300
+        edge = GRAM_RTOL / EPS
+        for seed in range(3):
+            Z = conditioned_design(n, s, math.sqrt(multiple * edge), seed)
+            sv = np.linalg.svd(Z, compute_uv=False)
+            cond = float(sv[0] / sv[-1]) ** 2
+            kappa, _, _ = estimator_mod._gram_factor(Z)
+            # ||G||_F ||G^-1||_F <= n cond(G)
+            assert cond <= kappa <= n * cond
+            assert (svd_factors(Z).T is None) == (EPS * kappa <= GRAM_RTOL)
+            if multiple > 1:
+                assert svd_factors(Z).T is not None
 
     def test_preset_wide_cell_runs_no_svd(self, monkeypatch, linalg_calls):
         Z = preset_design(monkeypatch, 10000)
-        calls = linalg_calls("svd")
+        calls = linalg_calls("svd", "cholesky", "eigh")
         f = svd_factors(Z)
-        assert calls == {"svd": 0} and f.rank == 100
+        assert calls == {"svd": 0, "cholesky": 1, "eigh": 0} and f.rank == 100
 
     def test_preset_peak_cell_runs_the_svd(self, monkeypatch, linalg_calls):
         # s = n: the design is square and its condition reaches 1e3-1e5
@@ -236,10 +341,35 @@ class TestGramRoute:
         # route reaches a factorization
         Z = seed_stream(142).standard_normal(shape)
         Z[3, 7] = bad
-        calls = linalg_calls("svd", "eigh")
+        calls = linalg_calls("svd", "cholesky")
         with pytest.raises(ValueError, match="design has a NaN or infinite entry"):
             svd_factors(Z)
-        assert calls == {"svd": 0, "eigh": 0}
+        assert calls == {"svd": 0, "cholesky": 0}
+
+    def test_route_calls_no_scipy_lapack(self, monkeypatch):
+        # every step runs on numpy's OpenBLAS: a threaded LAPACK call on
+        # scipy's own copy holds its BLAS threads busy into numpy's next
+        # gemms.  Each of scipy's LAPACK entry points raises here, as does
+        # the dtrtrs risk imported from it, through a preset row-space
+        # cell's whole split and a wide design's factors
+        if blas_mod._lapacke_dtrtri() is None:
+            pytest.skip("no loaded OpenBLAS copy exports LAPACKE's ILP64 dtrtri")
+        from noisyrf import risk as risk_mod
+
+        def refusing(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"scipy's LAPACK {name} called")
+            return call
+
+        args, kwargs = preset_cell(monkeypatch, 1000)
+        names = [name for name in dir(scipy_lapack) if not name.startswith("_")
+                 and type(getattr(scipy_lapack, name)).__name__ == "fortran"]
+        for name in names + ["get_lapack_funcs"]:
+            monkeypatch.setattr(scipy_lapack, name, refusing(name))
+        monkeypatch.setattr(risk_mod, "dtrtrs", refusing("dtrtrs"))
+        assert svd_factors(conditioned_design(20, 300, 10.0, 143)).T is None
+        assert svd_factors(conditioned_design(20, 300, 10.0, 143).T).T is not None
+        assert risk_mod.decompose(*args, **kwargs).rank == 100
 
 
 class TestRidgeFit:

@@ -145,6 +145,12 @@ class TestConfig:
         # (s_index, replicate) weights stream; this code reads the first s
         # columns of one p x max(s_grid) pool per replicate
         pytest.param("13", {}, id="13"),
+        # version "14" attached W's complement to each row-space cell's
+        # design through (D D^T)^1/2 and factored wide designs through their
+        # Gram's eigenpairs, tall ones by the SVD; this code attaches it
+        # through the QR basis of D^T and factors both through the Cholesky
+        # factor of the smaller Gram
+        pytest.param("14", {}, id="14"),
     ])
     def test_old_version_manifest_gets_the_version_error(self, version, retired):
         manifest = {"artifact_version": version,
@@ -805,7 +811,9 @@ class TestSweep:
             f"rounded up to whole blocks of {WEIGHT_BLOCK} columns, whose first max(s_grid) " \
             "columns do not depend on that rounding, and the row at s takes its first s " \
             "columns as W" in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "14"
+        assert "attached to the design D's rows through the QR D^T = Q P whose triangle " \
+            "P has a positive diagonal" in manifest["seed_scheme"]
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "15"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -973,19 +981,44 @@ class TestSweep:
             assert len(draws) == (1 if alpha > 0 else len(cfg.s_grid))
 
     @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
-    def test_preset_cell_factors_the_gram_once(self, linalg_calls, weight_shapes, s, route):
+    def test_preset_cell_factors_the_gram_once(self, monkeypatch, linalg_calls, weight_shapes,
+                                               s, route):
         # one eigensolve of phi phi^T per replicate gives both the empirical
         # spectrum and its row-space cells' basis: no QR of the 2000 x 100
         # phi^T, and no cell runs a second eigensolve (lambda_W is not stated
-        # on the preset, and designs of s - 5 and s columns keep the SVD)
-        calls = linalg_calls("eigh", "eigvalsh", "qr")
+        # on the preset, and designs of s - 5 and s columns keep the SVD).
+        # The only QRs are those of Sigma U^T, s x n, by which a row-space
+        # cell on the SVD route attaches W's complement (SvdFactors.qr_coords)
+        calls = linalg_calls("eigh", "eigvalsh")
+        qr_shapes = []
+        real_qr = np.linalg.qr
+
+        def qr(a, mode="reduced"):
+            qr_shapes.append(a.shape)
+            return real_qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
         cfg = preset_config("double-descent-default",
                             {"master_seed": 7, "s_grid": [s - 5, s], "ensemble_replicates": 2})
         records = run_sweep(cfg).records
         assert all(r.error == "" and math.isfinite(r.R) for r in records)
         rows = cfg.n if route == "row-space" else cfg.p
         assert weight_shapes == [(rows, s - 5), (rows, s)] * 2
-        assert calls == {"eigh": 2, "eigvalsh": 0, "qr": 0}
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert qr_shapes == ([(s - 5, cfg.n), (s, cfg.n)] * 2 if route == "row-space" else [])
+
+    def test_preset_replicate_runs_one_eigensolve(self, linalg_calls):
+        # the replicate's one eigensolve is phi's Gram: every design but the
+        # square s = n = 100 one takes the Cholesky factor of its smaller
+        # Gram, and only that one takes the SVD.  The complement frame's
+        # CholeskyQR2 adds two Cholesky factors
+        calls = linalg_calls("eigh", "cholesky", "svd")
+        cfg = preset_config("double-descent-default",
+                            {"master_seed": 7, "ensemble_replicates": 1})
+        records = run_sweep(cfg).records
+        assert all(r.error == "" and math.isfinite(r.R) for r in records)
+        assert cfg.s_grid.count(cfg.n) == 1
+        assert calls == {"eigh": 1, "cholesky": len(cfg.s_grid) - 1 + 2, "svd": 1}
 
     def test_row_space_cells_repeat_across_blas_thread_counts(self):
         # a BLAS thread count changes the Gram's last bits, and with them the
@@ -1049,13 +1082,15 @@ class TestSweep:
     @pytest.mark.parametrize("s", [10, 1778])
     def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, gram_factors, s):
         # make_target's projection and ridge fit share one Gram H: its
-        # factor and G's, both in place and both accepted, and no QR
+        # factor and G's, both in place and both accepted, and no QR.  The
+        # one np.linalg.cholesky is the design's own, of its smaller Gram
+        # (estimator.svd_factors)
         calls = linalg_calls("qr", "cholesky")
         infos = gram_factors()
         cfg = unrealizable_preset(7)
         rec = compute_row(cfg, cfg.s_grid.index(s), 0)
         assert rec.error == "" and rec.M > 0
-        assert calls == {"qr": 0, "cholesky": 0} and infos == [0, 0]
+        assert calls == {"qr": 0, "cholesky": 1} and infos == [0, 0]
 
     def test_unrealizable_cells_repeat_across_blas_thread_counts(self):
         # lambda_gram's gemms sum H = W^T Lambda W in another order on 1

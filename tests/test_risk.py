@@ -1030,7 +1030,8 @@ class TestBestInSpanFit:
         """(ensemble, target, decomposition, the b* decompose measured
         against, np.linalg.qr calls, in-place Gram factors) of one
         closed-form cell; the factors whose index is in refuse fail.  The
-        Gram route never calls np.linalg.cholesky."""
+        Gram route never calls np.linalg.cholesky (the design's own factor,
+        in decompose, does)."""
         ens = mk_ensemble(20, s, p=p, alpha=alpha, family=family, seed=s)
         calls, refs = {"qr": 0}, []
         real_qr = np.linalg.qr
@@ -1048,10 +1049,11 @@ class TestBestInSpanFit:
             return real_split(*args)
 
         monkeypatch.setattr(np.linalg, "qr", qr)
-        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
         monkeypatch.setattr(risk_mod, "_population_split", split)
         factors = gram_factors(refuse)
-        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", no_cholesky)
+            t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
         d = decompose(ens, t, 1.0, clean_test=clean_test)
         return ens, t, d, refs[0], calls["qr"], len(factors)
 
@@ -1305,7 +1307,8 @@ class TestRowSpaceRoute:
     def test_same_law_as_dense_past_the_switch(self, monkeypatch, s):
         # exp(-i) at n = 20, p = 60 leaves the Gram's condition above 1e9, so
         # every row-space cell takes its basis from the QR of phi^T; the i^-2
-        # eigencoordinate cases stay near 1e3, on the eigenpairs' side
+        # eigencoordinate cases stay near 1e3, on the eigenpairs' side.  A
+        # design on the SVD route adds the QR of Sigma U^T, s x 20, at s = 10
         qr_calls = []
         real_qr = np.linalg.qr
 
@@ -1315,7 +1318,7 @@ class TestRowSpaceRoute:
 
         monkeypatch.setattr(np.linalg, "qr", qr)
         assert_same_law(("dense", "row-space"), 20, 60, s, LAW_CASES[0], kind="exponential")
-        assert qr_calls == [(60, 20)] * LAW_DRAWS
+        assert [shape for shape in qr_calls if shape != (s, 20)] == [(60, 20)] * LAW_DRAWS
 
     def test_product_has_the_dense_second_moments(self):
         # for a fixed G and C = [V, e], on a flat spectrum: Y^T Y = (W C)^T
@@ -1442,6 +1445,21 @@ class TestReducedRoute:
         target_mode, clean_test, mode, alpha = case
         assert_same_law(("row-space", "reduced"), 20, 60, s,
                         (target_mode, clean_test, "gaussian", mode), alpha=alpha)
+
+    @pytest.mark.parametrize("route,s", [("row-space", 10), ("row-space", 41),
+                                         ("row-space", 400), ("reduced", 41), ("reduced", 400)])
+    @pytest.mark.parametrize("case", REDUCED_CASES[:2])
+    def test_same_law_as_dense(self, linalg_calls, route, case, s):
+        # the dense W reads no complement, so it is the oracle for how the
+        # complement is attached to the design (SvdFactors.qr_coords).
+        # Every design here takes the Cholesky factor of its smaller Gram,
+        # as the preset's do: s = 10 < n = 20 is tall (V = I, and the
+        # complement meets V through the QR of D^T), the others wide (B = I)
+        calls = linalg_calls("svd")
+        target_mode, clean_test, mode, alpha = case
+        assert_same_law(("dense", route), 20, 60, s,
+                        (target_mode, clean_test, "gaussian", mode), alpha=alpha)
+        assert calls == {"svd": 0}
 
     @pytest.mark.parametrize("s", [33, 320])
     def test_same_law_as_row_space_with_p_below_n(self, s):

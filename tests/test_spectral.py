@@ -266,27 +266,46 @@ class TestEmpiricalCovariance:
 
 
 class TestWellConditioned:
-    """The one switch of both wide factorizations read off a Gram's
-    eigenpairs: the design's SVD (`svd_factors`) and phi's row basis
-    (`row_space_factor`) take the Gram side together, or their own
-    fallbacks (LAPACK's SVD, the thin QR) together."""
+    """The switches of the two wide factorizations of the rows: the design's
+    Cholesky certificate (`svd_factors`) implies the eigenpair test of phi's
+    row basis (`row_space_factor`).  Where the design is certified, both
+    take the Gram side; past the eigenpair test both take their own
+    fallbacks (LAPACK's SVD, the thin QR); in between only the design does."""
 
     # the Gram condition d_max / d_min at the switch's edge, about 4.5e5
     EDGE = GRAM_RTOL / np.finfo(float).eps
 
-    @pytest.mark.parametrize("side,condition", [("gram", 0.9), ("fallback", 1.1)])
-    def test_both_callers_take_the_same_side(self, linalg_calls, side, condition):
-        # one 20 x 300 matrix, read as a design and as eigenfeature rows, with
-        # its Gram's eigenvalues geometric from 1 to 1 / (condition * EDGE)
+    @classmethod
+    def rows(cls, side, condition):
+        """One 20 x 300 matrix, read as a design and as eigenfeature rows,
+        with its Gram's eigenvalues geometric from 1 to 1 / (condition *
+        EDGE)."""
         n, s = 20, 300
         rng = seed_stream(150, side)
         left = np.linalg.qr(rng.standard_normal((n, n)))[0]
         right = np.linalg.qr(rng.standard_normal((s, n)))[0]
-        rows = (left * np.geomspace(1.0, (condition * self.EDGE) ** -0.5, n)) @ right.T
+        return (left * np.geomspace(1.0, (condition * cls.EDGE) ** -0.5, n)) @ right.T
+
+    # on these geometric spectra ||G||_F ||G^-1||_F is about 1.35 d_max /
+    # d_min, so the design's certificate refuses from about 0.74 EDGE on
+    @pytest.mark.parametrize("side,condition", [("gram", 0.5), ("fallback", 1.1)])
+    def test_both_callers_take_the_same_side(self, linalg_calls, side, condition):
+        rows = self.rows(side, condition)
         gram = gram_eigh(rows)
         assert gram.well_conditioned == (side == "gram")
-        calls = linalg_calls("svd", "qr")
-        assert svd_factors(rows).rank == n
+        calls = linalg_calls("svd", "qr", "cholesky")
+        assert svd_factors(rows).rank == 20
         row_space_factor(rows, gram)
         fallback = int(side == "fallback")
-        assert calls == {"svd": fallback, "qr": fallback}
+        assert calls == {"cholesky": 1, "svd": fallback, "qr": fallback}
+
+    def test_between_the_switches_only_the_basis_reads_the_gram(self, linalg_calls):
+        # d_max / d_min = 0.9 EDGE passes the eigenpair test, while the
+        # design's bound, about 1.2 EDGE, refuses: the design takes the SVD
+        rows = self.rows("basis only", 0.9)
+        gram = gram_eigh(rows)
+        assert gram.well_conditioned
+        calls = linalg_calls("svd", "qr", "cholesky")
+        assert svd_factors(rows).rank == 20
+        row_space_factor(rows, gram)
+        assert calls == {"cholesky": 1, "svd": 1, "qr": 0}
