@@ -34,18 +34,21 @@ population inner product, so with A = sqrt(Lambda) W / sqrt(s) and test
 feature-noise variance q_p the risk of coefficients w is ||A (w - beta*)||^2
 + q_p ||w||^2 plus the tail's energy.  Its best in-span fit b* is the ridge
 fit with penalty q_p.  `make_target` solves the projection and that fit from
-one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A, read-only: the
-leading block of the replicate's Gram in a sweep (`lambda_gram`, whose
-leading blocks do not depend on W's width), else formed for the call.  Both
-factors are taken in place in one s x s buffer on numpy's OpenBLAS
-(`blas.cholesky_in_place`): H's, for two projection passes, then that of
-G = H / s + q_p I formed in the same buffer where one bound, eps (1 + tr(H)
-/ (s q_p)) <= GRAM_RTOL on G's condition, keeps the fit's error within the
-budget every Gram here is held to (`spectral.GramEigen`; see
-`_ridge_cholesky`).  Each solve falls back to a Householder QR on its own:
-the projection where H's factor or the projection's check fails
-(`_qr_projection`), the fit where the bound refuses or G's factor fails
-(`_ridge_fit`).  `decompose` reads b* off the target.
+one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) = s A^T A and its Cholesky
+factor H = L L^T, read-only: the leading s x s blocks of the replicate's
+`FactoredGram` in a sweep (`lambda_gram`, then `factor_gram` in the same
+buffer, whose leading blocks do not depend on W's width), else formed and
+factored for the call.  The projection's two passes solve on L's leading
+block in place; the ridge Gram G = H / s + q_p I is packed from H's upper
+triangle into the cell's one buffer, half an s x s square in RFP storage,
+and factored there, where one bound, eps (1 + tr(H) / (s q_p)) <=
+GRAM_RTOL on G's condition, keeps the fit's error within the budget every
+Gram here is held to (`spectral.GramEigen`; see `_ridge_cholesky`).  Every
+factor and solve runs on numpy's OpenBLAS (`blas`).  Each solve falls back
+to a Householder QR on its own: the projection where H's factor stopped
+before order s or the projection's check fails (`_qr_projection`), the fit
+where the bound refuses or G's factor fails (`_ridge_fit`).  `decompose`
+reads b* off the target.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .blas import cholesky_in_place
+from .blas import (blocked_cholesky_in_place, cholesky_solve_in_place, pack_upper,
+                   packed_cholesky_in_place, packed_cholesky_solve_in_place, rfp_diagonal)
 from .estimator import SvdFactors, default_rtol, svd_factors
 from .features import WEIGHT_BLOCK, FeatureEnsemble, column_product
 from .spectral import GRAM_RTOL
@@ -115,6 +119,25 @@ class RiskDecomposition:
     rank: int    # numerical rank of the design in the factorization the split used
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredGram:
+    """A Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) of p x S weights W and
+    its Cholesky factor H = L L^T in one S x S Fortran buffer
+    (`factor_gram`): buffer holds H strictly above its diagonal and L on and
+    below it, diagonal holds H's diagonal, and order is the order of L's
+    largest complete leading block, S where the factor ran to the end and
+    k - 1 where it stopped at the order k of a leading minor it found not
+    positive definite.  The cell at s reads the leading s x s blocks: H_s
+    from the upper triangle and diagonal, and L_s, H_s's factor, where
+    s <= order.  A pool wider than p, or than the spectrum's support, gives
+    an H of lower rank than S, whose factor stops past that rank by design.
+    """
+
+    buffer: np.ndarray
+    diagonal: np.ndarray
+    order: int
+
+
 def _lstsq_qr(m: int, k: int, fill) -> tuple[np.ndarray, float, np.ndarray]:
     """Least squares of y on X by one Householder QR of aug = [X | y].
 
@@ -165,12 +188,11 @@ def _cho_solve(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _projection_pass(U: np.ndarray, W: np.ndarray, lam: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-    """c - W (U^T U)^-1 W^T Lambda c: one pass of the span projection on the
-    upper triangle U with U^T U = (sqrt(Lambda) W)^T (sqrt(Lambda) W), read in
-    place from the top s rows of U."""
-    return c - W @ _cho_solve(U, W.T @ (lam * c))
+def _projection_pass(solve, W: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c - W H^-1 W^T Lambda c: one pass of the span projection, with
+    solve(x) = H^-1 x for H = (sqrt(Lambda) W)^T (sqrt(Lambda) W) through a
+    Cholesky factor of H."""
+    return c - W @ solve(W.T @ (lam * c))
 
 
 def _span_overlap(W: np.ndarray, lam: np.ndarray,
@@ -182,20 +204,24 @@ def _span_overlap(W: np.ndarray, lam: np.ndarray,
     return float(t @ lam_t), float(np.linalg.norm(W.T @ lam_t))
 
 
-def _gram_projection(U: np.ndarray, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
+def _gram_projection(gram: FactoredGram, W: np.ndarray, lam: np.ndarray, c: np.ndarray,
                      tr: float) -> np.ndarray | None:
     """c with its feature-span part projected out by two passes on the
-    Cholesky factor of H = (sqrt(Lambda) W)^T (sqrt(Lambda) W), whose trace
-    is tr, or None where H's factor fails or the projected tail fails the
-    orthogonality check (see `make_target`).  U holds H's upper triangle on
-    entry and is factored in place (`blas.cholesky_in_place`)."""
+    leading s x s block of gram's factor L, H = L L^T, read in place
+    (`blas.cholesky_solve_in_place`), with tr = tr(H); None where that
+    block is not complete (the factor stopped at an order k <= s) or the
+    projected tail fails the orthogonality check (see `make_target`)."""
     p, s = W.shape
-    if cholesky_in_place(U) != 0:
+    if s > gram.order:
         return None
+
+    def solve(x):
+        return cholesky_solve_in_place(gram.buffer, s, x)
+
     c0_energy = float(c @ (lam * c))
     # the second pass takes the first's error, about eps cond(H) relative, to
     # its square
-    c = _projection_pass(U, W, lam, _projection_pass(U, W, lam, c))
+    c = _projection_pass(solve, W, lam, _projection_pass(solve, W, lam, c))
     energy, overlap = _span_overlap(W, lam, c)
     # the projection only adds an in-span part to the true residual, so a
     # residual at rounding level here is one in exact arithmetic too
@@ -229,27 +255,32 @@ def _qr_projection(W: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
     # orthogonal to the span only to about eps times cond(sqrt(Lambda) W),
     # which steep spectra push past what decompose accepts; the second brings
     # it to rounding level
-    return _projection_pass(factor, W, lam, c - W @ coef)
+    return _projection_pass(lambda x: _cho_solve(factor, x), W, lam, c - W @ coef)
 
 
-def _ridge_cholesky(H: np.ndarray, G: np.ndarray, beta: np.ndarray, q: float,
+def _ridge_cholesky(gram: FactoredGram, beta: np.ndarray, q: float,
                     tr: float) -> tuple[np.ndarray, float] | None:
     """(b*, rho^2) by the Cholesky side of the ridge step, or None where its
-    switch refuses or G's factor fails (see `_ridge_fit`).  tr is H's
-    trace.  G = H / s + q I is the Gram of the stack the QR side factors, so
-    the switch holds it to `spectral.GramEigen`'s budget: eps kappa <=
-    GRAM_RTOL with kappa = 1 + tr(H) / (s q) >= cond(G), kappa up to about
-    4.5e5.  It reads only tr, so a cell it refuses leaves the buffer G as it
-    is; otherwise G is formed in that buffer and factored there.  H is only
-    read."""
+    switch refuses or G's factor fails (see `_ridge_fit`).  tr is tr(H_s)
+    of the leading s x s block H_s of gram's H, s = beta.size.
+    G = H_s / s + q I is the Gram of the stack the QR side factors, so the
+    switch holds it to `spectral.GramEigen`'s budget: eps kappa <=
+    GRAM_RTOL with kappa = 1 + tr / (s q) >= cond(G), kappa up to about
+    4.5e5.  It reads only tr, so a cell it refuses packs nothing.
+    Otherwise G is packed straight from gram's upper triangle, H's, into the
+    cell's one buffer, s (s + 1) / 2 doubles in RFP storage
+    (`blas.pack_upper`), H's diagonal taken from gram.diagonal, and
+    factored and solved there (`blas.packed_cholesky_in_place`)."""
     s = beta.size
     if np.finfo(float).eps * (1.0 + tr / (s * q)) > GRAM_RTOL:
         return None
-    np.divide(H, s, out=G)
-    G.flat[::s + 1] += q
-    if cholesky_in_place(G) != 0:
+    G = pack_upper(gram.buffer, s)
+    G /= s
+    # pack_upper copied L's diagonal, which shares the buffer's diagonal
+    G[rfp_diagonal(s)] = gram.diagonal[:s] / s + q
+    if packed_cholesky_in_place(G, s) != 0:
         return None
-    b_star = beta - q * _cho_solve(G, beta)
+    b_star = beta - q * packed_cholesky_solve_in_place(G, s, beta.copy())
     return b_star, q * float(beta @ b_star)
 
 
@@ -260,14 +291,14 @@ def _ridge_fit(W: np.ndarray, lam: np.ndarray, beta: np.ndarray,
     (p+s) x (s+1) stack [A, A beta; sqrt(q) I, 0]: the QR side of the ridge
     step.
 
-    The Cholesky side (`_ridge_cholesky`) forms G = A^T A + q I = H / s + q I
-    from H = s A^T A in the cell's one s x s buffer, factors G = U^T U there
-    on numpy's BLAS and sets
+    The Cholesky side (`_ridge_cholesky`) packs G = A^T A + q I = H / s + q I
+    from H = s A^T A into the cell's one buffer, s (s + 1) / 2 doubles in
+    RFP storage, factors G = U^T U there on numpy's BLAS and sets
     b* = beta - q G^-1 beta by two triangular solves; rho^2 = q beta . b*,
     the objective at the exact minimizer.  Its switch reads the a-priori
     bound kappa = 1 + tr(H) / (s q) >= cond(G) = (lambda_max(H) / s + q) /
     (lambda_min(H) / s + q), from lambda_max(H) <= tr(H) =
-    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0, before G is formed.
+    ||sqrt(Lambda) W||_F^2 and lambda_min(H) >= 0, before G is packed.
     Where it refuses (large alpha, q tiny), and where G's factor fails
     (info > 0), this QR runs instead: it works on the square root of G's
     condition, and reads sqrt(Lambda) W itself, since H carries rounding of
@@ -309,22 +340,33 @@ def lambda_gram(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return H
 
 
+def factor_gram(H: np.ndarray) -> FactoredGram:
+    """H's Cholesky factor, taken in H's own buffer: H is a writable
+    Fortran-ordered square array holding the Gram on and above its diagonal
+    (`lambda_gram`), and is factored in fixed WEIGHT_BLOCK blocks
+    (`blas.blocked_cholesky_in_place`), so that where H is whole blocks wide
+    the leading blocks of its factor are those of any wider Gram whose
+    leading blocks are H's, to the bit.  H's diagonal is copied out first."""
+    diagonal = H.diagonal().copy()
+    info = blocked_cholesky_in_place(H, WEIGHT_BLOCK)
+    return FactoredGram(H, diagonal, H.shape[0] if info == 0 else max(info - 1, 0))
+
+
 def _solve_unrealizable(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.ndarray,
-                        q: float, gram: np.ndarray | None
+                        q: float, gram: FactoredGram | None
                         ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """(tail, b*, rho^2) of an unrealizable target drawn as c with
-    beta_star = beta, at feature-noise variance q, on H = gram's leading
-    s x s block, or on H formed here where gram is None (see
-    `make_target`)."""
+    beta_star = beta, at feature-noise variance q, on the leading s x s
+    blocks of gram, or of `factor_gram(lambda_gram(W, lam))` formed here
+    where gram is None (see `make_target`)."""
     s = W.shape[1]
-    H = lambda_gram(W, lam) if gram is None else gram[:s, :s]
-    tr = float(np.trace(H))
-    # the cell's one s x s buffer: H's factor, then G and G's factor
-    U = H.copy(order="F")
-    projected = _gram_projection(U, W, lam, c, tr)
-    fit = _ridge_cholesky(H, U, beta, q, tr) if q > 0 else (None, 0.0)
-    # the buffer, and H where this call formed it, go before either QR
-    del H, U
+    if gram is None:
+        gram = factor_gram(lambda_gram(W, lam))
+    tr = float(np.sum(gram.diagonal[:s]))
+    projected = _gram_projection(gram, W, lam, c, tr)
+    fit = _ridge_cholesky(gram, beta, q, tr) if q > 0 else (None, 0.0)
+    # a gram formed here goes before either QR
+    del gram
     if projected is None:
         projected = _qr_projection(W, lam, c)
     if fit is None:
@@ -352,30 +394,33 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
     norm [g, rho] / sqrt(||g||^2 + rho^2).
 
     Both solves run on one Gram H = (sqrt(Lambda) W)^T (sqrt(Lambda) W)
-    (`_solve_unrealizable`): the leading s x s block of gram, the
-    `lambda_gram` of a W whose first s columns are the ensemble's (a sweep
-    forms one per unrealizable replicate), or else `lambda_gram(W, lam)`
-    formed here.  H is only read.  It is copied into the cell's one
-    Fortran s x s buffer and factored there, H = U^T U, on numpy's
-    OpenBLAS (`blas.cholesky_in_place`, `_gram_projection`).  The
+    and its Cholesky factor H = L L^T (`_solve_unrealizable`): the leading
+    s x s blocks of gram, the `factor_gram(lambda_gram(...))` of a W whose
+    first s columns are the ensemble's (a sweep forms one per unrealizable
+    replicate), or else of `lambda_gram(W, lam)` formed and factored here
+    by the same two routines.  gram is only read, and never copied.  The
     projection c <- c - W H^-1 W^T Lambda c runs twice, each pass two
-    triangular solves on U; the second takes the first's error, about
-    eps cond(H) relative, to its square, which is rounding while
-    cond(sqrt(Lambda) W) <= eps^-1/2 (CholeskyQR2's range; Fukaya et al.
-    2014).  The draw is degenerate where the projected energy
+    triangular solves on L's leading block in place, on numpy's OpenBLAS
+    (`blas.cholesky_solve_in_place`, `_gram_projection`); the second takes
+    the first's error, about eps cond(H) relative, to its square, which is
+    rounding while cond(sqrt(Lambda) W) <= eps^-1/2 (CholeskyQR2's range;
+    Fukaya et al. 2014).  The draw is degenerate where the projected energy
     sum(lambda c^2) <= default_rtol(p, s)^2 ||sqrt(Lambda) c_0||^2.  Where
     the ridge switch's one bound, eps (1 + tr(H) / (s q)) <= GRAM_RTOL,
-    holds, G = H / s + q I is formed in the same buffer and factored there
-    (`_ridge_cholesky`).  The fallbacks, each for its own solve: where H's
-    factor fails (info > 0), or the projected tail fails ||W^T Lambda c||
+    holds, G = H / s + q I is packed from gram's upper triangle and
+    diagonal into the cell's one buffer, s (s + 1) / 2 doubles in RFP
+    storage, and factored and solved there (`_ridge_cholesky`).  The
+    fallbacks, each for its own solve: where gram's factor stopped at an
+    order k <= s, or the projected tail fails ||W^T Lambda c||
     <= TAIL_RTOL sqrt(tr(H) energy) with TAIL_RTOL = 1e-12, 100x inside the
     TAIL_ACCEPT_RTOL = 1e-10 `decompose` demands, the projection reruns as
     one Householder QR of [sqrt(Lambda) W | sqrt(Lambda) c] and a second
     pass on its triangle (`_qr_projection`); where the ridge switch refuses
     or G's factor fails, the fit is one QR of the stack
     [A, A beta; sqrt(q) I, 0] (`_ridge_fit`).  Both QRs run after the
-    buffer, and an H formed here, is released.  A gram that is not square
-    or has fewer than s rows is refused before any draw.
+    packed buffer, and a Gram formed here, is released.  A gram whose
+    buffer is not square or has fewer than s rows is refused before any
+    draw.
     """
     if mode not in TARGET_MODES:
         raise ValueError(f"unknown target mode {mode!r}; expected one of {TARGET_MODES}")
@@ -393,9 +438,10 @@ def make_target(mode: str, ensemble: FeatureEnsemble, norm: float,
         if not isinstance(ensemble.weights, np.ndarray):
             raise ValueError("unrealizable target needs the dense p x s W; build the "
                              "ensemble without a complement")
-        if gram is not None and not (gram.ndim == 2 and gram.shape[0] == gram.shape[1] >= s):
+        if gram is not None and not (gram.buffer.ndim == 2
+                                     and gram.buffer.shape[0] == gram.buffer.shape[1] >= s):
             raise ValueError(f"gram must be square with at least s = {s} rows, got shape "
-                             f"{gram.shape}")
+                             f"{gram.buffer.shape}")
     if ensemble.reduced:
         # beta*'s image in the reduced coordinates (features module): its
         # part in the span of [G; Xi], then the norm of the rest

@@ -237,9 +237,10 @@ class GramEigen:
     factors.  Cholesky's backward error leaves the computed G^-1 beta off by
     about eps cond(G) relative, and q G^-1 has its eigenvalues in (0, 1], so
     b* = beta - q G^-1 beta is off by at most about eps cond(G) ||beta||.
-    The switch runs before G is formed, so it reads an upper bound kappa >=
-    cond(G) in place of d_max / d_min and asks eps kappa <= GRAM_RTOL
-    (`risk._ridge_cholesky`).
+    The switch runs before G is packed from the replicate's Gram, so it
+    reads an upper bound kappa >= cond(G) in place of d_max / d_min and
+    asks eps kappa <= GRAM_RTOL (`risk._ridge_cholesky`, which factors G in
+    packed storage).
     """
 
     values: np.ndarray

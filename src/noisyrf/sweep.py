@@ -18,10 +18,10 @@ replicate traces one fixed-data risk curve over the s grid.  The rows, their
 Gram eigenpairs, the row-space factor, W's complement frame and, for an
 unrealizable target, the weight pool, p x max(s_grid) rounded up to whole
 weight blocks, whose first s columns are each cell's W, and the pool's
-Lambda-Gram, whose leading s x s block is each cell's H, are computed once
-per replicate (`_training_rows`) and shared, read-only, by its cells.  A
-pool worker runs whole replicates, so each replicate's shared arrays are
-drawn once per sweep.
+Lambda-Gram with its Cholesky factor, whose leading s x s blocks are each
+cell's H and H's factor, are computed once per replicate (`_training_rows`)
+and shared, read-only, by its cells.  A pool worker runs whole replicates,
+so each replicate's shared arrays are drawn once per sweep.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .config import ARTIFACT_VERSION, ExperimentConfig
 from .estimator import projector_diag  # noqa: F401
 from .features import (WEIGHT_BLOCK, ComplementFrame, build_ensemble, complement_frame,
                        make_noise_spec, reducible, row_space_factor, sample_weights)
-from .risk import decompose, lambda_gram, make_target
+from .risk import FactoredGram, decompose, factor_gram, lambda_gram, make_target
 from .seeding import seed_stream
 # empirical_covariance likewise: compute_row takes the spectrum from its
 # replicate's gram_eigh call, whose eigenvectors it also needs; the tracer
@@ -203,9 +203,11 @@ class _TrainingRows:
     - for unrealizable cells, the weight pool (`weight_pool`), one p x S
       draw from its weights-dense stream, S = max(s_grid) rounded up to
       whole WEIGHT_BLOCK columns, whose first s columns are the W of the
-      cell at s, and the pool's Lambda-Gram H_pool (`weight_gram`), S x S,
-      whose leading s x s block is that cell's H: each cell factors a copy
-      of that block in place of forming its own (`risk.make_target`).
+      cell at s, and the pool's Lambda-Gram H_pool = L L^T (`weight_gram`),
+      S x S, factored once in its own buffer (`risk.factor_gram`), whose
+      leading s x s blocks are that cell's H and H's factor: a cell forms,
+      copies and factors no s x s Gram of its own, and packs only its
+      ridge Gram, half a square (`risk.make_target`).
 
     Both streams are made afresh on each attempt, so every attempt draws
     the same arrays.  A replicate whose cells all hold the dense W (an
@@ -257,17 +259,23 @@ class _TrainingRows:
             self._pool, self._pool_gram = pool, None
         return self._pool
 
-    def weight_gram(self, width: int) -> np.ndarray:
+    def weight_gram(self, width: int) -> FactoredGram:
         """H_pool = (sqrt(Lambda) pool)^T (sqrt(Lambda) pool), S x S, of the
-        pool `weight_pool(width)` returns (`risk.lambda_gram`): formed by the
-        first call on that pool.  Its leading s x s block is the Gram of the
-        cell at s; the pool is whole blocks wide, so that block does not
-        depend on the pool's width either.
+        pool `weight_pool(width)` returns (`risk.lambda_gram`), and its
+        Cholesky factor, taken in the same buffer in fixed WEIGHT_BLOCK
+        blocks (`risk.factor_gram`): formed by the first call on that pool.
+        Their leading s x s blocks are the Gram of the cell at s and its
+        factor; the pool is whole blocks wide, so neither block depends on
+        the pool's width.  A pool wider than p has a Gram of rank p < S,
+        whose factor stops past order p by design: it serves the cells
+        below the order it stopped at, and a cell at or past that order
+        takes the QR projection (`risk.make_target`).
         """
         pool = self.weight_pool(width)
         if self._pool_gram is None:
-            gram = lambda_gram(pool, self.spectrum.eigenvalues)
-            gram.flags.writeable = False
+            gram = factor_gram(lambda_gram(pool, self.spectrum.eigenvalues))
+            gram.buffer.flags.writeable = False
+            gram.diagonal.flags.writeable = False
             self._pool_gram = gram
         return self._pool_gram
 
@@ -300,11 +308,11 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     index, noise law and width alone.  An unrealizable target holds the
     dense p x s W as the first s columns of its replicate's weight pool,
     p x max(s_grid) rounded up to whole blocks, drawn once, and reads its
-    Gram H as the leading s x s block of the pool's, formed once
-    (`make_target`'s gram); a realizable row where the tail index k*
-    exists (the row may state the bias bound, which needs lambda_W) draws
-    its own dense W from the `weights` stream.  Any other row holds row-space
-    weights: G = R^T W, R an orthonormal basis of the eigenfeature rows'
+    Gram H and H's factor as the leading s x s blocks of the pool's, formed
+    and factored once (`make_target`'s gram); a realizable row where the
+    tail index k* exists (the row may state the bias bound, which needs
+    lambda_W) draws its own dense W from the `weights` stream.  Any other
+    row holds row-space weights: G = R^T W, R an orthonormal basis of the eigenfeature rows'
     span, and the one product its risk split needs reads W's complement
     from the replicate's frame.  Of these, a row that
     `features.reducible` accepts (s > m = min(n, p) + n, and Gaussian noise
@@ -317,10 +325,10 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     The training rows are the replicate's (`_training_rows`): its
     covariates, phi, one eigensolve of phi's Gram, the row-space factor
     (R, T^T) from the same eigenpairs, W's complement frame, the weight
-    pool and its Gram, computed by the first cell of the replicate that runs
-    in this process (the factor and the frame by the first row-space cell,
-    the pool and its Gram by the first unrealizable one) and reused by the
-    others.  The eigenpairs give the empirical spectrum; the factor and the
+    pool and its factored Gram, computed by the first cell of the replicate
+    that runs in this process (the factor and the frame by the first
+    row-space cell, the pool and its Gram by the first unrealizable one) and
+    reused by the others.  The eigenpairs give the empirical spectrum; the factor and the
     frame serve row-space cells, the pool and its Gram unrealizable ones.
     """
     seed = cfg.master_seed
@@ -338,8 +346,8 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     pool_gram = None
     if cfg.target_mode == "unrealizable":
-        # a view of the replicate's pool, and its Gram, neither copied nor
-        # formed here
+        # a view of the replicate's pool, and its factored Gram, neither
+        # copied nor formed here
         weights = rows.weight_pool(max(cfg.s_grid))[:, :s]
         pool_gram = rows.weight_gram(max(cfg.s_grid))
         complement = factor = None
@@ -595,9 +603,10 @@ def _environment(cfg: ExperimentConfig) -> dict:
 
     numpy's and scipy's versions, os.cpu_count(), the file names of the
     OpenBLAS copies this process has loaded, what factored an unrealizable
-    target's Grams (`gram_factor`: the file name of numpy's OpenBLAS copy,
-    or "scipy" where its dpotrf was not found; null for the other targets,
-    which factor none) and, where run_sweep starts a pool, its width, start
+    target's Grams (`gram_factor`: the file name of numpy's OpenBLAS copy
+    where it exports every routine of that route, or "scipy" where one is
+    missing, `blas.factor_backend`; null for the other targets, which
+    factor none) and, where run_sweep starts a pool, its width, start
     method and the BLAS threads each worker was pinned to (null where no
     OpenBLAS copy was found to pin); `pool` is null where the cells run in
     the calling process.

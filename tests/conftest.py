@@ -29,21 +29,27 @@ def linalg_calls(monkeypatch):
 
 @pytest.fixture
 def gram_factors(monkeypatch):
-    """gram_factors(refuse=()) -> [info, ...]: the info of every in-place
-    Gram factor `risk.make_target` takes from then on, in call order; a
-    call whose index is in refuse returns info 1, a failed factor, without
-    factoring."""
+    """gram_factors(refuse=()) -> [info, ...]: the info of every factor the
+    unrealizable route takes from then on, in call order: the blocked
+    factor of a Gram (`risk.factor_gram`; once per replicate in a sweep,
+    once per standalone `make_target`) and the packed factor of a cell's
+    ridge Gram G.  A call whose index is in refuse returns info 1 without
+    factoring: a Gram whose factor stops at order 1 serves no cell's
+    projection, which takes the QR (`risk._qr_projection`), and a failed G
+    sends the fit to the stack QR (`risk._ridge_fit`)."""
     from noisyrf import risk
 
     def record(refuse=()):
         infos = []
-        real = risk.cholesky_in_place
 
-        def factor(a):
-            infos.append(1 if len(infos) in refuse else real(a))
-            return infos[-1]
+        def recording(real):
+            def factor(*args):
+                infos.append(1 if len(infos) in refuse else real(*args))
+                return infos[-1]
+            return factor
 
-        monkeypatch.setattr(risk, "cholesky_in_place", factor)
+        for name in ("blocked_cholesky_in_place", "packed_cholesky_in_place"):
+            monkeypatch.setattr(risk, name, recording(getattr(risk, name)))
         return infos
     return record
 

@@ -545,15 +545,16 @@ class TestSweep:
     def test_unrealizable_pool_adds_no_memory_at_the_peak(self):
         # the peak is the widest cell's: the pool, p x S' with S' =
         # max(s_grid) = 1778 rounded up to 1792 whole blocks, its Gram
-        # H_pool (S'^2) and the one s x s buffer both the cell's factors
-        # are taken in (s = 1778).  A cell forms no p x s array and no H
-        # of its own.  The slack covers twice the n-row arrays of a cell
-        # (phi; Z and the design, n x S).  Two replicates, so the second
-        # draws its pool after the first's is gone.  The bound is 85.7 MB
+        # H_pool (S'^2), which holds H_pool's factor too, and the cell's
+        # one buffer, G packed in S (S + 1) / 2 doubles (s = S = 1778).  A
+        # cell forms no p x s array, and no H or factor of its own.  The
+        # slack covers twice the n-row arrays of a cell (phi; Z and the
+        # design, n x S).  Two replicates, so the second draws its pool
+        # after the first's is gone.  The bound is 73.1 MB
         cfg = dataclasses.replace(unrealizable_preset(7), ensemble_replicates=2)
         n, p, S = cfg.n, cfg.p, max(cfg.s_grid)
         wide = -(-S // WEIGHT_BLOCK) * WEIGHT_BLOCK
-        bound = 8 * (p * wide + wide * wide + S * S) + 8 * 2 * n * (p + S)
+        bound = 8 * (p * wide + wide * wide + S * (S + 1) // 2) + 8 * 2 * n * (p + S)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -626,7 +627,8 @@ class TestSweep:
         gram = None
         if target_mode == "unrealizable":
             pool = sample_weights(cfg.p, WEIGHT_BLOCK, seed_stream(seed, rep, "weights-dense"))
-            W, gram = pool[:, :s], risk_mod.lambda_gram(pool, spectrum.eigenvalues)
+            W = pool[:, :s]
+            gram = risk_mod.factor_gram(risk_mod.lambda_gram(pool, spectrum.eigenvalues))
         else:
             W = sample_weights(cfg.p, s, stream("weights"))
 
@@ -841,6 +843,30 @@ class TestSweep:
             "blas_threads": 1 if libraries else None}
         assert Path(paths["sweep"]).read_text() == sweep_text
         assert parse_config(manifest) == pooled
+
+    @pytest.mark.parametrize("missing", [None, "_lapacke_dpotrf", "_cblas", "_lapacke_rfp",
+                                         "all"])
+    def test_manifest_names_what_ran_the_unrealizable_route(self, monkeypatch, tmp_path,
+                                                            missing):
+        # gram_factor names numpy's OpenBLAS file only where every routine
+        # of the unrealizable route was found there: the blocked factor's
+        # dpotrf, the cblas calls of the factor and its solves, and the RFP
+        # pack, factor and solve; with any one group missing, scipy's copy
+        # runs it, and the manifest says "scipy"
+        lookups = ("_lapacke_dpotrf", "_cblas", "_lapacke_rfp")
+        found = [getattr(blas_mod, lookup)() for lookup in lookups]
+        if missing is None and None in found:
+            pytest.skip("numpy's OpenBLAS lacks a routine of the unrealizable route")
+        for lookup in lookups if missing == "all" else (missing,) if missing else ():
+            monkeypatch.setattr(blas_mod, lookup, lambda: None)
+        cfg = small_cfg(target_mode="unrealizable")
+        paths = emit_outputs(run_sweep(cfg), cfg, str(tmp_path))
+        backend = json.loads(Path(paths["manifest"]).read_text())["environment"]["gram_factor"]
+        if missing is None:
+            assert backend == found[0][0] and backend.startswith("libscipy_openblas64_")
+            assert backend in [name for name, _, _ in sweep_mod._openblas()]
+        else:
+            assert backend == "scipy"
 
     def test_lambda_w_matches_lapack(self):
         W = seed_stream(2, "lw").standard_normal((30, 20))
@@ -1209,7 +1235,8 @@ class TestReplicateRows:
         assert frame.left.shape == (25, 25)
         pool, pool_gram = rows.weight_pool(20), rows.weight_gram(20)
         for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor, frame.RtF,
-                      frame.left, pool, pool[:, :6], pool_gram, pool_gram[:6, :6]):
+                      frame.left, pool, pool[:, :6], pool_gram.buffer, pool_gram.buffer[:6, :6],
+                      pool_gram.diagonal):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -1267,12 +1294,43 @@ class TestReplicateRows:
         assert all(r.error == "" and r.M > 0 for r in run_sweep(cfg).records)
         assert grams == [(cfg.p, WEIGHT_BLOCK)] * 3 and standalone == []
 
+    def test_unrealizable_sweep_counts_its_factors(self, monkeypatch, linalg_calls):
+        # one blocked factor per replicate, of its pool's whole Gram; one
+        # packed ridge factor per cell, of order s; and no per-cell factor
+        # or copy of H: each cell's two projection passes and the packing
+        # of its G read the replicate's own factored buffer in place.  p =
+        # 24 < 256, so each pool's factor stops past order 24, above every s
+        blocked, packed, reads = [], [], []
+
+        def watch(name, record):
+            real = getattr(risk_mod, name)
+
+            def call(*args):
+                record(*args)
+                return real(*args)
+            monkeypatch.setattr(risk_mod, name, call)
+
+        watch("blocked_cholesky_in_place", lambda a, block: blocked.append(a))
+        watch("packed_cholesky_in_place", lambda arf, n: packed.append(n))
+        watch("cholesky_solve_in_place", lambda a, n, x: reads.append(("solve", a, n)))
+        watch("pack_upper", lambda a, n: reads.append(("pack", a, n)))
+        calls = linalg_calls("qr")
+        cfg = small_cfg(target_mode="unrealizable", s_grid=[6, 20, 23], ensemble_replicates=3)
+        assert all(r.error == "" and r.M > 0 for r in run_sweep(cfg).records)
+        assert [a.shape for a in blocked] == [(WEIGHT_BLOCK, WEIGHT_BLOCK)] * 3
+        assert packed == cfg.s_grid * 3 and calls == {"qr": 0}
+        want = [(kind, buffer, s) for buffer in blocked for s in cfg.s_grid
+                for kind in ("solve", "solve", "pack")]
+        assert [(kind, n) for kind, _, n in reads] == [(kind, n) for kind, _, n in want]
+        assert all(a is buffer for (_, a, _), (_, buffer, _) in zip(reads, want))
+
     def test_a_wider_cell_redraws_the_pool(self):
         # compute_row on two grids of the same rows in one process: a pool
         # is whole blocks wide, so a width in the block it holds reads it; a
         # cell wider than the pool held gets a wider pool, whose prefix is
-        # the narrower one's, and a new Gram, whose leading block is the
-        # narrower one's to the bit; a narrower cell reads the pool it finds
+        # the narrower one's, and a new factored Gram, whose leading block,
+        # H above the diagonal and its factor on and below, is the narrower
+        # one's to the bit; a narrower cell reads the pool it finds
         cfg = small_cfg(target_mode="unrealizable", p=600)
         rows = sweep_mod._training_rows(cfg.master_seed, 0, cfg.mode, cfg.n, cfg.p,
                                         cfg.spectrum_kind, cfg.gamma, cfg.d, cfg.omega1)
@@ -1281,9 +1339,12 @@ class TestReplicateRows:
         assert rows.weight_gram(20) is narrow_gram
         wide, wide_gram = rows.weight_pool(300), rows.weight_gram(300)
         assert narrow.shape == (cfg.p, WEIGHT_BLOCK) and wide.shape == (cfg.p, 2 * WEIGHT_BLOCK)
-        assert wide_gram.shape == (2 * WEIGHT_BLOCK,) * 2
+        assert wide_gram.buffer.shape == (2 * WEIGHT_BLOCK,) * 2
+        assert (narrow_gram.order, wide_gram.order) == (WEIGHT_BLOCK, 2 * WEIGHT_BLOCK)
         np.testing.assert_array_equal(wide[:, :WEIGHT_BLOCK], narrow)
-        np.testing.assert_array_equal(wide_gram[:WEIGHT_BLOCK, :WEIGHT_BLOCK], narrow_gram)
+        np.testing.assert_array_equal(wide_gram.buffer[:WEIGHT_BLOCK, :WEIGHT_BLOCK],
+                                      narrow_gram.buffer)
+        np.testing.assert_array_equal(wide_gram.diagonal[:WEIGHT_BLOCK], narrow_gram.diagonal)
         assert rows.weight_pool(6) is wide and rows.weight_gram(6) is wide_gram
 
     def test_pool_workers_draw_each_replicates_pool_once(self, monkeypatch, tmp_path):

@@ -888,37 +888,44 @@ class TestUnrealizableSolves:
 
     @staticmethod
     def traced_peaks(monkeypatch, shared):
-        """(bytes per s x s array, per p x WEIGHT_BLOCK panel, per window of
-        16 s- and p-vectors, the traced peaks [(what, bytes)] up to H's
-        factor, up to G's and to the end) of one Gram-route cell, whose H is
-        read off a replicate-shaped Gram where shared, else formed by the
-        call.
+        """(bytes per s x s array, per RFP array of order s, per
+        p x WEIGHT_BLOCK panel, per window of 16 s- and p-vectors, the traced
+        peaks up to each factor and to the end) of one Gram-route cell,
+        whose H and H's factor are read off a replicate-shaped factored Gram
+        where shared, else formed by the call.
 
-        The route's buffers, 8 s^2 bytes each: H, and the one Fortran s x s
-        buffer both factors are taken in, H's first and then G's, formed
-        there.  The factor runs in place, so no LAPACK copy is held out of
-        tracemalloc's sight.  decompose factors nothing as large."""
+        The route's buffers: H and its factor, one s x s array (8 s^2
+        bytes) where the call forms them, and the cell's one buffer, G
+        packed in s (s + 1) / 2 doubles.  Both factors run in place, so no
+        LAPACK copy is held out of tracemalloc's sight.  decompose factors
+        nothing as large."""
         n, p, s = 20, 400, 360
         ens = mk_ensemble(n, s, p=p, alpha=0.5, seed=5)
         gram = None
         if shared:
-            # a pool two blocks wide whose first s columns are the cell's W
+            # a pool two blocks wide whose first s columns are the cell's W;
+            # it is wider than p, so its factor stops past order p > s
             pool = sample_weights(p, 2 * WEIGHT_BLOCK, seed_stream(5, "w"))
             np.testing.assert_array_equal(pool[:, :s], ens.weights)
-            gram = risk_mod.lambda_gram(pool, ens.spectrum.eigenvalues)
+            gram = risk_mod.factor_gram(risk_mod.lambda_gram(pool, ens.spectrum.eigenvalues))
+            assert p <= gram.order < 2 * WEIGHT_BLOCK
         events = []
-        real_factor = risk_mod.cholesky_in_place
 
         def peak(what):
             events.append((what, tracemalloc.get_traced_memory()[1] - base))
             tracemalloc.reset_peak()
 
-        def factor(a):
-            peak("factor")
-            return real_factor(a)
+        def watched(name):
+            real = getattr(risk_mod, name)
+
+            def factor(*args):
+                peak(name)
+                return real(*args)
+            return factor
 
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        monkeypatch.setattr(risk_mod, "cholesky_in_place", factor)
+        for name in ("blocked_cholesky_in_place", "packed_cholesky_in_place"):
+            monkeypatch.setattr(risk_mod, name, watched(name))
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -930,37 +937,42 @@ class TestUnrealizableSolves:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert [what for what, _ in events] == ["factor", "factor", "end"]
-        return 8 * s * s, 8 * p * WEIGHT_BLOCK, 16 * 8 * (p + s), [b for _, b in events]
+        factors = ["packed_cholesky_in_place"]
+        if not shared:
+            factors.insert(0, "blocked_cholesky_in_place")
+        assert [what for what, _ in events] == [*factors, "end"]
+        return (8 * s * s, 8 * (s * (s + 1) // 2), 8 * p * WEIGHT_BLOCK, 16 * 8 * (p + s),
+                [b for _, b in events])
 
     def test_traced_peak_stays_within_the_solve_buffers(self, monkeypatch):
-        # a sweep cell reads H as the leading block of its replicate's Gram,
-        # formed before the cell and not counted here: each window, up to
-        # H's factor, up to G's and to the end, holds the buffer alone
-        square, _, vectors, peaks = self.traced_peaks(monkeypatch, shared=True)
+        # a sweep cell reads H and its factor as the leading blocks of its
+        # replicate's factored Gram, formed before the cell and not counted
+        # here: each window, up to G's factor and to the end, holds G's
+        # packed buffer alone, half an s x s array
+        _, half, _, vectors, peaks = self.traced_peaks(monkeypatch, shared=True)
         for got in peaks:
-            assert got <= square + vectors, (got - square) / square
+            assert got <= half + vectors, (got - half) / half
 
     def test_traced_peak_of_a_standalone_call_stays_within_its_buffers(self, monkeypatch):
-        # a standalone call forms H itself: up to H's factor it holds H and
-        # the larger of lambda_gram's p x WEIGHT_BLOCK panel and the buffer,
-        # from there on H and the buffer
-        square, panel, vectors, peaks = self.traced_peaks(monkeypatch, shared=False)
-        bounds = (square + max(square, panel), 2 * square, 2 * square)
+        # a standalone call forms H itself and factors it in place: up to
+        # H's factor it holds H and lambda_gram's p x WEIGHT_BLOCK panel,
+        # from there on H and G's packed buffer
+        square, half, panel, vectors, peaks = self.traced_peaks(monkeypatch, shared=False)
+        bounds = (square + panel, square + half, square + half)
         for got, bound in zip(peaks, bounds):
             assert got <= bound + vectors, (got - bound) / square
 
     @pytest.mark.parametrize("route", ["projection", "fit"])
     def test_traced_peak_of_a_qr_fallback_stays_within_its_buffers(self, monkeypatch,
                                                                    route):
-        # Each fallback QR runs after the Gram route has released H and its
-        # factor's buffer: the projection's (TAIL_RTOL stubbed to 0 fails
-        # the Gram projection's check) on the p x (s+1) matrix
-        # [sqrt(Lambda) W | sqrt(Lambda) c], the fit's (alpha 2, where
-        # cond(G) is past the switch's limit) on the (p+s) x (s+1) stack.
-        # Until the QR the peak is the larger of the Gram route's (H beside
-        # lambda_gram's p x WEIGHT_BLOCK panel or the buffer) and the QR's
-        # input.  numpy's QR copies it and
+        # Each fallback QR runs after the Gram route has released H, with
+        # its factor, and G's packed buffer: the projection's (TAIL_RTOL
+        # stubbed to 0 fails the Gram projection's check) on the p x (s+1)
+        # matrix [sqrt(Lambda) W | sqrt(Lambda) c], the fit's (alpha 2,
+        # where cond(G) is past the switch's limit) on the (p+s) x (s+1)
+        # stack.  Until the QR the peak is the larger of the Gram route's
+        # (H beside lambda_gram's p x WEIGHT_BLOCK panel or G's half-square
+        # buffer) and the QR's input.  numpy's QR copies it and
         # factors the copy in a LAPACK buffer of its own, malloc'd out of
         # tracemalloc's sight, so two traced buffers are live until the
         # input is released.  The input must go before the factor: freed
@@ -974,7 +986,7 @@ class TestUnrealizableSolves:
         n, p, s = 20, 400, 360
         alpha, m = (0.5, p) if route == "projection" else (2.0, p + s)
         ens = mk_ensemble(n, s, p=p, alpha=alpha, seed=5)
-        square, panel = 8 * s * s, 8 * p * WEIGHT_BLOCK
+        square, half, panel = 8 * s * s, 8 * (s * (s + 1) // 2), 8 * p * WEIGHT_BLOCK
         events = []
         real_qr = np.linalg.qr
 
@@ -1009,7 +1021,7 @@ class TestUnrealizableSolves:
         peaks = dict(events)
         factor = 8 * m * (s + 1)
         vectors = 16 * 8 * (m + s) + 2 * 8 * np.getbufsize()
-        assert peaks["qr"] <= max(square + max(square, panel), factor) + vectors, \
+        assert peaks["qr"] <= max(square + max(half, panel), factor) + vectors, \
             peaks["qr"] / square
         assert peaks["input"] <= 2.25 * factor, peaks["input"] / factor
         # the input, counted as it goes, and the factor
@@ -1128,8 +1140,9 @@ class TestBestInSpanFit:
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
 
     def test_indefinite_gram_takes_both_qrs(self, linalg_calls, gram_factors):
-        # a gram whose leading block is -H, factored for real: H's factor
-        # reports info > 0, so the projection reruns as a QR; tr(-H) < 0
+        # a gram whose leading block is -H, factored for real: its factor
+        # stops at order 1, so no cell's projection can read it and the
+        # projection reruns as a QR; tr(-H) < 0
         # passes the ridge switch, and G = -H / s + q I is indefinite too,
         # so the fit takes the stack QR.  Both QRs read W, never the gram,
         # so the target is the one the QR route gives with both factors
@@ -1139,7 +1152,9 @@ class TestBestInSpanFit:
         H = risk_mod.lambda_gram(ens.weights, ens.spectrum.eigenvalues)
         calls = linalg_calls("qr", "cholesky")
         infos = gram_factors()
-        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"), gram=-H)
+        gram = risk_mod.factor_gram(np.asfortranarray(-H))
+        assert gram.order == 0
+        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"), gram=gram)
         assert len(infos) == 2 and min(infos) > 0
         assert calls == {"qr": 2, "cholesky": 0}
         gram_factors(refuse=(0, 1))
@@ -1153,21 +1168,25 @@ class TestBestInSpanFit:
     @pytest.mark.parametrize("handover", ["h-cholesky", "orthogonality", "steep"])
     def test_failed_gram_route_takes_the_projection_qr(self, monkeypatch, linalg_calls,
                                                         gram_factors, handover):
-        # the QR route runs when H's factor fails (the first factor refused,
+        # the QR route runs when H's factor stops (the first factor refused,
         # info 1), when the projected tail fails the orthogonality check
         # (TAIL_RTOL stubbed to 0), and on a steep spectrum inside
         # validate's support (exponential, p = 60, support 32, s = 31), where
-        # two passes on H's factor leave ||W^T Lambda c|| above TAIL_RTOL
-        s, p, spectrum = 110, 120, None
+        # two passes on H's factor leave ||W^T Lambda c|| above TAIL_RTOL.
+        # That ratio is rounding, so it moves with the factor's: at seed 7
+        # it reads 1.6e-11 on the blocked lower factor and 1.5e-11 on
+        # numpy's, 16x past TAIL_RTOL; at seed 31, once used here, it read
+        # 2.8e-13 and 4.1e-13, so that draw no longer reaches the handover
+        s, p, spectrum, seed = 110, 120, None, 110
         if handover == "orthogonality":
             monkeypatch.setattr(risk_mod, "TAIL_RTOL", 0.0)
         elif handover == "steep":
-            s, p, spectrum = 31, 60, make_spectrum("exponential", 60)
+            s, p, spectrum, seed = 31, 60, make_spectrum("exponential", 60), 7
             assert numerical_support(spectrum) == 32
-        ens = mk_ensemble(20, s, p=p, alpha=0.5, seed=s, spectrum=spectrum)
+        ens = mk_ensemble(20, s, p=p, alpha=0.5, seed=seed, spectrum=spectrum)
         calls = linalg_calls("qr", "cholesky")
         factors = gram_factors(refuse=(0,) if handover == "h-cholesky" else ())
-        t = make_target("unrealizable", ens, 1.0, seed_stream(s, "t"))
+        t = make_target("unrealizable", ens, 1.0, seed_stream(seed, "t"))
         # H's factor, the ridge step's factor of G, then the projection's
         # QR: the fit does not follow the projection onto the QR
         assert calls == {"qr": 1, "cholesky": 0} and len(factors) == 2
@@ -1191,6 +1210,34 @@ class TestBestInSpanFit:
         assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
         np.testing.assert_allclose(d.misspec, m_ref, rtol=1e-10)
         assert (qr_calls, factor_calls) == (0, 1)
+
+    def test_packed_ridge_matches_a_full_storage_factor(self, gram_factors):
+        # a small unrealizable grid on one replicate-shaped pool, two blocks
+        # wide and past p, whose Gram is factored once: each cell's b* and
+        # rho^2, from G packed in RFP storage off the shared buffer, against
+        # G = H_s / s + q I formed in full storage from the same Gram and
+        # factored by LAPACK's dpotrf, within 1e-12 relative
+        p, seed = 300, 8
+        spectrum = make_spectrum("polynomial", p, gamma=2.0)
+        pool = sample_weights(p, 2 * WEIGHT_BLOCK, seed_stream(seed, "w"))
+        gram = risk_mod.factor_gram(risk_mod.lambda_gram(pool, spectrum.eigenvalues))
+        assert p <= gram.order < 2 * WEIGHT_BLOCK
+        infos = gram_factors()
+        grid = [5, 60, 255, 257, 290]
+        for s in grid:
+            ens = mk_ensemble(20, s, alpha=0.5, seed=seed, spectrum=spectrum)
+            np.testing.assert_array_equal(ens.weights, pool[:, :s])
+            t = make_target("unrealizable", ens, 1.0, seed_stream(seed, "t", s), gram=gram)
+            q = ens.noise_spec.entry_variance
+            upper = np.triu(gram.buffer[:s, :s], 1)
+            G = (upper + upper.T + np.diag(gram.diagonal[:s])) / s + q * np.eye(s)
+            x = sla.cho_solve(sla.cho_factor(G), t.beta_star)
+            b_star = t.beta_star - q * x
+            rho_sq = q * float(t.beta_star @ b_star)
+            assert np.linalg.norm(t.b_star - b_star) <= 1e-12 * np.linalg.norm(b_star)
+            np.testing.assert_allclose(t.rho_sq, rho_sq, rtol=1e-12)
+        # every cell took the packed factor, and none factored the Gram
+        assert infos == [0] * len(grid)
 
     @pytest.mark.parametrize("kind,gamma,p,s", [("polynomial", 6.0, 200, 190),
                                                 ("exponential", None, 40, 30)])
