@@ -16,9 +16,13 @@ the arrays they read, in those arrays' own memory:
   factor and solve there; `rfp_diagonal` finds the diagonal in it;
 - `triangular_inverse_in_place` inverts a triangular factor.
 
-Each falls back to scipy's copy of the same routine where numpy's copy does
-not export it (`factor_backend`).  Every lookup runs at its first call,
-never at import.
+They call the routines `numpy_routines` finds, one lookup over one symbol
+table, run at its first call, never at import.  Where numpy's copy does not
+export every symbol (numpy < 2 wheels, a source build on another BLAS) it
+finds None, and no caller calls these: the unrealizable target forms no
+Gram and takes its two Householder QRs (`risk._solve_unrealizable`), a
+design takes the SVD (`estimator._gram_factor`) and W's complement frame
+holds E itself (`features._cholesky_qr2`).
 """
 
 from __future__ import annotations
@@ -36,35 +40,33 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_n
 _INT, _I64, _DBL, _PTR, _CHAR = (ctypes.c_int, ctypes.c_int64, ctypes.c_double,
                                  ctypes.c_void_p, ctypes.c_char)
 
-# LAPACKE's dpotrf and dtrtri in numpy's copy, lapack_int 64 bits wide:
-# dpotrf(int matrix_layout, char uplo, lapack_int n, double *a, lapack_int lda)
-# and dtrtri(int matrix_layout, char uplo, char diag, lapack_int n, double *a,
-# lapack_int lda)
-_DPOTRF = ("scipy_LAPACKE_dpotrf64_", (_INT, _CHAR, _I64, _PTR, _I64))
-_DTRTRI = ("scipy_LAPACKE_dtrtri64_", (_INT, _CHAR, _CHAR, _I64, _PTR, _I64))
-# the cblas routines of numpy's copy, blasint 64 bits wide and the enums int:
-# dcopy(n, x, incx, y, incy), dsyrk(order, uplo, trans, n, k, alpha, a, lda,
-# beta, c, ldc), dgemm(order, transa, transb, m, n, k, alpha, a, lda, b, ldb,
-# beta, c, ldc), dtrsm(order, side, uplo, transa, diag, m, n, alpha, a, lda,
-# b, ldb) and dtrsv(order, uplo, transa, diag, n, a, lda, x, incx)
-_CBLAS = {
-    "dcopy": ("scipy_cblas_dcopy64_", (_I64, _PTR, _I64, _PTR, _I64)),
+# numpy's copy's routines, by name: (symbol, argtypes, restype).  lapack_int
+# and blasint are 64 bits wide, cblas's enums int, and a LAPACKE routine
+# returns its info.  LAPACKE: dpotrf(matrix_layout, uplo, n, a, lda),
+# dtrtri(matrix_layout, uplo, diag, n, a, lda), and the RFP routines
+# dtrttf(matrix_layout, transr, uplo, n, a, lda, arf), dpftrf(matrix_layout,
+# transr, uplo, n, a) and dpftrs(matrix_layout, transr, uplo, n, nrhs, a, b,
+# ldb).  cblas: dcopy(n, x, incx, y, incy), dsyrk(order, uplo, trans, n, k,
+# alpha, a, lda, beta, c, ldc), dgemm(order, transa, transb, m, n, k, alpha,
+# a, lda, b, ldb, beta, c, ldc), dtrsm(order, side, uplo, transa, diag, m, n,
+# alpha, a, lda, b, ldb) and dtrsv(order, uplo, transa, diag, n, a, lda, x,
+# incx)
+_SYMBOLS = {
+    "dpotrf": ("scipy_LAPACKE_dpotrf64_", (_INT, _CHAR, _I64, _PTR, _I64), _I64),
+    "dtrtri": ("scipy_LAPACKE_dtrtri64_", (_INT, _CHAR, _CHAR, _I64, _PTR, _I64), _I64),
+    "dtrttf": ("scipy_LAPACKE_dtrttf64_", (_INT, _CHAR, _CHAR, _I64, _PTR, _I64, _PTR), _I64),
+    "dpftrf": ("scipy_LAPACKE_dpftrf64_", (_INT, _CHAR, _CHAR, _I64, _PTR), _I64),
+    "dpftrs": ("scipy_LAPACKE_dpftrs64_", (_INT, _CHAR, _CHAR, _I64, _I64, _PTR, _PTR, _I64),
+               _I64),
+    "dcopy": ("scipy_cblas_dcopy64_", (_I64, _PTR, _I64, _PTR, _I64), None),
     "dsyrk": ("scipy_cblas_dsyrk64_", (_INT, _INT, _INT, _I64, _I64, _DBL, _PTR, _I64, _DBL,
-                                       _PTR, _I64)),
+                                       _PTR, _I64), None),
     "dgemm": ("scipy_cblas_dgemm64_", (_INT, _INT, _INT, _I64, _I64, _I64, _DBL, _PTR, _I64,
-                                       _PTR, _I64, _DBL, _PTR, _I64)),
+                                       _PTR, _I64, _DBL, _PTR, _I64), None),
     "dtrsm": ("scipy_cblas_dtrsm64_", (_INT, _INT, _INT, _INT, _INT, _I64, _I64, _DBL, _PTR,
-                                       _I64, _PTR, _I64)),
-    "dtrsv": ("scipy_cblas_dtrsv64_", (_INT, _INT, _INT, _INT, _I64, _PTR, _I64, _PTR, _I64)),
-}
-# LAPACKE's RFP routines in numpy's copy: dtrttf(int matrix_layout, char
-# transr, char uplo, lapack_int n, const double *a, lapack_int lda, double
-# *arf), dpftrf(matrix_layout, transr, uplo, n, a) and dpftrs(matrix_layout,
-# transr, uplo, n, nrhs, a, b, ldb)
-_RFP = {
-    "dtrttf": ("scipy_LAPACKE_dtrttf64_", (_INT, _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)),
-    "dpftrf": ("scipy_LAPACKE_dpftrf64_", (_INT, _CHAR, _CHAR, _I64, _PTR)),
-    "dpftrs": ("scipy_LAPACKE_dpftrs64_", (_INT, _CHAR, _CHAR, _I64, _I64, _PTR, _PTR, _I64)),
+                                       _I64, _PTR, _I64), None),
+    "dtrsv": ("scipy_cblas_dtrsv64_", (_INT, _INT, _INT, _INT, _I64, _PTR, _I64, _PTR, _I64),
+              None),
 }
 _COL_MAJOR = 102
 # the tile of a blocked factor's diagonal blocks: OpenBLAS's dpotrf runs its
@@ -116,14 +118,16 @@ def pin_blas() -> None:
         set_threads(WORKER_BLAS_THREADS)
 
 
-def _routines(table: dict, restype) -> tuple | None:
+@functools.lru_cache(maxsize=1)
+def numpy_routines() -> tuple | None:
     """(file name, {name: routine}) of the loaded OpenBLAS copy that exports
-    every symbol of table, numpy's, or None where none does."""
+    every symbol of _SYMBOLS, numpy's, or None where none does.  Callers of
+    this module's factors and solves take their numpy-only route on None."""
     for path in _loaded_paths():
         lib = ctypes.CDLL(path)
-        if all(hasattr(lib, symbol) for symbol, _ in table.values()):
+        if all(hasattr(lib, symbol) for symbol, _, _ in _SYMBOLS.values()):
             found = {}
-            for name, (symbol, argtypes) in table.items():
+            for name, (symbol, argtypes, restype) in _SYMBOLS.items():
                 routine = getattr(lib, symbol)
                 routine.argtypes, routine.restype = list(argtypes), restype
                 found[name] = routine
@@ -131,50 +135,12 @@ def _routines(table: dict, restype) -> tuple | None:
     return None
 
 
-def _lapacke(symbol: str, argtypes: tuple) -> tuple | None:
-    """(file name, routine) of the loaded OpenBLAS copy that exports the
-    LAPACKE symbol, numpy's, or None where none does."""
-    found = _routines({symbol: (symbol, argtypes)}, _I64)
-    return None if found is None else (found[0], found[1][symbol])
-
-
-@functools.lru_cache(maxsize=1)
-def _lapacke_dpotrf() -> tuple | None:
-    """(file name, dpotrf) of numpy's OpenBLAS copy, or None where no
-    loaded copy exports LAPACKE's ILP64 dpotrf."""
-    return _lapacke(*_DPOTRF)
-
-
-@functools.lru_cache(maxsize=1)
-def _lapacke_dtrtri() -> tuple | None:
-    """(file name, dtrtri) of numpy's OpenBLAS copy, or None where no
-    loaded copy exports LAPACKE's ILP64 dtrtri."""
-    return _lapacke(*_DTRTRI)
-
-
-@functools.lru_cache(maxsize=1)
-def _cblas() -> tuple | None:
-    """(file name, {name: routine}) of numpy's OpenBLAS copy for the cblas
-    routines in _CBLAS, or None where no loaded copy exports all of them."""
-    return _routines(_CBLAS, None)
-
-
-@functools.lru_cache(maxsize=1)
-def _lapacke_rfp() -> tuple | None:
-    """(file name, {name: routine}) of numpy's OpenBLAS copy for LAPACKE's
-    RFP routines in _RFP, or None where no loaded copy exports all of them."""
-    return _routines(_RFP, _I64)
-
-
-def factor_backend() -> str:
-    """What an unrealizable target's factors and solves run on: the file
-    name of numpy's OpenBLAS copy where it exports every routine they call
-    (dpotrf and the cblas routines of `blocked_cholesky_in_place` and
-    `cholesky_solve_in_place`, and the RFP routines), else "scipy", whose
-    copies of the missing ones run instead."""
-    found = (_lapacke_dpotrf(), _cblas(), _lapacke_rfp())
-    names = {None if f is None else f[0] for f in found}
-    return "scipy" if None in names or len(names) != 1 else names.pop()
+def _routines() -> dict:
+    found = numpy_routines()
+    if found is None:
+        raise RuntimeError("numpy's OpenBLAS copy does not export the routines blas calls; "
+                           "check numpy_routines() first")
+    return found[1]
 
 
 def _check_in_place(a: np.ndarray, name: str) -> None:
@@ -224,9 +190,7 @@ def blocked_cholesky_in_place(a: np.ndarray, block: int) -> int:
     k > 0, L's leading k - 1 columns are complete on their leading
     (k - 1) x (k - 1) block and the rest is unfinished; k < 0 where
     LAPACKE refuses an argument (a NaN in a diagonal tile gives -4).  Every
-    call runs on numpy's OpenBLAS copy, on a's own memory; where that copy
-    lacks one of them, each runs through scipy's copy of the same routine
-    instead, on a copy of its tile written back.
+    call runs on numpy's OpenBLAS copy, on a's own memory.
     """
     _check_in_place(a, "blocked_cholesky_in_place")
     if block < 1:
@@ -260,8 +224,7 @@ def _left_looking(calls, top_left: int, order: int, blocks: tuple) -> int:
 
 def _tile_calls(a: np.ndarray) -> tuple:
     """(mirror, syrk, potrf, gemm, trsm) on tiles of a, addressed by row and
-    column offsets, through numpy's OpenBLAS copy, or through scipy's
-    (`_scipy_tile_calls`) where numpy's lacks one of them:
+    column offsets, through numpy's OpenBLAS copy:
 
     - mirror(): a's strict upper triangle copied below its diagonal;
     - syrk(r, w, c, k): tril(a[r:r+w, r:r+w]) -= X X^T, X = a[r:r+w, c:c+k];
@@ -272,10 +235,7 @@ def _tile_calls(a: np.ndarray) -> tuple:
     - trsm(t, h, r, w): a[t:t+h, r:r+w] <- a[t:t+h, r:r+w] L^-T, L the
       lower triangle of a[r:r+w, r:r+w].
     """
-    potrf, blas = _lapacke_dpotrf(), _cblas()
-    if potrf is None or blas is None:
-        return _scipy_tile_calls(a)
-    potrf, blas = potrf[1], blas[1]
+    blas = _routines()
     n, base = a.shape[0], a.ctypes.data
 
     def at(i, j):
@@ -289,7 +249,7 @@ def _tile_calls(a: np.ndarray) -> tuple:
         blas["dsyrk"](_COL_MAJOR, _LOWER, _NO_TRANS, w, k, -1.0, at(r, c), n, 1.0, at(r, r), n)
 
     def factor(r, w):
-        return int(potrf(_COL_MAJOR, b"L", w, at(r, r), n))
+        return int(blas["dpotrf"](_COL_MAJOR, b"L", w, at(r, r), n))
 
     def gemm(t, h, r, w, c, k):
         blas["dgemm"](_COL_MAJOR, _NO_TRANS, _TRANS, h, w, k, -1.0, at(t, c), n, at(r, c), n,
@@ -302,56 +262,15 @@ def _tile_calls(a: np.ndarray) -> tuple:
     return mirror, syrk, factor, gemm, trsm
 
 
-def _scipy_tile_calls(a: np.ndarray) -> tuple:
-    """`_tile_calls` through scipy's BLAS and LAPACK, each on a copy of its
-    tile written back."""
-    from scipy.linalg.blas import dgemm, dsyrk, dtrsm
-    from scipy.linalg.lapack import dpotrf
-
-    def mirror():
-        for k in range(a.shape[0]):
-            # one column at a time: numpy copies the overlapping source first
-            a[k + 1:, k] = a[k, k + 1:]
-
-    def syrk(r, w, c, k):
-        tile = a[r:r + w, r:r + w]
-        tile[...] = dsyrk(-1.0, a[r:r + w, c:c + k], beta=1.0, c=tile, lower=1)
-
-    def factor(r, w):
-        tile = a[r:r + w, r:r + w]
-        tile[...], info = dpotrf(tile, lower=1, clean=0)
-        return int(info)
-
-    def gemm(t, h, r, w, c, k):
-        piece = a[t:t + h, r:r + w]
-        piece[...] = dgemm(-1.0, a[t:t + h, c:c + k], a[r:r + w, c:c + k], beta=1.0, c=piece,
-                           trans_b=1)
-
-    def trsm(t, h, r, w):
-        piece = a[t:t + h, r:r + w]
-        piece[...] = dtrsm(1.0, a[r:r + w, r:r + w], piece, side=1, lower=1, trans_a=1)
-
-    return mirror, syrk, factor, gemm, trsm
-
-
 def cholesky_solve_in_place(a: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """x <- (L L^T)^-1 x and return x, with L the lower triangle of a's
     leading n x n block: two dtrsv calls on numpy's OpenBLAS copy, reading a
     in place at its own leading dimension, so a's leading block of a
     `blocked_cholesky_in_place` factor serves without a copy.  a may be
-    read-only; x is a writable contiguous float64 n-vector.  Where numpy's
-    copy lacks dtrsv, scipy's dtrtrs runs the two solves on a's first n
-    columns, read in place."""
+    read-only; x is a writable contiguous float64 n-vector."""
     _check_leading(a, n, "cholesky_solve_in_place")
     _check_vector(x, n, "cholesky_solve_in_place")
-    found = _cblas()
-    if found is None:
-        from scipy.linalg.lapack import dtrtrs
-
-        for trans in (0, 1):
-            x[...], _ = dtrtrs(a[:, :n], x, lower=1, trans=trans)
-        return x
-    dtrsv = found[1]["dtrsv"]
+    dtrsv = _routines()["dtrsv"]
     for trans in (_NO_TRANS, _TRANS):
         dtrsv(_COL_MAJOR, _LOWER, trans, _NON_UNIT, n, a.ctypes.data, a.shape[0],
               x.ctypes.data, 1)
@@ -379,18 +298,10 @@ def pack_upper(a: np.ndarray, n: int) -> np.ndarray:
     """The upper triangle of a's leading n x n block, diagonal included, as
     a new RFP array of n (n + 1) / 2 doubles (TRANSR 'N', UPLO 'U'; see
     `rfp_diagonal`): LAPACKE's dtrttf on numpy's OpenBLAS copy, reading a in
-    place at its own leading dimension; a may be read-only.  Where numpy's
-    copy lacks it, scipy's dtrttf packs a copy of that block, which its
-    wrapper takes square."""
+    place at its own leading dimension; a may be read-only."""
     _check_leading(a, n, "pack_upper")
-    found = _lapacke_rfp()
-    if found is None:
-        from scipy.linalg.lapack import dtrttf
-
-        arf, _ = dtrttf(a[:n, :n], transr="N", uplo="U")
-        return arf
     arf = np.empty(n * (n + 1) // 2)
-    info = found[1]["dtrttf"](_COL_MAJOR, b"N", b"U", n, a.ctypes.data, max(a.shape[0], 1),
+    info = _routines()["dtrttf"](_COL_MAJOR, b"N", b"U", n, a.ctypes.data, max(a.shape[0], 1),
                               arf.ctypes.data)
     if info:
         raise ValueError(f"dtrttf refused its arguments (info {info})")
@@ -401,35 +312,17 @@ def packed_cholesky_in_place(arf: np.ndarray, n: int) -> int:
     """Factor the n x n symmetric matrix held in the RFP array arf (TRANSR
     'N', UPLO 'U') as U^T U in place, and return LAPACK dpftrf's info: > 0
     where the leading minor of that order is not positive definite, < 0
-    where LAPACKE refuses an argument.  It runs on numpy's OpenBLAS copy,
-    else on scipy's dpftrf."""
+    where LAPACKE refuses an argument.  It runs on numpy's OpenBLAS copy."""
     _check_vector(arf, n * (n + 1) // 2, "packed_cholesky_in_place")
-    found = _lapacke_rfp()
-    if found is None:
-        from scipy.linalg.lapack import dpftrf
-
-        out, info = dpftrf(n, arf, transr="N", uplo="U", overwrite_a=1)
-        if not np.shares_memory(out, arf):
-            arf[...] = out
-        return int(info)
-    return int(found[1]["dpftrf"](_COL_MAJOR, b"N", b"U", n, arf.ctypes.data))
+    return int(_routines()["dpftrf"](_COL_MAJOR, b"N", b"U", n, arf.ctypes.data))
 
 
 def packed_cholesky_solve_in_place(arf: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """x <- (U^T U)^-1 x and return x, with arf a `packed_cholesky_in_place`
-    factor of order n: LAPACK's dpftrs on numpy's OpenBLAS copy, else on
-    scipy's."""
+    factor of order n: LAPACK's dpftrs on numpy's OpenBLAS copy."""
     _check_vector(arf, n * (n + 1) // 2, "packed_cholesky_solve_in_place")
     _check_vector(x, n, "packed_cholesky_solve_in_place")
-    found = _lapacke_rfp()
-    if found is None:
-        from scipy.linalg.lapack import dpftrs
-
-        out, _ = dpftrs(n, arf, x[:, None], transr="N", uplo="U", overwrite_b=1)
-        if not np.shares_memory(out, x):
-            x[...] = out[:, 0]
-        return x
-    found[1]["dpftrs"](_COL_MAJOR, b"N", b"U", n, 1, arf.ctypes.data, x.ctypes.data,
+    _routines()["dpftrs"](_COL_MAJOR, b"N", b"U", n, 1, arf.ctypes.data, x.ctypes.data,
                        max(n, 1))
     return x
 
@@ -447,15 +340,8 @@ def triangular_inverse_in_place(a: np.ndarray) -> int:
     (1.6 ms against 0.3 ms on a 201 x 201 triangle, 2 vCPUs), and scipy's
     own copy keeps its BLAS threads busy into numpy's next gemms (twenty
     2000 x 201 by 201 x 201 products took 56 ms after scipy's dtrtri of
-    that triangle, 26-27 ms after this one or none).  Where numpy's copy
-    or its symbol is missing, scipy's dtrtri overwrites a instead.
+    that triangle, 26-27 ms after this one or none).
     """
     _check_in_place(a, "triangular_inverse_in_place")
     n = a.shape[0]
-    found = _lapacke_dtrtri()
-    if found is None:
-        from scipy.linalg.lapack import dtrtri
-
-        _, info = dtrtri(a, lower=0, unitdiag=0, overwrite_c=1)
-        return int(info)
-    return int(found[1](_COL_MAJOR, b"U", b"N", n, a.ctypes.data, max(n, 1)))
+    return int(_routines()["dtrtri"](_COL_MAJOR, b"U", b"N", n, a.ctypes.data, max(n, 1)))

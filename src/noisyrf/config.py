@@ -234,6 +234,9 @@ def validate(cfg: ExperimentConfig) -> list:
         e.append(f"target_noise must be one of {TARGET_NOISE_MODES}")
     if not _is_int(cfg.workers) or cfg.workers < 1:
         e.append("workers must be an integer >= 1")
+    # emit_outputs would fail on it only once the whole sweep has run
+    if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
+        e.append(f"out_dir must be a nonempty string, not {cfg.out_dir!r}")
     return e
 
 

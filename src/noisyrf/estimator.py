@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import triangular_inverse_in_place
+from . import blas
 from .spectral import GRAM_RTOL
 
 _EPS = float(np.finfo(float).eps)
@@ -92,7 +92,11 @@ def _svd_route(U: np.ndarray, sv: np.ndarray, V: np.ndarray, rtol: float) -> Svd
 def _gram_factor(rows: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
     """(kappa, L, L^-1) for the Cholesky factor G = rows rows^T = L L^T of
     a wide array, with kappa = ||G||_F ||G^-1||_F >= cond(G); None where
-    the Cholesky or the triangular inversion fails."""
+    the Cholesky or the triangular inversion fails, or where numpy's
+    OpenBLAS lacks the routines `blas` calls (`blas.numpy_routines`): the
+    design then takes the SVD."""
+    if blas.numpy_routines() is None:
+        return None
     gram = rows @ rows.T
     try:
         L = np.linalg.cholesky(gram)
@@ -100,7 +104,7 @@ def _gram_factor(rows: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | Non
         return None
     # a Fortran copy of L^T, inverted in place: L^-T, and G^-1 = L^-T L^-1
     Lt_inv = np.array(L.T, order="F")
-    if triangular_inverse_in_place(Lt_inv) != 0:
+    if blas.triangular_inverse_in_place(Lt_inv) != 0:
         return None
     kappa = float(np.linalg.norm(gram)) * float(np.linalg.norm(Lt_inv @ Lt_inv.T))
     return kappa, L, Lt_inv.T

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import triangular_inverse_in_place
+from . import blas
 from .spectral import GramEigen, Spectrum, gram_eigh
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
@@ -204,10 +204,12 @@ def _cholesky_qr2(R: np.ndarray, F: np.ndarray, scale: np.ndarray) -> np.ndarray
     QR would give.  A single Cholesky of E^T E errs by up to
     eps cond(E)^2, about 2e-9 on the preset, above `spectral.GRAM_RTOL`.
     None where E is wider than tall, E^T E's Cholesky raises or the test
-    fails: exponential and finite-rank spectra, and p < k + n + 1.
+    fails: exponential and finite-rank spectra, and p < k + n + 1; and
+    where numpy's OpenBLAS lacks the routines `blas` calls
+    (`blas.numpy_routines`).
     """
     p, c = R.shape[0], R.shape[1] + F.shape[1]
-    if p < c:
+    if p < c or blas.numpy_routines() is None:
         return None
     try:
         T1 = np.linalg.cholesky(_gram_of_blocks(R, F, scale)).T
@@ -216,7 +218,7 @@ def _cholesky_qr2(R: np.ndarray, F: np.ndarray, scale: np.ndarray) -> np.ndarray
     # T1^-1 by one dtrtri on numpy's OpenBLAS, in a Fortran copy of T1 (zero
     # below its diagonal, as np.linalg.cholesky leaves L above it)
     T1_inv = np.array(T1, order="F")
-    if triangular_inverse_in_place(T1_inv) != 0:
+    if blas.triangular_inverse_in_place(T1_inv) != 0:
         return None
     gram = _gram_of_blocks(R, F, scale, T1_inv)
     if not np.linalg.norm(gram - np.eye(c)) <= 0.5:

@@ -47,8 +47,9 @@ Gram here is held to (`spectral.GramEigen`; see `_ridge_cholesky`).  Every
 factor and solve runs on numpy's OpenBLAS (`blas`).  Each solve falls back
 to a Householder QR on its own: the projection where H's factor stopped
 before order s or the projection's check fails (`_qr_projection`), the fit
-where the bound refuses or G's factor fails (`_ridge_fit`).  `decompose`
-reads b* off the target.
+where the bound refuses or G's factor fails (`_ridge_fit`).  Where numpy's
+OpenBLAS does not export those routines (`blas.numpy_routines`), no Gram is
+formed and both solves take their QR.  `decompose` reads b* off the target.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
+from . import blas
 from .blas import (blocked_cholesky_in_place, cholesky_solve_in_place, pack_upper,
                    packed_cholesky_in_place, packed_cholesky_solve_in_place, rfp_diagonal)
 from .estimator import SvdFactors, default_rtol, svd_factors
@@ -358,13 +360,21 @@ def _solve_unrealizable(W: np.ndarray, lam: np.ndarray, c: np.ndarray, beta: np.
     """(tail, b*, rho^2) of an unrealizable target drawn as c with
     beta_star = beta, at feature-noise variance q, on the leading s x s
     blocks of gram, or of `factor_gram(lambda_gram(W, lam))` formed here
-    where gram is None (see `make_target`)."""
+    where gram is None (see `make_target`).  Where numpy's OpenBLAS does not
+    export the routines of those factors and solves (`blas.numpy_routines`),
+    no Gram is formed or read, and both solves take their QR."""
     s = W.shape[1]
-    if gram is None:
+    if blas.numpy_routines() is None:
+        gram = None
+    elif gram is None:
         gram = factor_gram(lambda_gram(W, lam))
-    tr = float(np.sum(gram.diagonal[:s]))
-    projected = _gram_projection(gram, W, lam, c, tr)
-    fit = _ridge_cholesky(gram, beta, q, tr) if q > 0 else (None, 0.0)
+    projected = None
+    fit = None if q > 0 else (None, 0.0)
+    if gram is not None:
+        tr = float(np.sum(gram.diagonal[:s]))
+        projected = _gram_projection(gram, W, lam, c, tr)
+        if q > 0:
+            fit = _ridge_cholesky(gram, beta, q, tr)
     # a gram formed here goes before either QR
     del gram
     if projected is None:

@@ -38,11 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from . import bounds as bounds_mod
-# _openblas and _pin_blas keep their names here, where the tests look them up
-from .blas import WORKER_BLAS_THREADS, factor_backend
-from .blas import openblas as _openblas
-from .blas import pin_blas as _pin_blas
 from .config import ARTIFACT_VERSION, ExperimentConfig
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
@@ -259,7 +256,7 @@ class _TrainingRows:
             self._pool, self._pool_gram = pool, None
         return self._pool
 
-    def weight_gram(self, width: int) -> FactoredGram:
+    def weight_gram(self, width: int) -> FactoredGram | None:
         """H_pool = (sqrt(Lambda) pool)^T (sqrt(Lambda) pool), S x S, of the
         pool `weight_pool(width)` returns (`risk.lambda_gram`), and its
         Cholesky factor, taken in the same buffer in fixed WEIGHT_BLOCK
@@ -269,8 +266,12 @@ class _TrainingRows:
         the pool's width.  A pool wider than p has a Gram of rank p < S,
         whose factor stops past order p by design: it serves the cells
         below the order it stopped at, and a cell at or past that order
-        takes the QR projection (`risk.make_target`).
+        takes the QR projection (`risk.make_target`).  None, and nothing
+        formed, where numpy's OpenBLAS does not export the factor's routines
+        (`blas.numpy_routines`): each cell then takes both QRs.
         """
+        if blas.numpy_routines() is None:
+            return None
         pool = self.weight_pool(width)
         if self._pool_gram is None:
             gram = factor_gram(lambda_gram(pool, self.spectrum.eigenvalues))
@@ -445,7 +446,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             # fork (the platform default), not spawn: a spawned worker would
             # import numpy and scipy again.  Each worker pins its own BLAS
             # threads; the calling process keeps its count
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_blas) as pool:
                 results = [row for rows in pool.map(_replicate_task, tasks) for row in rows]
     finally:
         _training_rows.cache_clear()
@@ -604,23 +605,27 @@ def _environment(cfg: ExperimentConfig) -> dict:
     numpy's and scipy's versions, os.cpu_count(), the file names of the
     OpenBLAS copies this process has loaded, what factored an unrealizable
     target's Grams (`gram_factor`: the file name of numpy's OpenBLAS copy
-    where it exports every routine of that route, or "scipy" where one is
-    missing, `blas.factor_backend`; null for the other targets, which
-    factor none) and, where run_sweep starts a pool, its width, start
-    method and the BLAS threads each worker was pinned to (null where no
-    OpenBLAS copy was found to pin); `pool` is null where the cells run in
-    the calling process.
+    where it exports every routine `blas` calls, `blas.numpy_routines`, or
+    "qr" where it does not, and each cell's projection and ridge fit take a
+    Householder QR of their own, with no Gram formed; null for the other
+    targets, which factor none) and, where run_sweep starts a pool, its
+    width, start method and the BLAS threads each worker was pinned to (null
+    where no OpenBLAS copy was found to pin); `pool` is null where the cells
+    run in the calling process.
     """
     import scipy
 
-    workers, libraries = _pool_size(cfg), _openblas()
+    workers, libraries = _pool_size(cfg), blas.openblas()
     pool = None
     if workers > 1:
         pool = {"workers": workers, "start_method": multiprocessing.get_start_method(),
-                "blas_threads": WORKER_BLAS_THREADS if libraries else None}
+                "blas_threads": blas.WORKER_BLAS_THREADS if libraries else None}
+    gram_factor = None
+    if cfg.target_mode == "unrealizable":
+        found = blas.numpy_routines()
+        gram_factor = "qr" if found is None else found[0]
     return {"numpy": np.__version__, "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-            "openblas": [name for name, _, _ in libraries],
-            "gram_factor": factor_backend() if cfg.target_mode == "unrealizable" else None,
+            "openblas": [name for name, _, _ in libraries], "gram_factor": gram_factor,
             "pool": pool}
 
 

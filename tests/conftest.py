@@ -54,6 +54,35 @@ def gram_factors(monkeypatch):
     return record
 
 
+@pytest.fixture
+def scipy_lapack_refused(monkeypatch):
+    """scipy_lapack_refused() makes every one of scipy's LAPACK entry points,
+    and the dtrtrs that risk imported from it, raise from then on: a routine
+    that runs on numpy's OpenBLAS calls none of them, since a threaded LAPACK
+    call on scipy's own copy holds its BLAS threads busy into numpy's next
+    gemms.  Skips where numpy's copy does not export the routines `blas`
+    calls, and every caller takes its numpy-only route."""
+    import scipy.linalg.lapack as scipy_lapack
+
+    from noisyrf import blas, risk
+
+    if blas.numpy_routines() is None:
+        pytest.skip("numpy's OpenBLAS copy does not export the routines blas calls")
+
+    def refusing(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"scipy's LAPACK {name} called")
+        return call
+
+    def refuse():
+        names = [name for name in dir(scipy_lapack) if not name.startswith("_")
+                 and type(getattr(scipy_lapack, name)).__name__ == "fortran"]
+        for name in names + ["get_lapack_funcs"]:
+            monkeypatch.setattr(scipy_lapack, name, refusing(name))
+        monkeypatch.setattr(risk, "dtrtrs", refusing("dtrtrs"))
+    return refuse
+
+
 @pytest.fixture(autouse=True)
 def fresh_training_rows():
     """Every test starts and ends with an empty per-replicate memo, as a

@@ -1,5 +1,6 @@
 """The blocked in-place Gram factor, its solve, the packed (RFP) factor and
-the triangular inverse on numpy's OpenBLAS, and their scipy fallbacks."""
+the triangular inverse on numpy's OpenBLAS, and the routes their callers take
+where numpy's copy does not export them."""
 
 import math
 import os
@@ -13,17 +14,12 @@ from noisyrf import blas as blas_mod
 from noisyrf.seeding import seed_stream
 
 
-LOOKUPS = ("_lapacke_dpotrf", "_lapacke_dtrtri", "_cblas", "_lapacke_rfp")
-
-
-@pytest.fixture(params=["openblas", "scipy"])
-def backend(request, monkeypatch):
-    """Each test runs on numpy's OpenBLAS, then with every lookup finding
-    nothing, on scipy's copies of the same routines."""
-    if request.param == "scipy":
-        for lookup in LOOKUPS:
-            monkeypatch.setattr(blas_mod, lookup, lambda: None)
-    elif any(getattr(blas_mod, lookup)() is None for lookup in LOOKUPS):
+@pytest.fixture(params=["openblas"])
+def backend(request):
+    """Each test runs on numpy's OpenBLAS copy, the one backend (the test
+    id names it), and is skipped where that copy does not export every
+    routine blas calls."""
+    if blas_mod.numpy_routines() is None:
         pytest.skip("no loaded OpenBLAS copy exports every ILP64 routine blas calls")
     return request.param
 
@@ -35,27 +31,22 @@ def spd(s, seed=0):
     return H, np.linalg.cholesky(H)
 
 
-def test_backend_names_the_library_or_scipy(backend):
-    name = blas_mod.factor_backend()
-    if backend == "scipy":
-        assert name == "scipy"
-    else:
-        assert name.startswith("libscipy_openblas64_")
-        assert name in [lib for lib, _, _ in blas_mod.openblas()]
+def test_lookup_finds_every_routine_in_numpy_s_copy(backend):
+    # numpy's ILP64 copy, one of the copies loaded, exports the whole table
+    name, routines = blas_mod.numpy_routines()
+    assert name.startswith("libscipy_openblas64_")
+    assert name in [lib for lib, _, _ in blas_mod.openblas()]
+    assert set(routines) == set(blas_mod._SYMBOLS)
 
 
-@pytest.mark.parametrize("lookup", ["_lapacke_dpotrf", "_cblas", "_lapacke_rfp"])
-def test_backend_is_scipy_where_any_routine_of_the_route_is_missing(monkeypatch, lookup):
-    # the unrealizable route runs on numpy's copy only where every routine
-    # it calls was found there; the design's dtrtri is not one of them
-    monkeypatch.setattr(blas_mod, lookup, lambda: None)
-    assert blas_mod.factor_backend() == "scipy"
-
-
-def test_backend_does_not_read_the_design_inverse(monkeypatch):
-    before = blas_mod.factor_backend()
-    monkeypatch.setattr(blas_mod, "_lapacke_dtrtri", lambda: None)
-    assert blas_mod.factor_backend() == before
+def test_without_the_routines_a_call_raises(monkeypatch):
+    # every caller checks numpy_routines() first; a call that did not gets
+    # an error, never a pointer into a missing library
+    monkeypatch.setattr(blas_mod, "numpy_routines", lambda: None)
+    with pytest.raises(RuntimeError, match="numpy_routines"):
+        blas_mod.triangular_inverse_in_place(np.eye(3, order="F"))
+    with pytest.raises(RuntimeError, match="numpy_routines"):
+        blas_mod.blocked_cholesky_in_place(np.eye(3, order="F"), 2)
 
 
 def blocked_factor_matches_numpy(s, block):
@@ -287,55 +278,61 @@ def test_reads_only_what_it_can_read_in_place():
 
 
 def test_importing_the_package_looks_nothing_up():
-    # the libraries and dpotrf are found by their first caller, never at
-    # import
+    # the libraries and their routines are found by their first caller,
+    # never at import
     src = os.path.dirname(os.path.dirname(os.path.abspath(blas_mod.__file__)))
     code = ("import noisyrf\n"
             "from noisyrf import blas\n"
-            "assert blas._lapacke_dpotrf.cache_info().currsize == 0\n"
-            "assert blas._lapacke_dtrtri.cache_info().currsize == 0\n"
-            "assert blas._cblas.cache_info().currsize == 0\n"
-            "assert blas._lapacke_rfp.cache_info().currsize == 0\n"
+            "assert blas.numpy_routines.cache_info().currsize == 0\n"
             "assert blas.openblas.cache_info().currsize == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=src))
 
 
-def test_scipy_fallback_rows_match_the_primary_route(monkeypatch):
-    # a small unrealizable grid whose cells cross weight-block edges, swept
-    # on numpy's OpenBLAS and again with every lookup finding nothing:
-    # scipy's copies of the same routines factor the same buffers, on
-    # another pool, and the rows agree to rounding.  The pool is 768 wide,
-    # past p = 600, so its factor stops past order 600 and serves every cell
+@pytest.mark.parametrize("preset,overrides", [
+    (None, {"n": 20, "p": 600, "s_grid": [6, 257, 520], "ensemble_replicates": 2,
+            "master_seed": 5, "target_mode": "unrealizable"}),
+    ("double-descent-default", {"ensemble_replicates": 2, "master_seed": 7}),
+], ids=["unrealizable", "preset"])
+def test_fallback_rows_match_the_primary_route(monkeypatch, backend, preset, overrides):
+    # swept on numpy's OpenBLAS, then with the lookup finding nothing: no
+    # Gram is formed, every unrealizable cell takes its two QRs, the
+    # preset's designs take the SVD and its complement frames hold E, and
+    # none of scipy's copies of the routines blas calls runs.  The rows
+    # agree to rounding: at most 7.0e-15 relative on the small grid,
+    # 3.1e-13 on the preset.  The small grid's cells cross weight-block
+    # edges, and its pool, 768 wide past p = 600, stops past order 600
     from scipy.linalg import lapack
 
-    from noisyrf.config import parse_config
+    from noisyrf import risk
+    from noisyrf.config import parse_config, preset_config
     from noisyrf.sweep import run_sweep
 
-    cfg = parse_config({"n": 20, "p": 600, "s_grid": [6, 257, 520], "ensemble_replicates": 2,
-                        "master_seed": 5, "target_mode": "unrealizable"})
+    cfg = parse_config(overrides) if preset is None else preset_config(preset, overrides)
 
     def rows():
         result = run_sweep(cfg)
         assert not result.errors
         return [[r.B, r.V, r.M, r.R] for r in result.records]
 
-    primary = rows()
-    for lookup in LOOKUPS:
-        monkeypatch.setattr(blas_mod, lookup, lambda: None)
-    calls = {}
-    for name in ("dpotrf", "dpftrf", "dtrttf", "dpftrs", "dtrtrs"):
-        def counting(*args, name=name, real=getattr(lapack, name), **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+    def counting(module, attr, calls):
+        real = getattr(module, attr)
+
+        def call(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(lapack, name, counting)
-    assert blas_mod.factor_backend() == "scipy"
+        monkeypatch.setattr(module, attr, call)
+
+    primary = rows()
+    monkeypatch.setattr(blas_mod, "numpy_routines", lambda: None)
+    qrs, scipy_calls = {}, {}
+    for attr in ("_qr_projection", "_ridge_fit"):
+        counting(risk, attr, qrs)
+    for attr in ("dpotrf", "dpftrf", "dtrttf", "dpftrs", "dtrtri"):
+        counting(lapack, attr, scipy_calls)
     fallback = rows()
-    # per replicate, the blocked factor's dpotrf of each 32-wide piece of
-    # its diagonal tiles: eight in each of the first two tiles, and three in
-    # the third, whose third piece holds order 601, where it stops; per
-    # cell, G packed, factored and solved once, and the two projection
-    # passes' two triangular solves each
-    assert calls == {"dpotrf": 2 * (8 + 8 + 3), "dtrttf": 6, "dpftrf": 6, "dpftrs": 6,
-                     "dtrtrs": 6 * 4}
-    np.testing.assert_allclose(fallback, primary, rtol=1e-12, atol=0)
+    cells = len(cfg.s_grid) * cfg.ensemble_replicates
+    unrealizable = cfg.target_mode == "unrealizable"
+    assert qrs == ({"_qr_projection": cells, "_ridge_fit": cells} if unrealizable else {})
+    assert scipy_calls == {}
+    np.testing.assert_allclose(fallback, primary, rtol=1e-10, atol=0)

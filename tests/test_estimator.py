@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack as scipy_lapack
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
-from noisyrf import blas as blas_mod
 from noisyrf import estimator as estimator_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
@@ -346,27 +344,14 @@ class TestGramRoute:
             svd_factors(Z)
         assert calls == {"svd": 0, "cholesky": 0}
 
-    def test_route_calls_no_scipy_lapack(self, monkeypatch):
-        # every step runs on numpy's OpenBLAS: a threaded LAPACK call on
-        # scipy's own copy holds its BLAS threads busy into numpy's next
-        # gemms.  Each of scipy's LAPACK entry points raises here, as does
-        # the dtrtrs risk imported from it, through a preset row-space
-        # cell's whole split and a wide design's factors
-        if blas_mod._lapacke_dtrtri() is None:
-            pytest.skip("no loaded OpenBLAS copy exports LAPACKE's ILP64 dtrtri")
+    def test_route_calls_no_scipy_lapack(self, monkeypatch, scipy_lapack_refused):
+        # every step runs on numpy's OpenBLAS: no scipy LAPACK entry point
+        # runs through a preset row-space cell's whole split and a wide
+        # design's factors
         from noisyrf import risk as risk_mod
 
-        def refusing(name):
-            def call(*args, **kwargs):
-                raise AssertionError(f"scipy's LAPACK {name} called")
-            return call
-
         args, kwargs = preset_cell(monkeypatch, 1000)
-        names = [name for name in dir(scipy_lapack) if not name.startswith("_")
-                 and type(getattr(scipy_lapack, name)).__name__ == "fortran"]
-        for name in names + ["get_lapack_funcs"]:
-            monkeypatch.setattr(scipy_lapack, name, refusing(name))
-        monkeypatch.setattr(risk_mod, "dtrtrs", refusing("dtrtrs"))
+        scipy_lapack_refused()
         assert svd_factors(conditioned_design(20, 300, 10.0, 143)).T is None
         assert svd_factors(conditioned_design(20, 300, 10.0, 143).T).T is not None
         assert risk_mod.decompose(*args, **kwargs).rank == 100

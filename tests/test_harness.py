@@ -227,6 +227,7 @@ class TestConfig:
         ("sigma_sq", None), ("target_norm", [1.0]), ("tail_energy", "1"),
         ("a", None), ("delta", "0.05"),
         ("clean_test", "yes"), ("clean_test", 1),
+        ("out_dir", 5), ("out_dir", None), ("out_dir", ""), ("out_dir", ["x"]),
     ])
     def test_malformed_value_is_reported(self, field, value):
         raw = {"n": 20, "p": 40, "s_grid": [5, 10], field: value}
@@ -418,7 +419,7 @@ class TestSweep:
         # (numpy's ILP64 and scipy's LP64 copy, each with its own pool), read
         # through the copy's own get_num_threads: 1 in every worker, while
         # this process keeps its count
-        libraries = sweep_mod._openblas()
+        libraries = blas_mod.openblas()
         if not libraries:
             pytest.skip("no bundled OpenBLAS copy is loaded")
         assert len(libraries) == 2
@@ -427,7 +428,7 @@ class TestSweep:
 
         def recording(*args):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {[get() for _, _, get in sweep_mod._openblas()]}\n")
+                fh.write(f"{os.getpid()} {[get() for _, _, get in blas_mod.openblas()]}\n")
             return inner(*args)
 
         before = [get() for _, _, get in libraries]
@@ -477,7 +478,8 @@ class TestSweep:
         grid = unrealizable_preset(7).s_grid
         code = ("import dataclasses, json, sys\n"
                 "from noisyrf.config import preset_config\n"
-                "from noisyrf.sweep import _openblas, run_sweep\n"
+                "from noisyrf.blas import openblas\n"
+                "from noisyrf.sweep import run_sweep\n"
                 "rows, cfg = {}, preset_config('double-descent-default', {\n"
                 "    'master_seed': 7, 'target_mode': 'unrealizable', 'ensemble_replicates': 1,\n"
                 f"    's_grid': {grid}}})\n"
@@ -485,7 +487,7 @@ class TestSweep:
                 "    result = run_sweep(dataclasses.replace(cfg, workers=workers))\n"
                 "    assert not result.errors, result.errors\n"
                 "    rows[workers] = [[r.B, r.V, r.M, r.R] for r in result.records]\n"
-                "print(json.dumps({'threads': [get() for _, _, get in _openblas()],\n"
+                "print(json.dumps({'threads': [get() for _, _, get in openblas()],\n"
                 "                  'rows': rows}))\n")
         unset = {k: v for k, v in os.environ.items()
                  if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -595,7 +597,7 @@ class TestSweep:
         # 2 replicates, each split into one part per s-value
         assert sizes == [4]
         assert tasks[-1] == [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
-        assert initializers == [sweep_mod._pin_blas]
+        assert initializers == [blas_mod.pin_blas]
         assert records_csv(result.records) == records_csv(
             run_sweep(dataclasses.replace(cfg, workers=1)).records)
         run_sweep(dataclasses.replace(cfg, workers=3))
@@ -822,17 +824,19 @@ class TestSweep:
         assert parse_config(manifest) == cfg
         # the run's environment; one worker runs the cells in this process,
         # and a realizable target factors no Gram
-        libraries = [name for name, _, _ in sweep_mod._openblas()]
+        libraries = [name for name, _, _ in blas_mod.openblas()]
         assert manifest["environment"] == {
             "numpy": np.__version__, "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
             "openblas": libraries, "gram_factor": None, "pool": None}
         # an unrealizable target's Grams are factored on numpy's OpenBLAS
-        # copy, one of those loaded, or by scipy where it has no dpotrf
+        # copy, one of those loaded, or by no Gram ("qr") where it lacks the
+        # routines
         unrealizable = dataclasses.replace(cfg, target_mode="unrealizable")
         paths = emit_outputs(run_sweep(unrealizable), unrealizable, str(tmp_path / "unreal"))
         backend = json.loads(Path(paths["manifest"]).read_text())["environment"]["gram_factor"]
-        assert backend == blas_mod.factor_backend()
-        assert backend in libraries + ["scipy"]
+        found = blas_mod.numpy_routines()
+        assert backend == ("qr" if found is None else found[0])
+        assert backend in libraries + ["qr"]
         # two workers on the two cells: a pool, its workers pinned where an
         # OpenBLAS copy was found; the rows and the replay do not change
         pooled = dataclasses.replace(cfg, workers=2)
@@ -844,29 +848,27 @@ class TestSweep:
         assert Path(paths["sweep"]).read_text() == sweep_text
         assert parse_config(manifest) == pooled
 
-    @pytest.mark.parametrize("missing", [None, "_lapacke_dpotrf", "_cblas", "_lapacke_rfp",
-                                         "all"])
+    @pytest.mark.parametrize("missing", [None, "all"])
     def test_manifest_names_what_ran_the_unrealizable_route(self, monkeypatch, tmp_path,
                                                             missing):
-        # gram_factor names numpy's OpenBLAS file only where every routine
-        # of the unrealizable route was found there: the blocked factor's
-        # dpotrf, the cblas calls of the factor and its solves, and the RFP
-        # pack, factor and solve; with any one group missing, scipy's copy
-        # runs it, and the manifest says "scipy"
-        lookups = ("_lapacke_dpotrf", "_cblas", "_lapacke_rfp")
-        found = [getattr(blas_mod, lookup)() for lookup in lookups]
-        if missing is None and None in found:
-            pytest.skip("numpy's OpenBLAS lacks a routine of the unrealizable route")
-        for lookup in lookups if missing == "all" else (missing,) if missing else ():
-            monkeypatch.setattr(blas_mod, lookup, lambda: None)
+        # gram_factor names numpy's OpenBLAS file where it exports every
+        # routine blas calls; where it does not ("all" missing), no Gram is
+        # formed, each cell takes both QRs, and the manifest says "qr"
+        found = blas_mod.numpy_routines()
+        if missing is None and found is None:
+            pytest.skip("numpy's OpenBLAS lacks a routine blas calls")
+        if missing == "all":
+            monkeypatch.setattr(blas_mod, "numpy_routines", lambda: None)
         cfg = small_cfg(target_mode="unrealizable")
-        paths = emit_outputs(run_sweep(cfg), cfg, str(tmp_path))
+        result = run_sweep(cfg)
+        assert not result.errors
+        paths = emit_outputs(result, cfg, str(tmp_path))
         backend = json.loads(Path(paths["manifest"]).read_text())["environment"]["gram_factor"]
         if missing is None:
-            assert backend == found[0][0] and backend.startswith("libscipy_openblas64_")
-            assert backend in [name for name, _, _ in sweep_mod._openblas()]
+            assert backend == found[0] and backend.startswith("libscipy_openblas64_")
+            assert backend in [name for name, _, _ in blas_mod.openblas()]
         else:
-            assert backend == "scipy"
+            assert backend == "qr"
 
     def test_lambda_w_matches_lapack(self):
         W = seed_stream(2, "lw").standard_normal((30, 20))
@@ -1106,13 +1108,16 @@ class TestSweep:
         np.testing.assert_allclose(runs[0]["rows"], runs[1]["rows"], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("s", [10, 1778])
-    def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, gram_factors, s):
+    def test_unrealizable_preset_cell_runs_no_qr(self, linalg_calls, gram_factors,
+                                                 scipy_lapack_refused, s):
         # make_target's projection and ridge fit share one Gram H: its
         # factor and G's, both in place and both accepted, and no QR.  The
         # one np.linalg.cholesky is the design's own, of its smaller Gram
-        # (estimator.svd_factors)
+        # (estimator.svd_factors).  Every factor and solve runs on numpy's
+        # OpenBLAS: no scipy LAPACK entry point runs
         calls = linalg_calls("qr", "cholesky")
         infos = gram_factors()
+        scipy_lapack_refused()
         cfg = unrealizable_preset(7)
         rec = compute_row(cfg, cfg.s_grid.index(s), 0)
         assert rec.error == "" and rec.M > 0
