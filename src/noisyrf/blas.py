@@ -20,9 +20,10 @@ They call the routines `numpy_routines` finds, one lookup over one symbol
 table, run at its first call, never at import.  Where numpy's copy does not
 export every symbol (numpy < 2 wheels, a source build on another BLAS) it
 finds None, and no caller calls these: the unrealizable target forms no
-Gram and takes its two Householder QRs (`risk._solve_unrealizable`), a
-design takes the SVD (`estimator._gram_factor`) and W's complement frame
-holds E itself (`features._cholesky_qr2`).
+Gram and takes its two Householder QRs (`risk._solve_unrealizable`), and
+the one Cholesky helper of the other Grams, `estimator.cholesky_factor`,
+inverts its factor by `np.linalg.inv`, so a design, phi's row basis and W's
+complement frame take the routes they take on numpy's copy.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import sys
 
 from . import conclab
 from .config import (PRESETS, SPECTRUM_KINDS, ExperimentConfig, ValidationError,
-                     load_raw_config, parse_config, validate)
+                     load_raw_config, parse_config)
 from .features import NOISE_FAMILIES
 from .risk import TARGET_MODES, TARGET_NOISE_MODES
 from .seeding import seed_stream
@@ -90,7 +90,10 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir")
 
 
-def _build_config(args, require_seed: bool) -> ExperimentConfig:
+def _build_config(args, require_seed: bool, cell: int | None = None) -> ExperimentConfig:
+    """The validated config of the flags, the preset and the config file;
+    where the grid does not hold cell, the s of one `risk` cell, the grid
+    [cell] in its place, and each problem found says so."""
     base: dict = {}
     if args.preset:
         base.update(PRESETS[args.preset])
@@ -108,7 +111,15 @@ def _build_config(args, require_seed: bool) -> ExperimentConfig:
             raise ValidationError(["--s-grid must be comma-separated integers"])
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    cfg = parse_config(base, overrides)
+    prefix = ""
+    grid = overrides.get("s_grid", base.get("s_grid"))
+    if cell is not None and not (isinstance(grid, list) and cell in grid):
+        overrides["s_grid"] = [cell]
+        prefix = f"--s {cell} (run as the grid [{cell}]): "
+    try:
+        cfg = parse_config(base, overrides)
+    except ValidationError as exc:
+        raise ValidationError([prefix + err for err in exc.errors]) from None
     if cfg.master_seed is None:
         if require_seed:
             raise ValidationError(["sweep needs --seed (or master_seed in the config): "
@@ -146,17 +157,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    cfg = _build_config(args, require_seed=False)
-    s_index = 0
-    if args.s in cfg.s_grid:
-        # the grid index seeds the cell's streams, so this is the sweep's cell
-        s_index = cfg.s_grid.index(args.s)
-    elif args.s is not None:
-        cfg = dataclasses.replace(cfg, s_grid=[args.s])
-        errors = validate(cfg)
-        if errors:
-            raise ValidationError([f"--s {args.s} (run as the grid [{args.s}]): {err}"
-                                   for err in errors])
+    cfg = _build_config(args, require_seed=False, cell=args.s)
+    # the grid index seeds the cell's streams, so an s on the grid is the
+    # sweep's cell
+    s_index = 0 if args.s is None else cfg.s_grid.index(args.s)
     record = compute_row(cfg, s_index, args.replicate)
     print(json.dumps(conclab._jsonable(dataclasses.asdict(record)), indent=2))
     return 0

@@ -24,7 +24,7 @@ SPECTRUM_KINDS = tuple(k for k in KINDS if k != "custom")
 # The version stamped on emitted manifests.  Bumped whenever a change moves
 # the random stream or the config schema, so a manifest only replays on the
 # code that wrote it.
-ARTIFACT_VERSION = "15"
+ARTIFACT_VERSION = "16"
 
 
 class ValidationError(ValueError):

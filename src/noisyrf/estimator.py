@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .spectral import GRAM_RTOL
 
 _EPS = float(np.finfo(float).eps)
+# the largest eps cond(G) of a Gram G whose Cholesky factor may stand in for
+# a factorization of its rows (see `certified_gram_factor`)
+GRAM_RTOL = 1e-10
 
 
 def default_rtol(n: int, s: int) -> float:
@@ -89,38 +91,92 @@ def _svd_route(U: np.ndarray, sv: np.ndarray, V: np.ndarray, rtol: float) -> Svd
                       T=np.diag(sv))
 
 
-def _gram_factor(rows: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """(kappa, L, L^-1) for the Cholesky factor G = rows rows^T = L L^T of
-    a wide array, with kappa = ||G||_F ||G^-1||_F >= cond(G); None where
-    the Cholesky or the triangular inversion fails, or where numpy's
-    OpenBLAS lacks the routines `blas` calls (`blas.numpy_routines`): the
-    design then takes the SVD."""
-    if blas.numpy_routines() is None:
-        return None
-    gram = rows @ rows.T
+def cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(L, L^-1) for the Cholesky factor gram = L L^T, or None where the
+    Cholesky raises or L^-1 fails.
+
+    L^-1 is the transpose of an in-place LAPACK dtrtri of a Fortran copy of
+    L^T on numpy's OpenBLAS (`blas.triangular_inverse_in_place`), or
+    `np.linalg.inv(L)` where numpy's copy lacks the routine
+    (`blas.numpy_routines`), so every caller takes the same route on
+    either.  Its callers: a design's Gram route and phi's row basis, through
+    `certified_gram_factor`, and the first pass of W's complement frame
+    (`features._cholesky_qr2`).
+    """
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
-    # a Fortran copy of L^T, inverted in place: L^-T, and G^-1 = L^-T L^-1
+    if blas.numpy_routines() is None:
+        return L, np.linalg.inv(L)
+    # a Fortran copy of L^T, inverted in place: L^-T
     Lt_inv = np.array(L.T, order="F")
     if blas.triangular_inverse_in_place(Lt_inv) != 0:
         return None
-    kappa = float(np.linalg.norm(gram)) * float(np.linalg.norm(Lt_inv @ Lt_inv.T))
-    return kappa, L, Lt_inv.T
+    return L, Lt_inv.T
 
 
-def _gram_route(Z: np.ndarray, rtol: float) -> SvdFactors | None:
+def _gram_factor(rows: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(kappa, L, L^-1) for the Cholesky factor G = rows rows^T = L L^T of
+    a wide array, with kappa = ||G||_F ||G^-1||_F >= cond(G); None where
+    `cholesky_factor` finds none."""
+    gram = rows @ rows.T
+    found = cholesky_factor(gram)
+    if found is None:
+        return None
+    L, L_inv = found
+    # G^-1 = L^-T L^-1
+    kappa = float(np.linalg.norm(gram)) * float(np.linalg.norm(L_inv.T @ L_inv))
+    return kappa, L, L_inv
+
+
+def certified_gram_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(L, L^-1) for G = rows rows^T = L L^T, rows n x dim with n <= dim,
+    where the one certificate of a Gram route passes, else None.
+
+    The certificate reads kappa = ||G||_F ||G^-1||_F >= cond(G) and asks
+    eps kappa <= GRAM_RTOL and rtol^2 kappa < 1, rtol = default_rtol(n, dim):
+    every direction of the rows then clears the rank cutoff, and every form
+    read off L is held to the budget below.
+
+    Cholesky's backward error is about eps ||G|| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10), so every form read
+    off L carries about eps cond(G) = eps cond(rows)^2: G^-1, the
+    pseudo-inverse rows^T G^-1 Y and the orthonormality of the basis
+    L^-1 rows, whose Gram is off from I by about eps cond(G).  An SVD or a
+    QR of the rows errs by eps cond(rows) instead.  GRAM_RTOL = 1e-10 is 10x
+    inside the 1e-9 at which sweeps are checked to repeat: cond(G) up to
+    about 4.5e5, cond(rows) up to about 670.
+
+    It serves a design's Gram route (`svd_factors`, on the design or its
+    transpose) and phi's row basis (`features.row_space_factor`).  `risk`'s
+    ridge step holds its Cholesky side to the same budget: G = A^T A + q I
+    is the Gram of the stack [A; sqrt(q) I] that its QR side factors, the
+    computed G^-1 beta is off by about eps cond(G) relative, and q G^-1 has
+    its eigenvalues in (0, 1], so b* = beta - q G^-1 beta is off by at most
+    about eps cond(G) ||beta||.  That switch runs before G is packed, so it
+    reads an a-priori bound kappa >= cond(G) in place of this one
+    (`risk._ridge_cholesky`).
+    """
+    found = _gram_factor(rows)
+    if found is None:
+        return None
+    kappa, L, L_inv = found
+    rtol = default_rtol(*rows.shape)
+    if not (_EPS * kappa <= GRAM_RTOL and rtol * rtol * kappa < 1.0):
+        return None
+    return L, L_inv
+
+
+def _gram_route(Z: np.ndarray) -> SvdFactors | None:
     """The Gram route of `svd_factors` for a wide or tall Z, or None where
     its certificate refuses."""
     n, s = Z.shape
     tall = s < n
-    found = _gram_factor(Z.T if tall else Z)
+    found = certified_gram_factor(Z.T if tall else Z)
     if found is None:
         return None
-    kappa, L, L_inv = found
-    if not (_EPS * kappa <= GRAM_RTOL and rtol * rtol * kappa < 1.0):
-        return None
+    L, L_inv = found
     if tall:
         # Z = (Z L^-T) L^T, and Z L^-T has orthonormal columns
         return SvdFactors(U=Z @ L_inv.T, Tinv=L_inv.T, V=np.eye(s), rank=s, T=L.T)
@@ -136,24 +192,20 @@ def svd_factors(Z: np.ndarray) -> SvdFactors:
     infinite entry is refused with a ValueError.
 
     A design that is not square is factored through its smaller Gram G,
-    Z Z^T (n x n) for a wide one and Z^T Z (s x s) for a tall one, where a
-    computed bound certifies it: G = L L^T (one syrk, one Cholesky), L^-1
-    by one in-place triangular inversion on numpy's OpenBLAS, and
-    kappa = ||G||_F ||G^-1||_F >= cond(G) must satisfy eps kappa <=
-    GRAM_RTOL (1e-10, cond(Z) up to about 670) and rtol^2 kappa < 1, so
-    that every direction clears the rank cutoff and the rank is min(n, s).
-    A wide Z then has U = I, T = L and V^T = L^-1 Z, an orthonormal basis of
-    its rows; a tall one has U = Z L^-T, an orthonormal basis of its
-    columns, T = L^T and V = I.  Cholesky's backward error leaves every form
-    the risk split reads (Z^+ Y, ||T^-1||_F, V V^T) within about
-    eps cond(G) = eps cond(Z)^2 <= GRAM_RTOL (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 10; `spectral.GramEigen`
-    holds the budget).  Everywhere else, and for every square design,
-    LAPACK's SVD runs, whose error is eps cond(Z): on the tall transpose
-    Z^T = V S U^T for a wide design (LAPACK's path for a wide matrix is
-    about twice as slow as the same call on its transpose), on Z itself
-    otherwise.  That covers the peak s = n, where cond(Z) reaches 1e3-1e5,
-    and rank-deficient and steep designs.
+    Z Z^T (n x n) for a wide one and Z^T Z (s x s) for a tall one, where
+    `certified_gram_factor` certifies it: G = L L^T (one syrk, one
+    Cholesky, one triangular inversion), with eps ||G||_F ||G^-1||_F <=
+    GRAM_RTOL (1e-10, cond(Z) up to about 670), and every direction clears
+    the rank cutoff, so the rank is min(n, s).  A wide Z then has U = I,
+    T = L and V^T = L^-1 Z, an orthonormal basis of its rows; a tall one has
+    U = Z L^-T, an orthonormal basis of its columns, T = L^T and V = I.
+    Every form the risk split reads (Z^+ Y, ||T^-1||_F, V V^T) is then
+    within about eps cond(Z)^2 <= GRAM_RTOL.  Everywhere else, and for
+    every square design, LAPACK's SVD runs, whose error is eps cond(Z): on
+    the tall transpose Z^T = V S U^T for a wide design (LAPACK's path for a
+    wide matrix is about twice as slow as the same call on its transpose),
+    on Z itself otherwise.  That covers the peak s = n, where cond(Z)
+    reaches 1e3-1e5, and rank-deficient and steep designs.
 
     The routes give different bases: T is triangular on one and diagonal on
     the other, and the SVD's vectors inside a cluster of close singular
@@ -166,7 +218,7 @@ def svd_factors(Z: np.ndarray) -> SvdFactors:
     if not np.isfinite(Z).all():
         raise ValueError("design has a NaN or infinite entry")
     if n != s:
-        factors = _gram_route(Z, rtol)
+        factors = _gram_route(Z)
         if factors is not None:
             return factors
     if n < s:

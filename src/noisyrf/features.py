@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
-from .spectral import GramEigen, Spectrum, gram_eigh
+from .estimator import certified_gram_factor, cholesky_factor
+from .spectral import Spectrum
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
 _ROOT3 = math.sqrt(3.0)
@@ -202,24 +202,18 @@ def _cholesky_qr2(R: np.ndarray, F: np.ndarray, scale: np.ndarray) -> np.ndarray
     small, which ||E1^T E1 - I||_F <= 1/2 certifies (Yamamoto et al. 2015).
     Then T M has E M's column norms to about eps cond(E), as a Householder
     QR would give.  A single Cholesky of E^T E errs by up to
-    eps cond(E)^2, about 2e-9 on the preset, above `spectral.GRAM_RTOL`.
-    None where E is wider than tall, E^T E's Cholesky raises or the test
-    fails: exponential and finite-rank spectra, and p < k + n + 1; and
-    where numpy's OpenBLAS lacks the routines `blas` calls
-    (`blas.numpy_routines`).
+    eps cond(E)^2, about 2e-9 on the preset, above `estimator.GRAM_RTOL`.
+    T1 and T1^-1 come from `estimator.cholesky_factor`.  None where E is
+    wider than tall, E^T E's Cholesky raises or the test fails: exponential
+    and finite-rank spectra, and p < k + n + 1.
     """
     p, c = R.shape[0], R.shape[1] + F.shape[1]
-    if p < c or blas.numpy_routines() is None:
+    if p < c:
         return None
-    try:
-        T1 = np.linalg.cholesky(_gram_of_blocks(R, F, scale)).T
-    except np.linalg.LinAlgError:
+    found = cholesky_factor(_gram_of_blocks(R, F, scale))
+    if found is None:
         return None
-    # T1^-1 by one dtrtri on numpy's OpenBLAS, in a Fortran copy of T1 (zero
-    # below its diagonal, as np.linalg.cholesky leaves L above it)
-    T1_inv = np.array(T1, order="F")
-    if blas.triangular_inverse_in_place(T1_inv) != 0:
-        return None
+    T1, T1_inv = found[0].T, found[1].T
     gram = _gram_of_blocks(R, F, scale, T1_inv)
     if not np.linalg.norm(gram - np.eye(c)) <= 0.5:
         return None
@@ -356,32 +350,26 @@ class FeatureEnsemble:
         return self.spectrum.p
 
 
-def row_space_factor(phi: np.ndarray, gram: GramEigen) -> tuple[np.ndarray, np.ndarray]:
+def row_space_factor(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, T^T) with phi^T = R T: R p x k with orthonormal columns, T^T n x k,
-    k = min(n, p), from the eigenpairs `gram` of phi's Gram (`gram_eigh(phi)`).
+    k = min(n, p).
 
-    With phi phi^T = U D U^T, T is the Gram's square root U D^1/2 U^T and
-    R = phi^T U D^-1/2 U^T, the polar factor of phi^T: two n x n products and
-    one product with phi, and no factorization beyond the eigensolve that
-    gave the replicate's empirical spectrum.  Not U D^1/2 itself: the
-    eigenvectors of a cluster of close eigenvalues are fixed only up to a
-    rotation within it, which the Gram's last bits (the BLAS thread count)
-    move, and that rotation would move G = R^T W with it.  U D^1/2 U^T and
-    U D^-1/2 U^T do not depend on it, so Z repeats across thread counts.
-
-    R's orthonormality defect max |R^T R - I| is about eps * d_max / d_min
-    (derived in `GramEigen`), so the eigenpairs give the factor where n <= p
-    and the Gram passes `GramEigen.well_conditioned`, which holds the
-    defect within 1e-10 (d_min / d_max above about 2.2e-6).  A Gram that is
-    singular or nearer to it (p < n, a finite rank below n, an exponential
-    or a steep polynomial spectrum) takes the thin QR phi^T = R T instead,
-    whose R is orthonormal to rounding whatever phi's conditioning.
+    Where n <= p and phi's Gram phi phi^T = L L^T passes the certificate of
+    `estimator.certified_gram_factor`, the one a design's Gram route reads,
+    T^T = L and R = phi^T L^-T: one syrk, one Cholesky, one triangular
+    inversion and one product with phi.  R's orthonormality defect is then
+    within about eps cond(phi phi^T) <= GRAM_RTOL = 1e-10.  The Cholesky
+    factor is unique, so R does not rotate with the Gram's last bits (the
+    BLAS thread count).  A Gram that is singular or nearer to it (p < n, a
+    finite rank below n, an exponential or a steep polynomial spectrum)
+    takes the thin QR phi^T = R T instead, whose R is orthonormal to
+    rounding whatever phi's conditioning.
     """
     n, p = phi.shape
-    if n <= p and gram.well_conditioned:
-        U = gram.vectors
-        root = np.sqrt(gram.values)
-        return phi.T @ ((U / root) @ U.T), (U * root) @ U.T
+    found = certified_gram_factor(phi) if n <= p else None
+    if found is not None:
+        L, L_inv = found
+        return phi.T @ L_inv.T, L
     basis, tri = np.linalg.qr(phi.T)
     return basis, tri.T
 
@@ -396,9 +384,8 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
 
     weights is W, p x s.  With a complement it is instead G = R^T W, a
     min(n, p) x s standard normal draw, where factor = (R, T^T) is
-    `row_space_factor`'s phi^T = R T (taken here from phi's Gram when the
-    caller has not: `compute_row` passes its replicate's, computed once
-    from the eigenpairs its empirical spectrum came from): then
+    `row_space_factor`'s phi^T = R T (taken here when the caller has not:
+    `compute_row` passes its replicate's, computed once): then
     Z = T^T G / sqrt(s) and the ensemble holds RowSpaceWeights(G, frame).
     complement is that frame (`compute_row` passes its replicate's), or a
     generator that `complement_frame` draws one from here.  A dense
@@ -431,7 +418,7 @@ def build_ensemble(spectrum: Spectrum, mode: str, phi: np.ndarray,
         if weights.shape[0] != min(phi.shape):
             raise ValueError(f"row-space weight rows ({weights.shape[0]}) must equal "
                              f"min(n, p) = {min(phi.shape)}")
-        basis, tri_t = factor if factor is not None else row_space_factor(phi, gram_eigh(phi))
+        basis, tri_t = factor if factor is not None else row_space_factor(phi)
         Z = tri_t @ weights / math.sqrt(s)
         if isinstance(complement, np.random.Generator):
             complement = complement_frame(basis, spectrum.eigenvalues, n, complement)

@@ -43,8 +43,9 @@ block in place; the ridge Gram G = H / s + q_p I is packed from H's upper
 triangle into the cell's one buffer, half an s x s square in RFP storage,
 and factored there, where one bound, eps (1 + tr(H) / (s q_p)) <=
 GRAM_RTOL on G's condition, keeps the fit's error within the budget every
-Gram here is held to (`spectral.GramEigen`; see `_ridge_cholesky`).  Every
-factor and solve runs on numpy's OpenBLAS (`blas`).  Each solve falls back
+Gram here is held to (`estimator.certified_gram_factor`; see
+`_ridge_cholesky`).  Every factor and solve runs on numpy's OpenBLAS
+(`blas`).  Each solve falls back
 to a Householder QR on its own: the projection where H's factor stopped
 before order s or the projection's check fails (`_qr_projection`), the fit
 where the bound refuses or G's factor fails (`_ridge_fit`).  Where numpy's
@@ -63,9 +64,8 @@ from scipy.linalg.lapack import dtrtrs
 from . import blas
 from .blas import (blocked_cholesky_in_place, cholesky_solve_in_place, pack_upper,
                    packed_cholesky_in_place, packed_cholesky_solve_in_place, rfp_diagonal)
-from .estimator import SvdFactors, default_rtol, svd_factors
+from .estimator import GRAM_RTOL, SvdFactors, default_rtol, svd_factors
 from .features import WEIGHT_BLOCK, FeatureEnsemble, column_product
-from .spectral import GRAM_RTOL
 
 TARGET_MODES = ("realizable-clean", "realizable-noisy", "unrealizable")
 TARGET_NOISE_MODES = ("shared", "fresh", "clean")
@@ -266,9 +266,9 @@ def _ridge_cholesky(gram: FactoredGram, beta: np.ndarray, q: float,
     switch refuses or G's factor fails (see `_ridge_fit`).  tr is tr(H_s)
     of the leading s x s block H_s of gram's H, s = beta.size.
     G = H_s / s + q I is the Gram of the stack the QR side factors, so the
-    switch holds it to `spectral.GramEigen`'s budget: eps kappa <=
-    GRAM_RTOL with kappa = 1 + tr / (s q) >= cond(G), kappa up to about
-    4.5e5.  It reads only tr, so a cell it refuses packs nothing.
+    switch holds it to `estimator.certified_gram_factor`'s budget:
+    eps kappa <= GRAM_RTOL with kappa = 1 + tr / (s q) >= cond(G), kappa up
+    to about 4.5e5.  It reads only tr, so a cell it refuses packs nothing.
     Otherwise G is packed straight from gram's upper triangle, H's, into the
     cell's one buffer, s (s + 1) / 2 doubles in RFP storage
     (`blas.pack_upper`), H's diagonal taken from gram.diagonal, and

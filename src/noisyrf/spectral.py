@@ -197,87 +197,6 @@ def eigenfeature_matrix(spectrum: Spectrum, mode: str, X) -> np.ndarray:
     return V * np.sqrt(spectrum.eigenvalues)
 
 
-# the largest eps cond(G) of a Gram G whose eigenpairs or Cholesky factor may
-# stand in for a factorization of its rows (see GramEigen)
-GRAM_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GramEigen:
-    """The eigenpairs of the smaller Gram of n rows (an n x dim matrix).
-
-    For n <= dim that is rows rows^T = U diag(d) U^T, n x n; for n > dim it
-    is rows^T rows, dim x dim.  `values` is d non-increasing as
-    `np.linalg.eigh` returns it (a rounding-level negative stays) and
-    `vectors` holds the matching orthonormal eigenvectors as columns.
-
-    A factor of the rows read off the eigenpairs costs accuracy.  M = rows
-    rows^T is formed, and eigh solves it, with a backward error of about
-    eps d_max, so d_i is off by about eps d_max / d_i relative.  Every form
-    read off the eigenpairs then carries about eps d_max / d_min =
-    eps cond(rows)^2: M^-1, rows^+ Y = rows^T M^-1 Y, and the orthonormality
-    of the basis rows^T U D^-1/2 U^T (`features.row_space_factor`'s R),
-    whose Gram is off from I by about eps d_max / sqrt(d_i d_j).  An SVD or
-    QR of the rows errs by eps cond(rows) instead.  `well_conditioned`
-    holds the error within GRAM_RTOL = 1e-10, 10x inside the 1e-9 at which
-    sweeps are checked to repeat: cond(rows) up to about 670, d_min / d_max
-    above about 2.2e-6.
-
-    `estimator.svd_factors` holds a design's Gram route to the same
-    budget without the eigenpairs.  Cholesky's backward error is also about
-    eps ||M||, so M = L L^T gives M^-1, rows^+ Y and the basis
-    L^-1 rows, orthonormal to about eps cond(M), the same eps cond(rows)^2
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 10).  Without the eigenvalues it reads the computable upper bound
-    kappa = ||M||_F ||M^-1||_F >= cond(M) and asks eps kappa <= GRAM_RTOL,
-    which implies `well_conditioned` of the same rows.
-
-    `risk`'s ridge step holds its Cholesky side to the same budget.
-    G = A^T A + q I is the Gram of the stack [A; sqrt(q) I] that its QR side
-    factors.  Cholesky's backward error leaves the computed G^-1 beta off by
-    about eps cond(G) relative, and q G^-1 has its eigenvalues in (0, 1], so
-    b* = beta - q G^-1 beta is off by at most about eps cond(G) ||beta||.
-    The switch runs before G is packed from the replicate's Gram, so it
-    reads an upper bound kappa >= cond(G) in place of d_max / d_min and
-    asks eps kappa <= GRAM_RTOL (`risk._ridge_cholesky`, which factors G in
-    packed storage).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    n: int
-
-    @property
-    def lambda_hat(self) -> np.ndarray:
-        """The min(n, dim) leading eigenvalues of (1/n) rows^T rows,
-        non-increasing and clipped at 0."""
-        return np.clip(self.values / self.n, 0.0, None)
-
-    @property
-    def well_conditioned(self) -> bool:
-        """d_min > 0 and eps d_max <= GRAM_RTOL d_min: the one test under which
-        the eigenpairs stand in for a factorization of the rows."""
-        d_max, d_min = float(self.values[0]), float(self.values[-1])
-        return d_min > 0 and np.finfo(float).eps * d_max <= GRAM_RTOL * d_min
-
-
-def gram_eigh(feature_rows: np.ndarray) -> GramEigen:
-    """One symmetric eigensolve of the smaller of the n x n Gram and the
-    dim x dim covariance of the rows.
-
-    It is the one factorization behind both the empirical spectrum and the
-    row-space basis of `features.row_space_factor`: a sweep runs it once
-    per replicate on phi and hands the result to both.
-    """
-    rows = np.asarray(feature_rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("feature_rows must be a 2-d array")
-    n, dim = rows.shape
-    small = rows @ rows.T if n <= dim else rows.T @ rows
-    values, vectors = np.linalg.eigh(small)
-    return GramEigen(values=values[::-1], vectors=vectors[:, ::-1], n=n)
-
-
 def empirical_covariance(feature_rows: np.ndarray) -> np.ndarray:
     """The min(n, dim) leading eigenvalues of (1/n) * rows^T rows.
 
@@ -285,11 +204,15 @@ def empirical_covariance(feature_rows: np.ndarray) -> np.ndarray:
     of an n < dim estimate are exactly zero and are not returned.  Works on
     eigenfeature rows (giving the empirical covariance of phi) or on sampled
     feature rows (giving the feature-space covariance estimate).  The smaller
-    of the n x n Gram and the dim x dim covariance is factored, by
-    `gram_eigh`; a sweep calls that itself, once per replicate, since it
-    also needs the eigenvectors.
+    of the n x n Gram and the dim x dim covariance takes one values-only
+    symmetric eigensolve.
     """
-    return gram_eigh(feature_rows).lambda_hat
+    rows = np.asarray(feature_rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("feature_rows must be a 2-d array")
+    n, dim = rows.shape
+    small = rows @ rows.T if n <= dim else rows.T @ rows
+    return np.clip(np.linalg.eigvalsh(small)[::-1] / n, 0.0, None)
 
 
 def numerical_support(spectrum: Spectrum) -> int:

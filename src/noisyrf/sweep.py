@@ -15,7 +15,7 @@ in manifest.json instead, with the run's environment.
 A replicate is one training set: its covariates are keyed by (master_seed,
 replicate) alone, so every cell of the replicate sees the same rows and the
 replicate traces one fixed-data risk curve over the s grid.  The rows, their
-Gram eigenpairs, the row-space factor, W's complement frame and, for an
+empirical spectrum, the row-space factor, W's complement frame and, for an
 unrealizable target, the weight pool, p x max(s_grid) rounded up to whole
 weight blocks, whose first s columns are each cell's W, and the pool's
 Lambda-Gram with its Cholesky factor, whose leading s x s blocks are each
@@ -41,6 +41,7 @@ import numpy as np
 from . import blas
 from . import bounds as bounds_mod
 from .config import ARTIFACT_VERSION, ExperimentConfig
+from .estimator import GRAM_RTOL
 # not called here: the sweep takes the rank from decompose; perfbench's tracer
 # looks projector_diag up in this module by name, so it stays importable here
 from .estimator import projector_diag  # noqa: F401
@@ -48,12 +49,8 @@ from .features import (WEIGHT_BLOCK, ComplementFrame, build_ensemble, complement
                        make_noise_spec, reducible, row_space_factor, sample_weights)
 from .risk import FactoredGram, decompose, factor_gram, lambda_gram, make_target
 from .seeding import seed_stream
-# empirical_covariance likewise: compute_row takes the spectrum from its
-# replicate's gram_eigh call, whose eigenvectors it also needs; the tracer
-# looks the name up here
-from .spectral import (GRAM_RTOL, GramEigen, eigenfeature_matrix,  # noqa: F401
-                       empirical_covariance, gram_eigh, make_spectrum, sample_covariates,
-                       trace_and_rank)
+from .spectral import (eigenfeature_matrix, empirical_covariance, make_spectrum,
+                       sample_covariates, trace_and_rank)
 
 CSV_COLUMNS = ["s", "replicate", "sigma0_sq", "k_star", "B", "B_se", "V", "V_se",
                "M", "M_se", "R", "R_se", "bias_bound", "variance_bound",
@@ -190,12 +187,13 @@ def _pool_size(cfg: ExperimentConfig) -> int:
 
 class _TrainingRows:
     """A replicate's training set, shared by every cell of it: the
-    spectrum, phi = phi(X) (n x p), gram = gram_eigh(phi) and the weight
-    arrays its cells share, each formed by the first cell that asks:
+    spectrum, phi = phi(X) (n x p), lambda_hat = empirical_covariance(phi)
+    and the weight arrays its cells share, each formed by the first cell
+    that asks:
 
     - for row-space cells, factor = (R, T^T), `row_space_factor`'s
-      phi^T = R T from the same eigenpairs, and complement, W's complement
-      frame (`features.complement_frame`) drawn from the replicate's
+      phi^T = R T, and complement, W's complement frame
+      (`features.complement_frame`) drawn from the replicate's
       weights-complement stream;
     - for unrealizable cells, the weight pool (`weight_pool`), one p x S
       draw from its weights-dense stream, S = max(s_grid) rounded up to
@@ -215,17 +213,17 @@ class _TrainingRows:
     cell's row.
     """
 
-    def __init__(self, spectrum, phi: np.ndarray, gram: GramEigen, master_seed: int,
+    def __init__(self, spectrum, phi: np.ndarray, lambda_hat: np.ndarray, master_seed: int,
                  replicate: int):
-        for array in (phi, gram.values, gram.vectors):
+        for array in (phi, lambda_hat):
             array.flags.writeable = False
-        self.spectrum, self.phi, self.gram = spectrum, phi, gram
+        self.spectrum, self.phi, self.lambda_hat = spectrum, phi, lambda_hat
         self._key = (master_seed, replicate)
         self._pool = self._pool_gram = None
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        factor = row_space_factor(self.phi, self.gram)
+        factor = row_space_factor(self.phi)
         for array in factor:
             array.flags.writeable = False
         return factor
@@ -299,7 +297,7 @@ def _training_rows(master_seed: int, replicate: int, mode: str, n: int, p: int, 
     phi = eigenfeature_matrix(spectrum, mode, X)
     # X is not read again; freed before the Gram is formed
     del X
-    return _TrainingRows(spectrum, phi, gram_eigh(phi), master_seed, replicate)
+    return _TrainingRows(spectrum, phi, empirical_covariance(phi), master_seed, replicate)
 
 
 def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRecord:
@@ -324,12 +322,11 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     the same law (features module).
 
     The training rows are the replicate's (`_training_rows`): its
-    covariates, phi, one eigensolve of phi's Gram, the row-space factor
-    (R, T^T) from the same eigenpairs, W's complement frame, the weight
-    pool and its factored Gram, computed by the first cell of the replicate
-    that runs in this process (the factor and the frame by the first
-    row-space cell, the pool and its Gram by the first unrealizable one) and
-    reused by the others.  The eigenpairs give the empirical spectrum; the factor and the
+    covariates, phi, its empirical spectrum, the row-space factor (R, T^T),
+    W's complement frame, the weight pool and its factored Gram, computed by
+    the first cell of the replicate that runs in this process (the factor
+    and the frame by the first row-space cell, the pool and its Gram by the
+    first unrealizable one) and reused by the others.  The factor and the
     frame serve row-space cells, the pool and its Gram unrealizable ones.
     """
     seed = cfg.master_seed
@@ -342,7 +339,7 @@ def compute_row(cfg: ExperimentConfig, s_index: int, replicate: int) -> SweepRec
     rng_noise = seed_stream(seed, s_index, replicate, "feature-noise")
     rng_target = seed_stream(seed, s_index, replicate, "target")
 
-    lam_hat = rows.gram.lambda_hat
+    lam_hat = rows.lambda_hat
     noise_spec = make_noise_spec(cfg.noise_family, cfg.alpha, s)
     k_star = bounds_mod.k_star(lam_hat, noise_spec.sigma0_sq, n, cfg.a)
     pool_gram = None
@@ -655,9 +652,9 @@ def emit_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str) -> di
                        "columns as W; a realizable row where the tail index k* exists "
                        "draws its p x s W from weights. Every other row holds row-space weights, "
                        "G = R^T W with R an orthonormal basis of the eigenfeature rows' "
-                       "span (R = phi^T U D^-1/2 U^T from the eigenpairs phi phi^T = "
-                       f"U D U^T where d_min / d_max > eps / {GRAM_RTOL:g}, else the thin "
-                       "QR of phi^T). A row with s > m = min(n, p) + n and gaussian noise "
+                       "span (R = phi^T L^-T from the Cholesky factor phi phi^T = L L^T "
+                       "where n <= p and eps ||phi phi^T||_F ||(phi phi^T)^-1||_F <= "
+                       f"{GRAM_RTOL:g}, else the thin QR of phi^T). A row with s > m = min(n, p) + n and gaussian noise "
                        "or alpha = inf is reduced: the weights stream draws the m x m "
                        "Bartlett factor L of [G; Xi] (the diagonal "
                        "sqrt(chisquare(s - i + 1)) for i = 1..m, then standard normals "

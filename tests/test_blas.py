@@ -296,9 +296,10 @@ def test_importing_the_package_looks_nothing_up():
 ], ids=["unrealizable", "preset"])
 def test_fallback_rows_match_the_primary_route(monkeypatch, backend, preset, overrides):
     # swept on numpy's OpenBLAS, then with the lookup finding nothing: no
-    # Gram is formed, every unrealizable cell takes its two QRs, the
-    # preset's designs take the SVD and its complement frames hold E, and
-    # none of scipy's copies of the routines blas calls runs.  The rows
+    # Gram is formed for the unrealizable target, every unrealizable cell
+    # takes its two QRs, the preset's Cholesky factors are inverted by
+    # np.linalg.inv, and none of scipy's copies of the routines blas calls
+    # runs.  The rows
     # agree to rounding: at most 7.0e-15 relative on the small grid,
     # 3.1e-13 on the preset.  The small grid's cells cross weight-block
     # edges, and its pool, 768 wide past p = 600, stops past order 600

@@ -8,9 +8,8 @@ from scipy.linalg import eigh
 from noisyrf import estimator as estimator_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import preset_config
-from noisyrf.estimator import default_rtol, projector_diag, ridge_fit, svd_factors
+from noisyrf.estimator import GRAM_RTOL, default_rtol, projector_diag, ridge_fit, svd_factors
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import GRAM_RTOL
 from sampled_reference import svd_reference
 
 EPS = np.finfo(float).eps

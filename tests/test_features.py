@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from noisyrf import blas as blas_mod
 from noisyrf import features as features_mod
+from noisyrf.estimator import GRAM_RTOL
 from noisyrf.features import (WEIGHT_BLOCK, build_ensemble, make_noise_spec,
                               noise_matrix, row_space_factor, sample_weights)
 from noisyrf.seeding import seed_sequence, seed_stream
-from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, gram_eigh, make_spectrum,
-                              sample_covariates)
+from noisyrf.spectral import eigenfeature_matrix, make_spectrum, sample_covariates
 from sampled_reference import kernel_eval
 
 
@@ -259,7 +260,7 @@ class TestEnsemble:
         phi = eigenfeature_matrix(sp, "eigencoordinate", x)
         G = sample_weights(4, 7, seed_stream(41))
         ens = build_ensemble(sp, "eigencoordinate", phi, G, complement=seed_stream(42))
-        R, _ = row_space_factor(phi, gram_eigh(phi))
+        R, _ = row_space_factor(phi)
         np.testing.assert_allclose(R.T @ R, np.eye(4), atol=1e-14)
         np.testing.assert_allclose(ens.Z, phi @ (R @ G) / math.sqrt(7), rtol=1e-12, atol=1e-14)
         with pytest.raises(ValueError, match="min\\(n, p\\)"):
@@ -268,7 +269,7 @@ class TestEnsemble:
 
 
 def counted_factor(monkeypatch, phi):
-    """(R, T^T, np.linalg.qr calls) of row_space_factor on phi's own Gram."""
+    """(R, T^T, np.linalg.qr calls) of row_space_factor(phi)."""
     calls = []
     real_qr = np.linalg.qr
 
@@ -277,8 +278,15 @@ def counted_factor(monkeypatch, phi):
         return real_qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", qr)
-    R, Tt = row_space_factor(phi, gram_eigh(phi))
+    R, Tt = row_space_factor(phi)
     return R, Tt, len(calls)
+
+
+def preset_phi(seed):
+    """phi of the double-descent preset's n = 100 rows over p = 2000, i^-2."""
+    sp = make_spectrum("polynomial", 2000, gamma=2.0)
+    return eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
+        "eigencoordinate", 100, seed_stream(seed, "cov"), p=2000))
 
 
 def defect(R):
@@ -293,32 +301,46 @@ def conditioned_rows(n, p, condition, seed):
 
 
 class TestRowSpaceFactor:
-    """phi^T = R T from the Gram's eigenpairs, or from a QR past the switch."""
+    """phi^T = R T from the Gram's Cholesky factor, or from a QR past the
+    certificate."""
 
-    # the eigenpairs give the factor below this Gram condition d_max / d_min
+    # the Gram condition d_max / d_min at the certificate's edge, about 4.5e5
     EDGE = GRAM_RTOL / np.finfo(float).eps
 
     @pytest.mark.parametrize("seed", [7, 13])
     def test_preset_rows_take_the_eigenpairs(self, monkeypatch, seed):
-        # n = 100, p = 2000, i^-2: the Gram's condition is about 1.5e4, so no
-        # QR; R's defect stays within the bound (measured about 4e-13)
-        sp = make_spectrum("polynomial", 2000, gamma=2.0)
-        phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
-            "eigencoordinate", 100, seed_stream(seed, "cov"), p=2000))
+        # n = 100, p = 2000, i^-2: the Gram's condition is about 1.5e4, so
+        # the certificate passes and no QR runs; T^T is the lower Cholesky
+        # factor and R's defect stays within the bound (measured about 5e-13)
+        phi = preset_phi(seed)
         R, Tt, qr_calls = counted_factor(monkeypatch, phi)
         assert qr_calls == 0
         assert R.shape == (2000, 100) and Tt.shape == (100, 100)
         assert defect(R) <= GRAM_RTOL
+        assert np.array_equal(Tt, np.tril(Tt))
         np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-12 * np.abs(phi).max())
 
-    @pytest.mark.parametrize("side,condition", [("eigh", 0.9), ("qr", 1.1)])
+    def test_preset_rows_without_numpy_routines_take_the_same_factor(self, monkeypatch):
+        # where numpy's OpenBLAS lacks dtrtri, L^-1 comes from np.linalg.inv:
+        # still no QR, and the same factor to rounding
+        phi = preset_phi(7)
+        R0, Tt0 = row_space_factor(phi)
+        monkeypatch.setattr(blas_mod, "numpy_routines", lambda: None)
+        R, Tt, qr_calls = counted_factor(monkeypatch, phi)
+        assert qr_calls == 0
+        np.testing.assert_allclose(R, R0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Tt, Tt0, rtol=0, atol=1e-12)
+
+    # on these 40-row geometric spectra ||G||_F ||G^-1||_F is about 2.1
+    # d_max / d_min, so the certificate refuses from about 0.47 EDGE on
+    @pytest.mark.parametrize("side,condition", [("cholesky", 0.4), ("qr", 1.1)])
     def test_switch_edge(self, monkeypatch, side, condition):
-        # just inside the edge the eigenpairs' R meets the stated bound; just
+        # inside the edge the Cholesky factor's R meets the stated bound;
         # past it the QR's R is orthonormal to rounding
         phi = conditioned_rows(40, 300, condition * self.EDGE, seed=3)
         R, Tt, qr_calls = counted_factor(monkeypatch, phi)
         assert qr_calls == (1 if side == "qr" else 0)
-        assert defect(R) <= (GRAM_RTOL if side == "eigh" else 1e-14)
+        assert defect(R) <= (GRAM_RTOL if side == "cholesky" else 1e-14)
         np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-12 * np.abs(phi).max())
 
     @pytest.mark.parametrize("kind,n,p,params", [
@@ -336,13 +358,13 @@ class TestRowSpaceFactor:
         np.testing.assert_allclose(R @ Tt.T, phi.T, atol=1e-14 * np.abs(phi).max())
 
     def test_ensemble_takes_the_callers_eigenpairs(self, monkeypatch):
-        # given the factor read off the Gram's eigenpairs, build_ensemble runs
-        # no eigensolve or factorization of its own and takes the caller's T^T
+        # given the caller's factor, build_ensemble runs no factorization of
+        # its own and takes the caller's T^T
         sp = make_spectrum("polynomial", 30, gamma=2.0)
         phi = eigenfeature_matrix(sp, "eigencoordinate", sample_covariates(
             "eigencoordinate", 6, seed_stream(6), p=30))
-        factor = row_space_factor(phi, gram_eigh(phi))
-        monkeypatch.setattr(features_mod, "gram_eigh", None)
+        factor = row_space_factor(phi)
+        monkeypatch.setattr(features_mod, "certified_gram_factor", None)
         monkeypatch.setattr(features_mod, "row_space_factor", None)
         G = sample_weights(6, 9, seed_stream(7))
         ens = build_ensemble(sp, "eigencoordinate", phi, G, complement=seed_stream(8),

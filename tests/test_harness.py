@@ -123,7 +123,8 @@ class TestConfig:
         pytest.param("6", {"bias_multiplier": 1.0, "variance_multiplier": 1.0, "m0": None},
                      id="6"),
         # version "8" row-space cells took R from the thin QR of phi^T; this
-        # code takes it from the Gram's eigenpairs, so their G is another draw
+        # code takes it from the Gram's Cholesky factor, so their G is
+        # another draw
         pytest.param("8", {}, id="8"),
         # version "9" row-space cells attached W's complement draw to the
         # design's right singular vectors V; this code attaches it to the left
@@ -151,6 +152,10 @@ class TestConfig:
         # through the QR basis of D^T and factors both through the Cholesky
         # factor of the smaller Gram
         pytest.param("14", {}, id="14"),
+        # version "15" took phi's row basis from the polar factor of its
+        # Gram's eigenpairs, Z = (U D^1/2 U^T) G / sqrt(s); this code takes
+        # it from the Gram's Cholesky factor, Z = L G / sqrt(s)
+        pytest.param("15", {}, id="15"),
     ])
     def test_old_version_manifest_gets_the_version_error(self, version, retired):
         manifest = {"artifact_version": version,
@@ -817,7 +822,7 @@ class TestSweep:
             "columns as W" in manifest["seed_scheme"]
         assert "attached to the design D's rows through the QR D^T = Q P whose triangle " \
             "P has a positive diagonal" in manifest["seed_scheme"]
-        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "15"
+        assert sweep_mod.ARTIFACT_VERSION == config_mod.ARTIFACT_VERSION == "16"
         assert manifest["grid"] == [6, 20]
         assert set(manifest["timings_ms"]) == {"0:0", "1:0"}
         # a manifest replays: its config block parses to the original config
@@ -1011,12 +1016,13 @@ class TestSweep:
     @pytest.mark.parametrize("s,route", [(100, "row-space"), (10, "dense")])
     def test_preset_cell_factors_the_gram_once(self, monkeypatch, linalg_calls, weight_shapes,
                                                s, route):
-        # one eigensolve of phi phi^T per replicate gives both the empirical
-        # spectrum and its row-space cells' basis: no QR of the 2000 x 100
-        # phi^T, and no cell runs a second eigensolve (lambda_W is not stated
-        # on the preset, and designs of s - 5 and s columns keep the SVD).
-        # The only QRs are those of Sigma U^T, s x n, by which a row-space
-        # cell on the SVD route attaches W's complement (SvdFactors.qr_coords)
+        # one values-only eigensolve of phi phi^T per replicate gives the
+        # empirical spectrum, and its Cholesky factor the row-space cells'
+        # basis: no QR of the 2000 x 100 phi^T, and no cell runs a second
+        # eigensolve (lambda_W is not stated on the preset, and designs of
+        # s - 5 and s columns keep the SVD).  The only QRs are those of
+        # Sigma U^T, s x n, by which a row-space cell on the SVD route
+        # attaches W's complement (SvdFactors.qr_coords)
         calls = linalg_calls("eigh", "eigvalsh")
         qr_shapes = []
         real_qr = np.linalg.qr
@@ -1032,28 +1038,30 @@ class TestSweep:
         assert all(r.error == "" and math.isfinite(r.R) for r in records)
         rows = cfg.n if route == "row-space" else cfg.p
         assert weight_shapes == [(rows, s - 5), (rows, s)] * 2
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 2}
         assert qr_shapes == ([(s - 5, cfg.n), (s, cfg.n)] * 2 if route == "row-space" else [])
 
     def test_preset_replicate_runs_one_eigensolve(self, linalg_calls):
-        # the replicate's one eigensolve is phi's Gram: every design but the
-        # square s = n = 100 one takes the Cholesky factor of its smaller
-        # Gram, and only that one takes the SVD.  The complement frame's
-        # CholeskyQR2 adds two Cholesky factors
-        calls = linalg_calls("eigh", "cholesky", "svd")
+        # the replicate's one eigensolve is the values of phi's Gram: every
+        # design but the square s = n = 100 one takes the Cholesky factor of
+        # its smaller Gram, and only that one takes the SVD.  phi's row basis
+        # adds one Cholesky factor, the complement frame's CholeskyQR2 two
+        calls = linalg_calls("eigh", "eigvalsh", "cholesky", "svd")
         cfg = preset_config("double-descent-default",
                             {"master_seed": 7, "ensemble_replicates": 1})
         records = run_sweep(cfg).records
         assert all(r.error == "" and math.isfinite(r.R) for r in records)
         assert cfg.s_grid.count(cfg.n) == 1
-        assert calls == {"eigh": 1, "cholesky": len(cfg.s_grid) - 1 + 2, "svd": 1}
+        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": len(cfg.s_grid) - 1 + 3,
+                         "svd": 1}
 
     def test_row_space_cells_repeat_across_blas_thread_counts(self):
-        # a BLAS thread count changes the Gram's last bits, and with them the
-        # eigenvectors eigh picks inside a cluster of close eigenvalues.  The
-        # basis R = phi^T U D^-1/2 U^T does not depend on that pick; taken
-        # as phi^T U D^-1/2, these cells drew another G on 1 thread than on 2
-        # and R moved by up to 150%.  1e-9 is perfbench's pool-vs-serial bound
+        # a BLAS thread count changes the Gram's last bits.  The basis
+        # R = phi^T L^-T reads its Cholesky factor, which is unique, so R
+        # moves only by rounding; a basis taken as phi^T U D^-1/2 from the
+        # Gram's eigenvectors, which rotate inside a cluster of close
+        # eigenvalues, drew another G on 1 thread than on 2 and R moved by up
+        # to 150%.  1e-9 is perfbench's pool-vs-serial bound
         src = os.path.dirname(os.path.dirname(os.path.abspath(config_mod.__file__)))
         code = ("import json\n"
                 "from noisyrf.config import preset_config\n"
@@ -1176,8 +1184,8 @@ class TestSweep:
 
 
 class TestReplicateRows:
-    """A replicate is one training set: its covariates, phi, the Gram's
-    eigenpairs, the row-space factor and W's complement frame are drawn once
+    """A replicate is one training set: its covariates, phi, its empirical
+    spectrum, the row-space factor and W's complement frame are drawn once
     and shared, read-only, by every cell of it."""
 
     def test_cells_of_a_replicate_share_phi(self, monkeypatch):
@@ -1239,7 +1247,7 @@ class TestReplicateRows:
         frame = rows.complement
         assert frame.left.shape == (25, 25)
         pool, pool_gram = rows.weight_pool(20), rows.weight_gram(20)
-        for array in (rows.phi, rows.gram.values, rows.gram.vectors, *rows.factor, frame.RtF,
+        for array in (rows.phi, rows.lambda_hat, *rows.factor, frame.RtF,
                       frame.left, pool, pool[:, :6], pool_gram.buffer, pool_gram.buffer[:6, :6],
                       pool_gram.diagonal):
             with pytest.raises(ValueError, match="read-only"):
@@ -1514,6 +1522,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"--s {s} (run as the grid [{s}]): {problem}" in err
         assert "Traceback" not in err
+
+    def test_risk_cell_off_the_grid_checks_only_its_own_grid(self, capsys):
+        # s = 7 runs as the grid [7], so the grid's 30, past the 24
+        # eigenvalues an unrealizable target needs, is not its problem; the
+        # on-grid s = 6 runs in the whole grid, which is refused
+        flags = ["risk", "--n", "12", "--p", "24", "--s-grid", "6,30",
+                 "--target-mode", "unrealizable", "--seed", "3"]
+        assert main([*flags, "--s", "7"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = small_cfg(s_grid=[7], master_seed=3, target_mode="unrealizable")
+        assert out["R"] == compute_row(cfg, 0, 0).R
+        assert main([*flags, "--s", "6"]) == 1
+        err = capsys.readouterr().err
+        assert "s_grid has [30]" in err and "run as the grid" not in err
 
     @pytest.mark.parametrize("flags", [["--m0", "1"], ["--method", "closed-form"],
                                        ["--label-redraws", "20"]],

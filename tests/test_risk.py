@@ -13,13 +13,13 @@ from noisyrf import estimator as estimator_mod
 from noisyrf import risk as risk_mod
 from noisyrf import sweep as sweep_mod
 from noisyrf.config import PRESETS, preset_config
-from noisyrf.estimator import default_rtol, projector_diag, svd_factors
+from noisyrf.estimator import GRAM_RTOL, default_rtol, projector_diag, svd_factors
 from noisyrf.features import (WEIGHT_BLOCK, RowSpaceWeights, build_ensemble, complement_frame,
                               make_noise_spec, row_space_factor, sample_weights)
 from noisyrf.risk import TargetFunction, decompose, make_target, target_train_values
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, gram_eigh, make_spectrum,
-                              numerical_support, sample_covariates)
+from noisyrf.spectral import (eigenfeature_matrix, make_spectrum, numerical_support,
+                              sample_covariates)
 from sampled_reference import (TestSample, draw_test_sample, sampled_decompose,
                                standalone_best_fit, svd_reference)
 
@@ -1266,7 +1266,7 @@ class TestFactorizationRoute:
             forced = decompose_once()
         assert calls == {"svd": 1} and forced.rank == gram.rank
         # both routes are within eps cond(Z)^2 <= GRAM_RTOL of the exact split
-        # (spectral.GramEigen)
+        # (estimator.certified_gram_factor)
         for field in ("bias", "variance", "misspec", "total"):
             np.testing.assert_allclose(getattr(gram, field), getattr(forced, field),
                                        rtol=GRAM_RTOL, atol=0, err_msg=field)
@@ -1354,7 +1354,7 @@ class TestRowSpaceRoute:
     def test_same_law_as_dense_past_the_switch(self, monkeypatch, s):
         # exp(-i) at n = 20, p = 60 leaves the Gram's condition above 1e9, so
         # every row-space cell takes its basis from the QR of phi^T; the i^-2
-        # eigencoordinate cases stay near 1e3, on the eigenpairs' side.  A
+        # eigencoordinate cases stay near 1e3, on the Cholesky side.  A
         # design on the SVD route adds the QR of Sigma U^T, s x 20, at s = 10
         qr_calls = []
         real_qr = np.linalg.qr
@@ -1379,7 +1379,7 @@ class TestRowSpaceRoute:
             + 0.5 * seed_stream(1, "e").standard_normal(s)
         C = np.column_stack([V, e])
         rng = seed_stream(1, "complement")
-        R, _ = row_space_factor(phi, gram_eigh(phi))
+        R, _ = row_space_factor(phi)
         GC = G @ C
         gram = np.zeros((r + 1, r + 1))
         for _ in range(draws):
@@ -1399,7 +1399,7 @@ class TestRowSpaceRoute:
         phi = seed_stream(3, "phi").standard_normal((n, p))
         G = sample_weights(n, s, seed_stream(3, "g"))
         spectrum = make_spectrum("polynomial", p, gamma=2.0)
-        R, _ = row_space_factor(phi, gram_eigh(phi))
+        R, _ = row_space_factor(phi)
         frame = complement_frame(R, spectrum.eigenvalues, n, seed_stream(3, "complement"))
         V = np.linalg.qr(seed_stream(3, "v").standard_normal((s, r)))[0]
         U = np.linalg.qr(seed_stream(3, "u").standard_normal((n, r)))[0]
@@ -1428,7 +1428,7 @@ class TestRowSpaceRoute:
         spectrum = make_spectrum(kind, p, **params)
         phi = eigenfeature_matrix(spectrum, MODE,
                                   sample_covariates(MODE, n, seed_stream(6, "cov"), p=p))
-        R, _ = row_space_factor(phi, gram_eigh(phi))
+        R, _ = row_space_factor(phi)
         k = R.shape[1]
         G = sample_weights(k, s, seed_stream(6, "g"))
         V = np.linalg.qr(seed_stream(6, "v").standard_normal((s, r)))[0]

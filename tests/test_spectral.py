@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisyrf.estimator import svd_factors
+from noisyrf.estimator import GRAM_RTOL, svd_factors
 from noisyrf.features import row_space_factor
 from noisyrf.seeding import seed_stream
-from noisyrf.spectral import (GRAM_RTOL, eigenfeature_matrix, empirical_covariance,
-                              fourier_basis, gram_eigh, make_spectrum, numerical_support,
-                              sample_covariates, suggest_truncation, trace_and_rank)
+from noisyrf.spectral import (eigenfeature_matrix, empirical_covariance, fourier_basis,
+                              make_spectrum, numerical_support, sample_covariates,
+                              suggest_truncation, trace_and_rank)
 from sampled_reference import kernel_eval
 
 
@@ -266,13 +266,13 @@ class TestEmpiricalCovariance:
 
 
 class TestWellConditioned:
-    """The switches of the two wide factorizations of the rows: the design's
-    Cholesky certificate (`svd_factors`) implies the eigenpair test of phi's
-    row basis (`row_space_factor`).  Where the design is certified, both
-    take the Gram side; past the eigenpair test both take their own
-    fallbacks (LAPACK's SVD, the thin QR); in between only the design does."""
+    """The one certificate (`estimator.certified_gram_factor`) decides both
+    wide factorizations of the rows: the design's (`svd_factors`) and phi's
+    row basis (`row_space_factor`).  Where it passes, both take the Gram's
+    Cholesky factor; where it refuses, both take their own fallbacks
+    (LAPACK's SVD, the thin QR)."""
 
-    # the Gram condition d_max / d_min at the switch's edge, about 4.5e5
+    # the Gram condition d_max / d_min at the certificate's edge, about 4.5e5
     EDGE = GRAM_RTOL / np.finfo(float).eps
 
     @classmethod
@@ -287,25 +287,13 @@ class TestWellConditioned:
         return (left * np.geomspace(1.0, (condition * cls.EDGE) ** -0.5, n)) @ right.T
 
     # on these geometric spectra ||G||_F ||G^-1||_F is about 1.35 d_max /
-    # d_min, so the design's certificate refuses from about 0.74 EDGE on
-    @pytest.mark.parametrize("side,condition", [("gram", 0.5), ("fallback", 1.1)])
+    # d_min, so the certificate refuses from about 0.74 EDGE on
+    @pytest.mark.parametrize("side,condition", [("gram", 0.5), ("fallback", 0.9),
+                                                ("fallback", 1.1)])
     def test_both_callers_take_the_same_side(self, linalg_calls, side, condition):
         rows = self.rows(side, condition)
-        gram = gram_eigh(rows)
-        assert gram.well_conditioned == (side == "gram")
         calls = linalg_calls("svd", "qr", "cholesky")
         assert svd_factors(rows).rank == 20
-        row_space_factor(rows, gram)
+        row_space_factor(rows)
         fallback = int(side == "fallback")
-        assert calls == {"cholesky": 1, "svd": fallback, "qr": fallback}
-
-    def test_between_the_switches_only_the_basis_reads_the_gram(self, linalg_calls):
-        # d_max / d_min = 0.9 EDGE passes the eigenpair test, while the
-        # design's bound, about 1.2 EDGE, refuses: the design takes the SVD
-        rows = self.rows("basis only", 0.9)
-        gram = gram_eigh(rows)
-        assert gram.well_conditioned
-        calls = linalg_calls("svd", "qr", "cholesky")
-        assert svd_factors(rows).rank == 20
-        row_space_factor(rows, gram)
-        assert calls == {"cholesky": 1, "svd": 1, "qr": 0}
+        assert calls == {"cholesky": 2, "svd": fallback, "qr": fallback}
